@@ -5,7 +5,7 @@
 
 use ccr_ir::{Reg, RegionId, Value};
 use ccr_profile::{CrbModel, RecordedInstance};
-use ccr_sim::{simulate_baseline, CrbConfig, MachineConfig, ReuseBuffer};
+use ccr_sim::{simulate, CrbConfig, MachineConfig, ReuseBuffer};
 use ccr_workloads::{build, InputSet};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -174,8 +174,13 @@ fn bench_pipeline_ready_tracking(c: &mut Criterion) {
     let program = build("130.li", InputSet::Train, 1).unwrap();
     g.bench_function("ready_tracking_li", |b| {
         b.iter(|| {
-            let out = simulate_baseline(&program, &MachineConfig::paper(), ccr_bench::emu_config())
-                .unwrap();
+            let out = simulate(
+                &program,
+                &MachineConfig::paper(),
+                None,
+                ccr_bench::emu_config(),
+            )
+            .unwrap();
             black_box(out.stats.cycles);
         });
     });

@@ -4,8 +4,8 @@
 //! study).
 
 use ccr_bench::emu_config;
+use ccr_core::compile::{compile_ccr, CompileConfig};
 use ccr_core::measure::{measure, reuse_potential};
-use ccr_regions::RegionConfig;
 use ccr_sim::{CrbConfig, MachineConfig};
 use ccr_workloads::{build, InputSet};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -14,11 +14,15 @@ use std::hint::black_box;
 fn bench_figure8_point(c: &mut Criterion) {
     let mut g = c.benchmark_group("figure8");
     g.sample_size(10);
+    let config = CompileConfig {
+        emu: emu_config(),
+        ..CompileConfig::paper()
+    };
     for name in ["124.m88ksim", "099.go", "pgpencode"] {
         g.bench_function(format!("speedup_{name}"), |b| {
             b.iter(|| {
-                let compiled =
-                    ccr_bench::compile_benchmark(name, InputSet::Train, 1, &RegionConfig::paper());
+                let program = build(name, InputSet::Train, 1).unwrap();
+                let compiled = compile_ccr(&program, &program, &config).unwrap();
                 let m = measure(
                     &compiled,
                     &MachineConfig::paper(),

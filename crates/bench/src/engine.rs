@@ -2,38 +2,41 @@
 //! job pool, the compile cache, and a content-addressed simulation
 //! result cache.
 //!
-//! Historically every entry point re-implemented the
-//! plan→compile→sim pipeline with its own throwaway caches:
-//! `exp::execute` built a fresh [`CompileCache`] per call, and
-//! `run_selected_cached` shared one only across sequential calls.
-//! That is the right shape for a one-shot CLI run, but `ccr serve`
-//! keeps a process alive across many requests — and the paper's core
-//! economics (amortize one compile/region-formation pass across many
-//! dynamic executions) applies to the harness itself: two clients
-//! sweeping overlapping configuration spaces should pay for each
-//! unique compile and each unique simulation exactly once.
+//! [`Engine`] is the one way to run the plan→compile→sim pipeline.
+//! It has two entry points: [`Engine::execute_plan`] runs a planned
+//! experiment sweep (`ccr exp`, `ccr fingerprint`, served experiment
+//! requests), and [`Engine::run_selected`] runs a workload selection
+//! under one configuration (`ccr suite`, `ccr bench`, served point
+//! requests). `ccr serve` keeps a process alive across many requests,
+//! and the paper's core economics (amortize one compile/region-
+//! formation pass across many dynamic executions) applies to the
+//! harness itself: two clients sweeping overlapping configuration
+//! spaces should pay for each unique compile and each unique
+//! simulation exactly once.
 //!
-//! [`Engine`] is that long-lived object. It owns:
+//! The engine owns:
 //!
 //! - the worker count fanned through [`ccr_core::jobs`] (PR 4),
-//! - the PR-5 [`CompileCache`], now **single-flight**: a concurrent
-//!   miss on a key another thread is already compiling blocks until
-//!   that compile lands, so each unique unit compiles exactly once
-//!   even across concurrent requests,
+//! - the [`CompileCache`], **single-flight**: a concurrent miss on a
+//!   key another thread is already compiling blocks until that
+//!   compile lands, so each unique unit compiles exactly once even
+//!   across concurrent requests,
 //! - a [`SimResultCache`]: completed simulation outcomes keyed by the
 //!   planner's FNV-1a dedup keys (workload, input, scale, and the
-//!   region/machine/CRB `fields()` hashes), single-flight like the
-//!   compile cache, with a configurable capacity, LRU eviction, and
+//!   region/machine/CRB `fields()` hashes), single-flight through the
+//!   same routine as the compile cache, with a configurable capacity,
+//!   LRU eviction, and
 //!   hit/miss/eviction counters registered on a PR-7
 //!   [`MetricsRegistry`] (`engine.simcache.*`).
 //!
 //! The one-shot paths (`ccr exp`, `ccr bench`, `ccr suite`,
 //! `ccr profile`) construct a fresh engine per invocation — every
-//! lookup misses, the simulations run exactly as before, and every
-//! rendered table stays byte-identical to the committed `results/`
-//! artifacts (`tests/engine_equivalence.rs` pins this). `ccr serve`
-//! keeps one engine for the whole session, which is where the
-//! cross-request dedup comes from.
+//! lookup misses, and every rendered table stays byte-identical to
+//! the committed `results/` artifacts (`tests/engine_equivalence.rs`
+//! pins this). `ccr bench --host-reps N` reuses one engine with
+//! result capacity 0 across its repetitions: compiles are shared,
+//! every simulation re-runs. `ccr serve` keeps one engine for the
+//! whole session, which is where the cross-request dedup comes from.
 //!
 //! **Bit-identity contract:** the caches only elide *repeats* of
 //! deterministic work. A cache hit returns the identical
@@ -42,10 +45,10 @@
 //! renderer reads is unchanged whether a point ran cold, was
 //! restored from a checkpoint, or was served from the result cache.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ccr_core::compile::{CompileConfig, CompiledWorkload};
@@ -56,13 +59,14 @@ use ccr_core::measure::{reuse_potential, Measurement};
 use ccr_core::telemetry::{Counter, MetricsRegistry};
 use ccr_profile::EmuConfig;
 use ccr_profile::ReusePotential;
-use ccr_sim::{simulate, simulate_baseline, CrbConfig, MachineConfig, SimOutcome, SimSession};
+use ccr_sim::{simulate, CrbConfig, MachineConfig, SimOutcome, SimSession};
 use ccr_workloads::InputSet;
 
 use crate::exp::{
     base_sim_key, ccr_sim_key, ckpt_line, compile_key, hash_fields, input_tag, load_checkpoint,
     BaseUnit, CcrUnit, CompileCache, CompileUnit, Executed, Plan, PointMeta, PotentialUnit,
 };
+use crate::single_flight::SingleFlight;
 use crate::{emu_config, SuiteRun};
 
 /// Default retained-entry capacity of a fresh engine's
@@ -75,8 +79,8 @@ pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 4096;
 /// One cached simulation: the deterministic [`SimOutcome`] plus the
 /// host wall time and determinism-fingerprint chain hash measured
 /// when the unit originally ran. Wall time is reused on a hit — the
-/// same convention `execute_resumable` uses for checkpoint-restored
-/// units, so summaries stay reproducible.
+/// same convention [`Engine::execute_plan`] uses for
+/// checkpoint-restored units, so summaries stay reproducible.
 #[derive(Clone)]
 pub struct CachedSim {
     /// The simulated outcome (bit-identical across reruns).
@@ -96,18 +100,15 @@ struct ReadyEntry {
 }
 
 #[derive(Default)]
-struct ResultCacheState {
+struct ResultStore {
     ready: HashMap<String, ReadyEntry>,
     /// Completed reuse-potential studies, keyed by the planner's
     /// `pot|…` keys. Never evicted: the map is bounded by the
     /// workload registry (13 entries per input/scale), not by sweep
-    /// size, so LRU pressure from simulations can't thrash it.
+    /// size, so LRU pressure from simulations can't thrash it. Sim and
+    /// potential keys are disjoint by construction (`pot|` prefixes
+    /// the latter), so both share one pending set.
     potentials: HashMap<String, ReusePotential>,
-    /// Keys some thread is currently computing (sim and potential
-    /// keys are disjoint by construction — `pot|` prefixes the
-    /// latter). Single-flight: concurrent requests for a pending key
-    /// block until it lands rather than recomputing it.
-    pending: HashSet<String>,
     tick: u64,
 }
 
@@ -127,13 +128,11 @@ struct ResultCacheState {
 /// least-recently-used ready entry (pending keys are never evicted
 /// and never count). A capacity of 0 retains nothing — every lookup
 /// misses, though concurrent lookups still share one in-flight run.
-/// Errors are never cached; waiters retry after a failed compute.
+/// Errors are never cached; waiters retry after a failed or panicked
+/// compute.
 pub struct SimResultCache {
-    state: Mutex<ResultCacheState>,
-    cv: Condvar,
+    flight: SingleFlight<ResultStore>,
     capacity: usize,
-    hits: Counter,
-    misses: Counter,
     evictions: Counter,
 }
 
@@ -143,11 +142,12 @@ impl SimResultCache {
     /// `engine.simcache.misses` / `engine.simcache.evictions`.
     pub fn new(capacity: usize, metrics: &MetricsRegistry) -> SimResultCache {
         SimResultCache {
-            state: Mutex::new(ResultCacheState::default()),
-            cv: Condvar::new(),
+            flight: SingleFlight::new(
+                ResultStore::default(),
+                metrics.counter("engine.simcache.hits"),
+                metrics.counter("engine.simcache.misses"),
+            ),
             capacity,
-            hits: metrics.counter("engine.simcache.hits"),
-            misses: metrics.counter("engine.simcache.misses"),
             evictions: metrics.counter("engine.simcache.evictions"),
         }
     }
@@ -155,12 +155,12 @@ impl SimResultCache {
     /// Lookups served from a ready entry (including lookups that
     /// waited out another thread's in-flight computation).
     pub fn hits(&self) -> u64 {
-        self.hits.get()
+        self.flight.hits()
     }
 
     /// Lookups that had to run the simulation.
     pub fn misses(&self) -> u64 {
-        self.misses.get()
+        self.flight.misses()
     }
 
     /// Ready entries discarded to stay within capacity.
@@ -175,7 +175,7 @@ impl SimResultCache {
 
     /// Currently retained entries.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("result cache lock").ready.len()
+        self.flight.read(|s| s.ready.len())
     }
 
     /// True when nothing is retained.
@@ -197,52 +197,34 @@ impl SimResultCache {
         key: &str,
         run: impl FnOnce() -> Result<CachedSim, String>,
     ) -> Result<CachedSim, String> {
-        let mut state = self.state.lock().expect("result cache lock");
-        loop {
-            if state.ready.contains_key(key) {
-                state.tick += 1;
-                let tick = state.tick;
-                let entry = state.ready.get_mut(key).expect("checked above");
-                entry.last_used = tick;
-                let value = entry.value.clone();
-                self.hits.inc();
-                return Ok(value);
-            }
-            if !state.pending.contains(key) {
-                break;
-            }
-            state = self.cv.wait(state).expect("result cache lock");
-        }
-        state.pending.insert(key.to_string());
-        self.misses.inc();
-        drop(state);
-        let result = run();
-        let mut state = self.state.lock().expect("result cache lock");
-        state.pending.remove(key);
-        if let Ok(value) = &result {
-            state.tick += 1;
-            let tick = state.tick;
-            state.ready.insert(
-                key.to_string(),
-                ReadyEntry {
+        self.flight.get_or_run(
+            key,
+            |s| {
+                let entry = s.ready.get_mut(key)?;
+                s.tick += 1;
+                entry.last_used = s.tick;
+                Some(entry.value.clone())
+            },
+            run,
+            |s, value| {
+                s.tick += 1;
+                let entry = ReadyEntry {
                     value: value.clone(),
-                    last_used: tick,
-                },
-            );
-            while state.ready.len() > self.capacity {
-                let victim = state
-                    .ready
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty over-capacity map");
-                state.ready.remove(&victim);
-                self.evictions.inc();
-            }
-        }
-        drop(state);
-        self.cv.notify_all();
-        result
+                    last_used: s.tick,
+                };
+                s.ready.insert(key.to_string(), entry);
+                while s.ready.len() > self.capacity {
+                    let victim = s
+                        .ready
+                        .iter()
+                        .min_by_key(|(_, e)| e.last_used)
+                        .map(|(k, _)| k.clone())
+                        .expect("non-empty over-capacity map");
+                    s.ready.remove(&victim);
+                    self.evictions.inc();
+                }
+            },
+        )
     }
 
     /// [`SimResultCache::get_or_run`] for reuse-potential studies
@@ -261,36 +243,21 @@ impl SimResultCache {
         key: &str,
         run: impl FnOnce() -> Result<ReusePotential, String>,
     ) -> Result<ReusePotential, String> {
-        let mut state = self.state.lock().expect("result cache lock");
-        loop {
-            if let Some(p) = state.potentials.get(key) {
-                self.hits.inc();
-                return Ok(*p);
-            }
-            if !state.pending.contains(key) {
-                break;
-            }
-            state = self.cv.wait(state).expect("result cache lock");
-        }
-        state.pending.insert(key.to_string());
-        self.misses.inc();
-        drop(state);
-        let result = run();
-        let mut state = self.state.lock().expect("result cache lock");
-        state.pending.remove(key);
-        if let Ok(p) = &result {
-            state.potentials.insert(key.to_string(), *p);
-        }
-        drop(state);
-        self.cv.notify_all();
-        result
+        self.flight.get_or_run(
+            key,
+            |s| s.potentials.get(key).copied(),
+            run,
+            |s, p| {
+                s.potentials.insert(key.to_string(), *p);
+            },
+        )
     }
 }
 
 /// The long-lived execution engine: job-pool width plus the shared
 /// compile and simulation-result caches. See the module docs for the
-/// layering; `exp::execute*` and `run_selected*` are thin wrappers
-/// over a fresh engine, `ccr serve` shares one across requests.
+/// layering; one-shot commands use a fresh engine, `ccr serve` shares
+/// one across requests.
 pub struct Engine {
     jobs: usize,
     metrics: Arc<MetricsRegistry>,
@@ -339,13 +306,35 @@ impl Engine {
     }
 
     /// Runs a plan through the engine: compiles and potential studies
-    /// first, then every simulation as an independent work item, all
-    /// through the shared caches. This is the body behind
-    /// [`crate::exp::execute_resumable`] — see its docs for the
-    /// checkpoint and fingerprint semantics. Cache accounting on the
-    /// returned [`Executed`] (and the `compile_cache` harness event)
-    /// is the **delta** this run contributed, so a fresh engine
-    /// reports exactly what the pre-engine implementation did.
+    /// first (a simulation needs its compile), then every simulation
+    /// as an independent work item, all over the engine's workers and
+    /// through the shared caches.
+    ///
+    /// - `harness`: every unit runs under a stable task label
+    ///   (`compile:`/`potential:`/`sim:base:`/`sim:ccr:` × workload ×
+    ///   config hash), the job pool reports per-worker busy/idle
+    ///   accounting, and start/finish/cache events land in
+    ///   `harness.jsonl`. The harness only observes: results are
+    ///   bit-identical with `Harness::disabled()`
+    ///   (`tests/harness_observability.rs` pins this).
+    /// - `checkpoint`: a JSONL file finished simulation units are
+    ///   appended to as they complete (crash-resumable: every line is
+    ///   flushed the moment its sim finishes). On entry, units already
+    ///   present in the file are restored instead of re-simulated —
+    ///   with their original wall times, so a resumed run reproduces
+    ///   the original run's [`crate::exp::PointSummary`] list exactly.
+    ///   Restored units still report `task_finish` to the harness
+    ///   (wall time as recorded) so progress accounting covers the
+    ///   whole plan.
+    /// - `fingerprint_window`: when set, every CCR simulation runs
+    ///   through a [`SimSession`] folding the determinism fingerprint
+    ///   every that many cycles (bit-identical statistics to
+    ///   [`simulate`]), and the final chain hash lands in
+    ///   [`crate::exp::PointSummary::fingerprint`].
+    ///
+    /// Cache accounting on the returned [`Executed`] (and the
+    /// `compile_cache` harness event) is the **delta** this run
+    /// contributed, so a fresh engine reports every compile as a miss.
     ///
     /// # Errors
     ///
@@ -576,11 +565,9 @@ impl Engine {
                     .get_or_run(&cache_key, || {
                         let start = Instant::now();
                         let res = match item {
-                            Sim::Base(u, cw) => {
-                                simulate_baseline(&cw.base, &u.machine, emu_config())
-                                    .map(|o| (o, String::new()))
-                                    .map_err(|e| format!("{}: {e}", u.name))
-                            }
+                            Sim::Base(u, cw) => simulate(&cw.base, &u.machine, None, emu_config())
+                                .map(|o| (o, String::new()))
+                                .map_err(|e| format!("{}: {e}", u.name)),
                             Sim::Ccr(u, cw) => match fingerprint_window {
                                 None => {
                                     simulate(&cw.annotated, &u.machine, Some(u.crb), emu_config())
@@ -649,11 +636,22 @@ impl Engine {
         Ok(executed)
     }
 
-    /// Runs a workload selection end-to-end through the engine's
-    /// shared caches — the suite/bench pipeline, re-routed. Identical
-    /// statistics to [`crate::run_selected_harnessed`]; repeated or
-    /// overlapping selections additionally reuse compiles *and*
-    /// simulation outcomes across calls.
+    /// Runs a workload selection end-to-end under one configuration —
+    /// the suite/bench pipeline: compiles, then every workload's
+    /// {base, ccr} simulations as independent work items, all fanned
+    /// over the engine's workers and through its shared caches.
+    /// Results come back in `names` order, and every simulated
+    /// statistic is identical to a serial, uncached run (each
+    /// simulation is self-contained and deterministic) — only
+    /// `wall_ms` reflects the host. Repeated or overlapping selections
+    /// reuse compiles and simulation outcomes across calls; an engine
+    /// built with result capacity 0 re-runs every simulation.
+    ///
+    /// `config.region.trial_instances` should match `crb.instances`:
+    /// the selection trial assumes the hardware's instance count. The
+    /// result cache embeds `emu` in its keys (the suite path's sim
+    /// limits are a parameter, unlike the experiment path where they
+    /// always equal the compile config's).
     ///
     /// # Errors
     ///
@@ -671,19 +669,111 @@ impl Engine {
         emu: EmuConfig,
         harness: &Harness,
     ) -> Result<Vec<SuiteRun>, String> {
-        run_selected_inner(
+        let jobs = self.jobs;
+        let input = input_tag(target);
+        let cfg_hash = config_hash(machine, &crb);
+        harness.plan(
+            names.len() as u64,
+            2 * names.len() as u64,
+            &[("jobs", jobs as u64)],
+        );
+        let compile_labels: Vec<String> = names
+            .iter()
+            .map(|name| format!("compile:{name}:{input}@{scale}"))
+            .collect();
+        let (compiled, pool) = parallel_map_observed(
             names,
-            target,
-            scale,
-            config,
-            machine,
-            crb,
-            emu,
-            self.jobs,
-            Some(&self.compile_cache),
-            Some(&self.result_cache),
-            harness,
-        )
+            jobs,
+            Some(&compile_labels),
+            harness.observer(),
+            |i, name| {
+                harness.task_start("compile", &compile_labels[i]);
+                let started = Instant::now();
+                let out = self
+                    .compile_cache
+                    .get_or_compile(name, target, scale, config)
+                    .map(|cw| (cw, started.elapsed().as_millis() as u64));
+                if let Ok((_, wall_ms)) = &out {
+                    harness.task_finish("compile", &compile_labels[i], *wall_ms, None);
+                }
+                out
+            },
+        );
+        harness.pool("compile", &pool);
+        let compiled = compiled.into_iter().collect::<Result<Vec<_>, _>>()?;
+        // Fan every workload's two independent simulations out as their
+        // own work items: 2N sims over `jobs` workers.
+        let tasks: Vec<(usize, bool)> = (0..compiled.len())
+            .flat_map(|i| [(i, false), (i, true)])
+            .collect();
+        let sim_labels: Vec<String> = tasks
+            .iter()
+            .map(|&(i, is_ccr)| {
+                let kind = if is_ccr { "ccr" } else { "base" };
+                format!("sim:{kind}:{}:{cfg_hash}", names[i])
+            })
+            .collect();
+        let (sims, sim_pool) = parallel_map_observed(
+            &tasks,
+            jobs,
+            Some(&sim_labels),
+            harness.observer(),
+            |t, &(i, is_ccr)| {
+                harness.task_start("sim", &sim_labels[t]);
+                let (program, unit_key, sim_crb) = if is_ccr {
+                    let ck = compile_key(names[i], target, scale, config);
+                    let key = ccr_sim_key(&ck, machine, &crb);
+                    (&compiled[i].0.annotated, key, Some(crb))
+                } else {
+                    let key = base_sim_key(names[i], target, scale, config, machine);
+                    (&compiled[i].0.base, key, None)
+                };
+                let key = format!(
+                    "{unit_key}|simemu:{}/{}|fp:none",
+                    emu.max_instrs, emu.max_depth
+                );
+                let out = self.result_cache.get_or_run(&key, || {
+                    let started = Instant::now();
+                    simulate(program, machine, sim_crb, emu)
+                        .map(|outcome| CachedSim {
+                            outcome,
+                            wall_ms: started.elapsed().as_millis() as u64,
+                            fingerprint: String::new(),
+                        })
+                        .map_err(|e| format!("{}: {e}", names[i]))
+                });
+                if let Ok(c) = &out {
+                    harness.task_finish(
+                        "sim",
+                        &sim_labels[t],
+                        c.wall_ms,
+                        Some(c.outcome.stats.cycles),
+                    );
+                }
+                out
+            },
+        );
+        harness.pool("sim", &sim_pool);
+        let mut sims = sims.into_iter();
+        let mut runs = Vec::with_capacity(compiled.len());
+        for (name, (compiled, compile_ms)) in names.iter().zip(compiled) {
+            let base = sims.next().expect("one base sim per workload")?;
+            let ccr = sims.next().expect("one ccr sim per workload")?;
+            assert_eq!(
+                base.outcome.run.returned, ccr.outcome.run.returned,
+                "computation reuse changed architectural results"
+            );
+            runs.push(SuiteRun {
+                name,
+                compiled,
+                wall_ms: compile_ms + base.wall_ms + ccr.wall_ms,
+                measurement: Measurement {
+                    base: base.outcome,
+                    ccr: ccr.outcome,
+                },
+            });
+        }
+        Ok(runs)
     }
 }
 
@@ -695,147 +785,4 @@ fn result_cache_key(unit_key: &str, fingerprint_window: Option<u64>) -> String {
         None => format!("{unit_key}|fp:none"),
         Some(w) => format!("{unit_key}|fp:{w}"),
     }
-}
-
-/// The suite pipeline body ([`crate::run_selected_harnessed`] and
-/// [`Engine::run_selected`] are thin wrappers): compiles then the
-/// per-workload {base, ccr} simulations fanned over `jobs` workers,
-/// optionally through the shared caches. The result cache embeds the
-/// simulation emulator limits in its keys (the suite path's sim
-/// limits are a parameter, unlike the experiment path where they
-/// always equal the compile config's).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_selected_inner(
-    names: &[&'static str],
-    target: InputSet,
-    scale: u32,
-    config: &CompileConfig,
-    machine: &MachineConfig,
-    crb: CrbConfig,
-    emu: EmuConfig,
-    jobs: usize,
-    cache: Option<&CompileCache>,
-    result_cache: Option<&SimResultCache>,
-    harness: &Harness,
-) -> Result<Vec<SuiteRun>, String> {
-    let input = input_tag(target);
-    let cfg_hash = config_hash(machine, &crb);
-    harness.plan(
-        names.len() as u64,
-        2 * names.len() as u64,
-        &[("jobs", jobs as u64)],
-    );
-    let compile_labels: Vec<String> = names
-        .iter()
-        .map(|name| format!("compile:{name}:{input}@{scale}"))
-        .collect();
-    let compiled: Vec<(CompiledWorkload, u64)> = {
-        let (results, pool) = parallel_map_observed(
-            names,
-            jobs,
-            Some(&compile_labels),
-            harness.observer(),
-            |i, name| {
-                harness.task_start("compile", &compile_labels[i]);
-                let started = Instant::now();
-                let out = match cache {
-                    Some(cache) => cache
-                        .get_or_compile(name, target, scale, config)
-                        .map(|cw| ((*cw).clone(), started.elapsed().as_millis() as u64)),
-                    None => crate::compile_with(name, target, scale, config)
-                        .map(|cw| (cw, started.elapsed().as_millis() as u64)),
-                };
-                if let Ok((_, wall_ms)) = &out {
-                    harness.task_finish("compile", &compile_labels[i], *wall_ms, None);
-                }
-                out
-            },
-        );
-        harness.pool("compile", &pool);
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            out.push(r?);
-        }
-        out
-    };
-    // Fan every workload's two independent simulations out as their
-    // own work items: 2N sims over `jobs` workers.
-    let tasks: Vec<(usize, bool)> = (0..compiled.len())
-        .flat_map(|i| [(i, false), (i, true)])
-        .collect();
-    let sim_labels: Vec<String> = tasks
-        .iter()
-        .map(|&(i, is_ccr)| {
-            let kind = if is_ccr { "ccr" } else { "base" };
-            format!("sim:{kind}:{}:{cfg_hash}", names[i])
-        })
-        .collect();
-    let (sims, sim_pool) = parallel_map_observed(
-        &tasks,
-        jobs,
-        Some(&sim_labels),
-        harness.observer(),
-        |t, &(i, is_ccr)| {
-            harness.task_start("sim", &sim_labels[t]);
-            let run = || {
-                let started = Instant::now();
-                let out = if is_ccr {
-                    simulate(&compiled[i].0.annotated, machine, Some(crb), emu)
-                } else {
-                    simulate_baseline(&compiled[i].0.base, machine, emu)
-                };
-                out.map(|outcome| CachedSim {
-                    outcome,
-                    wall_ms: started.elapsed().as_millis() as u64,
-                    fingerprint: String::new(),
-                })
-                .map_err(|e| format!("{}: {e}", names[i]))
-            };
-            let out = match result_cache {
-                Some(rc) => {
-                    let unit_key = if is_ccr {
-                        ccr_sim_key(&compile_key(names[i], target, scale, config), machine, &crb)
-                    } else {
-                        base_sim_key(names[i], target, scale, config, machine)
-                    };
-                    let key = format!(
-                        "{}|simemu:{}/{}|fp:none",
-                        unit_key, emu.max_instrs, emu.max_depth
-                    );
-                    rc.get_or_run(&key, run)
-                }
-                None => run(),
-            };
-            if let Ok(c) = &out {
-                harness.task_finish(
-                    "sim",
-                    &sim_labels[t],
-                    c.wall_ms,
-                    Some(c.outcome.stats.cycles),
-                );
-            }
-            out
-        },
-    );
-    harness.pool("sim", &sim_pool);
-    let mut sims = sims.into_iter();
-    let mut runs = Vec::with_capacity(compiled.len());
-    for (name, (compiled, compile_ms)) in names.iter().zip(compiled) {
-        let base = sims.next().expect("one base sim per workload")?;
-        let ccr = sims.next().expect("one ccr sim per workload")?;
-        assert_eq!(
-            base.outcome.run.returned, ccr.outcome.run.returned,
-            "computation reuse changed architectural results"
-        );
-        runs.push(SuiteRun {
-            name,
-            compiled,
-            wall_ms: compile_ms + base.wall_ms + ccr.wall_ms,
-            measurement: Measurement {
-                base: base.outcome,
-                ccr: ccr.outcome,
-            },
-        });
-    }
-    Ok(runs)
 }

@@ -26,18 +26,20 @@
 //!    on the region configuration at all (the baseline program is the
 //!    optimized, unannotated build), so they deduplicate even across
 //!    scenarios that form different regions.
-//! 3. **Executor** ([`execute`]): fans the planned units through the
-//!    [`ccr_core::jobs`] pool — compiles and reuse-potential studies
-//!    first, then every simulation as an independent work item.
+//! 3. **Executor** ([`crate::Engine::execute_plan`]): fans the planned
+//!    units through the [`ccr_core::jobs`] pool — compiles and
+//!    reuse-potential studies first, then every simulation as an
+//!    independent work item.
 //!
 //! **Bit-identity contract:** every rendered table is byte-identical
-//! to what the legacy per-figure binary printed. Deduplication only
+//! to what the original per-figure binaries printed. Deduplication only
 //! elides *repeats* of deterministic work; each spec's renderer reads
 //! the same statistics it always did (`tests/exp_golden.rs` pins this
 //! against the committed `results/` tables).
 //!
-//! **Resumable sweeps** ([`execute_resumable`]): with a checkpoint
-//! path, every finished simulation unit is appended to a line-tolerant
+//! **Resumable sweeps** (the `checkpoint` argument of
+//! [`crate::Engine::execute_plan`]): with a checkpoint path, every
+//! finished simulation unit is appended to a line-tolerant
 //! `{"ckpt_v":1,...}` JSONL file as it completes, and a later run of
 //! the same plan restores those units instead of re-simulating them.
 //! Units are keyed by the planner's dedup keys — which embed the
@@ -46,19 +48,17 @@
 //! matches. A torn final line (crashed run) fails to parse and is
 //! silently re-simulated. With a fingerprint window, every CCR
 //! simulation additionally runs through [`ccr_sim::SimSession`]
-//! (bit-identical to [`simulate`]) and reports its final determinism-
-//! fingerprint chain hash in [`PointSummary::fingerprint`].
+//! (bit-identical to [`ccr_sim::simulate`]) and reports its final
+//! determinism-fingerprint chain hash in [`PointSummary::fingerprint`].
 
 pub mod specs;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use ccr_core::compile::{CompileConfig, CompiledWorkload};
-use ccr_core::harness::Harness;
 use ccr_core::measure::Measurement;
 use ccr_core::report::Table;
 use ccr_core::telemetry::value::{self, Value};
@@ -70,6 +70,7 @@ use ccr_sim::snapshot::{parse_sim_stats, write_sim_stats};
 use ccr_sim::{CrbConfig, MachineConfig, SimOutcome};
 use ccr_workloads::InputSet;
 
+use crate::single_flight::SingleFlight;
 use crate::{compile_with, emu_config, SCALE};
 
 /// One configuration a spec wants the workload selection run under.
@@ -94,8 +95,8 @@ pub struct Scenario {
 impl Scenario {
     /// Builds a scenario at the default experiment [`SCALE`], matching
     /// the compiler's selection trial to the hardware's instance count
-    /// (`region.trial_instances = crb.instances`) exactly as the
-    /// legacy `run_suite` harness did.
+    /// (`region.trial_instances = crb.instances`): the compiler
+    /// targets the actual machine.
     pub fn new(
         label: impl Into<String>,
         input: InputSet,
@@ -521,17 +522,7 @@ pub fn plan<'s>(specs: &[&'s ExperimentSpec]) -> Plan<'s> {
 /// waiter retries with its own compile).
 #[derive(Default)]
 pub struct CompileCache {
-    state: Mutex<CompileCacheState>,
-    cv: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[derive(Default)]
-struct CompileCacheState {
-    done: HashMap<String, Arc<CompiledWorkload>>,
-    /// Keys some thread is currently compiling.
-    pending: HashSet<String>,
+    flight: SingleFlight<HashMap<String, Arc<CompiledWorkload>>>,
 }
 
 impl CompileCache {
@@ -542,12 +533,12 @@ impl CompileCache {
 
     /// Lookups that returned a previously compiled workload.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.flight.hits()
     }
 
     /// Lookups that had to compile.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.flight.misses()
     }
 
     /// Returns the cached compile of `(name, target, scale, config)`,
@@ -565,28 +556,14 @@ impl CompileCache {
         config: &CompileConfig,
     ) -> Result<Arc<CompiledWorkload>, String> {
         let key = compile_key(name, target, scale, config);
-        let mut state = self.state.lock().expect("cache lock");
-        loop {
-            if let Some(hit) = state.done.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(hit));
-            }
-            if !state.pending.contains(&key) {
-                break;
-            }
-            state = self.cv.wait(state).expect("cache lock");
-        }
-        state.pending.insert(key.clone());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        let compiled = compile_with(name, target, scale, config);
-        let mut state = self.state.lock().expect("cache lock");
-        state.pending.remove(&key);
-        let out =
-            compiled.map(|cw| Arc::clone(state.done.entry(key).or_insert_with(|| Arc::new(cw))));
-        drop(state);
-        self.cv.notify_all();
-        out
+        self.flight.get_or_run(
+            &key,
+            |done| done.get(&key).cloned(),
+            || compile_with(name, target, scale, config).map(Arc::new),
+            |done, cw| {
+                done.insert(key.clone(), Arc::clone(cw));
+            },
+        )
     }
 }
 
@@ -775,74 +752,6 @@ pub struct PointSummary {
     pub fingerprint: String,
 }
 
-/// Runs a plan's units over `jobs` workers: compiles and potential
-/// studies first (a simulation needs its compile), then every
-/// simulation as an independent work item.
-///
-/// Equivalent to [`execute_observed`] with a disabled harness.
-///
-/// # Errors
-///
-/// Returns the first failing unit's error (unknown workload or
-/// emulator limit breach), in unit order.
-pub fn execute<'s>(plan: &Plan<'s>, jobs: usize) -> Result<Executed<'s>, String> {
-    execute_observed(plan, jobs, &Harness::disabled())
-}
-
-/// [`execute`] with host-side observability: every unit runs under a
-/// stable task label (`compile:`/`potential:`/`sim:base:`/`sim:ccr:`
-/// × workload × config hash), the job pool reports per-worker
-/// busy/idle accounting to `harness`, and start/finish/cache events
-/// land in `harness.jsonl`.
-///
-/// The harness only observes (clocks, atomics, stderr, the event
-/// file): results are bit-identical to [`execute`] with the harness
-/// disabled — `tests/harness_observability.rs` pins this.
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn execute_observed<'s>(
-    plan: &Plan<'s>,
-    jobs: usize,
-    harness: &Harness,
-) -> Result<Executed<'s>, String> {
-    execute_resumable(plan, jobs, harness, None, None)
-}
-
-/// [`execute_observed`] with two orthogonal extras:
-///
-/// - `checkpoint`: a JSONL file finished simulation units are appended
-///   to as they complete (crash-resumable: every line is flushed the
-///   moment its sim finishes). On entry, units already present in the
-///   file are restored instead of re-simulated — with their original
-///   wall times, so a resumed run reproduces the original run's
-///   [`PointSummary`] list exactly. Restored units still report
-///   `task_finish` to the harness (wall time as recorded) so progress
-///   accounting covers the whole plan.
-/// - `fingerprint_window`: when set, every CCR simulation runs through
-///   a [`SimSession`] folding the determinism fingerprint every that
-///   many cycles (bit-identical statistics to [`simulate`] — pinned by
-///   the session tests and by this module's own tests), and the final
-///   chain hash lands in [`PointSummary::fingerprint`].
-///
-/// # Errors
-///
-/// As [`execute`], plus one-line errors for an unreadable, truncated,
-/// or wrong-version checkpoint file.
-pub fn execute_resumable<'s>(
-    plan: &Plan<'s>,
-    jobs: usize,
-    harness: &Harness,
-    checkpoint: Option<&Path>,
-    fingerprint_window: Option<u64>,
-) -> Result<Executed<'s>, String> {
-    // A fresh engine per one-shot run: every cache lookup misses, so
-    // the pipeline (moved to `engine::Engine::execute_plan`) behaves
-    // exactly as the pre-engine implementation did.
-    crate::engine::Engine::new(jobs).execute_plan(plan, harness, checkpoint, fingerprint_window)
-}
-
 impl<'s> Executed<'s> {
     /// Compile-cache `(hits, misses)` for the run — the PR-5 counters,
     /// surfaced so the CLI can print them and the harness can log
@@ -948,26 +857,11 @@ impl<'s> Executed<'s> {
     }
 }
 
-/// Entry point for the thin legacy binaries: plans, executes (jobs
-/// from `--jobs` / `CCR_JOBS` via [`crate::cli_jobs`]), and prints
-/// the named experiment exactly as the original binary did.
-///
-/// # Panics
-///
-/// Panics on an unknown experiment name or an execution failure —
-/// the experiment binaries treat both as fatal.
-pub fn shim_main(name: &str) {
-    let spec = specs::find(name)
-        .unwrap_or_else(|| panic!("unknown experiment `{name}` (see `ccr exp --list`)"));
-    let jobs = crate::cli_jobs();
-    let plan = plan(&[&spec]);
-    let executed = execute(&plan, jobs).expect("known benchmarks, emulation within limits");
-    print!("{}", executed.results(&spec).render().text);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
+    use ccr_core::harness::Harness;
     use std::path::PathBuf;
 
     static ONE_WORKLOAD: [&str; 1] = ["bitcount"];
@@ -1035,7 +929,9 @@ mod tests {
         let path = temp_file("roundtrip.ckpt.jsonl");
         let harness = Harness::disabled();
 
-        let first = execute_resumable(&plan, 2, &harness, Some(&path), None).unwrap();
+        let first = Engine::new(2)
+            .execute_plan(&plan, &harness, Some(&path), None)
+            .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let keys: Vec<String> = text
             .lines()
@@ -1051,7 +947,9 @@ mod tests {
         // re-simulated and re-appended) and summaries must match the
         // original run exactly — including wall_ms, which is restored
         // from the checkpoint rather than re-measured.
-        let second = execute_resumable(&plan, 2, &harness, Some(&path), None).unwrap();
+        let second = Engine::new(2)
+            .execute_plan(&plan, &harness, Some(&path), None)
+            .unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         assert_eq!(
             summary_view(&first.point_summaries()),
@@ -1063,7 +961,9 @@ mod tests {
         // and reaches the same statistics.
         let torn: String = text[..text.len() - text.len() / 3].to_string();
         std::fs::write(&path, format!("{torn}\n{{\"ckpt_v\":1,\"key\"")).unwrap();
-        let third = execute_resumable(&plan, 2, &harness, Some(&path), None).unwrap();
+        let third = Engine::new(2)
+            .execute_plan(&plan, &harness, Some(&path), None)
+            .unwrap();
         let a = summary_view(&first.point_summaries());
         let b = summary_view(&third.point_summaries());
         // wall_ms of the re-simulated unit is re-measured, so compare
@@ -1099,9 +999,15 @@ mod tests {
         let spec = tiny_spec();
         let plan = plan(&[&spec]);
         let harness = Harness::disabled();
-        let plain = execute(&plan, 1).unwrap();
-        let fp1 = execute_resumable(&plan, 1, &harness, None, Some(50_000)).unwrap();
-        let fp2 = execute_resumable(&plan, 2, &harness, None, Some(50_000)).unwrap();
+        let plain = Engine::new(1)
+            .execute_plan(&plan, &harness, None, None)
+            .unwrap();
+        let fp1 = Engine::new(1)
+            .execute_plan(&plan, &harness, None, Some(50_000))
+            .unwrap();
+        let fp2 = Engine::new(2)
+            .execute_plan(&plan, &harness, None, Some(50_000))
+            .unwrap();
 
         let points = fp1.point_summaries();
         assert_eq!(points.len(), 1);

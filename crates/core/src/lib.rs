@@ -31,10 +31,7 @@ pub use jobs::{
     parallel_map, parallel_map_observed, resolve_jobs, PoolObserver, PoolStats, TaskStats,
     WorkerStats,
 };
-pub use measure::{
-    measure, measure_par, measure_profiled, measure_traced, measure_traced_par, reuse_potential,
-    Measurement,
-};
+pub use measure::{measure, measure_with, reuse_potential, Measurement};
 pub use report::Table;
 pub use runreport::{
     config_hash, emit_compile_events, fnv1a_hex, git_commit_id, Provenance, RunReport,

@@ -2,11 +2,8 @@
 
 use ccr_ir::Program;
 use ccr_profile::{EmuConfig, EmuError, Emulator, NullCrb, PotentialStudy, ReusePotential};
-use ccr_sim::{
-    simulate, simulate_baseline, simulate_traced, simulate_traced_cfg, CrbConfig, MachineConfig,
-    SimOutcome, TraceConfig,
-};
-use ccr_telemetry::{emit, RecordSink, TelemetrySink};
+use ccr_sim::{simulate, simulate_traced, CrbConfig, MachineConfig, SimOutcome, TraceConfig};
+use ccr_telemetry::{emit, NullSink, RecordSink, TelemetrySink};
 
 use crate::compile::CompiledWorkload;
 
@@ -37,7 +34,8 @@ impl Measurement {
 }
 
 /// Simulates a compiled workload on the baseline machine and on the
-/// same machine extended with a CRB.
+/// same machine extended with a CRB, serially and unobserved: the
+/// [`measure_with`] defaults.
 ///
 /// # Errors
 ///
@@ -53,20 +51,34 @@ pub fn measure(
     crb: CrbConfig,
     emu: EmuConfig,
 ) -> Result<Measurement, EmuError> {
-    let base = simulate_baseline(&compiled.base, machine, emu)?;
-    let ccr = simulate(&compiled.annotated, machine, Some(crb), emu)?;
-    assert_eq!(
-        base.run.returned, ccr.run.returned,
-        "computation reuse changed architectural results"
-    );
-    Ok(Measurement { base, ccr })
+    measure_with(
+        compiled,
+        machine,
+        crb,
+        emu,
+        1,
+        &TraceConfig::default(),
+        &mut NullSink,
+    )
 }
 
-/// [`measure`] with the baseline and CCR simulations running on two
-/// scoped threads when `jobs > 1` (serially otherwise). The two runs
-/// are independent — separate programs, separate buffers — so the
-/// resulting [`Measurement`] is identical to [`measure`]'s; only wall
-/// clock changes.
+/// [`measure`] with every knob: `jobs`, tracing and profiling.
+///
+/// - With a disabled `sink` and `cfg.profile` off, each phase is a
+///   plain [`simulate`] call.
+/// - Otherwise each phase narrates to `sink`: a `sim_begin` marker
+///   (`base`, then `ccr`), then the run's reuse timeline, interval IPC
+///   windows, CRB events and summaries (see
+///   [`ccr_sim::simulate_traced`]). With `cfg.profile` on, the stats
+///   carry [`ccr_sim::Attribution`] blocks and the stream gains
+///   `cycle_sample` and per-miss `cause` events.
+/// - With `jobs > 1` the two phases run on scoped threads. Each
+///   narrates into its own [`RecordSink`], and the recordings are
+///   replayed into `sink` in serial order afterwards, so the delivered
+///   stream is byte-identical to a serial run's.
+///
+/// The statistics are identical to [`measure`]'s either way —
+/// telemetry and threads observe the simulation, they never steer it.
 ///
 /// # Errors
 ///
@@ -75,144 +87,46 @@ pub fn measure(
 /// # Panics
 ///
 /// Panics if the two runs return different architectural results.
-pub fn measure_par(
+pub fn measure_with(
     compiled: &CompiledWorkload,
     machine: &MachineConfig,
     crb: CrbConfig,
     emu: EmuConfig,
     jobs: usize,
-) -> Result<Measurement, EmuError> {
-    if jobs <= 1 {
-        return measure(compiled, machine, crb, emu);
-    }
-    let (base, ccr) = std::thread::scope(|scope| {
-        let base = scope.spawn(|| simulate_baseline(&compiled.base, machine, emu));
-        let ccr = simulate(&compiled.annotated, machine, Some(crb), emu);
-        (base.join().expect("baseline simulation panicked"), ccr)
-    });
-    let (base, ccr) = (base?, ccr?);
-    assert_eq!(
-        base.run.returned, ccr.run.returned,
-        "computation reuse changed architectural results"
-    );
-    Ok(Measurement { base, ccr })
-}
-
-/// Like [`measure`], narrating both simulations to `sink`: a
-/// `sim_begin` marker per phase (`base`, then `ccr`), followed by each
-/// run's reuse timeline, interval IPC windows, CRB events, and
-/// summaries (see [`ccr_sim::simulate_traced`]).
-///
-/// The reported statistics are identical to [`measure`]'s for the same
-/// inputs — telemetry observes the simulation, it never steers it.
-///
-/// # Errors
-///
-/// Returns [`EmuError`] if either simulation exceeds emulator limits.
-///
-/// # Panics
-///
-/// Panics if the two runs return different architectural results.
-pub fn measure_traced(
-    compiled: &CompiledWorkload,
-    machine: &MachineConfig,
-    crb: CrbConfig,
-    emu: EmuConfig,
-    window: u64,
-    sink: &mut dyn TelemetrySink,
-) -> Result<Measurement, EmuError> {
-    emit!(sink, "sim_begin", phase: "base");
-    let base = simulate_traced(&compiled.base, machine, None, emu, window, sink)?;
-    emit!(sink, "sim_begin", phase: "ccr");
-    let ccr = simulate_traced(&compiled.annotated, machine, Some(crb), emu, window, sink)?;
-    assert_eq!(
-        base.run.returned, ccr.run.returned,
-        "computation reuse changed architectural results"
-    );
-    Ok(Measurement { base, ccr })
-}
-
-/// [`measure_traced`] with the two phases running on scoped threads
-/// when `jobs > 1`. Each phase narrates into its own
-/// [`RecordSink`] (including its `sim_begin` marker); the recordings
-/// are replayed into `sink` in serial order (`base`, then `ccr`)
-/// afterwards, so the delivered event stream is byte-identical to
-/// [`measure_traced`]'s — and so are the statistics.
-///
-/// # Errors
-///
-/// Returns [`EmuError`] if either simulation exceeds emulator limits.
-///
-/// # Panics
-///
-/// Panics if the two runs return different architectural results.
-pub fn measure_traced_par(
-    compiled: &CompiledWorkload,
-    machine: &MachineConfig,
-    crb: CrbConfig,
-    emu: EmuConfig,
-    window: u64,
-    jobs: usize,
-    sink: &mut dyn TelemetrySink,
-) -> Result<Measurement, EmuError> {
-    if jobs <= 1 || !sink.enabled() {
-        return measure_traced(compiled, machine, crb, emu, window, sink);
-    }
-    let mut base_rec = RecordSink::new();
-    let mut ccr_rec = RecordSink::new();
-    let (base, ccr) = std::thread::scope(|scope| {
-        let base = scope.spawn(move || {
-            emit!(base_rec, "sim_begin", phase: "base");
-            let out = simulate_traced(&compiled.base, machine, None, emu, window, &mut base_rec);
-            (out, base_rec)
-        });
-        emit!(ccr_rec, "sim_begin", phase: "ccr");
-        let ccr = simulate_traced(
-            &compiled.annotated,
-            machine,
-            Some(crb),
-            emu,
-            window,
-            &mut ccr_rec,
-        );
-        (base.join().expect("baseline simulation panicked"), ccr)
-    });
-    let (base, base_rec) = base;
-    let (base, ccr) = (base?, ccr?);
-    base_rec.replay_into(sink);
-    ccr_rec.replay_into(sink);
-    assert_eq!(
-        base.run.returned, ccr.run.returned,
-        "computation reuse changed architectural results"
-    );
-    Ok(Measurement { base, ccr })
-}
-
-/// [`measure_traced`] with full [`TraceConfig`] control. With
-/// `cfg.profile` on, both phases run under cycle attribution: the
-/// returned stats carry [`ccr_sim::Attribution`] blocks and the
-/// stream gains `cycle_sample` and per-miss `cause` events. Cycle
-/// counts are identical to [`measure`] either way.
-///
-/// # Errors
-///
-/// Returns [`EmuError`] if either simulation exceeds emulator limits.
-///
-/// # Panics
-///
-/// Panics if the two runs return different architectural results.
-pub fn measure_profiled(
-    compiled: &CompiledWorkload,
-    machine: &MachineConfig,
-    crb: CrbConfig,
-    emu: EmuConfig,
     cfg: &TraceConfig,
     sink: &mut dyn TelemetrySink,
 ) -> Result<Measurement, EmuError> {
-    emit!(sink, "sim_begin", phase: "base");
-    let base = simulate_traced_cfg(&compiled.base, machine, None, emu, cfg, sink)?;
-    emit!(sink, "sim_begin", phase: "ccr");
-    let ccr = simulate_traced_cfg(&compiled.annotated, machine, Some(crb), emu, cfg, sink)?;
+    let phase = |name: &'static str, program: &Program, crb, sink: &mut dyn TelemetrySink| {
+        if !sink.enabled() && !cfg.profile {
+            return simulate(program, machine, crb, emu);
+        }
+        emit!(sink, "sim_begin", phase: name);
+        simulate_traced(program, machine, crb, emu, cfg, sink)
+    };
+    let (base, ccr) = if jobs <= 1 {
+        let base = phase("base", &compiled.base, None, &mut *sink)?;
+        (base, phase("ccr", &compiled.annotated, Some(crb), sink)?)
+    } else {
+        let record = sink.enabled();
+        let recorded = |name, program, crb| {
+            let mut rec = RecordSink::new();
+            let out = if record {
+                phase(name, program, crb, &mut rec)
+            } else {
+                phase(name, program, crb, &mut NullSink)
+            };
+            (out, rec)
+        };
+        let ((base, base_rec), (ccr, ccr_rec)) = std::thread::scope(|scope| {
+            let base = scope.spawn(|| recorded("base", &compiled.base, None));
+            let ccr = recorded("ccr", &compiled.annotated, Some(crb));
+            (base.join().expect("baseline simulation panicked"), ccr)
+        });
+        let (base, ccr) = (base?, ccr?);
+        base_rec.replay_into(sink);
+        ccr_rec.replay_into(sink);
+        (base, ccr)
+    };
     assert_eq!(
         base.run.returned, ccr.run.returned,
         "computation reuse changed architectural results"
@@ -288,95 +202,79 @@ mod tests {
         let cw = compile_ccr(&p, &p, &CompileConfig::paper()).unwrap();
         let machine = MachineConfig::paper();
         let plain = measure(&cw, &machine, CrbConfig::paper(), EmuConfig::default()).unwrap();
-        let mut null = ccr_telemetry::NullSink;
-        let a = measure_traced(
-            &cw,
-            &machine,
-            CrbConfig::paper(),
-            EmuConfig::default(),
-            4096,
-            &mut null,
-        )
-        .unwrap();
-        let mut jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
-        let b = measure_traced(
-            &cw,
-            &machine,
-            CrbConfig::paper(),
-            EmuConfig::default(),
-            4096,
-            &mut jsonl,
-        )
-        .unwrap();
+        let traced = TraceConfig::default();
         // Profiling (cycle attribution + stack sampling), with the
         // sink disabled or fully materialized, must be just as inert.
-        let cfg = TraceConfig {
+        let profiled = TraceConfig {
             profile: true,
             ..TraceConfig::default()
         };
-        let mut null2 = ccr_telemetry::NullSink;
-        let c = measure_profiled(
-            &cw,
-            &machine,
-            CrbConfig::paper(),
-            EmuConfig::default(),
-            &cfg,
-            &mut null2,
-        )
-        .unwrap();
-        let mut profiled_jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
-        let d = measure_profiled(
-            &cw,
-            &machine,
-            CrbConfig::paper(),
-            EmuConfig::default(),
-            &cfg,
-            &mut profiled_jsonl,
-        )
-        .unwrap();
-        // Telemetry — disabled or fully materialized — must not move a
-        // single counter.
-        for m in [&a, &b, &c, &d] {
-            assert_eq!(plain.base.stats.cycles, m.base.stats.cycles);
-            assert_eq!(plain.base.stats.dyn_instrs, m.base.stats.dyn_instrs);
-            assert_eq!(plain.ccr.stats.cycles, m.ccr.stats.cycles);
-            assert_eq!(plain.ccr.stats.dyn_instrs, m.ccr.stats.dyn_instrs);
-            assert_eq!(plain.ccr.stats.skipped_instrs, m.ccr.stats.skipped_instrs);
-            assert_eq!(plain.ccr.stats.reuse_hits, m.ccr.stats.reuse_hits);
-            assert_eq!(plain.ccr.stats.reuse_misses, m.ccr.stats.reuse_misses);
-            assert_eq!(plain.ccr.stats.crb, m.ccr.stats.crb);
-            assert_eq!(plain.ccr.stats.regions, m.ccr.stats.regions);
-            assert_eq!(plain.ccr.run.returned, m.ccr.run.returned);
+        let run = |jobs, cfg: &TraceConfig, sink: &mut dyn TelemetrySink| {
+            measure_with(
+                &cw,
+                &machine,
+                CrbConfig::paper(),
+                EmuConfig::default(),
+                jobs,
+                cfg,
+                sink,
+            )
+            .unwrap()
+        };
+        for jobs in [1, 2] {
+            let a = run(jobs, &traced, &mut NullSink);
+            let mut jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
+            let b = run(jobs, &traced, &mut jsonl);
+            let c = run(jobs, &profiled, &mut NullSink);
+            let mut profiled_jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
+            let d = run(jobs, &profiled, &mut profiled_jsonl);
+            // Telemetry — disabled or fully materialized — must not
+            // move a single counter.
+            for m in [&a, &b, &c, &d] {
+                assert_eq!(plain.base.stats.cycles, m.base.stats.cycles);
+                assert_eq!(plain.base.stats.dyn_instrs, m.base.stats.dyn_instrs);
+                assert_eq!(plain.ccr.stats.cycles, m.ccr.stats.cycles);
+                assert_eq!(plain.ccr.stats.dyn_instrs, m.ccr.stats.dyn_instrs);
+                assert_eq!(plain.ccr.stats.skipped_instrs, m.ccr.stats.skipped_instrs);
+                assert_eq!(plain.ccr.stats.reuse_hits, m.ccr.stats.reuse_hits);
+                assert_eq!(plain.ccr.stats.reuse_misses, m.ccr.stats.reuse_misses);
+                assert_eq!(plain.ccr.stats.crb, m.ccr.stats.crb);
+                assert_eq!(plain.ccr.stats.regions, m.ccr.stats.regions);
+                assert_eq!(plain.ccr.run.returned, m.ccr.run.returned);
+            }
+            // The JSONL stream is well-formed: one versioned event per line.
+            let text = String::from_utf8(jsonl.into_inner()).unwrap();
+            assert!(text.lines().count() > 4, "expected a real event stream");
+            assert!(
+                text.lines().all(|l| l.starts_with("{\"v\":1,\"ev\":\"")),
+                "every event carries the schema version"
+            );
+            assert!(text.contains("\"ev\":\"sim_begin\""));
+            assert!(text.contains("\"ev\":\"reuse\""));
+            assert!(text.contains("\"ev\":\"ipc_window\""));
+            assert!(text.contains("\"ev\":\"sim_summary\""));
+            // The profiled stream stays at event schema v1 (additive) and
+            // carries the attribution extras.
+            let ptext = String::from_utf8(profiled_jsonl.into_inner()).unwrap();
+            assert!(
+                ptext.lines().all(|l| l.starts_with("{\"v\":1,\"ev\":\"")),
+                "profiled events stay at v1"
+            );
+            assert!(ptext.contains("\"ev\":\"cycle_sample\""));
+            assert!(ptext.contains("\"cause\":\""));
+            // And the profiled measurements carry conserved attributions,
+            // whether or not the sink materializes events.
+            for outcome in [&c.base, &c.ccr, &d.base, &d.ccr] {
+                let attr = outcome.stats.attribution.as_ref().expect("profiled");
+                assert_eq!(attr.total.total(), outcome.stats.cycles);
+            }
+            for m in [&a, &b] {
+                assert!(
+                    m.base.stats.attribution.is_none(),
+                    "tracing alone does not attribute"
+                );
+            }
         }
-        // The JSONL stream is well-formed: one versioned event per line.
-        let text = String::from_utf8(jsonl.into_inner()).unwrap();
-        assert!(text.lines().count() > 4, "expected a real event stream");
-        assert!(
-            text.lines().all(|l| l.starts_with("{\"v\":1,\"ev\":\"")),
-            "every event carries the schema version"
-        );
-        assert!(text.contains("\"ev\":\"sim_begin\""));
-        assert!(text.contains("\"ev\":\"reuse\""));
-        assert!(text.contains("\"ev\":\"ipc_window\""));
-        assert!(text.contains("\"ev\":\"sim_summary\""));
-        // The profiled stream stays at event schema v1 (additive) and
-        // carries the attribution extras.
-        let ptext = String::from_utf8(profiled_jsonl.into_inner()).unwrap();
-        assert!(
-            ptext.lines().all(|l| l.starts_with("{\"v\":1,\"ev\":\"")),
-            "profiled events stay at v1"
-        );
-        assert!(ptext.contains("\"ev\":\"cycle_sample\""));
-        assert!(ptext.contains("\"cause\":\""));
-        // And the profiled measurement carries conserved attributions.
-        for outcome in [&d.base, &d.ccr] {
-            let attr = outcome.stats.attribution.as_ref().expect("profiled");
-            assert_eq!(attr.total.total(), outcome.stats.cycles);
-        }
-        assert!(
-            a.base.stats.attribution.is_none(),
-            "tracing alone does not attribute"
-        );
     }
 
     #[test]
@@ -384,8 +282,20 @@ mod tests {
         let p = build("124.m88ksim", InputSet::Train, 1).unwrap();
         let cw = compile_ccr(&p, &p, &CompileConfig::paper()).unwrap();
         let machine = MachineConfig::paper();
+        let run = |jobs, cfg: &TraceConfig, sink: &mut dyn TelemetrySink| {
+            measure_with(
+                &cw,
+                &machine,
+                CrbConfig::paper(),
+                EmuConfig::default(),
+                jobs,
+                cfg,
+                sink,
+            )
+            .unwrap()
+        };
         let serial = measure(&cw, &machine, CrbConfig::paper(), EmuConfig::default()).unwrap();
-        let par = measure_par(&cw, &machine, CrbConfig::paper(), EmuConfig::default(), 2).unwrap();
+        let par = run(2, &TraceConfig::default(), &mut NullSink);
         for (s, p) in [(&serial.base, &par.base), (&serial.ccr, &par.ccr)] {
             assert_eq!(s.stats.cycles, p.stats.cycles);
             assert_eq!(s.stats.dyn_instrs, p.stats.dyn_instrs);
@@ -396,30 +306,25 @@ mod tests {
             assert_eq!(s.stats.regions, p.stats.regions);
             assert_eq!(s.run.returned, p.run.returned);
         }
-        // The traced variant must deliver a byte-identical JSONL
-        // stream: per-phase recordings replayed in serial order.
-        let mut serial_sink = ccr_telemetry::JsonlSink::new(Vec::new());
-        measure_traced(
-            &cw,
-            &machine,
-            CrbConfig::paper(),
-            EmuConfig::default(),
-            4096,
-            &mut serial_sink,
-        )
-        .unwrap();
-        let mut par_sink = ccr_telemetry::JsonlSink::new(Vec::new());
-        measure_traced_par(
-            &cw,
-            &machine,
-            CrbConfig::paper(),
-            EmuConfig::default(),
-            4096,
-            2,
-            &mut par_sink,
-        )
-        .unwrap();
-        assert_eq!(serial_sink.into_inner(), par_sink.into_inner());
+        // Traced runs must deliver a byte-identical JSONL stream, plain
+        // and profiled: per-phase recordings replayed in serial order.
+        for profile in [false, true] {
+            let cfg = TraceConfig {
+                profile,
+                ..TraceConfig::default()
+            };
+            let mut serial_sink = ccr_telemetry::JsonlSink::new(Vec::new());
+            run(1, &cfg, &mut serial_sink);
+            let mut par_sink = ccr_telemetry::JsonlSink::new(Vec::new());
+            let m = run(2, &cfg, &mut par_sink);
+            assert_eq!(serial_sink.into_inner(), par_sink.into_inner());
+            if profile {
+                for outcome in [&m.base, &m.ccr] {
+                    let attr = outcome.stats.attribution.as_ref().expect("profiled");
+                    assert_eq!(attr.total.total(), outcome.stats.cycles);
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use fingerprint::{
 pub use machine::MachineConfig;
 pub use pipeline::Pipeline;
 pub use session::SimSession;
-pub use simulator::{simulate, simulate_baseline, SimOutcome};
+pub use simulator::{simulate, SimOutcome};
 pub use snapshot::{
     load_snapshot, parse_snapshot, save_snapshot, write_snapshot, SimSnapshot, SNAP_VERSION,
 };
@@ -47,6 +47,5 @@ pub use stats::{
     AttrBucket, Attribution, CrbStats, CycleBuckets, FuncCycles, RegionDynStats, SimStats,
 };
 pub use telemetry::{
-    simulate_traced, simulate_traced_cfg, TelemetryBridge, TraceConfig, DEFAULT_IPC_WINDOW,
-    DEFAULT_SAMPLE_PERIOD,
+    simulate_traced, TelemetryBridge, TraceConfig, DEFAULT_IPC_WINDOW, DEFAULT_SAMPLE_PERIOD,
 };

@@ -37,7 +37,7 @@ impl SimOutcome {
 /// ```
 /// use ccr_ir::{Operand, ProgramBuilder};
 /// use ccr_profile::EmuConfig;
-/// use ccr_sim::{simulate_baseline, MachineConfig};
+/// use ccr_sim::{simulate, MachineConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut pb = ProgramBuilder::new();
@@ -49,7 +49,7 @@ impl SimOutcome {
 /// pb.set_main(id);
 /// let program = pb.finish();
 ///
-/// let out = simulate_baseline(&program, &MachineConfig::paper(), EmuConfig::default())?;
+/// let out = simulate(&program, &MachineConfig::paper(), None, EmuConfig::default())?;
 /// assert_eq!(out.run.returned[0].as_int(), 42);
 /// assert!(out.stats.cycles >= 1);
 /// # Ok(())
@@ -84,19 +84,6 @@ pub fn simulate(
     })
 }
 
-/// Simulates the baseline machine (no CCR hardware).
-///
-/// # Errors
-///
-/// Propagates emulator limit violations ([`EmuError`]).
-pub fn simulate_baseline(
-    program: &Program,
-    machine: &MachineConfig,
-    emu: EmuConfig,
-) -> Result<SimOutcome, EmuError> {
-    simulate(program, machine, None, emu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +114,7 @@ mod tests {
     #[test]
     fn baseline_simulation_reports_consistent_counts() {
         let p = sum_loop(1000);
-        let out = simulate_baseline(&p, &MachineConfig::paper(), EmuConfig::default()).unwrap();
+        let out = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
         assert_eq!(out.run.dyn_instrs, out.stats.dyn_instrs);
         assert!(out.stats.cycles > 0);
         assert!(out.stats.cycles <= out.stats.dyn_instrs * 4);
@@ -138,8 +125,8 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let p = sum_loop(500);
-        let a = simulate_baseline(&p, &MachineConfig::paper(), EmuConfig::default()).unwrap();
-        let b = simulate_baseline(&p, &MachineConfig::paper(), EmuConfig::default()).unwrap();
+        let a = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
+        let b = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
         assert_eq!(a.stats.cycles, b.stats.cycles);
         assert_eq!(a.run.returned, b.run.returned);
     }
@@ -147,7 +134,7 @@ mod tests {
     #[test]
     fn crb_presence_does_not_change_architectural_results() {
         let p = sum_loop(800);
-        let base = simulate_baseline(&p, &MachineConfig::paper(), EmuConfig::default()).unwrap();
+        let base = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
         let ccr = simulate(
             &p,
             &MachineConfig::paper(),
@@ -233,7 +220,7 @@ mod tests {
     #[test]
     fn speedup_over_computes_ratio() {
         let p = sum_loop(100);
-        let out = simulate_baseline(&p, &MachineConfig::paper(), EmuConfig::default()).unwrap();
+        let out = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
         let s = out.speedup_over(out.stats.cycles * 2);
         assert!((s - 2.0).abs() < 1e-9);
     }

@@ -32,7 +32,7 @@ pub const DEFAULT_IPC_WINDOW: u64 = 4096;
 /// Default cycle period between call-stack samples in profiled runs.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 256;
 
-/// Tracing knobs for [`simulate_traced_cfg`].
+/// Tracing knobs for [`simulate_traced`].
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Dynamic-instruction window for interval IPC samples.
@@ -239,10 +239,16 @@ impl TraceSink for TelemetryBridge<'_> {
 }
 
 /// Like [`crate::simulate`], narrating the run to `sink`: the reuse
-/// timeline and interval IPC during execution, then the CRB event log
-/// and per-region / whole-run summaries. With a disabled sink (e.g.
+/// timeline and interval IPC (one `ipc_window` per `cfg.window`
+/// dynamic instructions) during execution, then the CRB event log and
+/// per-region / whole-run summaries. With a disabled sink (e.g.
 /// [`ccr_telemetry::NullSink`]) no event is materialized and the CRB
 /// event log stays off, so the overhead is a branch per callback.
+///
+/// With `cfg.profile` on, the pipeline additionally attributes every
+/// cycle (surfaced as [`SimStats::attribution`]) and the stream gains
+/// `cycle_sample` call-stack events and per-miss `cause` fields on
+/// `reuse` events.
 ///
 /// Timing is identical to an untraced [`crate::simulate`] of the same
 /// inputs — the bridge never alters what the pipeline observes.
@@ -251,30 +257,6 @@ impl TraceSink for TelemetryBridge<'_> {
 ///
 /// Propagates emulator limit violations ([`EmuError`]).
 pub fn simulate_traced(
-    program: &Program,
-    machine: &MachineConfig,
-    crb: Option<CrbConfig>,
-    emu: EmuConfig,
-    window: u64,
-    sink: &mut dyn TelemetrySink,
-) -> Result<SimOutcome, EmuError> {
-    let cfg = TraceConfig {
-        window,
-        ..TraceConfig::default()
-    };
-    simulate_traced_cfg(program, machine, crb, emu, &cfg, sink)
-}
-
-/// [`simulate_traced`] with full [`TraceConfig`] control. With
-/// `profile` on, the pipeline additionally attributes every cycle
-/// (surfaced as [`SimStats::attribution`]) and the stream gains
-/// `cycle_sample` call-stack events and per-miss `cause` fields on
-/// `reuse` events — without changing a single cycle of timing.
-///
-/// # Errors
-///
-/// Propagates emulator limit violations ([`EmuError`]).
-pub fn simulate_traced_cfg(
     program: &Program,
     machine: &MachineConfig,
     crb: Option<CrbConfig>,
@@ -425,7 +407,10 @@ mod tests {
             &machine,
             Some(CrbConfig::paper()),
             EmuConfig::default(),
-            256,
+            &TraceConfig {
+                window: 256,
+                ..TraceConfig::default()
+            },
             &mut null,
         )
         .unwrap();
@@ -447,7 +432,10 @@ mod tests {
             &machine,
             Some(CrbConfig::paper()),
             EmuConfig::default(),
-            64,
+            &TraceConfig {
+                window: 64,
+                ..TraceConfig::default()
+            },
             &mut summary,
         )
         .unwrap();
@@ -489,7 +477,7 @@ mod tests {
             sample_period: 64,
         };
         let mut null = NullSink;
-        let profiled = simulate_traced_cfg(
+        let profiled = simulate_traced(
             &p,
             &machine,
             Some(CrbConfig::paper()),
@@ -516,7 +504,7 @@ mod tests {
             sample_period: 32,
         };
         let mut summary = SummarySink::new();
-        let out = simulate_traced_cfg(
+        let out = simulate_traced(
             &p,
             &machine,
             Some(CrbConfig::paper()),
@@ -532,7 +520,7 @@ mod tests {
         assert!(sampled > 0 && sampled <= out.stats.cycles, "{sampled}");
         // The JSONL form carries the stack and the miss cause.
         let mut jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
-        simulate_traced_cfg(
+        simulate_traced(
             &p,
             &machine,
             Some(CrbConfig::paper()),
@@ -562,8 +550,12 @@ mod tests {
         let machine = MachineConfig::paper();
         let plain = simulate(&p, &machine, None, EmuConfig::default()).unwrap();
         let mut summary = SummarySink::new();
+        let cfg = TraceConfig {
+            window: 128,
+            ..TraceConfig::default()
+        };
         let traced =
-            simulate_traced(&p, &machine, None, EmuConfig::default(), 128, &mut summary).unwrap();
+            simulate_traced(&p, &machine, None, EmuConfig::default(), &cfg, &mut summary).unwrap();
         assert_eq!(plain.stats.cycles, traced.stats.cycles);
         // Without a CRB every reuse misses; the timeline still records
         // each lookup, and no buffer events exist.

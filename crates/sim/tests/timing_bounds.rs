@@ -5,7 +5,7 @@
 
 use ccr_ir::{BinKind, CmpPred, OpClass, Operand, Program, ProgramBuilder};
 use ccr_profile::{EmuConfig, Emulator, ExecEvent, NullCrb, TraceSink};
-use ccr_sim::{simulate_baseline, MachineConfig};
+use ccr_sim::{simulate, MachineConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -94,7 +94,7 @@ proptest! {
     fn cycles_respect_structural_bounds(s in spec()) {
         let p = build(&s);
         let machine = MachineConfig::paper();
-        let out = simulate_baseline(&p, &machine, emu()).unwrap();
+        let out = simulate(&p, &machine, None, emu()).unwrap();
         let mut counts = ClassCounter::default();
         Emulator::with_config(&p, emu())
             .run(&mut NullCrb, &mut counts)
@@ -126,7 +126,7 @@ proptest! {
     #[test]
     fn resource_monotonicity(s in spec()) {
         let p = build(&s);
-        let paper = simulate_baseline(&p, &MachineConfig::paper(), emu()).unwrap();
+        let paper = simulate(&p, &MachineConfig::paper(), None, emu()).unwrap();
         let wide = MachineConfig {
             issue_width: 12,
             int_alus: 8,
@@ -135,7 +135,7 @@ proptest! {
             branch_units: 2,
             ..MachineConfig::paper()
         };
-        let wide_out = simulate_baseline(&p, &wide, emu()).unwrap();
+        let wide_out = simulate(&p, &wide, None, emu()).unwrap();
         prop_assert!(
             wide_out.stats.cycles <= paper.stats.cycles,
             "wider machine slower: {} vs {}",
@@ -151,12 +151,12 @@ proptest! {
     #[test]
     fn cache_penalties_only_add_cycles(s in spec()) {
         let p = build(&s);
-        let paper = simulate_baseline(&p, &MachineConfig::paper(), emu()).unwrap();
+        let paper = simulate(&p, &MachineConfig::paper(), None, emu()).unwrap();
         let mut free_mem = MachineConfig::paper();
         free_mem.icache.miss_penalty = 0;
         free_mem.dcache.miss_penalty = 0;
         free_mem.mispredict_penalty = 0;
-        let free = simulate_baseline(&p, &free_mem, emu()).unwrap();
+        let free = simulate(&p, &free_mem, None, emu()).unwrap();
         prop_assert!(
             free.stats.cycles <= paper.stats.cycles,
             "penalty-free machine slower: {} vs {}",

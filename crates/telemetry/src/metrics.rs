@@ -175,8 +175,9 @@ impl Histogram {
 
 /// A lock-free handle to one named counter in a [`MetricsRegistry`].
 /// Clones share the same underlying atomic; updates are visible to
-/// concurrent [`MetricsRegistry::snapshot`]s immediately.
-#[derive(Clone, Debug)]
+/// concurrent [`MetricsRegistry::snapshot`]s immediately. A
+/// `Counter::default()` belongs to no registry.
+#[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {

@@ -692,10 +692,18 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
         compile_ccr(&train, &target, &compile_config(flags)).map_err(|e| e.to_string())?;
     let jobs = ccr::resolve_jobs(flags.jobs);
 
+    let trace = ccr::sim::TraceConfig::default();
     let m = match &flags.telemetry {
-        None => {
-            ccr::measure_par(&compiled, &machine, crb, emu(), jobs).map_err(|e| e.to_string())?
-        }
+        None => ccr::measure_with(
+            &compiled,
+            &machine,
+            crb,
+            emu(),
+            jobs,
+            &trace,
+            &mut ccr::telemetry::NullSink,
+        )
+        .map_err(|e| e.to_string())?,
         Some(dir) => {
             use ccr::telemetry::{emit, JsonlSink, SCHEMA_VERSION};
             let dir = std::path::Path::new(dir);
@@ -710,16 +718,8 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
                 scale: flags.scale,
             );
             ccr::emit_compile_events(&compiled.telemetry, &mut sink);
-            let m = ccr::measure_traced_par(
-                &compiled,
-                &machine,
-                crb,
-                emu(),
-                ccr::sim::DEFAULT_IPC_WINDOW,
-                jobs,
-                &mut sink,
-            )
-            .map_err(|e| e.to_string())?;
+            let m = ccr::measure_with(&compiled, &machine, crb, emu(), jobs, &trace, &mut sink)
+                .map_err(|e| e.to_string())?;
             sink.finish()
                 .map_err(|e| format!("{}: {e}", events_path.display()))?;
             let argv: Vec<String> = std::env::args().collect();
@@ -833,7 +833,7 @@ fn cmd_profile(flags: &Flags) -> Result<(), CliError> {
     let sim_label = format!("sim:profile:{spec}:{}", ccr::config_hash(&machine, &crb));
     harness.task_start("sim", &sim_label);
     let sim_start = std::time::Instant::now();
-    let m = ccr::measure_profiled(&compiled, &machine, crb, emu(), &cfg, &mut sink)
+    let m = ccr::measure_with(&compiled, &machine, crb, emu(), 1, &cfg, &mut sink)
         .map_err(|e| e.to_string())?;
     let sim_wall_ms = sim_start.elapsed().as_millis() as u64;
     harness.task_finish(
@@ -1134,19 +1134,45 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         workloads: Vec::new(),
     };
     let harness = harness_of(flags)?;
-    let runs = ccr_bench::run_selected_reps(
-        &selected,
-        flags.input,
-        flags.scale,
-        &compile_config(flags),
-        &machine,
-        crb,
-        emu(),
-        ccr::resolve_jobs(flags.jobs),
-        None,
-        &harness,
-        flags.host_reps,
-    )?;
+    // Host repetitions share compiles but re-run every simulation (a
+    // result cache of capacity 0), so each rep measures the host. The
+    // report keeps the first rep's runs with each workload's median
+    // wall time; simulated statistics are deterministic, so every rep
+    // must reproduce them.
+    let engine = ccr_bench::Engine::with_capacity(ccr::resolve_jobs(flags.jobs), 0);
+    let run_once = || {
+        engine.run_selected(
+            &selected,
+            flags.input,
+            flags.scale,
+            &compile_config(flags),
+            &machine,
+            crb,
+            emu(),
+            &harness,
+        )
+    };
+    let mut runs = run_once()?;
+    let mut walls: Vec<Vec<u64>> = runs.iter().map(|r| vec![r.wall_ms]).collect();
+    for _ in 1..flags.host_reps {
+        let rep = run_once()?;
+        for (i, r) in rep.iter().enumerate() {
+            assert_eq!(
+                runs[i].measurement.base.stats, r.measurement.base.stats,
+                "{}: host repetition changed baseline statistics",
+                r.name
+            );
+            assert_eq!(
+                runs[i].measurement.ccr.stats, r.measurement.ccr.stats,
+                "{}: host repetition changed CCR statistics",
+                r.name
+            );
+            walls[i].push(r.wall_ms);
+        }
+    }
+    for (run, wall) in runs.iter_mut().zip(&mut walls) {
+        run.wall_ms = median_ms(wall);
+    }
     let harness_summary = finish_harness(&harness);
     for run in &runs {
         let m = &run.measurement;
@@ -1228,6 +1254,20 @@ fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     append_to_store(flags, &records)
 }
 
+/// Median of a sample of millisecond timings (midpoint of the two
+/// central values for even sample sizes).
+fn median_ms(samples: &mut [u64]) -> u64 {
+    samples.sort_unstable();
+    let n = samples.len();
+    if n == 0 {
+        0
+    } else if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2
+    }
+}
+
 /// `ccr exp`: the declarative experiment engine. Plans the selected
 /// specs into a deduplicated set of compile and simulation units,
 /// runs them in parallel, and renders each experiment exactly as its
@@ -1276,9 +1316,8 @@ fn cmd_exp(flags: &Flags) -> Result<(), CliError> {
     let plan = exp::plan(&selected);
     eprint!("{}", plan.stats.render());
     let harness = harness_of(flags)?;
-    let executed = exp::execute_resumable(
+    let executed = ccr_bench::Engine::new(ccr::resolve_jobs(flags.jobs)).execute_plan(
         &plan,
-        ccr::resolve_jobs(flags.jobs),
         &harness,
         flags.checkpoint.as_deref().map(std::path::Path::new),
         flags.fingerprint.then(|| fingerprint_window(flags)),
@@ -2237,7 +2276,7 @@ fn finish_session_measurement(
     finish_harness(harness);
     let ccr_out = session.into_outcome();
     let base =
-        ccr::sim::simulate_baseline(&compiled.base, machine, emu()).map_err(|e| e.to_string())?;
+        ccr::sim::simulate(&compiled.base, machine, None, emu()).map_err(|e| e.to_string())?;
     if base.run.returned != ccr_out.run.returned {
         return Err("computation reuse changed architectural results"
             .to_string()
@@ -2261,4 +2300,17 @@ fn finish_session_measurement(
         ccr_analyze::format_hash(final_hash)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_handles_odd_even_and_empty() {
+        assert_eq!(median_ms(&mut []), 0);
+        assert_eq!(median_ms(&mut [7]), 7);
+        assert_eq!(median_ms(&mut [9, 1, 5]), 5);
+        assert_eq!(median_ms(&mut [4, 2, 8, 6]), 5);
+    }
 }

@@ -203,6 +203,42 @@ fn diff_flags_regressions_with_exit_code_2() {
 }
 
 #[test]
+fn bench_host_reps_reproduce_the_single_rep_snapshot() {
+    let dir = std::env::temp_dir().join("ccr-cli-bench-reps-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = |reps: &str| {
+        let path = dir.join(format!("BENCH_reps{reps}.json"));
+        let out = ccr()
+            .args(["bench", "--only", "lex", "--no-store", "--host-reps", reps])
+            .args(["--out", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        path
+    };
+    let (two, one) = (snap("2"), snap("1"));
+    // Repetitions re-run every simulation and keep the median wall
+    // time; every simulated statistic must match a single rep.
+    let out = ccr()
+        .args(["diff", two.to_str().unwrap(), one.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bench_snapshot_round_trips_through_diff() {
     let dir = std::env::temp_dir().join("ccr-cli-bench-test");
     let _ = std::fs::remove_dir_all(&dir);

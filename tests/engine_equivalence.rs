@@ -15,10 +15,13 @@
 //!    single-flight discipline makes the counters deterministic, not
 //!    merely bounded.
 //! 3. **Cache mechanics**: LRU eviction order, the capacity-0
-//!    degenerate case, error non-caching, and the eviction exemption
-//!    of reuse-potential entries.
+//!    degenerate case, error non-caching, the eviction exemption of
+//!    reuse-potential entries, and recovery from a panicking
+//!    computation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use ccr::profile::RunOutcome;
 use ccr::regions::RegionConfig;
@@ -94,7 +97,10 @@ fn engine_path_is_bit_identical_to_the_uncached_path() {
     let spec = tiny_spec("tiny_engine");
     let plan = exp::plan(&[&spec]);
 
-    let plain = exp::execute(&plan, 2).expect("tiny workloads run within limits");
+    // Capacity 0 retains no result: every simulation runs cold.
+    let plain = Engine::with_capacity(2, 0)
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
+        .expect("tiny workloads run within limits");
     let engine = Engine::new(2);
     let routed = engine
         .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
@@ -260,6 +266,38 @@ fn errors_are_never_cached() {
         .unwrap();
     assert_eq!(cache.hits(), 1);
     assert_eq!(cache.misses(), 2);
+}
+
+#[test]
+fn a_panicking_computation_releases_its_key() {
+    let metrics = MetricsRegistry::new();
+    let cache = Arc::new(SimResultCache::new(8, &metrics));
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        cache.get_or_run("k", || panic!("simulation bug"))
+    }));
+    assert!(panicked.is_err(), "the panic reaches the caller");
+    // A later lookup of the same key must run its own computation
+    // rather than wait forever on the panicked one. It runs on its own
+    // thread so a hang fails this test instead of stalling the suite.
+    let (tx, rx) = mpsc::channel();
+    let lookup = {
+        let cache = Arc::clone(&cache);
+        std::thread::spawn(move || {
+            let out = cache.get_or_run("k", || Ok(sim_of(3)));
+            tx.send(out).expect("test thread is listening");
+        })
+    };
+    let out = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("lookup after a panicked computation timed out");
+    assert_eq!(out.unwrap().outcome.stats.cycles, 3);
+    lookup.join().expect("lookup thread");
+    assert_eq!(cache.misses(), 2);
+    assert_eq!(cache.hits(), 0);
+    cache
+        .get_or_run("k", || unreachable!("now cached"))
+        .unwrap();
+    assert_eq!(cache.hits(), 1);
 }
 
 #[test]

@@ -14,11 +14,14 @@ use ccr::regions::RegionConfig;
 use ccr::sim::{CrbConfig, MachineConfig};
 use ccr::workloads::InputSet;
 use ccr_bench::exp::{self, specs};
+use ccr_bench::Engine;
 
 fn render(name: &str) -> String {
     let spec = specs::find(name).expect("known spec");
     let plan = exp::plan(&[&spec]);
-    let executed = exp::execute(&plan, 0).expect("known workloads, within limits");
+    let executed = Engine::new(0)
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
+        .expect("known workloads, within limits");
     executed.results(&spec).render().text
 }
 
@@ -116,7 +119,9 @@ fn shared_point_across_two_specs_runs_exactly_once() {
     // One baseline + one CCR simulation serve both specs.
     assert_eq!(plan.stats.unique_sims, 2);
     assert_eq!(plan.stats.deduped_sims, 2);
-    let executed = exp::execute(&plan, 1).expect("bitcount runs within limits");
+    let executed = Engine::new(1)
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
+        .expect("bitcount runs within limits");
     let ra = executed.results(&a).render().text;
     let rb = executed.results(&b).render().text;
     assert_eq!(ra, rb, "both specs must see the same shared measurement");
@@ -129,7 +134,9 @@ fn point_summaries_flatten_each_unique_ccr_point_once() {
     let a = tiny_spec("tiny_a");
     let b = tiny_spec("tiny_b");
     let plan = exp::plan(&[&a, &b]);
-    let executed = exp::execute(&plan, 1).expect("bitcount runs within limits");
+    let executed = Engine::new(1)
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
+        .expect("bitcount runs within limits");
     let points = executed.point_summaries();
     // The two specs share one (workload, config) point: one summary.
     assert_eq!(points.len(), 1);

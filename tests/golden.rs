@@ -9,7 +9,7 @@
 //! recorded in the commit.
 
 use ccr::profile::{EmuConfig, Emulator, NullCrb, NullSink};
-use ccr::sim::{simulate_baseline, MachineConfig};
+use ccr::sim::{simulate, MachineConfig};
 
 const FIXTURE: &str = include_str!("fixtures/sum_scan.ccr");
 
@@ -35,7 +35,7 @@ fn fixture_timing_stays_in_band() {
     // with deliberate timing-model changes; a band catches accidental
     // order-of-magnitude regressions without freezing the model.
     let p = ccr::ir::parse_program(FIXTURE).unwrap();
-    let sim = simulate_baseline(&p, &MachineConfig::paper(), EmuConfig::default()).unwrap();
+    let sim = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
     assert!(
         (1500..=6000).contains(&sim.stats.cycles),
         "baseline cycles left the expected band: {}",

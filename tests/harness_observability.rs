@@ -33,7 +33,7 @@ use std::process::Command;
 use ccr::regions::RegionConfig;
 use ccr::sim::{CrbConfig, MachineConfig};
 use ccr::workloads::InputSet;
-use ccr_bench::exp;
+use ccr_bench::{exp, Engine};
 
 static TINY_WORKLOADS: [&str; 2] = ["bitcount", "lex"];
 
@@ -96,10 +96,14 @@ fn tiny_exp_is_bit_identical_with_the_harness_live() {
     let spec = tiny_spec("tiny_harness");
     let plan = exp::plan(&[&spec]);
 
-    let plain = exp::execute(&plan, 2).expect("tiny workloads run within limits");
+    let plain = Engine::new(2)
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
+        .expect("tiny workloads run within limits");
     let dir = temp_dir("ccr-harness-identity-test");
     let harness = live_harness(&dir.join("harness.jsonl"));
-    let observed = exp::execute_observed(&plan, 2, &harness).expect("observed run succeeds");
+    let observed = Engine::new(2)
+        .execute_plan(&plan, &harness, None, None)
+        .expect("observed run succeeds");
     let summary = harness.finish().expect("live harness yields a summary");
 
     // The rendered text embeds base/CCR cycle counts and the speedup:
@@ -159,7 +163,9 @@ fn harness_jsonl_schema_matches_the_committed_golden() {
     let dir = temp_dir("ccr-harness-schema-test");
     let out = dir.join("harness.jsonl");
     let harness = live_harness(&out);
-    exp::execute_observed(&plan, 2, &harness).expect("observed run succeeds");
+    Engine::new(2)
+        .execute_plan(&plan, &harness, None, None)
+        .expect("observed run succeeds");
     // The snapshot / fingerprint events cross the host boundary from
     // `ccr run --save-snapshot` and `ccr fingerprint`, not from a
     // plain experiment; emit one of each here so the golden pins

@@ -8,16 +8,40 @@
 
 use ccr::regions::RegionConfig;
 use ccr::sim::{CrbConfig, MachineConfig};
-use ccr::workloads::InputSet;
+use ccr::workloads::{InputSet, NAMES};
+use ccr_bench::{Engine, SuiteRun};
+
+/// Runs `names` at the paper configuration on a fresh `jobs`-worker
+/// engine, compiling for the CRB's instance count.
+fn run_paper(names: &[&'static str], jobs: usize) -> Vec<SuiteRun> {
+    let crb = CrbConfig::paper();
+    let config = ccr::CompileConfig {
+        region: RegionConfig {
+            trial_instances: crb.instances,
+            ..RegionConfig::paper()
+        },
+        emu: ccr_bench::emu_config(),
+        ..ccr::CompileConfig::paper()
+    };
+    Engine::new(jobs)
+        .run_selected(
+            names,
+            InputSet::Train,
+            1,
+            &config,
+            &MachineConfig::paper(),
+            crb,
+            ccr_bench::emu_config(),
+            &ccr::Harness::disabled(),
+        )
+        .expect("suite workloads compile")
+}
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
 fn suite_stats_are_identical_across_job_counts() {
-    let region = RegionConfig::paper();
-    let machine = MachineConfig::paper();
-    let crb = CrbConfig::paper();
-    let serial = ccr_bench::run_suite(InputSet::Train, 1, &region, &machine, crb, 1);
-    let parallel = ccr_bench::run_suite(InputSet::Train, 1, &region, &machine, crb, 4);
+    let serial = run_paper(&NAMES, 1);
+    let parallel = run_paper(&NAMES, 4);
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -51,36 +75,15 @@ fn suite_stats_are_identical_across_job_counts() {
 /// invariance contract is exercised in debug CI too.
 #[test]
 fn single_workload_stats_identical_across_job_counts() {
-    let region = RegionConfig::paper();
-    let machine = MachineConfig::paper();
-    let crb = CrbConfig::paper();
-    let serial =
-        ccr_bench::run_benchmark("129.compress", InputSet::Train, 1, &region, &machine, crb);
-    let parallel = ccr_bench::run_selected(
-        &["129.compress"],
-        InputSet::Train,
-        1,
-        &ccr::CompileConfig {
-            region: ccr::regions::RegionConfig {
-                trial_instances: crb.instances,
-                ..region
-            },
-            emu: ccr_bench::emu_config(),
-            ..ccr::CompileConfig::paper()
-        },
-        &machine,
-        crb,
-        ccr_bench::emu_config(),
-        2,
-    )
-    .expect("suite workloads compile");
+    let serial = run_paper(&["129.compress"], 1);
+    let parallel = run_paper(&["129.compress"], 2);
     assert_eq!(parallel.len(), 1);
     assert_eq!(
-        serial.measurement.base.stats,
+        serial[0].measurement.base.stats,
         parallel[0].measurement.base.stats
     );
     assert_eq!(
-        serial.measurement.ccr.stats,
+        serial[0].measurement.ccr.stats,
         parallel[0].measurement.ccr.stats
     );
 }

@@ -25,7 +25,7 @@ use ccr::ir::CodeLayout;
 use ccr::profile::Emulator;
 use ccr::regions::RegionConfig;
 use ccr::sim::{CrbConfig, MachineConfig, Pipeline, ReuseBuffer, SimStats};
-use ccr::workloads::InputSet;
+use ccr::workloads::{InputSet, NAMES};
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
@@ -38,7 +38,26 @@ fn suite_stats_match_committed_bench_and_scalar_reference_path() {
 
     let machine = MachineConfig::paper();
     let crb = CrbConfig::paper();
-    let runs = ccr_bench::run_suite(InputSet::Train, 1, &RegionConfig::paper(), &machine, crb, 1);
+    let config = ccr::CompileConfig {
+        region: RegionConfig {
+            trial_instances: crb.instances,
+            ..RegionConfig::paper()
+        },
+        emu: ccr_bench::emu_config(),
+        ..ccr::CompileConfig::paper()
+    };
+    let runs = ccr_bench::Engine::new(1)
+        .run_selected(
+            &NAMES,
+            InputSet::Train,
+            1,
+            &config,
+            &machine,
+            crb,
+            ccr_bench::emu_config(),
+            &ccr::Harness::disabled(),
+        )
+        .expect("suite workloads compile");
 
     assert_eq!(runs.len(), committed.workloads.len());
     for (run, wl) in runs.iter().zip(&committed.workloads) {
