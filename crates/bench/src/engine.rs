@@ -27,7 +27,11 @@
 //!   same routine as the compile cache, with a configurable capacity,
 //!   LRU eviction, and
 //!   hit/miss/eviction counters registered on a PR-7
-//!   [`MetricsRegistry`] (`engine.simcache.*`).
+//!   [`MetricsRegistry`] (`engine.simcache.*`). A `ccr exp
+//!   --checkpoint` file is this cache's optional disk journal: its
+//!   lines load as ready entries and every newly computed entry is
+//!   appended to it, so a resumed sweep's finished units are ordinary
+//!   cache hits.
 //!
 //! The one-shot paths (`ccr exp`, `ccr bench`, `ccr suite`,
 //! `ccr profile`) construct a fresh engine per invocation — every
@@ -40,12 +44,12 @@
 //!
 //! **Bit-identity contract:** the caches only elide *repeats* of
 //! deterministic work. A cache hit returns the identical
-//! [`SimOutcome`] (and the originally measured host wall time, the
-//! same convention checkpoint restores use), so every statistic a
-//! renderer reads is unchanged whether a point ran cold, was
-//! restored from a checkpoint, or was served from the result cache.
+//! [`SimOutcome`] and the originally measured host wall time, so every
+//! statistic a renderer reads is unchanged whether a point ran cold or
+//! was served from the result cache — in memory or from its journal.
 
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -57,14 +61,14 @@ use ccr_core::harness::Harness;
 use ccr_core::jobs::parallel_map_observed;
 use ccr_core::measure::{reuse_potential, Measurement};
 use ccr_core::telemetry::{Counter, MetricsRegistry};
-use ccr_profile::EmuConfig;
-use ccr_profile::ReusePotential;
+use ccr_ir::Program;
+use ccr_profile::{EmuConfig, EmuError, ReusePotential};
 use ccr_sim::{simulate, CrbConfig, MachineConfig, SimOutcome, SimSession};
 use ccr_workloads::InputSet;
 
 use crate::exp::{
-    base_sim_key, ccr_sim_key, ckpt_line, compile_key, hash_fields, input_tag, load_checkpoint,
-    BaseUnit, CcrUnit, CompileCache, CompileUnit, Executed, Plan, PointMeta, PotentialUnit,
+    base_sim_key, ccr_sim_key, compile_key, hash_fields, input_tag, CompileCache, CompileUnit,
+    Executed, Plan, PointMeta, PotentialUnit,
 };
 use crate::single_flight::SingleFlight;
 use crate::{emu_config, SuiteRun};
@@ -78,9 +82,9 @@ pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 4096;
 
 /// One cached simulation: the deterministic [`SimOutcome`] plus the
 /// host wall time and determinism-fingerprint chain hash measured
-/// when the unit originally ran. Wall time is reused on a hit — the
-/// same convention [`Engine::execute_plan`] uses for
-/// checkpoint-restored units, so summaries stay reproducible.
+/// when the unit originally ran. Wall time is reused on a hit —
+/// including hits on entries loaded from a checkpoint journal — so
+/// summaries stay reproducible.
 #[derive(Clone)]
 pub struct CachedSim {
     /// The simulated outcome (bit-identical across reruns).
@@ -130,10 +134,24 @@ struct ResultStore {
 /// misses, though concurrent lookups still share one in-flight run.
 /// Errors are never cached; waiters retry after a failed or panicked
 /// compute.
+///
+/// While a checkpoint journal is open (see [`Engine::execute_plan`]),
+/// every newly computed simulation is also appended to it as one
+/// flushed `{"ckpt_v":2,...}` line, on the computing thread and
+/// outside the store lock.
 pub struct SimResultCache {
     flight: SingleFlight<ResultStore>,
     capacity: usize,
     evictions: Counter,
+    journal: Mutex<Option<Journal>>,
+}
+
+/// An open checkpoint file. `torn` marks a file whose last line has
+/// no terminating newline (a crashed writer): the first append starts
+/// a fresh line instead of gluing itself onto the fragment.
+struct Journal {
+    file: File,
+    torn: bool,
 }
 
 impl SimResultCache {
@@ -149,6 +167,7 @@ impl SimResultCache {
             ),
             capacity,
             evictions: metrics.counter("engine.simcache.evictions"),
+            journal: Mutex::new(None),
         }
     }
 
@@ -175,7 +194,7 @@ impl SimResultCache {
 
     /// Currently retained entries.
     pub fn len(&self) -> usize {
-        self.flight.read(|s| s.ready.len())
+        self.flight.with_store(|s| s.ready.len())
     }
 
     /// True when nothing is retained.
@@ -205,26 +224,78 @@ impl SimResultCache {
                 entry.last_used = s.tick;
                 Some(entry.value.clone())
             },
-            run,
-            |s, value| {
-                s.tick += 1;
-                let entry = ReadyEntry {
-                    value: value.clone(),
-                    last_used: s.tick,
-                };
-                s.ready.insert(key.to_string(), entry);
-                while s.ready.len() > self.capacity {
-                    let victim = s
-                        .ready
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone())
-                        .expect("non-empty over-capacity map");
-                    s.ready.remove(&victim);
-                    self.evictions.inc();
-                }
+            || {
+                let value = run()?;
+                self.append_to_journal(key, &value);
+                Ok(value)
             },
+            |s, value| self.insert_ready(s, key, value.clone()),
         )
+    }
+
+    /// Stores `value` under `key` as the most recently used entry,
+    /// evicting least-recently-used entries past capacity.
+    fn insert_ready(&self, s: &mut ResultStore, key: &str, value: CachedSim) {
+        s.tick += 1;
+        let entry = ReadyEntry {
+            value,
+            last_used: s.tick,
+        };
+        s.ready.insert(key.to_string(), entry);
+        while s.ready.len() > self.capacity {
+            let victim = s
+                .ready
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+                .expect("non-empty over-capacity map");
+            s.ready.remove(&victim);
+            self.evictions.inc();
+        }
+    }
+
+    /// Opens `path` as the cache's journal: its entries become ready
+    /// entries (neither hits nor misses) and later computations append
+    /// to it. A missing file is an empty journal.
+    fn open_journal(&self, path: &Path) -> Result<(), String> {
+        let (entries, torn) = crate::exp::load_checkpoint(path)?;
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent)
+                    .map_err(|e| format!("{}: {e}", parent.display()))?;
+            }
+        }
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        self.flight.with_store(|s| {
+            for (key, value) in entries {
+                self.insert_ready(s, &key, value);
+            }
+        });
+        *self.journal.lock().expect("journal lock") = Some(Journal { file, torn });
+        Ok(())
+    }
+
+    /// Detaches the journal; later computations stay in memory only.
+    fn close_journal(&self) {
+        *self.journal.lock().expect("journal lock") = None;
+    }
+
+    /// Appends one computed entry to the open journal, if any, in a
+    /// single unbuffered write, so a crash loses at most the line in
+    /// flight. A failed write only costs a later resume that unit.
+    fn append_to_journal(&self, key: &str, value: &CachedSim) {
+        let mut journal = self.journal.lock().expect("journal lock");
+        let Some(j) = journal.as_mut() else { return };
+        let mut line = crate::exp::ckpt_line(key, value);
+        line.push('\n');
+        if std::mem::take(&mut j.torn) {
+            line.insert(0, '\n');
+        }
+        let _ = j.file.write_all(line.as_bytes());
     }
 
     /// [`SimResultCache::get_or_run`] for reuse-potential studies
@@ -317,15 +388,15 @@ impl Engine {
     ///   `harness.jsonl`. The harness only observes: results are
     ///   bit-identical with `Harness::disabled()`
     ///   (`tests/harness_observability.rs` pins this).
-    /// - `checkpoint`: a JSONL file finished simulation units are
-    ///   appended to as they complete (crash-resumable: every line is
-    ///   flushed the moment its sim finishes). On entry, units already
-    ///   present in the file are restored instead of re-simulated —
-    ///   with their original wall times, so a resumed run reproduces
-    ///   the original run's [`crate::exp::PointSummary`] list exactly.
-    ///   Restored units still report `task_finish` to the harness
-    ///   (wall time as recorded) so progress accounting covers the
-    ///   whole plan.
+    /// - `checkpoint`: a JSONL file opened as the result cache's
+    ///   journal for this run (crash-resumable: each newly computed
+    ///   simulation is appended as one line the moment it finishes).
+    ///   On entry, the file's lines load as ready cache entries under
+    ///   their result-cache keys, so units a previous run finished are
+    ///   ordinary cache hits that keep their recorded wall times — a
+    ///   resumed run reproduces the original run's
+    ///   [`crate::exp::PointSummary`] list exactly. Entries recorded
+    ///   under another fingerprint window (or none) never match.
     /// - `fingerprint_window`: when set, every CCR simulation runs
     ///   through a [`SimSession`] folding the determinism fingerprint
     ///   every that many cycles (bit-identical statistics to
@@ -432,11 +503,8 @@ impl Engine {
         let mut executed = Executed {
             specs: plan.specs.clone(),
             compiles: HashMap::new(),
-            bases: HashMap::new(),
-            ccrs: HashMap::new(),
+            sims: HashMap::new(),
             potentials: HashMap::new(),
-            sim_wall_ms: HashMap::new(),
-            fingerprints: HashMap::new(),
             points: plan
                 .ccrs
                 .iter()
@@ -463,175 +531,55 @@ impl Engine {
             }
         }
 
-        let restored = match checkpoint {
-            Some(path) => load_checkpoint(path)?,
-            None => HashMap::new(),
-        };
-        let ckpt_sink = match checkpoint {
-            Some(path) => {
-                if let Some(parent) = path.parent() {
-                    if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent)
-                            .map_err(|e| format!("{}: {e}", parent.display()))?;
-                    }
-                }
-                let file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                Some(Mutex::new(file))
-            }
-            None => None,
-        };
-
-        enum Sim<'a> {
-            Base(&'a BaseUnit, Arc<CompiledWorkload>),
-            Ccr(&'a CcrUnit, Arc<CompiledWorkload>),
-        }
-        impl Sim<'_> {
-            fn key(&self) -> &str {
-                match self {
-                    Sim::Base(u, _) => &u.key,
-                    Sim::Ccr(u, _) => &u.key,
-                }
-            }
-            fn label(&self) -> String {
-                match self {
-                    Sim::Base(u, _) => format!(
-                        "sim:base:{}:m{}",
-                        u.name,
-                        &hash_fields(&u.machine.fields())[..8]
-                    ),
-                    Sim::Ccr(u, _) => {
-                        format!("sim:ccr:{}:{}", u.name, config_hash(&u.machine, &u.crb))
-                    }
-                }
-            }
-        }
-        let mut sim_items: Vec<Sim<'_>> = Vec::new();
-        for item in plan
+        let compiles = &executed.compiles;
+        let tasks: Vec<SimTask<'_>> = plan
             .bases
             .iter()
-            .map(|u| Sim::Base(u, Arc::clone(&executed.compiles[&u.compile_key])))
-            .chain(
-                plan.ccrs
+            .map(|u| SimTask {
+                name: u.name,
+                label: format!(
+                    "sim:base:{}:m{}",
+                    u.name,
+                    &hash_fields(&u.machine.fields())[..8]
+                ),
+                key: result_cache_key(&u.key, fingerprint_window),
+                program: &compiles[&u.compile_key].base,
+                machine: &u.machine,
+                crb: None,
+                emu: emu_config(),
+                fingerprint_window: None,
+            })
+            .chain(plan.ccrs.iter().map(|u| SimTask {
+                name: u.name,
+                label: format!("sim:ccr:{}:{}", u.name, config_hash(&u.machine, &u.crb)),
+                key: result_cache_key(&u.key, fingerprint_window),
+                program: &compiles[&u.compile_key].annotated,
+                machine: &u.machine,
+                crb: Some(u.crb),
+                emu: emu_config(),
+                fingerprint_window,
+            }))
+            .collect();
+        if let Some(path) = checkpoint {
+            self.result_cache.open_journal(path)?;
+            let restored = self.result_cache.flight.with_store(|s| {
+                tasks
                     .iter()
-                    .map(|u| Sim::Ccr(u, Arc::clone(&executed.compiles[&u.compile_key]))),
-            )
-        {
-            let Some(entry) = restored.get(item.key()) else {
-                sim_items.push(item);
-                continue;
-            };
-            let key = item.key().to_string();
-            harness.task_finish(
-                "sim",
-                &item.label(),
-                entry.wall_ms,
-                Some(entry.outcome.stats.cycles),
-            );
-            executed.sim_wall_ms.insert(key.clone(), entry.wall_ms);
-            match item {
-                Sim::Base(..) => {
-                    executed.bases.insert(key, entry.outcome.clone());
-                }
-                Sim::Ccr(..) => {
-                    if !entry.fingerprint.is_empty() {
-                        executed
-                            .fingerprints
-                            .insert(key.clone(), entry.fingerprint.clone());
-                    }
-                    executed.ccrs.insert(key, entry.outcome.clone());
-                }
+                    .filter(|t| s.ready.contains_key(&t.key))
+                    .count()
+            });
+            if restored > 0 {
+                eprintln!(
+                    "checkpoint: restored {restored} of {} sim unit(s)",
+                    tasks.len()
+                );
             }
         }
-        let planned_sims = plan.bases.len() + plan.ccrs.len();
-        let restored_sims = planned_sims - sim_items.len();
-        if restored_sims > 0 {
-            eprintln!("checkpoint: restored {restored_sims} of {planned_sims} sim unit(s)");
-        }
-        let sim_labels: Vec<String> = sim_items.iter().map(Sim::label).collect();
-        let (sims, sim_pool) = parallel_map_observed(
-            &sim_items,
-            jobs,
-            Some(&sim_labels),
-            harness.observer(),
-            |i, item| {
-                harness.task_start("sim", &sim_labels[i]);
-                let cache_key = result_cache_key(item.key(), fingerprint_window);
-                let out = self
-                    .result_cache
-                    .get_or_run(&cache_key, || {
-                        let start = Instant::now();
-                        let res = match item {
-                            Sim::Base(u, cw) => simulate(&cw.base, &u.machine, None, emu_config())
-                                .map(|o| (o, String::new()))
-                                .map_err(|e| format!("{}: {e}", u.name)),
-                            Sim::Ccr(u, cw) => match fingerprint_window {
-                                None => {
-                                    simulate(&cw.annotated, &u.machine, Some(u.crb), emu_config())
-                                        .map(|o| (o, String::new()))
-                                        .map_err(|e| format!("{}: {e}", u.name))
-                                }
-                                Some(window) => {
-                                    let mut session = SimSession::new(
-                                        &cw.annotated,
-                                        &u.machine,
-                                        Some(u.crb),
-                                        emu_config(),
-                                        window,
-                                    );
-                                    session
-                                        .set_provenance(u.name, &config_hash(&u.machine, &u.crb));
-                                    session
-                                        .run_to_end()
-                                        .map_err(|e| format!("{}: {e}", u.name))
-                                        .map(|()| {
-                                            let hash = session.final_hash().expect("finished run");
-                                            (session.into_outcome(), format!("{hash:016x}"))
-                                        })
-                                }
-                            },
-                        };
-                        res.map(|(outcome, fingerprint)| CachedSim {
-                            outcome,
-                            wall_ms: start.elapsed().as_millis() as u64,
-                            fingerprint,
-                        })
-                    })
-                    .map(|c| match item {
-                        Sim::Base(u, _) => (u.key.clone(), true, c),
-                        Sim::Ccr(u, _) => (u.key.clone(), false, c),
-                    });
-                if let Ok((key, is_base, c)) = &out {
-                    harness.task_finish(
-                        "sim",
-                        &sim_labels[i],
-                        c.wall_ms,
-                        Some(c.outcome.stats.cycles),
-                    );
-                    if let Some(sink) = &ckpt_sink {
-                        let line = ckpt_line(key, *is_base, c.wall_ms, &c.fingerprint, &c.outcome);
-                        let mut f = sink.lock().expect("checkpoint lock");
-                        let _ = writeln!(f, "{line}").and_then(|()| f.flush());
-                    }
-                }
-                out
-            },
-        );
-        harness.pool("sim", &sim_pool);
-        for out in sims {
-            let (key, is_base, c) = out?;
-            executed.sim_wall_ms.insert(key.clone(), c.wall_ms);
-            if is_base {
-                executed.bases.insert(key, c.outcome);
-            } else {
-                if !c.fingerprint.is_empty() {
-                    executed.fingerprints.insert(key.clone(), c.fingerprint);
-                }
-                executed.ccrs.insert(key, c.outcome);
-            }
+        let sims = self.run_sims(&tasks, harness);
+        self.result_cache.close_journal();
+        let keys = plan.bases.iter().map(|u| &u.key);
+        for (key, out) in keys.chain(plan.ccrs.iter().map(|u| &u.key)).zip(sims) {
+            executed.sims.insert(key.clone(), out?);
         }
         Ok(executed)
     }
@@ -703,57 +651,37 @@ impl Engine {
         let compiled = compiled.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Fan every workload's two independent simulations out as their
         // own work items: 2N sims over `jobs` workers.
-        let tasks: Vec<(usize, bool)> = (0..compiled.len())
-            .flat_map(|i| [(i, false), (i, true)])
-            .collect();
-        let sim_labels: Vec<String> = tasks
+        let emu_tag = format!("|simemu:{}/{}|fp:none", emu.max_instrs, emu.max_depth);
+        let task = |name, kind, key: String, program, crb| SimTask {
+            name,
+            label: format!("sim:{kind}:{name}:{cfg_hash}"),
+            key: key + &emu_tag,
+            program,
+            machine,
+            crb,
+            emu,
+            fingerprint_window: None,
+        };
+        let tasks: Vec<SimTask<'_>> = names
             .iter()
-            .map(|&(i, is_ccr)| {
-                let kind = if is_ccr { "ccr" } else { "base" };
-                format!("sim:{kind}:{}:{cfg_hash}", names[i])
+            .zip(&compiled)
+            .flat_map(|(&name, (cw, _))| {
+                let ck = compile_key(name, target, scale, config);
+                let base_key = base_sim_key(name, target, scale, config, machine);
+                [
+                    task(name, "base", base_key, &cw.base, None),
+                    task(
+                        name,
+                        "ccr",
+                        ccr_sim_key(&ck, machine, &crb),
+                        &cw.annotated,
+                        Some(crb),
+                    ),
+                ]
             })
             .collect();
-        let (sims, sim_pool) = parallel_map_observed(
-            &tasks,
-            jobs,
-            Some(&sim_labels),
-            harness.observer(),
-            |t, &(i, is_ccr)| {
-                harness.task_start("sim", &sim_labels[t]);
-                let (program, unit_key, sim_crb) = if is_ccr {
-                    let ck = compile_key(names[i], target, scale, config);
-                    let key = ccr_sim_key(&ck, machine, &crb);
-                    (&compiled[i].0.annotated, key, Some(crb))
-                } else {
-                    let key = base_sim_key(names[i], target, scale, config, machine);
-                    (&compiled[i].0.base, key, None)
-                };
-                let key = format!(
-                    "{unit_key}|simemu:{}/{}|fp:none",
-                    emu.max_instrs, emu.max_depth
-                );
-                let out = self.result_cache.get_or_run(&key, || {
-                    let started = Instant::now();
-                    simulate(program, machine, sim_crb, emu)
-                        .map(|outcome| CachedSim {
-                            outcome,
-                            wall_ms: started.elapsed().as_millis() as u64,
-                            fingerprint: String::new(),
-                        })
-                        .map_err(|e| format!("{}: {e}", names[i]))
-                });
-                if let Ok(c) = &out {
-                    harness.task_finish(
-                        "sim",
-                        &sim_labels[t],
-                        c.wall_ms,
-                        Some(c.outcome.stats.cycles),
-                    );
-                }
-                out
-            },
-        );
-        harness.pool("sim", &sim_pool);
+        let sims = self.run_sims(&tasks, harness);
+        drop(tasks);
         let mut sims = sims.into_iter();
         let mut runs = Vec::with_capacity(compiled.len());
         for (name, (compiled, compile_ms)) in names.iter().zip(compiled) {
@@ -774,6 +702,77 @@ impl Engine {
             });
         }
         Ok(runs)
+    }
+    /// The one simulation fan-out: runs every task over the engine's
+    /// workers, each through the result cache under its key, reporting
+    /// `sim` start/finish events and the `sim` pool to `harness`.
+    /// Results come back in task order.
+    fn run_sims(&self, tasks: &[SimTask<'_>], harness: &Harness) -> Vec<Result<CachedSim, String>> {
+        let labels: Vec<String> = tasks.iter().map(|t| t.label.clone()).collect();
+        let (sims, pool) = parallel_map_observed(
+            tasks,
+            self.jobs,
+            Some(&labels),
+            harness.observer(),
+            |_, task| {
+                harness.task_start("sim", &task.label);
+                let out = self.result_cache.get_or_run(&task.key, || task.run());
+                if let Ok(c) = &out {
+                    harness.task_finish(
+                        "sim",
+                        &task.label,
+                        c.wall_ms,
+                        Some(c.outcome.stats.cycles),
+                    );
+                }
+                out
+            },
+        );
+        harness.pool("sim", &pool);
+        sims
+    }
+}
+
+/// One simulation work item of [`Engine::run_sims`]: the program and
+/// hardware to simulate, the result-cache key it memoizes under, and
+/// its harness task label.
+struct SimTask<'a> {
+    name: &'static str,
+    label: String,
+    key: String,
+    program: &'a Program,
+    machine: &'a MachineConfig,
+    crb: Option<CrbConfig>,
+    emu: EmuConfig,
+    /// When set, the run goes through a [`SimSession`] folding the
+    /// determinism fingerprint every that many cycles (statistics
+    /// bit-identical to [`simulate`]).
+    fingerprint_window: Option<u64>,
+}
+
+impl SimTask<'_> {
+    /// Simulates the task, timing it on the host.
+    fn run(&self) -> Result<CachedSim, String> {
+        let start = Instant::now();
+        let err = |e: EmuError| format!("{}: {e}", self.name);
+        let (outcome, fingerprint) = match self.fingerprint_window {
+            None => (
+                simulate(self.program, self.machine, self.crb, self.emu).map_err(err)?,
+                String::new(),
+            ),
+            Some(window) => {
+                let mut session =
+                    SimSession::new(self.program, self.machine, self.crb, self.emu, window);
+                session.run_to_end().map_err(err)?;
+                let hash = session.final_hash().expect("finished run");
+                (session.into_outcome(), format!("{hash:016x}"))
+            }
+        };
+        Ok(CachedSim {
+            outcome,
+            wall_ms: start.elapsed().as_millis() as u64,
+            fingerprint,
+        })
     }
 }
 

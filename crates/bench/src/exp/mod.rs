@@ -38,17 +38,20 @@
 //! against the committed `results/` tables).
 //!
 //! **Resumable sweeps** (the `checkpoint` argument of
-//! [`crate::Engine::execute_plan`]): with a checkpoint path, every
-//! finished simulation unit is appended to a line-tolerant
-//! `{"ckpt_v":1,...}` JSONL file as it completes, and a later run of
-//! the same plan restores those units instead of re-simulating them.
-//! Units are keyed by the planner's dedup keys — which embed the
-//! workload, input, scale, emulator limits, and the config-field
-//! hashes — so a stale checkpoint from a different sweep simply never
-//! matches. A torn final line (crashed run) fails to parse and is
-//! silently re-simulated. With a fingerprint window, every CCR
-//! simulation additionally runs through [`ccr_sim::SimSession`]
-//! (bit-identical to [`ccr_sim::simulate`]) and reports its final
+//! [`crate::Engine::execute_plan`]): a checkpoint path is opened as
+//! the disk journal of the engine's [`crate::SimResultCache`]. Every
+//! newly simulated unit is appended to the line-tolerant
+//! `{"ckpt_v":2,...}` JSONL file as it completes, and a later run loads
+//! the file's lines as ready cache entries, so finished units are
+//! ordinary cache hits instead of re-simulations. Lines are keyed by
+//! result-cache key — the planner's dedup key (workload, input, scale,
+//! emulator limits, config-field hashes) plus the fingerprint window —
+//! so a stale checkpoint from a different sweep, or one recorded
+//! without fingerprints or at another window, simply never matches. A
+//! torn final line (crashed run) fails to parse and is silently
+//! re-simulated. With a fingerprint window, every CCR simulation
+//! additionally runs through [`ccr_sim::SimSession`] (bit-identical
+//! to [`ccr_sim::simulate`]) and reports its final
 //! determinism-fingerprint chain hash in [`PointSummary::fingerprint`].
 
 pub mod specs;
@@ -70,6 +73,7 @@ use ccr_sim::snapshot::{parse_sim_stats, write_sim_stats};
 use ccr_sim::{CrbConfig, MachineConfig, SimOutcome};
 use ccr_workloads::InputSet;
 
+use crate::engine::CachedSim;
 use crate::single_flight::SingleFlight;
 use crate::{compile_with, emu_config, SCALE};
 
@@ -569,31 +573,18 @@ impl CompileCache {
 
 /// Version tag of experiment-checkpoint JSONL lines. Bumped only on
 /// incompatible changes; additive fields ride under the same version.
-pub const CKPT_VERSION: u64 = 1;
+/// Lines are keyed by result-cache key (`…|fp:none`, `…|fp:<window>`).
+pub const CKPT_VERSION: u64 = 2;
 
-/// One restored simulation unit: the full [`SimOutcome`] plus the
-/// host wall time and fingerprint measured when it originally ran
-/// (kept so a resumed run reproduces the original's summaries).
-pub(crate) struct CkptEntry {
-    pub(crate) outcome: SimOutcome,
-    pub(crate) wall_ms: u64,
-    pub(crate) fingerprint: String,
-}
-
-pub(crate) fn ckpt_line(
-    key: &str,
-    is_base: bool,
-    wall_ms: u64,
-    fingerprint: &str,
-    o: &SimOutcome,
-) -> String {
+/// One checkpoint journal line: a result-cache entry under its key.
+pub(crate) fn ckpt_line(key: &str, c: &CachedSim) -> String {
+    let o = &c.outcome;
     let mut w = JsonWriter::new();
     w.obj_begin();
     w.key("ckpt_v").u64_val(CKPT_VERSION);
     w.key("key").str_val(key);
-    w.key("is_base").bool_val(is_base);
-    w.key("wall_ms").u64_val(wall_ms);
-    w.key("fingerprint").str_val(fingerprint);
+    w.key("wall_ms").u64_val(c.wall_ms);
+    w.key("fingerprint").str_val(&c.fingerprint);
     w.key("returned").arr_begin();
     for v in &o.run.returned {
         w.i64_val(v.0);
@@ -615,18 +606,20 @@ fn ckpt_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{ctx}: missing or non-integer `{key}`"))
 }
 
-/// Loads a checkpoint file into unit-key → entry form. A missing file
-/// is an empty checkpoint (first run); an unreadable or wrong-version
-/// file is a one-line error. Lines that fail to parse as JSON are
-/// skipped — that is the torn final line of a crashed run, and the
-/// unit it would have recorded simply re-simulates.
-pub(crate) fn load_checkpoint(path: &Path) -> Result<HashMap<String, CkptEntry>, String> {
+/// Loads a checkpoint journal as result-cache entries in file order,
+/// plus whether the file ends in a torn line (non-empty, no final
+/// newline). A missing file is an empty journal (first run); an
+/// unreadable or wrong-version file is a one-line error. Lines that
+/// fail to parse as JSON are skipped — that is the torn final line of
+/// a crashed run, and the unit it would have recorded simply
+/// re-simulates.
+pub(crate) fn load_checkpoint(path: &Path) -> Result<(Vec<(String, CachedSim)>, bool), String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(HashMap::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    let mut out = HashMap::new();
+    let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() {
@@ -660,9 +653,9 @@ pub(crate) fn load_checkpoint(path: &Path) -> Result<HashMap<String, CkptEntry>,
         let stats_v = v
             .get("stats")
             .ok_or_else(|| format!("{ctx}: missing `stats`"))?;
-        out.insert(
+        out.push((
             key,
-            CkptEntry {
+            CachedSim {
                 outcome: SimOutcome {
                     run: RunOutcome {
                         returned,
@@ -676,23 +669,20 @@ pub(crate) fn load_checkpoint(path: &Path) -> Result<HashMap<String, CkptEntry>,
                 wall_ms: v.u64_field("wall_ms"),
                 fingerprint: v.str_field("fingerprint").to_string(),
             },
-        );
+        ));
     }
-    Ok(out)
+    let torn = !text.is_empty() && !text.ends_with('\n');
+    Ok((out, torn))
 }
 
 /// Executed results, keyed for assembly into per-spec views.
 pub struct Executed<'s> {
     pub(crate) specs: Vec<&'s ExperimentSpec>,
     pub(crate) compiles: HashMap<String, Arc<CompiledWorkload>>,
-    pub(crate) bases: HashMap<String, SimOutcome>,
-    pub(crate) ccrs: HashMap<String, SimOutcome>,
+    /// Every simulation (base and CCR alike) by planner unit key, as
+    /// the result cache returned it.
+    pub(crate) sims: HashMap<String, CachedSim>,
     pub(crate) potentials: HashMap<String, ReusePotential>,
-    /// Host wall time per simulation unit key (base and CCR alike).
-    pub(crate) sim_wall_ms: HashMap<String, u64>,
-    /// Final fingerprint chain hash per CCR sim unit key (16-digit
-    /// lowercase hex), present only for fingerprinted runs.
-    pub(crate) fingerprints: HashMap<String, String>,
     /// One entry per unique executed CCR point, in plan order.
     pub(crate) points: Vec<PointMeta>,
     /// Compile-cache (hits, misses) delta for the run (satellite of
@@ -768,8 +758,8 @@ impl<'s> Executed<'s> {
         self.points
             .iter()
             .map(|p| {
-                let base = &self.bases[&p.base_key];
-                let ccr = &self.ccrs[&p.ccr_key];
+                let (base_sim, ccr_sim) = (&self.sims[&p.base_key], &self.sims[&p.ccr_key]);
+                let (base, ccr) = (&base_sim.outcome, &ccr_sim.outcome);
                 let crb = &ccr.stats.crb;
                 let lookups = ccr.stats.reuse_hits + ccr.stats.reuse_misses;
                 PointSummary {
@@ -793,13 +783,8 @@ impl<'s> Executed<'s> {
                         crb.miss_invalidated,
                     ],
                     regions: self.compiles[&p.compile_key].regions.len() as u64,
-                    wall_ms: self.sim_wall_ms.get(&p.base_key).copied().unwrap_or(0)
-                        + self.sim_wall_ms.get(&p.ccr_key).copied().unwrap_or(0),
-                    fingerprint: self
-                        .fingerprints
-                        .get(&p.ccr_key)
-                        .cloned()
-                        .unwrap_or_default(),
+                    wall_ms: base_sim.wall_ms + ccr_sim.wall_ms,
+                    fingerprint: ccr_sim.fingerprint.clone(),
                 }
             })
             .collect()
@@ -825,10 +810,15 @@ impl<'s> Executed<'s> {
             for &name in spec.workloads {
                 let ck = compile_key(name, sc.input, sc.scale, &config);
                 let compiled = Arc::clone(&self.compiles[&ck]);
-                let base = self.bases
-                    [&base_sim_key(name, sc.input, sc.scale, &config, &sc.machine)]
-                    .clone();
-                let ccr = self.ccrs[&ccr_sim_key(&ck, &sc.machine, &sc.crb)].clone();
+                let sim = |key: &str| self.sims[key].outcome.clone();
+                let base = sim(&base_sim_key(
+                    name,
+                    sc.input,
+                    sc.scale,
+                    &config,
+                    &sc.machine,
+                ));
+                let ccr = sim(&ccr_sim_key(&ck, &sc.machine, &sc.crb));
                 assert_eq!(
                     base.run.returned, ccr.run.returned,
                     "computation reuse changed architectural results"
@@ -960,7 +950,11 @@ mod tests {
         // garbage. The torn unit re-simulates; the run still succeeds
         // and reaches the same statistics.
         let torn: String = text[..text.len() - text.len() / 3].to_string();
-        std::fs::write(&path, format!("{torn}\n{{\"ckpt_v\":1,\"key\"")).unwrap();
+        std::fs::write(
+            &path,
+            format!("{torn}\n{{\"ckpt_v\":{CKPT_VERSION},\"key\""),
+        )
+        .unwrap();
         let third = Engine::new(2)
             .execute_plan(&plan, &harness, Some(&path), None)
             .unwrap();
@@ -979,6 +973,52 @@ mod tests {
         };
         assert_eq!(strip(&a), strip(&b));
 
+        // The re-simulated unit's line must start on a fresh line, not
+        // be glued onto the garbage fragment: a fourth run restores
+        // every unit and appends nothing.
+        let repaired = std::fs::read_to_string(&path).unwrap();
+        let fourth = Engine::new(2);
+        let out = fourth
+            .execute_plan(&plan, &harness, Some(&path), None)
+            .unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), repaired);
+        assert_eq!(fourth.result_cache().misses(), 0, "nothing re-simulated");
+        assert_eq!(fourth.result_cache().hits(), 2, "both units restored");
+        assert_eq!(
+            summary_view(&third.point_summaries()),
+            summary_view(&out.point_summaries()),
+        );
+
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resumed_fingerprint_runs_never_reuse_plain_or_other_window_entries() {
+        let spec = tiny_spec();
+        let plan = plan(&[&spec]);
+        let path = temp_file("fpwindow.ckpt.jsonl");
+        let harness = Harness::disabled();
+        let run = |checkpoint: Option<&Path>, window: Option<u64>| {
+            Engine::new(1)
+                .execute_plan(&plan, &harness, checkpoint, window)
+                .unwrap()
+                .point_summaries()[0]
+                .fingerprint
+                .clone()
+        };
+        let (w, w2) = (500, 700);
+        let fresh = run(None, Some(w));
+        let fresh2 = run(None, Some(w2));
+        assert_ne!(fresh, fresh2, "the chain depends on the window");
+
+        // A plain journal must not serve a fingerprinted resume...
+        assert_eq!(run(Some(&path), None), "");
+        assert_eq!(run(Some(&path), Some(w)), fresh);
+        // ...and a journal written at one window must not serve another.
+        assert_eq!(run(Some(&path), Some(w2)), fresh2);
+        // Entries written at the matching window are reused as-is.
+        assert_eq!(run(Some(&path), Some(w)), fresh);
+
         let _ = std::fs::remove_file(&path);
     }
 
@@ -988,7 +1028,7 @@ mod tests {
         std::fs::write(&path, "{\"ckpt_v\":99,\"key\":\"x\"}\n").unwrap();
         let err = load_checkpoint(&path).err().expect("must reject");
         assert!(
-            err.contains("unknown ckpt_v 99 (known: [1])") && !err.contains('\n'),
+            err.contains("unknown ckpt_v 99 (known: [2])") && !err.contains('\n'),
             "{err}"
         );
         let _ = std::fs::remove_file(&path);

@@ -52,9 +52,9 @@ impl<S> SingleFlight<S> {
         self.misses.get()
     }
 
-    /// Reads the store under the lock.
-    pub(crate) fn read<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.state.lock().expect("single-flight lock").store)
+    /// Runs `f` on the store under the lock.
+    pub(crate) fn with_store<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        f(&mut self.state.lock().expect("single-flight lock").store)
     }
 
     /// Returns `lookup`'s hit for `key`, else runs `compute` (once

@@ -560,11 +560,14 @@ struct Entry {
     seq: Vec<Reg>,
     /// Whether `seq` has been established.
     has_seq: bool,
-    /// True while every valid instance and ghost shares `seq`. In
-    /// practice always true (an entry's instances all come from one
-    /// region, whose input register set is static); a divergent insert
-    /// — possible only via hand-built snapshots — drops the entry to
-    /// the scalar reference scan, which handles arbitrary sequences.
+    /// True while every valid instance and ghost shares `seq`. Not
+    /// guaranteed: the emulator records a region's used-before-defined
+    /// registers in dynamic first-read order, so two paths through one
+    /// acyclic region can record different sequences. A divergent
+    /// insert drops the entry to the scalar reference scan, which
+    /// handles arbitrary sequences. (No entry diverges anywhere in the
+    /// `ccr exp --all` sweep of the built-in workloads; correctness
+    /// does not depend on that.)
     uniform: bool,
 }
 
@@ -1404,6 +1407,40 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
         assert_eq!(s.records, 1);
+    }
+
+    #[test]
+    fn instances_with_different_register_sequences_each_match_their_own_inputs() {
+        // Two paths through one region read their inputs in different
+        // orders and through different registers.
+        let path = |inputs: [(u32, i64); 2], output: i64| RecordedInstance {
+            inputs: inputs
+                .iter()
+                .map(|&(r, v)| (Reg(r), Value::from_int(v)))
+                .collect(),
+            outputs: vec![(Reg(9), Value::from_int(output))],
+            accesses_memory: false,
+            body_instrs: 10,
+        };
+        let mut buf = ReuseBuffer::new(CrbConfig::paper());
+        let r = RegionId(0);
+        buf.record(r, path([(1, 5), (2, 7)], 12));
+        buf.record(r, path([(2, 9), (4, 1)], 10));
+        assert!(
+            !buf.entries[buf.entry_index(r)].uniform,
+            "divergent sequences demote the entry to the scalar scan"
+        );
+        let mut lookup = |regs: [i64; 5]| {
+            buf.lookup(r, &mut |reg| Value::from_int(regs[reg.index()]))
+                .map(|hit| hit.outputs[0].1.as_int())
+        };
+        // Each instance hits on its own registers' values, whatever
+        // the registers only the other instance reads hold...
+        assert_eq!(lookup([0, 5, 7, 0, 3]), Some(12));
+        assert_eq!(lookup([0, 6, 9, 0, 1]), Some(10));
+        // ...and misses when only the other instance's inputs match.
+        assert_eq!(lookup([0, 5, 9, 0, 3]), None);
+        assert_eq!(lookup([0, 5, 8, 0, 1]), None);
     }
 
     #[test]

@@ -192,7 +192,8 @@ const USAGE: &str = "usage:
   ccr snapshot restore <FILE> [--entries E] [--instances C]
   (run also takes [--save-snapshot FILE --snapshot-cycle N] and
    [--restore-snapshot FILE]; exp also takes [--checkpoint FILE] and
-   [--fingerprint] — resumable sweeps and stored trajectory hashes)
+   [--fingerprint [--window K]] — resumable sweeps and stored trajectory
+   hashes)
   (bench/exp/profile also take [--store FILE] [--no-store] [--at TS])
   (suite/bench/exp/profile also take [--progress[=plain|json]] [--no-progress]
    [--harness-out FILE] — live progress to stderr and a structured
@@ -201,7 +202,8 @@ const USAGE: &str = "usage:
   ccr potential <benchmark|file.ccr>
   ccr print <benchmark> [--annotated]
   ccr trace <benchmark|file.ccr> [--limit N]
-  ccr list";
+  ccr list
+  (a flag the subcommand does not read is an error)";
 
 /// Parsed flag set shared by the subcommands.
 struct Flags {
@@ -251,7 +253,9 @@ struct Flags {
     positional: Vec<String>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parses `ccr <cmd>`'s arguments, accepting only the flags in `reads`
+/// (space-separated groups).
+fn parse_flags(cmd: &str, args: &[String], reads: &[&str]) -> Result<Flags, String> {
     let mut flags = Flags {
         input: InputSet::Train,
         scale: 1,
@@ -300,58 +304,36 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
+        let mut take = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{a} needs a value"))
         };
         match a.as_str() {
             "--input" => {
-                flags.input = match take("--input")?.as_str() {
+                flags.input = match take()?.as_str() {
                     "train" => InputSet::Train,
                     "ref" => InputSet::Ref,
                     other => return Err(format!("unknown input set `{other}`")),
                 };
             }
-            "--scale" => {
-                flags.scale = take("--scale")?
-                    .parse()
-                    .map_err(|_| "bad --scale value".to_string())?;
-            }
-            "--entries" => {
-                flags.entries = take("--entries")?
-                    .parse()
-                    .map_err(|_| "bad --entries value".to_string())?;
-            }
-            "--instances" => {
-                flags.instances = take("--instances")?
-                    .parse()
-                    .map_err(|_| "bad --instances value".to_string())?;
-            }
+            "--scale" => flags.scale = num(a, take()?)?,
+            "--entries" => flags.entries = num(a, take()?)?,
+            "--instances" => flags.instances = num(a, take()?)?,
             "--function-level" => flags.function_level = true,
             "--annotated" => flags.annotated = true,
-            "--limit" => {
-                flags.limit = take("--limit")?
-                    .parse()
-                    .map_err(|_| "bad --limit value".to_string())?;
-            }
+            "--limit" => flags.limit = num(a, take()?)?,
             "--sample-period" => {
-                flags.sample_period = take("--sample-period")?
-                    .parse()
-                    .map_err(|_| "bad --sample-period value".to_string())?;
+                flags.sample_period = num(a, take()?)?;
                 if flags.sample_period == 0 {
                     return Err("--sample-period must be at least 1".to_string());
                 }
             }
-            "--telemetry" => flags.telemetry = Some(take("--telemetry")?),
-            "--top" => {
-                flags.top = take("--top")?
-                    .parse()
-                    .map_err(|_| "bad --top value".to_string())?;
-            }
-            "--out" => flags.out = Some(take("--out")?),
+            "--telemetry" => flags.telemetry = Some(take()?),
+            "--top" => flags.top = num(a, take()?)?,
+            "--out" => flags.out = Some(take()?),
             "--thresholds" => {
-                flags.thresholds = take("--thresholds")?;
+                flags.thresholds = take()?;
                 if !matches!(flags.thresholds.as_str(), "default" | "none") {
                     return Err(format!(
                         "--thresholds must be `default` or `none`, got `{}`",
@@ -360,123 +342,60 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 }
             }
             "--force" => flags.force = true,
-            "--only" => flags.only = Some(take("--only")?),
+            "--only" => flags.only = Some(take()?),
             "--all" => flags.all = true,
             "--list" => flags.list = true,
-            "--jobs" => {
-                flags.jobs = Some(
-                    take("--jobs")?
-                        .parse()
-                        .map_err(|_| "bad --jobs value".to_string())?,
-                );
-            }
-            "--max-cycle-regress-pct" => {
-                flags.max_cycle_regress_pct = Some(
-                    take("--max-cycle-regress-pct")?
-                        .parse()
-                        .map_err(|_| "bad --max-cycle-regress-pct value".to_string())?,
-                );
-            }
-            "--max-hit-rate-drop-pp" => {
-                flags.max_hit_rate_drop_pp = Some(
-                    take("--max-hit-rate-drop-pp")?
-                        .parse()
-                        .map_err(|_| "bad --max-hit-rate-drop-pp value".to_string())?,
-                );
-            }
-            "--max-speedup-drop-pct" => {
-                flags.max_speedup_drop_pct = Some(
-                    take("--max-speedup-drop-pct")?
-                        .parse()
-                        .map_err(|_| "bad --max-speedup-drop-pct value".to_string())?,
-                );
-            }
+            "--jobs" => flags.jobs = Some(num(a, take()?)?),
+            "--max-cycle-regress-pct" => flags.max_cycle_regress_pct = Some(num(a, take()?)?),
+            "--max-hit-rate-drop-pp" => flags.max_hit_rate_drop_pp = Some(num(a, take()?)?),
+            "--max-speedup-drop-pct" => flags.max_speedup_drop_pct = Some(num(a, take()?)?),
             "--host-reps" => {
-                flags.host_reps = take("--host-reps")?
-                    .parse()
-                    .map_err(|_| "bad --host-reps value".to_string())?;
+                flags.host_reps = num(a, take()?)?;
                 if flags.host_reps == 0 {
                     return Err("--host-reps must be at least 1".to_string());
                 }
             }
             "--max-host-throughput-drop-pct" => {
-                flags.max_host_throughput_drop_pct = Some(
-                    take("--max-host-throughput-drop-pct")?
-                        .parse()
-                        .map_err(|_| "bad --max-host-throughput-drop-pct value".to_string())?,
-                );
+                flags.max_host_throughput_drop_pct = Some(num(a, take()?)?);
             }
-            "--store" => flags.store = Some(take("--store")?),
+            "--store" => flags.store = Some(take()?),
             "--no-store" => flags.no_store = true,
             "--progress" => flags.progress = Some("plain".to_string()),
             "--no-progress" => flags.no_progress = true,
-            "--harness-out" => flags.harness_out = Some(take("--harness-out")?),
+            "--harness-out" => flags.harness_out = Some(take()?),
             "--window" => {
-                flags.window = Some(
-                    take("--window")?
-                        .parse()
-                        .map_err(|_| "bad --window value".to_string())?,
-                );
+                flags.window = Some(num(a, take()?)?);
                 if flags.window == Some(0) {
                     return Err("--window must be at least 1 cycle".to_string());
                 }
             }
-            "--at-cycle" => {
-                flags.at_cycle = Some(
-                    take("--at-cycle")?
-                        .parse()
-                        .map_err(|_| "bad --at-cycle value".to_string())?,
-                );
-            }
-            "--snapshot-cycle" => {
-                flags.snapshot_cycle = Some(
-                    take("--snapshot-cycle")?
-                        .parse()
-                        .map_err(|_| "bad --snapshot-cycle value".to_string())?,
-                );
-            }
-            "--socket" => flags.socket = Some(take("--socket")?),
-            "--port" => {
-                flags.port = Some(
-                    take("--port")?
-                        .parse()
-                        .map_err(|_| "bad --port value".to_string())?,
-                );
-            }
+            "--at-cycle" => flags.at_cycle = Some(num(a, take()?)?),
+            "--snapshot-cycle" => flags.snapshot_cycle = Some(num(a, take()?)?),
+            "--socket" => flags.socket = Some(take()?),
+            "--port" => flags.port = Some(num(a, take()?)?),
             "--queue" => {
-                flags.queue = Some(
-                    take("--queue")?
-                        .parse()
-                        .map_err(|_| "bad --queue value".to_string())?,
-                );
+                flags.queue = Some(num(a, take()?)?);
                 if flags.queue == Some(0) {
                     return Err("--queue must be at least 1".to_string());
                 }
             }
-            "--workload" => flags.workload = Some(take("--workload")?),
+            "--workload" => flags.workload = Some(take()?),
             "--shutdown" => flags.shutdown = true,
             "--serve-clients" => {
-                flags.serve_clients = Some(
-                    take("--serve-clients")?
-                        .parse()
-                        .map_err(|_| "bad --serve-clients value".to_string())?,
-                );
+                flags.serve_clients = Some(num(a, take()?)?);
                 if flags.serve_clients == Some(0) {
                     return Err("--serve-clients must be at least 1".to_string());
                 }
             }
             "--compare" => flags.compare = true,
-            "--checkpoint" => flags.checkpoint = Some(take("--checkpoint")?),
+            "--checkpoint" => flags.checkpoint = Some(take()?),
             "--fingerprint" => flags.fingerprint = true,
-            "--save-snapshot" => flags.save_snapshot = Some(take("--save-snapshot")?),
-            "--restore-snapshot" => flags.restore_snapshot = Some(take("--restore-snapshot")?),
-            "--commit" => flags.commit = Some(take("--commit")?),
+            "--save-snapshot" => flags.save_snapshot = Some(take()?),
+            "--restore-snapshot" => flags.restore_snapshot = Some(take()?),
+            "--commit" => flags.commit = Some(take()?),
             "--at" => {
-                flags.at = Some(
-                    take("--at")?
-                        .parse()
-                        .map_err(|_| "bad --at value (unix seconds)".to_string())?,
-                );
+                let at = take()?.parse();
+                flags.at = Some(at.map_err(|_| "bad --at value (unix seconds)".to_string())?);
             }
             other if other.starts_with("--progress=") => {
                 let mode = other.trim_start_matches("--progress=");
@@ -492,41 +411,121 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             other => flags.positional.push(other.to_string()),
         }
+        let name = a.split('=').next().unwrap_or(a);
+        if name.starts_with("--") && !reads.iter().any(|g| g.split(' ').any(|f| f == name)) {
+            return Err(format!("`ccr {cmd}` does not take {name}"));
+        }
     }
     Ok(flags)
 }
 
+/// Parses a numeric flag value, naming the flag when it is malformed.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {flag} value"))
+}
+
+/// Flag groups several subcommands read (see [`dispatch`]).
+const TARGET: &str = "--input --scale";
+const CONFIG: &str = "--entries --instances --function-level";
+const HARNESS: &str = "--progress --no-progress --harness-out";
+const STORE: &str = "--store --no-store --at";
+const SNAPSHOT: &str = "--save-snapshot --snapshot-cycle --restore-snapshot";
+const GATE: &str = concat!(
+    "--thresholds --max-cycle-regress-pct --max-hit-rate-drop-pp ",
+    "--max-speedup-drop-pct --max-host-throughput-drop-pct"
+);
+
+type Command = fn(&Flags) -> Result<ExitCode, CliError>;
+
+fn ok(r: Result<(), CliError>) -> Result<ExitCode, CliError> {
+    r.map(|()| ExitCode::SUCCESS)
+}
+
+/// Runs a subcommand. Each subcommand lists the flags it reads; any
+/// other flag is a usage error rather than silently ignored.
 fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
     let Some(cmd) = args.first() else {
         return Err(usage_err("missing subcommand"));
     };
-    let flags = parse_flags(&args[1..]).map_err(usage_err)?;
-    let ok = |r: Result<(), CliError>| r.map(|()| ExitCode::SUCCESS);
-    match cmd.as_str() {
-        "list" => {
+    let (reads, run): (&[&str], Command) = match cmd.as_str() {
+        "list" => (&[], |_| {
             for name in NAMES {
                 println!("{name}");
             }
             Ok(ExitCode::SUCCESS)
-        }
-        "suite" => ok(cmd_suite(&flags)),
-        "run" => ok(cmd_run(&flags)),
-        "profile" => ok(cmd_profile(&flags)),
-        "analyze" => ok(cmd_analyze(&flags)),
-        "diff" => cmd_diff(&flags),
-        "bench" => ok(cmd_bench(&flags)),
-        "exp" => ok(cmd_exp(&flags)),
-        "serve" => ok(cmd_serve(&flags)),
-        "submit" => ok(cmd_submit(&flags)),
-        "report" => cmd_report(&flags),
-        "fingerprint" => cmd_fingerprint(&flags),
-        "snapshot" => ok(cmd_snapshot(&flags)),
-        "regions" => ok(cmd_regions(&flags)),
-        "potential" => ok(cmd_potential(&flags)),
-        "print" => ok(cmd_print(&flags)),
-        "trace" => ok(cmd_trace(&flags)),
-        other => Err(usage_err(format!("unknown subcommand `{other}`"))),
-    }
+        }),
+        "suite" => (&[TARGET, CONFIG, HARNESS, "--jobs"], |f| ok(cmd_suite(f))),
+        "run" => (
+            &[
+                TARGET,
+                CONFIG,
+                HARNESS,
+                "--jobs --telemetry --window",
+                SNAPSHOT,
+            ],
+            |f| ok(cmd_run(f)),
+        ),
+        "profile" => (
+            &[
+                TARGET,
+                CONFIG,
+                HARNESS,
+                STORE,
+                "--telemetry --sample-period --top",
+            ],
+            |f| ok(cmd_profile(f)),
+        ),
+        "analyze" => (&["--top --out"], |f| ok(cmd_analyze(f))),
+        "diff" => (&[GATE, "--force --top"], cmd_diff),
+        "bench" => (
+            &[
+                TARGET,
+                CONFIG,
+                HARNESS,
+                STORE,
+                "--jobs --only --out --host-reps --serve-clients",
+            ],
+            |f| ok(cmd_bench(f)),
+        ),
+        "exp" => (
+            &[
+                HARNESS,
+                STORE,
+                "--jobs --out --list --all --checkpoint --fingerprint --window",
+            ],
+            |f| ok(cmd_exp(f)),
+        ),
+        "serve" => (
+            &[STORE, "--socket --port --queue --jobs --harness-out"],
+            |f| ok(cmd_serve(f)),
+        ),
+        "submit" => (
+            &[
+                TARGET,
+                "--entries --instances --socket --port --workload --shutdown",
+            ],
+            |f| ok(cmd_submit(f)),
+        ),
+        "report" => (&[GATE, "--store --out --commit --at"], cmd_report),
+        "fingerprint" => (
+            &[TARGET, CONFIG, HARNESS, "--window --jobs --out --compare"],
+            cmd_fingerprint,
+        ),
+        "snapshot" => (
+            &[TARGET, CONFIG, HARNESS, "--at-cycle --out --window"],
+            |f| ok(cmd_snapshot(f)),
+        ),
+        "regions" => (&[TARGET, "--instances --function-level"], |f| {
+            ok(cmd_regions(f))
+        }),
+        "potential" => (&[TARGET], |f| ok(cmd_potential(f))),
+        "print" => (&[TARGET, "--annotated --instances --function-level"], |f| {
+            ok(cmd_print(f))
+        }),
+        "trace" => (&[TARGET, "--limit"], |f| ok(cmd_trace(f))),
+        other => return Err(usage_err(format!("unknown subcommand `{other}`"))),
+    };
+    run(&parse_flags(cmd, &args[1..], reads).map_err(usage_err)?)
 }
 
 fn emu() -> EmuConfig {

@@ -575,4 +575,78 @@ fn bad_arguments_fail_with_usage() {
 
     let out = ccr().args(["run", "not-a-benchmark"]).output().unwrap();
     assert!(!out.status.success());
+
+    // A flag the subcommand does not read is an error, not ignored.
+    for (args, flag, cmd) in [
+        (&["exp", "fig10", "--entries", "4"][..], "--entries", "exp"),
+        (&["list", "--jobs", "2"][..], "--jobs", "list"),
+    ] {
+        let out = ccr().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("error: `ccr {cmd}` does not take {flag}"));
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing runs: {args:?}");
+    }
+}
+
+#[test]
+fn checkpointed_exp_resumes_byte_identically() {
+    let dir = std::env::temp_dir().join("ccr-cli-checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("fig10.ckpt.jsonl");
+    let run = |out: &str| {
+        let out = ccr()
+            .args(["exp", "fig10", "--checkpoint"])
+            .arg(&ckpt)
+            .arg("--no-store")
+            .arg("--out")
+            .arg(dir.join(out))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+    let first = run("a");
+    assert!(!first.contains("restored"), "{first}");
+    let journal = std::fs::read_to_string(&ckpt).unwrap();
+    let second = run("b");
+    assert!(
+        second.contains("checkpoint: restored 26 of 26 sim unit(s)"),
+        "{second}"
+    );
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), journal);
+    for name in [
+        "fig10_distribution.txt",
+        "fig10_distribution.distribution.csv",
+    ] {
+        assert_eq!(
+            std::fs::read(dir.join("a").join(name)).unwrap(),
+            std::fs::read(dir.join("b").join(name)).unwrap(),
+            "{name}"
+        );
+    }
+
+    // A journal from before the result-cache key format is refused in
+    // one line, not silently re-simulated.
+    std::fs::write(&ckpt, "{\"ckpt_v\":1,\"key\":\"base|x\"}\n").unwrap();
+    let out = ccr()
+        .args(["exp", "fig10", "--checkpoint"])
+        .arg(&ckpt)
+        .arg("--no-store")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].ends_with("unknown ckpt_v 1 (known: [2])"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
