@@ -1,7 +1,7 @@
 //! Microbenchmarks for the simulator's hot paths — the code the
 //! host-performance work in DESIGN.md §9 targets: CRB instance
-//! scanning (fingerprint pre-filter on vs off), ghost scanning, and
-//! the pipeline's register ready-tracking.
+//! scanning (short and long entries), ghost scanning, and the
+//! pipeline's register ready-tracking.
 
 use ccr_ir::{Reg, RegionId, Value};
 use ccr_profile::{CrbModel, RecordedInstance};
@@ -49,9 +49,8 @@ fn long_entry() -> ReuseBuffer {
 fn bench_crb_lookup(c: &mut Criterion) {
     let mut g = c.benchmark_group("crb_hotpath");
 
-    // Hit on the oldest instance: the scan walks all eight input
-    // banks; the fingerprint filter skips the seven non-matching full
-    // compares.
+    // Hit on the oldest instance: one live-fingerprint fold, then the
+    // lane scan verifies only the matching slot.
     g.bench_function("lookup_hit", |b| {
         let mut buf = full_entry();
         b.iter(|| {
@@ -59,22 +58,10 @@ fn bench_crb_lookup(c: &mut Criterion) {
         });
     });
 
-    // Mismatch miss: eight live instances, none matching — the
-    // filter's best case (eight fingerprint folds, zero full
-    // compares).
+    // Mismatch miss: eight live instances, none matching — one fold
+    // and one lane scan, zero full verifies.
     g.bench_function("lookup_mismatch_miss", |b| {
         let mut buf = full_entry();
-        b.iter(|| {
-            black_box(buf.lookup(RegionId(7), &mut |_r| Value::from_int(-1)));
-        });
-    });
-
-    // The same miss with the filter disabled: every instance pays a
-    // full input-bank compare. The gap to `lookup_mismatch_miss` is
-    // the fingerprint's win.
-    g.bench_function("lookup_mismatch_miss_unfiltered", |b| {
-        let mut buf = full_entry();
-        buf.set_fingerprint_filter(false);
         b.iter(|| {
             black_box(buf.lookup(RegionId(7), &mut |_r| Value::from_int(-1)));
         });
@@ -93,72 +80,13 @@ fn bench_crb_lookup(c: &mut Criterion) {
         });
     });
 
-    // ---- SoA batched scan vs the scalar reference path ----
-    // `set_batched_scan(false)` forces the per-candidate walk the
-    // pre-SoA layout performed; the `_scalar` twins measure what the
-    // structure-of-arrays banks buy on identical probes.
-
-    g.bench_function("lookup_hit_scalar", |b| {
-        let mut buf = full_entry();
-        buf.set_batched_scan(false);
-        b.iter(|| {
-            black_box(buf.lookup(RegionId(7), &mut |r| Value::from_int(r.0 as i64)));
-        });
-    });
-
-    g.bench_function("lookup_mismatch_miss_scalar", |b| {
-        let mut buf = full_entry();
-        buf.set_batched_scan(false);
-        b.iter(|| {
-            black_box(buf.lookup(RegionId(7), &mut |_r| Value::from_int(-1)));
-        });
-    });
-
     // Long entry: a 64-instance bank, mismatch probe — the chunked
     // fingerprint-lane compare's best case (sixteen 4-wide chunks,
-    // zero full verifies) against sixty-four scalar fp folds.
+    // zero full verifies).
     g.bench_function("lookup_mismatch_long_entry", |b| {
         let mut buf = long_entry();
         b.iter(|| {
             black_box(buf.lookup(RegionId(7), &mut |_r| Value::from_int(-1)));
-        });
-    });
-    g.bench_function("lookup_mismatch_long_entry_scalar", |b| {
-        let mut buf = long_entry();
-        buf.set_batched_scan(false);
-        b.iter(|| {
-            black_box(buf.lookup(RegionId(7), &mut |_r| Value::from_int(-1)));
-        });
-    });
-
-    // Batched ghost classification vs the per-ghost walk.
-    g.bench_function("lookup_ghost_scan_scalar", |b| {
-        let mut buf = full_entry();
-        for seed in 8..24 {
-            buf.record(RegionId(7), wide_instance(seed));
-        }
-        buf.set_batched_scan(false);
-        b.iter(|| {
-            black_box(buf.lookup(RegionId(7), &mut |r| Value::from_int(r.0 as i64)));
-        });
-    });
-
-    // Contiguous-slice verify vs pointer-chased pairs: with the
-    // fingerprint filter off, every candidate pays a full input
-    // compare — flat value rows against per-instance Vec walks.
-    g.bench_function("lookup_verify_hit_contiguous", |b| {
-        let mut buf = full_entry();
-        buf.set_fingerprint_filter(false);
-        b.iter(|| {
-            black_box(buf.lookup(RegionId(7), &mut |r| Value::from_int(r.0 as i64)));
-        });
-    });
-    g.bench_function("lookup_verify_hit_scalar", |b| {
-        let mut buf = full_entry();
-        buf.set_fingerprint_filter(false);
-        buf.set_batched_scan(false);
-        b.iter(|| {
-            black_box(buf.lookup(RegionId(7), &mut |r| Value::from_int(r.0 as i64)));
         });
     });
 

@@ -53,66 +53,10 @@ fn fingerprint(inputs: &[(Reg, Value)]) -> u64 {
         .fold(FNV_OFFSET, |h, &(r, v)| fnv1a_pair(h, r, v))
 }
 
-/// Reads `r` through a per-lookup memo so each distinct register is
-/// fetched from architectural state exactly once per lookup, no
-/// matter how many instances and ghosts are scanned. Input banks hold
-/// at most 8 registers, so linear search beats any map.
-#[inline]
-fn cached_read(
-    cache: &mut Vec<(Reg, Value)>,
-    read_reg: &mut dyn FnMut(Reg) -> Value,
-    r: Reg,
-) -> Value {
-    if let Some(&(_, v)) = cache.iter().find(|&&(cr, _)| cr == r) {
-        return v;
-    }
-    let v = read_reg(r);
-    cache.push((r, v));
-    v
-}
-
-/// Fingerprint the *current* architectural values of an input bank's
-/// register sequence, using the same fold as [`fingerprint`]. Equal
-/// recorded and live values therefore produce equal hashes, so a hash
-/// mismatch proves at least one value differs — the filter can only
-/// reject banks the full compare would reject too.
-fn live_fingerprint(
-    cache: &mut Vec<(Reg, Value)>,
-    read_reg: &mut dyn FnMut(Reg) -> Value,
-    regs: &[Reg],
-) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &r in regs {
-        h = fnv1a_pair(h, r, cached_read(cache, read_reg, r));
-    }
-    h
-}
-
-/// [`live_fingerprint`] memoized on the input bank's register
-/// sequence: all instances (and ghosts) of an entry share the
-/// region's input register set, so in practice the fold runs once per
-/// lookup and every further bank costs one sequence compare. Banks
-/// with a different register sequence (defensive — they should not
-/// occur within an entry) fall back to a fresh fold, so the cache can
-/// never produce a wrong fingerprint.
-fn cached_live_fp(
-    fp_regs: &mut Vec<Reg>,
-    fp: &mut Option<u64>,
-    reads: &mut Vec<(Reg, Value)>,
-    read_reg: &mut dyn FnMut(Reg) -> Value,
-    regs: &[Reg],
-) -> u64 {
-    let cached = fp.filter(|_| fp_regs.as_slice() == regs);
-    match cached {
-        Some(h) => h,
-        None => {
-            let h = live_fingerprint(reads, read_reg, regs);
-            fp_regs.clear();
-            fp_regs.extend_from_slice(regs);
-            *fp = Some(h);
-            h
-        }
-    }
+/// True when every recorded `(reg, value)` pair of a row still holds
+/// in the architectural state `read_reg` reads.
+fn row_matches(regs: &[Reg], vals: &[Value], read_reg: &mut dyn FnMut(Reg) -> Value) -> bool {
+    regs.iter().zip(vals).all(|(&r, &v)| read_reg(r) == v)
 }
 
 /// Slots per chunk in the fingerprint-lane scan.
@@ -122,9 +66,9 @@ const FP_CHUNK: usize = 4;
 /// chunks with a scalar tail (portable — no `std::simd`), visiting
 /// matching slots in ascending order until `visit` accepts one
 /// (returns `true`). Each chunk reduces four independent compares to
-/// one mask word, so the common all-miss chunk costs a single branch;
-/// equality on `u64` fingerprints is exactly the scalar filter's
-/// predicate, so chunking can never change which slots survive.
+/// one mask word, so the common all-miss chunk costs a single branch.
+/// Survivors are visited in slot order, so the first accepted slot is
+/// the one a slot-order walk would find.
 #[inline]
 fn scan_fp_lane(lane: &[u64], target: u64, visit: &mut impl FnMut(usize) -> bool) -> bool {
     let mut chunks = lane.chunks_exact(FP_CHUNK);
@@ -564,7 +508,7 @@ struct Entry {
     /// guaranteed: the emulator records a region's used-before-defined
     /// registers in dynamic first-read order, so two paths through one
     /// acyclic region can record different sequences. A divergent
-    /// insert drops the entry to the scalar reference scan, which
+    /// insert drops the entry to `lookup`'s per-pair fallback, which
     /// handles arbitrary sequences. (No entry diverges anywhere in the
     /// `ccr exp --all` sweep of the built-in workloads; correctness
     /// does not depend on that.)
@@ -620,6 +564,18 @@ impl Entry {
         }
     }
 
+    /// Classifies a lookup miss on this (tagged) entry: the cause
+    /// recorded by the matching ghost `ghost`, else `Invalidated` when
+    /// no instance is live (records always leave one, so only
+    /// invalidation empties a tagged entry), else `Mismatch`.
+    fn miss_cause(&self, ghost: Option<usize>) -> MissCause {
+        match ghost {
+            Some(k) => self.ghosts.causes[k],
+            None if self.bank.valid.iter().all(|&v| !v) => MissCause::Invalidated,
+            None => MissCause::Mismatch,
+        }
+    }
+
     /// Clears instances, ghosts, and the uniformity tracking (a tag
     /// conflict reclaiming the entry).
     fn clear_contents(&mut self) {
@@ -668,23 +624,9 @@ pub struct ReuseBuffer {
     ever_recorded: HashSet<RegionId>,
     /// Cause of the most recent miss; `None` after a hit.
     last_miss_cause: Option<MissCause>,
-    /// When on (the default), `lookup` rejects instances and ghosts
-    /// whose stored fingerprint differs from the fingerprint of the
-    /// current register values before doing the full bank compare.
-    /// Host-speed filter only — outcomes are identical either way
-    /// (enforced by a property test).
-    fp_filter: bool,
-    /// When false, `lookup` uses the scalar reference scan even for
-    /// uniform entries. Host-speed switch only, like `fp_filter`.
-    batched_scan: bool,
-    /// Per-lookup register-read memo for the scalar scan, kept on the
-    /// buffer so the hot path never allocates after warmup.
-    read_scratch: Vec<(Reg, Value)>,
-    /// Register sequence of the last live-fingerprint fold (see
-    /// [`cached_live_fp`]); same allocation-reuse rationale.
-    fp_regs_scratch: Vec<Reg>,
     /// Live values of the entry's shared register sequence, gathered
-    /// once per batched lookup.
+    /// once per batched lookup (kept on the buffer so the hot path
+    /// never allocates after warmup).
     live_vals_scratch: Vec<Value>,
     /// Fingerprint-surviving ghost indices of a batched scan (the
     /// forward chunked pass feeds the newest-first verify order).
@@ -721,31 +663,9 @@ impl ReuseBuffer {
             events: Vec::new(),
             ever_recorded: HashSet::new(),
             last_miss_cause: None,
-            fp_filter: true,
-            batched_scan: true,
-            read_scratch: Vec::new(),
-            fp_regs_scratch: Vec::new(),
             live_vals_scratch: Vec::new(),
             ghost_match_scratch: Vec::new(),
         }
-    }
-
-    /// Enables or disables the fingerprint reject filter in `lookup`.
-    /// On by default; turning it off forces the full bank compare for
-    /// every instance and ghost. Exists so tests and benches can pit
-    /// the filtered path against the reference path — simulated
-    /// outcomes are identical either way.
-    pub fn set_fingerprint_filter(&mut self, on: bool) {
-        self.fp_filter = on;
-    }
-
-    /// Enables or disables the batched (chunked fingerprint-lane)
-    /// scan in `lookup`. On by default; turning it off forces the
-    /// scalar reference scan for every entry. Same outcome-invariance
-    /// contract (and property test) as
-    /// [`set_fingerprint_filter`](ReuseBuffer::set_fingerprint_filter).
-    pub fn set_batched_scan(&mut self, on: bool) {
-        self.batched_scan = on;
     }
 
     /// The buffer's counters.
@@ -871,7 +791,9 @@ impl ReuseBuffer {
     /// # Errors
     ///
     /// Returns a one-line description when the snapshot geometry does
-    /// not match `config` or a miss-cause index is out of range.
+    /// not match `config`, a miss-cause index is out of range, or a
+    /// valid instance's or a ghost's stored fingerprint is not the
+    /// fingerprint of its inputs.
     pub fn restore(config: CrbConfig, snap: &CrbSnapshot) -> Result<ReuseBuffer, String> {
         let mut buf = ReuseBuffer::new(config);
         if snap.entries.len() != buf.entries.len() {
@@ -933,17 +855,33 @@ impl ReuseBuffer {
                     accesses_memory: i.accesses_memory,
                     body_instrs: i.body_instrs,
                 };
+                // `lookup` trusts the fingerprint lane to reject, so a
+                // stored fingerprint that disagrees with its inputs
+                // would silently turn hits into misses. Invalid slots
+                // are never scanned (a never-written one keeps 0).
+                if i.valid && i.fp != fingerprint(&inst.inputs) {
+                    return Err(format!(
+                        "crb entry {idx} instance {k}: fingerprint {:#x} does not match its inputs",
+                        i.fp
+                    ));
+                }
                 entry.bank.write_slot(k, &inst, i.fp, 0);
                 entry.bank.valid[k] = i.valid;
                 entry.bank.last_use[k] = i.last_use;
                 entry.bank.inserted[k] = i.inserted;
             }
-            for g in &es.ghosts {
+            for (k, g) in es.ghosts.iter().enumerate() {
                 let pairs: Vec<(Reg, Value)> = g
                     .inputs
                     .iter()
                     .map(|&(r, v)| (Reg(r), Value(v as i64)))
                     .collect();
+                if g.fp != fingerprint(&pairs) {
+                    return Err(format!(
+                        "crb entry {idx} ghost {k}: fingerprint {:#x} does not match its inputs",
+                        g.fp
+                    ));
+                }
                 let regs: Vec<Reg> = pairs.iter().map(|&(r, _)| r).collect();
                 let vals: Vec<Value> = pairs.iter().map(|&(_, v)| v).collect();
                 entry
@@ -975,11 +913,11 @@ impl ReuseBuffer {
 
     /// Folds the full buffer state into `push` in a deterministic
     /// order (the `ever_recorded` set is sorted first). The event log,
-    /// the fingerprint-filter and batched-scan switches, the scratch
-    /// vectors, and the uniformity tracking are excluded: none of them
-    /// alters simulated outcomes. The per-candidate iteration order is
-    /// slot/queue order, exactly the stream the pre-SoA layout
-    /// produced, so fingerprint chains are layout-invariant.
+    /// the scratch vectors, and the uniformity tracking are excluded:
+    /// none of them alters simulated outcomes. The per-candidate
+    /// iteration order is slot/queue order, exactly the stream the
+    /// pre-SoA layout produced, so fingerprint chains are
+    /// layout-invariant.
     pub fn fold_state(&self, push: &mut dyn FnMut(u64)) {
         push(self.clock);
         push(self.rng);
@@ -1093,17 +1031,17 @@ impl CrbModel for ReuseBuffer {
             self.last_miss_cause = Some(cause);
             return None;
         }
-        let fp_filter = self.fp_filter;
         // The hit slot, or the classified miss cause. Both scans honor
         // the same order contract: instances in slot order (first full
         // match wins), ghosts newest-first.
-        let outcome: Result<usize, MissCause> = if self.batched_scan && entry.uniform {
+        let outcome: Result<usize, MissCause> = if entry.uniform {
             // Batched scan: every candidate shares the entry's
             // register sequence, so one pass gathers the live value
             // of each register and folds the live fingerprint; the
             // fingerprint lanes are then scanned in 4-wide chunks and
             // each survivor's full verify is one contiguous-slice
-            // compare against the gathered values.
+            // compare against the gathered values. Equal inputs hash
+            // equally, so the lane only skips verifies that would fail.
             let live_vals = &mut self.live_vals_scratch;
             live_vals.clear();
             let mut live_fp = FNV_OFFSET;
@@ -1114,123 +1052,52 @@ impl CrbModel for ReuseBuffer {
             }
             let bank = &entry.bank;
             let mut hit_slot = None;
-            if fp_filter {
-                scan_fp_lane(&bank.fps, live_fp, &mut |k| {
-                    if bank.valid[k] && bank.in_vals_row(k) == live_vals.as_slice() {
-                        hit_slot = Some(k);
-                        true
-                    } else {
-                        false
-                    }
-                });
-            } else {
-                hit_slot = (0..bank.slots)
-                    .find(|&k| bank.valid[k] && bank.in_vals_row(k) == live_vals.as_slice());
-            }
+            scan_fp_lane(&bank.fps, live_fp, &mut |k| {
+                if bank.valid[k] && bank.in_vals_row(k) == live_vals.as_slice() {
+                    hit_slot = Some(k);
+                    true
+                } else {
+                    false
+                }
+            });
             match hit_slot {
                 Some(k) => Ok(k),
                 None => {
                     // Batched ghost classification: one forward
                     // chunked pass collects the fingerprint survivors,
-                    // then the (rare) survivors verify newest-first —
-                    // the same "most recent matching ghost wins"
-                    // semantics as the old reverse walk.
+                    // then the (rare) survivors verify newest-first.
                     let ghosts = &entry.ghosts;
-                    let mut cause = None;
-                    if fp_filter {
-                        let matches = &mut self.ghost_match_scratch;
-                        matches.clear();
-                        scan_fp_lane(&ghosts.fps, live_fp, &mut |k| {
-                            matches.push(k as u32);
-                            false
-                        });
-                        for &k in matches.iter().rev() {
-                            if ghosts.vals_row(k as usize) == live_vals.as_slice() {
-                                cause = Some(ghosts.causes[k as usize]);
-                                break;
-                            }
-                        }
-                    } else {
-                        for k in (0..ghosts.len()).rev() {
-                            if ghosts.vals_row(k) == live_vals.as_slice() {
-                                cause = Some(ghosts.causes[k]);
-                                break;
-                            }
-                        }
-                    }
-                    Err(match cause {
-                        Some(c) => c,
-                        None if entry.bank.valid.iter().all(|&v| !v) => MissCause::Invalidated,
-                        None => MissCause::Mismatch,
-                    })
+                    let matches = &mut self.ghost_match_scratch;
+                    matches.clear();
+                    scan_fp_lane(&ghosts.fps, live_fp, &mut |k| {
+                        matches.push(k as u32);
+                        false
+                    });
+                    let ghost = matches
+                        .iter()
+                        .rev()
+                        .map(|&k| k as usize)
+                        .find(|&k| ghosts.vals_row(k) == live_vals.as_slice());
+                    Err(entry.miss_cause(ghost))
                 }
             }
         } else {
-            // Scalar reference scan: per-candidate fingerprint folds
-            // (memoized on the register sequence) and per-pair
-            // compares. Handles entries whose candidates disagree on
-            // their register sequences; also the reference side of the
-            // batched-vs-scalar property test.
-            let reads = &mut self.read_scratch;
-            reads.clear();
-            let fp_regs = &mut self.fp_regs_scratch;
-            fp_regs.clear();
-            let mut live_fp: Option<u64> = None;
+            // Fallback for entries whose candidates recorded different
+            // register sequences: per-pair compares, no fingerprints.
+            // Registers may be read more than once per lookup, which
+            // is unobservable: `read_reg` is a register-file load.
             let bank = &entry.bank;
-            let mut hit_slot = None;
-            for k in 0..bank.slots {
-                if !bank.valid[k] {
-                    continue;
-                }
-                let regs = bank.in_regs_row(k);
-                if fp_filter
-                    && cached_live_fp(fp_regs, &mut live_fp, reads, read_reg, regs) != bank.fps[k]
-                {
-                    continue; // some input value differs — cannot match
-                }
-                if regs
-                    .iter()
-                    .zip(bank.in_vals_row(k))
-                    .all(|(&r, &v)| cached_read(reads, read_reg, r) == v)
-                {
-                    hit_slot = Some(k);
-                    break;
-                }
-            }
+            let hit_slot = (0..bank.slots).find(|&k| {
+                bank.valid[k] && row_matches(bank.in_regs_row(k), bank.in_vals_row(k), read_reg)
+            });
             match hit_slot {
                 Some(k) => Ok(k),
                 None => {
-                    // No live instance matched. If a ghost matches the
-                    // current register values, the instance that would
-                    // have hit was lost — blame its recorded cause
-                    // (most recent ghost first). A tagged entry with
-                    // no live instances at all was emptied by
-                    // invalidation (records always leave one
-                    // instance).
                     let ghosts = &entry.ghosts;
-                    let mut cause = None;
-                    for k in (0..ghosts.len()).rev() {
-                        let regs = ghosts.regs_row(k);
-                        if fp_filter
-                            && cached_live_fp(fp_regs, &mut live_fp, reads, read_reg, regs)
-                                != ghosts.fps[k]
-                        {
-                            continue;
-                        }
-                        if regs
-                            .iter()
-                            .zip(ghosts.vals_row(k))
-                            .all(|(&r, &v)| cached_read(reads, read_reg, r) == v)
-                        {
-                            cause = Some(ghosts.causes[k]);
-                            break;
-                        }
-                    }
-                    Err(match cause {
-                        Some(c) => c,
-                        None if bank.valid.iter().all(|&v| !v) => MissCause::Invalidated,
-                        None => MissCause::Mismatch,
-                    })
+                    let ghost = (0..ghosts.len())
+                        .rev()
+                        .find(|&k| row_matches(ghosts.regs_row(k), ghosts.vals_row(k), read_reg));
+                    Err(entry.miss_cause(ghost))
                 }
             }
         };
@@ -1428,7 +1295,7 @@ mod tests {
         buf.record(r, path([(2, 9), (4, 1)], 10));
         assert!(
             !buf.entries[buf.entry_index(r)].uniform,
-            "divergent sequences demote the entry to the scalar scan"
+            "divergent sequences demote the entry to the per-pair fallback"
         );
         let mut lookup = |regs: [i64; 5]| {
             buf.lookup(r, &mut |reg| Value::from_int(regs[reg.index()]))
@@ -1441,6 +1308,44 @@ mod tests {
         // ...and misses when only the other instance's inputs match.
         assert_eq!(lookup([0, 5, 9, 0, 3]), None);
         assert_eq!(lookup([0, 5, 8, 0, 1]), None);
+    }
+
+    #[test]
+    fn restore_rejects_fingerprints_that_disagree_with_their_inputs() {
+        let config = CrbConfig::with_instances(2);
+        let mut buf = ReuseBuffer::new(config);
+        let r = RegionId(0);
+        buf.record(r, inst(1, 10, true));
+        buf.invalidate(r); // slot 0 invalid, one Invalidated ghost
+        buf.record(r, inst(2, 20, false));
+        let snap = buf.snapshot().unwrap();
+        assert!(ReuseBuffer::restore(config, &snap).is_ok());
+
+        // Slot 1 was never written; its fingerprint is not checked.
+        let mut stale = snap.clone();
+        stale.entries[0].instances[1].fp ^= 1;
+        assert!(ReuseBuffer::restore(config, &stale).is_ok());
+
+        let mut live = snap.clone();
+        let valid = live.entries[0]
+            .instances
+            .iter()
+            .position(|i| i.valid)
+            .unwrap();
+        live.entries[0].instances[valid].fp ^= 1;
+        let err = ReuseBuffer::restore(config, &live).unwrap_err();
+        assert!(
+            err.starts_with(&format!("crb entry 0 instance {valid}: fingerprint ")),
+            "{err}"
+        );
+
+        let mut ghost = snap;
+        ghost.entries[0].ghosts[0].fp ^= 1;
+        let err = ReuseBuffer::restore(config, &ghost).unwrap_err();
+        assert!(
+            err.starts_with("crb entry 0 ghost 0: fingerprint "),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,34 +10,121 @@
 //!   just-recorded instance is found by the next matching lookup;
 //! * **LRU retention** — the `instances` most recently used input sets
 //!   of a region are always retained (absent tag conflicts).
+//!
+//! A lockstep test then drives the buffer and the independent
+//! [`ReferenceCrb`] through identical scripts and requires identical
+//! lookups, miss causes and statistics after every command.
+
+#[path = "common/reference_crb.rs"]
+mod reference_crb;
 
 use std::collections::HashMap;
 
 use ccr_ir::{Reg, RegionId, Value};
 use ccr_profile::{CrbModel, RecordedInstance, ReuseLookup};
-use ccr_sim::{CrbConfig, Replacement, ReuseBuffer};
+use ccr_sim::{CrbConfig, NonuniformConfig, Replacement, ReuseBuffer};
 use proptest::prelude::*;
+use reference_crb::ReferenceCrb;
+
+/// The input register sequence a lockstep record uses.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// `r0` only.
+    Narrow,
+    /// `r0, r2, r5`.
+    Wide,
+    /// `r5, r3, r0`: a second path through the region, which reads
+    /// its inputs in another order and through another register.
+    Divergent,
+}
+
+impl Shape {
+    /// A region's usual sequence by parity, or (draw 0 of 8) the
+    /// divergent one, so some entries mix sequences and some do not.
+    fn of(r: u8, draw: u8) -> Shape {
+        match (draw, r % 2) {
+            (0, _) => Shape::Divergent,
+            (_, 0) => Shape::Narrow,
+            _ => Shape::Wide,
+        }
+    }
+
+    fn regs(self) -> &'static [u32] {
+        match self {
+            Shape::Narrow => &[0],
+            Shape::Wide => &[0, 2, 5],
+            Shape::Divergent => &[5, 3, 0],
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Cmd {
     /// Record an instance for region `r` with input value `v` and a
     /// derived output.
-    Record { r: u8, v: i8, mem: bool },
-    /// Look region `r` up with input value `v`.
-    Lookup { r: u8, v: i8 },
+    Record {
+        r: u8,
+        v: i8,
+        mem: bool,
+        shape: Shape,
+    },
+    /// Look region `r` up with input value `v`; `skew` perturbs `r5`
+    /// alone, so only instances that do not read it can match.
+    Lookup { r: u8, v: i8, skew: bool },
     /// Invalidate region `r`.
     Invalidate { r: u8 },
+    /// Replace the buffer with `ReuseBuffer::restore` of its own
+    /// snapshot.
+    Restore,
 }
 
+/// Input values: mostly a small range, whose repeats make hits, dedup
+/// refreshes and ghost matches common, sometimes the full range.
+fn value() -> impl Strategy<Value = i8> {
+    prop_oneof![-4i8..4, -4i8..4, -4i8..4, any::<i8>()]
+}
+
+/// Scripts over four regions, weighted towards records and lookups.
 fn cmds() -> impl Strategy<Value = Vec<Cmd>> {
+    let record = || {
+        (0u8..4, value(), any::<bool>(), 0u8..8).prop_map(|(r, v, mem, draw)| Cmd::Record {
+            r,
+            v,
+            mem,
+            shape: Shape::of(r, draw),
+        })
+    };
+    let lookup =
+        || (0u8..4, value(), 0u8..4).prop_map(|(r, v, s)| Cmd::Lookup { r, v, skew: s == 0 });
     prop::collection::vec(
         prop_oneof![
-            (0u8..6, any::<i8>(), any::<bool>()).prop_map(|(r, v, mem)| Cmd::Record { r, v, mem }),
-            (0u8..6, any::<i8>()).prop_map(|(r, v)| Cmd::Lookup { r, v }),
-            (0u8..6).prop_map(|r| Cmd::Invalidate { r }),
+            record(),
+            record(),
+            record(),
+            lookup(),
+            lookup(),
+            lookup(),
+            lookup(),
+            (0u8..4).prop_map(|r| Cmd::Invalidate { r }),
+            Just(Cmd::Restore),
         ],
         1..120,
     )
+}
+
+fn config(entries: usize, instances: usize, policy: u8) -> CrbConfig {
+    CrbConfig {
+        entries,
+        instances,
+        input_bank: 8,
+        output_bank: 8,
+        replacement: match policy {
+            0 => Replacement::Lru,
+            1 => Replacement::Fifo,
+            _ => Replacement::Random,
+        },
+        nonuniform: None,
+    }
 }
 
 fn instance(r: u8, v: i8, mem: bool) -> RecordedInstance {
@@ -58,31 +145,35 @@ fn lookup(buf: &mut ReuseBuffer, r: u8, v: i8) -> Option<ReuseLookup> {
     })
 }
 
-/// Three-input instance for the batched-scan twin test: the inputs
-/// are all derived from `v`, so a matching `v` matches the whole row
-/// and the read-register closure can serve every register.
-fn wide_instance(r: u8, v: i8, mem: bool) -> RecordedInstance {
+/// The value register `reg` holds for lookup value `v`.
+fn live(reg: Reg, v: i8, skew: bool) -> Value {
     let v = v as i64;
-    RecordedInstance {
-        inputs: vec![
-            (Reg(0), Value::from_int(v)),
-            (Reg(2), Value::from_int(v.wrapping_mul(3))),
-            (Reg(5), Value::from_int(v ^ 7)),
-        ],
-        outputs: vec![(Reg(1), Value::from_int(v * 1000 + r as i64))],
-        accesses_memory: mem,
-        body_instrs: 5,
-    }
+    Value::from_int(match reg.0 {
+        0 => v,
+        2 => v.wrapping_mul(3),
+        3 => v + 100,
+        5 => (v ^ 7) + i64::from(skew),
+        other => panic!("unexpected register read r{other}"),
+    })
 }
 
-fn wide_lookup(buf: &mut ReuseBuffer, r: u8, v: i8) -> Option<ReuseLookup> {
-    let v = v as i64;
-    buf.lookup(RegionId(r as u32), &mut |reg| match reg {
-        Reg(0) => Value::from_int(v),
-        Reg(2) => Value::from_int(v.wrapping_mul(3)),
-        Reg(5) => Value::from_int(v ^ 7),
-        other => panic!("unexpected register read {other:?}"),
-    })
+/// An instance whose inputs are `shape`'s registers holding `live`
+/// values for `v`; the output tells shapes apart, so a hit on the
+/// wrong slot shows.
+fn shaped_instance(r: u8, v: i8, mem: bool, shape: Shape) -> RecordedInstance {
+    RecordedInstance {
+        inputs: shape
+            .regs()
+            .iter()
+            .map(|&reg| (Reg(reg), live(Reg(reg), v, false)))
+            .collect(),
+        outputs: vec![(
+            Reg(1),
+            Value::from_int((v as i64 * 1000 + r as i64) * 4 + shape as i64),
+        )],
+        accesses_memory: mem,
+        body_instrs: 5 + shape as u64,
+    }
 }
 
 proptest! {
@@ -96,28 +187,18 @@ proptest! {
         instances in 1usize..6,
         policy in 0u8..3,
     ) {
-        let mut buf = ReuseBuffer::new(CrbConfig {
-            entries,
-            instances,
-            input_bank: 8,
-            output_bank: 8,
-            replacement: match policy {
-                0 => Replacement::Lru,
-                1 => Replacement::Fifo,
-                _ => Replacement::Random,
-            },
-            nonuniform: None,
-        });
+        let config = config(entries, instances, policy);
+        let mut buf = ReuseBuffer::new(config);
         // Reference: was (region, input) ever recorded (and not
         // memory-invalidated since)?
         let mut recorded: HashMap<(u8, i8), bool> = HashMap::new();
         for cmd in &script {
             match *cmd {
-                Cmd::Record { r, v, mem } => {
+                Cmd::Record { r, v, mem, .. } => {
                     buf.record(RegionId(r as u32), instance(r, v, mem));
                     recorded.insert((r, v), mem);
                 }
-                Cmd::Lookup { r, v } => {
+                Cmd::Lookup { r, v, .. } => {
                     if let Some(hit) = lookup(&mut buf, r, v) {
                         // Soundness: the outputs must be the derived
                         // value for exactly (r, v), and (r, v) must
@@ -137,6 +218,10 @@ proptest! {
                     // too (the buffer may also have evicted stateless
                     // ones; soundness only needs "was recorded").
                     let _ = r;
+                }
+                Cmd::Restore => {
+                    let snap = buf.snapshot().expect("event logging is off");
+                    buf = ReuseBuffer::restore(config, &snap).expect("own snapshot restores");
                 }
             }
         }
@@ -171,108 +256,53 @@ proptest! {
         }
     }
 
-    /// The fingerprint pre-filter is a host-speed optimization only:
-    /// a buffer with the filter disabled, driven through an identical
-    /// command script, must produce identical lookup outcomes, miss
-    /// causes, and statistics.
+    /// The production buffer and the reference model agree on every
+    /// lookup result, miss cause and counter, under every replacement
+    /// policy and nonuniform capacities, with entries that mix register
+    /// sequences (the per-pair fallback) and entries that do not (the
+    /// batched scan), across snapshot/restore round trips.
     #[test]
-    fn fingerprint_filter_never_changes_outcomes(
+    fn buffer_matches_reference_model(
         script in cmds(),
         entries in 1usize..8,
         instances in 1usize..6,
         policy in 0u8..3,
+        nu in (any::<bool>(), 1usize..4, 1usize..6, 0u8..101),
     ) {
         let config = CrbConfig {
-            entries,
-            instances,
-            input_bank: 8,
-            output_bank: 8,
-            replacement: match policy {
-                0 => Replacement::Lru,
-                1 => Replacement::Fifo,
-                _ => Replacement::Random,
-            },
-            nonuniform: None,
+            nonuniform: nu.0.then_some(NonuniformConfig {
+                boost_every: nu.1,
+                boosted_instances: nu.2,
+                mem_capable_percent: nu.3,
+            }),
+            ..config(entries, instances, policy)
         };
-        let mut filtered = ReuseBuffer::new(config);
-        let mut unfiltered = ReuseBuffer::new(config);
-        unfiltered.set_fingerprint_filter(false);
-        for cmd in &script {
+        let mut buf = ReuseBuffer::new(config);
+        let mut reference = ReferenceCrb::new(config);
+        for (step, cmd) in script.iter().enumerate() {
             match *cmd {
-                Cmd::Record { r, v, mem } => {
-                    filtered.record(RegionId(r as u32), instance(r, v, mem));
-                    unfiltered.record(RegionId(r as u32), instance(r, v, mem));
+                Cmd::Record { r, v, mem, shape } => {
+                    buf.record(RegionId(r as u32), shaped_instance(r, v, mem, shape));
+                    reference.record(RegionId(r as u32), shaped_instance(r, v, mem, shape));
                 }
-                Cmd::Lookup { r, v } => {
-                    let fast = lookup(&mut filtered, r, v);
-                    let slow = lookup(&mut unfiltered, r, v);
-                    prop_assert_eq!(&fast, &slow,
-                        "fingerprint filter flipped a lookup outcome for ({}, {})", r, v);
-                    prop_assert_eq!(filtered.last_miss_cause(), unfiltered.last_miss_cause(),
-                        "fingerprint filter changed a miss cause for ({}, {})", r, v);
+                Cmd::Lookup { r, v, skew } => {
+                    let got = buf.lookup(RegionId(r as u32), &mut |reg| live(reg, v, skew));
+                    let want = reference.lookup(RegionId(r as u32), &mut |reg| live(reg, v, skew));
+                    prop_assert_eq!(&got, &want, "step {}: lookup result", step);
+                    prop_assert_eq!(buf.last_miss_cause(), reference.last_miss_cause(),
+                        "step {}: miss cause", step);
                 }
                 Cmd::Invalidate { r } => {
-                    filtered.invalidate(RegionId(r as u32));
-                    unfiltered.invalidate(RegionId(r as u32));
+                    buf.invalidate(RegionId(r as u32));
+                    reference.invalidate(RegionId(r as u32));
+                }
+                Cmd::Restore => {
+                    let snap = buf.snapshot().expect("event logging is off");
+                    buf = ReuseBuffer::restore(config, &snap).expect("own snapshot restores");
                 }
             }
+            prop_assert_eq!(buf.stats(), reference.stats(), "step {}: stats", step);
         }
-        prop_assert_eq!(filtered.stats(), unfiltered.stats());
-    }
-
-    /// The batched SoA scan (chunked fingerprint-lane compare +
-    /// contiguous-slice verify + batched ghost classification) is
-    /// likewise a host-speed optimization only: against a buffer
-    /// forced onto the scalar reference path — crossed with the
-    /// fingerprint-filter switch — an identical command script must
-    /// produce identical lookup outcomes, miss causes, and
-    /// statistics. Instances here carry three inputs so the
-    /// flattened value rows are wider than one element.
-    #[test]
-    fn batched_scan_never_changes_outcomes(
-        script in cmds(),
-        entries in 1usize..8,
-        instances in 1usize..6,
-        policy in 0u8..3,
-        filter in any::<bool>(),
-    ) {
-        let config = CrbConfig {
-            entries,
-            instances,
-            input_bank: 8,
-            output_bank: 8,
-            replacement: match policy {
-                0 => Replacement::Lru,
-                1 => Replacement::Fifo,
-                _ => Replacement::Random,
-            },
-            nonuniform: None,
-        };
-        let mut batched = ReuseBuffer::new(config);
-        let mut scalar = ReuseBuffer::new(config);
-        scalar.set_batched_scan(false);
-        scalar.set_fingerprint_filter(filter);
-        for cmd in &script {
-            match *cmd {
-                Cmd::Record { r, v, mem } => {
-                    batched.record(RegionId(r as u32), wide_instance(r, v, mem));
-                    scalar.record(RegionId(r as u32), wide_instance(r, v, mem));
-                }
-                Cmd::Lookup { r, v } => {
-                    let fast = wide_lookup(&mut batched, r, v);
-                    let slow = wide_lookup(&mut scalar, r, v);
-                    prop_assert_eq!(&fast, &slow,
-                        "batched scan flipped a lookup outcome for ({}, {})", r, v);
-                    prop_assert_eq!(batched.last_miss_cause(), scalar.last_miss_cause(),
-                        "batched scan changed a miss cause for ({}, {})", r, v);
-                }
-                Cmd::Invalidate { r } => {
-                    batched.invalidate(RegionId(r as u32));
-                    scalar.invalidate(RegionId(r as u32));
-                }
-            }
-        }
-        prop_assert_eq!(batched.stats(), scalar.stats());
     }
 
     /// LRU retention: after interleaved records and lookups on one

@@ -318,8 +318,18 @@ fn parse_flags(cmd: &str, args: &[String], reads: &[&str]) -> Result<Flags, Stri
                 };
             }
             "--scale" => flags.scale = num(a, take()?)?,
-            "--entries" => flags.entries = num(a, take()?)?,
-            "--instances" => flags.instances = num(a, take()?)?,
+            "--entries" => {
+                flags.entries = num(a, take()?)?;
+                if flags.entries == 0 {
+                    return Err("--entries must be at least 1".to_string());
+                }
+            }
+            "--instances" => {
+                flags.instances = num(a, take()?)?;
+                if flags.instances == 0 {
+                    return Err("--instances must be at least 1".to_string());
+                }
+            }
             "--function-level" => flags.function_level = true,
             "--annotated" => flags.annotated = true,
             "--limit" => flags.limit = num(a, take()?)?,

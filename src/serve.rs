@@ -633,18 +633,22 @@ fn parse_submission(v: &Value) -> Result<Submission, String> {
                 None => InputSet::Train,
             };
             let paper = CrbConfig::paper();
+            // A zero dimension would panic the executor that builds
+            // the buffer; refuse it here, where the client gets a reply.
+            let dimension = |field: &str, default: usize| match v
+                .get(field)
+                .and_then(Value::as_u64)
+                .unwrap_or(default as u64)
+            {
+                0 => Err(format!("`{field}` must be at least 1")),
+                n => Ok(n as usize),
+            };
             Ok(Submission::Point {
                 workload: known,
                 input,
                 scale: v.get("scale").and_then(Value::as_u64).unwrap_or(1) as u32,
-                entries: v
-                    .get("entries")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(paper.entries as u64) as usize,
-                instances: v
-                    .get("instances")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(paper.instances as u64) as usize,
+                entries: dimension("entries", paper.entries)?,
+                instances: dimension("instances", paper.instances)?,
             })
         }
     }

@@ -589,6 +589,20 @@ fn bad_arguments_fail_with_usage() {
         assert!(stderr.contains("usage:"), "{stderr}");
         assert!(out.stdout.is_empty(), "nothing runs: {args:?}");
     }
+
+    // A zero buffer dimension is a usage error, not a panic.
+    for (args, flag) in [
+        (&["run", "bitcount", "--entries", "0"][..], "--entries"),
+        (&["run", "bitcount", "--instances", "0"][..], "--instances"),
+    ] {
+        let out = ccr().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("error: {flag} must be at least 1"));
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing runs: {args:?}");
+    }
 }
 
 #[test]

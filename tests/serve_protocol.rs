@@ -163,6 +163,14 @@ fn protocol_errors_are_one_line_replies_not_dropped_connections() {
             "submit needs an `exp` or `workload` field",
         ),
         (
+            r#"{"req_v":1,"op":"submit","workload":"lex","entries":0}"#,
+            "`entries` must be at least 1",
+        ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"lex","instances":0}"#,
+            "`instances` must be at least 1",
+        ),
+        (
             r#"{"req_v":1,"op":"results","id":424242}"#,
             "unknown request id 424242",
         ),

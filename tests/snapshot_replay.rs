@@ -14,8 +14,10 @@
 //!    diverges at an exactly known window, and `ccr fingerprint
 //!    --compare` names that window and cycle and exits 2.
 //! 3. **Preflight errors**: pointing the snapshot/fingerprint
-//!    commands at missing, corrupt, or future-versioned files fails
-//!    with exit 1 and one `error:` line — no usage dump, no panic.
+//!    commands at missing, corrupt, or future-versioned files, or at
+//!    a snapshot whose stored CRB fingerprints disagree with their
+//!    inputs, fails with exit 1 and one `error:` line — no usage
+//!    dump, no panic.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -291,6 +293,47 @@ fn cli_preflight_failures_are_one_line_each() {
     assert!(
         String::from_utf8_lossy(&future.stderr).contains("unknown snap_v 99"),
         "names the unknown version"
+    );
+
+    // A stored CRB fingerprint that disagrees with its instance's
+    // inputs is refused rather than trusted by the lookup scan.
+    let saved_path = dir.join("bitcount.snap.jsonl");
+    let save = ccr_bin()
+        .args([
+            "snapshot",
+            "save",
+            "bitcount",
+            "--at-cycle",
+            "1000",
+            "--out",
+        ])
+        .arg(&saved_path)
+        .output()
+        .unwrap();
+    assert!(
+        save.status.success(),
+        "{}",
+        String::from_utf8_lossy(&save.stderr)
+    );
+    let text = std::fs::read_to_string(&saved_path).unwrap();
+    let valid = text.find(r#""valid":true"#).expect("a valid CRB instance");
+    let digits = valid + text[valid..].find(r#""fp":"#).unwrap() + r#""fp":"#.len();
+    let len = text[digits..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let fp: u64 = text[digits..digits + len].parse().unwrap();
+    let tampered_path = dir.join("tampered.snap.jsonl");
+    std::fs::write(
+        &tampered_path,
+        format!("{}{}{}", &text[..digits], fp ^ 1, &text[digits + len..]),
+    )
+    .unwrap();
+    let tampered = ccr_bin()
+        .args(["snapshot", "restore", tampered_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_one_line_failure(&tampered, "tampered fingerprint");
+    assert!(
+        String::from_utf8_lossy(&tampered.stderr).contains("instance 0: fingerprint "),
+        "names the entry and slot"
     );
 
     let missing_digest = ccr_bin()

@@ -9,23 +9,28 @@
 //!   `BENCH_ccr.json` numbers exactly — cycles, speedup, hit rate,
 //!   region counts (only `wall_ms` and the host-throughput figures
 //!   may differ);
-//! * per workload, a CCR leg re-run with the buffer forced onto the
-//!   scalar reference path (`set_batched_scan(false)`) must produce
-//!   identical statistics, including the five-cause miss mix, and
-//!   identical architectural results;
+//! * per workload, a CCR leg re-run through the independent test-only
+//!   `ReferenceCrb` model (`crates/sim/tests/common/reference_crb.rs`:
+//!   per-pair compares, no fingerprints, no structure-of-arrays banks)
+//!   must produce identical statistics, including the five-cause miss
+//!   mix, and identical architectural results;
 //! * the `ccr fingerprint` trajectory chains must be byte-identical
 //!   to `tests/fixtures/fingerprint/chains.golden`.
 //!
 //! Slow in debug builds (full suite compiles plus three simulations
 //! per benchmark); run with `cargo test --release`.
 
+#[path = "../crates/sim/tests/common/reference_crb.rs"]
+mod reference_crb;
+
 use std::process::Command;
 
 use ccr::ir::CodeLayout;
 use ccr::profile::Emulator;
 use ccr::regions::RegionConfig;
-use ccr::sim::{CrbConfig, MachineConfig, Pipeline, ReuseBuffer, SimStats};
+use ccr::sim::{CrbConfig, MachineConfig, Pipeline, SimStats};
 use ccr::workloads::{InputSet, NAMES};
+use reference_crb::ReferenceCrb;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
@@ -88,26 +93,26 @@ fn suite_stats_match_committed_bench_and_scalar_reference_path() {
             run.name
         );
 
-        // Scalar reference path: identical statistics (including the
+        // Reference model: identical statistics (including the
         // miss-cause mix, which BENCH does not carry) and identical
         // architectural results.
-        let (scalar_stats, scalar_returned) = ccr_leg_scalar(run, &machine, crb);
+        let (ref_stats, ref_returned) = ccr_leg_reference(run, &machine, crb);
         assert_eq!(
-            scalar_stats, m.ccr.stats,
-            "{}: batched scan changed simulated statistics",
+            ref_stats, m.ccr.stats,
+            "{}: the reuse buffer and the reference model disagree on simulated statistics",
             run.name
         );
         assert_eq!(
-            scalar_returned, m.ccr.run.returned,
-            "{}: batched scan changed architectural results",
+            ref_returned, m.ccr.run.returned,
+            "{}: the reuse buffer and the reference model disagree on architectural results",
             run.name
         );
     }
 }
 
-/// Re-runs one compiled workload's CCR leg with the reuse buffer
-/// forced onto the scalar reference scan.
-fn ccr_leg_scalar(
+/// Re-runs one compiled workload's CCR leg through the reference
+/// model instead of the production reuse buffer.
+fn ccr_leg_reference(
     run: &ccr_bench::SuiteRun,
     machine: &MachineConfig,
     crb: CrbConfig,
@@ -116,8 +121,7 @@ fn ccr_leg_scalar(
     let layout = CodeLayout::of(annotated);
     let mut pipeline = Pipeline::new(*machine, layout);
     let emulator = Emulator::with_config(annotated, ccr_bench::emu_config());
-    let mut buffer = ReuseBuffer::new(crb);
-    buffer.set_batched_scan(false);
+    let mut buffer = ReferenceCrb::new(crb);
     let out = emulator
         .run(&mut buffer, &mut pipeline)
         .expect("suite workload emulates");
