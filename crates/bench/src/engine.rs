@@ -20,7 +20,9 @@
 //! - the [`CompileCache`], **single-flight**: a concurrent miss on a
 //!   key another thread is already compiling blocks until that
 //!   compile lands, so each unique unit compiles exactly once even
-//!   across concurrent requests,
+//!   across concurrent requests; its first stage (the training
+//!   build's value profile) is memoized per workload, so every region
+//!   configuration of a workload shares one profiling run,
 //! - a [`SimResultCache`]: completed simulation outcomes keyed by the
 //!   planner's FNV-1a dedup keys (workload, input, scale, and the
 //!   region/machine/CRB `fields()` hashes), single-flight through the
@@ -75,7 +77,7 @@ use crate::{emu_config, SuiteRun};
 
 /// Default retained-entry capacity of a fresh engine's
 /// [`SimResultCache`]. Generous relative to the full experiment
-/// registry (455 requested points → 403 unique sims), so a default
+/// registry (455 requested points → 351 unique sims), so a default
 /// engine never evicts mid-sweep; serve sessions that outgrow it
 /// evict least-recently-used entries.
 pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 4096;
@@ -137,7 +139,7 @@ struct ResultStore {
 ///
 /// While a checkpoint journal is open (see [`Engine::execute_plan`]),
 /// every newly computed simulation is also appended to it as one
-/// flushed `{"ckpt_v":2,...}` line, on the computing thread and
+/// flushed `{"ckpt_v":3,...}` line, on the computing thread and
 /// outside the store lock.
 pub struct SimResultCache {
     flight: SingleFlight<ResultStore>,
@@ -455,6 +457,11 @@ impl Engine {
                 ("requested_points", plan.stats.requested_points as u64),
                 ("deduped_compiles", plan.stats.deduped_compiles as u64),
                 ("deduped_sims", plan.stats.deduped_sims as u64),
+                ("profiles_run", plan.stats.value_profiles as u64),
+                (
+                    "profiles_reused",
+                    (plan.stats.unique_compiles - plan.stats.value_profiles) as u64,
+                ),
                 ("jobs", jobs as u64),
             ],
         );
@@ -462,6 +469,7 @@ impl Engine {
         // outlive this call, but each run reports only what it added.
         let cache = &self.compile_cache;
         let (hits_before, misses_before) = (cache.hits(), cache.misses());
+        let (run_before, reused_before) = (cache.profiles_run(), cache.profiles_reused());
         let prep_items: Vec<Prep<'_>> = plan
             .compiles
             .iter()
@@ -499,7 +507,12 @@ impl Engine {
             },
         );
         harness.pool("prep", &prep_pool);
+        let profiles = (
+            cache.profiles_run() - run_before,
+            cache.profiles_reused() - reused_before,
+        );
         harness.compile_cache(cache.hits() - hits_before, cache.misses() - misses_before);
+        harness.value_profiles(profiles.0, profiles.1);
         let mut executed = Executed {
             specs: plan.specs.clone(),
             compiles: HashMap::new(),
@@ -519,6 +532,7 @@ impl Engine {
                 })
                 .collect(),
             cache: (cache.hits() - hits_before, cache.misses() - misses_before),
+            profiles,
         };
         for out in prep {
             match out? {

@@ -24,8 +24,10 @@
 //!    [`ccr_sim::CrbConfig::fields`]) and the PR-2
 //!    [`ccr_core::config_hash`]. Baseline simulations do not depend
 //!    on the region configuration at all (the baseline program is the
-//!    optimized, unannotated build), so they deduplicate even across
-//!    scenarios that form different regions.
+//!    optimized, unannotated build), nor on the machine knobs only a
+//!    reuse instruction reads ([`ccr_sim::MachineConfig::baseline_fields`]),
+//!    so they deduplicate across scenarios that form different regions
+//!    or vary the reuse penalties.
 //! 3. **Executor** ([`crate::Engine::execute_plan`]): fans the planned
 //!    units through the [`ccr_core::jobs`] pool — compiles and
 //!    reuse-potential studies first, then every simulation as an
@@ -41,7 +43,7 @@
 //! [`crate::Engine::execute_plan`]): a checkpoint path is opened as
 //! the disk journal of the engine's [`crate::SimResultCache`]. Every
 //! newly simulated unit is appended to the line-tolerant
-//! `{"ckpt_v":2,...}` JSONL file as it completes, and a later run loads
+//! `{"ckpt_v":3,...}` JSONL file as it completes, and a later run loads
 //! the file's lines as ready cache entries, so finished units are
 //! ordinary cache hits instead of re-simulations. Lines are keyed by
 //! result-cache key — the planner's dedup key (workload, input, scale,
@@ -61,7 +63,9 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use ccr_core::compile::{CompileConfig, CompiledWorkload};
+use ccr_core::compile::{
+    compile_with_profile, profile_train, CompileConfig, CompiledWorkload, TrainProfile,
+};
 use ccr_core::measure::Measurement;
 use ccr_core::report::Table;
 use ccr_core::telemetry::value::{self, Value};
@@ -71,11 +75,11 @@ use ccr_profile::{ReusePotential, RunOutcome};
 use ccr_regions::RegionConfig;
 use ccr_sim::snapshot::{parse_sim_stats, write_sim_stats};
 use ccr_sim::{CrbConfig, MachineConfig, SimOutcome};
-use ccr_workloads::InputSet;
+use ccr_workloads::{build, InputSet};
 
 use crate::engine::CachedSim;
 use crate::single_flight::SingleFlight;
-use crate::{compile_with, emu_config, SCALE};
+use crate::{emu_config, SCALE};
 
 /// One configuration a spec wants the workload selection run under.
 #[derive(Clone, Debug)]
@@ -258,9 +262,21 @@ pub(crate) fn compile_key(
     )
 }
 
+/// The key of a compile's first stage ([`profile_train`]): the
+/// training build's optimization and value profile depend on the
+/// workload, scale, optimizer and emulator settings only — not on the
+/// region configuration or the target input.
+fn profile_key(name: &str, scale: u32, config: &CompileConfig) -> String {
+    format!(
+        "train|{name}|{scale}|opt:{:?}|emu:{}/{}",
+        config.opt, config.emu.max_instrs, config.emu.max_depth,
+    )
+}
+
 /// Baseline simulations depend on the optimized program and the
 /// machine — not on regions or the CRB — so their key drops the
-/// region-config hash entirely.
+/// region-config hash entirely, and hashes only the machine fields an
+/// unannotated program can observe ([`MachineConfig::baseline_fields`]).
 pub(crate) fn base_sim_key(
     name: &str,
     input: InputSet,
@@ -274,7 +290,7 @@ pub(crate) fn base_sim_key(
         config.opt,
         config.emu.max_instrs,
         config.emu.max_depth,
-        hash_fields(&machine.fields()),
+        hash_fields(&machine.baseline_fields()),
     )
 }
 
@@ -350,6 +366,12 @@ pub struct PlanStats {
     pub unique_compiles: usize,
     /// Compile requests elided as duplicates.
     pub deduped_compiles: usize,
+    /// Distinct value profiles the unique compiles share: one per
+    /// (workload, scale, optimizer, emulator) setting.
+    pub value_profiles: usize,
+    /// Baseline simulations after deduplication (part of
+    /// `unique_sims`).
+    pub base_sims: usize,
     /// Simulation runs (baseline + CCR) after deduplication.
     pub unique_sims: usize,
     /// Simulation runs elided as duplicates (a requested point wants
@@ -445,6 +467,7 @@ pub fn plan<'s>(specs: &[&'s ExperimentSpec]) -> Plan<'s> {
         },
     };
     let mut seen_compiles: HashMap<String, ()> = HashMap::new();
+    let mut seen_profiles: HashMap<String, ()> = HashMap::new();
     let mut seen_sims: HashMap<String, ()> = HashMap::new();
     let mut seen_potentials: HashMap<String, ()> = HashMap::new();
     for spec in specs {
@@ -455,6 +478,7 @@ pub fn plan<'s>(specs: &[&'s ExperimentSpec]) -> Plan<'s> {
                 plan.stats.requested_points += 1;
                 let ck = compile_key(name, sc.input, sc.scale, &config);
                 if seen_compiles.insert(ck.clone(), ()).is_none() {
+                    seen_profiles.insert(profile_key(name, sc.scale, &config), ());
                     plan.compiles.push(CompileUnit {
                         name,
                         input: sc.input,
@@ -508,6 +532,8 @@ pub fn plan<'s>(specs: &[&'s ExperimentSpec]) -> Plan<'s> {
         }
     }
     plan.stats.unique_compiles = plan.compiles.len();
+    plan.stats.value_profiles = seen_profiles.len();
+    plan.stats.base_sims = plan.bases.len();
     plan.stats.unique_sims = plan.bases.len() + plan.ccrs.len();
     plan.stats.potential_points = plan.potentials.len();
     plan
@@ -517,16 +543,24 @@ pub fn plan<'s>(specs: &[&'s ExperimentSpec]) -> Plan<'s> {
 /// region-config hash): the fix for sweeps that vary only the CRB
 /// geometry recompiling an identical program per configuration.
 ///
-/// Thread-safe and **single-flight**: a concurrent miss on a key
-/// another thread is already compiling blocks until that compile
-/// lands, then reads it as a hit — so each unique unit compiles
-/// exactly once even when [`crate::engine::Engine`] shares one cache
-/// across concurrent `ccr serve` requests, and the hit/miss totals
-/// stay deterministic. Compile errors are never cached (a blocked
-/// waiter retries with its own compile).
+/// Compiles run in two stages ([`profile_train`], then
+/// [`compile_with_profile`]), and the first stage has a memo of its
+/// own keyed by (workload, scale, optimizer, emulator settings): every
+/// region configuration and both target inputs of a workload share one
+/// value-profiling run.
+///
+/// Thread-safe and **single-flight** at both stages: a concurrent miss
+/// on a key another thread is already computing blocks until that
+/// result lands, then reads it as a hit — so each unique unit compiles
+/// (and each workload profiles) exactly once even when
+/// [`crate::engine::Engine`] shares one cache across concurrent
+/// `ccr serve` requests, and the hit/miss totals stay deterministic.
+/// Errors are never cached (a blocked waiter retries with its own
+/// computation).
 #[derive(Default)]
 pub struct CompileCache {
     flight: SingleFlight<HashMap<String, Arc<CompiledWorkload>>>,
+    profiles: SingleFlight<HashMap<String, Arc<TrainProfile>>>,
 }
 
 impl CompileCache {
@@ -543,6 +577,17 @@ impl CompileCache {
     /// Lookups that had to compile.
     pub fn misses(&self) -> u64 {
         self.flight.misses()
+    }
+
+    /// Value-profiling runs: compiles that had to profile their
+    /// training build.
+    pub fn profiles_run(&self) -> u64 {
+        self.profiles.misses()
+    }
+
+    /// Compiles that reused another compile's value profile.
+    pub fn profiles_reused(&self) -> u64 {
+        self.profiles.hits()
     }
 
     /// Returns the cached compile of `(name, target, scale, config)`,
@@ -563,9 +608,40 @@ impl CompileCache {
         self.flight.get_or_run(
             &key,
             |done| done.get(&key).cloned(),
-            || compile_with(name, target, scale, config).map(Arc::new),
+            || {
+                let train = self.train_profile(name, scale, config)?;
+                let target = build(name, target, scale)
+                    .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+                compile_with_profile(&train, &target, config)
+                    .map(Arc::new)
+                    .map_err(|e| format!("{name}: {e}"))
+            },
             |done, cw| {
                 done.insert(key.clone(), Arc::clone(cw));
+            },
+        )
+    }
+
+    /// The memoized first compile stage of `name` at `scale`.
+    fn train_profile(
+        &self,
+        name: &str,
+        scale: u32,
+        config: &CompileConfig,
+    ) -> Result<Arc<TrainProfile>, String> {
+        let key = profile_key(name, scale, config);
+        self.profiles.get_or_run(
+            &key,
+            |done| done.get(&key).cloned(),
+            || {
+                let train = build(name, InputSet::Train, scale)
+                    .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+                profile_train(&train, config)
+                    .map(Arc::new)
+                    .map_err(|e| format!("{name}: {e}"))
+            },
+            |done, tp| {
+                done.insert(key.clone(), Arc::clone(tp));
             },
         )
     }
@@ -574,7 +650,7 @@ impl CompileCache {
 /// Version tag of experiment-checkpoint JSONL lines. Bumped only on
 /// incompatible changes; additive fields ride under the same version.
 /// Lines are keyed by result-cache key (`…|fp:none`, `…|fp:<window>`).
-pub const CKPT_VERSION: u64 = 2;
+pub const CKPT_VERSION: u64 = 3;
 
 /// One checkpoint journal line: a result-cache entry under its key.
 pub(crate) fn ckpt_line(key: &str, c: &CachedSim) -> String {
@@ -685,9 +761,10 @@ pub struct Executed<'s> {
     pub(crate) potentials: HashMap<String, ReusePotential>,
     /// One entry per unique executed CCR point, in plan order.
     pub(crate) points: Vec<PointMeta>,
-    /// Compile-cache (hits, misses) delta for the run (satellite of
-    /// the observability PR: counted since PR 5, now surfaced).
+    /// Compile-cache (hits, misses) delta for the run.
     pub(crate) cache: (u64, u64),
+    /// Value profiles (run, reused) delta for the run.
+    pub(crate) profiles: (u64, u64),
 }
 
 /// Identity of one unique CCR sweep point, kept by the executor so
@@ -748,6 +825,13 @@ impl<'s> Executed<'s> {
     /// them.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache
+    }
+
+    /// Value profiles `(run, reused)` for the run: how many compiles
+    /// had to profile their training build, and how many shared
+    /// another compile's profile.
+    pub fn profile_stats(&self) -> (u64, u64) {
+        self.profiles
     }
 
     /// Flattens every unique executed CCR point into a
@@ -1028,7 +1112,7 @@ mod tests {
         std::fs::write(&path, "{\"ckpt_v\":99,\"key\":\"x\"}\n").unwrap();
         let err = load_checkpoint(&path).err().expect("must reject");
         assert!(
-            err.contains("unknown ckpt_v 99 (known: [2])") && !err.contains('\n'),
+            err.contains("unknown ckpt_v 99 (known: [3])") && !err.contains('\n'),
             "{err}"
         );
         let _ = std::fs::remove_file(&path);

@@ -1,6 +1,8 @@
 //! The compile half of the pipeline: optimize → profile → form →
 //! annotate.
 
+use std::sync::Arc;
+
 use ccr_ir::Program;
 use ccr_opt::{OptConfig, PassRecord, RecordingObserver};
 use ccr_profile::{EmuConfig, EmuError, Emulator, NullCrb, ReuseProfile, ValueProfiler};
@@ -47,10 +49,39 @@ pub struct CompiledWorkload {
     pub annotated: Program,
     /// Metadata for every formed region.
     pub regions: Vec<RegionInfo>,
-    /// The training-run profile the regions were selected from.
-    pub profile: ReuseProfile,
+    /// The training-run profile the regions were selected from, shared
+    /// with every compile made from the same [`TrainProfile`].
+    pub profile: Arc<ReuseProfile>,
     /// Compile-time observability (pass timings, formation stats).
     pub telemetry: CompileTelemetry,
+}
+
+/// The half of a compile that does not depend on the region
+/// configuration or the target input: the optimized training build
+/// and its value profile. It depends only on the training program,
+/// `config.opt` and `config.emu`, so one `TrainProfile` serves every
+/// region configuration and both target inputs of a workload.
+#[derive(Debug)]
+pub struct TrainProfile {
+    train_opt: Program,
+    profile: Arc<ReuseProfile>,
+}
+
+/// Optimizes `train` and value-profiles the result: the first stage of
+/// [`compile_ccr`].
+///
+/// # Errors
+///
+/// Returns [`EmuError`] if the profiling run exceeds emulator limits.
+pub fn profile_train(train: &Program, config: &CompileConfig) -> Result<TrainProfile, EmuError> {
+    let mut train_opt = train.clone();
+    ccr_opt::optimize(&mut train_opt, config.opt);
+    let mut profiler = ValueProfiler::for_program(&train_opt);
+    Emulator::with_config(&train_opt, config.emu).run(&mut NullCrb, &mut profiler)?;
+    Ok(TrainProfile {
+        train_opt,
+        profile: Arc::new(profiler.finish()),
+    })
 }
 
 /// Compiles `target` for CCR execution, selecting regions from a
@@ -60,6 +91,8 @@ pub struct CompiledWorkload {
 /// differ only in data-object initializers (the paper's training vs
 /// reference inputs). When evaluating on the training input, pass the
 /// same program for both.
+///
+/// This is [`profile_train`] followed by [`compile_with_profile`].
 ///
 /// # Errors
 ///
@@ -80,36 +113,55 @@ pub fn compile_ccr(
         target.instr_count(),
         "train and target must be the same code (only data may differ)"
     );
+    compile_with_profile(&profile_train(train, config)?, target, config)
+}
 
-    // Optimize both builds identically; the optimizer is
-    // deterministic, so structure stays aligned. Pass records are
-    // taken from the target build (the one we measure).
-    let mut train_opt = train.clone();
-    ccr_opt::optimize(&mut train_opt, config.opt);
+/// The second stage of [`compile_ccr`]: optimizes `target`, forms
+/// regions from `train`'s profile, runs the reiteration trial, and
+/// annotates. `train` must come from [`profile_train`] with the same
+/// `config.opt` and `config.emu`; `config.region` may differ freely.
+///
+/// # Errors
+///
+/// Returns [`EmuError`] if the reiteration trial exceeds emulator
+/// limits.
+///
+/// # Panics
+///
+/// Panics if the optimized `target` differs structurally from the
+/// optimized training build.
+pub fn compile_with_profile(
+    train: &TrainProfile,
+    target: &Program,
+    config: &CompileConfig,
+) -> Result<CompiledWorkload, EmuError> {
+    // The optimizer is deterministic, so two builds of one program
+    // stay aligned. Pass records are taken from the target build (the
+    // one we measure).
+    let train_opt = &train.train_opt;
     let mut base = target.clone();
     let mut observer = RecordingObserver::default();
     ccr_opt::optimize_observed(&mut base, config.opt, &mut observer);
-    debug_assert_eq!(
+    assert_eq!(
         train_opt.instr_count(),
         base.instr_count(),
-        "optimizer must transform both builds identically"
+        "train and target must be the same code (only data may differ)"
     );
-
-    // Value-profile the optimized training build.
-    let mut profiler = ValueProfiler::for_program(&train_opt);
-    Emulator::with_config(&train_opt, config.emu).run(&mut NullCrb, &mut profiler)?;
-    let profile = profiler.finish();
 
     // Select regions on the training build.
     let mut formation = FormationStats::new();
-    let mut specs =
-        ccr_regions::form_regions_observed(&train_opt, &profile, &config.region, &mut formation);
+    let mut specs = ccr_regions::form_regions_observed(
+        train_opt,
+        &train.profile,
+        &config.region,
+        &mut formation,
+    );
 
     // Reiteration (Section 4.4): trial-run the annotated training
     // build against an idealized buffer and discard regions whose
     // predicted hit ratio cannot pay for the reuse-failure flushes.
     if config.region.min_predicted_hit > 0.0 && !specs.is_empty() {
-        let ratios = trial_hit_ratios(&train_opt, &specs, config)?;
+        let ratios = trial_hit_ratios(train_opt, &specs, config)?;
         // Cost model: a hit saves roughly the region's serialized
         // execution (static instructions over a conservative IPC); a
         // miss costs a mispredict-like flush. Keep a region only if
@@ -138,7 +190,7 @@ pub fn compile_ccr(
         base,
         annotated: annotated_target,
         regions,
-        profile,
+        profile: Arc::clone(&train.profile),
         telemetry: CompileTelemetry {
             passes: observer.records,
             formation,

@@ -6,7 +6,7 @@
 //! simulated CRB, the cross-run store. This module instruments the
 //! *host*: what the `ccr exp` planner decided, how long each compile
 //! and simulation took, how busy the job-pool workers were, and which
-//! points were the stragglers on the critical path. A 403-sim `--all`
+//! points were the stragglers on the critical path. A 351-sim `--all`
 //! run no longer runs dark.
 //!
 //! Three sinks, all optional and all off by default:
@@ -120,6 +120,10 @@ pub struct HarnessSummary {
     pub cache_hits: u64,
     /// Compile-cache lookups that had to compile.
     pub cache_misses: u64,
+    /// Compiles that value-profiled their training build.
+    pub profiles_run: u64,
+    /// Compiles that reused another compile's value profile.
+    pub profiles_reused: u64,
     /// The top-K longest tasks — the sweep's critical path — as
     /// `(label, wall_ms)`, longest first.
     pub stragglers: Vec<(String, u64)>,
@@ -140,7 +144,8 @@ impl HarnessSummary {
     pub fn render(&self) -> String {
         let mut out = format!(
             "harness: {:.1}s wall | {} worker(s), util {:.1}% | {} compile(s), {} sim(s), \
-             {:.1} Mcycles | compile cache {} hit / {} miss ({:.1}%)\n",
+             {:.1} Mcycles | compile cache {} hit / {} miss ({:.1}%) | \
+             value profiles {} run / {} reused\n",
             self.wall_ms as f64 / 1000.0,
             self.workers,
             self.utilization_pct,
@@ -150,6 +155,8 @@ impl HarnessSummary {
             self.cache_hits,
             self.cache_misses,
             self.cache_hit_pct(),
+            self.profiles_run,
+            self.profiles_reused,
         );
         if !self.stragglers.is_empty() {
             out.push_str("harness: stragglers:");
@@ -177,6 +184,8 @@ struct HarnessShared {
     queue_depth: Gauge,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
+    profiles_run: AtomicU64,
+    profiles_reused: AtomicU64,
     pool: Mutex<PoolStats>,
 }
 
@@ -291,6 +300,8 @@ impl HarnessShared {
             sim_cycles: self.sim_cycles.get(),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            profiles_run: self.profiles_run.load(Ordering::Relaxed),
+            profiles_reused: self.profiles_reused.load(Ordering::Relaxed),
             stragglers: pool
                 .stragglers(STRAGGLER_TOP_K)
                 .into_iter()
@@ -356,6 +367,8 @@ impl Harness {
             queue_depth: registry.gauge("harness.queue.depth"),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
+            profiles_run: AtomicU64::new(0),
+            profiles_reused: AtomicU64::new(0),
             pool: Mutex::new(PoolStats::default()),
         });
         let sampler = Arc::clone(&shared);
@@ -469,6 +482,14 @@ impl Harness {
         shared.emit_line(w);
     }
 
+    /// Records the value-profile counters of the compile cache's first
+    /// stage (cumulative for the run) for the `harness_summary` event.
+    pub fn value_profiles(&self, run: u64, reused: u64) {
+        let Some(shared) = &self.shared else { return };
+        shared.profiles_run.store(run, Ordering::Relaxed);
+        shared.profiles_reused.store(reused, Ordering::Relaxed);
+    }
+
     /// Records a service request entering execution: its session-local
     /// `id`, the protocol `op` (`submit`), and a free-form `detail`
     /// (experiment name or workload spec). Emit-only — requests are
@@ -552,6 +573,8 @@ impl Harness {
         w.key("sim_cycles").u64_val(summary.sim_cycles);
         w.key("cache_hits").u64_val(summary.cache_hits);
         w.key("cache_misses").u64_val(summary.cache_misses);
+        w.key("profiles_run").u64_val(summary.profiles_run);
+        w.key("profiles_reused").u64_val(summary.profiles_reused);
         w.key("stragglers").arr_begin();
         for (label, wall_ms) in &summary.stragglers {
             w.obj_begin();
@@ -613,6 +636,7 @@ mod tests {
         h.snapshot("save", "x", 5000, "/tmp/x.snap.jsonl");
         h.fingerprint("x", 3, 200_000, "00c0ffee00c0ffee");
         h.compile_cache(1, 2);
+        h.value_profiles(1, 1);
         h.request_start(1, "submit", "fig4");
         h.request_finish(1, "done", 40, 7);
         h.result_cache(3, 4, 0);
@@ -660,6 +684,7 @@ mod tests {
         h.snapshot("save", "bitcount", 64_000, "runs/bitcount.snap.jsonl");
         h.fingerprint("bitcount", 2, 130_000, "0123456789abcdef");
         h.compile_cache(5, 2);
+        h.value_profiles(1, 6);
         h.request_start(1, "submit", "fig4");
         h.request_finish(1, "done", 11, 7);
         h.result_cache(3, 4, 1);
@@ -668,6 +693,7 @@ mod tests {
         assert_eq!(summary.sims, 1);
         assert_eq!(summary.sim_cycles, 12345);
         assert_eq!(summary.cache_hits, 5);
+        assert_eq!((summary.profiles_run, summary.profiles_reused), (1, 6));
         assert!((summary.cache_hit_pct() - 100.0 * 5.0 / 7.0).abs() < 1e-9);
 
         let text = std::fs::read_to_string(&path).expect("harness.jsonl written");

@@ -141,6 +141,24 @@ impl MachineConfig {
         ]);
         out
     }
+
+    /// [`MachineConfig::fields`] minus the knobs only a reuse
+    /// instruction reads: the pipeline consults `reuse_hit_latency`,
+    /// `reuse_miss_penalty` and `speculative_validation` only on a
+    /// reuse outcome, which a program without regions never produces.
+    /// Machines with equal baseline fields simulate an unannotated
+    /// program identically, so baseline simulations are keyed by this
+    /// list; a field added to `fields` joins it by default.
+    pub fn baseline_fields(&self) -> Vec<(&'static str, String)> {
+        const REUSE_ONLY: [&str; 3] = [
+            "reuse_hit_latency",
+            "reuse_miss_penalty",
+            "speculative_validation",
+        ];
+        let mut out = self.fields();
+        out.retain(|(name, _)| !REUSE_ONLY.contains(name));
+        out
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +198,24 @@ mod tests {
             ..MachineConfig::paper()
         };
         assert_ne!(fields, wide.fields());
+    }
+
+    #[test]
+    fn baseline_fields_drop_exactly_the_reuse_only_knobs() {
+        let machine = MachineConfig::paper();
+        let all: Vec<&str> = machine.fields().iter().map(|(n, _)| *n).collect();
+        let base: Vec<&str> = machine.baseline_fields().iter().map(|(n, _)| *n).collect();
+        let dropped: Vec<&str> = all.iter().copied().filter(|n| !base.contains(n)).collect();
+        assert_eq!(
+            dropped,
+            [
+                "reuse_hit_latency",
+                "reuse_miss_penalty",
+                "speculative_validation"
+            ]
+        );
+        assert!(base.iter().all(|n| all.contains(n)));
+        assert_eq!(base.len(), all.len() - 3);
     }
 
     #[test]

@@ -1337,6 +1337,8 @@ fn cmd_exp(flags: &Flags) -> Result<(), CliError> {
          across {} compile unit(s)",
         cache_hits + cache_misses
     );
+    let (profiles_run, profiles_reused) = executed.profile_stats();
+    eprintln!("value profiles: {profiles_run} run, {profiles_reused} reused");
     let harness_summary = finish_harness(&harness);
     for spec in &selected {
         let rendered = executed.results(spec).render();
@@ -1444,11 +1446,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         summary.requests, summary.points, summary.points_per_sec
     );
     eprintln!(
-        "result cache: {} hit(s), {} miss(es); compile cache: {} hit(s), {} miss(es)",
+        "result cache: {} hit(s), {} miss(es); compile cache: {} hit(s), {} miss(es); \
+         value profiles: {} run, {} reused",
         summary.result_cache_hits,
         summary.result_cache_misses,
         summary.compile_cache_hits,
-        summary.compile_cache_misses
+        summary.compile_cache_misses,
+        summary.profiles_run,
+        summary.profiles_reused
     );
     Ok(())
 }

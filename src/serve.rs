@@ -148,6 +148,10 @@ pub struct ServeSummary {
     pub compile_cache_hits: u64,
     /// Compile-cache misses over the session.
     pub compile_cache_misses: u64,
+    /// Value-profiling runs over the session.
+    pub profiles_run: u64,
+    /// Compiles that reused another compile's value profile.
+    pub profiles_reused: u64,
     /// Store records appended at shutdown.
     pub stored_records: u64,
 }
@@ -359,6 +363,8 @@ pub fn run(opts: &ServeOptions) -> Result<ServeSummary, String> {
         result_cache_misses: session.engine.result_cache().misses(),
         compile_cache_hits: session.engine.compile_cache().hits(),
         compile_cache_misses: session.engine.compile_cache().misses(),
+        profiles_run: session.engine.compile_cache().profiles_run(),
+        profiles_reused: session.engine.compile_cache().profiles_reused(),
         stored_records: records.len() as u64,
     };
     drop(state);

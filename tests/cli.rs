@@ -644,9 +644,10 @@ fn checkpointed_exp_resumes_byte_identically() {
         );
     }
 
-    // A journal from before the result-cache key format is refused in
-    // one line, not silently re-simulated.
-    std::fs::write(&ckpt, "{\"ckpt_v\":1,\"key\":\"base|x\"}\n").unwrap();
+    // A journal from before the current key format (v2 baseline keys
+    // hashed every machine field) is refused in one line, not loaded
+    // as dead cache entries.
+    std::fs::write(&ckpt, "{\"ckpt_v\":2,\"key\":\"base|x\"}\n").unwrap();
     let out = ccr()
         .args(["exp", "fig10", "--checkpoint"])
         .arg(&ckpt)
@@ -658,7 +659,7 @@ fn checkpointed_exp_resumes_byte_identically() {
     let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
     assert_eq!(errors.len(), 1, "{stderr}");
     assert!(
-        errors[0].ends_with("unknown ckpt_v 1 (known: [2])"),
+        errors[0].ends_with("unknown ckpt_v 2 (known: [3])"),
         "{stderr}"
     );
     assert!(!stderr.contains("usage:"), "{stderr}");

@@ -7,8 +7,11 @@
 //!    committed `results/` tables (which are exactly that stdout).
 //! 2. **Deduplication**: the planner simulates each distinct
 //!    (workload, region, machine, CRB) point exactly once across
-//!    specs, and never re-compiles a (workload, region-config) pair —
-//!    without changing any rendered number.
+//!    specs, never re-compiles a (workload, region-config) pair, keys
+//!    baselines only on the machine fields a baseline can observe, and
+//!    the compile cache value-profiles each workload once for all of
+//!    its region configurations — without changing any rendered
+//!    number or compiled program.
 
 use ccr::regions::RegionConfig;
 use ccr::sim::{CrbConfig, MachineConfig};
@@ -158,4 +161,135 @@ fn point_summaries_flatten_each_unique_ccr_point_once() {
         p.hit_rate < 1.0 || misses == 0,
         "a perfect hit rate cannot coexist with classified misses"
     );
+}
+
+#[test]
+fn full_registry_plan_pins_compile_profile_and_sim_counts() {
+    let registry = specs::registry();
+    let stats = exp::plan(&registry.iter().collect::<Vec<_>>()).stats;
+    assert_eq!(stats.unique_compiles, 117);
+    // Every region configuration and both target inputs of a workload
+    // share one value profile.
+    assert_eq!(stats.value_profiles, 13);
+    // Baselines: the paper machine per workload and input (13 x 2),
+    // plus the three non-paper widths (13 x 3). The penalty and
+    // speculative-validation machines reuse the paper baseline.
+    assert_eq!(stats.base_sims, 65);
+    assert_eq!(stats.unique_sims - stats.base_sims, 286);
+}
+
+#[test]
+fn ablation_penalty_and_speculation_rows_share_the_paper_baseline() {
+    let ablations = specs::ablations();
+    let varied: Vec<&MachineConfig> = ablations
+        .scenarios
+        .iter()
+        .map(|sc| &sc.machine)
+        .filter(|m| m.fields() != MachineConfig::paper().fields())
+        .collect();
+    assert!(varied.iter().any(|m| m.reuse_miss_penalty == 0));
+    assert!(varied.iter().any(|m| m.speculative_validation));
+    // 21 rows over five machines, one baseline per workload.
+    let stats = exp::plan(&[&ablations]).stats;
+    assert_eq!(stats.base_sims, ablations.workloads.len());
+}
+
+fn scenarios_over(regions: &[RegionConfig]) -> Vec<exp::Scenario> {
+    regions
+        .iter()
+        .map(|region| {
+            exp::Scenario::new(
+                "region",
+                InputSet::Train,
+                region,
+                &MachineConfig::paper(),
+                CrbConfig::paper(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn one_value_profile_serves_every_region_config_of_a_workload() {
+    let spec = exp::ExperimentSpec {
+        scenarios: scenarios_over(&[
+            RegionConfig::paper(),
+            RegionConfig::block_level(),
+            RegionConfig::stateless_only(),
+            RegionConfig::with_function_level(),
+        ]),
+        ..tiny_spec("tiny_profiles")
+    };
+    let plan = exp::plan(&[&spec]);
+    assert_eq!(plan.stats.unique_compiles, 4);
+    assert_eq!(plan.stats.value_profiles, 1);
+    let executed = Engine::new(2)
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
+        .expect("bitcount runs within limits");
+    assert_eq!(executed.cache_stats(), (0, 4));
+    assert_eq!(executed.profile_stats(), (1, 3), "(run, reused)");
+}
+
+/// Compiles `name` through one [`ccr_bench::CompileCache`] under every
+/// region configuration the registry uses, for both target inputs, and
+/// checks each staged compile against a fresh `compile_ccr`.
+fn assert_staged_compiles_equal_fresh_ones(name: &str) {
+    let paper = RegionConfig::paper();
+    let mut regions = vec![
+        paper,
+        RegionConfig::block_level(),
+        RegionConfig::stateless_only(),
+        RegionConfig::with_function_level(),
+    ];
+    for r in [0.50, 0.65, 0.80] {
+        regions.push(RegionConfig {
+            r_threshold: r,
+            rm_threshold: r,
+            ..paper
+        });
+    }
+    for trial_instances in [4, 16] {
+        regions.push(RegionConfig {
+            trial_instances,
+            ..paper
+        });
+    }
+    let cache = ccr_bench::CompileCache::new();
+    let train = ccr::workloads::build(name, InputSet::Train, 1).expect("workload");
+    let mut formed = 0;
+    for input in [InputSet::Train, InputSet::Ref] {
+        let target = ccr::workloads::build(name, input, 1).expect("workload");
+        for region in &regions {
+            let config = ccr::CompileConfig {
+                region: *region,
+                emu: ccr_bench::emu_config(),
+                ..ccr::CompileConfig::paper()
+            };
+            let staged = cache.get_or_compile(name, input, 1, &config).unwrap();
+            let fresh = ccr::compile_ccr(&train, &target, &config).unwrap();
+            let what = format!("{name} {input:?} {region:?}");
+            assert!(staged.base == fresh.base, "base: {what}");
+            assert!(staged.annotated == fresh.annotated, "annotated: {what}");
+            assert_eq!(staged.regions, fresh.regions, "{what}");
+            assert_eq!(
+                staged.telemetry.formation, fresh.telemetry.formation,
+                "{what}"
+            );
+            formed += staged.regions.len();
+        }
+    }
+    assert!(formed > 0, "{name} forms regions");
+    assert_eq!(cache.profiles_run(), 1, "{name}");
+    assert_eq!(cache.profiles_reused(), cache.misses() - 1, "{name}");
+}
+
+#[test]
+fn staged_compiles_equal_a_fresh_compile_ccr() {
+    assert_staged_compiles_equal_fresh_ones("bitcount");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+fn staged_compiles_equal_a_fresh_compile_ccr_with_memory_dependent_regions() {
+    assert_staged_compiles_equal_fresh_ones("124.m88ksim");
 }
