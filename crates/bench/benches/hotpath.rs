@@ -1,8 +1,10 @@
 //! Microbenchmarks for the simulator's hot paths — the code the
 //! host-performance work in DESIGN.md §9 targets: CRB instance
-//! scanning (short and long entries), ghost scanning, and the
-//! pipeline's register ready-tracking.
+//! scanning (short and long entries), ghost scanning, a whole baseline
+//! simulation, and the value profiler.
 
+use ccr_core::compile::profile_train;
+use ccr_core::CompileConfig;
 use ccr_ir::{Reg, RegionId, Value};
 use ccr_profile::{CrbModel, RecordedInstance};
 use ccr_sim::{simulate, CrbConfig, MachineConfig, ReuseBuffer};
@@ -96,9 +98,10 @@ fn bench_crb_lookup(c: &mut Criterion) {
 fn bench_pipeline_ready_tracking(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline_hotpath");
     g.sample_size(10);
-    // A call-heavy workload: every call pushes a frame with a dense
-    // ready vector, every return merges results back — the paths the
-    // register ready-tracking rewrite targets.
+    // A baseline simulation of a call-heavy workload: per instruction,
+    // the emulator and the pipeline read the decoded row and the frame
+    // scoreboard; every call takes a pooled frame reset to a dense
+    // ready vector, every return merges results back.
     let program = build("130.li", InputSet::Train, 1).unwrap();
     g.bench_function("ready_tracking_li", |b| {
         b.iter(|| {
@@ -115,5 +118,27 @@ fn bench_pipeline_ready_tracking(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_crb_lookup, bench_pipeline_ready_tracking);
+fn bench_value_profile(c: &mut Criterion) {
+    let mut g = c.benchmark_group("profile_hotpath");
+    g.sample_size(10);
+    // The first compile stage: optimize, then emulate under the value
+    // profiler (per-instruction input hashing, per-load location
+    // versions, cyclic live-in capture).
+    let program = build("124.m88ksim", InputSet::Train, 1).unwrap();
+    let config = CompileConfig {
+        emu: ccr_bench::emu_config(),
+        ..CompileConfig::paper()
+    };
+    g.bench_function("value_profile_m88ksim", |b| {
+        b.iter(|| black_box(profile_train(&program, &config).unwrap()));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_crb_lookup,
+    bench_pipeline_ready_tracking,
+    bench_value_profile
+);
 criterion_main!(benches);

@@ -139,7 +139,7 @@ struct ResultStore {
 ///
 /// While a checkpoint journal is open (see [`Engine::execute_plan`]),
 /// every newly computed simulation is also appended to it as one
-/// flushed `{"ckpt_v":3,...}` line, on the computing thread and
+/// flushed `{"ckpt_v":4,...}` line, on the computing thread and
 /// outside the store lock.
 pub struct SimResultCache {
     flight: SingleFlight<ResultStore>,
@@ -704,6 +704,10 @@ impl Engine {
             assert_eq!(
                 base.outcome.run.returned, ccr.outcome.run.returned,
                 "computation reuse changed architectural results"
+            );
+            assert_eq!(
+                base.outcome.run.memory_digest, ccr.outcome.run.memory_digest,
+                "computation reuse changed the final memory image"
             );
             runs.push(SuiteRun {
                 name,

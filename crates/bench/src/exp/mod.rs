@@ -43,7 +43,7 @@
 //! [`crate::Engine::execute_plan`]): a checkpoint path is opened as
 //! the disk journal of the engine's [`crate::SimResultCache`]. Every
 //! newly simulated unit is appended to the line-tolerant
-//! `{"ckpt_v":3,...}` JSONL file as it completes, and a later run loads
+//! `{"ckpt_v":4,...}` JSONL file as it completes, and a later run loads
 //! the file's lines as ready cache entries, so finished units are
 //! ordinary cache hits instead of re-simulations. Lines are keyed by
 //! result-cache key — the planner's dedup key (workload, input, scale,
@@ -650,7 +650,7 @@ impl CompileCache {
 /// Version tag of experiment-checkpoint JSONL lines. Bumped only on
 /// incompatible changes; additive fields ride under the same version.
 /// Lines are keyed by result-cache key (`…|fp:none`, `…|fp:<window>`).
-pub const CKPT_VERSION: u64 = 3;
+pub const CKPT_VERSION: u64 = 4;
 
 /// One checkpoint journal line: a result-cache entry under its key.
 pub(crate) fn ckpt_line(key: &str, c: &CachedSim) -> String {
@@ -670,6 +670,7 @@ pub(crate) fn ckpt_line(key: &str, c: &CachedSim) -> String {
     w.key("skipped_instrs").u64_val(o.run.skipped_instrs);
     w.key("reuse_hits").u64_val(o.run.reuse_hits);
     w.key("reuse_misses").u64_val(o.run.reuse_misses);
+    w.key("memory_digest").u64_val(o.run.memory_digest);
     w.key("stats");
     write_sim_stats(&mut w, &o.stats);
     w.obj_end();
@@ -739,6 +740,7 @@ pub(crate) fn load_checkpoint(path: &Path) -> Result<(Vec<(String, CachedSim)>, 
                         skipped_instrs: ckpt_u64(&v, "skipped_instrs", &ctx)?,
                         reuse_hits: ckpt_u64(&v, "reuse_hits", &ctx)?,
                         reuse_misses: ckpt_u64(&v, "reuse_misses", &ctx)?,
+                        memory_digest: ckpt_u64(&v, "memory_digest", &ctx)?,
                     },
                     stats: parse_sim_stats(stats_v, &ctx)?,
                 },
@@ -906,6 +908,10 @@ impl<'s> Executed<'s> {
                 assert_eq!(
                     base.run.returned, ccr.run.returned,
                     "computation reuse changed architectural results"
+                );
+                assert_eq!(
+                    base.run.memory_digest, ccr.run.memory_digest,
+                    "computation reuse changed the final memory image"
                 );
                 runs.push(ExpRun {
                     name,
@@ -1112,7 +1118,7 @@ mod tests {
         std::fs::write(&path, "{\"ckpt_v\":99,\"key\":\"x\"}\n").unwrap();
         let err = load_checkpoint(&path).err().expect("must reject");
         assert!(
-            err.contains("unknown ckpt_v 99 (known: [3])") && !err.contains('\n'),
+            err.contains("unknown ckpt_v 99 (known: [4])") && !err.contains('\n'),
             "{err}"
         );
         let _ = std::fs::remove_file(&path);

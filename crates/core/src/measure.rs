@@ -131,6 +131,10 @@ pub fn measure_with(
         base.run.returned, ccr.run.returned,
         "computation reuse changed architectural results"
     );
+    assert_eq!(
+        base.run.memory_digest, ccr.run.memory_digest,
+        "computation reuse changed the final memory image"
+    );
     Ok(Measurement { base, ccr })
 }
 

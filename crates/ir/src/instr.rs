@@ -480,15 +480,30 @@ impl Instr {
 
     /// Source operands read by this instruction.
     pub fn src_operands(&self) -> Vec<Operand> {
+        let mut out = Vec::new();
+        self.for_each_src_operand(|o| out.push(o));
+        out
+    }
+
+    /// Visits the source operands in [`Instr::src_operands`] order
+    /// without allocating (the emulator gathers its input values this
+    /// way on every dynamic instruction).
+    pub fn for_each_src_operand(&self, mut f: impl FnMut(Operand)) {
         match &self.op {
-            Op::Binary { lhs, rhs, .. } | Op::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Op::Unary { src, .. } => vec![*src],
-            Op::Load { addr, .. } => vec![*addr],
-            Op::Store { addr, value, .. } => vec![*addr, *value],
-            Op::Branch { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Op::Call { args, .. } => args.clone(),
-            Op::Ret { values } => values.clone(),
-            Op::Jump { .. } | Op::Reuse { .. } | Op::Invalidate { .. } | Op::Nop => vec![],
+            Op::Binary { lhs, rhs, .. }
+            | Op::Cmp { lhs, rhs, .. }
+            | Op::Branch { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            Op::Unary { src, .. } => f(*src),
+            Op::Load { addr, .. } => f(*addr),
+            Op::Store { addr, value, .. } => {
+                f(*addr);
+                f(*value);
+            }
+            Op::Call { args: ops, .. } | Op::Ret { values: ops } => ops.iter().copied().for_each(f),
+            Op::Jump { .. } | Op::Reuse { .. } | Op::Invalidate { .. } | Op::Nop => {}
         }
     }
 

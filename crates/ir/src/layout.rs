@@ -5,9 +5,13 @@
 //! a linear code image (functions laid out in id order, blocks in id
 //! order) and every memory object an 8-byte-element region in a linear
 //! data image (64-byte aligned, matching a cache-line-aligned loader).
+//! Laying out the code also decodes it: the code addresses live in the
+//! program's [`Decoded`] table, which the layout shares with the
+//! emulator.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
+use crate::decode::Decoded;
 use crate::instr::InstrId;
 use crate::object::MemObjectId;
 use crate::program::Program;
@@ -22,23 +26,14 @@ pub const OBJECT_ALIGN: u64 = 64;
 /// Addresses assigned to a program's instructions and objects.
 #[derive(Clone, Debug, Default)]
 pub struct CodeLayout {
-    code_addr: HashMap<InstrId, u64>,
+    decoded: Arc<Decoded>,
     object_base: Vec<u64>,
-    code_size: u64,
     data_size: u64,
 }
 
 impl CodeLayout {
     /// Computes the layout of `program`.
     pub fn of(program: &Program) -> CodeLayout {
-        let mut code_addr = HashMap::new();
-        let mut pc = 0u64;
-        for func in program.functions() {
-            for (_, instr) in func.iter_instrs() {
-                code_addr.insert(instr.id, pc);
-                pc += INSTR_BYTES;
-            }
-        }
         let mut object_base = Vec::with_capacity(program.objects().len());
         let mut data = 0u64;
         for obj in program.objects() {
@@ -47,11 +42,16 @@ impl CodeLayout {
             data += obj.size() as u64 * ELEM_BYTES;
         }
         CodeLayout {
-            code_addr,
+            decoded: Arc::new(Decoded::of(program)),
             object_base,
-            code_size: pc,
             data_size: data,
         }
+    }
+
+    /// The program's decoded instruction table, which carries the code
+    /// addresses.
+    pub fn decoded(&self) -> &Arc<Decoded> {
+        &self.decoded
     }
 
     /// The code address of an instruction.
@@ -61,10 +61,7 @@ impl CodeLayout {
     /// Panics if the instruction was not part of the laid-out program
     /// (e.g. the layout is stale after a transformation).
     pub fn code_addr(&self, id: InstrId) -> u64 {
-        *self
-            .code_addr
-            .get(&id)
-            .unwrap_or_else(|| panic!("no address for {id}; stale layout?"))
+        self.decoded.row(id).addr
     }
 
     /// The data address of `object[index]`.
@@ -74,7 +71,7 @@ impl CodeLayout {
 
     /// Total code image size in bytes.
     pub fn code_size(&self) -> u64 {
-        self.code_size
+        self.decoded.code_size()
     }
 
     /// Total data image size in bytes.

@@ -45,6 +45,7 @@
 
 pub mod block;
 pub mod builder;
+pub mod decode;
 pub mod function;
 pub mod instr;
 pub mod layout;
@@ -58,6 +59,7 @@ pub mod verify;
 
 pub use block::{Block, BlockId};
 pub use builder::{FunctionBuilder, ProgramBuilder};
+pub use decode::{Decoded, DecodedInstr, Latency, SrcReg};
 pub use function::{FuncId, Function};
 pub use instr::{BinKind, CmpPred, Instr, InstrExt, InstrId, Op, OpClass, RegionId, UnKind};
 pub use layout::CodeLayout;

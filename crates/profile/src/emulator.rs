@@ -30,9 +30,10 @@
 //! than corrupt it.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use ccr_ir::semantics::{eval_binary, eval_unary};
-use ccr_ir::{BlockId, FuncId, Instr, Op, Operand, Program, Reg, RegionId, Value};
+use ccr_ir::{BlockId, Decoded, FuncId, Instr, Op, Operand, Program, Reg, RegionId, Value};
 
 use crate::crb::{CrbModel, RecordedInstance};
 use crate::trace::{ExecEvent, MemAccess, ReuseOutcome, TraceSink};
@@ -91,6 +92,30 @@ pub struct RunOutcome {
     pub reuse_hits: u64,
     /// Number of reuse-instruction misses.
     pub reuse_misses: u64,
+    /// FNV-1a digest of every memory object's final contents: reuse
+    /// must leave the memory image exactly as plain execution does,
+    /// not just the returned values.
+    pub memory_digest: u64,
+}
+
+/// A stable FNV-1a digest of a memory image: each object's word count,
+/// then its words, all as little-endian `u64` bytes, objects in id
+/// order.
+fn memory_digest(memory: &[Vec<Value>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for obj in memory {
+        word(obj.len() as u64);
+        for v in obj {
+            word(v.0 as u64);
+        }
+    }
+    h
 }
 
 #[derive(Debug)]
@@ -168,6 +193,7 @@ struct Frame<'p> {
 pub struct Emulator<'p> {
     program: &'p Program,
     config: EmuConfig,
+    decoded: Arc<Decoded>,
 }
 
 impl<'p> Emulator<'p> {
@@ -178,7 +204,23 @@ impl<'p> Emulator<'p> {
 
     /// Creates an emulator with explicit limits.
     pub fn with_config(program: &'p Program, config: EmuConfig) -> Emulator<'p> {
-        Emulator { program, config }
+        Emulator::with_decoded(program, config, Arc::new(Decoded::of(program)))
+    }
+
+    /// Creates an emulator that reads `decoded`, which must be
+    /// `program`'s own table (e.g. from its [`ccr_ir::CodeLayout`]), so
+    /// a simulation decodes the program once for the emulator and the
+    /// timing model together.
+    pub fn with_decoded(
+        program: &'p Program,
+        config: EmuConfig,
+        decoded: Arc<Decoded>,
+    ) -> Emulator<'p> {
+        Emulator {
+            program,
+            config,
+            decoded,
+        }
     }
 
     /// The program being emulated.
@@ -225,6 +267,7 @@ impl<'p> Emulator<'p> {
         sink.on_block_enter(main.id(), main.entry());
         EmuRun {
             program,
+            decoded: Arc::clone(&self.decoded),
             config: self.config,
             memory,
             stack,
@@ -235,6 +278,7 @@ impl<'p> Emulator<'p> {
             reuse_misses: 0,
             inputs_buf: Vec::with_capacity(4),
             regs_pool: Vec::new(),
+            outputs_pool: Vec::new(),
         }
     }
 
@@ -353,6 +397,7 @@ impl<'p> Emulator<'p> {
 
         Ok(EmuRun {
             program,
+            decoded: Arc::clone(&self.decoded),
             config: self.config,
             memory,
             stack,
@@ -363,6 +408,7 @@ impl<'p> Emulator<'p> {
             reuse_misses: snap.reuse_misses,
             inputs_buf: Vec::with_capacity(4),
             regs_pool: Vec::new(),
+            outputs_pool: Vec::new(),
         })
     }
 }
@@ -376,6 +422,7 @@ impl<'p> Emulator<'p> {
 #[derive(Debug)]
 pub struct EmuRun<'p> {
     program: &'p Program,
+    decoded: Arc<Decoded>,
     config: EmuConfig,
     memory: Vec<Vec<Value>>,
     stack: Vec<Frame<'p>>,
@@ -390,6 +437,9 @@ pub struct EmuRun<'p> {
     // Register files of popped frames, recycled by later calls so the
     // call/ret hot path stops allocating. Scratch: not state.
     regs_pool: Vec<Vec<Value>>,
+    // The output-register list of the last reuse hit's outcome, handed
+    // back after the sink has seen it. Scratch: not state.
+    outputs_pool: Vec<Reg>,
 }
 
 impl<'p> EmuRun<'p> {
@@ -404,8 +454,8 @@ impl<'p> EmuRun<'p> {
     }
 
     /// Captures the complete architectural state as plain data. The
-    /// two scratch pools (`inputs_buf`, `regs_pool`) are excluded:
-    /// their contents are dead between steps.
+    /// scratch pools (`inputs_buf`, `regs_pool`, `outputs_pool`) are
+    /// excluded: their contents are dead between steps.
     pub fn snapshot(&self) -> EmuSnapshot {
         EmuSnapshot {
             memory: self
@@ -522,13 +572,13 @@ impl<'p> EmuRun<'p> {
         let func = program.function(frame.func);
         let block = func.block(frame.block);
         let instr: &Instr = &block.instrs[frame.pos];
+        let decoded = self.decoded.row(instr.id);
         self.dyn_instrs += 1;
 
         // Gather input values.
         self.inputs_buf.clear();
-        for op in instr.src_operands() {
-            self.inputs_buf.push(read_operand(&frame.regs, op));
-        }
+        let inputs = &mut self.inputs_buf;
+        instr.for_each_src_operand(|op| inputs.push(read_operand(&frame.regs, op)));
 
         // Memoization: record inputs (used-before-defined in the
         // anchor frame) before the instruction executes. Deeper
@@ -539,7 +589,7 @@ impl<'p> EmuRun<'p> {
         if let Some((mdepth, m)) = self.memo.as_mut() {
             m.body_instrs += 1;
             if depth == *mdepth {
-                for r in instr.src_regs() {
+                for r in decoded.srcs().iter().map(|s| s.reg) {
                     if m.written.contains(&r) || m.inputs.iter().any(|(x, _)| *x == r) {
                         continue;
                     }
@@ -660,14 +710,17 @@ impl<'p> EmuRun<'p> {
                     Some(hit) => {
                         self.reuse_hits += 1;
                         self.skipped_instrs += hit.skipped_instrs;
+                        let mut outputs = std::mem::take(&mut self.outputs_pool);
+                        outputs.clear();
                         for (r, v) in &hit.outputs {
                             frame.regs[r.index()] = *v;
+                            outputs.push(*r);
                         }
                         reuse_outcome = Some(ReuseOutcome {
                             region: *region,
                             hit: true,
                             inputs: hit.inputs,
-                            outputs: hit.outputs.iter().map(|(r, _)| *r).collect(),
+                            outputs,
                             skipped_instrs: hit.skipped_instrs,
                             miss_cause: None,
                         });
@@ -700,7 +753,7 @@ impl<'p> EmuRun<'p> {
         let mut overflow = false;
         if let Some((mdepth, m)) = self.memo.as_mut() {
             if depth == *mdepth && instr.ext.contains(ccr_ir::InstrExt::LIVE_OUT) {
-                for dst in instr.dsts() {
+                for &dst in decoded.dsts() {
                     if m.outputs.contains(&dst) {
                         continue;
                     }
@@ -717,9 +770,7 @@ impl<'p> EmuRun<'p> {
         }
         if let Some((mdepth, m)) = self.memo.as_mut() {
             if depth == *mdepth {
-                for dst in instr.dsts() {
-                    m.written.insert(dst);
-                }
+                m.written.extend(decoded.dsts());
                 if instr.ext.contains(ccr_ir::InstrExt::REGION_END) {
                     let (_, done) = self.memo.take().expect("memo present");
                     // Output values are read at the endpoint, when
@@ -738,6 +789,7 @@ impl<'p> EmuRun<'p> {
             func: frame.func,
             block: frame.block,
             instr,
+            decoded,
             inputs: &self.inputs_buf,
             result,
             mem: mem_access,
@@ -746,6 +798,11 @@ impl<'p> EmuRun<'p> {
             depth,
         };
         sink.on_exec(&event);
+        if let Some(outcome) = reuse_outcome {
+            if outcome.hit {
+                self.outputs_pool = outcome.outputs;
+            }
+        }
 
         // Perform the control transfer.
         match ctl {
@@ -801,6 +858,7 @@ impl<'p> EmuRun<'p> {
                             skipped_instrs: self.skipped_instrs,
                             reuse_hits: self.reuse_hits,
                             reuse_misses: self.reuse_misses,
+                            memory_digest: memory_digest(&self.memory),
                         }));
                     }
                     Some(caller) => {

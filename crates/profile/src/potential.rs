@@ -27,11 +27,11 @@
 //!   cyclic detector; all others to the path detector, so the two
 //!   never double-count.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use ccr_ir::{BlockId, FuncId, MemObjectId, Operand, Program, Reg, Value};
+use ccr_ir::{BlockId, FuncId, MemObjectId, Program, Reg, Value};
 
-use crate::rps::{hash_values, LoopKey, LoopMeta, ValueProfiler};
+use crate::rps::{FastMap, LoopKey, LoopMeta, ValueHash, ValueProfiler};
 use crate::trace::{ExecEvent, TraceSink};
 
 /// Limit-study parameters.
@@ -99,16 +99,15 @@ struct SigAccum {
 }
 
 impl SigAccum {
-    fn observe(&mut self, event: &ExecEvent<'_>, loc_version: &HashMap<(MemObjectId, u64), u64>) {
+    fn observe(&mut self, event: &ExecEvent<'_>, loc_version: &[Vec<u64>]) {
         self.instrs += 1;
-        for (op, val) in event.instr.src_operands().iter().zip(event.inputs) {
-            if let Operand::Reg(r) = op {
-                if !self.written.contains(r) && !self.inputs.iter().any(|(x, _)| x == r) {
-                    self.inputs.push((*r, *val));
-                }
+        for src in event.decoded.srcs() {
+            let r = src.reg;
+            if !self.written.contains(&r) && !self.inputs.iter().any(|(x, _)| *x == r) {
+                self.inputs.push((r, event.inputs[src.slot as usize]));
             }
         }
-        for d in event.instr.dsts() {
+        for &d in event.decoded.dsts() {
             if !self.written.contains(&d) {
                 self.written.push(d);
             }
@@ -117,10 +116,7 @@ impl SigAccum {
             if mem.is_store {
                 self.stores += 1;
             } else {
-                let v = loc_version
-                    .get(&(mem.object, mem.index))
-                    .copied()
-                    .unwrap_or(0);
+                let v = loc_version[mem.object.index()][mem.index as usize];
                 self.loads.push((mem.object, mem.index, v));
             }
         }
@@ -130,35 +126,45 @@ impl SigAccum {
     /// versions: equal signatures mean equal inputs with memory
     /// untouched in between.
     fn signature(&self) -> u64 {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.inputs.len() + self.loads.len() * 3);
+        let mut h = ValueHash::new();
         for (r, v) in &self.inputs {
-            vals.push(Value::from_int(i64::from(r.0)));
-            vals.push(*v);
+            h.push(Value::from_int(i64::from(r.0)));
+            h.push(*v);
         }
         for (o, i, ver) in &self.loads {
-            vals.push(Value::from_int(i64::from(o.0)));
-            vals.push(Value::from_int(*i as i64));
-            vals.push(Value::from_int(*ver as i64));
+            h.push(Value::from_int(i64::from(o.0)));
+            h.push(Value::from_int(*i as i64));
+            h.push(Value::from_int(*ver as i64));
         }
-        hash_values(&vals)
+        h.finish()
     }
 
     /// Instructions counted reusable on a signature match.
     fn reusable_instrs(&self) -> u64 {
         self.instrs - self.stores
     }
+
+    /// Empties the accumulator, keeping its buffers for the next
+    /// segment.
+    fn clear(&mut self) {
+        self.inputs.clear();
+        self.written.clear();
+        self.loads.clear();
+        self.instrs = 0;
+        self.stores = 0;
+    }
 }
 
 #[derive(Debug)]
 struct History {
-    records: HashMap<(FuncId, BlockId), VecDeque<u64>>,
+    records: FastMap<(FuncId, BlockId), VecDeque<u64>>,
     depth: usize,
 }
 
 impl History {
     fn new(depth: usize) -> History {
         History {
-            records: HashMap::new(),
+            records: FastMap::default(),
             depth,
         }
     }
@@ -173,6 +179,13 @@ impl History {
         h.push_back(sig);
         hit
     }
+}
+
+#[derive(Debug)]
+struct BlockState {
+    func: FuncId,
+    block: BlockId,
+    accum: SigAccum,
 }
 
 #[derive(Debug)]
@@ -195,19 +208,29 @@ struct LoopState {
     block_matched: u64,
 }
 
+/// The open segments of one call depth.
+#[derive(Debug, Default)]
+struct DepthState {
+    block: Option<BlockState>,
+    path: Option<PathState>,
+    lp: Option<LoopState>,
+}
+
 /// The limit study, attached to an emulation as a [`TraceSink`].
 pub struct PotentialStudy {
     config: PotentialConfig,
-    loops: HashMap<LoopKey, LoopMeta>,
+    loops: FastMap<LoopKey, LoopMeta>,
     result: ReusePotential,
     block_history: History,
     path_history: History,
     loop_history: History,
-    loc_version: HashMap<(MemObjectId, u64), u64>,
-    // Per-depth dynamic state.
-    cur_block: HashMap<usize, (FuncId, BlockId, SigAccum)>,
-    cur_path: HashMap<usize, PathState>,
-    cur_loop: HashMap<usize, LoopState>,
+    /// Per-location store version, per object by element index.
+    loc_version: Vec<Vec<u64>>,
+    /// Open segments, indexed by call depth.
+    open: Vec<DepthState>,
+    /// Buffers of closed segments, reused by the next ones.
+    spare_accums: Vec<SigAccum>,
+    spare_blocks: Vec<Vec<BlockId>>,
     depth: usize,
 }
 
@@ -234,36 +257,53 @@ impl PotentialStudy {
             block_history: History::new(config.history_depth),
             path_history: History::new(config.history_depth),
             loop_history: History::new(config.history_depth),
-            loc_version: HashMap::new(),
-            cur_block: HashMap::new(),
-            cur_path: HashMap::new(),
-            cur_loop: HashMap::new(),
+            loc_version: program
+                .objects()
+                .iter()
+                .map(|o| vec![0; o.size()])
+                .collect(),
+            open: Vec::new(),
+            spare_accums: Vec::new(),
+            spare_blocks: Vec::new(),
             depth: 0,
         }
     }
 
     /// Finalizes open segments and returns the measured potential.
     pub fn finish(mut self) -> ReusePotential {
-        let depths: Vec<usize> = self.cur_block.keys().copied().collect();
-        for d in depths {
+        for d in 0..self.open.len() {
             self.close_block(d);
         }
-        let depths: Vec<usize> = self.cur_path.keys().copied().collect();
-        for d in depths {
+        for d in 0..self.open.len() {
             self.close_path(d);
         }
-        let depths: Vec<usize> = self.cur_loop.keys().copied().collect();
-        for d in depths {
+        for d in 0..self.open.len() {
             self.close_loop(d);
         }
         self.result
     }
 
+    fn at(&mut self, depth: usize) -> &mut DepthState {
+        if self.open.len() <= depth {
+            self.open.resize_with(depth + 1, DepthState::default);
+        }
+        &mut self.open[depth]
+    }
+
+    fn fresh_accum(&mut self) -> SigAccum {
+        self.spare_accums.pop().unwrap_or_default()
+    }
+
+    fn recycle(&mut self, mut accum: SigAccum) {
+        accum.clear();
+        self.spare_accums.push(accum);
+    }
+
     fn close_block(&mut self, depth: usize) {
-        if let Some((func, block, accum)) = self.cur_block.remove(&depth) {
-            if accum.instrs == 0 {
-                return;
-            }
+        let Some(BlockState { func, block, accum }) = self.at(depth).block.take() else {
+            return;
+        };
+        if accum.instrs > 0 {
             let sig = accum.signature();
             if self.block_history.check_and_record((func, block), sig) {
                 let n = accum.reusable_instrs();
@@ -271,44 +311,47 @@ impl PotentialStudy {
                 // Credit the enclosing region segment: if it misses,
                 // these instructions are still region-reusable as
                 // trivial single-block regions.
-                if let Some(lp) = self.cur_loop.get_mut(&depth) {
+                let open = &mut self.open[depth];
+                if let Some(lp) = open.lp.as_mut() {
                     lp.block_matched += n;
-                } else if let Some(p) = self.cur_path.get_mut(&depth) {
+                } else if let Some(p) = open.path.as_mut() {
                     p.block_matched += n;
                 }
             }
         }
+        self.recycle(accum);
     }
 
     fn close_path(&mut self, depth: usize) {
-        if let Some(path) = self.cur_path.remove(&depth) {
-            if path.accum.instrs == 0 {
-                return;
-            }
+        let Some(mut path) = self.at(depth).path.take() else {
+            return;
+        };
+        if path.accum.instrs > 0 {
             // Path identity: head block plus the sequence of blocks.
-            let mut sig_vals: Vec<Value> = path
-                .blocks
-                .iter()
-                .map(|b| Value::from_int(i64::from(b.0)))
-                .collect();
-            sig_vals.push(Value::from_int(path.accum.signature() as i64));
-            let sig = hash_values(&sig_vals);
+            let mut h = ValueHash::new();
+            for b in &path.blocks {
+                h.push(Value::from_int(i64::from(b.0)));
+            }
+            h.push(Value::from_int(path.accum.signature() as i64));
             if self
                 .path_history
-                .check_and_record((path.func, path.head), sig)
+                .check_and_record((path.func, path.head), h.finish())
             {
                 self.result.region_reusable += path.accum.reusable_instrs();
             } else {
                 self.result.region_reusable += path.block_matched;
             }
         }
+        path.blocks.clear();
+        self.spare_blocks.push(path.blocks);
+        self.recycle(path.accum);
     }
 
     fn close_loop(&mut self, depth: usize) {
-        if let Some(lp) = self.cur_loop.remove(&depth) {
-            if lp.accum.instrs == 0 {
-                return;
-            }
+        let Some(lp) = self.at(depth).lp.take() else {
+            return;
+        };
+        if lp.accum.instrs > 0 {
             let sig = lp.accum.signature();
             if self
                 .loop_history
@@ -320,6 +363,7 @@ impl PotentialStudy {
                 self.result.region_reusable += lp.block_matched;
             }
         }
+        self.recycle(lp.accum);
     }
 }
 
@@ -328,24 +372,23 @@ impl TraceSink for PotentialStudy {
         let depth = self.depth;
         // Block segment: close previous, open new.
         self.close_block(depth);
-        self.cur_block
-            .insert(depth, (func, block, SigAccum::default()));
+        let accum = self.fresh_accum();
+        self.at(depth).block = Some(BlockState { func, block, accum });
 
         // Cyclic regions take precedence over paths.
         let key = LoopKey {
             func,
             header: block,
         };
-        let in_active_loop = self.cur_loop.get(&depth).is_some_and(|l| {
-            self.loops
-                .get(&l.key)
-                .is_some_and(|m| m.body.contains(&block) && func == l.key.func)
-        });
-        if let Some(active) = self.cur_loop.get(&depth) {
+        if let Some(active) = &self.open[depth].lp {
             if active.key == key {
                 // Next iteration: keep accumulating.
                 return;
             }
+            let in_active_loop = self
+                .loops
+                .get(&active.key)
+                .is_some_and(|m| m.body.contains(&block) && func == active.key.func);
             if !in_active_loop {
                 self.close_loop(depth);
             } else {
@@ -355,19 +398,17 @@ impl TraceSink for PotentialStudy {
         if self.loops.contains_key(&key) {
             // Starting a new pure-loop invocation: paths pause.
             self.close_path(depth);
-            self.cur_loop.insert(
-                depth,
-                LoopState {
-                    key,
-                    accum: SigAccum::default(),
-                    block_matched: 0,
-                },
-            );
+            let accum = self.fresh_accum();
+            self.open[depth].lp = Some(LoopState {
+                key,
+                accum,
+                block_matched: 0,
+            });
             return;
         }
 
         // Path segment: extend or rotate.
-        let rotate = match self.cur_path.get(&depth) {
+        let rotate = match &self.open[depth].path {
             None => true,
             Some(p) => {
                 p.func != func
@@ -377,17 +418,17 @@ impl TraceSink for PotentialStudy {
         };
         if rotate {
             self.close_path(depth);
-            self.cur_path.insert(
-                depth,
-                PathState {
-                    func,
-                    head: block,
-                    blocks: vec![block],
-                    accum: SigAccum::default(),
-                    block_matched: 0,
-                },
-            );
-        } else if let Some(p) = self.cur_path.get_mut(&depth) {
+            let mut blocks = self.spare_blocks.pop().unwrap_or_default();
+            blocks.push(block);
+            let accum = self.fresh_accum();
+            self.open[depth].path = Some(PathState {
+                func,
+                head: block,
+                blocks,
+                accum,
+                block_matched: 0,
+            });
+        } else if let Some(p) = self.open[depth].path.as_mut() {
             p.blocks.push(block);
         }
     }
@@ -412,19 +453,21 @@ impl TraceSink for PotentialStudy {
     fn on_exec(&mut self, event: &ExecEvent<'_>) {
         self.result.total_instrs += 1;
         let depth = self.depth;
-        if let Some((_, _, accum)) = self.cur_block.get_mut(&depth) {
-            accum.observe(event, &self.loc_version);
-        }
-        if let Some(lp) = self.cur_loop.get_mut(&depth) {
-            lp.accum.observe(event, &self.loc_version);
-        } else if let Some(p) = self.cur_path.get_mut(&depth) {
-            p.accum.observe(event, &self.loc_version);
+        if let Some(open) = self.open.get_mut(depth) {
+            if let Some(b) = open.block.as_mut() {
+                b.accum.observe(event, &self.loc_version);
+            }
+            if let Some(lp) = open.lp.as_mut() {
+                lp.accum.observe(event, &self.loc_version);
+            } else if let Some(p) = open.path.as_mut() {
+                p.accum.observe(event, &self.loc_version);
+            }
         }
         // Stores bump versions *after* the signature observation so a
         // load earlier in the same segment keeps its pre-store stamp.
         if let Some(mem) = event.mem {
             if mem.is_store {
-                *self.loc_version.entry((mem.object, mem.index)).or_insert(0) += 1;
+                self.loc_version[mem.object.index()][mem.index as usize] += 1;
             }
         }
     }

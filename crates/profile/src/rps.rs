@@ -21,9 +21,10 @@
 //!   matches one of the eight most recent recorded invocations.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ccr_analysis::{CallGraph, LoopForest, SideEffects};
-use ccr_ir::{BlockId, FuncId, InstrId, MemObjectId, Op, Operand, Program, Reg, Value};
+use ccr_ir::{BlockId, FuncId, InstrId, MemObjectId, Op, Program, Reg, Value};
 
 use crate::trace::{ExecEvent, TraceSink};
 
@@ -63,6 +64,43 @@ const MAX_TRACKED_VECTORS: usize = 64;
 /// Cap on distinct locations tracked per load.
 const MAX_TRACKED_LOCATIONS: usize = 4096;
 
+/// A multiplicative (Fx-style) hasher for the profilers' integer keys:
+/// std's SipHash costs more than the rest of an event's work. Every
+/// map hashed this way is only probed, or iterated where order cannot
+/// matter (counts that are sorted, or metadata that is re-keyed).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct FastHasher(u64);
+
+impl FastHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.add(u64::from(*b));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed with [`FastHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
 /// Per-instruction value-locality counters.
 #[derive(Clone, Debug, Default)]
 pub struct InstrProfile {
@@ -72,7 +110,7 @@ pub struct InstrProfile {
     pub recent_hits: u64,
     /// For branches: executions on which the branch was taken.
     pub taken: u64,
-    vector_counts: HashMap<u64, u64>,
+    vector_counts: FastMap<u64, u64>,
     overflow: u64,
     recent: VecDeque<u64>,
 }
@@ -135,7 +173,7 @@ pub struct MemProfile {
     /// Executions finding the location unchanged since this load last
     /// touched it.
     pub unchanged: u64,
-    last_seen_version: HashMap<(MemObjectId, u64), u64>,
+    last_seen_version: FastMap<(MemObjectId, u64), u64>,
 }
 
 impl MemProfile {
@@ -196,49 +234,54 @@ impl CyclicProfile {
 /// The finished profile, as consumed by region formation.
 #[derive(Clone, Debug, Default)]
 pub struct ReuseProfile {
-    instr: HashMap<InstrId, InstrProfile>,
-    mem: HashMap<InstrId, MemProfile>,
+    /// Indexed by raw [`InstrId`]; an instruction that never executed
+    /// has an all-zero entry (or none past the end).
+    instr: Vec<InstrProfile>,
+    /// Indexed by raw [`InstrId`], like `instr`; only loads' entries
+    /// ever count.
+    mem: Vec<MemProfile>,
     cyclic: HashMap<LoopKey, CyclicProfile>,
     /// Total dynamic instructions profiled.
     pub total_dyn_instrs: u64,
 }
 
 impl ReuseProfile {
+    fn executed(&self, id: InstrId) -> Option<&InstrProfile> {
+        self.instr.get(id.index()).filter(|p| p.exec > 0)
+    }
+
     /// Execution count of an instruction (0 if never executed).
     pub fn exec(&self, id: InstrId) -> u64 {
-        self.instr.get(&id).map_or(0, |p| p.exec)
+        self.executed(id).map_or(0, |p| p.exec)
     }
 
     /// The `Invariance_R[k]/Exec` ratio of an instruction.
     pub fn invariance_ratio(&self, id: InstrId, k: usize) -> f64 {
-        self.instr.get(&id).map_or(0.0, |p| p.invariance_ratio(k))
+        self.executed(id).map_or(0.0, |p| p.invariance_ratio(k))
     }
 
     /// Recent-window recurrence ratio of an instruction.
     pub fn recent_ratio(&self, id: InstrId) -> f64 {
-        self.instr.get(&id).map_or(0.0, |p| p.recent_ratio())
+        self.executed(id).map_or(0.0, |p| p.recent_ratio())
     }
 
     /// Memory-unchanged ratio of a load (0 for non-loads).
     pub fn mem_unchanged_ratio(&self, id: InstrId) -> f64 {
-        self.mem.get(&id).map_or(0.0, |p| p.unchanged_ratio())
+        self.mem
+            .get(id.index())
+            .map_or(0.0, |p| p.unchanged_ratio())
     }
 
     /// For branches: fraction of executions on which the branch was
     /// taken (0 if never executed).
     pub fn taken_ratio(&self, id: InstrId) -> f64 {
-        self.instr.get(&id).map_or(0.0, |p| {
-            if p.exec == 0 {
-                0.0
-            } else {
-                p.taken as f64 / p.exec as f64
-            }
-        })
+        self.executed(id)
+            .map_or(0.0, |p| p.taken as f64 / p.exec as f64)
     }
 
     /// Full per-instruction profile, if the instruction executed.
     pub fn instr_profile(&self, id: InstrId) -> Option<&InstrProfile> {
-        self.instr.get(&id)
+        self.executed(id)
     }
 
     /// Cyclic profile of a loop, if it was a candidate and ran.
@@ -258,19 +301,23 @@ struct ActiveInvocation {
     written: Vec<Reg>,
     iterations: u64,
     start_versions: Vec<u64>,
+    /// The last block tested for membership in the loop body, and the
+    /// answer: a block's instructions arrive as a run of events.
+    body_memo: Option<(BlockId, bool)>,
 }
 
 /// Online profiler; attach to an [`crate::Emulator`] run as a
 /// [`TraceSink`], then call [`ValueProfiler::finish`].
 pub struct ValueProfiler {
     profile: ReuseProfile,
-    loops: HashMap<LoopKey, LoopMeta>,
+    loops: FastMap<LoopKey, LoopMeta>,
     /// Per-object global store version.
     obj_version: Vec<u64>,
-    /// Per-location store version (object, index) -> version.
-    loc_version: HashMap<(MemObjectId, u64), u64>,
-    /// Active loop invocation per call depth.
-    active: HashMap<usize, ActiveInvocation>,
+    /// Per-location store version, per object by element index
+    /// (indices arrive already masked into the object's bounds).
+    loc_version: Vec<Vec<u64>>,
+    /// Active loop invocation per call depth, indexed by depth.
+    active: Vec<Option<ActiveInvocation>>,
     depth: usize,
     current_block: Option<(FuncId, BlockId)>,
 }
@@ -282,8 +329,12 @@ impl ValueProfiler {
             profile: ReuseProfile::default(),
             loops: loops.into_iter().map(|m| (m.key, m)).collect(),
             obj_version: vec![0; program.objects().len()],
-            loc_version: HashMap::new(),
-            active: HashMap::new(),
+            loc_version: program
+                .objects()
+                .iter()
+                .map(|o| vec![0; o.size()])
+                .collect(),
+            active: Vec::new(),
             depth: 0,
             current_block: None,
         }
@@ -337,26 +388,32 @@ impl ValueProfiler {
 
     /// Consumes the profiler, finalizing any open invocation records.
     pub fn finish(mut self) -> ReuseProfile {
-        let depths: Vec<usize> = self.active.keys().copied().collect();
-        for d in depths {
+        for d in 0..self.active.len() {
             self.finalize_invocation(d);
         }
         self.profile
     }
 
-    fn loop_versions(&self, meta: &LoopMeta) -> Vec<u64> {
+    fn loop_versions(obj_version: &[u64], meta: &LoopMeta) -> Vec<u64> {
         meta.loaded_objects
             .iter()
-            .map(|o| self.obj_version[o.index()])
+            .map(|o| obj_version[o.index()])
             .collect()
     }
 
+    fn active_at(&mut self, depth: usize) -> &mut Option<ActiveInvocation> {
+        if self.active.len() <= depth {
+            self.active.resize_with(depth + 1, || None);
+        }
+        &mut self.active[depth]
+    }
+
     fn finalize_invocation(&mut self, depth: usize) {
-        let Some(inv) = self.active.remove(&depth) else {
+        let Some(inv) = self.active.get_mut(depth).and_then(Option::take) else {
             return;
         };
         let meta = &self.loops[&inv.key];
-        let versions = self.loop_versions(meta);
+        let versions = Self::loop_versions(&self.obj_version, meta);
         let sig = hash_reg_values(&inv.inputs);
         let prof = self.profile.cyclic.entry(inv.key).or_default();
         prof.invocations += 1;
@@ -387,27 +444,25 @@ impl TraceSink for ValueProfiler {
         };
         let depth = self.depth;
         // Entering a tracked header: new invocation or next iteration.
-        if self.loops.contains_key(&key) {
-            match self.active.get_mut(&depth) {
+        if let Some(meta) = self.loops.get(&key) {
+            match self.active.get_mut(depth).and_then(Option::as_mut) {
                 Some(inv) if inv.key == key => {
                     inv.iterations += 1;
                 }
                 _ => {
+                    let versions = Self::loop_versions(&self.obj_version, meta);
                     self.finalize_invocation(depth);
-                    let versions = self.loop_versions(&self.loops[&key].clone());
-                    self.active.insert(
-                        depth,
-                        ActiveInvocation {
-                            key,
-                            inputs: Vec::new(),
-                            written: Vec::new(),
-                            iterations: 1,
-                            start_versions: versions,
-                        },
-                    );
+                    *self.active_at(depth) = Some(ActiveInvocation {
+                        key,
+                        inputs: Vec::new(),
+                        written: Vec::new(),
+                        iterations: 1,
+                        start_versions: versions,
+                        body_memo: None,
+                    });
                 }
             }
-        } else if let Some(inv) = self.active.get(&depth) {
+        } else if let Some(inv) = self.active.get(depth).and_then(Option::as_ref) {
             // Leaving the active loop's body ends the invocation.
             let meta = &self.loops[&inv.key];
             if !meta.body.contains(&block) {
@@ -428,9 +483,15 @@ impl TraceSink for ValueProfiler {
 
     fn on_exec(&mut self, event: &ExecEvent<'_>) {
         self.profile.total_dyn_instrs += 1;
-        let instr = event.instr;
+        let idx = event.instr.id.index();
+        if idx >= self.profile.instr.len() {
+            self.profile
+                .instr
+                .resize_with(idx + 1, InstrProfile::default);
+            self.profile.mem.resize_with(idx + 1, MemProfile::default);
+        }
         let sig = hash_values(event.inputs);
-        let ip = self.profile.instr.entry(instr.id).or_default();
+        let ip = &mut self.profile.instr[idx];
         ip.observe(sig);
         if event.taken == Some(true) {
             ip.taken += 1;
@@ -439,12 +500,13 @@ impl TraceSink for ValueProfiler {
         // Memory bookkeeping.
         if let Some(mem) = event.mem {
             let loc = (mem.object, mem.index);
+            let stamp = &mut self.loc_version[mem.object.index()][mem.index as usize];
             if mem.is_store {
                 self.obj_version[mem.object.index()] += 1;
-                *self.loc_version.entry(loc).or_insert(0) += 1;
+                *stamp += 1;
             } else {
-                let version = self.loc_version.get(&loc).copied().unwrap_or(0);
-                let prof = self.profile.mem.entry(instr.id).or_default();
+                let version = *stamp;
+                let prof = &mut self.profile.mem[idx];
                 prof.exec += 1;
                 match prof.last_seen_version.get(&loc) {
                     Some(&seen) if seen == version => prof.unchanged += 1,
@@ -460,20 +522,26 @@ impl TraceSink for ValueProfiler {
 
         // Cyclic live-in capture: registers read before written while
         // the invocation is active and the instruction is in the body.
-        if let Some(inv) = self.active.get_mut(&self.depth) {
-            let in_body = self
-                .loops
-                .get(&inv.key)
-                .is_some_and(|m| m.body.contains(&event.block));
+        if let Some(inv) = self.active.get_mut(self.depth).and_then(Option::as_mut) {
+            let in_body = match inv.body_memo {
+                Some((block, in_body)) if block == event.block => in_body,
+                _ => {
+                    let in_body = self
+                        .loops
+                        .get(&inv.key)
+                        .is_some_and(|m| m.body.contains(&event.block));
+                    inv.body_memo = Some((event.block, in_body));
+                    in_body
+                }
+            };
             if in_body && event.func == inv.key.func {
-                for (op, val) in instr.src_operands().iter().zip(event.inputs) {
-                    if let Operand::Reg(r) = op {
-                        if !inv.written.contains(r) && !inv.inputs.iter().any(|(x, _)| x == r) {
-                            inv.inputs.push((*r, *val));
-                        }
+                for src in event.decoded.srcs() {
+                    let r = src.reg;
+                    if !inv.written.contains(&r) && !inv.inputs.iter().any(|(x, _)| *x == r) {
+                        inv.inputs.push((r, event.inputs[src.slot as usize]));
                     }
                 }
-                for d in instr.dsts() {
+                for &d in event.decoded.dsts() {
                     if !inv.written.contains(&d) {
                         inv.written.push(d);
                     }
@@ -485,13 +553,32 @@ impl TraceSink for ValueProfiler {
 
 /// Hashes a value slice with an FNV-1a-style mix (stable across runs).
 pub fn hash_values(values: &[Value]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = ValueHash::new();
     for v in values {
-        h ^= v.0 as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-        h ^= h >> 29;
+        h.push(*v);
     }
-    h
+    h.finish()
+}
+
+/// [`hash_values`] fed one value at a time, so a signature over values
+/// gathered from several places needs no intermediate buffer.
+pub(crate) struct ValueHash(u64);
+
+impl ValueHash {
+    pub(crate) fn new() -> ValueHash {
+        ValueHash(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, v: Value) {
+        let mut h = self.0 ^ v.0 as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+        self.0 = h ^ (h >> 29);
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 fn hash_reg_values(pairs: &[(Reg, Value)]) -> u64 {

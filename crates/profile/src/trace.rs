@@ -5,7 +5,7 @@
 //! timing model are all sinks; the emulator does not know or care
 //! which are attached.
 
-use ccr_ir::{BlockId, FuncId, Instr, MemObjectId, Reg, RegionId, Value};
+use ccr_ir::{BlockId, DecodedInstr, FuncId, Instr, MemObjectId, Reg, RegionId, Value};
 
 use crate::crb::MissCause;
 
@@ -52,6 +52,9 @@ pub struct ExecEvent<'a> {
     pub block: BlockId,
     /// The instruction itself.
     pub instr: &'a Instr,
+    /// Its row in the program's decoded table: code address, class,
+    /// latency and register lists, worked out once per program.
+    pub decoded: &'a DecodedInstr,
     /// Values of the instruction's source operands, in
     /// [`Instr::src_operands`] order.
     pub inputs: &'a [Value],
@@ -138,7 +141,7 @@ impl TraceSink for MultiSink<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccr_ir::{InstrId, Op};
+    use ccr_ir::{Decoded, ProgramBuilder};
 
     #[derive(Default)]
     struct Counter {
@@ -169,11 +172,19 @@ mod tests {
         let mut b = Counter::default();
         {
             let mut m = MultiSink::new(&mut a, &mut b);
-            let instr = Instr::new(InstrId(0), Op::Nop);
+            let mut pb = ProgramBuilder::new();
+            let mut f = pb.function("main", 0, 0);
+            f.ret(&[]);
+            let id = pb.finish_function(f);
+            pb.set_main(id);
+            let p = pb.finish();
+            let decoded = Decoded::of(&p);
+            let (_, instr) = p.iter_instrs().next().unwrap();
             let ev = ExecEvent {
                 func: FuncId(0),
                 block: BlockId(0),
-                instr: &instr,
+                instr,
+                decoded: decoded.row(instr.id),
                 inputs: &[],
                 result: None,
                 mem: None,

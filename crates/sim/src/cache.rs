@@ -32,6 +32,11 @@ impl CacheConfig {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
+    // The geometry is powers of two, so the address split is shifts
+    // and a mask: log2(line_bytes), lines - 1, log2(lines).
+    line_shift: u32,
+    index_mask: u64,
+    tag_shift: u32,
     tags: Vec<Option<u64>>,
     hits: u64,
     misses: u64,
@@ -49,6 +54,9 @@ impl Cache {
         assert!(config.lines().is_power_of_two() && config.lines() > 0);
         Cache {
             tags: vec![None; config.lines() as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            index_mask: config.lines() - 1,
+            tag_shift: config.lines().trailing_zeros(),
             config,
             hits: 0,
             misses: 0,
@@ -58,9 +66,9 @@ impl Cache {
     /// Accesses `addr`, returning the extra cycles charged (0 on hit,
     /// the miss penalty on miss). The line is installed on a miss.
     pub fn access(&mut self, addr: u64) -> u64 {
-        let line = addr / self.config.line_bytes;
-        let index = (line % self.config.lines()) as usize;
-        let tag = line / self.config.lines();
+        let line = addr >> self.line_shift;
+        let index = (line & self.index_mask) as usize;
+        let tag = line >> self.tag_shift;
         if self.tags[index] == Some(tag) {
             self.hits += 1;
             0

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use ccr_ir::{CodeLayout, FuncId, InstrExt, Op, OpClass, Reg, RegionId};
+use ccr_ir::{CodeLayout, FuncId, InstrExt, Latency, Op, OpClass, Reg, RegionId};
 use ccr_profile::{ExecEvent, MissCause, TraceSink};
 
 use crate::btb::Btb;
@@ -35,7 +35,9 @@ struct FuUse {
 /// kind live in plain vectors indexed by [`Reg::index`] — the hottest
 /// structures in the simulator. Both grow on demand; a register past
 /// the end reads as ready-at-0 / issue-produced, exactly the defaults
-/// the old hash-map representation gave absent keys.
+/// the old hash-map representation gave absent keys. Popped frames
+/// go back to a pool and are reset on reuse to the state a fresh
+/// callee frame has: 64 `ready` entries, no `src_kind`.
 struct Frame {
     ready: Vec<u64>,
     ret_regs: Vec<Reg>,
@@ -107,15 +109,30 @@ pub struct Pipeline {
     fu_used: FuUse,
     fetch_ready: u64,
     last_fetch_line: Option<u64>,
+    /// log2 of the I-cache line size (a power of two).
+    fetch_line_shift: u32,
     frames: Vec<Frame>,
     pending_call: Option<(u64, Vec<Reg>)>,
     horizon: u64,
+    /// Every counter but `regions`, which lives in `region_stats`
+    /// until the stats are read out.
     stats: SimStats,
+    /// Per-region counters indexed by [`RegionId::index`]; `None` for
+    /// a region no reuse instruction has touched, so only touched
+    /// regions appear in [`SimStats::regions`].
+    region_stats: Vec<Option<RegionDynStats>>,
+    /// Popped call frames and return-register lists, reused by later
+    /// calls. Scratch: not state.
+    frame_pool: Vec<Frame>,
+    rets_pool: Vec<Vec<Reg>>,
     attr: Option<Box<AttrState>>,
 }
 
 impl Pipeline {
-    /// Creates a pipeline for a program laid out by `layout`.
+    /// Creates a pipeline for a program laid out by `layout`. Data
+    /// addresses come from `layout`; code addresses, classes and
+    /// register lists come from each event's decoded row, which
+    /// [`crate::simulate`] takes from this same layout's table.
     pub fn new(machine: MachineConfig, layout: CodeLayout) -> Pipeline {
         Pipeline {
             icache: Cache::new(machine.icache),
@@ -129,10 +146,14 @@ impl Pipeline {
             fu_used: FuUse::default(),
             fetch_ready: 0,
             last_fetch_line: None,
+            fetch_line_shift: machine.icache.line_bytes.trailing_zeros(),
             frames: vec![Frame::new(Vec::new(), Vec::new())],
             pending_call: None,
             horizon: 0,
             stats: SimStats::default(),
+            region_stats: Vec::new(),
+            frame_pool: Vec::new(),
+            rets_pool: Vec::new(),
             attr: None,
         }
     }
@@ -163,8 +184,26 @@ impl Pipeline {
         self.horizon.max(self.last_issue + 1)
     }
 
+    /// The issue cycle of the most recently issued instruction.
+    pub fn last_issue(&self) -> u64 {
+        self.last_issue
+    }
+
+    /// The counters so far, with the per-region map filled in.
+    fn stats_with_regions(&self) -> SimStats {
+        let mut stats = self.stats.clone();
+        stats.regions = self
+            .region_stats
+            .iter()
+            .enumerate()
+            .filter_map(|(i, rs)| rs.map(|rs| (RegionId(i as u32), rs)))
+            .collect();
+        stats
+    }
+
     /// Finalizes the run and returns its statistics.
     pub fn into_stats(mut self) -> SimStats {
+        self.stats = self.stats_with_regions();
         self.stats.cycles = self.cycles_so_far();
         self.stats.icache_hits = self.icache.hits();
         self.stats.icache_misses = self.icache.misses();
@@ -277,7 +316,11 @@ impl Pipeline {
     }
 
     fn region_stats(&mut self, region: RegionId) -> &mut RegionDynStats {
-        self.stats.regions.entry(region).or_default()
+        let i = region.index();
+        if self.region_stats.len() <= i {
+            self.region_stats.resize(i + 1, None);
+        }
+        self.region_stats[i].get_or_insert_with(RegionDynStats::default)
     }
 
     /// Charges every cycle in `[attributed, t]` for an instruction
@@ -354,7 +397,7 @@ impl Pipeline {
                 .as_ref()
                 .map(|(c, rs)| (*c, rs.iter().map(|r| r.0).collect())),
             horizon: self.horizon,
-            stats: self.stats.clone(),
+            stats: self.stats_with_regions(),
             icache: CacheSnapshot {
                 tags: self.icache.tags().to_vec(),
                 hits: self.icache.hits(),
@@ -436,6 +479,9 @@ impl Pipeline {
             .map(|(c, rs)| (*c, rs.iter().map(|r| Reg(*r)).collect()));
         p.horizon = snap.horizon;
         p.stats = snap.stats.clone();
+        for (region, rs) in std::mem::take(&mut p.stats.regions) {
+            *p.region_stats(region) = rs;
+        }
         Ok(p)
     }
 
@@ -481,7 +527,7 @@ impl Pipeline {
             }
         }
         push(self.horizon);
-        self.stats.fold_state(push);
+        self.stats_with_regions().fold_state(push);
         self.icache.fold_state(push);
         self.dcache.fold_state(push);
         self.btb.fold_state(push);
@@ -491,11 +537,12 @@ impl Pipeline {
 impl TraceSink for Pipeline {
     fn on_exec(&mut self, event: &ExecEvent<'_>) {
         let instr = event.instr;
-        let addr = self.layout.code_addr(instr.id);
+        let row = event.decoded;
+        let addr = row.addr;
         self.stats.dyn_instrs += 1;
 
         // Fetch: one I-cache access per new line on the fetch stream.
-        let line = addr / self.machine.icache.line_bytes;
+        let line = addr >> self.fetch_line_shift;
         if self.last_fetch_line != Some(line) {
             let extra = self.icache.access(addr);
             self.fetch_ready += extra;
@@ -512,35 +559,28 @@ impl TraceSink for Pipeline {
         // machine value-speculates across validation, in which case
         // the live-outs are forwarded immediately and validation
         // retires off the critical path.
-        let owned_srcs;
-        let src_regs: &[Reg] = match &event.reuse {
-            Some(r) if r.hit => {
-                if self.machine.speculative_validation {
-                    &[]
-                } else {
-                    // Borrow the lookup's validation read set in place
-                    // — the hottest consumer of a reuse hit, so it
-                    // must not clone per event.
-                    &r.inputs
-                }
-            }
-            _ => {
-                owned_srcs = instr.src_regs();
-                &owned_srcs
-            }
-        };
         let mut ops_ready = 0;
         let mut bind: Option<Reg> = None;
-        for r in src_regs {
-            let at = self.ready_of(*r);
+        let mut wait_for = |r: Reg| {
+            let at = self.ready_of(r);
             if at > ops_ready {
                 ops_ready = at;
-                bind = Some(*r);
+                bind = Some(r);
             }
+        };
+        match &event.reuse {
+            Some(r) if r.hit => {
+                if !self.machine.speculative_validation {
+                    // The lookup's validation read set, borrowed in
+                    // place.
+                    r.inputs.iter().for_each(|&r| wait_for(r));
+                }
+            }
+            _ => row.srcs().iter().for_each(|s| wait_for(s.reg)),
         }
         let earliest = self.fetch_ready.max(ops_ready);
 
-        let class = instr.class();
+        let class = row.class;
         let t = self.issue_at(earliest, class);
         self.horizon = self.horizon.max(t + 1);
 
@@ -552,24 +592,13 @@ impl TraceSink for Pipeline {
         }
 
         match &instr.op {
-            Op::Binary { dst, .. } => {
-                let lat = match class {
-                    OpClass::IntMul => self.machine.mul_latency,
-                    OpClass::FpAlu => self.machine.fp_latency,
+            Op::Binary { dst, .. } | Op::Unary { dst, .. } | Op::Cmp { dst, .. } => {
+                let lat = match row.latency {
+                    Latency::Mul => self.machine.mul_latency,
+                    Latency::Fp => self.machine.fp_latency,
                     _ => self.machine.int_latency,
                 };
                 self.set_ready(*dst, t + lat, AttrBucket::Issue);
-            }
-            Op::Unary { dst, .. } => {
-                let lat = if class == OpClass::FpAlu {
-                    self.machine.fp_latency
-                } else {
-                    self.machine.int_latency
-                };
-                self.set_ready(*dst, t + lat, AttrBucket::Issue);
-            }
-            Op::Cmp { dst, .. } => {
-                self.set_ready(*dst, t + self.machine.int_latency, AttrBucket::Issue);
             }
             Op::Load { dst, .. } => {
                 let mem = event.mem.expect("load has a memory access");
@@ -601,7 +630,10 @@ impl TraceSink for Pipeline {
                 self.last_fetch_line = None;
             }
             Op::Call { rets, .. } => {
-                self.pending_call = Some((t + 1, rets.clone()));
+                let mut regs = self.rets_pool.pop().unwrap_or_default();
+                regs.clear();
+                regs.extend_from_slice(rets);
+                self.pending_call = Some((t + 1, regs));
                 self.last_fetch_line = None;
             }
             Op::Ret { .. } => {
@@ -665,16 +697,26 @@ impl TraceSink for Pipeline {
             .unwrap_or((self.last_issue + 1, Vec::new()));
         // Parameters become available once the call has issued; the
         // callee numbers them r0..rN.
-        self.frames.push(Frame::new(vec![ready_at; 64], ret_regs));
+        let mut frame = self
+            .frame_pool
+            .pop()
+            .unwrap_or_else(|| Frame::new(Vec::new(), Vec::new()));
+        frame.ready.clear();
+        frame.ready.resize(64, ready_at);
+        frame.src_kind.clear();
+        frame.ret_regs = ret_regs;
+        self.frames.push(frame);
     }
 
     fn on_ret(&mut self, _from: FuncId) {
-        let done = self.frames.pop().expect("matched call frame");
+        let mut done = self.frames.pop().expect("matched call frame");
         let at = self.last_issue + 1;
         if let Some(_caller) = self.frames.last() {
-            for r in done.ret_regs {
+            for &r in &done.ret_regs {
                 self.set_ready(r, at, AttrBucket::Issue);
             }
+            self.rets_pool.push(std::mem::take(&mut done.ret_regs));
+            self.frame_pool.push(done);
         } else {
             // Returning from main: keep a frame for robustness.
             self.frames.push(Frame::new(Vec::new(), Vec::new()));

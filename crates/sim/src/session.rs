@@ -53,8 +53,9 @@ impl<'p> SimSession<'p> {
         window: u64,
     ) -> SimSession<'p> {
         let layout = CodeLayout::of(program);
+        let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
         let mut pipeline = Pipeline::new(*machine, layout);
-        let run = Emulator::with_config(program, emu).start(&mut pipeline);
+        let run = emulator.start(&mut pipeline);
         SimSession {
             run,
             pipeline,
@@ -84,8 +85,9 @@ impl<'p> SimSession<'p> {
         snap: &SimSnapshot,
     ) -> Result<SimSession<'p>, String> {
         let layout = CodeLayout::of(program);
+        let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
         let pipeline = Pipeline::restore(*machine, layout, &snap.pipeline)?;
-        let run = Emulator::with_config(program, emu).resume(&snap.emu)?;
+        let run = emulator.resume(&snap.emu)?;
         let buffer = match (crb, &snap.crb) {
             (Some(config), Some(cs)) => Some(ReuseBuffer::restore(config, cs)?),
             (None, None) => None,

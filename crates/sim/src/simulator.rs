@@ -66,8 +66,8 @@ pub fn simulate(
     emu: EmuConfig,
 ) -> Result<SimOutcome, EmuError> {
     let layout = CodeLayout::of(program);
+    let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
     let mut pipeline = Pipeline::new(*machine, layout);
-    let emulator = Emulator::with_config(program, emu);
     let run = match crb {
         Some(config) => {
             let mut buffer = ReuseBuffer::new(config);

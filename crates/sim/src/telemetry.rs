@@ -266,6 +266,7 @@ pub fn simulate_traced(
 ) -> Result<SimOutcome, EmuError> {
     let enabled = sink.enabled();
     let layout = CodeLayout::of(program);
+    let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
     let mut pipeline = Pipeline::new(*machine, layout);
     if cfg.profile {
         pipeline.enable_profiling(
@@ -276,7 +277,6 @@ pub fn simulate_traced(
                 .collect(),
         );
     }
-    let emulator = Emulator::with_config(program, emu);
     let mut bridge = TelemetryBridge::new(pipeline, &mut *sink, cfg.window);
     if cfg.profile {
         bridge.enable_sampling(

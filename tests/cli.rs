@@ -659,7 +659,7 @@ fn checkpointed_exp_resumes_byte_identically() {
     let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
     assert_eq!(errors.len(), 1, "{stderr}");
     assert!(
-        errors[0].ends_with("unknown ckpt_v 2 (known: [3])"),
+        errors[0].ends_with("unknown ckpt_v 2 (known: [4])"),
         "{stderr}"
     );
     assert!(!stderr.contains("usage:"), "{stderr}");

@@ -200,6 +200,7 @@ fn sim_of(cycles: u64) -> CachedSim {
                 skipped_instrs: 0,
                 reuse_hits: 0,
                 reuse_misses: 0,
+                memory_digest: 0,
             },
             stats: SimStats {
                 cycles,

@@ -178,3 +178,75 @@ fn measure_panics_on_faulty_hardware() {
     // panic, keeping the test deterministic and message-independent.)
     assert_ne!(base, corrupted);
 }
+
+/// A reusable region whose only live-out is stored to memory and never
+/// read back: the returned value cannot see a corrupted output, only
+/// the final memory image can.
+fn store_only_program() -> ccr::ir::Program {
+    use ccr::ir::{BinKind, BlockId, CmpPred, InstrExt, Op, Operand, ProgramBuilder};
+    let mut pb = ProgramBuilder::new();
+    let out = pb.object("out", 4);
+    let mut f = pb.function("main", 0, 1);
+    let x = f.movi(7);
+    let i = f.movi(0);
+    let y = f.fresh();
+    let reuse_blk = f.block();
+    let body = f.block();
+    let cont = f.block();
+    let done = f.block();
+    f.jump(reuse_blk);
+    f.switch_to(reuse_blk);
+    f.jump(body); // patched to reuse
+    f.switch_to(body);
+    f.bin_into(BinKind::Mul, y, x, x);
+    f.jump(cont);
+    f.switch_to(cont);
+    let slot = f.and(i, 3);
+    f.store(out, slot, y);
+    f.inc(i, 1);
+    f.br(CmpPred::Lt, i, 50, reuse_blk, done);
+    f.switch_to(done);
+    f.ret(&[Operand::Reg(i)]);
+    let id = pb.finish_function(f);
+    pb.set_main(id);
+    let mut p = pb.finish();
+    let region = p.fresh_region_id();
+    let func = p.function_mut(id);
+    func.block_mut(BlockId(1)).instrs[0].op = Op::Reuse {
+        region,
+        body: BlockId(2),
+        cont: BlockId(3),
+    };
+    func.block_mut(BlockId(2)).instrs[0].ext = InstrExt::LIVE_OUT;
+    func.block_mut(BlockId(2)).instrs[1].ext = InstrExt::REGION_END;
+    ccr::ir::verify_program(&p).unwrap();
+    p
+}
+
+#[test]
+fn corruption_reaching_only_memory_changes_the_memory_digest() {
+    let p = store_only_program();
+    let run = |crb: &mut dyn CrbModel| {
+        Emulator::with_config(&p, emu())
+            .run(crb, &mut NullSink)
+            .unwrap()
+    };
+    let plain = run(&mut NullCrb);
+    let mut honest = ReuseBuffer::new(CrbConfig::paper());
+    let honest = run(&mut honest);
+    assert!(honest.reuse_hits > 0);
+    assert_eq!(honest.returned, plain.returned);
+    assert_eq!(honest.memory_digest, plain.memory_digest);
+
+    let mut faulty = OutputCorruptor(ReuseBuffer::new(CrbConfig::paper()));
+    let corrupted = run(&mut faulty);
+    assert!(corrupted.reuse_hits > 0);
+    assert_eq!(
+        corrupted.returned, plain.returned,
+        "the corrupted live-out only reaches a store"
+    );
+    assert_ne!(
+        corrupted.memory_digest, plain.memory_digest,
+        "a corrupted store must change the final memory image"
+    );
+}
