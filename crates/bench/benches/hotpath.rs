@@ -1,12 +1,13 @@
 //! Microbenchmarks for the simulator's hot paths — the code the
 //! host-performance work in DESIGN.md §9 targets: CRB instance
 //! scanning (short and long entries), ghost scanning, a whole baseline
-//! simulation, and the value profiler.
+//! simulation, both halves of the simulation loop (bare emulation and
+//! a CCR simulation), and the value profiler.
 
-use ccr_core::compile::profile_train;
+use ccr_core::compile::{compile_ccr, profile_train};
 use ccr_core::CompileConfig;
 use ccr_ir::{Reg, RegionId, Value};
-use ccr_profile::{CrbModel, RecordedInstance};
+use ccr_profile::{CrbModel, Emulator, NullCrb, NullSink, RecordedInstance};
 use ccr_sim::{simulate, CrbConfig, MachineConfig, ReuseBuffer};
 use ccr_workloads::{build, InputSet};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -118,6 +119,45 @@ fn bench_pipeline_ready_tracking(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_simulation_loop(c: &mut Criterion) {
+    let mut g = c.benchmark_group("loop_hotpath");
+    g.sample_size(10);
+    let program = build("124.m88ksim", InputSet::Train, 1).unwrap();
+    // The emulator alone: decode-row reads, operand reads and
+    // semantics, with a buffer and sink that do nothing.
+    g.bench_function("emulate_only_m88ksim", |b| {
+        let emulator = Emulator::with_config(&program, ccr_bench::emu_config());
+        b.iter(|| {
+            black_box(
+                emulator
+                    .run(&mut NullCrb, &mut NullSink)
+                    .unwrap()
+                    .dyn_instrs,
+            )
+        });
+    });
+    // The whole loop on the region-annotated build: emulator, paper
+    // CRB and timing pipeline together.
+    let config = CompileConfig {
+        emu: ccr_bench::emu_config(),
+        ..CompileConfig::paper()
+    };
+    let annotated = compile_ccr(&program, &program, &config).unwrap().annotated;
+    g.bench_function("simulate_ccr_m88ksim", |b| {
+        b.iter(|| {
+            let out = simulate(
+                &annotated,
+                &MachineConfig::paper(),
+                Some(CrbConfig::paper()),
+                ccr_bench::emu_config(),
+            )
+            .unwrap();
+            black_box(out.stats.cycles);
+        });
+    });
+    g.finish();
+}
+
 fn bench_value_profile(c: &mut Criterion) {
     let mut g = c.benchmark_group("profile_hotpath");
     g.sample_size(10);
@@ -139,6 +179,7 @@ criterion_group!(
     benches,
     bench_crb_lookup,
     bench_pipeline_ready_tracking,
+    bench_simulation_loop,
     bench_value_profile
 );
 criterion_main!(benches);

@@ -179,6 +179,7 @@ pub enum CmpPred {
 
 impl CmpPred {
     /// Evaluates the predicate on two signed integers.
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> bool {
         match self {
             CmpPred::Eq => a == b,

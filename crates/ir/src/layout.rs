@@ -65,6 +65,7 @@ impl CodeLayout {
     }
 
     /// The data address of `object[index]`.
+    #[inline]
     pub fn data_addr(&self, object: MemObjectId, index: u64) -> u64 {
         self.object_base[object.index()] + index * ELEM_BYTES
     }

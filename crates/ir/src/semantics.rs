@@ -13,6 +13,7 @@ use crate::instr::{BinKind, CmpPred, UnKind};
 use crate::reg::Value;
 
 /// Evaluates a two-operand operation.
+#[inline]
 pub fn eval_binary(kind: BinKind, a: Value, b: Value) -> Value {
     let (x, y) = (a.as_int(), b.as_int());
     match kind {
@@ -37,6 +38,7 @@ pub fn eval_binary(kind: BinKind, a: Value, b: Value) -> Value {
 }
 
 /// Evaluates a one-operand operation.
+#[inline]
 pub fn eval_unary(kind: UnKind, a: Value) -> Value {
     match kind {
         UnKind::Mov => a,
@@ -48,6 +50,7 @@ pub fn eval_unary(kind: UnKind, a: Value) -> Value {
 }
 
 /// Evaluates a comparison to 0 or 1.
+#[inline]
 pub fn eval_cmp(pred: CmpPred, a: Value, b: Value) -> Value {
     Value::from_int(pred.eval(a.as_int(), b.as_int()) as i64)
 }

@@ -29,7 +29,6 @@
 //! a nested `reuse` during memoization abort the recording rather
 //! than corrupt it.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use ccr_ir::semantics::{eval_binary, eval_unary};
@@ -118,6 +117,44 @@ fn memory_digest(memory: &[Vec<Value>]) -> u64 {
     h
 }
 
+/// A set of registers as a bitset indexed by [`Reg::index`]: the IR
+/// numbers registers densely from zero, so membership is one shift
+/// and mask instead of a hash. Iterates in ascending register order.
+#[derive(Debug, Default)]
+struct RegSet {
+    words: Vec<u64>,
+}
+
+impl RegSet {
+    fn contains(&self, r: Reg) -> bool {
+        let i = r.index();
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, r: Reg) {
+        let i = r.index();
+        if self.words.len() <= i / 64 {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Register numbers in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(k, &w)| {
+            (0..64u32)
+                .filter(move |b| w >> b & 1 == 1)
+                .map(move |b| k as u32 * 64 + b)
+        })
+    }
+}
+
 #[derive(Debug)]
 struct MemoState {
     region: RegionId,
@@ -127,7 +164,7 @@ struct MemoState {
     /// endpoint, after every write — including return-value writes
     /// that land when a wrapped call's callee returns.
     outputs: Vec<Reg>,
-    written: HashSet<Reg>,
+    written: RegSet,
     accesses_memory: bool,
     body_instrs: u64,
 }
@@ -138,7 +175,7 @@ impl MemoState {
             region,
             inputs: Vec::new(),
             outputs: Vec::new(),
-            written: HashSet::new(),
+            written: RegSet::default(),
             accesses_memory: false,
             body_instrs: 0,
         }
@@ -233,11 +270,11 @@ impl<'p> Emulator<'p> {
     /// # Errors
     ///
     /// Returns [`EmuError`] if a configured limit is exceeded.
-    pub fn run(
-        &self,
-        crb: &mut dyn CrbModel,
-        sink: &mut dyn TraceSink,
-    ) -> Result<RunOutcome, EmuError> {
+    pub fn run<C, S>(&self, crb: &mut C, sink: &mut S) -> Result<RunOutcome, EmuError>
+    where
+        C: CrbModel + ?Sized,
+        S: TraceSink + ?Sized,
+    {
         let mut run = self.start(sink);
         loop {
             if let Some(out) = run.step(crb, sink)? {
@@ -249,7 +286,7 @@ impl<'p> Emulator<'p> {
     /// Begins a resumable run: builds the initial architectural state
     /// and reports entry of `main` to the sink. Drive the returned
     /// [`EmuRun`] with [`EmuRun::step`].
-    pub fn start(&self, sink: &mut dyn TraceSink) -> EmuRun<'p> {
+    pub fn start<S: TraceSink + ?Sized>(&self, sink: &mut S) -> EmuRun<'p> {
         let program = self.program;
         let memory: Vec<Vec<Value>> = program
             .objects()
@@ -388,7 +425,9 @@ impl<'p> Emulator<'p> {
                     .map(|(r, w)| (Reg(*r), Value(*w as i64)))
                     .collect();
                 m.outputs = ms.outputs.iter().map(|r| Reg(*r)).collect();
-                m.written = ms.written.iter().map(|r| Reg(*r)).collect();
+                for r in &ms.written {
+                    m.written.insert(Reg(*r));
+                }
                 m.accesses_memory = ms.accesses_memory;
                 m.body_instrs = ms.body_instrs;
                 Some((ms.depth as usize, m))
@@ -477,24 +516,20 @@ impl<'p> EmuRun<'p> {
             skipped_instrs: self.skipped_instrs,
             reuse_hits: self.reuse_hits,
             reuse_misses: self.reuse_misses,
-            memo: self.memo.as_ref().map(|(depth, m)| {
-                let mut written: Vec<u32> = m.written.iter().map(|r| r.0).collect();
-                written.sort_unstable();
-                EmuMemoSnapshot {
-                    depth: *depth as u64,
-                    region: m.region.0,
-                    inputs: m.inputs.iter().map(|(r, v)| (r.0, v.0 as u64)).collect(),
-                    outputs: m.outputs.iter().map(|r| r.0).collect(),
-                    written,
-                    accesses_memory: m.accesses_memory,
-                    body_instrs: m.body_instrs,
-                }
+            memo: self.memo.as_ref().map(|(depth, m)| EmuMemoSnapshot {
+                depth: *depth as u64,
+                region: m.region.0,
+                inputs: m.inputs.iter().map(|(r, v)| (r.0, v.0 as u64)).collect(),
+                outputs: m.outputs.iter().map(|r| r.0).collect(),
+                written: m.written.iter().collect(),
+                accesses_memory: m.accesses_memory,
+                body_instrs: m.body_instrs,
             }),
         }
     }
 
     /// Folds every word of architectural state into `push`, in a
-    /// deterministic order (unordered sets are sorted first). This is
+    /// deterministic order (the written set ascending). This is
     /// the emulator's contribution to the determinism fingerprint.
     pub fn fold_state(&self, push: &mut dyn FnMut(u64)) {
         push(self.dyn_instrs);
@@ -533,10 +568,8 @@ impl<'p> EmuRun<'p> {
                 for r in &m.outputs {
                     push(u64::from(r.0));
                 }
-                let mut written: Vec<u32> = m.written.iter().map(|r| r.0).collect();
-                written.sort_unstable();
-                push(written.len() as u64);
-                for r in written {
+                push(m.written.len() as u64);
+                for r in m.written.iter() {
                     push(u64::from(r));
                 }
                 push(u64::from(m.accesses_memory));
@@ -557,11 +590,11 @@ impl<'p> EmuRun<'p> {
     /// # Panics
     ///
     /// Panics if called again after the program has returned.
-    pub fn step(
-        &mut self,
-        crb: &mut dyn CrbModel,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Option<RunOutcome>, EmuError> {
+    pub fn step<C, S>(&mut self, crb: &mut C, sink: &mut S) -> Result<Option<RunOutcome>, EmuError>
+    where
+        C: CrbModel + ?Sized,
+        S: TraceSink + ?Sized,
+    {
         let program = self.program;
         assert!(!self.stack.is_empty(), "step after the program returned");
         if self.dyn_instrs >= self.config.max_instrs {
@@ -575,11 +608,6 @@ impl<'p> EmuRun<'p> {
         let decoded = self.decoded.row(instr.id);
         self.dyn_instrs += 1;
 
-        // Gather input values.
-        self.inputs_buf.clear();
-        let inputs = &mut self.inputs_buf;
-        instr.for_each_src_operand(|op| inputs.push(read_operand(&frame.regs, op)));
-
         // Memoization: record inputs (used-before-defined in the
         // anchor frame) before the instruction executes. Deeper
         // frames have fresh registers and contribute no inputs,
@@ -590,7 +618,7 @@ impl<'p> EmuRun<'p> {
             m.body_instrs += 1;
             if depth == *mdepth {
                 for r in decoded.srcs().iter().map(|s| s.reg) {
-                    if m.written.contains(&r) || m.inputs.iter().any(|(x, _)| *x == r) {
+                    if m.written.contains(r) || m.inputs.iter().any(|(x, _)| *x == r) {
                         continue;
                     }
                     if m.inputs.len() >= crb.input_capacity() {
@@ -608,6 +636,12 @@ impl<'p> EmuRun<'p> {
             self.memo = None;
         }
 
+        // Source operand values, in `src_operands` order, read as each
+        // arm executes: up to two inline, or call arguments and return
+        // values spilled to `inputs_buf`.
+        let mut ops = [Value::ZERO; 2];
+        let mut n_ops = 0;
+        let mut spilled = false;
         let mut result: Option<Value> = None;
         let mut mem_access: Option<MemAccess> = None;
         let mut taken: Option<bool> = None;
@@ -615,10 +649,9 @@ impl<'p> EmuRun<'p> {
 
         // Control transfer decided during execution. Call
         // arguments and return values live in `inputs_buf` (which
-        // is untouched between operand gathering and the transfer
-        // below), and the destination register list is borrowed
-        // from the instruction, so deciding a transfer allocates
-        // nothing.
+        // is untouched between execution and the transfer below),
+        // and the destination register list is borrowed from the
+        // instruction, so deciding a transfer allocates nothing.
         enum Ctl<'a> {
             Next,
             Goto(BlockId),
@@ -626,33 +659,53 @@ impl<'p> EmuRun<'p> {
             Ret,
         }
         let mut ctl = Ctl::Next;
+        let read = |op: &Operand| match *op {
+            Operand::Reg(r) => frame.regs[r.index()],
+            Operand::Imm(v) => Value::from_int(v),
+        };
 
         match &instr.op {
-            Op::Binary { kind, dst, .. } => {
-                let v = eval_binary(*kind, self.inputs_buf[0], self.inputs_buf[1]);
+            Op::Binary {
+                kind,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                ops = [read(lhs), read(rhs)];
+                n_ops = 2;
+                let v = eval_binary(*kind, ops[0], ops[1]);
                 frame.regs[dst.index()] = v;
                 result = Some(v);
             }
-            Op::Unary { kind, dst, .. } => {
-                let v = eval_unary(*kind, self.inputs_buf[0]);
+            Op::Unary { kind, dst, src } => {
+                ops[0] = read(src);
+                n_ops = 1;
+                let v = eval_unary(*kind, ops[0]);
                 frame.regs[dst.index()] = v;
                 result = Some(v);
             }
-            Op::Cmp { pred, dst, .. } => {
-                let v = Value::from_int(
-                    pred.eval(self.inputs_buf[0].as_int(), self.inputs_buf[1].as_int()) as i64,
-                );
+            Op::Cmp {
+                pred,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                ops = [read(lhs), read(rhs)];
+                n_ops = 2;
+                let v = Value::from_int(pred.eval(ops[0].as_int(), ops[1].as_int()) as i64);
                 frame.regs[dst.index()] = v;
                 result = Some(v);
             }
             Op::Load {
                 dst,
                 object,
+                addr,
                 offset,
-                ..
             } => {
+                ops[0] = read(addr);
+                n_ops = 1;
                 let data = &self.memory[object.index()];
-                let idx = mask_index(self.inputs_buf[0].as_int() + offset, data.len());
+                let idx = mask_index(ops[0].as_int() + offset, data.len());
                 let v = data[idx as usize];
                 frame.regs[dst.index()] = v;
                 result = Some(v);
@@ -666,38 +719,53 @@ impl<'p> EmuRun<'p> {
                     m.accesses_memory = true;
                 }
             }
-            Op::Store { object, offset, .. } => {
+            Op::Store {
+                object,
+                addr,
+                offset,
+                value,
+            } => {
+                ops = [read(addr), read(value)];
+                n_ops = 2;
                 let data = &mut self.memory[object.index()];
-                let idx = mask_index(self.inputs_buf[0].as_int() + offset, data.len());
-                let v = self.inputs_buf[1];
-                data[idx as usize] = v;
+                let idx = mask_index(ops[0].as_int() + offset, data.len());
+                data[idx as usize] = ops[1];
                 mem_access = Some(MemAccess {
                     object: *object,
                     index: idx,
-                    value: v,
+                    value: ops[1],
                     is_store: true,
                 });
             }
             Op::Branch {
                 pred,
+                lhs,
+                rhs,
                 taken: t_blk,
                 not_taken,
-                ..
             } => {
-                let is_taken = pred.eval(self.inputs_buf[0].as_int(), self.inputs_buf[1].as_int());
+                ops = [read(lhs), read(rhs)];
+                n_ops = 2;
+                let is_taken = pred.eval(ops[0].as_int(), ops[1].as_int());
                 taken = Some(is_taken);
                 ctl = Ctl::Goto(if is_taken { *t_blk } else { *not_taken });
             }
             Op::Jump { target } => {
                 ctl = Ctl::Goto(*target);
             }
-            Op::Call { callee, rets, .. } => {
+            Op::Call { callee, args, rets } => {
+                self.inputs_buf.clear();
+                self.inputs_buf.extend(args.iter().map(read));
+                spilled = true;
                 ctl = Ctl::Call {
                     callee: *callee,
                     rets,
                 };
             }
-            Op::Ret { .. } => {
+            Op::Ret { values } => {
+                self.inputs_buf.clear();
+                self.inputs_buf.extend(values.iter().map(read));
+                spilled = true;
                 ctl = Ctl::Ret;
             }
             Op::Reuse { region, body, cont } => {
@@ -770,7 +838,9 @@ impl<'p> EmuRun<'p> {
         }
         if let Some((mdepth, m)) = self.memo.as_mut() {
             if depth == *mdepth {
-                m.written.extend(decoded.dsts());
+                for &dst in decoded.dsts() {
+                    m.written.insert(dst);
+                }
                 if instr.ext.contains(ccr_ir::InstrExt::REGION_END) {
                     let (_, done) = self.memo.take().expect("memo present");
                     // Output values are read at the endpoint, when
@@ -790,7 +860,11 @@ impl<'p> EmuRun<'p> {
             block: frame.block,
             instr,
             decoded,
-            inputs: &self.inputs_buf,
+            inputs: if spilled {
+                &self.inputs_buf
+            } else {
+                &ops[..n_ops]
+            },
             result,
             mem: mem_access,
             taken,
@@ -926,13 +1000,6 @@ pub struct EmuMemoSnapshot {
     pub accesses_memory: bool,
     /// Body instructions executed so far.
     pub body_instrs: u64,
-}
-
-fn read_operand(regs: &[Value], op: Operand) -> Value {
-    match op {
-        Operand::Reg(r) => regs[r.index()],
-        Operand::Imm(v) => Value::from_int(v),
-    }
 }
 
 /// Masks a raw element index into the object's bounds. Negative and
@@ -1116,6 +1183,54 @@ mod tests {
         pb.set_main(id);
         let out = run_main(&pb.finish());
         assert_eq!(out.returned, vec![Value::ZERO]);
+    }
+
+    /// Checks every event's `inputs` against its instruction's source
+    /// operands: same count, and immediates carried through as values.
+    struct InputsCheck {
+        events: usize,
+    }
+
+    impl TraceSink for InputsCheck {
+        fn on_exec(&mut self, e: &ExecEvent<'_>) {
+            let ops = e.instr.src_operands();
+            assert_eq!(e.inputs.len(), ops.len(), "{:?}", e.instr.op);
+            for (op, v) in ops.iter().zip(e.inputs) {
+                if let Operand::Imm(imm) = op {
+                    assert_eq!(*v, Value::from_int(*imm), "{:?}", e.instr.op);
+                }
+            }
+            self.events += 1;
+        }
+    }
+
+    #[test]
+    fn event_inputs_follow_source_operands() {
+        let mut pb = ProgramBuilder::new();
+        let o = pb.object("o", 4);
+        let g = pb.declare("addmul", 2, 2);
+        let mut gb = pb.function_body(g);
+        let (x, y) = (gb.param(0), gb.param(1));
+        let s = gb.add(x, y);
+        let m = gb.mul(x, 5);
+        gb.ret(&[Operand::Reg(s), Operand::Reg(m)]);
+        pb.finish_function(gb);
+        let mut f = pb.function("main", 0, 1);
+        let rs = f.call(g, &[Operand::Imm(3), Operand::Imm(4)], 2);
+        f.store(o, 1, rs[0]);
+        let v = f.load(o, 1);
+        let n = f.un(UnKind::Neg, v);
+        let done = f.block();
+        f.br(CmpPred::Lt, n, 0, done, done);
+        f.switch_to(done);
+        f.ret(&[Operand::Reg(n), Operand::Imm(-2)]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        let p = pb.finish();
+        let mut check = InputsCheck { events: 0 };
+        let out = Emulator::new(&p).run(&mut NullCrb, &mut check).unwrap();
+        assert_eq!(out.returned, vec![Value::from_int(-7), Value::from_int(-2)]);
+        assert_eq!(check.events as u64, out.dyn_instrs);
     }
 
     /// A scripted CRB: always misses first, records, then replays

@@ -22,12 +22,19 @@ use crate::machine::MachineConfig;
 use crate::snapshot::{BtbSnapshot, CacheSnapshot, PipelineFrameSnapshot, PipelineSnapshot};
 use crate::stats::{AttrBucket, Attribution, CycleBuckets, FuncCycles, RegionDynStats, SimStats};
 
-#[derive(Clone, Copy, Default)]
-struct FuUse {
-    int: u32,
-    mem: u32,
-    fp: u32,
-    branch: u32,
+/// Functional units issued this cycle, indexed by [`fu_unit`]: integer
+/// ALUs, memory ports, FP ALUs, branch units (the order
+/// [`PipelineSnapshot::fu_used`] stores them in).
+type FuUse = [u32; 4];
+
+/// The functional unit an operation class issues to.
+fn fu_unit(class: OpClass) -> usize {
+    match class {
+        OpClass::IntAlu | OpClass::IntMul | OpClass::Invalidate => 0,
+        OpClass::Load | OpClass::Store => 1,
+        OpClass::FpAlu => 2,
+        OpClass::Branch | OpClass::Reuse => 3,
+    }
 }
 
 /// Per-call-frame register scoreboard. The IR numbers registers
@@ -107,6 +114,8 @@ pub struct Pipeline {
     slot_cycle: u64,
     slots_used: u32,
     fu_used: FuUse,
+    /// Per-unit issue limits from `machine`, indexed like `fu_used`.
+    fu_limits: FuUse,
     fetch_ready: u64,
     last_fetch_line: Option<u64>,
     /// log2 of the I-cache line size (a power of two).
@@ -143,7 +152,13 @@ impl Pipeline {
             last_issue: 0,
             slot_cycle: 0,
             slots_used: 0,
-            fu_used: FuUse::default(),
+            fu_used: [0; 4],
+            fu_limits: [
+                machine.int_alus,
+                machine.mem_ports,
+                machine.fp_alus,
+                machine.branch_units,
+            ],
             fetch_ready: 0,
             last_fetch_line: None,
             fetch_line_shift: machine.icache.line_bytes.trailing_zeros(),
@@ -247,45 +262,25 @@ impl Pipeline {
         self.stats
     }
 
-    fn fu_limit(&self, class: OpClass) -> (u32, fn(&mut FuUse) -> &mut u32) {
-        match class {
-            OpClass::IntAlu | OpClass::IntMul | OpClass::Invalidate => {
-                (self.machine.int_alus, |f| &mut f.int)
-            }
-            OpClass::Load | OpClass::Store => (self.machine.mem_ports, |f| &mut f.mem),
-            OpClass::FpAlu => (self.machine.fp_alus, |f| &mut f.fp),
-            OpClass::Branch | OpClass::Reuse => (self.machine.branch_units, |f| &mut f.branch),
-        }
-    }
-
     fn issue_at(&mut self, earliest: u64, class: OpClass) -> u64 {
-        let (limit, slot) = self.fu_limit(class);
+        let unit = fu_unit(class);
+        let limit = self.fu_limits[unit];
         let mut t = earliest.max(self.last_issue);
         loop {
             if t > self.slot_cycle {
                 self.slot_cycle = t;
                 self.slots_used = 0;
-                self.fu_used = FuUse::default();
+                self.fu_used = [0; 4];
             }
-            if self.slots_used < self.machine.issue_width && *slot(&mut self.fu_used) < limit {
+            if self.slots_used < self.machine.issue_width && self.fu_used[unit] < limit {
                 break;
             }
             t += 1;
         }
         self.slots_used += 1;
-        *slot(&mut self.fu_used) += 1;
+        self.fu_used[unit] += 1;
         self.last_issue = t;
         t
-    }
-
-    fn ready_of(&self, reg: Reg) -> u64 {
-        self.frames
-            .last()
-            .expect("frame")
-            .ready
-            .get(reg.index())
-            .copied()
-            .unwrap_or(0)
     }
 
     fn set_ready(&mut self, reg: Reg, cycle: u64, kind: AttrBucket) {
@@ -376,12 +371,7 @@ impl Pipeline {
             last_issue: self.last_issue,
             slot_cycle: self.slot_cycle,
             slots_used: self.slots_used,
-            fu_used: [
-                self.fu_used.int,
-                self.fu_used.mem,
-                self.fu_used.fp,
-                self.fu_used.branch,
-            ],
+            fu_used: self.fu_used,
             fetch_ready: self.fetch_ready,
             last_fetch_line: self.last_fetch_line,
             frames: self
@@ -455,12 +445,7 @@ impl Pipeline {
         p.last_issue = snap.last_issue;
         p.slot_cycle = snap.slot_cycle;
         p.slots_used = snap.slots_used;
-        p.fu_used = FuUse {
-            int: snap.fu_used[0],
-            mem: snap.fu_used[1],
-            fp: snap.fu_used[2],
-            branch: snap.fu_used[3],
-        };
+        p.fu_used = snap.fu_used;
         p.fetch_ready = snap.fetch_ready;
         p.last_fetch_line = snap.last_fetch_line;
         p.frames = snap
@@ -492,10 +477,9 @@ impl Pipeline {
         push(self.last_issue);
         push(self.slot_cycle);
         push(u64::from(self.slots_used));
-        push(u64::from(self.fu_used.int));
-        push(u64::from(self.fu_used.mem));
-        push(u64::from(self.fu_used.fp));
-        push(u64::from(self.fu_used.branch));
+        for n in self.fu_used {
+            push(u64::from(n));
+        }
         push(self.fetch_ready);
         match self.last_fetch_line {
             None => push(0),
@@ -561,8 +545,9 @@ impl TraceSink for Pipeline {
         // retires off the critical path.
         let mut ops_ready = 0;
         let mut bind: Option<Reg> = None;
+        let ready = &self.frames.last().expect("frame").ready;
         let mut wait_for = |r: Reg| {
-            let at = self.ready_of(r);
+            let at = ready.get(r.index()).copied().unwrap_or(0);
             if at > ops_ready {
                 ops_ready = at;
                 bind = Some(r);

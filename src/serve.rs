@@ -294,7 +294,7 @@ pub fn run(opts: &ServeOptions) -> Result<ServeSummary, String> {
     let executors: Vec<_> = (0..opts.executors.max(1))
         .map(|_| {
             let session = Arc::clone(&session);
-            std::thread::spawn(move || executor_loop(&session))
+            std::thread::spawn(move || executor_loop(&session, &execute_submission))
         })
         .collect();
 
@@ -680,7 +680,17 @@ fn enqueue(session: &Session, submission: Submission) -> Result<u64, String> {
     Ok(id)
 }
 
-fn executor_loop(session: &Session) {
+/// What a finished submission produced: rendered text, requested
+/// point count, and store records.
+type Executed = (String, u64, Vec<RunRecord>);
+
+/// Drains the request queue through `execute` until shutdown. Each
+/// submission runs under [`isolate`], so a panic fails that request
+/// alone and the loop moves on to the next one.
+fn executor_loop(
+    session: &Session,
+    execute: &dyn Fn(&Session, &Submission) -> Result<Executed, String>,
+) {
     loop {
         let (id, submission) = {
             let mut state = session.state.lock().expect("serve state");
@@ -704,7 +714,7 @@ fn executor_loop(session: &Session) {
         let detail = submission.detail();
         session.harness.request_start(id, "submit", &detail);
         let started = Instant::now();
-        let outcome = execute_submission(session, &submission);
+        let outcome = isolate(|| execute(session, &submission));
         let wall_ms = started.elapsed().as_millis() as u64;
         let mut state = session.state.lock().expect("serve state");
         state.requests_done += 1;
@@ -739,13 +749,27 @@ fn executor_loop(session: &Session) {
     }
 }
 
+/// Runs `f`, turning a panic into a one-line `internal error: …`
+/// failure. Callers never hold the session state lock across `f`, so
+/// a panic cannot poison it.
+fn isolate<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("panic");
+        Err(format!(
+            "internal error: {}",
+            msg.lines().next().unwrap_or_default()
+        ))
+    })
+}
+
 /// Executes one submission through the session engine, returning the
 /// rendered text (byte-identical to the one-shot CLI's), the
 /// requested point count, and the store records it produced.
-fn execute_submission(
-    session: &Session,
-    submission: &Submission,
-) -> Result<(String, u64, Vec<RunRecord>), String> {
+fn execute_submission(session: &Session, submission: &Submission) -> Result<Executed, String> {
     match submission {
         Submission::Exp(name) => {
             let registry = exp::specs::registry();
@@ -1089,4 +1113,108 @@ pub fn synthetic_client_baseline(
         0.0
     };
     Ok((points, points_per_sec))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn session(queue_cap: usize) -> Session {
+        Session {
+            engine: Engine::new(1),
+            harness: Harness::start(&HarnessOptions::default()).expect("disabled harness"),
+            state: Mutex::new(SessionState::default()),
+            cv: Condvar::new(),
+            queue_cap,
+            timestamp: 0,
+            commit: String::new(),
+            store_enabled: false,
+        }
+    }
+
+    fn status(session: &Session, id: u64) -> Value {
+        let line = format!(r#"{{"req_v":1,"op":"status","id":{id}}}"#);
+        value::parse(&handle_line(session, &line).0).expect("status reply parses")
+    }
+
+    #[test]
+    fn a_panicking_request_fails_alone() {
+        let session = session(8);
+        for name in ["boom", "fine"] {
+            enqueue(&session, Submission::Exp(name.to_string())).unwrap();
+        }
+        session.state.lock().unwrap().shutdown = true;
+        executor_loop(&session, &|_, submission| match submission {
+            Submission::Exp(name) if name == "boom" => panic!("exploded\nsecond line"),
+            _ => Ok(("table\n".to_string(), 1, Vec::new())),
+        });
+
+        let failed = status(&session, 1);
+        assert_eq!(failed.get("state").and_then(Value::as_str), Some("error"));
+        assert_eq!(
+            failed.get("error").and_then(Value::as_str),
+            Some("internal error: exploded")
+        );
+        let done = status(&session, 2);
+        assert_eq!(done.get("state").and_then(Value::as_str), Some("done"));
+        let state = session.state.lock().unwrap();
+        assert_eq!((state.requests_done, state.points_done), (2, 1));
+    }
+
+    /// Request-shaped lines: a JSON object assembled from the
+    /// protocol's own keys and values, so cases reach past the parser.
+    fn request_line() -> impl Strategy<Value = String> {
+        let key = prop_oneof![
+            Just("req_v"),
+            Just("op"),
+            Just("id"),
+            Just("exp"),
+            Just("workload"),
+            Just("input"),
+            Just("scale"),
+            Just("entries"),
+            Just("instances"),
+            Just("bogus"),
+        ];
+        let val = prop_oneof![
+            Just("1".to_string()),
+            Just("0".to_string()),
+            Just("-3".to_string()),
+            Just("18446744073709551615".to_string()),
+            Just("1e400".to_string()),
+            Just(r#""submit""#.to_string()),
+            Just(r#""status""#.to_string()),
+            Just(r#""results""#.to_string()),
+            Just(r#""shutdown""#.to_string()),
+            Just(r#""fig4""#.to_string()),
+            Just(r#""bitcount""#.to_string()),
+            Just(r#""ref""#.to_string()),
+            Just("null".to_string()),
+            Just("[1,{}]".to_string()),
+            ".{0,12}".prop_map(|s| format!("{s:?}")),
+        ];
+        proptest::collection::vec((key, val), 0..6).prop_map(|fields| {
+            let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            format!("{{{}}}", body.join(","))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every line, however malformed, gets exactly one reply line
+        /// that is a `req_v` 1 JSON object with an `ok` flag.
+        #[test]
+        fn any_line_gets_one_reply_line(
+            line in prop_oneof![".{0,200}", request_line()]
+        ) {
+            let session = session(4);
+            let (reply, _) = handle_line(&session, &line);
+            prop_assert!(!reply.contains('\n'), "multi-line reply {reply:?}");
+            let v = value::parse(&reply).map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
+            prop_assert_eq!(v.u64_field("req_v"), REQ_VERSION);
+            prop_assert!(v.get("ok").is_some(), "reply without ok: {reply}");
+        }
+    }
 }
