@@ -36,8 +36,7 @@ fn full_entry() -> ReuseBuffer {
 }
 
 /// A buffer whose entry for region 7 holds sixty-four 4-input
-/// instances — the long-entry case the chunked fingerprint-lane
-/// compare targets.
+/// instances — the long-entry case, where a miss walks every slot.
 fn long_entry() -> ReuseBuffer {
     let mut buf = ReuseBuffer::new(CrbConfig {
         instances: 64,
@@ -52,8 +51,8 @@ fn long_entry() -> ReuseBuffer {
 fn bench_crb_lookup(c: &mut Criterion) {
     let mut g = c.benchmark_group("crb_hotpath");
 
-    // Hit on the oldest instance: one live-fingerprint fold, then the
-    // lane scan verifies only the matching slot.
+    // Hit on the oldest instance: slot 0's four recorded pairs all
+    // hold, so the scan stops at the first slot.
     g.bench_function("lookup_hit", |b| {
         let mut buf = full_entry();
         b.iter(|| {
@@ -61,8 +60,8 @@ fn bench_crb_lookup(c: &mut Criterion) {
         });
     });
 
-    // Mismatch miss: eight live instances, none matching — one fold
-    // and one lane scan, zero full verifies.
+    // Mismatch miss: eight live instances, none matching — each slot
+    // fails on its first pair, then the empty ghost list is walked.
     g.bench_function("lookup_mismatch_miss", |b| {
         let mut buf = full_entry();
         b.iter(|| {
@@ -83,9 +82,8 @@ fn bench_crb_lookup(c: &mut Criterion) {
         });
     });
 
-    // Long entry: a 64-instance bank, mismatch probe — the chunked
-    // fingerprint-lane compare's best case (sixteen 4-wide chunks,
-    // zero full verifies).
+    // Long entry: a 64-instance bank, mismatch probe — sixty-four
+    // slots, each rejected on its first pair.
     g.bench_function("lookup_mismatch_long_entry", |b| {
         let mut buf = long_entry();
         b.iter(|| {

@@ -10,16 +10,12 @@
 //! match the current architectural state and its memory state has not
 //! been invalidated.
 //!
-//! Host layout: instances and ghosts are stored as structure-of-arrays
-//! banks ([`InstanceBank`], [`GhostBank`]) — one contiguous
-//! fingerprint lane per entry scanned in fixed 4-wide chunks, and
-//! flattened fixed-stride input/output rows so a surviving candidate's
-//! full verify is one contiguous-slice compare (DESIGN.md §9). The
-//! layout is invisible to the simulation: lookups, replacement,
-//! snapshots, and `fold_state` all behave exactly as the previous
-//! per-instance-`Vec` representation did.
+//! Host layout: one plain [`Instance`] per slot, holding its banks as
+//! `(register, value)` vectors, and a queue of [`Ghost`]s per entry. A
+//! lookup takes the first valid instance whose recorded pairs all
+//! still hold, exactly the paper's rule (DESIGN.md §9.3).
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use ccr_ir::{Reg, RegionId, Value};
 use ccr_profile::{CrbModel, MissCause, RecordedInstance, ReuseLookup};
@@ -30,81 +26,34 @@ use crate::snapshot::{
 };
 use crate::stats::CrbStats;
 
-/// FNV-1a fold of one `(register, value)` pair into a running hash.
-/// Folds whole words rather than bytes: the fingerprint is a
-/// host-side filter that never leaves the process, so xor-multiply
-/// mixing per word gives the same reject power at a fraction of the
-/// cost.
-#[inline]
-fn fnv1a_pair(mut h: u64, r: Reg, v: Value) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    h = (h ^ u64::from(r.0)).wrapping_mul(PRIME);
-    h = (h ^ v.0 as u64).wrapping_mul(PRIME);
-    h
-}
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a fingerprint of a recorded input bank.
+/// FNV-1a fingerprint of a recorded input bank, folding whole
+/// `(register, value)` words. Recorded with every instance and ghost
+/// (snapshots and `fold_state` carry it); `record` compares it before
+/// comparing whole banks.
 fn fingerprint(inputs: &[(Reg, Value)]) -> u64 {
-    inputs
-        .iter()
-        .fold(FNV_OFFSET, |h, &(r, v)| fnv1a_pair(h, r, v))
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    inputs.iter().fold(0xcbf2_9ce4_8422_2325, |h, &(r, v)| {
+        let h = (h ^ u64::from(r.0)).wrapping_mul(PRIME);
+        (h ^ v.0 as u64).wrapping_mul(PRIME)
+    })
 }
 
-/// True when every recorded `(reg, value)` pair of a row still holds
-/// in the architectural state `read_reg` reads.
-fn row_matches(regs: &[Reg], vals: &[Value], read_reg: &mut dyn FnMut(Reg) -> Value) -> bool {
-    regs.iter().zip(vals).all(|(&r, &v)| read_reg(r) == v)
+/// True when every recorded `(reg, value)` pair still holds in the
+/// architectural state `read_reg` reads (stops at the first mismatch).
+fn holds(inputs: &[(Reg, Value)], read_reg: &mut dyn FnMut(Reg) -> Value) -> bool {
+    inputs.iter().all(|&(r, v)| read_reg(r) == v)
 }
 
-/// Slots per chunk in the fingerprint-lane scan.
-const FP_CHUNK: usize = 4;
-
-/// Scans a contiguous fingerprint lane for `target` in fixed 4-wide
-/// chunks with a scalar tail (portable — no `std::simd`), visiting
-/// matching slots in ascending order until `visit` accepts one
-/// (returns `true`). Each chunk reduces four independent compares to
-/// one mask word, so the common all-miss chunk costs a single branch.
-/// Survivors are visited in slot order, so the first accepted slot is
-/// the one a slot-order walk would find.
-#[inline]
-fn scan_fp_lane(lane: &[u64], target: u64, visit: &mut impl FnMut(usize) -> bool) -> bool {
-    let mut chunks = lane.chunks_exact(FP_CHUNK);
-    let mut base = 0usize;
-    for c in &mut chunks {
-        let mut mask = (c[0] == target) as u32
-            | (((c[1] == target) as u32) << 1)
-            | (((c[2] == target) as u32) << 2)
-            | (((c[3] == target) as u32) << 3);
-        while mask != 0 {
-            let bit = mask.trailing_zeros() as usize;
-            if visit(base + bit) {
-                return true;
-            }
-            mask &= mask - 1;
-        }
-        base += FP_CHUNK;
-    }
-    for (i, &f) in chunks.remainder().iter().enumerate() {
-        if f == target && visit(base + i) {
-            return true;
-        }
-    }
-    false
+/// Snapshot form of a register bank.
+fn bank_to_snapshot(bank: &[(Reg, Value)]) -> Vec<(u32, u64)> {
+    bank.iter().map(|&(r, v)| (r.0, v.0 as u64)).collect()
 }
 
-/// Index of the first minimum in a lane (the tie-break
-/// `Iterator::min_by_key` used on the old per-instance structs).
-fn min_index(lane: &[u64]) -> usize {
-    let mut best = 0;
-    for (k, &v) in lane.iter().enumerate().skip(1) {
-        if v < lane[best] {
-            best = k;
-        }
-    }
-    best
+/// Inverse of [`bank_to_snapshot`].
+fn bank_from_snapshot(bank: &[(u32, u64)]) -> Vec<(Reg, Value)> {
+    bank.iter()
+        .map(|&(r, v)| (Reg(r), Value(v as i64)))
+        .collect()
 }
 
 /// Instance replacement policy within a computation entry (the paper
@@ -252,338 +201,63 @@ pub struct CrbEvent {
     pub lost: usize,
 }
 
-/// Structure-of-arrays storage for one entry's computation instances.
+/// One computation-instance slot.
 ///
-/// Slot `k`'s scalar fields live at index `k` of each lane; its input
-/// and output banks occupy rows `k * stride ..` of the flattened
-/// register/value vectors (`in_len`/`out_len` give the live prefix of
-/// each row). The fingerprint lane `fps` is the lane `lookup` scans
-/// with [`scan_fp_lane`]; an invalid slot keeps whatever stale lane
-/// data it last held, exactly as the old per-instance structs kept
-/// stale `Vec`s after `valid` was cleared — `fold_state` and
-/// snapshots observe that stale data, so it is part of the simulated
-/// state trajectory and must survive the layout change.
+/// An invalidated slot keeps the stale banks it last held: only a tag
+/// conflict resets slots to the default. `fold_state` and snapshots
+/// observe that stale data, so it is part of the simulated state
+/// trajectory.
+#[derive(Clone, Debug, Default)]
+struct Instance {
+    valid: bool,
+    inputs: Vec<(Reg, Value)>,
+    /// [`fingerprint`] of `inputs` (0 for a never-written slot).
+    fp: u64,
+    outputs: Vec<(Reg, Value)>,
+    accesses_memory: bool,
+    body_instrs: u64,
+    last_use: u64,
+    inserted: u64,
+}
+
+/// The input bank of an instance that left its entry while its region
+/// kept the tag, and why it left. Ghosts let a later miss on the same
+/// inputs be classified as a capacity or invalidation casualty instead
+/// of a plain mismatch. Purely diagnostic: never consulted by hit or
+/// replacement decisions.
 #[derive(Clone, Debug)]
-struct InstanceBank {
-    /// Slot count (the entry's instance capacity).
-    slots: usize,
-    /// Row width of the flattened input banks.
-    in_stride: usize,
-    /// Row width of the flattened output banks.
-    out_stride: usize,
-    valid: Vec<bool>,
-    /// Contiguous fingerprint lane, one `u64` per slot (see
-    /// [`fingerprint`]; 0 for never-written slots).
-    fps: Vec<u64>,
-    accesses_memory: Vec<bool>,
-    body_instrs: Vec<u64>,
-    last_use: Vec<u64>,
-    inserted: Vec<u64>,
-    in_len: Vec<u32>,
-    in_regs: Vec<Reg>,
-    in_vals: Vec<Value>,
-    out_len: Vec<u32>,
-    out_regs: Vec<Reg>,
-    out_vals: Vec<Value>,
-}
-
-impl InstanceBank {
-    fn new(slots: usize, in_stride: usize, out_stride: usize) -> InstanceBank {
-        InstanceBank {
-            slots,
-            in_stride,
-            out_stride,
-            valid: vec![false; slots],
-            fps: vec![0; slots],
-            accesses_memory: vec![false; slots],
-            body_instrs: vec![0; slots],
-            last_use: vec![0; slots],
-            inserted: vec![0; slots],
-            in_len: vec![0; slots],
-            in_regs: vec![Reg(0); slots * in_stride],
-            in_vals: vec![Value::ZERO; slots * in_stride],
-            out_len: vec![0; slots],
-            out_regs: vec![Reg(0); slots * out_stride],
-            out_vals: vec![Value::ZERO; slots * out_stride],
-        }
-    }
-
-    /// Input-bank register sequence of slot `k`.
-    fn in_regs_row(&self, k: usize) -> &[Reg] {
-        &self.in_regs[k * self.in_stride..][..self.in_len[k] as usize]
-    }
-
-    /// Input-bank recorded values of slot `k` (contiguous; the whole
-    /// full-verify compare is one slice equality against the gathered
-    /// live values).
-    fn in_vals_row(&self, k: usize) -> &[Value] {
-        &self.in_vals[k * self.in_stride..][..self.in_len[k] as usize]
-    }
-
-    /// Output bank of slot `k`, materialized as the `(reg, value)`
-    /// pairs a [`ReuseLookup`] carries.
-    fn out_pairs(&self, k: usize) -> Vec<(Reg, Value)> {
-        let base = k * self.out_stride;
-        let len = self.out_len[k] as usize;
-        self.out_regs[base..base + len]
-            .iter()
-            .zip(&self.out_vals[base..base + len])
-            .map(|(&r, &v)| (r, v))
-            .collect()
-    }
-
-    /// True when slot `k` holds exactly `inputs` (register sequence
-    /// and values) — the dedup predicate of `record`.
-    fn in_row_eq(&self, k: usize, inputs: &[(Reg, Value)]) -> bool {
-        self.in_len[k] as usize == inputs.len()
-            && self
-                .in_regs_row(k)
-                .iter()
-                .zip(self.in_vals_row(k))
-                .zip(inputs)
-                .all(|((&r, &v), &(ir, iv))| r == ir && v == iv)
-    }
-
-    /// Writes a freshly recorded instance into slot `k`.
-    fn write_slot(&mut self, k: usize, inst: &RecordedInstance, fp: u64, clock: u64) {
-        self.valid[k] = true;
-        self.fps[k] = fp;
-        self.accesses_memory[k] = inst.accesses_memory;
-        self.body_instrs[k] = inst.body_instrs;
-        self.last_use[k] = clock;
-        self.inserted[k] = clock;
-        self.in_len[k] = inst.inputs.len() as u32;
-        let base = k * self.in_stride;
-        for (j, &(r, v)) in inst.inputs.iter().enumerate() {
-            self.in_regs[base + j] = r;
-            self.in_vals[base + j] = v;
-        }
-        self.out_len[k] = inst.outputs.len() as u32;
-        let base = k * self.out_stride;
-        for (j, &(r, v)) in inst.outputs.iter().enumerate() {
-            self.out_regs[base + j] = r;
-            self.out_vals[base + j] = v;
-        }
-    }
-
-    /// Resets every slot to the empty instance (a conflict clearing
-    /// the entry; the old code assigned `Instance::empty()`, which
-    /// dropped stale data rather than just clearing `valid`).
-    fn clear_all(&mut self) {
-        self.valid.fill(false);
-        self.fps.fill(0);
-        self.accesses_memory.fill(false);
-        self.body_instrs.fill(0);
-        self.last_use.fill(0);
-        self.inserted.fill(0);
-        self.in_len.fill(0);
-        self.out_len.fill(0);
-    }
-}
-
-/// Structure-of-arrays ghost list: the observational remnants of
-/// instances that left the entry while its region kept the tag — the
-/// input bank each matched on and why it died. Ghosts let a later miss
-/// on the same inputs be classified as a capacity or invalidation
-/// casualty instead of a plain mismatch. Purely diagnostic — never
-/// consulted by hit/replacement decisions.
-///
-/// Index 0 is the oldest ghost; classification scans newest-first.
-/// The same lane layout as [`InstanceBank`] makes that scan one
-/// batched fingerprint pass instead of a per-ghost pointer walk.
-#[derive(Clone, Debug)]
-struct GhostBank {
-    /// Row width of the flattened input banks.
-    stride: usize,
-    fps: Vec<u64>,
-    causes: Vec<MissCause>,
-    lens: Vec<u32>,
-    regs: Vec<Reg>,
-    vals: Vec<Value>,
-}
-
-impl GhostBank {
-    fn new(stride: usize) -> GhostBank {
-        GhostBank {
-            stride,
-            fps: Vec::new(),
-            causes: Vec::new(),
-            lens: Vec::new(),
-            regs: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.fps.len()
-    }
-
-    fn regs_row(&self, k: usize) -> &[Reg] {
-        &self.regs[k * self.stride..][..self.lens[k] as usize]
-    }
-
-    fn vals_row(&self, k: usize) -> &[Value] {
-        &self.vals[k * self.stride..][..self.lens[k] as usize]
-    }
-
-    /// Appends a ghost (newest position).
-    fn push(&mut self, regs: &[Reg], vals: &[Value], fp: u64, cause: MissCause) {
-        self.fps.push(fp);
-        self.causes.push(cause);
-        self.lens.push(regs.len() as u32);
-        let base = self.regs.len();
-        self.regs.resize(base + self.stride, Reg(0));
-        self.vals.resize(base + self.stride, Value::ZERO);
-        self.regs[base..base + regs.len()].copy_from_slice(regs);
-        self.vals[base..base + vals.len()].copy_from_slice(vals);
-    }
-
-    /// Drops the oldest ghost. O(len) lane copies, but it only runs
-    /// when a record overflows the ghost cap — never on a lookup.
-    fn pop_front(&mut self) {
-        self.fps.remove(0);
-        self.causes.remove(0);
-        self.lens.remove(0);
-        self.regs.drain(..self.stride);
-        self.vals.drain(..self.stride);
-    }
-
-    fn clear(&mut self) {
-        self.fps.clear();
-        self.causes.clear();
-        self.lens.clear();
-        self.regs.clear();
-        self.vals.clear();
-    }
-
-    /// Removes every ghost whose fingerprint and input bank equal
-    /// (`fp`, `inputs`), preserving order — `record`'s re-recorded-
-    /// inputs shedding.
-    fn remove_matching(&mut self, fp: u64, inputs: &[(Reg, Value)]) {
-        let mut write = 0;
-        for read in 0..self.len() {
-            let matches = self.fps[read] == fp
-                && self.lens[read] as usize == inputs.len()
-                && self
-                    .regs_row(read)
-                    .iter()
-                    .zip(self.vals_row(read))
-                    .zip(inputs)
-                    .all(|((&r, &v), &(ir, iv))| r == ir && v == iv);
-            if matches {
-                continue;
-            }
-            if write != read {
-                self.fps[write] = self.fps[read];
-                self.causes[write] = self.causes[read];
-                self.lens[write] = self.lens[read];
-                let (dst, src) = (write * self.stride, read * self.stride);
-                self.regs.copy_within(src..src + self.stride, dst);
-                self.vals.copy_within(src..src + self.stride, dst);
-            }
-            write += 1;
-        }
-        self.fps.truncate(write);
-        self.causes.truncate(write);
-        self.lens.truncate(write);
-        self.regs.truncate(write * self.stride);
-        self.vals.truncate(write * self.stride);
-    }
+struct Ghost {
+    inputs: Vec<(Reg, Value)>,
+    fp: u64,
+    cause: MissCause,
 }
 
 #[derive(Clone, Debug)]
 struct Entry {
     tag: Option<RegionId>,
-    bank: InstanceBank,
-    ghosts: GhostBank,
-    /// Canonical input register sequence shared by every valid
-    /// instance and every ghost while `uniform` holds. Set by the
-    /// first insert after the entry was (re)claimed; the batched scan
-    /// relies on it to gather live values and fold the live
-    /// fingerprint exactly once per lookup.
-    seq: Vec<Reg>,
-    /// Whether `seq` has been established.
-    has_seq: bool,
-    /// True while every valid instance and ghost shares `seq`. Not
-    /// guaranteed: the emulator records a region's used-before-defined
-    /// registers in dynamic first-read order, so two paths through one
-    /// acyclic region can record different sequences. A divergent
-    /// insert drops the entry to `lookup`'s per-pair fallback, which
-    /// handles arbitrary sequences. (No entry diverges anywhere in the
-    /// `ccr exp --all` sweep of the built-in workloads; correctness
-    /// does not depend on that.)
-    uniform: bool,
+    slots: Vec<Instance>,
+    /// Oldest first; misses are classified newest-first.
+    ghosts: VecDeque<Ghost>,
 }
 
 impl Entry {
-    fn new(slots: usize, in_stride: usize, out_stride: usize) -> Entry {
-        Entry {
-            tag: None,
-            bank: InstanceBank::new(slots, in_stride, out_stride),
-            ghosts: GhostBank::new(in_stride),
-            seq: Vec::new(),
-            has_seq: false,
-            uniform: true,
-        }
-    }
-
     /// The entry's ghost capacity: twice its instance count.
     fn ghost_cap(&self) -> usize {
-        self.bank.slots * 2
+        self.slots.len() * 2
     }
 
-    /// Remembers a departed instance's input bank (slot `k`), keeping
-    /// at most [`ghost_cap`](Entry::ghost_cap) ghosts (oldest dropped
-    /// first).
+    /// Remembers slot `k`'s input bank, keeping at most
+    /// [`ghost_cap`](Entry::ghost_cap) ghosts (oldest dropped first).
     fn ghost_from_slot(&mut self, k: usize, cause: MissCause) {
         if self.ghosts.len() >= self.ghost_cap() {
             self.ghosts.pop_front();
         }
-        let base = k * self.bank.in_stride;
-        let len = self.bank.in_len[k] as usize;
-        self.ghosts.push(
-            &self.bank.in_regs[base..base + len],
-            &self.bank.in_vals[base..base + len],
-            self.bank.fps[k],
+        let slot = &self.slots[k];
+        self.ghosts.push_back(Ghost {
+            inputs: slot.inputs.clone(),
+            fp: slot.fp,
             cause,
-        );
-    }
-
-    /// Folds a new instance's register sequence into the uniformity
-    /// tracking.
-    fn note_seq(&mut self, inputs: &[(Reg, Value)]) {
-        if !self.has_seq {
-            self.seq.clear();
-            self.seq.extend(inputs.iter().map(|&(r, _)| r));
-            self.has_seq = true;
-        } else if self.uniform
-            && !(self.seq.len() == inputs.len()
-                && self.seq.iter().zip(inputs).all(|(&s, &(r, _))| s == r))
-        {
-            self.uniform = false;
-        }
-    }
-
-    /// Classifies a lookup miss on this (tagged) entry: the cause
-    /// recorded by the matching ghost `ghost`, else `Invalidated` when
-    /// no instance is live (records always leave one, so only
-    /// invalidation empties a tagged entry), else `Mismatch`.
-    fn miss_cause(&self, ghost: Option<usize>) -> MissCause {
-        match ghost {
-            Some(k) => self.ghosts.causes[k],
-            None if self.bank.valid.iter().all(|&v| !v) => MissCause::Invalidated,
-            None => MissCause::Mismatch,
-        }
-    }
-
-    /// Clears instances, ghosts, and the uniformity tracking (a tag
-    /// conflict reclaiming the entry).
-    fn clear_contents(&mut self) {
-        self.bank.clear_all();
-        self.ghosts.clear();
-        self.seq.clear();
-        self.has_seq = false;
-        self.uniform = true;
+        });
     }
 }
 
@@ -624,13 +298,6 @@ pub struct ReuseBuffer {
     ever_recorded: HashSet<RegionId>,
     /// Cause of the most recent miss; `None` after a hit.
     last_miss_cause: Option<MissCause>,
-    /// Live values of the entry's shared register sequence, gathered
-    /// once per batched lookup (kept on the buffer so the hot path
-    /// never allocates after warmup).
-    live_vals_scratch: Vec<Value>,
-    /// Fingerprint-surviving ghost indices of a batched scan (the
-    /// forward chunked pass feeds the newest-first verify order).
-    ghost_match_scratch: Vec<u32>,
 }
 
 impl ReuseBuffer {
@@ -652,7 +319,11 @@ impl ReuseBuffer {
                         Some(nu) if idx % nu.boost_every == 0 => nu.boosted_instances,
                         _ => config.instances,
                     };
-                    Entry::new(count, config.input_bank, config.output_bank)
+                    Entry {
+                        tag: None,
+                        slots: vec![Instance::default(); count],
+                        ghosts: VecDeque::new(),
+                    }
                 })
                 .collect(),
             config,
@@ -663,8 +334,6 @@ impl ReuseBuffer {
             events: Vec::new(),
             ever_recorded: HashSet::new(),
             last_miss_cause: None,
-            live_vals_scratch: Vec::new(),
-            ghost_match_scratch: Vec::new(),
         }
     }
 
@@ -688,7 +357,7 @@ impl ReuseBuffer {
 
     /// Valid instances currently held by the entry at `idx`.
     fn occupancy(&self, idx: usize) -> usize {
-        self.entries[idx].bank.valid.iter().filter(|&&v| v).count()
+        self.entries[idx].slots.iter().filter(|i| i.valid).count()
     }
 
     /// The buffer's geometry.
@@ -741,40 +410,27 @@ impl ReuseBuffer {
                 .iter()
                 .map(|e| CrbEntrySnapshot {
                     tag: e.tag.map(|r| r.0),
-                    instances: (0..e.bank.slots)
-                        .map(|k| CrbInstanceSnapshot {
-                            valid: e.bank.valid[k],
-                            inputs: e
-                                .bank
-                                .in_regs_row(k)
-                                .iter()
-                                .zip(e.bank.in_vals_row(k))
-                                .map(|(&r, &v)| (r.0, v.0 as u64))
-                                .collect(),
-                            fp: e.bank.fps[k],
-                            outputs: e
-                                .bank
-                                .out_pairs(k)
-                                .iter()
-                                .map(|&(r, v)| (r.0, v.0 as u64))
-                                .collect(),
-                            accesses_memory: e.bank.accesses_memory[k],
-                            body_instrs: e.bank.body_instrs[k],
-                            last_use: e.bank.last_use[k],
-                            inserted: e.bank.inserted[k],
+                    instances: e
+                        .slots
+                        .iter()
+                        .map(|i| CrbInstanceSnapshot {
+                            valid: i.valid,
+                            inputs: bank_to_snapshot(&i.inputs),
+                            fp: i.fp,
+                            outputs: bank_to_snapshot(&i.outputs),
+                            accesses_memory: i.accesses_memory,
+                            body_instrs: i.body_instrs,
+                            last_use: i.last_use,
+                            inserted: i.inserted,
                         })
                         .collect(),
-                    ghosts: (0..e.ghosts.len())
-                        .map(|k| CrbGhostSnapshot {
-                            inputs: e
-                                .ghosts
-                                .regs_row(k)
-                                .iter()
-                                .zip(e.ghosts.vals_row(k))
-                                .map(|(&r, &v)| (r.0, v.0 as u64))
-                                .collect(),
-                            fp: e.ghosts.fps[k],
-                            cause: cause_index(e.ghosts.causes[k]),
+                    ghosts: e
+                        .ghosts
+                        .iter()
+                        .map(|g| CrbGhostSnapshot {
+                            inputs: bank_to_snapshot(&g.inputs),
+                            fp: g.fp,
+                            cause: cause_index(g.cause),
                         })
                         .collect(),
                 })
@@ -782,17 +438,14 @@ impl ReuseBuffer {
         })
     }
 
-    /// Rebuilds a mid-run buffer from a snapshot. The snapshot format
-    /// is layout-independent plain data (one instance/ghost struct per
-    /// candidate), so restoring through the structure-of-arrays banks
-    /// needs no `snap_v` bump; uniformity of each entry's register
-    /// sequences is recomputed from the restored rows.
+    /// Rebuilds a mid-run buffer from a snapshot.
     ///
     /// # Errors
     ///
     /// Returns a one-line description when the snapshot geometry does
-    /// not match `config`, a miss-cause index is out of range, or a
-    /// valid instance's or a ghost's stored fingerprint is not the
+    /// not match `config`, a bank is wider than `config` lets `record`
+    /// store, a miss-cause index is out of range, or a valid
+    /// instance's or a ghost's stored fingerprint is not the
     /// fingerprint of its inputs.
     pub fn restore(config: CrbConfig, snap: &CrbSnapshot) -> Result<ReuseBuffer, String> {
         let mut buf = ReuseBuffer::new(config);
@@ -803,12 +456,34 @@ impl ReuseBuffer {
                 buf.entries.len()
             ));
         }
+        let bank = |what: &str, bank: &[(u32, u64)], kind: &str, cap: usize| {
+            if bank.len() > cap {
+                return Err(format!(
+                    "{what}: {} {kind}s exceed the {cap}-entry {kind} bank",
+                    bank.len()
+                ));
+            }
+            Ok(bank_from_snapshot(bank))
+        };
+        // `record` dedups by fingerprint before comparing banks, so a
+        // stored fingerprint that disagrees with its inputs would let a
+        // re-record duplicate a live instance. Invalid slots are never
+        // compared (a never-written one keeps 0).
+        let inputs = |what: &str, inputs: &[(u32, u64)], fp: Option<u64>| {
+            let inputs = bank(what, inputs, "input", config.input_bank)?;
+            match fp {
+                Some(fp) if fp != fingerprint(&inputs) => Err(format!(
+                    "{what}: fingerprint {fp:#x} does not match its inputs"
+                )),
+                _ => Ok(inputs),
+            }
+        };
         for (idx, (es, entry)) in snap.entries.iter().zip(buf.entries.iter_mut()).enumerate() {
-            if es.instances.len() != entry.bank.slots {
+            if es.instances.len() != entry.slots.len() {
                 return Err(format!(
                     "crb entry {idx} has {} instances, config wants {}",
                     es.instances.len(),
-                    entry.bank.slots
+                    entry.slots.len()
                 ));
             }
             if es.ghosts.len() > entry.ghost_cap() {
@@ -818,89 +493,26 @@ impl ReuseBuffer {
                     entry.ghost_cap()
                 ));
             }
-            // Hand-built snapshots may carry banks wider than the
-            // configured strides; grow the rows to fit rather than
-            // corrupting neighbors (records at runtime still enforce
-            // the configured capacities).
-            let in_stride = es
-                .instances
-                .iter()
-                .map(|i| i.inputs.len())
-                .chain(es.ghosts.iter().map(|g| g.inputs.len()))
-                .max()
-                .unwrap_or(0)
-                .max(config.input_bank);
-            let out_stride = es
-                .instances
-                .iter()
-                .map(|i| i.outputs.len())
-                .max()
-                .unwrap_or(0)
-                .max(config.output_bank);
             entry.tag = es.tag.map(RegionId);
-            entry.bank = InstanceBank::new(es.instances.len(), in_stride, out_stride);
-            entry.ghosts = GhostBank::new(in_stride);
-            for (k, i) in es.instances.iter().enumerate() {
-                let inst = RecordedInstance {
-                    inputs: i
-                        .inputs
-                        .iter()
-                        .map(|&(r, v)| (Reg(r), Value(v as i64)))
-                        .collect(),
-                    outputs: i
-                        .outputs
-                        .iter()
-                        .map(|&(r, v)| (Reg(r), Value(v as i64)))
-                        .collect(),
+            for (k, (i, slot)) in es.instances.iter().zip(&mut entry.slots).enumerate() {
+                let what = format!("crb entry {idx} instance {k}");
+                *slot = Instance {
+                    valid: i.valid,
+                    inputs: inputs(&what, &i.inputs, i.valid.then_some(i.fp))?,
+                    fp: i.fp,
+                    outputs: bank(&what, &i.outputs, "output", config.output_bank)?,
                     accesses_memory: i.accesses_memory,
                     body_instrs: i.body_instrs,
+                    last_use: i.last_use,
+                    inserted: i.inserted,
                 };
-                // `lookup` trusts the fingerprint lane to reject, so a
-                // stored fingerprint that disagrees with its inputs
-                // would silently turn hits into misses. Invalid slots
-                // are never scanned (a never-written one keeps 0).
-                if i.valid && i.fp != fingerprint(&inst.inputs) {
-                    return Err(format!(
-                        "crb entry {idx} instance {k}: fingerprint {:#x} does not match its inputs",
-                        i.fp
-                    ));
-                }
-                entry.bank.write_slot(k, &inst, i.fp, 0);
-                entry.bank.valid[k] = i.valid;
-                entry.bank.last_use[k] = i.last_use;
-                entry.bank.inserted[k] = i.inserted;
             }
             for (k, g) in es.ghosts.iter().enumerate() {
-                let pairs: Vec<(Reg, Value)> = g
-                    .inputs
-                    .iter()
-                    .map(|&(r, v)| (Reg(r), Value(v as i64)))
-                    .collect();
-                if g.fp != fingerprint(&pairs) {
-                    return Err(format!(
-                        "crb entry {idx} ghost {k}: fingerprint {:#x} does not match its inputs",
-                        g.fp
-                    ));
-                }
-                let regs: Vec<Reg> = pairs.iter().map(|&(r, _)| r).collect();
-                let vals: Vec<Value> = pairs.iter().map(|&(_, v)| v).collect();
-                entry
-                    .ghosts
-                    .push(&regs, &vals, g.fp, cause_from_index(g.cause)?);
-            }
-            // Recompute the shared-sequence invariant over the valid
-            // instances and ghosts actually restored.
-            entry.seq.clear();
-            entry.has_seq = false;
-            entry.uniform = true;
-            let mut sequences = (0..entry.bank.slots)
-                .filter(|&k| entry.bank.valid[k])
-                .map(|k| entry.bank.in_regs_row(k))
-                .chain((0..entry.ghosts.len()).map(|k| entry.ghosts.regs_row(k)));
-            if let Some(first) = sequences.next() {
-                entry.seq = first.to_vec();
-                entry.has_seq = true;
-                entry.uniform = sequences.all(|s| s == entry.seq.as_slice());
+                entry.ghosts.push_back(Ghost {
+                    inputs: inputs(&format!("crb entry {idx} ghost {k}"), &g.inputs, Some(g.fp))?,
+                    fp: g.fp,
+                    cause: cause_from_index(g.cause)?,
+                });
             }
         }
         buf.clock = snap.clock;
@@ -912,13 +524,17 @@ impl ReuseBuffer {
     }
 
     /// Folds the full buffer state into `push` in a deterministic
-    /// order (the `ever_recorded` set is sorted first). The event log,
-    /// the scratch vectors, and the uniformity tracking are excluded:
-    /// none of them alters simulated outcomes. The per-candidate
-    /// iteration order is slot/queue order, exactly the stream the
-    /// pre-SoA layout produced, so fingerprint chains are
-    /// layout-invariant.
+    /// order (the `ever_recorded` set is sorted first; slots in slot
+    /// order, ghosts oldest first). The event log is excluded: it
+    /// never alters simulated outcomes.
     pub fn fold_state(&self, push: &mut dyn FnMut(u64)) {
+        fn push_bank(push: &mut dyn FnMut(u64), bank: &[(Reg, Value)]) {
+            push(bank.len() as u64);
+            for &(r, v) in bank {
+                push(u64::from(r.0));
+                push(v.0 as u64);
+            }
+        }
         push(self.clock);
         push(self.rng);
         self.stats.fold_state(push);
@@ -944,39 +560,22 @@ impl ReuseBuffer {
                     push(u64::from(r.0));
                 }
             }
-            push(e.bank.slots as u64);
-            for k in 0..e.bank.slots {
-                push(u64::from(e.bank.valid[k]));
-                push(u64::from(e.bank.in_len[k]));
-                for (r, v) in e.bank.in_regs_row(k).iter().zip(e.bank.in_vals_row(k)) {
-                    push(u64::from(r.0));
-                    push(v.0 as u64);
-                }
-                push(e.bank.fps[k]);
-                push(u64::from(e.bank.out_len[k]));
-                let base = k * e.bank.out_stride;
-                let len = e.bank.out_len[k] as usize;
-                for (r, v) in e.bank.out_regs[base..base + len]
-                    .iter()
-                    .zip(&e.bank.out_vals[base..base + len])
-                {
-                    push(u64::from(r.0));
-                    push(v.0 as u64);
-                }
-                push(u64::from(e.bank.accesses_memory[k]));
-                push(e.bank.body_instrs[k]);
-                push(e.bank.last_use[k]);
-                push(e.bank.inserted[k]);
+            push(e.slots.len() as u64);
+            for i in &e.slots {
+                push(u64::from(i.valid));
+                push_bank(push, &i.inputs);
+                push(i.fp);
+                push_bank(push, &i.outputs);
+                push(u64::from(i.accesses_memory));
+                push(i.body_instrs);
+                push(i.last_use);
+                push(i.inserted);
             }
             push(e.ghosts.len() as u64);
-            for k in 0..e.ghosts.len() {
-                push(u64::from(e.ghosts.lens[k]));
-                for (r, v) in e.ghosts.regs_row(k).iter().zip(e.ghosts.vals_row(k)) {
-                    push(u64::from(r.0));
-                    push(v.0 as u64);
-                }
-                push(e.ghosts.fps[k]);
-                push(cause_index(e.ghosts.causes[k]));
+            for g in &e.ghosts {
+                push_bank(push, &g.inputs);
+                push(g.fp);
+                push(cause_index(g.cause));
             }
         }
     }
@@ -989,19 +588,34 @@ impl ReuseBuffer {
         self.rng ^= 0xdead_beef_0bad_f00d;
     }
 
+    /// The slot a new instance goes to: the first invalid one, else
+    /// the replacement policy's choice (first minimum on ties).
     fn victim_slot(&mut self, idx: usize) -> usize {
-        let bank = &self.entries[idx].bank;
-        if let Some(free) = bank.valid.iter().position(|v| !v) {
+        let slots = &self.entries[idx].slots;
+        if let Some(free) = slots.iter().position(|i| !i.valid) {
             return free;
         }
+        let first_min = |key: fn(&Instance) -> u64| {
+            (0..slots.len())
+                .min_by_key(|&k| key(&slots[k]))
+                .expect("entries have at least one slot")
+        };
         match self.config.replacement {
-            Replacement::Lru => min_index(&bank.last_use),
-            Replacement::Fifo => min_index(&bank.inserted),
+            Replacement::Lru => first_min(|i| i.last_use),
+            Replacement::Fifo => first_min(|i| i.inserted),
             Replacement::Random => {
-                let n = bank.slots as u64;
+                let n = slots.len() as u64;
                 (self.next_random() % n) as usize
             }
         }
+    }
+
+    /// Counts a miss with its cause.
+    fn miss(&mut self, cause: MissCause) -> Option<ReuseLookup> {
+        self.stats.misses += 1;
+        self.stats.count_miss_cause(cause);
+        self.last_miss_cause = Some(cause);
+        None
     }
 }
 
@@ -1014,112 +628,47 @@ impl CrbModel for ReuseBuffer {
         self.stats.lookups += 1;
         self.clock += 1;
         let idx = self.entry_index(region);
-        let clock = self.clock;
-        let recorded_before = self.ever_recorded.contains(&region);
         let entry = &mut self.entries[idx];
         if entry.tag != Some(region) {
             // The tag only moves away from a recorded region via a
             // direct-mapped reassignment, so a tag miss on a known
             // region is a conflict casualty.
-            let cause = if recorded_before {
+            return self.miss(if self.ever_recorded.contains(&region) {
                 MissCause::Conflict
             } else {
                 MissCause::Cold
+            });
+        }
+        // The first valid instance in slot order whose inputs all hold.
+        let Some(hit) = entry
+            .slots
+            .iter_mut()
+            .find(|i| i.valid && holds(&i.inputs, read_reg))
+        else {
+            // The newest ghost that holds names the cause; else no
+            // live instance means invalidation emptied the entry
+            // (records always leave one), else a plain mismatch.
+            let cause = match entry
+                .ghosts
+                .iter()
+                .rev()
+                .find(|g| holds(&g.inputs, read_reg))
+            {
+                Some(g) => g.cause,
+                None if entry.slots.iter().all(|i| !i.valid) => MissCause::Invalidated,
+                None => MissCause::Mismatch,
             };
-            self.stats.misses += 1;
-            self.stats.count_miss_cause(cause);
-            self.last_miss_cause = Some(cause);
-            return None;
-        }
-        // The hit slot, or the classified miss cause. Both scans honor
-        // the same order contract: instances in slot order (first full
-        // match wins), ghosts newest-first.
-        let outcome: Result<usize, MissCause> = if entry.uniform {
-            // Batched scan: every candidate shares the entry's
-            // register sequence, so one pass gathers the live value
-            // of each register and folds the live fingerprint; the
-            // fingerprint lanes are then scanned in 4-wide chunks and
-            // each survivor's full verify is one contiguous-slice
-            // compare against the gathered values. Equal inputs hash
-            // equally, so the lane only skips verifies that would fail.
-            let live_vals = &mut self.live_vals_scratch;
-            live_vals.clear();
-            let mut live_fp = FNV_OFFSET;
-            for &r in &entry.seq {
-                let v = read_reg(r);
-                live_vals.push(v);
-                live_fp = fnv1a_pair(live_fp, r, v);
-            }
-            let bank = &entry.bank;
-            let mut hit_slot = None;
-            scan_fp_lane(&bank.fps, live_fp, &mut |k| {
-                if bank.valid[k] && bank.in_vals_row(k) == live_vals.as_slice() {
-                    hit_slot = Some(k);
-                    true
-                } else {
-                    false
-                }
-            });
-            match hit_slot {
-                Some(k) => Ok(k),
-                None => {
-                    // Batched ghost classification: one forward
-                    // chunked pass collects the fingerprint survivors,
-                    // then the (rare) survivors verify newest-first.
-                    let ghosts = &entry.ghosts;
-                    let matches = &mut self.ghost_match_scratch;
-                    matches.clear();
-                    scan_fp_lane(&ghosts.fps, live_fp, &mut |k| {
-                        matches.push(k as u32);
-                        false
-                    });
-                    let ghost = matches
-                        .iter()
-                        .rev()
-                        .map(|&k| k as usize)
-                        .find(|&k| ghosts.vals_row(k) == live_vals.as_slice());
-                    Err(entry.miss_cause(ghost))
-                }
-            }
-        } else {
-            // Fallback for entries whose candidates recorded different
-            // register sequences: per-pair compares, no fingerprints.
-            // Registers may be read more than once per lookup, which
-            // is unobservable: `read_reg` is a register-file load.
-            let bank = &entry.bank;
-            let hit_slot = (0..bank.slots).find(|&k| {
-                bank.valid[k] && row_matches(bank.in_regs_row(k), bank.in_vals_row(k), read_reg)
-            });
-            match hit_slot {
-                Some(k) => Ok(k),
-                None => {
-                    let ghosts = &entry.ghosts;
-                    let ghost = (0..ghosts.len())
-                        .rev()
-                        .find(|&k| row_matches(ghosts.regs_row(k), ghosts.vals_row(k), read_reg));
-                    Err(entry.miss_cause(ghost))
-                }
-            }
+            return self.miss(cause);
         };
-        match outcome {
-            Ok(k) => {
-                entry.bank.last_use[k] = clock;
-                let hit = ReuseLookup {
-                    outputs: entry.bank.out_pairs(k),
-                    inputs: entry.bank.in_regs_row(k).to_vec(),
-                    skipped_instrs: entry.bank.body_instrs[k],
-                };
-                self.stats.hits += 1;
-                self.last_miss_cause = None;
-                Some(hit)
-            }
-            Err(cause) => {
-                self.stats.misses += 1;
-                self.stats.count_miss_cause(cause);
-                self.last_miss_cause = Some(cause);
-                None
-            }
-        }
+        hit.last_use = self.clock;
+        let hit = ReuseLookup {
+            outputs: hit.outputs.clone(),
+            inputs: hit.inputs.iter().map(|&(r, _)| r).collect(),
+            skipped_instrs: hit.body_instrs,
+        };
+        self.stats.hits += 1;
+        self.last_miss_cause = None;
+        Some(hit)
     }
 
     fn record(&mut self, region: RegionId, instance: RecordedInstance) {
@@ -1150,32 +699,22 @@ impl CrbModel for ReuseBuffer {
             }
             let entry = &mut self.entries[idx];
             entry.tag = Some(region);
-            entry.clear_contents();
+            entry.slots.fill(Instance::default());
+            entry.ghosts.clear();
         }
         // An instance with the identical input bank is refreshed in
         // place rather than duplicated (duplicates would waste
         // capacity and let a replacement evict live input sets).
-        // Equal banks hash equal, so the fingerprint lane scan below
-        // never changes which slot is found — it only skips compares.
         let fp = fingerprint(&instance.inputs);
-        let existing = {
-            let bank = &self.entries[idx].bank;
-            let mut found = None;
-            scan_fp_lane(&bank.fps, fp, &mut |k| {
-                if bank.valid[k] && bank.in_row_eq(k, &instance.inputs) {
-                    found = Some(k);
-                    true
-                } else {
-                    false
-                }
-            });
-            found
-        };
+        let existing = self.entries[idx]
+            .slots
+            .iter()
+            .position(|i| i.valid && i.fp == fp && i.inputs == instance.inputs);
         let slot = match existing {
             Some(k) => k,
             None => {
                 let k = self.victim_slot(idx);
-                if self.entries[idx].bank.valid[k] {
+                if self.entries[idx].slots[k].valid {
                     if self.log_events {
                         self.events.push(CrbEvent {
                             clock: self.clock,
@@ -1193,11 +732,20 @@ impl CrbModel for ReuseBuffer {
                 k
             }
         };
-        let clock = self.clock;
         let entry = &mut self.entries[idx];
-        entry.ghosts.remove_matching(fp, &instance.inputs);
-        entry.note_seq(&instance.inputs);
-        entry.bank.write_slot(slot, &instance, fp, clock);
+        entry
+            .ghosts
+            .retain(|g| !(g.fp == fp && g.inputs == instance.inputs));
+        entry.slots[slot] = Instance {
+            valid: true,
+            inputs: instance.inputs,
+            fp,
+            outputs: instance.outputs,
+            accesses_memory: instance.accesses_memory,
+            body_instrs: instance.body_instrs,
+            last_use: self.clock,
+            inserted: self.clock,
+        };
         self.ever_recorded.insert(region);
     }
 
@@ -1207,9 +755,9 @@ impl CrbModel for ReuseBuffer {
         let entry = &mut self.entries[idx];
         let mut killed = 0;
         if entry.tag == Some(region) {
-            for k in 0..entry.bank.slots {
-                if entry.bank.valid[k] && entry.bank.accesses_memory[k] {
-                    entry.bank.valid[k] = false;
+            for k in 0..entry.slots.len() {
+                if entry.slots[k].valid && entry.slots[k].accesses_memory {
+                    entry.slots[k].valid = false;
                     killed += 1;
                     entry.ghost_from_slot(k, MissCause::Invalidated);
                 }
@@ -1242,6 +790,7 @@ impl CrbModel for ReuseBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn inst(input: i64, output: i64, mem: bool) -> RecordedInstance {
         RecordedInstance {
@@ -1293,10 +842,6 @@ mod tests {
         let r = RegionId(0);
         buf.record(r, path([(1, 5), (2, 7)], 12));
         buf.record(r, path([(2, 9), (4, 1)], 10));
-        assert!(
-            !buf.entries[buf.entry_index(r)].uniform,
-            "divergent sequences demote the entry to the per-pair fallback"
-        );
         let mut lookup = |regs: [i64; 5]| {
             buf.lookup(r, &mut |reg| Value::from_int(regs[reg.index()]))
                 .map(|hit| hit.outputs[0].1.as_int())
@@ -1345,6 +890,47 @@ mod tests {
         assert!(
             err.starts_with("crb entry 0 ghost 0: fingerprint "),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_banks_wider_than_record_stores() {
+        let config = CrbConfig {
+            input_bank: 1,
+            output_bank: 1,
+            ..CrbConfig::with_instances(2)
+        };
+        let mut buf = ReuseBuffer::new(config);
+        let r = RegionId(0);
+        buf.record(r, inst(1, 10, true));
+        buf.invalidate(r); // slot 0 invalid, one Invalidated ghost
+        let snap = buf.snapshot().unwrap();
+        assert!(ReuseBuffer::restore(config, &snap).is_ok());
+        let extra = (7, 7);
+
+        // Stale banks of an invalid slot are checked too.
+        let mut wide = snap.clone();
+        wide.entries[0].instances[0].inputs.push(extra);
+        let err = ReuseBuffer::restore(config, &wide).unwrap_err();
+        assert_eq!(
+            err,
+            "crb entry 0 instance 0: 2 inputs exceed the 1-entry input bank"
+        );
+
+        let mut wide = snap.clone();
+        wide.entries[0].instances[1].outputs.extend([extra, extra]);
+        let err = ReuseBuffer::restore(config, &wide).unwrap_err();
+        assert_eq!(
+            err,
+            "crb entry 0 instance 1: 2 outputs exceed the 1-entry output bank"
+        );
+
+        let mut wide = snap;
+        wide.entries[0].ghosts[0].inputs.push(extra);
+        let err = ReuseBuffer::restore(config, &wide).unwrap_err();
+        assert_eq!(
+            err,
+            "crb entry 0 ghost 0: 2 inputs exceed the 1-entry input bank"
         );
     }
 
@@ -1725,5 +1311,133 @@ mod tests {
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// A register bank of up to four pairs.
+    fn bank() -> impl Strategy<Value = Vec<(u32, u64)>> {
+        prop::collection::vec((0u32..8, any::<u64>()), 0..5)
+    }
+
+    /// `bank`'s own fingerprint when `honest`, else `fp`.
+    fn stored_fp(bank: &[(u32, u64)], honest: bool, fp: u64) -> u64 {
+        if honest {
+            fingerprint(&bank_from_snapshot(bank))
+        } else {
+            fp
+        }
+    }
+
+    fn instance_snapshot() -> impl Strategy<Value = CrbInstanceSnapshot> {
+        (
+            any::<bool>(),
+            bank(),
+            (any::<bool>(), any::<u64>()),
+            bank(),
+            any::<bool>(),
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+        )
+            .prop_map(
+                |(valid, inputs, (honest, fp), outputs, accesses_memory, times)| {
+                    CrbInstanceSnapshot {
+                        valid,
+                        fp: stored_fp(&inputs, honest, fp),
+                        inputs,
+                        outputs,
+                        accesses_memory,
+                        body_instrs: times.0,
+                        last_use: times.1,
+                        inserted: times.2,
+                    }
+                },
+            )
+    }
+
+    fn entry_snapshot() -> impl Strategy<Value = CrbEntrySnapshot> {
+        let ghost = (bank(), (any::<bool>(), any::<u64>()), 0u64..7).prop_map(
+            |(inputs, (honest, fp), cause)| CrbGhostSnapshot {
+                fp: stored_fp(&inputs, honest, fp),
+                inputs,
+                cause,
+            },
+        );
+        (
+            prop::option::of(0u32..8),
+            prop::collection::vec(instance_snapshot(), 0..7),
+            prop::collection::vec(ghost, 0..9),
+        )
+            .prop_map(|(tag, instances, ghosts)| CrbEntrySnapshot {
+                tag,
+                instances,
+                ghosts,
+            })
+    }
+
+    fn any_config() -> impl Strategy<Value = CrbConfig> {
+        (
+            (1usize..5, 1usize..5, 0usize..4, 0usize..4, 0u8..3),
+            prop::option::of((1usize..3, 1usize..5, 0u8..101)),
+        )
+            .prop_map(
+                |((entries, instances, input_bank, output_bank, policy), nu)| CrbConfig {
+                    entries,
+                    instances,
+                    input_bank,
+                    output_bank,
+                    replacement: [Replacement::Lru, Replacement::Fifo, Replacement::Random]
+                        [usize::from(policy)],
+                    nonuniform: nu.map(|(boost_every, boosted_instances, mem_capable_percent)| {
+                        NonuniformConfig {
+                            boost_every,
+                            boosted_instances,
+                            mem_capable_percent,
+                        }
+                    }),
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `restore` of an arbitrary snapshot (random geometry, cause
+        /// indices, fingerprints and bank widths) returns a buffer or a
+        /// one-line error, never a panic; a restored buffer's own
+        /// snapshot restores to the same state. With `fit`, the entry
+        /// and instance counts are made to match the config so the
+        /// per-instance checks are reached.
+        #[test]
+        fn restore_of_arbitrary_snapshots_never_panics(
+            config in any_config(),
+            entries in prop::collection::vec(entry_snapshot(), 0..6),
+            last_miss_cause in prop::option::of(0u64..7),
+            extra in (any::<u64>(), any::<u64>(), any::<bool>()),
+        ) {
+            let (clock, rng, fit) = extra;
+            let mut snap = CrbSnapshot {
+                clock,
+                rng,
+                stats: CrbStats::default(),
+                last_miss_cause,
+                ever_recorded: entries.iter().filter_map(|e| e.tag).collect(),
+                entries,
+            };
+            if fit {
+                let empty = ReuseBuffer::new(config).snapshot().unwrap();
+                snap.entries.resize(config.entries, empty.entries[0].clone());
+                for (e, want) in snap.entries.iter_mut().zip(&empty.entries) {
+                    e.instances.resize(want.instances.len(), want.instances[0].clone());
+                    e.ghosts.truncate(2 * want.instances.len());
+                }
+            }
+            match ReuseBuffer::restore(config, &snap) {
+                Err(e) => prop_assert!(!e.contains('\n'), "multi-line error {e:?}"),
+                Ok(buf) => {
+                    let again = buf.snapshot().unwrap();
+                    let back = ReuseBuffer::restore(config, &again);
+                    prop_assert!(back.is_ok(), "{back:?}");
+                    prop_assert_eq!(back.unwrap().snapshot().unwrap(), again);
+                }
+            }
+        }
     }
 }

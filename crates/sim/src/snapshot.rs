@@ -963,6 +963,8 @@ pub fn load_snapshot(path: &Path) -> Result<SimSnapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crb::{CrbConfig, ReuseBuffer};
+    use proptest::prelude::*;
 
     fn sample() -> SimSnapshot {
         let mut stats = SimStats {
@@ -1178,5 +1180,83 @@ mod tests {
         let err = load_snapshot(&missing).unwrap_err();
         assert!(err.starts_with(&missing.display().to_string()), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The geometry of [`real_snapshot_text`]'s buffer.
+    fn small_crb() -> CrbConfig {
+        CrbConfig {
+            entries: 2,
+            ..CrbConfig::with_instances(2)
+        }
+    }
+
+    /// A snapshot whose CRB section a real buffer wrote: records,
+    /// lookups and an invalidation leave valid and stale slots and
+    /// ghosts of both causes.
+    fn real_snapshot_text() -> String {
+        use ccr_ir::{Reg, Value as RegValue};
+        use ccr_profile::{CrbModel, RecordedInstance};
+
+        let mut buf = ReuseBuffer::new(small_crb());
+        for v in 0..4 {
+            buf.record(
+                RegionId(v % 3),
+                RecordedInstance {
+                    inputs: vec![(Reg(1), RegValue::from_int(v.into()))],
+                    outputs: vec![(Reg(2), RegValue::from_int((v * 7).into()))],
+                    accesses_memory: v % 2 == 0,
+                    body_instrs: 9,
+                },
+            );
+            buf.lookup(RegionId(v % 3), &mut |_| RegValue::from_int(1));
+        }
+        buf.invalidate(RegionId(0));
+        let mut snap = sample();
+        snap.crb = Some(buf.snapshot().unwrap());
+        write_snapshot(&snap)
+    }
+
+    /// One edit of a snapshot's text: (byte offset, kind, ASCII byte).
+    fn mutations() -> impl Strategy<Value = Vec<(u32, u8, u8)>> {
+        proptest::collection::vec((any::<u32>(), 0u8..4, 32u8..127), 1..6)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary text and mutated copies of a real snapshot parse
+        /// to a snapshot or a one-line error, never a panic; a parsed
+        /// CRB section restores or fails with one line too.
+        #[test]
+        fn malformed_snapshots_are_one_line_errors(
+            line in ".{0,200}",
+            edits in mutations(),
+        ) {
+            let mut text = real_snapshot_text().into_bytes();
+            for &(pos, kind, byte) in &edits {
+                let pos = pos as usize % (text.len() + 1);
+                match kind {
+                    0 if pos < text.len() => text[pos] = byte,
+                    1 if pos < text.len() => {
+                        text.remove(pos);
+                    }
+                    2 => text.insert(pos, byte),
+                    _ => text.truncate(pos),
+                }
+            }
+            let mutated = String::from_utf8(text).expect("edits keep the text ASCII");
+            for text in [line.as_str(), mutated.as_str()] {
+                match parse_snapshot("s", text) {
+                    Err(e) => prop_assert!(!e.contains('\n'), "multi-line error {e:?}"),
+                    Ok(snap) => {
+                        if let Some(crb) = &snap.crb {
+                            if let Err(e) = ReuseBuffer::restore(small_crb(), crb) {
+                                prop_assert!(!e.contains('\n'), "multi-line error {e:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

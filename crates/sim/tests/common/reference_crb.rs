@@ -3,10 +3,10 @@
 //! [`ReferenceCrb`] implements the paper's lookup rule (Section 3.1)
 //! as directly as possible: each entry is a `Vec` of optional
 //! instances, and an instance is reusable when every recorded
-//! `(register, value)` pair still holds. It has no fingerprints, no
-//! structure-of-arrays banks and no uniform-sequence gate, and it
+//! `(register, value)` pair still holds. It keeps no fingerprints and
 //! shares no code with `ccr_sim::ReuseBuffer` beyond the public
-//! configuration and statistics types. It reproduces everything the
+//! configuration and statistics types, so the two stay independent
+//! even though both now use a plain per-entry layout. It reproduces everything the
 //! production buffer exposes: the clock, LRU/FIFO/Random replacement
 //! (the same xorshift stream), nonuniform capacities and memory
 //! capability, ghosts (twice as many as instance slots) and the five
@@ -14,7 +14,7 @@
 //! and require identical lookups, miss causes and statistics.
 //!
 //! Shared by `crates/sim/tests/crb_properties.rs` and the root
-//! package's `tests/soa_equivalence.rs` (via `#[path]`).
+//! package's `tests/crb_equivalence.rs` (via `#[path]`).
 
 use std::collections::{HashSet, VecDeque};
 

@@ -22,6 +22,7 @@ use std::collections::HashMap;
 
 use ccr_ir::{Reg, RegionId, Value};
 use ccr_profile::{CrbModel, RecordedInstance, ReuseLookup};
+use ccr_sim::snapshot::CrbSnapshot;
 use ccr_sim::{CrbConfig, NonuniformConfig, Replacement, ReuseBuffer};
 use proptest::prelude::*;
 use reference_crb::ReferenceCrb;
@@ -176,6 +177,13 @@ fn shaped_instance(r: u8, v: i8, mem: bool, shape: Shape) -> RecordedInstance {
     }
 }
 
+/// The buffer's `fold_state` stream.
+fn folded(buf: &ReuseBuffer) -> Vec<u64> {
+    let mut words = Vec::new();
+    buf.fold_state(&mut |w| words.push(w));
+    words
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -259,8 +267,8 @@ proptest! {
     /// The production buffer and the reference model agree on every
     /// lookup result, miss cause and counter, under every replacement
     /// policy and nonuniform capacities, with entries that mix register
-    /// sequences (the per-pair fallback) and entries that do not (the
-    /// batched scan), across snapshot/restore round trips.
+    /// sequences and entries that do not, across snapshot/restore round
+    /// trips, which leave `fold_state` unchanged.
     #[test]
     fn buffer_matches_reference_model(
         script in cmds(),
@@ -298,7 +306,9 @@ proptest! {
                 }
                 Cmd::Restore => {
                     let snap = buf.snapshot().expect("event logging is off");
+                    let before = folded(&buf);
                     buf = ReuseBuffer::restore(config, &snap).expect("own snapshot restores");
+                    prop_assert_eq!(folded(&buf), before, "step {}: restore round trip", step);
                 }
             }
             prop_assert_eq!(buf.stats(), reference.stats(), "step {}: stats", step);
@@ -339,4 +349,148 @@ proptest! {
             );
         }
     }
+}
+
+/// xorshift64 step driving [`golden_script_state`] (a fixed stream, so
+/// the script never moves with an RNG crate).
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// The value register `reg` holds for golden-script value `v`; `skew`
+/// perturbs `r4` alone.
+fn golden_live(reg: Reg, v: i8, skew: bool) -> Value {
+    let v = i64::from(v);
+    Value::from_int(v * (i64::from(reg.0) + 1) + i64::from(skew && reg.0 == 4))
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv_push(h: &mut u64, w: u64) {
+    *h = (*h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+/// Folds every field of a buffer snapshot, in declaration order.
+fn fold_snapshot(s: &CrbSnapshot, h: &mut u64) {
+    let pairs = |h: &mut u64, ps: &[(u32, u64)]| {
+        fnv_push(h, ps.len() as u64);
+        for &(r, v) in ps {
+            fnv_push(h, u64::from(r));
+            fnv_push(h, v);
+        }
+    };
+    fnv_push(h, s.clock);
+    fnv_push(h, s.rng);
+    s.stats.fold_state(&mut |w| fnv_push(h, w));
+    fnv_push(h, s.last_miss_cause.map_or(u64::MAX, |c| c));
+    fnv_push(h, s.ever_recorded.len() as u64);
+    for &r in &s.ever_recorded {
+        fnv_push(h, u64::from(r));
+    }
+    fnv_push(h, s.entries.len() as u64);
+    for e in &s.entries {
+        fnv_push(h, e.tag.map_or(u64::MAX, u64::from));
+        fnv_push(h, e.instances.len() as u64);
+        for i in &e.instances {
+            fnv_push(h, u64::from(i.valid));
+            pairs(h, &i.inputs);
+            fnv_push(h, i.fp);
+            pairs(h, &i.outputs);
+            fnv_push(h, u64::from(i.accesses_memory));
+            fnv_push(h, i.body_instrs);
+            fnv_push(h, i.last_use);
+            fnv_push(h, i.inserted);
+        }
+        fnv_push(h, e.ghosts.len() as u64);
+        for g in &e.ghosts {
+            pairs(h, &g.inputs);
+            fnv_push(h, g.fp);
+            fnv_push(h, g.cause);
+        }
+    }
+}
+
+/// Runs one fixed seeded script against a buffer of every policy,
+/// with and without nonuniform capacities, and returns the FNV-1a
+/// hashes of its `fold_state` stream (after every command) and of its
+/// snapshots (every eighth command). The script mixes records of
+/// several register sequences (some wider than the banks, so they are
+/// dropped), lookups that hit, miss and match ghosts, invalidations,
+/// and snapshot/restore round trips.
+fn golden_script_state() -> (u64, u64) {
+    const SEQS: [&[u32]; 6] = [&[0], &[0, 2, 5], &[5, 3, 0], &[1, 4], &[], &[0, 1, 2, 3, 4]];
+    let (mut fold_hash, mut snap_hash) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    for policy in 0u8..3 {
+        for nonuniform in [false, true] {
+            let config = CrbConfig {
+                input_bank: 4,
+                output_bank: 3,
+                nonuniform: nonuniform.then_some(NonuniformConfig {
+                    boost_every: 3,
+                    boosted_instances: 5,
+                    mem_capable_percent: 60,
+                }),
+                ..config(8, 3, policy)
+            };
+            let mut buf = ReuseBuffer::new(config);
+            for step in 0..700u64 {
+                let x = xorshift(&mut rng);
+                let r = RegionId((x >> 8) as u32 % 12);
+                let v = ((x >> 16) % 6) as i8 - 3;
+                match x % 16 {
+                    0..=5 => {
+                        let seq = SEQS[((x >> 24) % SEQS.len() as u64) as usize];
+                        let outputs = (0..(x >> 32) % 5)
+                            .map(|k| (Reg(10 + k as u32), Value::from_int(k as i64 * 7 + v as i64)))
+                            .collect();
+                        buf.record(
+                            r,
+                            RecordedInstance {
+                                inputs: seq
+                                    .iter()
+                                    .map(|&reg| (Reg(reg), golden_live(Reg(reg), v, false)))
+                                    .collect(),
+                                outputs,
+                                accesses_memory: (x >> 40).is_multiple_of(3),
+                                body_instrs: (x >> 44) % 50,
+                            },
+                        );
+                    }
+                    6..=12 => {
+                        let skew = (x >> 24).is_multiple_of(4);
+                        let got = buf.lookup(r, &mut |reg| golden_live(reg, v, skew));
+                        if let Some(hit) = got {
+                            fnv_push(&mut fold_hash, hit.skipped_instrs);
+                        }
+                    }
+                    13 | 14 => buf.invalidate(r),
+                    _ => {
+                        let snap = buf.snapshot().expect("event logging is off");
+                        buf = ReuseBuffer::restore(config, &snap).expect("own snapshot restores");
+                    }
+                }
+                buf.fold_state(&mut |w| fnv_push(&mut fold_hash, w));
+                if step % 8 == 7 {
+                    fold_snapshot(
+                        &buf.snapshot().expect("event logging is off"),
+                        &mut snap_hash,
+                    );
+                }
+            }
+        }
+    }
+    (fold_hash, snap_hash)
+}
+
+/// Pins the buffer's full state stream: `fold_state` and snapshots
+/// feed the fingerprint chains and `ccr snapshot`, so a host-layout
+/// change to `ReuseBuffer` must leave both hashes unchanged.
+#[test]
+fn buffer_state_stream_matches_golden() {
+    let (fold_hash, snap_hash) = golden_script_state();
+    assert_eq!(fold_hash, 0x4ff7_e1dc_163e_1a35, "fold_state stream hash");
+    assert_eq!(snap_hash, 0xabe3_966e_3d32_55cd, "snapshot stream hash");
 }
