@@ -2,9 +2,11 @@
 //! host-performance work in DESIGN.md §9 targets: CRB instance
 //! scanning (short and long entries), ghost scanning, a whole baseline
 //! simulation, both halves of the simulation loop (bare emulation and
-//! a CCR simulation), and the value profiler.
+//! a CCR simulation), the value profiler and the reuse-potential
+//! study.
 
 use ccr_core::compile::{compile_ccr, profile_train};
+use ccr_core::measure::reuse_potential;
 use ccr_core::CompileConfig;
 use ccr_ir::{Reg, RegionId, Value};
 use ccr_profile::{CrbModel, Emulator, NullCrb, NullSink, RecordedInstance};
@@ -169,6 +171,18 @@ fn bench_value_profile(c: &mut Criterion) {
     };
     g.bench_function("value_profile_m88ksim", |b| {
         b.iter(|| black_box(profile_train(&program, &config).unwrap()));
+    });
+    // The loop- and load-heavy case: most of compress's profiling time
+    // goes to cyclic live-in capture and per-load location versions,
+    // where m88ksim is the cheapest per instruction.
+    let compress = build("129.compress", InputSet::Train, 1).unwrap();
+    g.bench_function("value_profile_compress", |b| {
+        b.iter(|| black_box(profile_train(&compress, &config).unwrap()));
+    });
+    // The Figure 4 limit study: block, path and loop signatures.
+    let li = build("130.li", InputSet::Train, 1).unwrap();
+    g.bench_function("potential_study_li", |b| {
+        b.iter(|| black_box(reuse_potential(&li, ccr_bench::emu_config()).unwrap()));
     });
     g.finish();
 }

@@ -942,6 +942,7 @@ mod tests {
     use super::*;
     use crate::Engine;
     use ccr_core::harness::Harness;
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     static ONE_WORKLOAD: [&str; 1] = ["bitcount"];
@@ -1152,5 +1153,133 @@ mod tests {
         assert_eq!(plain_points[0].ccr_cycles, points[0].ccr_cycles);
         assert_eq!(plain_points[0].miss_causes, points[0].miss_causes);
         assert_eq!(plain_points[0].fingerprint, "", "unmeasured stays empty");
+    }
+
+    /// One real line of each journal format, from its own writer: a
+    /// run-store record and the checkpoint entry of a simulated
+    /// baseline.
+    fn real_lines() -> &'static [String; 2] {
+        static LINES: std::sync::OnceLock<[String; 2]> = std::sync::OnceLock::new();
+        LINES.get_or_init(|| {
+            let program = build("bitcount", InputSet::Train, 1).unwrap();
+            let outcome =
+                ccr_sim::simulate(&program, &MachineConfig::paper(), None, emu_config()).unwrap();
+            let store = ccr_analyze::RunRecord {
+                timestamp: 1_700_000_000,
+                commit: "abc1234".into(),
+                workload: "bitcount".into(),
+                input: "train".into(),
+                scale: 1,
+                base_cycles: outcome.stats.cycles,
+                ccr_cycles: outcome.stats.cycles / 2,
+                speedup: 2.0,
+                hit_rate: 0.5,
+                ..Default::default()
+            }
+            .to_json_line();
+            let cached = CachedSim {
+                outcome,
+                wall_ms: 12,
+                fingerprint: String::new(),
+            };
+            [store, ckpt_line("bitcount|train|1|base|fp:none", &cached)]
+        })
+    }
+
+    #[test]
+    fn real_journal_lines_load() {
+        let [store, ckpt] = real_lines();
+        let path = temp_file("real.jsonl");
+        std::fs::write(&path, format!("{store}\n")).unwrap();
+        assert_eq!(ccr_analyze::RunStore::load(&path).unwrap().records.len(), 1);
+        std::fs::write(&path, format!("{ckpt}\n")).unwrap();
+        let (entries, torn) = load_checkpoint(&path).unwrap();
+        assert_eq!((entries.len(), torn), (1, false));
+        assert!(entries[0].1.outcome.stats.cycles > 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `line` after `edits`: each inserts, deletes, replaces or
+    /// truncates at a position, or splices in a troublesome token.
+    fn mutate(line: &str, edits: &[(usize, u8, u8)]) -> String {
+        const CHARS: &[u8] = b"{}[]:,\"\\-.+eE0123456789 ntrufalsx_";
+        const TOKENS: [&str; 8] = [
+            "18446744073709551616",
+            "-9223372036854775809",
+            "1e400",
+            "null",
+            "[]",
+            "{}",
+            "\"\\u12\"",
+            "-0.5",
+        ];
+        let mut chars: Vec<char> = line.chars().collect();
+        for &(pos, op, pick) in edits {
+            let at = pos % (chars.len() + 1);
+            let c = char::from(CHARS[usize::from(pick) % CHARS.len()]);
+            match op % 5 {
+                0 => chars.insert(at, c),
+                1 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                2 if at < chars.len() => chars[at] = c,
+                3 => chars.truncate(at),
+                4 => {
+                    let token = TOKENS[usize::from(pick) % TOKENS.len()];
+                    chars.splice(at..at, token.chars());
+                }
+                _ => {}
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    /// An arbitrary line, or a mutated copy of a real one.
+    fn journal_line() -> impl Strategy<Value = String> {
+        let edits = proptest::collection::vec((0usize..4096, any::<u8>(), any::<u8>()), 0..6);
+        prop_oneof![
+            ".{0,80}",
+            (0usize..2, edits).prop_map(|(which, edits)| mutate(&real_lines()[which], &edits)),
+        ]
+    }
+
+    /// A loader's verdict: a value or a one-line error, never a panic.
+    fn check_verdict<T>(
+        what: &str,
+        text: &str,
+        verdict: std::thread::Result<Result<T, String>>,
+    ) -> Result<(), TestCaseError> {
+        match verdict {
+            Ok(Ok(_)) => Ok(()),
+            Ok(Err(e)) if !e.contains('\n') => Ok(()),
+            Ok(Err(e)) => Err(TestCaseError::fail(format!(
+                "{what}: multi-line error {e:?}"
+            ))),
+            Err(_) => Err(TestCaseError::fail(format!("{what} panicked on {text:?}"))),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Malformed run-store and checkpoint files load as a value or
+        /// a one-line error, never a panic.
+        #[test]
+        fn malformed_store_and_checkpoint_files_never_panic(
+            lines in proptest::collection::vec(journal_line(), 1..6),
+            torn in any::<bool>(),
+        ) {
+            let mut text = lines.join("\n");
+            if !torn {
+                text.push('\n');
+            }
+            let path = temp_file("malformed.jsonl");
+            std::fs::write(&path, &text).unwrap();
+            let store = std::panic::catch_unwind(|| ccr_analyze::RunStore::load(&path));
+            let ckpt = std::panic::catch_unwind(|| load_checkpoint(&path));
+            let _ = std::fs::remove_file(&path);
+            check_verdict("RunStore::load", &text, store)?;
+            check_verdict("load_checkpoint", &text, ckpt)?;
+        }
     }
 }

@@ -35,6 +35,7 @@ use ccr_ir::semantics::{eval_binary, eval_unary};
 use ccr_ir::{BlockId, Decoded, FuncId, Instr, Op, Operand, Program, Reg, RegionId, Value};
 
 use crate::crb::{CrbModel, RecordedInstance};
+use crate::regset::RegSet;
 use crate::trace::{ExecEvent, MemAccess, ReuseOutcome, TraceSink};
 
 /// Emulator limits.
@@ -115,44 +116,6 @@ fn memory_digest(memory: &[Vec<Value>]) -> u64 {
         }
     }
     h
-}
-
-/// A set of registers as a bitset indexed by [`Reg::index`]: the IR
-/// numbers registers densely from zero, so membership is one shift
-/// and mask instead of a hash. Iterates in ascending register order.
-#[derive(Debug, Default)]
-struct RegSet {
-    words: Vec<u64>,
-}
-
-impl RegSet {
-    fn contains(&self, r: Reg) -> bool {
-        let i = r.index();
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w >> (i % 64) & 1 == 1)
-    }
-
-    fn insert(&mut self, r: Reg) {
-        let i = r.index();
-        if self.words.len() <= i / 64 {
-            self.words.resize(i / 64 + 1, 0);
-        }
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Register numbers in ascending order.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(k, &w)| {
-            (0..64u32)
-                .filter(move |b| w >> b & 1 == 1)
-                .map(move |b| k as u32 * 64 + b)
-        })
-    }
 }
 
 #[derive(Debug)]

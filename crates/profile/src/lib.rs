@@ -23,6 +23,7 @@
 pub mod crb;
 pub mod emulator;
 pub mod potential;
+mod regset;
 pub mod rps;
 pub mod trace;
 

@@ -29,8 +29,9 @@
 
 use std::collections::VecDeque;
 
-use ccr_ir::{BlockId, FuncId, MemObjectId, Program, Reg, Value};
+use ccr_ir::{BlockId, FuncId, MemObjectId, Program, Value};
 
+use crate::regset::LiveIns;
 use crate::rps::{FastMap, LoopKey, LoopMeta, ValueHash, ValueProfiler};
 use crate::trace::{ExecEvent, TraceSink};
 
@@ -91,8 +92,7 @@ fn ratio(n: u64, d: u64) -> f64 {
 /// invocation) as its instructions execute.
 #[derive(Clone, Debug, Default)]
 struct SigAccum {
-    inputs: Vec<(Reg, Value)>,
-    written: Vec<Reg>,
+    live_ins: LiveIns,
     loads: Vec<(MemObjectId, u64, u64)>,
     instrs: u64,
     stores: u64,
@@ -102,15 +102,10 @@ impl SigAccum {
     fn observe(&mut self, event: &ExecEvent<'_>, loc_version: &[Vec<u64>]) {
         self.instrs += 1;
         for src in event.decoded.srcs() {
-            let r = src.reg;
-            if !self.written.contains(&r) && !self.inputs.iter().any(|(x, _)| *x == r) {
-                self.inputs.push((r, event.inputs[src.slot as usize]));
-            }
+            self.live_ins.read(src.reg, event.inputs[src.slot as usize]);
         }
         for &d in event.decoded.dsts() {
-            if !self.written.contains(&d) {
-                self.written.push(d);
-            }
+            self.live_ins.write(d);
         }
         if let Some(mem) = event.mem {
             if mem.is_store {
@@ -127,7 +122,7 @@ impl SigAccum {
     /// untouched in between.
     fn signature(&self) -> u64 {
         let mut h = ValueHash::new();
-        for (r, v) in &self.inputs {
+        for (r, v) in &self.live_ins.inputs {
             h.push(Value::from_int(i64::from(r.0)));
             h.push(*v);
         }
@@ -147,8 +142,7 @@ impl SigAccum {
     /// Empties the accumulator, keeping its buffers for the next
     /// segment.
     fn clear(&mut self) {
-        self.inputs.clear();
-        self.written.clear();
+        self.live_ins.clear();
         self.loads.clear();
         self.instrs = 0;
         self.stores = 0;

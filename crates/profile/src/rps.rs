@@ -19,6 +19,10 @@
 //!   fraction of invocations with more than one iteration, and the
 //!   fraction whose live-in value vector (with unchanged loop memory)
 //!   matches one of the eight most recent recorded invocations.
+//!
+//! Every event costs a constant amount of work: loops are found
+//! through dense per-block tables, live-ins through a register bitset,
+//! and each capped map is probed once.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -26,6 +30,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use ccr_analysis::{CallGraph, LoopForest, SideEffects};
 use ccr_ir::{BlockId, FuncId, InstrId, MemObjectId, Op, Program, Reg, Value};
 
+use crate::regset::LiveIns;
 use crate::trace::{ExecEvent, TraceSink};
 
 /// Identifies a loop by its function and header block.
@@ -112,7 +117,9 @@ pub struct InstrProfile {
     pub taken: u64,
     vector_counts: FastMap<u64, u64>,
     overflow: u64,
-    recent: VecDeque<u64>,
+    /// The last [`RECENT_WINDOW`] input vectors as a ring: execution
+    /// `n` (from 0) wrote slot `n % RECENT_WINDOW`.
+    recent: [u64; RECENT_WINDOW],
 }
 
 impl InstrProfile {
@@ -148,17 +155,19 @@ impl InstrProfile {
         self.vector_counts.len()
     }
 
+    #[inline]
     fn observe(&mut self, sig: u64) {
-        self.exec += 1;
-        if self.recent.iter().any(|&s| s == sig) {
+        // `exec` vectors went into the ring before this one.
+        let filled = self.exec.min(RECENT_WINDOW as u64) as usize;
+        if self.recent[..filled].contains(&sig) {
             self.recent_hits += 1;
         }
-        if self.recent.len() == RECENT_WINDOW {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(sig);
-        if self.vector_counts.len() < MAX_TRACKED_VECTORS || self.vector_counts.contains_key(&sig) {
-            *self.vector_counts.entry(sig).or_insert(0) += 1;
+        self.recent[(self.exec % RECENT_WINDOW as u64) as usize] = sig;
+        self.exec += 1;
+        if let Some(count) = self.vector_counts.get_mut(&sig) {
+            *count += 1;
+        } else if self.vector_counts.len() < MAX_TRACKED_VECTORS {
+            self.vector_counts.insert(sig, 1);
         } else {
             self.overflow += 1;
         }
@@ -173,7 +182,9 @@ pub struct MemProfile {
     /// Executions finding the location unchanged since this load last
     /// touched it.
     pub unchanged: u64,
-    last_seen_version: FastMap<(MemObjectId, u64), u64>,
+    /// Store version of each location at this load's last access, by
+    /// the profiler's dense location number.
+    last_seen_version: FastMap<u64, u64>,
 }
 
 impl MemProfile {
@@ -184,6 +195,19 @@ impl MemProfile {
             0.0
         } else {
             self.unchanged as f64 / self.exec as f64
+        }
+    }
+
+    #[inline]
+    fn observe(&mut self, loc: u64, version: u64) {
+        self.exec += 1;
+        if let Some(seen) = self.last_seen_version.get_mut(&loc) {
+            if *seen == version {
+                self.unchanged += 1;
+            }
+            *seen = version;
+        } else if self.last_seen_version.len() < MAX_TRACKED_LOCATIONS {
+            self.last_seen_version.insert(loc, version);
         }
     }
 }
@@ -296,47 +320,97 @@ impl ReuseProfile {
 }
 
 struct ActiveInvocation {
-    key: LoopKey,
-    inputs: Vec<(Reg, Value)>,
-    written: Vec<Reg>,
+    /// The loop's slot in [`ValueProfiler::loops`].
+    slot: usize,
+    live_ins: LiveIns,
     iterations: u64,
     start_versions: Vec<u64>,
-    /// The last block tested for membership in the loop body, and the
-    /// answer: a block's instructions arrive as a run of events.
-    body_memo: Option<(BlockId, bool)>,
 }
 
 /// Online profiler; attach to an [`crate::Emulator`] run as a
 /// [`TraceSink`], then call [`ValueProfiler::finish`].
 pub struct ValueProfiler {
     profile: ReuseProfile,
-    loops: FastMap<LoopKey, LoopMeta>,
+    /// Candidate loops in discovery order, one slot per key.
+    loops: Vec<LoopMeta>,
+    /// The slot of the loop each block heads, by function and block
+    /// index.
+    header_slot: Vec<Vec<Option<u32>>>,
+    /// Each slot's body blocks as a bitset over block indices.
+    bodies: Vec<Vec<u64>>,
+    /// Each slot's cyclic counters, once it has finished an invocation.
+    cyclic: Vec<Option<CyclicProfile>>,
     /// Per-object global store version.
     obj_version: Vec<u64>,
-    /// Per-location store version, per object by element index
-    /// (indices arrive already masked into the object's bounds).
-    loc_version: Vec<Vec<u64>>,
+    /// The first location number of each object: object `o`'s element
+    /// `i` is location `loc_base[o] + i` (indices arrive already
+    /// masked into the object's bounds).
+    loc_base: Vec<usize>,
+    /// Per-location store version, by location number.
+    loc_version: Vec<u64>,
     /// Active loop invocation per call depth, indexed by depth.
     active: Vec<Option<ActiveInvocation>>,
     depth: usize,
-    current_block: Option<(FuncId, BlockId)>,
+    /// Buffers of finished invocations, reused by the next ones.
+    spare_live_ins: Vec<LiveIns>,
+    spare_versions: Vec<Vec<u64>>,
 }
 
 impl ValueProfiler {
-    /// Creates a profiler with explicit loop metadata.
+    /// Creates a profiler with explicit loop metadata. A key given
+    /// twice keeps its last meta.
     pub fn new(program: &Program, loops: Vec<LoopMeta>) -> ValueProfiler {
+        let mut metas: Vec<LoopMeta> = Vec::with_capacity(loops.len());
+        let mut header_slot: Vec<Vec<Option<u32>>> = Vec::new();
+        for meta in loops {
+            let (f, b) = (meta.key.func.index(), meta.key.header.index());
+            if header_slot.len() <= f {
+                header_slot.resize_with(f + 1, Vec::new);
+            }
+            if header_slot[f].len() <= b {
+                header_slot[f].resize(b + 1, None);
+            }
+            match header_slot[f][b] {
+                Some(slot) => metas[slot as usize] = meta,
+                None => {
+                    header_slot[f][b] = Some(metas.len() as u32);
+                    metas.push(meta);
+                }
+            }
+        }
+        let bodies = metas
+            .iter()
+            .map(|m| {
+                let mut bits = Vec::new();
+                for b in &m.body {
+                    let i = b.index();
+                    if bits.len() <= i / 64 {
+                        bits.resize(i / 64 + 1, 0u64);
+                    }
+                    bits[i / 64] |= 1 << (i % 64);
+                }
+                bits
+            })
+            .collect();
+        let mut loc_base = Vec::with_capacity(program.objects().len());
+        let mut locations = 0;
+        for o in program.objects() {
+            loc_base.push(locations);
+            locations += o.size();
+        }
         ValueProfiler {
             profile: ReuseProfile::default(),
-            loops: loops.into_iter().map(|m| (m.key, m)).collect(),
+            cyclic: vec![None; metas.len()],
+            loops: metas,
+            header_slot,
+            bodies,
             obj_version: vec![0; program.objects().len()],
-            loc_version: program
-                .objects()
-                .iter()
-                .map(|o| vec![0; o.size()])
-                .collect(),
+            loc_base,
+            loc_version: vec![0; locations],
             active: Vec::new(),
             depth: 0,
-            current_block: None,
+            spare_live_ins: Vec::new(),
+            spare_versions: Vec::new(),
         }
     }
 
@@ -381,9 +455,10 @@ impl ValueProfiler {
     }
 
     /// The candidate-loop metadata the profiler was built with (used
-    /// by the limit study and by region formation).
+    /// by the limit study and by region formation), in discovery
+    /// order.
     pub fn loop_metas(&self) -> Vec<LoopMeta> {
-        self.loops.values().cloned().collect()
+        self.loops.clone()
     }
 
     /// Consumes the profiler, finalizing any open invocation records.
@@ -391,14 +466,33 @@ impl ValueProfiler {
         for d in 0..self.active.len() {
             self.finalize_invocation(d);
         }
+        self.profile.cyclic = self
+            .cyclic
+            .into_iter()
+            .zip(&self.loops)
+            .filter_map(|(prof, meta)| Some((meta.key, prof?)))
+            .collect();
         self.profile
     }
 
-    fn loop_versions(obj_version: &[u64], meta: &LoopMeta) -> Vec<u64> {
-        meta.loaded_objects
-            .iter()
-            .map(|o| obj_version[o.index()])
-            .collect()
+    /// The slot of the loop headed by `block`, if any.
+    #[inline]
+    fn header_slot(&self, func: FuncId, block: BlockId) -> Option<usize> {
+        let slot = self.header_slot.get(func.index())?.get(block.index())?;
+        slot.map(|s| s as usize)
+    }
+
+    /// The current store versions of the objects `slot`'s loop loads,
+    /// in a pooled buffer.
+    fn loop_versions(&mut self, slot: usize) -> Vec<u64> {
+        let mut versions = self.spare_versions.pop().unwrap_or_default();
+        versions.extend(
+            self.loops[slot]
+                .loaded_objects
+                .iter()
+                .map(|o| self.obj_version[o.index()]),
+        );
+        versions
     }
 
     fn active_at(&mut self, depth: usize) -> &mut Option<ActiveInvocation> {
@@ -409,19 +503,19 @@ impl ValueProfiler {
     }
 
     fn finalize_invocation(&mut self, depth: usize) {
-        let Some(inv) = self.active.get_mut(depth).and_then(Option::take) else {
+        let Some(mut inv) = self.active.get_mut(depth).and_then(Option::take) else {
             return;
         };
-        let meta = &self.loops[&inv.key];
-        let versions = Self::loop_versions(&self.obj_version, meta);
-        let sig = hash_reg_values(&inv.inputs);
-        let prof = self.profile.cyclic.entry(inv.key).or_default();
+        let versions = self.loop_versions(inv.slot);
+        let sig = hash_reg_values(&inv.live_ins.inputs);
+        let impure = self.loops[inv.slot].impure;
+        let prof = self.cyclic[inv.slot].get_or_insert_with(CyclicProfile::default);
         prof.invocations += 1;
         prof.total_iterations += inv.iterations;
         if inv.iterations > 1 {
             prof.multi_iteration += 1;
         }
-        let reusable = !meta.impure
+        let reusable = !impure
             && prof
                 .history
                 .iter()
@@ -430,46 +524,46 @@ impl ValueProfiler {
             prof.reuse_opportunities += 1;
         }
         if prof.history.len() == CYCLIC_HISTORY {
-            prof.history.pop_front();
+            if let Some((_, mut old)) = prof.history.pop_front() {
+                old.clear();
+                self.spare_versions.push(old);
+            }
         }
         prof.history.push_back((sig, versions));
+        inv.live_ins.clear();
+        self.spare_live_ins.push(inv.live_ins);
+        inv.start_versions.clear();
+        self.spare_versions.push(inv.start_versions);
     }
 }
 
 impl TraceSink for ValueProfiler {
     fn on_block_enter(&mut self, func: FuncId, block: BlockId) {
-        let key = LoopKey {
-            func,
-            header: block,
-        };
         let depth = self.depth;
         // Entering a tracked header: new invocation or next iteration.
-        if let Some(meta) = self.loops.get(&key) {
+        if let Some(slot) = self.header_slot(func, block) {
             match self.active.get_mut(depth).and_then(Option::as_mut) {
-                Some(inv) if inv.key == key => {
+                Some(inv) if inv.slot == slot => {
                     inv.iterations += 1;
                 }
                 _ => {
-                    let versions = Self::loop_versions(&self.obj_version, meta);
+                    let start_versions = self.loop_versions(slot);
                     self.finalize_invocation(depth);
+                    let live_ins = self.spare_live_ins.pop().unwrap_or_default();
                     *self.active_at(depth) = Some(ActiveInvocation {
-                        key,
-                        inputs: Vec::new(),
-                        written: Vec::new(),
+                        slot,
+                        live_ins,
                         iterations: 1,
-                        start_versions: versions,
-                        body_memo: None,
+                        start_versions,
                     });
                 }
             }
         } else if let Some(inv) = self.active.get(depth).and_then(Option::as_ref) {
             // Leaving the active loop's body ends the invocation.
-            let meta = &self.loops[&inv.key];
-            if !meta.body.contains(&block) {
+            if !in_body(&self.bodies[inv.slot], block) {
                 self.finalize_invocation(depth);
             }
         }
-        self.current_block = Some((func, block));
     }
 
     fn on_call(&mut self, _caller: FuncId, _callee: FuncId) {
@@ -490,65 +584,45 @@ impl TraceSink for ValueProfiler {
                 .resize_with(idx + 1, InstrProfile::default);
             self.profile.mem.resize_with(idx + 1, MemProfile::default);
         }
-        let sig = hash_values(event.inputs);
         let ip = &mut self.profile.instr[idx];
-        ip.observe(sig);
+        ip.observe(hash_values(event.inputs));
         if event.taken == Some(true) {
             ip.taken += 1;
         }
 
         // Memory bookkeeping.
         if let Some(mem) = event.mem {
-            let loc = (mem.object, mem.index);
-            let stamp = &mut self.loc_version[mem.object.index()][mem.index as usize];
+            let loc = self.loc_base[mem.object.index()] + mem.index as usize;
             if mem.is_store {
                 self.obj_version[mem.object.index()] += 1;
-                *stamp += 1;
+                self.loc_version[loc] += 1;
             } else {
-                let version = *stamp;
-                let prof = &mut self.profile.mem[idx];
-                prof.exec += 1;
-                match prof.last_seen_version.get(&loc) {
-                    Some(&seen) if seen == version => prof.unchanged += 1,
-                    _ => {}
-                }
-                if prof.last_seen_version.len() < MAX_TRACKED_LOCATIONS
-                    || prof.last_seen_version.contains_key(&loc)
-                {
-                    prof.last_seen_version.insert(loc, version);
-                }
+                self.profile.mem[idx].observe(loc as u64, self.loc_version[loc]);
             }
         }
 
         // Cyclic live-in capture: registers read before written while
         // the invocation is active and the instruction is in the body.
-        if let Some(inv) = self.active.get_mut(self.depth).and_then(Option::as_mut) {
-            let in_body = match inv.body_memo {
-                Some((block, in_body)) if block == event.block => in_body,
-                _ => {
-                    let in_body = self
-                        .loops
-                        .get(&inv.key)
-                        .is_some_and(|m| m.body.contains(&event.block));
-                    inv.body_memo = Some((event.block, in_body));
-                    in_body
-                }
-            };
-            if in_body && event.func == inv.key.func {
+        if let Some(Some(inv)) = self.active.get_mut(self.depth) {
+            if event.func == self.loops[inv.slot].key.func
+                && in_body(&self.bodies[inv.slot], event.block)
+            {
                 for src in event.decoded.srcs() {
-                    let r = src.reg;
-                    if !inv.written.contains(&r) && !inv.inputs.iter().any(|(x, _)| *x == r) {
-                        inv.inputs.push((r, event.inputs[src.slot as usize]));
-                    }
+                    inv.live_ins.read(src.reg, event.inputs[src.slot as usize]);
                 }
                 for &d in event.decoded.dsts() {
-                    if !inv.written.contains(&d) {
-                        inv.written.push(d);
-                    }
+                    inv.live_ins.write(d);
                 }
             }
         }
     }
+}
+
+/// Whether `block` is in a loop body held as a bitset.
+#[inline]
+fn in_body(body: &[u64], block: BlockId) -> bool {
+    let i = block.index();
+    body.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
 }
 
 /// Hashes a value slice with an FNV-1a-style mix (stable across runs).

@@ -444,10 +444,19 @@ impl ReuseBuffer {
     ///
     /// Returns a one-line description when the snapshot geometry does
     /// not match `config`, a bank is wider than `config` lets `record`
-    /// store, a miss-cause index is out of range, or a valid
-    /// instance's or a ghost's stored fingerprint is not the
-    /// fingerprint of its inputs.
+    /// store, a miss-cause index is out of range, a valid instance's
+    /// or a ghost's stored fingerprint is not the fingerprint of its
+    /// inputs, or the clock or a counter is at `u64::MAX`, where its
+    /// next increment would overflow.
     pub fn restore(config: CrbConfig, snap: &CrbSnapshot) -> Result<ReuseBuffer, String> {
+        if snap.clock == u64::MAX {
+            return Err("crb clock is at u64::MAX and would overflow on the next lookup".into());
+        }
+        let mut saturated = false;
+        snap.stats.fold_state(&mut |n| saturated |= n == u64::MAX);
+        if saturated {
+            return Err("crb counter is at u64::MAX and would overflow".into());
+        }
         let mut buf = ReuseBuffer::new(config);
         if snap.entries.len() != buf.entries.len() {
             return Err(format!(

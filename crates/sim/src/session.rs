@@ -12,7 +12,9 @@
 //! uninterrupted run — the replay contract the `ccr fingerprint` and
 //! `ccr snapshot` commands are built on.
 
-use ccr_ir::{CodeLayout, Program};
+use std::collections::HashMap;
+
+use ccr_ir::{CodeLayout, Function, Op, Program};
 use ccr_profile::{EmuConfig, EmuError, EmuRun, Emulator, NullCrb, RunOutcome};
 
 use crate::crb::{CrbConfig, ReuseBuffer};
@@ -20,7 +22,7 @@ use crate::fingerprint::{FingerprintStream, WindowDigest};
 use crate::machine::MachineConfig;
 use crate::pipeline::Pipeline;
 use crate::simulator::SimOutcome;
-use crate::snapshot::{FingerprintSnapshot, SimSnapshot};
+use crate::snapshot::{CrbSnapshot, FingerprintSnapshot, SimSnapshot};
 
 /// A stepwise simulation with streaming fingerprints and snapshot
 /// support. See the module docs for the replay contract.
@@ -76,7 +78,9 @@ impl<'p> SimSession<'p> {
     ///
     /// Returns a one-line description when any component of the
     /// snapshot is inconsistent with `program`, `machine`, or `crb`
-    /// (including a CRB record present/absent mismatch).
+    /// (including a CRB record present/absent mismatch, and a CRB
+    /// instance or ghost naming a register outside its region's
+    /// function).
     pub fn restore(
         program: &'p Program,
         machine: &MachineConfig,
@@ -89,7 +93,10 @@ impl<'p> SimSession<'p> {
         let pipeline = Pipeline::restore(*machine, layout, &snap.pipeline)?;
         let run = emulator.resume(&snap.emu)?;
         let buffer = match (crb, &snap.crb) {
-            (Some(config), Some(cs)) => Some(ReuseBuffer::restore(config, cs)?),
+            (Some(config), Some(cs)) => {
+                check_crb_registers(program, cs)?;
+                Some(ReuseBuffer::restore(config, cs)?)
+            }
             (None, None) => None,
             (Some(_), None) => {
                 return Err(
@@ -284,11 +291,51 @@ impl<'p> SimSession<'p> {
     }
 }
 
+/// Checks that every register a restored CRB instance or ghost names
+/// lies inside the frame of the function holding its region's `reuse`
+/// instruction: a lookup reads, and a hit writes, those registers in
+/// that frame.
+fn check_crb_registers(program: &Program, snap: &CrbSnapshot) -> Result<(), String> {
+    let mut home: HashMap<u32, &Function> = HashMap::new();
+    for func in program.functions() {
+        for (_, instr) in func.iter_instrs() {
+            if let Op::Reuse { region, .. } = instr.op {
+                home.insert(region.0, func);
+            }
+        }
+    }
+    for (i, entry) in snap.entries.iter().enumerate() {
+        let Some(tag) = entry.tag else {
+            continue;
+        };
+        let func = home
+            .get(&tag)
+            .ok_or_else(|| format!("crb entry {i}: region {tag} has no reuse instruction"))?;
+        let limit = func.reg_limit();
+        let check = |what: String, bank: &[(u32, u64)]| match bank.iter().find(|(r, _)| *r >= limit)
+        {
+            Some((r, _)) => Err(format!(
+                "crb entry {i} {what}: register r{r} is outside {}'s {limit} registers",
+                func.name()
+            )),
+            None => Ok(()),
+        };
+        for (k, inst) in entry.instances.iter().enumerate() {
+            check(format!("instance {k}"), &inst.inputs)?;
+            check(format!("instance {k}"), &inst.outputs)?;
+        }
+        for (k, ghost) in entry.ghosts.iter().enumerate() {
+            check(format!("ghost {k}"), &ghost.inputs)?;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simulator::simulate;
-    use crate::snapshot::{parse_snapshot, write_snapshot};
+    use crate::snapshot::{parse_snapshot, write_snapshot, CrbEntrySnapshot, CrbGhostSnapshot};
     use ccr_ir::{BinKind, CmpPred, InstrExt, Op, Operand, ProgramBuilder};
 
     /// A hand-annotated reusing loop: one region, `trips` iterations,
@@ -435,6 +482,86 @@ mod tests {
             .err()
             .expect("restore must fail");
         assert!(err.contains("entries"), "{err}");
+    }
+
+    /// A mid-run snapshot of the reusing loop and the index of an
+    /// entry holding a recorded instance, for hand edits.
+    fn mid_run_snapshot(p: &Program) -> (SimSnapshot, usize) {
+        let (m, crb, emu) = paper();
+        let mut s = SimSession::new(p, &m, crb, emu, 64);
+        s.run_until_cycle(1000).unwrap();
+        let snap = s.snapshot().unwrap();
+        let idx = snap
+            .crb
+            .as_ref()
+            .unwrap()
+            .entries
+            .iter()
+            .position(|e| e.instances.iter().any(|i| i.valid));
+        (snap, idx.expect("a recorded instance"))
+    }
+
+    #[test]
+    fn restore_rejects_registers_outside_the_region_function() {
+        let p = annotated_program(300);
+        let (m, crb, emu) = paper();
+        let limit = p.function(p.main()).reg_limit();
+        let (snap, idx) = mid_run_snapshot(&p);
+        let restore = |edit: &dyn Fn(&mut CrbEntrySnapshot)| {
+            let mut bad = snap.clone();
+            edit(&mut bad.crb.as_mut().unwrap().entries[idx]);
+            SimSession::restore(&p, &m, crb, emu, &bad)
+                .err()
+                .expect("restore must fail")
+        };
+        let k = snap.crb.as_ref().unwrap().entries[idx]
+            .instances
+            .iter()
+            .position(|i| i.valid)
+            .unwrap();
+        let outside = format!("register r{limit} is outside main's {limit} registers");
+
+        let err = restore(&|e| e.instances[k].inputs[0].0 = limit);
+        assert_eq!(err, format!("crb entry {idx} instance {k}: {outside}"));
+        let err = restore(&|e| e.instances[k].outputs[0].0 = limit);
+        assert_eq!(err, format!("crb entry {idx} instance {k}: {outside}"));
+        let err = restore(&|e| {
+            e.ghosts.push(CrbGhostSnapshot {
+                inputs: vec![(0, 0), (limit, 0)],
+                fp: 0,
+                cause: 0,
+            })
+        });
+        let g = snap.crb.as_ref().unwrap().entries[idx].ghosts.len();
+        assert_eq!(err, format!("crb entry {idx} ghost {g}: {outside}"));
+        let err = restore(&|e| e.tag = Some(999));
+        assert_eq!(
+            err,
+            format!("crb entry {idx}: region 999 has no reuse instruction")
+        );
+
+        // The unedited snapshot restores and runs to the end.
+        let mut resumed = SimSession::restore(&p, &m, crb, emu, &snap).unwrap();
+        resumed.run_to_end().unwrap();
+    }
+
+    #[test]
+    fn restore_rejects_a_clock_or_counter_about_to_overflow() {
+        let p = annotated_program(300);
+        let (m, crb, emu) = paper();
+        let (snap, _) = mid_run_snapshot(&p);
+        let mut bad = snap.clone();
+        bad.crb.as_mut().unwrap().clock = u64::MAX;
+        let err = SimSession::restore(&p, &m, crb, emu, &bad)
+            .err()
+            .expect("restore must fail");
+        assert!(err.contains("clock is at u64::MAX"), "{err}");
+        let mut bad = snap.clone();
+        bad.crb.as_mut().unwrap().stats.lookups = u64::MAX;
+        let err = SimSession::restore(&p, &m, crb, emu, &bad)
+            .err()
+            .expect("restore must fail");
+        assert!(err.contains("counter is at u64::MAX"), "{err}");
     }
 
     #[test]
