@@ -69,8 +69,8 @@ use ccr_sim::{simulate, CrbConfig, MachineConfig, SimOutcome, SimSession};
 use ccr_workloads::InputSet;
 
 use crate::exp::{
-    base_sim_key, ccr_sim_key, compile_key, hash_fields, input_tag, CompileCache, CompileUnit,
-    Executed, Plan, PointMeta, PotentialUnit,
+    base_sim_key, ccr_sim_key, compile_key, hash_fields, CompileCache, CompileUnit, Executed, Plan,
+    PointMeta, PotentialUnit,
 };
 use crate::single_flight::SingleFlight;
 use crate::{emu_config, SuiteRun};
@@ -435,10 +435,10 @@ impl Engine {
                     Prep::Compile(u) => format!(
                         "compile:{}:{}@r{}",
                         u.name,
-                        input_tag(u.input),
+                        u.input.name(),
                         &hash_fields(&u.config.region.fields())[..8],
                     ),
-                    Prep::Potential(u) => format!("potential:{}:{}", u.name, input_tag(u.input)),
+                    Prep::Potential(u) => format!("potential:{}:{}", u.name, u.input.name()),
                 }
             }
             fn phase(&self) -> &'static str {
@@ -632,7 +632,7 @@ impl Engine {
         harness: &Harness,
     ) -> Result<Vec<SuiteRun>, String> {
         let jobs = self.jobs;
-        let input = input_tag(target);
+        let input = target.name();
         let cfg_hash = config_hash(machine, &crb);
         harness.plan(
             names.len() as u64,
@@ -701,22 +701,11 @@ impl Engine {
         for (name, (compiled, compile_ms)) in names.iter().zip(compiled) {
             let base = sims.next().expect("one base sim per workload")?;
             let ccr = sims.next().expect("one ccr sim per workload")?;
-            assert_eq!(
-                base.outcome.run.returned, ccr.outcome.run.returned,
-                "computation reuse changed architectural results"
-            );
-            assert_eq!(
-                base.outcome.run.memory_digest, ccr.outcome.run.memory_digest,
-                "computation reuse changed the final memory image"
-            );
             runs.push(SuiteRun {
                 name,
                 compiled,
                 wall_ms: compile_ms + base.wall_ms + ccr.wall_ms,
-                measurement: Measurement {
-                    base: base.outcome,
-                    ccr: ccr.outcome,
-                },
+                measurement: Measurement::checked(base.outcome, ccr.outcome),
             });
         }
         Ok(runs)

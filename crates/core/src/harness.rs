@@ -46,10 +46,11 @@ pub const HARNESS_SCHEMA_VERSION: u32 = 1;
 const STRAGGLER_TOP_K: usize = 5;
 
 /// What `--progress` renders to stderr.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ProgressMode {
     /// No stderr rendering (the default; `--harness-out` may still
     /// record events to a file).
+    #[default]
     Off,
     /// One human-readable line per monitor sample.
     Plain,

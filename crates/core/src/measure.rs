@@ -17,6 +17,26 @@ pub struct Measurement {
 }
 
 impl Measurement {
+    /// Pairs a baseline and a CCR run of the same program: the one
+    /// soundness check every measurement passes through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two runs return different values or leave
+    /// different final memory images — reuse must never change
+    /// architectural state.
+    pub fn checked(base: SimOutcome, ccr: SimOutcome) -> Measurement {
+        assert_eq!(
+            base.run.returned, ccr.run.returned,
+            "computation reuse changed architectural results"
+        );
+        assert_eq!(
+            base.run.memory_digest, ccr.run.memory_digest,
+            "computation reuse changed the final memory image"
+        );
+        Measurement { base, ccr }
+    }
+
     /// Cycle-time speedup (the paper's Figures 8 and 11 metric).
     pub fn speedup(&self) -> f64 {
         self.ccr.speedup_over(self.base.stats.cycles)
@@ -43,8 +63,8 @@ impl Measurement {
 ///
 /// # Panics
 ///
-/// Panics if the two runs return different architectural results —
-/// reuse must never change program semantics.
+/// Panics if the two runs disagree architecturally (see
+/// [`Measurement::checked`]).
 pub fn measure(
     compiled: &CompiledWorkload,
     machine: &MachineConfig,
@@ -86,7 +106,8 @@ pub fn measure(
 ///
 /// # Panics
 ///
-/// Panics if the two runs return different architectural results.
+/// Panics if the two runs disagree architecturally (see
+/// [`Measurement::checked`]).
 pub fn measure_with(
     compiled: &CompiledWorkload,
     machine: &MachineConfig,
@@ -127,15 +148,7 @@ pub fn measure_with(
         ccr_rec.replay_into(sink);
         (base, ccr)
     };
-    assert_eq!(
-        base.run.returned, ccr.run.returned,
-        "computation reuse changed architectural results"
-    );
-    assert_eq!(
-        base.run.memory_digest, ccr.run.memory_digest,
-        "computation reuse changed the final memory image"
-    );
-    Ok(Measurement { base, ccr })
+    Ok(Measurement::checked(base, ccr))
 }
 
 /// Runs the Figure 4 limit study on a program.
@@ -329,6 +342,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One real run of the smoke workload; each soundness test clones
+    /// it into both sides of a measurement and corrupts one field.
+    fn smoke_outcome() -> SimOutcome {
+        let p = build("bitcount", InputSet::Train, 1).unwrap();
+        simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "final memory image")]
+    fn checked_rejects_a_changed_memory_image_alone() {
+        let base = smoke_outcome();
+        Measurement::checked(base.clone(), base.clone());
+        let mut ccr = base.clone();
+        ccr.run.memory_digest ^= 1;
+        Measurement::checked(base, ccr);
+    }
+
+    #[test]
+    #[should_panic(expected = "architectural results")]
+    fn checked_rejects_changed_return_values() {
+        let base = smoke_outcome();
+        let mut ccr = base.clone();
+        ccr.run.returned.push(ccr_ir::Value::from_int(1));
+        Measurement::checked(base, ccr);
     }
 
     #[test]

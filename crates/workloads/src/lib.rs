@@ -48,9 +48,10 @@ mod vortex;
 mod yacc;
 
 /// Which input data set to generate.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum InputSet {
     /// The profiling ("training") input.
+    #[default]
     Train,
     /// The evaluation ("reference") input.
     Ref,
@@ -63,6 +64,22 @@ impl InputSet {
             InputSet::Train => 0x7261_696e,
             InputSet::Ref => 0x5245_4631,
         }
+    }
+
+    /// The set's name in flags, cache keys and records: `train` or
+    /// `ref`.
+    pub fn name(self) -> &'static str {
+        match self {
+            InputSet::Train => "train",
+            InputSet::Ref => "ref",
+        }
+    }
+
+    /// Parses an [`InputSet::name`]; `None` for any other string.
+    pub fn from_name(name: &str) -> Option<InputSet> {
+        [InputSet::Train, InputSet::Ref]
+            .into_iter()
+            .find(|i| i.name() == name)
     }
 }
 
@@ -136,6 +153,14 @@ pub fn all(input: InputSet, scale: u32) -> Vec<Workload> {
 mod tests {
     use super::*;
     use ccr_profile::{EmuConfig, Emulator, NullCrb, NullSink};
+
+    #[test]
+    fn input_set_names_round_trip() {
+        for input in [InputSet::Train, InputSet::Ref] {
+            assert_eq!(InputSet::from_name(input.name()), Some(input));
+        }
+        assert_eq!(InputSet::from_name("Train"), None);
+    }
 
     #[test]
     fn every_benchmark_builds_verifies_and_runs() {

@@ -182,7 +182,7 @@ impl Submission {
                 instances,
             } => format!(
                 "{workload}:{}@{scale} crb {entries}x{instances}",
-                input_tag(*input)
+                input.name()
             ),
         }
     }
@@ -221,21 +221,6 @@ struct Session {
     timestamp: u64,
     commit: String,
     store_enabled: bool,
-}
-
-fn input_tag(input: InputSet) -> &'static str {
-    match input {
-        InputSet::Train => "train",
-        InputSet::Ref => "ref",
-    }
-}
-
-fn parse_input(tag: &str) -> Result<InputSet, String> {
-    match tag {
-        "train" => Ok(InputSet::Train),
-        "ref" => Ok(InputSet::Ref),
-        other => Err(format!("unknown input set `{other}` (train or ref)")),
-    }
 }
 
 /// Runs a serve session to completion: binds, accepts clients,
@@ -635,7 +620,8 @@ fn parse_submission(v: &Value) -> Result<Submission, String> {
                 return Err(format!("unknown workload `{name}` (see `ccr list`)"));
             };
             let input = match v.get("input").and_then(Value::as_str) {
-                Some(tag) => parse_input(tag)?,
+                Some(tag) => InputSet::from_name(tag)
+                    .ok_or_else(|| format!("unknown input set `{tag}` (train or ref)"))?,
                 None => InputSet::Train,
             };
             let paper = CrbConfig::paper();
@@ -869,7 +855,7 @@ fn execute_submission(session: &Session, submission: &Submission) -> Result<Exec
                 config_hash: crate::config_hash(&machine, &crb),
                 source: "serve".to_string(),
                 workload: run.name.to_string(),
-                input: input_tag(*input).to_string(),
+                input: input.name().to_string(),
                 scale: u64::from(*scale),
                 base_cycles: m.base.stats.cycles,
                 ccr_cycles: m.ccr.stats.cycles,
@@ -1046,7 +1032,7 @@ pub fn submit_point_request(
     w.key("req_v").u64_val(REQ_VERSION);
     w.key("op").str_val("submit");
     w.key("workload").str_val(workload);
-    w.key("input").str_val(input_tag(input));
+    w.key("input").str_val(input.name());
     w.key("scale").u64_val(u64::from(scale));
     w.key("entries").u64_val(entries as u64);
     w.key("instances").u64_val(instances as u64);

@@ -349,3 +349,95 @@ fn cli_preflight_failures_are_one_line_each() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The five measurement lines `ccr run` prints, in order.
+fn measurement_lines(stdout: &str) -> Vec<&str> {
+    let lines: Vec<&str> = stdout
+        .lines()
+        .filter(|l| {
+            ["program", "regions", "baseline", "with CCR", "speedup"]
+                .iter()
+                .any(|key| l.starts_with(key))
+        })
+        .collect();
+    assert_eq!(lines.len(), 5, "{stdout}");
+    lines
+}
+
+fn run_ok(args: &[&str]) -> String {
+    let out = ccr_bin().args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "ccr {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn cli_run_snapshot_flags_reproduce_the_cold_measurement() {
+    let dir = temp_dir("ccr-run-snapshot-cli-test");
+    let snap = dir.join("bitcount.snap.jsonl");
+    let snap = snap.to_str().unwrap();
+
+    let cold = run_ok(&["run", "bitcount"]);
+    let fingerprint = run_ok(&["fingerprint", "bitcount"]);
+    let final_hash = fingerprint
+        .split("final ")
+        .nth(1)
+        .and_then(|s| s.split_whitespace().next())
+        .expect("fingerprint output names the final hash");
+
+    let saved = run_ok(&[
+        "run",
+        "bitcount",
+        "--save-snapshot",
+        snap,
+        "--snapshot-cycle",
+        "1000",
+    ]);
+    let resumed = run_ok(&["run", "bitcount", "--restore-snapshot", snap]);
+    for (what, stdout) in [("save", &saved), ("restore", &resumed)] {
+        assert_eq!(
+            measurement_lines(stdout),
+            measurement_lines(&cold),
+            "{what}: the measurement must equal the cold run's"
+        );
+        assert!(
+            stdout.contains(&format!("fingerprint: {final_hash} ")),
+            "{what}: must land on the cold trajectory hash {final_hash}:\n{stdout}"
+        );
+    }
+
+    let other_config = ccr_bin()
+        .args(["run", "bitcount", "--restore-snapshot", snap])
+        .args(["--entries", "64"])
+        .output()
+        .unwrap();
+    assert_one_line_failure(&other_config, "resume under another CRB configuration");
+    let other_workload = ccr_bin()
+        .args(["run", "lex", "--restore-snapshot", snap])
+        .output()
+        .unwrap();
+    assert_one_line_failure(&other_workload, "resume as another workload");
+
+    for args in [
+        &["--save-snapshot", snap, "--restore-snapshot", snap][..],
+        &["--save-snapshot", snap][..],
+    ] {
+        let out = ccr_bin()
+            .args(["run", "bitcount"])
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage:"),
+            "{args:?} is a usage error: {stderr}"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
