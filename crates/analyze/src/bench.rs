@@ -14,6 +14,7 @@
 
 use ccr_telemetry::JsonWriter;
 
+use crate::store::RunRecord;
 use crate::value::{self, Value};
 
 /// Version of the `BENCH_ccr.json` schema this crate writes.
@@ -57,6 +58,23 @@ impl BenchWorkload {
             return 0.0;
         }
         (base_cycles + ccr_cycles) as f64 / (wall_ms as f64 / 1000.0)
+    }
+}
+
+impl From<&RunRecord> for BenchWorkload {
+    /// The snapshot row of a measured point's store record (the
+    /// inverse of [`crate::store::records_from_bench`]).
+    fn from(r: &RunRecord) -> BenchWorkload {
+        BenchWorkload {
+            name: r.workload.clone(),
+            base_cycles: r.base_cycles,
+            ccr_cycles: r.ccr_cycles,
+            speedup: r.speedup,
+            hit_rate: r.hit_rate,
+            regions: r.regions,
+            wall_ms: r.wall_ms,
+            sim_cycles_per_host_sec: r.sim_cycles_per_host_sec,
+        }
     }
 }
 
@@ -168,10 +186,7 @@ impl BenchReport {
     /// Malformed JSON or an unknown `bench_schema_version`.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
         let v = value::parse(text.trim()).map_err(|e| e.to_string())?;
-        let version = v.u64_field("bench_schema_version");
-        if !KNOWN_BENCH_VERSIONS.contains(&version) {
-            return Err(format!("unknown bench_schema_version {version}"));
-        }
+        value::check_version(&v, "bench_schema_version", KNOWN_BENCH_VERSIONS)?;
         let git_commit = match v.get("git_commit").and_then(Value::as_str) {
             Some(c) => c.to_string(),
             None => "unknown".to_string(), // v1 read path

@@ -17,7 +17,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::analysis::Analysis;
-use crate::bench::BenchReport;
+use crate::bench::{BenchReport, BenchWorkload};
+use crate::store::RunRecord;
 use crate::value::{self, Value};
 
 /// Regression thresholds. `None` disables a gate.
@@ -52,14 +53,42 @@ impl Thresholds {
     pub fn none() -> Thresholds {
         Thresholds::default()
     }
+
+    /// The one regression verdict behind `ccr diff` and `ccr report`:
+    /// renders the change of `metric` from `base` to `new` and says
+    /// whether it breaches. `hit_rate` moves in percentage points,
+    /// every other metric in percent, where a zero base with a nonzero
+    /// new value is `+inf%`. Only cycle growth (`ccr_cycles`) and drops
+    /// of `hit_rate`, `speedup` and host throughput (`host_mcps`,
+    /// `host_mcps_geomean`) can breach.
+    pub fn judge(&self, metric: &str, base: f64, new: f64) -> (String, bool) {
+        if metric == "hit_rate" {
+            let pp = (new - base) * 100.0;
+            let breach = self.max_hit_rate_drop_pp.is_some_and(|max| -pp > max);
+            return (format!("{pp:+.2}pp"), breach);
+        }
+        let pct = pct_delta(base, new);
+        let (limit, growth) = match metric {
+            "ccr_cycles" => (self.max_cycle_regress_pct, pct),
+            "speedup" => (self.max_speedup_drop_pct, -pct),
+            "host_mcps" | "host_mcps_geomean" => (self.max_host_throughput_drop_pct, -pct),
+            _ => (None, 0.0),
+        };
+        (format!("{pct:+.2}%"), limit.is_some_and(|max| growth > max))
+    }
 }
 
-/// What diff needs from one run, extractable from an [`Analysis`] or
-/// a saved `analysis.json`.
+/// One run's point-level numbers, read from an in-memory [`Analysis`]
+/// or a saved `analysis.json` (the one reader of that file): what
+/// `ccr diff` compares and what the run store records.
 #[derive(Clone, Debug, Default)]
 pub struct RunSnapshot {
     /// Workload name.
     pub workload: String,
+    /// Input set (`train` / `ref`).
+    pub input: String,
+    /// Scale factor.
+    pub scale: u64,
     /// Machine/CRB configuration hash, when known.
     pub config_hash: Option<String>,
     /// Baseline cycles.
@@ -72,6 +101,10 @@ pub struct RunSnapshot {
     pub hit_rate: f64,
     /// Aggregate CRB lookups.
     pub lookups: u64,
+    /// Miss-cause mix, indexed like [`crate::MISS_CAUSES`].
+    pub miss_causes: [u64; 5],
+    /// Reuse regions formed.
+    pub regions_formed: u64,
     /// Per-region `(lookups, hit_rate, skipped)`.
     pub regions: BTreeMap<u64, (u64, f64, u64)>,
 }
@@ -80,12 +113,16 @@ impl From<&Analysis> for RunSnapshot {
     fn from(a: &Analysis) -> RunSnapshot {
         RunSnapshot {
             workload: a.workload.clone(),
+            input: a.input.clone(),
+            scale: a.scale,
             config_hash: a.config_hash.clone(),
             base_cycles: a.base_cycles,
             ccr_cycles: a.ccr_cycles,
             speedup: a.speedup,
             hit_rate: a.hit_rate,
             lookups: a.lookups,
+            miss_causes: a.miss_causes,
+            regions_formed: a.regions_formed,
             regions: a
                 .regions
                 .iter()
@@ -103,14 +140,17 @@ impl RunSnapshot {
     /// Malformed JSON or an unknown `analysis_schema_version`.
     pub fn from_analysis_json(text: &str) -> Result<RunSnapshot, String> {
         let v = value::parse(text.trim()).map_err(|e| e.to_string())?;
-        let version = v.u64_field("analysis_schema_version");
-        if version != u64::from(crate::ANALYSIS_SCHEMA_VERSION) {
-            return Err(format!("unknown analysis_schema_version {version}"));
-        }
+        value::check_version(
+            &v,
+            "analysis_schema_version",
+            &[u64::from(crate::ANALYSIS_SCHEMA_VERSION)],
+        )?;
         let source = v.get("source").ok_or("analysis.json missing `source`")?;
         let totals = v.get("totals").ok_or("analysis.json missing `totals`")?;
         let mut snap = RunSnapshot {
             workload: source.str_field("workload").to_string(),
+            input: source.str_field("input").to_string(),
+            scale: source.u64_field("scale"),
             config_hash: source
                 .get("config_hash")
                 .and_then(Value::as_str)
@@ -120,8 +160,12 @@ impl RunSnapshot {
             speedup: totals.f64_field("speedup"),
             hit_rate: totals.f64_field("hit_rate"),
             lookups: totals.u64_field("lookups"),
-            regions: BTreeMap::new(),
+            regions_formed: totals.u64_field("regions_formed"),
+            ..RunSnapshot::default()
         };
+        for (slot, name) in snap.miss_causes.iter_mut().zip(crate::MISS_CAUSES) {
+            *slot = totals.u64_field(&format!("miss_{name}"));
+        }
         if let Some(regions) = v.get("regions").and_then(Value::as_arr) {
             for r in regions {
                 snap.regions.insert(
@@ -135,6 +179,32 @@ impl RunSnapshot {
             }
         }
         Ok(snap)
+    }
+
+    /// The run-store record of this run: its identity and outcome,
+    /// with host time `wall_ms` (0 when unmeasured) and the throughput
+    /// derived from it. Callers stamp `timestamp`, `commit` and
+    /// `source`.
+    pub fn record(&self, wall_ms: u64) -> RunRecord {
+        RunRecord {
+            config_hash: self.config_hash.clone().unwrap_or_default(),
+            workload: self.workload.clone(),
+            input: self.input.clone(),
+            scale: self.scale,
+            base_cycles: self.base_cycles,
+            ccr_cycles: self.ccr_cycles,
+            speedup: self.speedup,
+            hit_rate: self.hit_rate,
+            miss_causes: self.miss_causes,
+            regions: self.regions_formed,
+            wall_ms,
+            sim_cycles_per_host_sec: BenchWorkload::host_throughput(
+                self.base_cycles,
+                self.ccr_cycles,
+                wall_ms,
+            ),
+            ..RunRecord::default()
+        }
     }
 }
 
@@ -275,39 +345,7 @@ fn gate_row(
     new: f64,
     thresholds: &Thresholds,
 ) {
-    let (delta, breach) = match metric {
-        "ccr_cycles" => {
-            let pct = pct_delta(base, new);
-            let breach = thresholds
-                .max_cycle_regress_pct
-                .is_some_and(|max| pct > max);
-            (format!("{pct:+.2}%"), breach)
-        }
-        "hit_rate" => {
-            let pp = (new - base) * 100.0;
-            let breach = thresholds.max_hit_rate_drop_pp.is_some_and(|max| -pp > max);
-            (format!("{pp:+.2}pp"), breach)
-        }
-        "speedup" => {
-            let pct = pct_delta(base, new);
-            let breach = thresholds
-                .max_speedup_drop_pct
-                .is_some_and(|max| -pct > max);
-            (format!("{pct:+.2}%"), breach)
-        }
-        "host_mcps_geomean" => {
-            let pct = pct_delta(base, new);
-            let breach = thresholds
-                .max_host_throughput_drop_pct
-                .is_some_and(|max| -pct > max);
-            (format!("{pct:+.2}%"), breach)
-        }
-        // Per-workload host rows are context for the aggregate gate,
-        // never a breach themselves — host noise on one short
-        // workload must not fail CI.
-        "host_mcps" => (format!("{:+.2}%", pct_delta(base, new)), false),
-        _ => (format!("{:+.2}%", pct_delta(base, new)), false),
-    };
+    let (delta, breach) = thresholds.judge(metric, base, new);
     if breach {
         report.breaches.push(format!(
             "{scope}: {metric} {} → {} ({delta})",
@@ -347,81 +385,38 @@ pub fn diff_analyses(
         &mut report,
     )?;
 
-    gate_row(
-        &mut report,
-        "total",
-        "base_cycles",
-        base.base_cycles as f64,
-        new.base_cycles as f64,
-        thresholds,
-    );
-    gate_row(
-        &mut report,
-        "total",
-        "ccr_cycles",
-        base.ccr_cycles as f64,
-        new.ccr_cycles as f64,
-        thresholds,
-    );
-    gate_row(
-        &mut report,
-        "total",
-        "speedup",
-        base.speedup,
-        new.speedup,
-        thresholds,
-    );
-    gate_row(
-        &mut report,
-        "total",
-        "hit_rate",
-        base.hit_rate,
-        new.hit_rate,
-        thresholds,
-    );
-    gate_row(
-        &mut report,
-        "total",
-        "lookups",
-        base.lookups as f64,
-        new.lookups as f64,
-        thresholds,
-    );
+    let totals = [
+        (
+            "base_cycles",
+            base.base_cycles as f64,
+            new.base_cycles as f64,
+        ),
+        ("ccr_cycles", base.ccr_cycles as f64, new.ccr_cycles as f64),
+        ("speedup", base.speedup, new.speedup),
+        ("hit_rate", base.hit_rate, new.hit_rate),
+        ("lookups", base.lookups as f64, new.lookups as f64),
+    ];
+    for (metric, b, n) in totals {
+        gate_row(&mut report, "total", metric, b, n, thresholds);
+    }
 
-    // Per-region deltas (report-only: regions gate in aggregate).
+    // Per-region deltas, judged against no thresholds: regions gate
+    // in aggregate.
+    let info = Thresholds::none();
     for (region, (b_lookups, b_rate, b_skipped)) in &base.regions {
         match new.regions.get(region) {
             Some((n_lookups, n_rate, n_skipped)) => {
                 let scope = format!("region {region}");
                 if b_lookups != n_lookups {
-                    report.rows.push(DiffRow {
-                        scope: scope.clone(),
-                        metric: "lookups".into(),
-                        base: *b_lookups as f64,
-                        new: *n_lookups as f64,
-                        delta: format!("{:+.2}%", pct_delta(*b_lookups as f64, *n_lookups as f64)),
-                        breach: false,
-                    });
+                    let (b, n) = (*b_lookups as f64, *n_lookups as f64);
+                    gate_row(&mut report, &scope, "lookups", b, n, &info);
                 }
                 if (b_rate - n_rate).abs() > 1e-12 {
-                    report.rows.push(DiffRow {
-                        scope: scope.clone(),
-                        metric: "hit_rate".into(),
-                        base: *b_rate,
-                        new: *n_rate,
-                        delta: format!("{:+.2}pp", (n_rate - b_rate) * 100.0),
-                        breach: false,
-                    });
+                    gate_row(&mut report, &scope, "hit_rate", *b_rate, *n_rate, &info);
                 }
                 if b_skipped != n_skipped {
-                    report.rows.push(DiffRow {
-                        scope,
-                        metric: "skipped".into(),
-                        base: *b_skipped as f64,
-                        new: *n_skipped as f64,
-                        delta: format!("{:+.2}%", pct_delta(*b_skipped as f64, *n_skipped as f64)),
-                        breach: false,
-                    });
+                    let (b, n) = (*b_skipped as f64, *n_skipped as f64);
+                    gate_row(&mut report, &scope, "skipped", b, n, &info);
                 }
             }
             None => report.notes.push(format!("region {region} disappeared")),
@@ -480,30 +475,14 @@ pub fn diff_bench(
                 .push(format!("workload {} disappeared", b.name));
             continue;
         };
-        gate_row(
-            &mut report,
-            &b.name,
-            "ccr_cycles",
-            b.ccr_cycles as f64,
-            n.ccr_cycles as f64,
-            thresholds,
-        );
-        gate_row(
-            &mut report,
-            &b.name,
-            "speedup",
-            b.speedup,
-            n.speedup,
-            thresholds,
-        );
-        gate_row(
-            &mut report,
-            &b.name,
-            "hit_rate",
-            b.hit_rate,
-            n.hit_rate,
-            thresholds,
-        );
+        let gated = [
+            ("ccr_cycles", b.ccr_cycles as f64, n.ccr_cycles as f64),
+            ("speedup", b.speedup, n.speedup),
+            ("hit_rate", b.hit_rate, n.hit_rate),
+        ];
+        for (metric, base, new) in gated {
+            gate_row(&mut report, &b.name, metric, base, new, thresholds);
+        }
         // Host throughput appears only on request: it is
         // host-dependent (unlike the deterministic cycle counts),
         // and v1 snapshots carry no figure at all. The per-workload
@@ -518,7 +497,7 @@ pub fn diff_bench(
                     "host_mcps",
                     b.sim_cycles_per_host_sec / 1.0e6,
                     n.sim_cycles_per_host_sec / 1.0e6,
-                    thresholds,
+                    &Thresholds::none(),
                 );
             } else {
                 report.notes.push(format!(
@@ -572,6 +551,7 @@ mod tests {
             hit_rate: 0.7,
             lookups: 10,
             regions: [(0, (10, 0.7, 130))].into_iter().collect(),
+            ..RunSnapshot::default()
         }
     }
 

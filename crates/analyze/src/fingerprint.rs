@@ -27,7 +27,7 @@
 //! ([`format_hash`]); unknown `kind` lines are skipped (additive
 //! extensions), an unknown `fp_v` is a hard one-line error.
 
-use ccr_telemetry::value::{self, Value};
+use ccr_telemetry::value::{self, req_u64, Value};
 use ccr_telemetry::JsonWriter;
 
 /// Digest file format version.
@@ -110,12 +110,6 @@ fn parse_hash(v: &Value, ctx: &str) -> Result<u64, String> {
     u64::from_str_radix(s, 16).map_err(|_| format!("{ctx}: `hash` is not a hex hash: `{s}`"))
 }
 
-fn req_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer `{key}`"))
-}
-
 /// Serializes a digest file (inverse of [`parse_digest_file`]).
 pub fn write_digest_file(d: &DigestFile) -> String {
     let mut out = String::new();
@@ -175,13 +169,10 @@ pub fn parse_digest_file(path: &str, text: &str) -> Result<DigestFile, String> {
         }
         let v = value::parse(line).map_err(|e| format!("{ctx}: {}", e.message))?;
         if meta.is_none() {
-            let ver = v
-                .get("fp_v")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{ctx}: missing fp_v header"))?;
-            if ver != FP_VERSION {
-                return Err(format!("{ctx}: unknown fp_v {ver} (known: [{FP_VERSION}])"));
+            if v.get("fp_v").and_then(Value::as_u64).is_none() {
+                return Err(format!("{ctx}: missing fp_v header"));
             }
+            value::check_version(&v, "fp_v", &[FP_VERSION]).map_err(|e| format!("{ctx}: {e}"))?;
             let window = req_u64(&v, "window", &ctx)?;
             if window == 0 {
                 return Err(format!("{ctx}: window must be nonzero"));

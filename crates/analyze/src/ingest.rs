@@ -337,7 +337,7 @@ pub fn load_run(dir: &Path) -> Result<RunData, IngestError> {
         ..RunData::default()
     };
     let mut phase = Phase::Compile;
-    for line in BufReader::new(file).lines() {
+    for (idx, line) in BufReader::new(file).lines().enumerate() {
         let line = line.map_err(|e| IngestError::Io(events_path.clone(), e))?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
@@ -347,13 +347,9 @@ pub fn load_run(dir: &Path) -> Result<RunData, IngestError> {
             data.skipped_lines += 1;
             continue;
         };
-        let v = ev.u64_field("v");
-        if !KNOWN_EVENT_VERSIONS.contains(&v) {
-            return Err(IngestError::Schema(format!(
-                "{}: unknown event schema version {v} (known: {KNOWN_EVENT_VERSIONS:?})",
-                events_path.display()
-            )));
-        }
+        value::check_version(&ev, "v", KNOWN_EVENT_VERSIONS).map_err(|e| {
+            IngestError::Schema(format!("{}:{}: {e}", events_path.display(), idx + 1))
+        })?;
         data.events += 1;
         ingest_event(&mut data, &mut phase, &ev);
     }
@@ -436,12 +432,8 @@ fn ingest_event(data: &mut RunData, phase: &mut Phase, ev: &Value) {
 }
 
 fn extract_report(v: &Value) -> Result<ReportInfo, IngestError> {
-    let version = v.u64_field("schema_version");
-    if !KNOWN_REPORT_VERSIONS.contains(&version) {
-        return Err(IngestError::Schema(format!(
-            "report.json: unknown schema_version {version} (known: {KNOWN_REPORT_VERSIONS:?})"
-        )));
-    }
+    let version = value::check_version(v, "schema_version", KNOWN_REPORT_VERSIONS)
+        .map_err(|e| IngestError::Schema(format!("report.json: {e}")))?;
     let mut info = ReportInfo {
         schema_version: version,
         workload: v.str_field("workload").to_string(),

@@ -14,8 +14,8 @@
 //!   it lives in `ccr-telemetry` next to its producer (`JsonWriter`)
 //!   and is re-exported here so readers keep one import path,
 //! * [`ingest`] — a streaming, line-tolerant `events.jsonl` reader
-//!   with schema-version checks, and the `report.json` reader with
-//!   both v1 (no provenance) and v2 read paths,
+//!   with schema-version checks, and the `report.json` reader for
+//!   schema versions 1 (no provenance) through 4,
 //! * [`analysis`] — the analyzer: per-region profiles with hit-rate
 //!   windows, CRB occupancy/pressure curves, interval-IPC percentile
 //!   statistics (via `ccr-telemetry`'s log₂-bucket histograms), and
@@ -28,7 +28,10 @@
 //! * [`flamegraph`] — a self-contained, deterministic flamegraph SVG
 //!   renderer over the folded stacks (no external tooling),
 //! * [`diff`] — run-to-run comparison with configurable regression
-//!   thresholds and a provenance-based comparability gate,
+//!   thresholds and a provenance-based comparability gate; its
+//!   [`Thresholds::judge`] is the one regression verdict `ccr diff`
+//!   and `ccr report` share, and its [`diff::RunSnapshot`] the one
+//!   reader of `analysis.json`,
 //! * [`bench`] — the `BENCH_ccr.json` schema: a versioned,
 //!   per-workload performance snapshot forming the repo's committed
 //!   perf trajectory,

@@ -15,8 +15,8 @@
 //! * **regressions** — the flagged first-regressions (below).
 //!
 //! **First-regression flagging**: for every series and every gated
-//! metric, adjacent record pairs are compared with the same
-//! [`Thresholds`] semantics `ccr diff` gates on (cycle *growth*
+//! metric, adjacent record pairs are judged by the same
+//! [`Thresholds::judge`] verdict `ccr diff` gates with (cycle *growth*
 //! percent, hit-rate *drop* points, speedup and host-throughput
 //! *drop* percent). The earliest breaching pair is flagged — that
 //! record is the first-bad run, the regression's introduction point —
@@ -146,38 +146,6 @@ fn metric_value(rec: &RunRecord, metric: &str) -> Option<f64> {
         "host_mcps" => {
             (rec.sim_cycles_per_host_sec > 0.0).then(|| rec.sim_cycles_per_host_sec / 1.0e6)
         }
-        _ => None,
-    }
-}
-
-/// Applies the `ccr diff` gating semantics to one adjacent pair.
-/// Returns the rendered delta when the pair breaches.
-fn pair_breach(metric: &str, prev: f64, new: f64, thresholds: &Thresholds) -> Option<String> {
-    let pct = if prev == 0.0 {
-        0.0
-    } else {
-        (new - prev) / prev * 100.0
-    };
-    match metric {
-        "ccr_cycles" => thresholds
-            .max_cycle_regress_pct
-            .filter(|max| pct > *max)
-            .map(|_| format!("{pct:+.2}%")),
-        "hit_rate" => {
-            let pp = (new - prev) * 100.0;
-            thresholds
-                .max_hit_rate_drop_pp
-                .filter(|max| -pp > *max)
-                .map(|_| format!("{pp:+.2}pp"))
-        }
-        "speedup" => thresholds
-            .max_speedup_drop_pct
-            .filter(|max| -pct > *max)
-            .map(|_| format!("{pct:+.2}%")),
-        "host_mcps" | "host_mcps_geomean" => thresholds
-            .max_host_throughput_drop_pct
-            .filter(|max| -pct > *max)
-            .map(|_| format!("{pct:+.2}%")),
         _ => None,
     }
 }
@@ -349,7 +317,8 @@ pub fn report_over(store: &RunStore, thresholds: &Thresholds) -> ReportOutput {
                 else {
                     continue;
                 };
-                if let Some(delta) = pair_breach(metric, prev, new, thresholds) {
+                let (delta, breach) = thresholds.judge(metric, prev, new);
+                if breach {
                     out.regressions.push(Regression {
                         series: key.clone(),
                         metric: metric.to_string(),
@@ -373,7 +342,8 @@ pub fn report_over(store: &RunStore, thresholds: &Thresholds) -> ReportOutput {
         points.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         for pair in points.windows(2) {
             let (prev, new) = (pair[0].2 / 1.0e6, pair[1].2 / 1.0e6);
-            if let Some(delta) = pair_breach("host_mcps_geomean", prev, new, thresholds) {
+            let (delta, breach) = thresholds.judge("host_mcps_geomean", prev, new);
+            if breach {
                 out.regressions.push(Regression {
                     series: (
                         "(geomean)".to_string(),
@@ -712,6 +682,80 @@ mod tests {
         let out = report_over(&store, &Thresholds::default_gate());
         assert_eq!(out.series, 2);
         assert!(!out.flagged(), "{:?}", out.regressions);
+    }
+
+    #[test]
+    fn diff_and_report_reach_one_verdict_per_change() {
+        use crate::bench::{BenchReport, BenchWorkload};
+        // Exactly representable limits, so the at-threshold rows land
+        // exactly on them.
+        let gate = Thresholds {
+            max_cycle_regress_pct: Some(25.0),
+            max_hit_rate_drop_pp: Some(25.0),
+            max_speedup_drop_pct: Some(50.0),
+            max_host_throughput_drop_pct: Some(50.0),
+        };
+        // (metric, base, new, breach)
+        let rows: &[(&str, f64, f64, bool)] = &[
+            ("ccr_cycles", 800.0, 800.0, false),
+            ("ccr_cycles", 800.0, 600.0, false),
+            ("ccr_cycles", 800.0, 1000.0, false), // exactly +25%
+            ("ccr_cycles", 800.0, 1001.0, true),
+            ("ccr_cycles", 0.0, 0.0, false),
+            ("ccr_cycles", 0.0, 800.0, true), // +inf%
+            ("hit_rate", 0.75, 0.875, false),
+            ("hit_rate", 0.75, 0.5, false), // exactly -25pp
+            ("hit_rate", 0.75, 0.25, true),
+            ("hit_rate", 0.0, 0.0, false),
+            ("hit_rate", 0.0, 0.5, false),
+            ("speedup", 2.0, 3.0, false),
+            ("speedup", 2.0, 1.0, false), // exactly -50%
+            ("speedup", 2.0, 0.5, true),
+            ("speedup", 0.0, 0.0, false),
+            ("speedup", 0.0, 1.5, false), // +inf%, a gain
+            ("host_mcps", 4.0, 8.0, false),
+            ("host_mcps", 4.0, 2.0, false), // exactly -50%
+            ("host_mcps", 4.0, 1.0, true),
+        ];
+        for &(metric, base, new, breach) in rows {
+            let point = |ts, v: f64| {
+                let mut r = rec(ts, 800, 0.8);
+                match metric {
+                    "ccr_cycles" => r.ccr_cycles = v as u64,
+                    "hit_rate" => r.hit_rate = v,
+                    "speedup" => r.speedup = v,
+                    _ => r.sim_cycles_per_host_sec = v * 1.0e6,
+                }
+                r
+            };
+            let (b, n) = (point(100, base), point(200, new));
+            let case = format!("{metric} {base} -> {new}");
+            // `ccr diff`: two one-workload bench snapshots, where the
+            // suite geomean is the gated host figure.
+            let bench = |r: &RunRecord| BenchReport {
+                config_hash: r.config_hash.clone(),
+                workloads: vec![BenchWorkload::from(r)],
+                ..BenchReport::default()
+            };
+            let diff = crate::diff::diff_bench(&bench(&b), &bench(&n), &gate, false).unwrap();
+            let gated = match metric {
+                "host_mcps" => "host_mcps_geomean",
+                m => m,
+            };
+            let row = diff.rows.iter().find(|r| r.metric == gated).unwrap();
+            assert_eq!(row.breach, breach, "diff {case}: {}", row.delta);
+            // `ccr report`: the same pair as a two-record series.
+            let report = report_over(&store_of(vec![b, n]), &gate);
+            let flagged: Vec<_> = report
+                .regressions
+                .iter()
+                .filter(|r| r.metric == metric)
+                .collect();
+            assert_eq!(flagged.len(), usize::from(breach), "report {case}");
+            for r in flagged {
+                assert_eq!(r.delta, row.delta, "{case}");
+            }
+        }
     }
 
     #[test]

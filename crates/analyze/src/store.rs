@@ -209,14 +209,8 @@ impl RunStore {
                 store.skipped_lines += 1;
                 continue;
             };
-            let version = v.u64_field("store_v");
-            if !KNOWN_STORE_VERSIONS.contains(&version) {
-                return Err(format!(
-                    "{}:{}: unknown store_v {version} (known: {KNOWN_STORE_VERSIONS:?})",
-                    path.display(),
-                    idx + 1
-                ));
-            }
+            value::check_version(&v, "store_v", KNOWN_STORE_VERSIONS)
+                .map_err(|e| format!("{}:{}: {e}", path.display(), idx + 1))?;
             store.records.push(RunRecord::from_value(&v));
         }
         if store.records.is_empty() && store.skipped_lines > 0 {
@@ -377,40 +371,12 @@ pub fn record_from_analysis_json(
     timestamp: u64,
     commit_override: Option<&str>,
 ) -> Result<RunRecord, String> {
-    let v = value::parse(text.trim()).map_err(|e| e.to_string())?;
-    let version = v.u64_field("analysis_schema_version");
-    if version != u64::from(crate::ANALYSIS_SCHEMA_VERSION) {
-        return Err(format!("unknown analysis_schema_version {version}"));
-    }
-    let source = v.get("source").ok_or("analysis.json missing `source`")?;
-    let totals = v.get("totals").ok_or("analysis.json missing `totals`")?;
-    let mut miss_causes = [0u64; 5];
-    for (slot, name) in miss_causes.iter_mut().zip(crate::MISS_CAUSES) {
-        *slot = totals.u64_field(&format!("miss_{name}"));
-    }
+    let snap = crate::diff::RunSnapshot::from_analysis_json(text)?;
     Ok(RunRecord {
         timestamp,
         commit: commit_override.unwrap_or("unknown").to_string(),
-        config_hash: source
-            .get("config_hash")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string(),
         source: "import".to_string(),
-        workload: source.str_field("workload").to_string(),
-        input: source.str_field("input").to_string(),
-        scale: source.u64_field("scale"),
-        base_cycles: totals.u64_field("base_cycles"),
-        ccr_cycles: totals.u64_field("ccr_cycles"),
-        speedup: totals.f64_field("speedup"),
-        hit_rate: totals.f64_field("hit_rate"),
-        miss_causes,
-        regions: totals.u64_field("regions_formed"),
-        wall_ms: 0,
-        sim_cycles_per_host_sec: 0.0,
-        host_util_pct: 0.0,
-        fingerprint: String::new(),
-        points_per_sec: 0.0,
+        ..snap.record(0)
     })
 }
 

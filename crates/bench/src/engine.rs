@@ -397,13 +397,13 @@ impl Engine {
     ///   their result-cache keys, so units a previous run finished are
     ///   ordinary cache hits that keep their recorded wall times — a
     ///   resumed run reproduces the original run's
-    ///   [`crate::exp::PointSummary`] list exactly. Entries recorded
+    ///   [`Executed::records`] exactly. Entries recorded
     ///   under another fingerprint window (or none) never match.
     /// - `fingerprint_window`: when set, every CCR simulation runs
     ///   through a [`SimSession`] folding the determinism fingerprint
     ///   every that many cycles (bit-identical statistics to
-    ///   [`simulate`]), and the final chain hash lands in
-    ///   [`crate::exp::PointSummary::fingerprint`].
+    ///   [`simulate`]), and the final chain hash lands in the
+    ///   `fingerprint` of the point's [`Executed::records`] entry.
     ///
     /// Cache accounting on the returned [`Executed`] (and the
     /// `compile_cache` harness event) is the **delta** this run

@@ -54,7 +54,8 @@
 //! re-simulated. With a fingerprint window, every CCR simulation
 //! additionally runs through [`ccr_sim::SimSession`] (bit-identical
 //! to [`ccr_sim::simulate`]) and reports its final
-//! determinism-fingerprint chain hash in [`PointSummary::fingerprint`].
+//! determinism-fingerprint chain hash in the `fingerprint` of its
+//! [`Executed::records`] entry.
 
 pub mod specs;
 
@@ -63,12 +64,13 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
+use ccr_analyze::RunRecord;
 use ccr_core::compile::{
     compile_with_profile, profile_train, CompileConfig, CompiledWorkload, TrainProfile,
 };
 use ccr_core::measure::Measurement;
 use ccr_core::report::Table;
-use ccr_core::telemetry::value::{self, Value};
+use ccr_core::telemetry::value::{self, req, req_arr, req_u64, Value};
 use ccr_core::telemetry::JsonWriter;
 use ccr_core::{config_hash, fnv1a_hex};
 use ccr_profile::{ReusePotential, RunOutcome};
@@ -79,7 +81,7 @@ use ccr_workloads::{build, InputSet};
 
 use crate::engine::CachedSim;
 use crate::single_flight::SingleFlight;
-use crate::{emu_config, SCALE};
+use crate::{emu_config, SuiteRun, SCALE};
 
 /// One configuration a spec wants the workload selection run under.
 #[derive(Clone, Debug)]
@@ -670,12 +672,6 @@ pub(crate) fn ckpt_line(key: &str, c: &CachedSim) -> String {
     w.finish()
 }
 
-fn ckpt_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing or non-integer `{key}`"))
-}
-
 /// Loads a checkpoint journal as result-cache entries in file order,
 /// plus whether the file ends in a torn line (non-empty, no final
 /// newline). A missing file is an empty journal (first run); an
@@ -697,20 +693,12 @@ pub(crate) fn load_checkpoint(path: &Path) -> Result<(Vec<(String, CachedSim)>, 
         }
         let Ok(v) = value::parse(line) else { continue };
         let ctx = format!("{}:{}", path.display(), i + 1);
-        let version = v.u64_field("ckpt_v");
-        if version != CKPT_VERSION {
-            return Err(format!(
-                "{ctx}: unknown ckpt_v {version} (known: [{CKPT_VERSION}])"
-            ));
-        }
+        value::check_version(&v, "ckpt_v", &[CKPT_VERSION]).map_err(|e| format!("{ctx}: {e}"))?;
         let key = v.str_field("key").to_string();
         if key.is_empty() {
             return Err(format!("{ctx}: missing `key`"));
         }
-        let returned = v
-            .get("returned")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{ctx}: missing `returned` array"))?
+        let returned = req_arr(&v, "returned", &ctx)?
             .iter()
             .map(|x| match x {
                 Value::U64(n) => i64::try_from(*n)
@@ -720,22 +708,19 @@ pub(crate) fn load_checkpoint(path: &Path) -> Result<(Vec<(String, CachedSim)>, 
                 _ => Err(format!("{ctx}: non-integer returned value")),
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let stats_v = v
-            .get("stats")
-            .ok_or_else(|| format!("{ctx}: missing `stats`"))?;
         out.push((
             key,
             CachedSim {
                 outcome: SimOutcome {
                     run: RunOutcome {
                         returned,
-                        dyn_instrs: ckpt_u64(&v, "dyn_instrs", &ctx)?,
-                        skipped_instrs: ckpt_u64(&v, "skipped_instrs", &ctx)?,
-                        reuse_hits: ckpt_u64(&v, "reuse_hits", &ctx)?,
-                        reuse_misses: ckpt_u64(&v, "reuse_misses", &ctx)?,
-                        memory_digest: ckpt_u64(&v, "memory_digest", &ctx)?,
+                        dyn_instrs: req_u64(&v, "dyn_instrs", &ctx)?,
+                        skipped_instrs: req_u64(&v, "skipped_instrs", &ctx)?,
+                        reuse_hits: req_u64(&v, "reuse_hits", &ctx)?,
+                        reuse_misses: req_u64(&v, "reuse_misses", &ctx)?,
+                        memory_digest: req_u64(&v, "memory_digest", &ctx)?,
                     },
-                    stats: parse_sim_stats(stats_v, &ctx)?,
+                    stats: parse_sim_stats(req(&v, "stats", &ctx)?, &ctx)?,
                 },
                 wall_ms: v.u64_field("wall_ms"),
                 fingerprint: v.str_field("fingerprint").to_string(),
@@ -774,46 +759,6 @@ pub(crate) struct PointMeta {
     pub(crate) ccr_key: String,
 }
 
-/// One unique executed CCR sweep point flattened to the fields the
-/// cross-run store records: the simulated outcome (cycles, speedup,
-/// hit rate, miss-cause mix, regions) plus host-side cost (wall time
-/// of the base + CCR sims for the point).
-///
-/// This is a plain value type on purpose: `ccr-bench` does not depend
-/// on `ccr-analyze`, so the CLI converts these into store records.
-#[derive(Clone, Debug)]
-pub struct PointSummary {
-    /// Workload name.
-    pub workload: &'static str,
-    /// Input-set tag (`"train"` / `"ref"`).
-    pub input: &'static str,
-    /// Workload scale factor.
-    pub scale: u32,
-    /// [`ccr_core::config_hash`] of the point's machine + CRB.
-    pub config_hash: String,
-    /// Baseline simulated cycles.
-    pub base_cycles: u64,
-    /// CCR simulated cycles.
-    pub ccr_cycles: u64,
-    /// Baseline cycles over CCR cycles.
-    pub speedup: f64,
-    /// Reuse hits over reuse lookups (0.0 when no lookups ran).
-    pub hit_rate: f64,
-    /// Miss-cause counters in `ccr_analyze::MISS_CAUSES` order:
-    /// cold, mismatch, capacity, conflict, invalidated.
-    pub miss_causes: [u64; 5],
-    /// Regions the compiler formed for the point.
-    pub regions: u64,
-    /// Host wall time of the point's base + CCR simulations. Baseline
-    /// sims are shared across CRB configs, so a shared base's wall
-    /// time is attributed to every point that reads it.
-    pub wall_ms: u64,
-    /// Final determinism-fingerprint chain hash of the point's CCR
-    /// simulation (16-digit lowercase hex); `""` when the run was not
-    /// fingerprinted.
-    pub fingerprint: String,
-}
-
 impl<'s> Executed<'s> {
     /// Compile-cache `(hits, misses)` for the run — the PR-5 counters,
     /// surfaced so the CLI can print them and the harness can log
@@ -829,41 +774,29 @@ impl<'s> Executed<'s> {
         self.profiles
     }
 
-    /// Flattens every unique executed CCR point into a
-    /// [`PointSummary`], in plan (first-encounter) order — the hook
-    /// the CLI uses to append an `ccr exp` invocation's measurements
-    /// to the cross-run store.
-    pub fn point_summaries(&self) -> Vec<PointSummary> {
+    /// The run-store record of every unique executed CCR point, in
+    /// plan (first-encounter) order, built by [`SuiteRun::record`]:
+    /// what an `ccr exp` invocation or a served experiment appends to
+    /// the cross-run store. A point's wall time is that of its base and
+    /// CCR sims; baselines are shared across CRB configs, so a shared
+    /// base's wall time is attributed to every point that reads it.
+    pub fn records(&self) -> Vec<RunRecord> {
         self.points
             .iter()
             .map(|p| {
-                let (base_sim, ccr_sim) = (&self.sims[&p.base_key], &self.sims[&p.ccr_key]);
-                let (base, ccr) = (&base_sim.outcome, &ccr_sim.outcome);
-                let crb = &ccr.stats.crb;
-                let lookups = ccr.stats.reuse_hits + ccr.stats.reuse_misses;
-                PointSummary {
-                    workload: p.name,
-                    input: p.input.name(),
-                    scale: p.scale,
-                    config_hash: p.config_hash.clone(),
-                    base_cycles: base.stats.cycles,
-                    ccr_cycles: ccr.stats.cycles,
-                    speedup: ccr.speedup_over(base.stats.cycles),
-                    hit_rate: if lookups == 0 {
-                        0.0
-                    } else {
-                        ccr.stats.reuse_hits as f64 / lookups as f64
+                let (base, ccr) = (&self.sims[&p.base_key], &self.sims[&p.ccr_key]);
+                let run = SuiteRun {
+                    name: p.name,
+                    compiled: Arc::clone(&self.compiles[&p.compile_key]),
+                    measurement: Measurement {
+                        base: base.outcome.clone(),
+                        ccr: ccr.outcome.clone(),
                     },
-                    miss_causes: [
-                        crb.miss_cold,
-                        crb.miss_mismatch,
-                        crb.miss_capacity,
-                        crb.miss_conflict,
-                        crb.miss_invalidated,
-                    ],
-                    regions: self.compiles[&p.compile_key].regions.len() as u64,
-                    wall_ms: base_sim.wall_ms + ccr_sim.wall_ms,
-                    fingerprint: ccr_sim.fingerprint.clone(),
+                    wall_ms: base.wall_ms + ccr.wall_ms,
+                };
+                RunRecord {
+                    fingerprint: ccr.fingerprint.clone(),
+                    ..run.record(p.input, p.scale, &p.config_hash)
                 }
             })
             .collect()
@@ -965,7 +898,7 @@ mod tests {
         path
     }
 
-    fn summary_view(points: &[PointSummary]) -> Vec<String> {
+    fn summary_view(points: &[RunRecord]) -> Vec<String> {
         points
             .iter()
             .map(|p| {
@@ -1018,8 +951,8 @@ mod tests {
             .unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         assert_eq!(
-            summary_view(&first.point_summaries()),
-            summary_view(&second.point_summaries()),
+            summary_view(&first.records()),
+            summary_view(&second.records()),
         );
 
         // Crash simulation: tear the last line in half and append raw
@@ -1034,8 +967,8 @@ mod tests {
         let third = Engine::new(2)
             .execute_plan(&plan, &harness, Some(&path), None)
             .unwrap();
-        let a = summary_view(&first.point_summaries());
-        let b = summary_view(&third.point_summaries());
+        let a = summary_view(&first.records());
+        let b = summary_view(&third.records());
         // wall_ms of the re-simulated unit is re-measured, so compare
         // everything but the wall column.
         let strip = |rows: &[String]| -> Vec<String> {
@@ -1060,10 +993,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), repaired);
         assert_eq!(fourth.result_cache().misses(), 0, "nothing re-simulated");
         assert_eq!(fourth.result_cache().hits(), 2, "both units restored");
-        assert_eq!(
-            summary_view(&third.point_summaries()),
-            summary_view(&out.point_summaries()),
-        );
+        assert_eq!(summary_view(&third.records()), summary_view(&out.records()),);
 
         let _ = std::fs::remove_file(&path);
     }
@@ -1078,7 +1008,7 @@ mod tests {
             Engine::new(1)
                 .execute_plan(&plan, &harness, checkpoint, window)
                 .unwrap()
-                .point_summaries()[0]
+                .records()[0]
                 .fingerprint
                 .clone()
         };
@@ -1125,15 +1055,15 @@ mod tests {
             .execute_plan(&plan, &harness, None, Some(50_000))
             .unwrap();
 
-        let points = fp1.point_summaries();
+        let points = fp1.records();
         assert_eq!(points.len(), 1);
         let hash = &points[0].fingerprint;
         assert_eq!(hash.len(), 16, "chain hash is 16 hex digits: {hash}");
         assert!(hash.bytes().all(|b| b.is_ascii_hexdigit()));
         // Deterministic across runs and worker counts.
-        assert_eq!(*hash, fp2.point_summaries()[0].fingerprint);
+        assert_eq!(*hash, fp2.records()[0].fingerprint);
         // And the session path changes nothing about the statistics.
-        let plain_points = plain.point_summaries();
+        let plain_points = plain.records();
         assert_eq!(plain_points[0].base_cycles, points[0].base_cycles);
         assert_eq!(plain_points[0].ccr_cycles, points[0].ccr_cycles);
         assert_eq!(plain_points[0].miss_causes, points[0].miss_causes);

@@ -42,6 +42,31 @@ impl Measurement {
         self.ccr.speedup_over(self.base.stats.cycles)
     }
 
+    /// Reuse hit ratio of the CCR run: hits over lookups, 0.0 when no
+    /// lookup ran.
+    pub fn hit_rate(&self) -> f64 {
+        let stats = &self.ccr.stats;
+        let lookups = stats.reuse_hits + stats.reuse_misses;
+        if lookups == 0 {
+            0.0
+        } else {
+            stats.reuse_hits as f64 / lookups as f64
+        }
+    }
+
+    /// The CCR run's CRB misses by cause, in
+    /// [`ccr_profile::MissCause::ALL`] order.
+    pub fn miss_causes(&self) -> [u64; 5] {
+        let crb = &self.ccr.stats.crb;
+        [
+            crb.miss_cold,
+            crb.miss_mismatch,
+            crb.miss_capacity,
+            crb.miss_conflict,
+            crb.miss_invalidated,
+        ]
+    }
+
     /// Fraction of the baseline's dynamic instructions the CCR run
     /// eliminated.
     pub fn eliminated_fraction(&self) -> f64 {

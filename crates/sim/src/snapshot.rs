@@ -23,7 +23,9 @@ use std::path::Path;
 
 use ccr_ir::RegionId;
 use ccr_profile::{EmuFrameSnapshot, EmuMemoSnapshot, EmuSnapshot, MissCause};
-use ccr_telemetry::value::{self, Value};
+use ccr_telemetry::value::{
+    self, elem_u32, elem_u64, opt_u64, req, req_arr, req_bool, req_u32, req_u64, Value,
+};
 use ccr_telemetry::JsonWriter;
 
 use crate::fingerprint::WindowDigest;
@@ -542,52 +544,6 @@ pub fn write_snapshot(snap: &SimSnapshot) -> String {
     out
 }
 
-fn req<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing `{key}`"))
-}
-
-fn req_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    req(v, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not an unsigned integer"))
-}
-
-fn req_u32(v: &Value, key: &str, ctx: &str) -> Result<u32, String> {
-    u32::try_from(req_u64(v, key, ctx)?).map_err(|_| format!("{ctx}: `{key}` exceeds u32"))
-}
-
-fn req_bool(v: &Value, key: &str, ctx: &str) -> Result<bool, String> {
-    req(v, key, ctx)?
-        .as_bool()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not a boolean"))
-}
-
-fn req_arr<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a [Value], String> {
-    req(v, key, ctx)?
-        .as_arr()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not an array"))
-}
-
-fn elem_u64(v: &Value, ctx: &str, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("{ctx}: {what} is not an unsigned integer"))
-}
-
-fn elem_u32(v: &Value, ctx: &str, what: &str) -> Result<u32, String> {
-    u32::try_from(elem_u64(v, ctx, what)?).map_err(|_| format!("{ctx}: {what} exceeds u32"))
-}
-
-/// `null` or missing maps to `None`; anything else must be a u64.
-fn opt_u64(v: &Value, key: &str, ctx: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("{ctx}: `{key}` is not null or an unsigned integer")),
-    }
-}
-
 fn parse_pairs(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u32, u64)>, String> {
     let arr = req_arr(v, key, ctx)?;
     if arr.len() % 2 != 0 {
@@ -887,15 +843,11 @@ pub fn parse_snapshot(path: &str, text: &str) -> Result<SimSnapshot, String> {
         }
         let v = value::parse(line).map_err(|e| format!("{ctx}: {}", e.message))?;
         if header.is_none() {
-            let ver = v
-                .get("snap_v")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{ctx}: missing snap_v header"))?;
-            if ver != SNAP_VERSION {
-                return Err(format!(
-                    "{ctx}: unknown snap_v {ver} (known: [{SNAP_VERSION}])"
-                ));
+            if v.get("snap_v").and_then(Value::as_u64).is_none() {
+                return Err(format!("{ctx}: missing snap_v header"));
             }
+            value::check_version(&v, "snap_v", &[SNAP_VERSION])
+                .map_err(|e| format!("{ctx}: {e}"))?;
             header = Some((
                 v.str_field("workload").to_string(),
                 v.str_field("config_hash").to_string(),

@@ -313,33 +313,16 @@ pub(crate) fn cmd_profile(flags: &Flags) -> Result<(), CliError> {
         cap.events.display(),
         cap.report.display()
     );
-    // Store hook: one record from the analysis totals, with the miss
-    // mix the profiled run classified.
+    // Store hook: the analysis's own record, with the miss mix the
+    // profiled run classified. The rest stays zero: a profile run is
+    // single-threaded host-side (no pool, no utilization measurement),
+    // goes through the attributing simulator (no fingerprint stream)
+    // and is a one-shot run, not a serve session.
     let rec = ccr_analyze::RunRecord {
         timestamp: record_timestamp(flags),
         commit: ccr::git_commit_id().to_string(),
-        config_hash: analysis.config_hash.clone().unwrap_or_default(),
         source: "profile".to_string(),
-        workload: analysis.workload.clone(),
-        input: analysis.input.clone(),
-        scale: analysis.scale,
-        base_cycles: analysis.base_cycles,
-        ccr_cycles: analysis.ccr_cycles,
-        speedup: analysis.speedup,
-        hit_rate: analysis.hit_rate,
-        miss_causes: analysis.miss_causes,
-        regions: analysis.regions_formed,
-        wall_ms: cap.sim_wall_ms,
-        sim_cycles_per_host_sec: ccr_analyze::BenchWorkload::host_throughput(
-            analysis.base_cycles,
-            analysis.ccr_cycles,
-            cap.sim_wall_ms,
-        ),
-        // The rest stays zero: a profile run is single-threaded
-        // host-side (no pool, no utilization measurement), goes
-        // through the attributing simulator (no fingerprint stream)
-        // and is a one-shot run, not a serve session.
-        ..ccr_analyze::RunRecord::default()
+        ..ccr_analyze::diff::RunSnapshot::from(&analysis).record(cap.sim_wall_ms)
     };
     append_to_store(flags, &[rec])
 }
@@ -403,29 +386,6 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         run.wall_ms = median_ms(wall);
     }
     let harness_summary = finish_harness(&harness);
-    for run in &runs {
-        let m = &run.measurement;
-        let lookups = m.ccr.stats.reuse_hits + m.ccr.stats.reuse_misses;
-        report.workloads.push(ccr_analyze::BenchWorkload {
-            name: run.name.to_string(),
-            base_cycles: m.base.stats.cycles,
-            ccr_cycles: m.ccr.stats.cycles,
-            speedup: m.speedup(),
-            hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                m.ccr.stats.reuse_hits as f64 / lookups as f64
-            },
-            regions: run.compiled.regions.len() as u64,
-            wall_ms: run.wall_ms,
-            sim_cycles_per_host_sec: ccr_analyze::BenchWorkload::host_throughput(
-                m.base.stats.cycles,
-                m.ccr.stats.cycles,
-                run.wall_ms,
-            ),
-        });
-    }
-    report.agg_sim_cycles_per_host_sec = ccr_analyze::geomean_host_throughput(&report.workloads);
     // Optional service-throughput baseline: N synthetic clients
     // concurrently sweeping the same selection through one shared
     // engine — the fully-overlapping request population `ccr serve`
@@ -453,27 +413,31 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
             engine.result_cache().misses()
         );
     }
+    // One store record per run; the snapshot rows are derived from
+    // them (the BENCH file itself is cause-lossy, so imports of it
+    // carry an all-zero miss mix).
+    let ts = record_timestamp(flags);
+    let host_util_pct = harness_summary.map_or(0.0, |s| s.utilization_pct);
+    let records: Vec<ccr_analyze::RunRecord> = runs
+        .iter()
+        .map(|run| ccr_analyze::RunRecord {
+            timestamp: ts,
+            commit: report.git_commit.clone(),
+            source: "bench".to_string(),
+            host_util_pct,
+            points_per_sec: report.serve_points_per_sec,
+            ..run.record(flags.input, flags.scale, &report.config_hash)
+        })
+        .collect();
+    report.workloads = records
+        .iter()
+        .map(ccr_analyze::BenchWorkload::from)
+        .collect();
+    report.agg_sim_cycles_per_host_sec = ccr_analyze::geomean_host_throughput(&report.workloads);
     let out = flags.out.as_deref().unwrap_or("BENCH_ccr.json");
     std::fs::write(out, report.to_json()).map_err(|e| format!("{out}: {e}"))?;
     print!("{}", report.render());
     println!("wrote {out}");
-    // Store hook: the snapshot's records, with the real miss-cause mix
-    // from the live simulator stats (the BENCH file itself is
-    // cause-lossy, so imports of it stay all-zero).
-    let mut records =
-        ccr_analyze::store::records_from_bench(&report, record_timestamp(flags), "bench");
-    let host_util_pct = harness_summary.map_or(0.0, |s| s.utilization_pct);
-    for (rec, run) in records.iter_mut().zip(&runs) {
-        let crb = &run.measurement.ccr.stats.crb;
-        rec.miss_causes = [
-            crb.miss_cold,
-            crb.miss_mismatch,
-            crb.miss_capacity,
-            crb.miss_conflict,
-            crb.miss_invalidated,
-        ];
-        rec.host_util_pct = host_util_pct;
-    }
     append_to_store(flags, &records)
 }
 
@@ -579,31 +543,14 @@ pub(crate) fn cmd_exp(flags: &Flags) -> Result<(), CliError> {
     let commit = ccr::git_commit_id();
     let host_util_pct = harness_summary.map_or(0.0, |s| s.utilization_pct);
     let records: Vec<ccr_analyze::RunRecord> = executed
-        .point_summaries()
+        .records()
         .into_iter()
-        .map(|p| ccr_analyze::RunRecord {
+        .map(|r| ccr_analyze::RunRecord {
             timestamp: ts,
             commit: commit.to_string(),
-            config_hash: p.config_hash,
             source: "exp".to_string(),
-            workload: p.workload.to_string(),
-            input: p.input.to_string(),
-            scale: u64::from(p.scale),
-            base_cycles: p.base_cycles,
-            ccr_cycles: p.ccr_cycles,
-            speedup: p.speedup,
-            hit_rate: p.hit_rate,
-            miss_causes: p.miss_causes,
-            regions: p.regions,
-            wall_ms: p.wall_ms,
-            sim_cycles_per_host_sec: ccr_analyze::BenchWorkload::host_throughput(
-                p.base_cycles,
-                p.ccr_cycles,
-                p.wall_ms,
-            ),
             host_util_pct,
-            fingerprint: p.fingerprint,
-            points_per_sec: 0.0,
+            ..r
         })
         .collect();
     append_to_store(flags, &records)

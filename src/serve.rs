@@ -492,12 +492,7 @@ fn check_fields(v: &Value, op: &str, allowed: &[&str]) -> Result<(), String> {
 
 fn handle_request(session: &Session, line: &str) -> Result<(String, bool), String> {
     let v = value::parse(line.trim()).map_err(|e| format!("unparseable request line: {e:?}"))?;
-    let version = v.u64_field("req_v");
-    if !KNOWN_REQ_VERSIONS.contains(&version) {
-        return Err(format!(
-            "unknown req_v {version} (known: {KNOWN_REQ_VERSIONS:?})"
-        ));
-    }
+    value::check_version(&v, "req_v", KNOWN_REQ_VERSIONS)?;
     let op = v
         .get("op")
         .and_then(Value::as_str)
@@ -619,26 +614,35 @@ fn parse_submission(v: &Value) -> Result<Submission, String> {
             let Some(&known) = NAMES.iter().find(|&&n| n == name) else {
                 return Err(format!("unknown workload `{name}` (see `ccr list`)"));
             };
-            let input = match v.get("input").and_then(Value::as_str) {
-                Some(tag) => InputSet::from_name(tag)
-                    .ok_or_else(|| format!("unknown input set `{tag}` (train or ref)"))?,
-                None => InputSet::Train,
+            // A present field must be what it names: a mistyped or
+            // out-of-range value is refused, never defaulted or
+            // truncated into a point the client did not ask for.
+            let number = |field: &str, default: u64| match v.get(field) {
+                None => Ok(default),
+                Some(x) => x
+                    .as_u64()
+                    .ok_or_else(|| format!("`{field}` is not an unsigned integer")),
             };
+            let input = match v.get("input") {
+                None => InputSet::Train,
+                Some(x) => {
+                    let tag = x.as_str().ok_or("`input` is not a string (train or ref)")?;
+                    InputSet::from_name(tag)
+                        .ok_or_else(|| format!("unknown input set `{tag}` (train or ref)"))?
+                }
+            };
+            let scale = u32::try_from(number("scale", 1)?).map_err(|_| "`scale` exceeds u32")?;
             let paper = CrbConfig::paper();
             // A zero dimension would panic the executor that builds
             // the buffer; refuse it here, where the client gets a reply.
-            let dimension = |field: &str, default: usize| match v
-                .get(field)
-                .and_then(Value::as_u64)
-                .unwrap_or(default as u64)
-            {
+            let dimension = |field: &str, default: usize| match number(field, default as u64)? {
                 0 => Err(format!("`{field}` must be at least 1")),
-                n => Ok(n as usize),
+                n => usize::try_from(n).map_err(|_| format!("`{field}` exceeds usize")),
             };
             Ok(Submission::Point {
                 workload: known,
                 input,
-                scale: v.get("scale").and_then(Value::as_u64).unwrap_or(1) as u32,
+                scale,
                 entries: dimension("entries", paper.entries)?,
                 instances: dimension("instances", paper.instances)?,
             })
@@ -756,6 +760,14 @@ fn isolate<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
 /// rendered text (byte-identical to the one-shot CLI's), the
 /// requested point count, and the store records it produced.
 fn execute_submission(session: &Session, submission: &Submission) -> Result<Executed, String> {
+    // Session-level host figures stay zero until shutdown stamps the
+    // session throughput into `points_per_sec`.
+    let stamp = |record: RunRecord| RunRecord {
+        timestamp: session.timestamp,
+        commit: session.commit.clone(),
+        source: "serve".to_string(),
+        ..record
+    };
     match submission {
         Submission::Exp(name) => {
             let registry = exp::specs::registry();
@@ -769,35 +781,7 @@ fn execute_submission(session: &Session, submission: &Submission) -> Result<Exec
                 .engine
                 .execute_plan(&plan, &session.harness, None, None)?;
             let rendered = executed.results(spec).render();
-            let records = executed
-                .point_summaries()
-                .into_iter()
-                .map(|p| RunRecord {
-                    timestamp: session.timestamp,
-                    commit: session.commit.clone(),
-                    config_hash: p.config_hash,
-                    source: "serve".to_string(),
-                    workload: p.workload.to_string(),
-                    input: p.input.to_string(),
-                    scale: u64::from(p.scale),
-                    base_cycles: p.base_cycles,
-                    ccr_cycles: p.ccr_cycles,
-                    speedup: p.speedup,
-                    hit_rate: p.hit_rate,
-                    miss_causes: p.miss_causes,
-                    regions: p.regions,
-                    wall_ms: p.wall_ms,
-                    sim_cycles_per_host_sec: ccr_analyze::BenchWorkload::host_throughput(
-                        p.base_cycles,
-                        p.ccr_cycles,
-                        p.wall_ms,
-                    ),
-                    host_util_pct: 0.0,
-                    fingerprint: p.fingerprint,
-                    // Stamped with the session throughput at shutdown.
-                    points_per_sec: 0.0,
-                })
-                .collect();
+            let records = executed.records().into_iter().map(stamp).collect();
             Ok((rendered.text, points, records))
         }
         Submission::Point {
@@ -831,55 +815,12 @@ fn execute_submission(session: &Session, submission: &Submission) -> Result<Exec
                 point_emu(),
                 &session.harness,
             )?;
-            let run = &runs[0];
-            let m = &run.measurement;
-            let lookups = m.ccr.stats.reuse_hits + m.ccr.stats.reuse_misses;
-            let hit_rate = if lookups == 0 {
-                0.0
-            } else {
-                m.ccr.stats.reuse_hits as f64 / lookups as f64
-            };
-            let stats = &m.ccr.stats.crb;
+            let r = stamp(runs[0].record(*input, *scale, &crate::config_hash(&machine, &crb)));
             let text = format!(
                 "{} base {} ccr {} speedup {:.6} hit_rate {:.6} regions {}\n",
-                run.name,
-                m.base.stats.cycles,
-                m.ccr.stats.cycles,
-                m.speedup(),
-                hit_rate,
-                run.compiled.regions.len()
+                r.workload, r.base_cycles, r.ccr_cycles, r.speedup, r.hit_rate, r.regions
             );
-            let record = RunRecord {
-                timestamp: session.timestamp,
-                commit: session.commit.clone(),
-                config_hash: crate::config_hash(&machine, &crb),
-                source: "serve".to_string(),
-                workload: run.name.to_string(),
-                input: input.name().to_string(),
-                scale: u64::from(*scale),
-                base_cycles: m.base.stats.cycles,
-                ccr_cycles: m.ccr.stats.cycles,
-                speedup: m.speedup(),
-                hit_rate,
-                miss_causes: [
-                    stats.miss_cold,
-                    stats.miss_mismatch,
-                    stats.miss_capacity,
-                    stats.miss_conflict,
-                    stats.miss_invalidated,
-                ],
-                regions: run.compiled.regions.len() as u64,
-                wall_ms: run.wall_ms,
-                sim_cycles_per_host_sec: ccr_analyze::BenchWorkload::host_throughput(
-                    m.base.stats.cycles,
-                    m.ccr.stats.cycles,
-                    run.wall_ms,
-                ),
-                host_util_pct: 0.0,
-                fingerprint: String::new(),
-                points_per_sec: 0.0,
-            };
-            Ok((text, 1, vec![record]))
+            Ok((text, 1, vec![r]))
         }
     }
 }

@@ -665,3 +665,110 @@ fn checkpointed_exp_resumes_byte_identically() {
     assert!(!stderr.contains("usage:"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every live producer of run-store records (`ccr exp`, `ccr bench`,
+/// `ccr profile`, a served point) measures the paper-configuration
+/// `lex` point the same way: whatever the record's `source`, its
+/// simulated numbers must agree field for field.
+#[cfg(unix)]
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+fn every_store_source_records_the_same_point_identically() {
+    let dir = std::env::temp_dir().join("ccr-cli-cross-source");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("store.jsonl");
+    let store_args = ["--store", store.to_str().unwrap(), "--at", "1"];
+    let ok = |out: std::process::Output| {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    ok(ccr()
+        .args(["exp", "fig8b", "--out"])
+        .arg(dir.join("exp"))
+        .args(store_args)
+        .output()
+        .unwrap());
+    ok(ccr()
+        .args(["bench", "--only", "lex", "--host-reps", "1", "--out"])
+        .arg(dir.join("BENCH.json"))
+        .args(store_args)
+        .output()
+        .unwrap());
+    ok(ccr()
+        .args(["profile", "lex", "--telemetry"])
+        .arg(dir.join("profile"))
+        .args(store_args)
+        .output()
+        .unwrap());
+
+    let socket = dir.join("ccr.sock");
+    let mut server = ccr()
+        .args([
+            "serve",
+            "--socket",
+            socket.to_str().unwrap(),
+            "--harness-out",
+        ])
+        .arg(dir.join("serve.jsonl"))
+        .args(store_args)
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    for _ in 0..500 {
+        if socket.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let submit = |extra: &[&str]| {
+        ccr()
+            .args(["submit", "--socket", socket.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    ok(submit(&["--workload", "lex"]));
+    ok(submit(&["--shutdown"]));
+    assert!(server.wait().unwrap().success());
+
+    let paper = ccr::config_hash(
+        &ccr::sim::MachineConfig::paper(),
+        &ccr::sim::CrbConfig::paper(),
+    );
+    let records: Vec<_> = ccr_analyze::RunStore::load(&store)
+        .unwrap()
+        .records
+        .into_iter()
+        .filter(|r| {
+            r.workload == "lex" && r.input == "train" && r.scale == 1 && r.config_hash == paper
+        })
+        .collect();
+    let mut sources: Vec<&str> = records.iter().map(|r| r.source.as_str()).collect();
+    sources.sort_unstable();
+    assert_eq!(sources, ["bench", "exp", "profile", "serve"]);
+    let view = |r: &ccr_analyze::RunRecord| {
+        (
+            r.base_cycles,
+            r.ccr_cycles,
+            r.speedup.to_bits(),
+            r.hit_rate.to_bits(),
+            r.miss_causes,
+            r.regions,
+        )
+    };
+    for r in &records {
+        assert_eq!(
+            view(r),
+            view(&records[0]),
+            "{} vs {}",
+            r.source,
+            records[0].source
+        );
+        assert_eq!(r.timestamp, 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

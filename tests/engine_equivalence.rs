@@ -71,7 +71,7 @@ fn tiny_spec(name: &'static str) -> exp::ExperimentSpec {
 
 /// The simulated fields of a point summary — everything except host
 /// wall time, which legitimately differs across runs.
-fn sim_view(points: &[exp::PointSummary]) -> Vec<String> {
+fn sim_view(points: &[ccr_analyze::RunRecord]) -> Vec<String> {
     points
         .iter()
         .map(|p| {
@@ -111,10 +111,7 @@ fn engine_path_is_bit_identical_to_the_uncached_path() {
         routed.results(&spec).render().text,
         "the engine must not change a single rendered byte"
     );
-    assert_eq!(
-        sim_view(&plain.point_summaries()),
-        sim_view(&routed.point_summaries()),
-    );
+    assert_eq!(sim_view(&plain.records()), sim_view(&routed.records()),);
     // A fresh engine serves nothing from its result cache: every
     // lookup is a cold miss (2 workloads x 2 sims + 2 potentials).
     assert_eq!(engine.result_cache().hits(), 0);

@@ -140,7 +140,7 @@ fn point_summaries_flatten_each_unique_ccr_point_once() {
     let executed = Engine::new(1)
         .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
         .expect("bitcount runs within limits");
-    let points = executed.point_summaries();
+    let points = executed.records();
     // The two specs share one (workload, config) point: one summary.
     assert_eq!(points.len(), 1);
     let p = &points[0];

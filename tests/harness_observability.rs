@@ -115,7 +115,7 @@ fn tiny_exp_is_bit_identical_with_the_harness_live() {
     );
     // Point summaries carry the full per-point statistics; compare
     // every simulated field (wall_ms is host time and may wobble).
-    let sim_view = |points: &[exp::PointSummary]| -> Vec<String> {
+    let sim_view = |points: &[ccr_analyze::RunRecord]| -> Vec<String> {
         points
             .iter()
             .map(|p| {
@@ -135,10 +135,7 @@ fn tiny_exp_is_bit_identical_with_the_harness_live() {
             })
             .collect()
     };
-    assert_eq!(
-        sim_view(&plain.point_summaries()),
-        sim_view(&observed.point_summaries()),
-    );
+    assert_eq!(sim_view(&plain.records()), sim_view(&observed.records()),);
 
     // The summary reflects the plan: one compile and two sims per
     // workload, every cache access a cold miss on a fresh cache.

@@ -171,6 +171,26 @@ fn protocol_errors_are_one_line_replies_not_dropped_connections() {
             "`instances` must be at least 1",
         ),
         (
+            r#"{"req_v":1,"op":"submit","workload":"lex","scale":4294967297}"#,
+            "`scale` exceeds u32",
+        ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"lex","scale":"2"}"#,
+            "`scale` is not an unsigned integer",
+        ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"lex","entries":"64"}"#,
+            "`entries` is not an unsigned integer",
+        ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"lex","instances":true}"#,
+            "`instances` is not an unsigned integer",
+        ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"lex","input":5}"#,
+            "`input` is not a string",
+        ),
+        (
             r#"{"req_v":1,"op":"results","id":424242}"#,
             "unknown request id 424242",
         ),
