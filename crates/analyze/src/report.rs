@@ -268,7 +268,9 @@ pub fn report_over(store: &RunStore, thresholds: &Thresholds) -> ReportOutput {
     // (records sharing input/scale/config/source/timestamp/commit),
     // the geometric mean of that run's measured per-workload host
     // figures — the same aggregate `ccr diff` gates. wall_ms is the
-    // run's total wall time across workloads.
+    // run's total wall time across workloads. Host figures compare
+    // only within one source: a traced `ccr profile` simulation is
+    // legitimately slower than an untraced bench one.
     type RunKey = (String, u64, String, String, u64, String);
     type AggPoint = (u64, String, f64);
     let mut runs: BTreeMap<RunKey, (f64, usize, u64)> = BTreeMap::new();
@@ -289,8 +291,8 @@ pub fn report_over(store: &RunStore, thresholds: &Thresholds) -> ReportOutput {
         e.1 += 1;
         e.2 += rec.wall_ms;
     }
-    let mut agg_series: BTreeMap<(String, u64, String), Vec<AggPoint>> = BTreeMap::new();
-    for ((input, scale, config, _source, ts, commit), (ln_sum, n, wall)) in &runs {
+    let mut agg_series: BTreeMap<(String, u64, String, String), Vec<AggPoint>> = BTreeMap::new();
+    for ((input, scale, config, source, ts, commit), (ln_sum, n, wall)) in &runs {
         let geomean = (ln_sum / *n as f64).exp();
         host.row([
             "(geomean)".to_string(),
@@ -302,16 +304,27 @@ pub fn report_over(store: &RunStore, thresholds: &Thresholds) -> ReportOutput {
             "-".to_string(),
         ]);
         agg_series
-            .entry((input.clone(), *scale, config.clone()))
+            .entry((input.clone(), *scale, config.clone(), source.clone()))
             .or_default()
             .push((*ts, commit.clone(), geomean));
     }
 
     // First-regression scan: earliest breaching adjacent pair per
     // (series, metric); later breaches of the same pair suppressed.
+    // Host throughput pairs a record with the previous one of its own
+    // source only.
     for (key, records) in &series {
         for metric in GATED_METRICS {
-            for pair in records.windows(2) {
+            for (i, new_rec) in records.iter().enumerate().skip(1) {
+                let prev_rec = if *metric == "host_mcps" {
+                    match records[..i].iter().rfind(|r| r.source == new_rec.source) {
+                        Some(r) => r,
+                        None => continue,
+                    }
+                } else {
+                    &records[i - 1]
+                };
+                let pair = [prev_rec, new_rec];
                 let (Some(prev), Some(new)) =
                     (metric_value(pair[0], metric), metric_value(pair[1], metric))
                 else {
@@ -338,7 +351,7 @@ pub fn report_over(store: &RunStore, thresholds: &Thresholds) -> ReportOutput {
     // the per-run "(geomean)" series, so a suite-wide host slowdown
     // is flagged cross-run even when no single workload's drop is
     // eye-catching on its own.
-    for ((input, scale, config), mut points) in agg_series {
+    for ((input, scale, config, _source), mut points) in agg_series {
         points.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         for pair in points.windows(2) {
             let (prev, new) = (pair[0].2 / 1.0e6, pair[1].2 / 1.0e6);
@@ -599,6 +612,36 @@ mod tests {
         assert_eq!(agg[0].timestamp, 200);
         assert_eq!(agg[0].series.0, "(geomean)");
         assert!(out.flagged());
+    }
+
+    #[test]
+    fn host_throughput_compares_only_within_one_source() {
+        // One commit's `lex` measured by bench, exp and a traced
+        // profile: three definitions of host time, no slowdown.
+        let at = |ts, source: &str, mcps: f64| RunRecord {
+            commit: "c".repeat(40),
+            source: source.into(),
+            workload: "lex".into(),
+            sim_cycles_per_host_sec: mcps * 1.0e6,
+            ..rec(ts, 800, 0.8)
+        };
+        let gate = Thresholds {
+            max_host_throughput_drop_pct: Some(20.0),
+            ..Thresholds::none()
+        };
+        let mut records = vec![
+            at(100, "bench", 10.1),
+            at(101, "exp", 19.1),
+            at(102, "profile", 13.7),
+        ];
+        let out = report_over(&store_of(records.clone()), &gate);
+        assert!(!out.flagged(), "{:?}", out.regressions);
+        // A drop within one source still flags, past the other sources.
+        records.push(at(103, "exp", 9.0));
+        let out = report_over(&store_of(records), &gate);
+        let metrics: Vec<_> = out.regressions.iter().map(|r| &r.metric).collect();
+        assert_eq!(metrics, ["host_mcps", "host_mcps_geomean"]);
+        assert!(out.regressions.iter().all(|r| r.timestamp == 103));
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //! job pool, the compile cache, and a content-addressed simulation
 //! result cache.
 //!
-//! [`Engine`] is the one way to run the plan→compile→sim pipeline.
-//! It has two entry points: [`Engine::execute_plan`] runs a planned
-//! experiment sweep (`ccr exp`, `ccr fingerprint`, served experiment
-//! requests), and [`Engine::run_selected`] runs a workload selection
-//! under one configuration (`ccr suite`, `ccr bench`, served point
-//! requests). `ccr serve` keeps a process alive across many requests,
-//! and the paper's core economics (amortize one compile/region-
-//! formation pass across many dynamic executions) applies to the
-//! harness itself: two clients sweeping overlapping configuration
-//! spaces should pay for each unique compile and each unique
-//! simulation exactly once.
+//! [`Engine`] is the one way to run the plan→compile→sim pipeline,
+//! and [`Engine::execute_plan`] is its one entry point: it runs a
+//! planned experiment sweep (`ccr exp`, `ccr fingerprint`, served
+//! experiment requests), and [`Engine::run_selected`] plans a workload
+//! selection under one [`Scenario`] (`ccr suite`, `ccr bench`, served
+//! point requests) and runs it through the same call. `ccr serve`
+//! keeps a process alive across many requests, and the paper's core
+//! economics (amortize one compile/region-formation pass across many
+//! dynamic executions) applies to the harness itself: two clients
+//! sweeping overlapping configuration spaces should pay for each
+//! unique compile and each unique simulation exactly once.
 //!
 //! The engine owns:
 //!
@@ -24,12 +24,10 @@
 //!   build's value profile) is memoized per workload, so every region
 //!   configuration of a workload shares one profiling run,
 //! - a [`SimResultCache`]: completed simulation outcomes keyed by the
-//!   planner's FNV-1a dedup keys (workload, input, scale, and the
-//!   region/machine/CRB `fields()` hashes), single-flight through the
-//!   same routine as the compile cache, with a configurable capacity,
-//!   LRU eviction, and
-//!   hit/miss/eviction counters registered on a PR-7
-//!   [`MetricsRegistry`] (`engine.simcache.*`). A `ccr exp
+//!   planner's FNV-1a dedup keys (workload, input, scale, emulator
+//!   limits, and the region/machine/CRB `fields()` hashes), single-flight
+//!   through the same routine as the compile cache, with a configurable
+//!   capacity, LRU eviction, and hit/miss/eviction counters. A `ccr exp
 //!   --checkpoint` file is this cache's optional disk journal: its
 //!   lines load as ready entries and every newly computed entry is
 //!   appended to it, so a resumed sweep's finished units are ordinary
@@ -57,20 +55,19 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ccr_core::compile::{CompileConfig, CompiledWorkload};
+use ccr_core::compile::CompiledWorkload;
 use ccr_core::config_hash;
 use ccr_core::harness::Harness;
 use ccr_core::jobs::parallel_map_observed;
-use ccr_core::measure::{reuse_potential, Measurement};
-use ccr_core::telemetry::{Counter, MetricsRegistry};
+use ccr_core::measure::reuse_potential;
+use ccr_core::telemetry::Counter;
 use ccr_ir::Program;
 use ccr_profile::{EmuConfig, EmuError, ReusePotential};
 use ccr_sim::{simulate, CrbConfig, MachineConfig, SimOutcome, SimSession};
-use ccr_workloads::InputSet;
 
 use crate::exp::{
-    base_sim_key, ccr_sim_key, compile_key, hash_fields, CompileCache, CompileUnit, Executed, Plan,
-    PointMeta, PotentialUnit,
+    hash_fields, plan_selection, CompileCache, CompileUnit, Executed, Plan, PointMeta,
+    PotentialUnit, Scenario,
 };
 use crate::single_flight::SingleFlight;
 use crate::{emu_config, SuiteRun};
@@ -157,18 +154,12 @@ struct Journal {
 }
 
 impl SimResultCache {
-    /// An empty cache with `capacity` retained entries, its counters
-    /// registered on `metrics` as `engine.simcache.hits` /
-    /// `engine.simcache.misses` / `engine.simcache.evictions`.
-    pub fn new(capacity: usize, metrics: &MetricsRegistry) -> SimResultCache {
+    /// An empty cache with `capacity` retained entries.
+    pub fn new(capacity: usize) -> SimResultCache {
         SimResultCache {
-            flight: SingleFlight::new(
-                ResultStore::default(),
-                metrics.counter("engine.simcache.hits"),
-                metrics.counter("engine.simcache.misses"),
-            ),
+            flight: SingleFlight::default(),
             capacity,
-            evictions: metrics.counter("engine.simcache.evictions"),
+            evictions: Counter::default(),
             journal: Mutex::new(None),
         }
     }
@@ -333,7 +324,6 @@ impl SimResultCache {
 /// one across requests.
 pub struct Engine {
     jobs: usize,
-    metrics: Arc<MetricsRegistry>,
     compile_cache: CompileCache,
     result_cache: SimResultCache,
 }
@@ -347,25 +337,16 @@ impl Engine {
 
     /// [`Engine::new`] with an explicit result-cache capacity.
     pub fn with_capacity(jobs: usize, result_capacity: usize) -> Engine {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let result_cache = SimResultCache::new(result_capacity, &metrics);
         Engine {
             jobs,
-            metrics,
             compile_cache: CompileCache::new(),
-            result_cache,
+            result_cache: SimResultCache::new(result_capacity),
         }
     }
 
     /// Worker count the engine fans units over.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// The engine's metrics registry (carries the
-    /// `engine.simcache.*` counters).
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
     }
 
     /// The shared compile cache.
@@ -526,9 +507,7 @@ impl Engine {
                     input: u.input,
                     scale: u.scale,
                     config_hash: config_hash(&u.machine, &u.crb),
-                    compile_key: u.compile_key.clone(),
-                    base_key: u.base_key.clone(),
-                    ccr_key: u.key.clone(),
+                    keys: u.keys.clone(),
                 })
                 .collect(),
             cache: (cache.hits() - hits_before, cache.misses() - misses_before),
@@ -560,17 +539,17 @@ impl Engine {
                 program: &compiles[&u.compile_key].base,
                 machine: &u.machine,
                 crb: None,
-                emu: emu_config(),
+                emu: u.emu,
                 fingerprint_window: None,
             })
             .chain(plan.ccrs.iter().map(|u| SimTask {
                 name: u.name,
                 label: format!("sim:ccr:{}:{}", u.name, config_hash(&u.machine, &u.crb)),
-                key: result_cache_key(&u.key, fingerprint_window),
-                program: &compiles[&u.compile_key].annotated,
+                key: result_cache_key(&u.keys.ccr, fingerprint_window),
+                program: &compiles[&u.keys.compile].annotated,
                 machine: &u.machine,
                 crb: Some(u.crb),
-                emu: emu_config(),
+                emu: u.emu,
                 fingerprint_window,
             }))
             .collect();
@@ -592,124 +571,36 @@ impl Engine {
         let sims = self.run_sims(&tasks, harness);
         self.result_cache.close_journal();
         let keys = plan.bases.iter().map(|u| &u.key);
-        for (key, out) in keys.chain(plan.ccrs.iter().map(|u| &u.key)).zip(sims) {
+        for (key, out) in keys.chain(plan.ccrs.iter().map(|u| &u.keys.ccr)).zip(sims) {
             executed.sims.insert(key.clone(), out?);
         }
         Ok(executed)
     }
 
-    /// Runs a workload selection end-to-end under one configuration —
-    /// the suite/bench pipeline: compiles, then every workload's
-    /// {base, ccr} simulations as independent work items, all fanned
-    /// over the engine's workers and through its shared caches.
-    /// Results come back in `names` order, and every simulated
-    /// statistic is identical to a serial, uncached run (each
-    /// simulation is self-contained and deterministic) — only
-    /// `wall_ms` reflects the host. Repeated or overlapping selections
-    /// reuse compiles and simulation outcomes across calls; an engine
-    /// built with result capacity 0 re-runs every simulation.
-    ///
-    /// `config.region.trial_instances` should match `crb.instances`:
-    /// the selection trial assumes the hardware's instance count. The
-    /// result cache embeds `emu` in its keys (the suite path's sim
-    /// limits are a parameter, unlike the experiment path where they
-    /// always equal the compile config's).
+    /// Runs a workload selection under one scenario (`ccr suite`,
+    /// `ccr bench`, served points): a one-scenario plan through
+    /// [`Engine::execute_plan`], so a selection shares the plan path's
+    /// fan-outs, task labels and cache keys. Runs come back in `names`
+    /// order, each with the host time of its baseline and CCR
+    /// simulations. Every simulated statistic is identical to a serial,
+    /// uncached run; repeated or overlapping selections reuse compiles
+    /// and simulation outcomes across calls, and an engine built with
+    /// result capacity 0 re-runs every simulation.
     ///
     /// # Errors
     ///
     /// Returns the first failing workload's error (unknown name or
     /// emulator limit breach), in `names` order.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_selected(
         &self,
         names: &[&'static str],
-        target: InputSet,
-        scale: u32,
-        config: &CompileConfig,
-        machine: &MachineConfig,
-        crb: CrbConfig,
-        emu: EmuConfig,
+        scenario: &Scenario,
         harness: &Harness,
     ) -> Result<Vec<SuiteRun>, String> {
-        let jobs = self.jobs;
-        let input = target.name();
-        let cfg_hash = config_hash(machine, &crb);
-        harness.plan(
-            names.len() as u64,
-            2 * names.len() as u64,
-            &[("jobs", jobs as u64)],
-        );
-        let compile_labels: Vec<String> = names
-            .iter()
-            .map(|name| format!("compile:{name}:{input}@{scale}"))
-            .collect();
-        let (compiled, pool) = parallel_map_observed(
-            names,
-            jobs,
-            Some(&compile_labels),
-            harness.observer(),
-            |i, name| {
-                harness.task_start("compile", &compile_labels[i]);
-                let started = Instant::now();
-                let out = self
-                    .compile_cache
-                    .get_or_compile(name, target, scale, config)
-                    .map(|cw| (cw, started.elapsed().as_millis() as u64));
-                if let Ok((_, wall_ms)) = &out {
-                    harness.task_finish("compile", &compile_labels[i], *wall_ms, None);
-                }
-                out
-            },
-        );
-        harness.pool("compile", &pool);
-        let compiled = compiled.into_iter().collect::<Result<Vec<_>, _>>()?;
-        // Fan every workload's two independent simulations out as their
-        // own work items: 2N sims over `jobs` workers.
-        let emu_tag = format!("|simemu:{}/{}|fp:none", emu.max_instrs, emu.max_depth);
-        let task = |name, kind, key: String, program, crb| SimTask {
-            name,
-            label: format!("sim:{kind}:{name}:{cfg_hash}"),
-            key: key + &emu_tag,
-            program,
-            machine,
-            crb,
-            emu,
-            fingerprint_window: None,
-        };
-        let tasks: Vec<SimTask<'_>> = names
-            .iter()
-            .zip(&compiled)
-            .flat_map(|(&name, (cw, _))| {
-                let ck = compile_key(name, target, scale, config);
-                let base_key = base_sim_key(name, target, scale, config, machine);
-                [
-                    task(name, "base", base_key, &cw.base, None),
-                    task(
-                        name,
-                        "ccr",
-                        ccr_sim_key(&ck, machine, &crb),
-                        &cw.annotated,
-                        Some(crb),
-                    ),
-                ]
-            })
-            .collect();
-        let sims = self.run_sims(&tasks, harness);
-        drop(tasks);
-        let mut sims = sims.into_iter();
-        let mut runs = Vec::with_capacity(compiled.len());
-        for (name, (compiled, compile_ms)) in names.iter().zip(compiled) {
-            let base = sims.next().expect("one base sim per workload")?;
-            let ccr = sims.next().expect("one ccr sim per workload")?;
-            runs.push(SuiteRun {
-                name,
-                compiled,
-                wall_ms: compile_ms + base.wall_ms + ccr.wall_ms,
-                measurement: Measurement::checked(base.outcome, ccr.outcome),
-            });
-        }
-        Ok(runs)
+        let executed = self.execute_plan(&plan_selection(names, scenario), harness, None, None)?;
+        Ok(names.iter().map(|&n| executed.run(n, scenario)).collect())
     }
+
     /// The one simulation fan-out: runs every task over the engine's
     /// workers, each through the result cache under its key, reporting
     /// `sim` start/finish events and the `sim` pool to `harness`.

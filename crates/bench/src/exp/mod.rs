@@ -59,7 +59,7 @@
 
 pub mod specs;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -73,7 +73,7 @@ use ccr_core::report::Table;
 use ccr_core::telemetry::value::{self, req, req_arr, req_u64, Value};
 use ccr_core::telemetry::JsonWriter;
 use ccr_core::{config_hash, fnv1a_hex};
-use ccr_profile::{ReusePotential, RunOutcome};
+use ccr_profile::{EmuConfig, ReusePotential, RunOutcome};
 use ccr_regions::RegionConfig;
 use ccr_sim::snapshot::{parse_sim_stats, write_sim_stats};
 use ccr_sim::{CrbConfig, MachineConfig, SimOutcome};
@@ -81,9 +81,12 @@ use ccr_workloads::{build, InputSet};
 
 use crate::engine::CachedSim;
 use crate::single_flight::SingleFlight;
-use crate::{emu_config, SuiteRun, SCALE};
+use crate::{emu_config, SuiteRun, RUN_EMU, SCALE};
 
-/// One configuration a spec wants the workload selection run under.
+/// One configuration a workload selection runs under: the only
+/// description of a selection, whether it is one scenario of an
+/// experiment spec or the single scenario of `ccr suite`, `ccr bench`
+/// or a served point ([`crate::Engine::run_selected`]).
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Human-readable label (planner log only; renderers carry their
@@ -100,11 +103,25 @@ pub struct Scenario {
     pub machine: MachineConfig,
     /// Simulated reuse buffer.
     pub crb: CrbConfig,
+    /// Emulator limits. They bound the training profile and both
+    /// simulations of every point, so a compile and its simulations
+    /// never disagree on them.
+    pub emu: EmuConfig,
+}
+
+/// The unit keys of one (workload, scenario) point.
+#[derive(Clone)]
+pub(crate) struct PointKeys {
+    pub(crate) compile: String,
+    pub(crate) profile: String,
+    pub(crate) base: String,
+    pub(crate) ccr: String,
 }
 
 impl Scenario {
-    /// Builds a scenario at the default experiment [`SCALE`], matching
-    /// the compiler's selection trial to the hardware's instance count
+    /// Builds a scenario at the default experiment [`SCALE`] and
+    /// emulator limits ([`emu_config`]), matching the compiler's
+    /// selection trial to the hardware's instance count
     /// (`region.trial_instances = crb.instances`): the compiler
     /// targets the actual machine.
     pub fn new(
@@ -124,15 +141,40 @@ impl Scenario {
             },
             machine: *machine,
             crb,
+            emu: emu_config(),
+        }
+    }
+
+    /// The scenario of a single-configuration run (`ccr suite`, `ccr
+    /// bench`, `ccr run`, a served point): `input` at `scale` on the
+    /// paper machine under `crb`, forming regions per `region` with the
+    /// trial matched to the CRB, within the [`RUN_EMU`] limits.
+    pub fn single(input: InputSet, scale: u32, region: &RegionConfig, crb: CrbConfig) -> Scenario {
+        Scenario {
+            scale,
+            emu: RUN_EMU,
+            ..Scenario::new("selection", input, region, &MachineConfig::paper(), crb)
         }
     }
 
     /// The compile configuration this scenario's workloads build with.
-    fn compile_config(&self) -> CompileConfig {
+    pub fn compile_config(&self) -> CompileConfig {
         CompileConfig {
             region: self.region,
-            emu: emu_config(),
+            emu: self.emu,
             ..CompileConfig::paper()
+        }
+    }
+
+    /// The unit keys of `name`'s point under this scenario.
+    fn keys(&self, name: &str) -> PointKeys {
+        let config = self.compile_config();
+        let compile = compile_key(name, self.input, self.scale, &config);
+        PointKeys {
+            profile: profile_key(name, self.scale, &config),
+            base: base_sim_key(name, self.input, self.scale, &config, &self.machine),
+            ccr: ccr_sim_key(&compile, &self.machine, &self.crb),
+            compile,
         }
     }
 
@@ -189,30 +231,19 @@ pub struct Rendered {
     pub tables: Vec<(&'static str, Table)>,
 }
 
-/// One workload's measured point within a scenario (the engine's
-/// analogue of [`crate::SuiteRun`], with compiles shared via [`Arc`]).
-pub struct ExpRun {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Compile products, shared across every scenario that needs them.
-    pub compiled: Arc<CompiledWorkload>,
-    /// Baseline vs CCR measurement.
-    pub measurement: Measurement,
-}
-
 /// Everything one spec's renderer may read: per-scenario runs (in
 /// workload order) and, for potential studies, per-workload
 /// [`ReusePotential`].
 pub struct SpecResults<'a> {
     /// The spec being rendered.
     pub spec: &'a ExperimentSpec,
-    scenario_runs: Vec<Vec<ExpRun>>,
+    scenario_runs: Vec<Vec<SuiteRun>>,
     potentials: Vec<ReusePotential>,
 }
 
 impl SpecResults<'_> {
     /// The runs of scenario `i`, in `spec.workloads` order.
-    pub fn runs(&self, scenario: usize) -> &[ExpRun] {
+    pub fn runs(&self, scenario: usize) -> &[SuiteRun] {
         &self.scenario_runs[scenario]
     }
 
@@ -241,12 +272,7 @@ pub(crate) fn hash_fields(fields: &[(&'static str, String)]) -> String {
 /// The key a compile unit deduplicates under: workload, target input,
 /// scale, the FNV-1a hash of the region-config field enumeration, and
 /// the (constant across specs) optimizer + emulator settings.
-pub(crate) fn compile_key(
-    name: &str,
-    input: InputSet,
-    scale: u32,
-    config: &CompileConfig,
-) -> String {
+fn compile_key(name: &str, input: InputSet, scale: u32, config: &CompileConfig) -> String {
     format!(
         "{name}|{}|{scale}|r:{}|opt:{:?}|emu:{}/{}",
         input.name(),
@@ -272,7 +298,7 @@ fn profile_key(name: &str, scale: u32, config: &CompileConfig) -> String {
 /// machine — not on regions or the CRB — so their key drops the
 /// region-config hash entirely, and hashes only the machine fields an
 /// unannotated program can observe ([`MachineConfig::baseline_fields`]).
-pub(crate) fn base_sim_key(
+fn base_sim_key(
     name: &str,
     input: InputSet,
     scale: u32,
@@ -292,7 +318,7 @@ pub(crate) fn base_sim_key(
 /// CCR simulations depend on the compiled (annotated) program plus
 /// the full simulated hardware, keyed by the PR-2 FNV-1a
 /// [`config_hash`] over machine + CRB.
-pub(crate) fn ccr_sim_key(compile_key: &str, machine: &MachineConfig, crb: &CrbConfig) -> String {
+fn ccr_sim_key(compile_key: &str, machine: &MachineConfig, crb: &CrbConfig) -> String {
     format!("ccr|{compile_key}|cfg:{}", config_hash(machine, crb))
 }
 
@@ -311,6 +337,7 @@ pub(crate) struct CompileUnit {
 pub(crate) struct BaseUnit {
     pub(crate) name: &'static str,
     pub(crate) machine: MachineConfig,
+    pub(crate) emu: EmuConfig,
     /// Any compile unit whose `base` program this sim runs (every
     /// region config yields the same optimized baseline).
     pub(crate) compile_key: String,
@@ -323,10 +350,10 @@ pub(crate) struct CcrUnit {
     pub(crate) scale: u32,
     pub(crate) machine: MachineConfig,
     pub(crate) crb: CrbConfig,
-    pub(crate) compile_key: String,
-    /// Key of the baseline sim this point pairs with (for summaries).
-    pub(crate) base_key: String,
-    pub(crate) key: String,
+    pub(crate) emu: EmuConfig,
+    /// This point's keys: its compile, the baseline it pairs with, and
+    /// (`keys.ccr`) its own.
+    pub(crate) keys: PointKeys,
 }
 
 pub(crate) struct PotentialUnit {
@@ -346,6 +373,25 @@ pub struct Plan<'s> {
     pub(crate) potentials: Vec<PotentialUnit>,
     /// Dedup accounting and per-spec axis summaries.
     pub stats: PlanStats,
+}
+
+impl Plan<'_> {
+    /// Every unit key of the plan, in unit order: each compile's key
+    /// followed by its value profile's, then the baseline, CCR and
+    /// potential-study keys. Result-cache and checkpoint keys are the
+    /// sim keys plus the fingerprint window, so an unchanged list means
+    /// journals written by an earlier build still resume.
+    pub fn unit_keys(&self) -> Vec<String> {
+        let mut keys = Vec::new();
+        for u in &self.compiles {
+            keys.push(u.key.clone());
+            keys.push(profile_key(u.name, u.scale, &u.config));
+        }
+        keys.extend(self.bases.iter().map(|u| u.key.clone()));
+        keys.extend(self.ccrs.iter().map(|u| u.keys.ccr.clone()));
+        keys.extend(self.potentials.iter().map(|u| u.key.clone()));
+        keys
+    }
 }
 
 /// Planner accounting: how much work the specs requested vs how much
@@ -450,88 +496,114 @@ fn axis_summary(spec: &ExperimentSpec) -> String {
 /// the given order, scenarios in spec order, workloads in selection
 /// order.
 pub fn plan<'s>(specs: &[&'s ExperimentSpec]) -> Plan<'s> {
-    let mut plan = Plan {
-        specs: specs.to_vec(),
-        compiles: Vec::new(),
-        bases: Vec::new(),
-        ccrs: Vec::new(),
-        potentials: Vec::new(),
-        stats: PlanStats {
-            specs: specs.len(),
-            ..PlanStats::default()
-        },
-    };
-    let mut seen_compiles: HashMap<String, ()> = HashMap::new();
-    let mut seen_profiles: HashMap<String, ()> = HashMap::new();
-    let mut seen_sims: HashMap<String, ()> = HashMap::new();
-    let mut seen_potentials: HashMap<String, ()> = HashMap::new();
+    let mut plan = Plan::empty(specs.to_vec());
+    let mut seen = HashSet::new();
     for spec in specs {
         plan.stats.axes.push(axis_summary(spec));
         for sc in &spec.scenarios {
-            let config = sc.compile_config();
-            for &name in spec.workloads {
-                plan.stats.requested_points += 1;
-                let ck = compile_key(name, sc.input, sc.scale, &config);
-                if seen_compiles.insert(ck.clone(), ()).is_none() {
-                    seen_profiles.insert(profile_key(name, sc.scale, &config), ());
-                    plan.compiles.push(CompileUnit {
-                        name,
-                        input: sc.input,
-                        scale: sc.scale,
-                        config,
-                        key: ck.clone(),
-                    });
-                } else {
-                    plan.stats.deduped_compiles += 1;
-                }
-                let bk = base_sim_key(name, sc.input, sc.scale, &config, &sc.machine);
-                if seen_sims.insert(bk.clone(), ()).is_none() {
-                    plan.bases.push(BaseUnit {
-                        name,
-                        machine: sc.machine,
-                        compile_key: ck.clone(),
-                        key: bk.clone(),
-                    });
-                } else {
-                    plan.stats.deduped_sims += 1;
-                }
-                let sk = ccr_sim_key(&ck, &sc.machine, &sc.crb);
-                if seen_sims.insert(sk.clone(), ()).is_none() {
-                    plan.ccrs.push(CcrUnit {
-                        name,
-                        input: sc.input,
-                        scale: sc.scale,
-                        machine: sc.machine,
-                        crb: sc.crb,
-                        compile_key: ck,
-                        base_key: bk,
-                        key: sk,
-                    });
-                } else {
-                    plan.stats.deduped_sims += 1;
-                }
-            }
+            plan.add_points(spec.workloads, sc, &mut seen);
         }
         if spec.potential {
             for &name in spec.workloads {
-                let pk = potential_key(name, InputSet::Train, SCALE);
-                if seen_potentials.insert(pk.clone(), ()).is_none() {
+                let key = potential_key(name, InputSet::Train, SCALE);
+                if seen.insert(key.clone()) {
                     plan.potentials.push(PotentialUnit {
                         name,
                         input: InputSet::Train,
                         scale: SCALE,
-                        key: pk,
+                        key,
                     });
                 }
             }
         }
     }
-    plan.stats.unique_compiles = plan.compiles.len();
-    plan.stats.value_profiles = seen_profiles.len();
-    plan.stats.base_sims = plan.bases.len();
-    plan.stats.unique_sims = plan.bases.len() + plan.ccrs.len();
-    plan.stats.potential_points = plan.potentials.len();
-    plan
+    plan.finish()
+}
+
+/// The plan of one workload selection under one scenario: what
+/// [`crate::Engine::run_selected`] executes.
+pub(crate) fn plan_selection(names: &[&'static str], scenario: &Scenario) -> Plan<'static> {
+    let mut plan = Plan::empty(Vec::new());
+    plan.add_points(names, scenario, &mut HashSet::new());
+    plan.finish()
+}
+
+impl<'s> Plan<'s> {
+    fn empty(specs: Vec<&'s ExperimentSpec>) -> Plan<'s> {
+        Plan {
+            stats: PlanStats {
+                specs: specs.len(),
+                ..PlanStats::default()
+            },
+            specs,
+            compiles: Vec::new(),
+            bases: Vec::new(),
+            ccrs: Vec::new(),
+            potentials: Vec::new(),
+        }
+    }
+
+    /// Adds the point of every workload in `workloads` under `sc`,
+    /// skipping units whose key is already in `seen`. Compile, profile,
+    /// sim and potential keys never collide: each kind has its own
+    /// shape (`train|`, `base|`, `ccr|` and `pot|` prefixes).
+    fn add_points(
+        &mut self,
+        workloads: &[&'static str],
+        sc: &Scenario,
+        seen: &mut HashSet<String>,
+    ) {
+        for &name in workloads {
+            self.stats.requested_points += 1;
+            let keys = sc.keys(name);
+            if seen.insert(keys.compile.clone()) {
+                if seen.insert(keys.profile.clone()) {
+                    self.stats.value_profiles += 1;
+                }
+                self.compiles.push(CompileUnit {
+                    name,
+                    input: sc.input,
+                    scale: sc.scale,
+                    config: sc.compile_config(),
+                    key: keys.compile.clone(),
+                });
+            } else {
+                self.stats.deduped_compiles += 1;
+            }
+            if seen.insert(keys.base.clone()) {
+                self.bases.push(BaseUnit {
+                    name,
+                    machine: sc.machine,
+                    emu: sc.emu,
+                    compile_key: keys.compile.clone(),
+                    key: keys.base.clone(),
+                });
+            } else {
+                self.stats.deduped_sims += 1;
+            }
+            if seen.insert(keys.ccr.clone()) {
+                self.ccrs.push(CcrUnit {
+                    name,
+                    input: sc.input,
+                    scale: sc.scale,
+                    machine: sc.machine,
+                    crb: sc.crb,
+                    emu: sc.emu,
+                    keys,
+                });
+            } else {
+                self.stats.deduped_sims += 1;
+            }
+        }
+    }
+
+    fn finish(mut self) -> Plan<'s> {
+        self.stats.unique_compiles = self.compiles.len();
+        self.stats.base_sims = self.bases.len();
+        self.stats.unique_sims = self.bases.len() + self.ccrs.len();
+        self.stats.potential_points = self.potentials.len();
+        self
+    }
 }
 
 /// A shared compile memo keyed by (workload, target input, scale,
@@ -754,9 +826,7 @@ pub(crate) struct PointMeta {
     pub(crate) input: InputSet,
     pub(crate) scale: u32,
     pub(crate) config_hash: String,
-    pub(crate) compile_key: String,
-    pub(crate) base_key: String,
-    pub(crate) ccr_key: String,
+    pub(crate) keys: PointKeys,
 }
 
 impl<'s> Executed<'s> {
@@ -774,30 +844,44 @@ impl<'s> Executed<'s> {
         self.profiles
     }
 
+    /// The one builder of a measured point: `name`'s compile and its
+    /// baseline and CCR outcomes, checked for architectural equality
+    /// ([`Measurement::checked`]), with the host time of the two
+    /// simulations. A cache hit reports the time measured when the
+    /// simulation originally ran, and a baseline shared across CRB
+    /// configs counts in every point that reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the baseline and CCR runs disagree architecturally
+    /// (reuse must never change program semantics).
+    fn point(&self, name: &'static str, keys: &PointKeys) -> SuiteRun {
+        let (base, ccr) = (&self.sims[&keys.base], &self.sims[&keys.ccr]);
+        SuiteRun {
+            name,
+            compiled: Arc::clone(&self.compiles[&keys.compile]),
+            measurement: Measurement::checked(base.outcome.clone(), ccr.outcome.clone()),
+            wall_ms: base.wall_ms + ccr.wall_ms,
+        }
+    }
+
+    /// `name`'s run under `sc`, a point of the executed plan.
+    pub(crate) fn run(&self, name: &'static str, sc: &Scenario) -> SuiteRun {
+        self.point(name, &sc.keys(name))
+    }
+
     /// The run-store record of every unique executed CCR point, in
     /// plan (first-encounter) order, built by [`SuiteRun::record`]:
     /// what an `ccr exp` invocation or a served experiment appends to
-    /// the cross-run store. A point's wall time is that of its base and
-    /// CCR sims; baselines are shared across CRB configs, so a shared
-    /// base's wall time is attributed to every point that reads it.
+    /// the cross-run store.
     pub fn records(&self) -> Vec<RunRecord> {
         self.points
             .iter()
-            .map(|p| {
-                let (base, ccr) = (&self.sims[&p.base_key], &self.sims[&p.ccr_key]);
-                let run = SuiteRun {
-                    name: p.name,
-                    compiled: Arc::clone(&self.compiles[&p.compile_key]),
-                    measurement: Measurement {
-                        base: base.outcome.clone(),
-                        ccr: ccr.outcome.clone(),
-                    },
-                    wall_ms: base.wall_ms + ccr.wall_ms,
-                };
-                RunRecord {
-                    fingerprint: ccr.fingerprint.clone(),
-                    ..run.record(p.input, p.scale, &p.config_hash)
-                }
+            .map(|p| RunRecord {
+                fingerprint: self.sims[&p.keys.ccr].fingerprint.clone(),
+                ..self
+                    .point(p.name, &p.keys)
+                    .record(p.input, p.scale, &p.config_hash)
             })
             .collect()
     }
@@ -815,30 +899,16 @@ impl<'s> Executed<'s> {
             "spec `{}` was not part of the executed plan",
             spec.name
         );
-        let mut scenario_runs = Vec::with_capacity(spec.scenarios.len());
-        for sc in &spec.scenarios {
-            let config = sc.compile_config();
-            let mut runs = Vec::with_capacity(spec.workloads.len());
-            for &name in spec.workloads {
-                let ck = compile_key(name, sc.input, sc.scale, &config);
-                let compiled = Arc::clone(&self.compiles[&ck]);
-                let sim = |key: &str| self.sims[key].outcome.clone();
-                let base = sim(&base_sim_key(
-                    name,
-                    sc.input,
-                    sc.scale,
-                    &config,
-                    &sc.machine,
-                ));
-                let ccr = sim(&ccr_sim_key(&ck, &sc.machine, &sc.crb));
-                runs.push(ExpRun {
-                    name,
-                    compiled,
-                    measurement: Measurement::checked(base, ccr),
-                });
-            }
-            scenario_runs.push(runs);
-        }
+        let scenario_runs = spec
+            .scenarios
+            .iter()
+            .map(|sc| {
+                spec.workloads
+                    .iter()
+                    .map(|&name| self.run(name, sc))
+                    .collect()
+            })
+            .collect();
         let potentials = if spec.potential {
             spec.workloads
                 .iter()

@@ -28,19 +28,6 @@ struct Flight<S> {
 }
 
 impl<S> SingleFlight<S> {
-    /// A flight over `store` counting into `hits` / `misses`.
-    pub(crate) fn new(store: S, hits: Counter, misses: Counter) -> SingleFlight<S> {
-        SingleFlight {
-            state: Mutex::new(Flight {
-                store,
-                pending: HashSet::new(),
-            }),
-            cv: Condvar::new(),
-            hits,
-            misses,
-        }
-    }
-
     /// Lookups served from the store, including those that waited out
     /// another thread's computation.
     pub(crate) fn hits(&self) -> u64 {

@@ -1,11 +1,10 @@
 #![warn(missing_docs)]
 
-//! # ccr-telemetry — span/event tracing for the CCR stack
+//! # ccr-telemetry — event tracing for the CCR stack
 //!
 //! Lightweight, dependency-free observability plumbing shared by the
 //! compiler passes, the region former, and the timing simulator:
 //!
-//! * [`span::Span`] — wall-clock timers for phase/pass timing,
 //! * [`metrics::MetricsRegistry`] — a thread-safe registry of named
 //!   counters, gauges, and log₂-bucketed histograms; counters and
 //!   gauges are atomics behind lock-free [`metrics::Counter`] /
@@ -38,7 +37,6 @@ pub mod json;
 pub mod metrics;
 pub mod monitor;
 pub mod sink;
-pub mod span;
 pub mod table;
 pub mod value;
 
@@ -47,7 +45,6 @@ pub use json::JsonWriter;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{Monitor, MonitorSample};
 pub use sink::{JsonlSink, NullSink, RecordSink, SummarySink, TelemetrySink};
-pub use span::Span;
 pub use table::Table;
 
 /// Version of the emitted event / run-report schema. Bumped whenever

@@ -4,7 +4,9 @@
 use ccr::report::{pct, Table};
 use ccr::workloads::NAMES;
 
-use crate::{compile_config, emu, load_program, target_of, CliError, Flags};
+use ccr_bench::RUN_EMU;
+
+use crate::{load_program, scenario_of, target_of, CliError, Flags};
 
 pub(crate) fn cmd_list(_: &Flags) -> Result<(), CliError> {
     for name in NAMES {
@@ -16,7 +18,8 @@ pub(crate) fn cmd_list(_: &Flags) -> Result<(), CliError> {
 pub(crate) fn cmd_regions(flags: &Flags) -> Result<(), CliError> {
     let spec = target_of(flags)?;
     let p = load_program(&spec, flags.input, flags.scale)?;
-    let compiled = ccr::compile_ccr(&p, &p, &compile_config(flags)).map_err(|e| e.to_string())?;
+    let compiled = ccr::compile_ccr(&p, &p, &scenario_of(flags).compile_config())
+        .map_err(|e| e.to_string())?;
     let mut table = Table::new([
         "region",
         "shape",
@@ -52,7 +55,7 @@ pub(crate) fn cmd_regions(flags: &Flags) -> Result<(), CliError> {
 pub(crate) fn cmd_potential(flags: &Flags) -> Result<(), CliError> {
     let spec = target_of(flags)?;
     let p = load_program(&spec, flags.input, flags.scale)?;
-    let pot = ccr::measure::reuse_potential(&p, emu()).map_err(|e| e.to_string())?;
+    let pot = ccr::measure::reuse_potential(&p, RUN_EMU).map_err(|e| e.to_string())?;
     println!("dynamic instructions : {}", pot.total_instrs);
     println!("block-level reusable : {}", pct(pot.block_ratio()));
     println!("region-level reusable: {}", pct(pot.region_ratio()));
@@ -109,7 +112,7 @@ pub(crate) fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
     // step limit after the trace is complete is expected.
     let limited = ccr::profile::EmuConfig {
         max_instrs: flags.limit.saturating_add(1),
-        ..emu()
+        ..RUN_EMU
     };
     match ccr::profile::Emulator::with_config(&p, limited).run(&mut NullCrb, &mut tracer) {
         Ok(_) | Err(EmuError::StepLimit) => Ok(()),
@@ -121,8 +124,8 @@ pub(crate) fn cmd_print(flags: &Flags) -> Result<(), CliError> {
     let spec = target_of(flags)?;
     let p = load_program(&spec, flags.input, flags.scale)?;
     if flags.annotated {
-        let compiled =
-            ccr::compile_ccr(&p, &p, &compile_config(flags)).map_err(|e| e.to_string())?;
+        let compiled = ccr::compile_ccr(&p, &p, &scenario_of(flags).compile_config())
+            .map_err(|e| e.to_string())?;
         print!("{}", compiled.annotated);
     } else {
         print!("{p}");

@@ -29,11 +29,11 @@ mod service;
 use std::process::ExitCode;
 
 use ccr::ir::Program;
-use ccr::profile::EmuConfig;
 use ccr::regions::RegionConfig;
 use ccr::sim::CrbConfig;
 use ccr::workloads::{build, InputSet};
-use ccr::{compile_ccr, CompileConfig, ProgressMode};
+use ccr::{compile_ccr, ProgressMode};
+use ccr_bench::exp::Scenario;
 
 /// A CLI failure. `Usage` errors (bad subcommand, bad flags, missing
 /// arguments) get the usage text appended; `Failure` errors (a
@@ -399,13 +399,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
     run(&parse_flags(cmd, &args[1..], reads).map_err(usage_err)?)
 }
 
-fn emu() -> EmuConfig {
-    EmuConfig {
-        max_instrs: 500_000_000,
-        max_depth: 1024,
-    }
-}
-
 /// Builds the harness from `--progress` / `--no-progress` /
 /// `--harness-out`. Disabled (a guaranteed no-op) unless some sink
 /// was requested; `--no-progress` silences the stderr stream but
@@ -428,24 +421,19 @@ fn finish_harness(harness: &ccr::Harness) -> Option<ccr::HarnessSummary> {
     Some(summary)
 }
 
-fn crb_of(flags: &Flags) -> CrbConfig {
-    CrbConfig {
+/// The configuration the flags select: their input, scale, CRB and
+/// formation switches on the paper machine.
+fn scenario_of(flags: &Flags) -> Scenario {
+    let region = RegionConfig {
+        function_level: flags.function_level,
+        ..RegionConfig::paper()
+    };
+    let crb = CrbConfig {
         entries: flags.entries,
         instances: flags.instances,
         ..CrbConfig::paper()
-    }
-}
-
-fn compile_config(flags: &Flags) -> CompileConfig {
-    CompileConfig {
-        region: RegionConfig {
-            trial_instances: flags.instances,
-            function_level: flags.function_level,
-            ..RegionConfig::paper()
-        },
-        emu: emu(),
-        ..CompileConfig::paper()
-    }
+    };
+    Scenario::single(flags.input, flags.scale, &region, crb)
 }
 
 /// Loads a program: a built-in benchmark name or a `.ccr` text file.
@@ -482,7 +470,7 @@ fn compile_target(
 ) -> Result<ccr::CompiledWorkload, String> {
     let train = load_program(spec, InputSet::Train, scale)?;
     let target = load_program(spec, input, scale)?;
-    compile_ccr(&train, &target, &compile_config(flags)).map_err(|e| e.to_string())
+    compile_ccr(&train, &target, &scenario_of(flags).compile_config()).map_err(|e| e.to_string())
 }
 
 /// Filesystem-safe stem for per-workload output files.

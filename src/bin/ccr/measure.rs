@@ -41,42 +41,21 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ccr::report::{pct, speedup, Table};
-use ccr::sim::{MachineConfig, TraceConfig};
+use ccr::sim::TraceConfig;
 use ccr::workloads::NAMES;
 use ccr::{CompiledWorkload, Harness, Measurement};
 
 use crate::{
-    append_to_store, compile_config, compile_target, crb_of, emu, file_stem, finish_harness,
-    harness_of, record_timestamp, replay, results, target_of, usage_err, CliError, Flags,
+    append_to_store, compile_target, file_stem, finish_harness, harness_of, record_timestamp,
+    replay, results, scenario_of, target_of, usage_err, CliError, Flags,
 };
-
-/// Compiles and measures `names` through `engine` on the paper
-/// machine under the flags' input, scale, CRB and region settings.
-fn run_selected(
-    engine: &ccr_bench::Engine,
-    names: &[&'static str],
-    flags: &Flags,
-    harness: &Harness,
-) -> Result<Vec<ccr_bench::SuiteRun>, String> {
-    let (machine, crb, config) = (MachineConfig::paper(), crb_of(flags), compile_config(flags));
-    engine.run_selected(
-        names,
-        flags.input,
-        flags.scale,
-        &config,
-        &machine,
-        crb,
-        emu(),
-        harness,
-    )
-}
 
 pub(crate) fn cmd_suite(flags: &Flags) -> Result<(), CliError> {
     let harness = harness_of(flags)?;
     // One-shot run through a fresh engine: every cache lookup misses,
     // so the statistics match the historical uncached path exactly.
     let engine = ccr_bench::Engine::new(ccr::resolve_jobs(flags.jobs));
-    let runs = run_selected(&engine, &NAMES, flags, &harness)?;
+    let runs = engine.run_selected(&NAMES, &scenario_of(flags), &harness)?;
     finish_harness(&harness);
     let mut table = Table::new([
         "benchmark",
@@ -135,12 +114,13 @@ pub(crate) fn cmd_run(flags: &Flags) -> Result<(), CliError> {
     let compiled = compile_target(flags, &spec, flags.input, flags.scale)?;
     let jobs = ccr::resolve_jobs(flags.jobs);
     let trace = TraceConfig::default();
+    let sc = scenario_of(flags);
     let m = match &flags.telemetry {
         None => ccr::measure_with(
             &compiled,
-            &MachineConfig::paper(),
-            crb_of(flags),
-            emu(),
+            &sc.machine,
+            sc.crb,
+            sc.emu,
             jobs,
             &trace,
             &mut ccr::telemetry::NullSink,
@@ -209,8 +189,9 @@ fn capture(
     harness: &Harness,
 ) -> Result<Capture, CliError> {
     use ccr::telemetry::{Event, FieldValue, JsonlSink, TelemetrySink, SCHEMA_VERSION};
-    let machine = MachineConfig::paper();
-    let crb = crb_of(flags);
+    let ccr_bench::exp::Scenario {
+        machine, crb, emu, ..
+    } = scenario_of(flags);
     std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let events = dir.join("events.jsonl");
     let mut sink = JsonlSink::create(&events).map_err(|e| format!("{}: {e}", events.display()))?;
@@ -231,7 +212,7 @@ fn capture(
     let sim_label = format!("sim:profile:{spec}:{}", ccr::config_hash(&machine, &crb));
     harness.task_start("sim", &sim_label);
     let sim_start = Instant::now();
-    let m = ccr::measure_with(compiled, &machine, crb, emu(), jobs, cfg, &mut sink)
+    let m = ccr::measure_with(compiled, &machine, crb, emu, jobs, cfg, &mut sink)
         .map_err(|e| e.to_string())?;
     let sim_wall_ms = sim_start.elapsed().as_millis() as u64;
     harness.task_finish(
@@ -328,8 +309,7 @@ pub(crate) fn cmd_profile(flags: &Flags) -> Result<(), CliError> {
 }
 
 pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
-    let machine = MachineConfig::paper();
-    let crb = crb_of(flags);
+    let scenario = scenario_of(flags);
     let selected: Vec<&'static str> = match &flags.only {
         None => NAMES.to_vec(),
         Some(list) => {
@@ -350,7 +330,7 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
         suite: "ccr".to_string(),
         input: flags.input.name().to_string(),
         scale: u64::from(flags.scale),
-        config_hash: ccr::config_hash(&machine, &crb),
+        config_hash: ccr::config_hash(&scenario.machine, &scenario.crb),
         crate_version: env!("CARGO_PKG_VERSION").to_string(),
         git_commit: ccr::git_commit_id().to_string(),
         host_reps: flags.host_reps as u64,
@@ -363,7 +343,7 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     // wall time; simulated statistics are deterministic, so every rep
     // must reproduce them.
     let engine = ccr_bench::Engine::with_capacity(ccr::resolve_jobs(flags.jobs), 0);
-    let run_once = || run_selected(&engine, &selected, flags, &harness);
+    let run_once = || engine.run_selected(&selected, &scenario, &harness);
     let mut runs = run_once()?;
     let mut walls: Vec<Vec<u64>> = runs.iter().map(|r| vec![r.wall_ms]).collect();
     for _ in 1..flags.host_reps {
@@ -392,17 +372,8 @@ pub(crate) fn cmd_bench(flags: &Flags) -> Result<(), CliError> {
     // dedups. Skipped by default so the gate's timing is unchanged.
     if let Some(clients) = flags.serve_clients {
         let engine = ccr_bench::Engine::new(ccr::resolve_jobs(flags.jobs));
-        let (points, points_per_sec) = ccr::serve::synthetic_client_baseline(
-            &engine,
-            clients,
-            &selected,
-            flags.input,
-            flags.scale,
-            &compile_config(flags),
-            &machine,
-            crb,
-            emu(),
-        )?;
+        let (points, points_per_sec) =
+            ccr::serve::synthetic_client_baseline(&engine, clients, &selected, &scenario)?;
         report.serve_clients = clients as u64;
         report.serve_points_per_sec = points_per_sec;
         eprintln!(

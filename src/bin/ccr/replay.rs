@@ -27,13 +27,14 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use ccr::sim::{CrbConfig, MachineConfig, SimOutcome, SimSession, SimSnapshot};
+use ccr::sim::{SimOutcome, SimSession, SimSnapshot};
 use ccr::workloads::InputSet;
 use ccr::Harness;
 use ccr_analyze::{format_hash, DigestFile};
+use ccr_bench::exp::Scenario;
 
 use crate::{
-    compile_target, crb_of, emu, file_stem, finish_harness, harness_of, measure, target_of,
+    compile_target, file_stem, finish_harness, harness_of, measure, scenario_of, target_of,
     usage_err, CliError, Flags,
 };
 
@@ -57,7 +58,8 @@ fn decode_workload(s: &str) -> Result<(String, InputSet, u32), String> {
 /// The local configuration's hash: the paper machine and the flags'
 /// CRB, as digest files and snapshots record it.
 fn config_hash(flags: &Flags) -> String {
-    ccr::config_hash(&MachineConfig::paper(), &crb_of(flags))
+    let sc = scenario_of(flags);
+    ccr::config_hash(&sc.machine, &sc.crb)
 }
 
 /// A workload compiled for replay on the paper machine under the
@@ -70,7 +72,7 @@ struct Replay {
     /// exact same run.
     workload: String,
     compiled: ccr::CompiledWorkload,
-    crb: CrbConfig,
+    scenario: Scenario,
     config_hash: String,
 }
 
@@ -81,7 +83,7 @@ impl Replay {
             spec: spec.to_string(),
             workload: format!("{spec}:{}@{scale}", input.name()),
             compiled: compile_target(flags, spec, input, scale)?,
-            crb: crb_of(flags),
+            scenario: scenario_of(flags),
             config_hash: config_hash(flags),
         })
     }
@@ -117,8 +119,8 @@ impl Replay {
 
     /// A fresh CCR session from cycle 0, labelled for its snapshots.
     fn start(&self, window: u64) -> SimSession<'_> {
-        let (program, crb) = (&self.compiled.annotated, Some(self.crb));
-        let mut session = SimSession::new(program, &MachineConfig::paper(), crb, emu(), window);
+        let (program, sc) = (&self.compiled.annotated, &self.scenario);
+        let mut session = SimSession::new(program, &sc.machine, Some(sc.crb), sc.emu, window);
         session.set_provenance(&self.workload, &self.config_hash);
         session
     }
@@ -130,8 +132,8 @@ impl Replay {
         file: &str,
         harness: &Harness,
     ) -> Result<SimSession<'_>, CliError> {
-        let (program, crb) = (&self.compiled.annotated, Some(self.crb));
-        let session = SimSession::restore(program, &MachineConfig::paper(), crb, emu(), snap)
+        let (program, sc) = (&self.compiled.annotated, &self.scenario);
+        let session = SimSession::restore(program, &sc.machine, Some(sc.crb), sc.emu, snap)
             .map_err(|e| format!("{file}: {e}"))?;
         harness.snapshot("restore", &snap.workload, snap.cycle, file);
         Ok(session)
@@ -548,7 +550,8 @@ pub(crate) fn run_snapshotted(flags: &Flags) -> Result<(), CliError> {
     };
     let (outcome, fingerprint) = replay.finish(session, &harness)?;
     finish_harness(&harness);
-    let base = ccr::sim::simulate(&replay.compiled.base, &MachineConfig::paper(), None, emu())
+    let sc = &replay.scenario;
+    let base = ccr::sim::simulate(&replay.compiled.base, &sc.machine, None, sc.emu)
         .map_err(|e| e.to_string())?;
     let m = ccr::Measurement::checked(base, outcome);
     measure::print_measurement(&spec, &replay.compiled, &m);

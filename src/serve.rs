@@ -16,8 +16,10 @@
 //! local TCP (`--port N`), one request object per line, one reply
 //! object per line, in order. Replies always carry `"req_v":1` and
 //! `"ok":true|false`; protocol failures (unparseable line, unknown
-//! `req_v`, unknown op/field/workload) are `ok:false` replies with a
-//! one-line `error`, never a closed connection.
+//! `req_v`, unknown op/field/workload, a mistyped or out-of-range point
+//! field, a CRB past [`MAX_POINT_ENTRIES`] × [`MAX_POINT_INSTANCES`])
+//! are `ok:false` replies with a one-line `error`, never a closed
+//! connection.
 //!
 //! | op | request | reply |
 //! |---|---|---|
@@ -50,16 +52,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ccr_analyze::RunRecord;
-use ccr_bench::{exp, Engine};
+use ccr_bench::exp::{self, Scenario};
+use ccr_bench::Engine;
 
 use crate::harness::{Harness, HarnessOptions, ProgressMode};
-use crate::profile::EmuConfig;
 use crate::regions::RegionConfig;
-use crate::sim::{CrbConfig, MachineConfig};
+use crate::sim::CrbConfig;
 use crate::telemetry::value::{self, Value};
 use crate::telemetry::JsonWriter;
 use crate::workloads::{InputSet, NAMES};
-use crate::CompileConfig;
 
 /// Version tag of request/reply lines. Bumped only on incompatible
 /// changes; additive fields ride under the same version.
@@ -74,15 +75,15 @@ pub const DEFAULT_QUEUE: usize = 64;
 /// Default `serve.jsonl` location.
 pub const DEFAULT_SERVE_JSONL: &str = "serve.jsonl";
 
-/// Emulator limits for point submissions — the same limits the
-/// one-shot `ccr suite`/`ccr run` paths use, so a served point is
-/// bit-identical to its CLI run.
-fn point_emu() -> EmuConfig {
-    EmuConfig {
-        max_instrs: 500_000_000,
-        max_depth: 1024,
-    }
-}
+/// Largest `entries` a point submission may ask for: eight times the
+/// largest CRB of the experiment registry (128 entries). The buffer
+/// allocates every slot up front, and an allocation failure aborts
+/// the whole server where no panic guard can catch it.
+pub const MAX_POINT_ENTRIES: usize = 1024;
+
+/// Largest `instances` a point submission may ask for: over three
+/// times the registry's largest (20 boosted instances).
+pub const MAX_POINT_INSTANCES: usize = 64;
 
 /// Where the service listens.
 #[derive(Clone, Debug)]
@@ -634,17 +635,20 @@ fn parse_submission(v: &Value) -> Result<Submission, String> {
             let scale = u32::try_from(number("scale", 1)?).map_err(|_| "`scale` exceeds u32")?;
             let paper = CrbConfig::paper();
             // A zero dimension would panic the executor that builds
-            // the buffer; refuse it here, where the client gets a reply.
-            let dimension = |field: &str, default: usize| match number(field, default as u64)? {
-                0 => Err(format!("`{field}` must be at least 1")),
-                n => usize::try_from(n).map_err(|_| format!("`{field}` exceeds usize")),
-            };
+            // the buffer, and an oversized one could exhaust memory;
+            // refuse both here, where the client gets a reply.
+            let dimension =
+                |field: &str, default: usize, cap: usize| match number(field, default as u64)? {
+                    0 => Err(format!("`{field}` must be at least 1")),
+                    n if n > cap as u64 => Err(format!("`{field}` must be at most {cap}")),
+                    n => Ok(n as usize),
+                };
             Ok(Submission::Point {
                 workload: known,
                 input,
                 scale,
-                entries: dimension("entries", paper.entries)?,
-                instances: dimension("instances", paper.instances)?,
+                entries: dimension("entries", paper.entries, MAX_POINT_ENTRIES)?,
+                instances: dimension("instances", paper.instances, MAX_POINT_INSTANCES)?,
             })
         }
     }
@@ -791,31 +795,18 @@ fn execute_submission(session: &Session, submission: &Submission) -> Result<Exec
             entries,
             instances,
         } => {
-            let machine = MachineConfig::paper();
             let crb = CrbConfig {
                 entries: *entries,
                 instances: *instances,
                 ..CrbConfig::paper()
             };
-            let config = CompileConfig {
-                region: RegionConfig {
-                    trial_instances: *instances,
-                    ..RegionConfig::paper()
-                },
-                ..CompileConfig::paper()
-            };
-            let names: &[&'static str] = std::slice::from_ref(workload);
+            let sc = Scenario::single(*input, *scale, &RegionConfig::paper(), crb);
             let runs = session.engine.run_selected(
-                names,
-                *input,
-                *scale,
-                &config,
-                &machine,
-                crb,
-                point_emu(),
+                std::slice::from_ref(workload),
+                &sc,
                 &session.harness,
             )?;
-            let r = stamp(runs[0].record(*input, *scale, &crate::config_hash(&machine, &crb)));
+            let r = stamp(runs[0].record(*input, *scale, &crate::config_hash(&sc.machine, &crb)));
             let text = format!(
                 "{} base {} ccr {} speedup {:.6} hit_rate {:.6} regions {}\n",
                 r.workload, r.base_cycles, r.ccr_cycles, r.speedup, r.hit_rate, r.regions
@@ -992,17 +983,11 @@ pub fn submit_point_request(
 /// # Errors
 ///
 /// The first failing workload's error.
-#[allow(clippy::too_many_arguments)]
 pub fn synthetic_client_baseline(
     engine: &Engine,
     clients: usize,
     names: &[&'static str],
-    input: InputSet,
-    scale: u32,
-    config: &CompileConfig,
-    machine: &MachineConfig,
-    crb: CrbConfig,
-    emu: EmuConfig,
+    scenario: &Scenario,
 ) -> Result<(u64, f64), String> {
     let started = Instant::now();
     let results: Vec<Result<(), String>> = std::thread::scope(|scope| {
@@ -1010,16 +995,7 @@ pub fn synthetic_client_baseline(
             .map(|_| {
                 scope.spawn(move || {
                     engine
-                        .run_selected(
-                            names,
-                            input,
-                            scale,
-                            config,
-                            machine,
-                            crb,
-                            emu,
-                            &Harness::disabled(),
-                        )
+                        .run_selected(names, scenario, &Harness::disabled())
                         .map(|_| ())
                 })
             })

@@ -42,25 +42,15 @@ fn suite_stats_match_committed_bench_and_scalar_reference_path() {
 
     let machine = MachineConfig::paper();
     let crb = CrbConfig::paper();
-    let config = ccr::CompileConfig {
-        region: RegionConfig {
-            trial_instances: crb.instances,
-            ..RegionConfig::paper()
-        },
-        emu: ccr_bench::emu_config(),
-        ..ccr::CompileConfig::paper()
-    };
+    let scenario = ccr_bench::exp::Scenario::new(
+        "paper",
+        InputSet::Train,
+        &RegionConfig::paper(),
+        &machine,
+        crb,
+    );
     let runs = ccr_bench::Engine::new(1)
-        .run_selected(
-            &NAMES,
-            InputSet::Train,
-            1,
-            &config,
-            &machine,
-            crb,
-            ccr_bench::emu_config(),
-            &ccr::Harness::disabled(),
-        )
+        .run_selected(&NAMES, &scenario, &ccr::Harness::disabled())
         .expect("suite workloads compile");
 
     assert_eq!(runs.len(), committed.workloads.len());

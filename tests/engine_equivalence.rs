@@ -26,9 +26,7 @@ use std::time::Duration;
 use ccr::profile::RunOutcome;
 use ccr::regions::RegionConfig;
 use ccr::sim::{CrbConfig, MachineConfig, SimOutcome, SimStats};
-use ccr::telemetry::MetricsRegistry;
 use ccr::workloads::InputSet;
-use ccr::CompileConfig;
 use ccr_bench::{exp, CachedSim, Engine, SimResultCache};
 
 static TINY_WORKLOADS: [&str; 2] = ["bitcount", "lex"];
@@ -51,19 +49,23 @@ fn tiny_render(res: &exp::SpecResults<'_>) -> exp::Rendered {
     }
 }
 
+fn paper_scenario() -> exp::Scenario {
+    exp::Scenario::new(
+        "paper",
+        InputSet::Train,
+        &RegionConfig::paper(),
+        &MachineConfig::paper(),
+        CrbConfig::paper(),
+    )
+}
+
 fn tiny_spec(name: &'static str) -> exp::ExperimentSpec {
     exp::ExperimentSpec {
         name,
         output: name,
         title: "engine equivalence test spec",
         workloads: &TINY_WORKLOADS,
-        scenarios: vec![exp::Scenario::new(
-            "paper",
-            InputSet::Train,
-            &RegionConfig::paper(),
-            &MachineConfig::paper(),
-            CrbConfig::paper(),
-        )],
+        scenarios: vec![paper_scenario()],
         potential: true,
         render: tiny_render,
     }
@@ -154,12 +156,7 @@ fn concurrent_overlapping_sweeps_dedup_with_pinned_counts() {
                 scope.spawn(move || {
                     engine.run_selected(
                         &TINY_WORKLOADS,
-                        InputSet::Train,
-                        1,
-                        &CompileConfig::paper(),
-                        &MachineConfig::paper(),
-                        CrbConfig::paper(),
-                        ccr_bench::emu_config(),
+                        &paper_scenario(),
                         &ccr::Harness::disabled(),
                     )
                 })
@@ -188,6 +185,40 @@ fn concurrent_overlapping_sweeps_dedup_with_pinned_counts() {
     }
 }
 
+#[test]
+fn a_selections_host_time_is_its_two_sims() {
+    let dir = std::env::temp_dir().join("ccr-engine-selection-wall");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("harness.jsonl");
+    let harness = ccr::Harness::start(&ccr::HarnessOptions {
+        progress: ccr::ProgressMode::Off,
+        out: Some(out.clone()),
+        ..ccr::HarnessOptions::default()
+    })
+    .unwrap();
+    let runs = Engine::new(2)
+        .run_selected(&TINY_WORKLOADS, &paper_scenario(), &harness)
+        .unwrap();
+    harness.finish();
+    // Every `sim_finish` event carries the wall time the result cache
+    // recorded for that simulation; a run's host time is the sum of its
+    // baseline's and its CCR simulation's, with no compile time in it.
+    let text = std::fs::read_to_string(&out).unwrap();
+    for run in &runs {
+        let tag = format!(":{}:", run.name);
+        let sims: Vec<u64> = text
+            .lines()
+            .map(|l| ccr_analyze::value::parse(l).unwrap())
+            .filter(|v| v.str_field("ev") == "sim_finish" && v.str_field("label").contains(&tag))
+            .map(|v| v.u64_field("wall_ms"))
+            .collect();
+        assert_eq!(sims.len(), 2, "{}: one base and one CCR sim", run.name);
+        assert_eq!(run.wall_ms, sims.iter().sum::<u64>(), "{}", run.name);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn sim_of(cycles: u64) -> CachedSim {
     CachedSim {
         outcome: SimOutcome {
@@ -211,8 +242,7 @@ fn sim_of(cycles: u64) -> CachedSim {
 
 #[test]
 fn result_cache_evicts_least_recently_used() {
-    let metrics = MetricsRegistry::new();
-    let cache = SimResultCache::new(2, &metrics);
+    let cache = SimResultCache::new(2);
     cache.get_or_run("a", || Ok(sim_of(1))).unwrap();
     cache.get_or_run("b", || Ok(sim_of(2))).unwrap();
     // Touch `a` so `b` becomes the least recently used entry.
@@ -237,8 +267,7 @@ fn result_cache_evicts_least_recently_used() {
 
 #[test]
 fn zero_capacity_cache_retains_nothing_but_still_runs() {
-    let metrics = MetricsRegistry::new();
-    let cache = SimResultCache::new(0, &metrics);
+    let cache = SimResultCache::new(0);
     assert_eq!(cache.get_or_run("k", || Ok(sim_of(7))).unwrap().wall_ms, 1);
     assert!(cache.is_empty());
     // The same key misses again: nothing was retained.
@@ -250,8 +279,7 @@ fn zero_capacity_cache_retains_nothing_but_still_runs() {
 
 #[test]
 fn errors_are_never_cached() {
-    let metrics = MetricsRegistry::new();
-    let cache = SimResultCache::new(8, &metrics);
+    let cache = SimResultCache::new(8);
     let Err(err) = cache.get_or_run("k", || Err("emulator limit".to_string())) else {
         panic!("a failing computation must surface its error");
     };
@@ -268,8 +296,7 @@ fn errors_are_never_cached() {
 
 #[test]
 fn a_panicking_computation_releases_its_key() {
-    let metrics = MetricsRegistry::new();
-    let cache = Arc::new(SimResultCache::new(8, &metrics));
+    let cache = Arc::new(SimResultCache::new(8));
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         cache.get_or_run("k", || panic!("simulation bug"))
     }));
@@ -300,8 +327,7 @@ fn a_panicking_computation_releases_its_key() {
 
 #[test]
 fn single_flight_runs_each_key_exactly_once_under_contention() {
-    let metrics = MetricsRegistry::new();
-    let cache = SimResultCache::new(8, &metrics);
+    let cache = SimResultCache::new(8);
     let computations = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for _ in 0..8 {
@@ -324,8 +350,7 @@ fn single_flight_runs_each_key_exactly_once_under_contention() {
 
 #[test]
 fn potential_entries_are_exempt_from_eviction() {
-    let metrics = MetricsRegistry::new();
-    let cache = SimResultCache::new(1, &metrics);
+    let cache = SimResultCache::new(1);
     let pot = ccr::profile::ReusePotential::default();
     cache
         .get_or_run_potential("pot|w|train|1", || Ok(pot))

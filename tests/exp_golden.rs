@@ -179,6 +179,20 @@ fn full_registry_plan_pins_compile_profile_and_sim_counts() {
 }
 
 #[test]
+fn full_registry_plan_pins_every_unit_key() {
+    // Checkpoint journals are keyed by these strings: a changed key
+    // silently turns every journaled unit of an earlier run into a
+    // re-simulation.
+    let registry = specs::registry();
+    let keys = exp::plan(&registry.iter().collect::<Vec<_>>()).unit_keys();
+    assert_eq!(keys.len(), 2 * 117 + 351 + 13);
+    assert_eq!(
+        ccr::fnv1a_hex(keys.join("\n").as_bytes()),
+        "526e061765fc67b5"
+    );
+}
+
+#[test]
 fn ablation_penalty_and_speculation_rows_share_the_paper_baseline() {
     let ablations = specs::ablations();
     let varied: Vec<&MachineConfig> = ablations

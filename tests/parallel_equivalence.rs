@@ -9,31 +9,21 @@
 use ccr::regions::RegionConfig;
 use ccr::sim::{CrbConfig, MachineConfig};
 use ccr::workloads::{InputSet, NAMES};
+use ccr_bench::exp::Scenario;
 use ccr_bench::{Engine, SuiteRun};
 
 /// Runs `names` at the paper configuration on a fresh `jobs`-worker
 /// engine, compiling for the CRB's instance count.
 fn run_paper(names: &[&'static str], jobs: usize) -> Vec<SuiteRun> {
-    let crb = CrbConfig::paper();
-    let config = ccr::CompileConfig {
-        region: RegionConfig {
-            trial_instances: crb.instances,
-            ..RegionConfig::paper()
-        },
-        emu: ccr_bench::emu_config(),
-        ..ccr::CompileConfig::paper()
-    };
+    let scenario = Scenario::new(
+        "paper",
+        InputSet::Train,
+        &RegionConfig::paper(),
+        &MachineConfig::paper(),
+        CrbConfig::paper(),
+    );
     Engine::new(jobs)
-        .run_selected(
-            names,
-            InputSet::Train,
-            1,
-            &config,
-            &MachineConfig::paper(),
-            crb,
-            ccr_bench::emu_config(),
-            &ccr::Harness::disabled(),
-        )
+        .run_selected(names, &scenario, &ccr::Harness::disabled())
         .expect("suite workloads compile")
 }
 

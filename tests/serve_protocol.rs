@@ -170,6 +170,19 @@ fn protocol_errors_are_one_line_replies_not_dropped_connections() {
             r#"{"req_v":1,"op":"submit","workload":"lex","instances":0}"#,
             "`instances` must be at least 1",
         ),
+        // Oversized buffers are refused before anything is allocated.
+        (
+            r#"{"req_v":1,"op":"submit","workload":"lex","entries":1025}"#,
+            "`entries` must be at most 1024",
+        ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"lex","instances":1048576}"#,
+            "`instances` must be at most 64",
+        ),
+        (
+            r#"{"req_v":1,"op":"submit","workload":"lex","entries":18446744073709551615}"#,
+            "`entries` must be at most 1024",
+        ),
         (
             r#"{"req_v":1,"op":"submit","workload":"lex","scale":4294967297}"#,
             "`scale` exceeds u32",
