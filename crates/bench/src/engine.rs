@@ -62,8 +62,8 @@ use ccr_core::jobs::parallel_map_observed;
 use ccr_core::measure::reuse_potential;
 use ccr_core::telemetry::Counter;
 use ccr_ir::Program;
-use ccr_profile::{EmuConfig, EmuError, ReusePotential};
-use ccr_sim::{simulate, CrbConfig, MachineConfig, SimOutcome, SimSession};
+use ccr_profile::{EmuConfig, ReusePotential};
+use ccr_sim::{CrbConfig, MachineConfig, SimOutcome, SimSession};
 
 use crate::exp::{
     hash_fields, plan_selection, CompileCache, CompileUnit, Executed, Plan, PointMeta,
@@ -380,10 +380,10 @@ impl Engine {
     ///   resumed run reproduces the original run's
     ///   [`Executed::records`] exactly. Entries recorded
     ///   under another fingerprint window (or none) never match.
-    /// - `fingerprint_window`: when set, every CCR simulation runs
-    ///   through a [`SimSession`] folding the determinism fingerprint
-    ///   every that many cycles (bit-identical statistics to
-    ///   [`simulate`]), and the final chain hash lands in the
+    /// - `fingerprint_window`: when set, every CCR simulation's
+    ///   [`SimSession`] folds the determinism fingerprint every that
+    ///   many cycles (bit-identical statistics to a plain session),
+    ///   and the final chain hash lands in the
     ///   `fingerprint` of the point's [`Executed::records`] entry.
     ///
     /// Cache accounting on the returned [`Executed`] (and the
@@ -642,9 +642,8 @@ struct SimTask<'a> {
     machine: &'a MachineConfig,
     crb: Option<CrbConfig>,
     emu: EmuConfig,
-    /// When set, the run goes through a [`SimSession`] folding the
-    /// determinism fingerprint every that many cycles (statistics
-    /// bit-identical to [`simulate`]).
+    /// When set, the session folds the determinism fingerprint every
+    /// that many cycles (statistics bit-identical to a plain run).
     fingerprint_window: Option<u64>,
 }
 
@@ -652,22 +651,14 @@ impl SimTask<'_> {
     /// Simulates the task, timing it on the host.
     fn run(&self) -> Result<CachedSim, String> {
         let start = Instant::now();
-        let err = |e: EmuError| format!("{}: {e}", self.name);
-        let (outcome, fingerprint) = match self.fingerprint_window {
-            None => (
-                simulate(self.program, self.machine, self.crb, self.emu).map_err(err)?,
-                String::new(),
-            ),
-            Some(window) => {
-                let mut session =
-                    SimSession::new(self.program, self.machine, self.crb, self.emu, window);
-                session.run_to_end().map_err(err)?;
-                let hash = session.final_hash().expect("finished run");
-                (session.into_outcome(), format!("{hash:016x}"))
-            }
-        };
+        let window = self.fingerprint_window;
+        let mut session = SimSession::new(self.program, self.machine, self.crb, self.emu, window);
+        session
+            .run_to_end()
+            .map_err(|e| format!("{}: {e}", self.name))?;
+        let fingerprint = (session.final_hash()).map_or_else(String::new, |h| format!("{h:016x}"));
         Ok(CachedSim {
-            outcome,
+            outcome: session.into_outcome(),
             wall_ms: start.elapsed().as_millis() as u64,
             fingerprint,
         })

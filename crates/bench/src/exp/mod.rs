@@ -51,10 +51,10 @@
 //! so a stale checkpoint from a different sweep, or one recorded
 //! without fingerprints or at another window, simply never matches. A
 //! torn final line (crashed run) fails to parse and is silently
-//! re-simulated. With a fingerprint window, every CCR simulation
-//! additionally runs through [`ccr_sim::SimSession`] (bit-identical
-//! to [`ccr_sim::simulate`]) and reports its final
-//! determinism-fingerprint chain hash in the `fingerprint` of its
+//! re-simulated. With a fingerprint window, every CCR simulation's
+//! [`ccr_sim::SimSession`] additionally folds the determinism
+//! fingerprint (bit-identical statistics) and reports its final
+//! chain hash in the `fingerprint` of its
 //! [`Executed::records`] entry.
 
 pub mod specs;

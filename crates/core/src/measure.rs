@@ -2,7 +2,7 @@
 
 use ccr_ir::Program;
 use ccr_profile::{EmuConfig, EmuError, Emulator, NullCrb, PotentialStudy, ReusePotential};
-use ccr_sim::{simulate, simulate_traced, CrbConfig, MachineConfig, SimOutcome, TraceConfig};
+use ccr_sim::{CrbConfig, MachineConfig, SimOutcome, SimSession, TraceConfig};
 use ccr_telemetry::{emit, NullSink, RecordSink, TelemetrySink};
 
 use crate::compile::CompiledWorkload;
@@ -109,12 +109,11 @@ pub fn measure(
 
 /// [`measure`] with every knob: `jobs`, tracing and profiling.
 ///
-/// - With a disabled `sink` and `cfg.profile` off, each phase is a
-///   plain [`simulate`] call.
-/// - Otherwise each phase narrates to `sink`: a `sim_begin` marker
-///   (`base`, then `ccr`), then the run's reuse timeline, interval IPC
-///   windows, CRB events and summaries (see
-///   [`ccr_sim::simulate_traced`]). With `cfg.profile` on, the stats
+/// - Each phase is one [`SimSession`] asked to narrate to `sink` (see
+///   [`SimSession::narrate`]): a `sim_begin` marker (`base`, then
+///   `ccr`), then the run's reuse timeline, interval IPC windows, CRB
+///   events and summaries. With a disabled `sink` and `cfg.profile`
+///   off the session runs plain. With `cfg.profile` on, the stats
 ///   carry [`ccr_sim::Attribution`] blocks and the stream gains
 ///   `cycle_sample` and per-miss `cause` events.
 /// - With `jobs > 1` the two phases run on scoped threads. Each
@@ -143,11 +142,11 @@ pub fn measure_with(
     sink: &mut dyn TelemetrySink,
 ) -> Result<Measurement, EmuError> {
     let phase = |name: &'static str, program: &Program, crb, sink: &mut dyn TelemetrySink| {
-        if !sink.enabled() && !cfg.profile {
-            return simulate(program, machine, crb, emu);
-        }
         emit!(sink, "sim_begin", phase: name);
-        simulate_traced(program, machine, crb, emu, cfg, sink)
+        let mut session = SimSession::new(program, machine, crb, emu, None);
+        session.narrate(sink, cfg);
+        session.run_to_end()?;
+        Ok(session.into_outcome())
     };
     let (base, ccr) = if jobs <= 1 {
         let base = phase("base", &compiled.base, None, &mut *sink)?;
@@ -156,12 +155,8 @@ pub fn measure_with(
         let record = sink.enabled();
         let recorded = |name, program, crb| {
             let mut rec = RecordSink::new();
-            let out = if record {
-                phase(name, program, crb, &mut rec)
-            } else {
-                phase(name, program, crb, &mut NullSink)
-            };
-            (out, rec)
+            let sink: &mut dyn TelemetrySink = if record { &mut rec } else { &mut NullSink };
+            (phase(name, program, crb, sink), rec)
         };
         let ((base, base_rec), (ccr, ccr_rec)) = std::thread::scope(|scope| {
             let base = scope.spawn(|| recorded("base", &compiled.base, None));
@@ -191,6 +186,7 @@ pub fn reuse_potential(program: &Program, emu: EmuConfig) -> Result<ReusePotenti
 mod tests {
     use super::*;
     use crate::compile::{compile_ccr, CompileConfig};
+    use ccr_sim::simulate;
     use ccr_workloads::{build, InputSet};
 
     fn measured(name: &str) -> Measurement {

@@ -16,7 +16,10 @@
 //! Simulation is *execution-driven*: the [`ccr_profile::Emulator`]
 //! produces the dynamic instruction stream (consulting the
 //! [`crb::ReuseBuffer`] functionally), and the [`pipeline::Pipeline`]
-//! charges cycles as a [`ccr_profile::TraceSink`].
+//! charges cycles as a [`ccr_profile::TraceSink`]. [`SimSession`] is
+//! the one place that puts the three together; plain
+//! ([`simulate`]), fingerprinted, narrated ([`telemetry`]) and resumed
+//! ([`snapshot`]) runs are modes of a session.
 
 pub mod btb;
 pub mod cache;
@@ -25,7 +28,6 @@ pub mod fingerprint;
 pub mod machine;
 pub mod pipeline;
 pub mod session;
-pub mod simulator;
 pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
@@ -38,14 +40,11 @@ pub use fingerprint::{
 };
 pub use machine::MachineConfig;
 pub use pipeline::Pipeline;
-pub use session::SimSession;
-pub use simulator::{simulate, SimOutcome};
+pub use session::{simulate, SimOutcome, SimSession};
 pub use snapshot::{
     load_snapshot, parse_snapshot, save_snapshot, write_snapshot, SimSnapshot, SNAP_VERSION,
 };
 pub use stats::{
     AttrBucket, Attribution, CrbStats, CycleBuckets, FuncCycles, RegionDynStats, SimStats,
 };
-pub use telemetry::{
-    simulate_traced, TelemetryBridge, TraceConfig, DEFAULT_IPC_WINDOW, DEFAULT_SAMPLE_PERIOD,
-};
+pub use telemetry::{TraceConfig, DEFAULT_IPC_WINDOW, DEFAULT_SAMPLE_PERIOD};

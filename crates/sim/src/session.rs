@@ -1,12 +1,26 @@
-//! Resumable, observable simulation sessions.
+//! The one simulation driver.
 //!
-//! [`SimSession`] is the stepwise form of [`crate::simulate`]: the
-//! same emulator/pipeline/reuse-buffer composition, driven one dynamic
-//! instruction at a time so a driver can interleave state
-//! fingerprinting ([`crate::fingerprint::FingerprintStream`]) and
-//! snapshotting ([`crate::snapshot::SimSnapshot`]) at exact
-//! instruction boundaries. A session run to completion produces
-//! **bit-identical** [`SimStats`] to [`crate::simulate`], and a
+//! [`SimSession`] is the only code that puts a simulation together:
+//! the functional [`Emulator`] and the [`ReuseBuffer`] decide *what*
+//! runs, and the timing [`Pipeline`] decides *when*. Everything else
+//! is a mode of a session:
+//!
+//! - **plain** — [`SimSession::new`] with no fingerprint window, run
+//!   with [`SimSession::run_to_end`]: the same monomorphised
+//!   [`EmuRun::step`] loop [`Emulator::run`] drives. [`simulate`] is
+//!   exactly this.
+//! - **fingerprinted** — with a window, every step folds the full
+//!   architectural, pipeline and CRB state into a
+//!   [`FingerprintStream`] at each crossed window boundary, and
+//!   [`SimSession::snapshot`] can capture the run at an exact
+//!   instruction boundary.
+//! - **narrated** — [`SimSession::narrate`] reports the run to a
+//!   telemetry sink (see [`crate::telemetry`]), and with
+//!   [`TraceConfig::profile`] attributes every cycle.
+//! - **resumed** — [`SimSession::restore`] rebuilds a fingerprinted
+//!   session from a [`SimSnapshot`].
+//!
+//! Every mode produces **bit-identical** [`crate::SimStats`], and a
 //! session restored from a mid-run snapshot completes with
 //! bit-identical stats and an identical fingerprint chain to the
 //! uninterrupted run — the replay contract the `ccr fingerprint` and
@@ -15,64 +29,123 @@
 use std::collections::HashMap;
 
 use ccr_ir::{CodeLayout, Function, Op, Program};
-use ccr_profile::{EmuConfig, EmuError, EmuRun, Emulator, NullCrb, RunOutcome};
+use ccr_profile::{
+    CrbModel, EmuConfig, EmuError, EmuRun, Emulator, NullCrb, RunOutcome, TraceSink,
+};
+use ccr_telemetry::TelemetrySink;
 
 use crate::crb::{CrbConfig, ReuseBuffer};
 use crate::fingerprint::{FingerprintStream, WindowDigest};
 use crate::machine::MachineConfig;
 use crate::pipeline::Pipeline;
-use crate::simulator::SimOutcome;
 use crate::snapshot::{CrbSnapshot, FingerprintSnapshot, SimSnapshot};
+use crate::stats::SimStats;
+use crate::telemetry::{function_names, Narrated, Narrator, TraceConfig};
 
-/// A stepwise simulation with streaming fingerprints and snapshot
-/// support. See the module docs for the replay contract.
+/// Result of a simulated run: functional outcome plus timing.
+#[derive(Clone, Debug)]
+pub struct SimOutcome {
+    /// Functional result (returned values, dynamic counts).
+    pub run: RunOutcome,
+    /// Timing and microarchitectural statistics.
+    pub stats: SimStats,
+}
+
+impl SimOutcome {
+    /// Speedup of this run relative to a baseline cycle count.
+    pub fn speedup_over(&self, baseline_cycles: u64) -> f64 {
+        if self.stats.cycles == 0 {
+            0.0
+        } else {
+            baseline_cycles as f64 / self.stats.cycles as f64
+        }
+    }
+}
+
+/// Simulates `program` on `machine`: a plain [`SimSession`] run to
+/// the end. With `crb = Some(config)` the CCR hardware is present;
+/// with `None` every reuse instruction misses and nothing is recorded
+/// (this also serves as the baseline when the program carries no
+/// annotations at all).
+///
+/// ```
+/// use ccr_ir::{Operand, ProgramBuilder};
+/// use ccr_profile::EmuConfig;
+/// use ccr_sim::{simulate, MachineConfig};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut pb = ProgramBuilder::new();
+/// let mut f = pb.function("main", 0, 1);
+/// let a = f.movi(20);
+/// let b = f.add(a, 22);
+/// f.ret(&[Operand::Reg(b)]);
+/// let id = pb.finish_function(f);
+/// pb.set_main(id);
+/// let program = pb.finish();
+///
+/// let out = simulate(&program, &MachineConfig::paper(), None, EmuConfig::default())?;
+/// assert_eq!(out.run.returned[0].as_int(), 42);
+/// assert!(out.stats.cycles >= 1);
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+///
+/// Propagates emulator limit violations ([`EmuError`]).
+pub fn simulate(
+    program: &Program,
+    machine: &MachineConfig,
+    crb: Option<CrbConfig>,
+    emu: EmuConfig,
+) -> Result<SimOutcome, EmuError> {
+    let mut session = SimSession::new(program, machine, crb, emu, None);
+    session.run_to_end()?;
+    Ok(session.into_outcome())
+}
+
+/// A simulation run, stepwise or to the end. See the module docs for
+/// its modes and the replay contract.
 pub struct SimSession<'p> {
+    program: &'p Program,
     run: EmuRun<'p>,
     pipeline: Pipeline,
     buffer: Option<ReuseBuffer>,
-    stream: FingerprintStream,
-    workload: String,
-    config_hash: String,
+    stream: Option<FingerprintStream>,
+    narrator: Option<Narrator<'p>>,
     outcome: Option<RunOutcome>,
     final_hash: Option<u64>,
 }
 
 impl<'p> SimSession<'p> {
-    /// Starts a fresh session — the stepwise equivalent of
-    /// [`crate::simulate`] with the same first three arguments, plus
-    /// the fingerprint window in cycles
+    /// Starts a fresh session of `program` on `machine`. With
+    /// `crb = Some(config)` the CCR hardware is present; with `None`
+    /// every reuse instruction misses and nothing is recorded. With
+    /// `window = Some(cycles)` the session folds the determinism
+    /// fingerprint every that many cycles
     /// ([`crate::fingerprint::DEFAULT_FINGERPRINT_WINDOW`] is the
-    /// conventional choice).
+    /// conventional choice); with `None` it runs plain.
     ///
     /// # Panics
     ///
-    /// Panics when `window` is zero.
+    /// Panics when `window` is `Some(0)`.
     pub fn new(
         program: &'p Program,
         machine: &MachineConfig,
         crb: Option<CrbConfig>,
         emu: EmuConfig,
-        window: u64,
+        window: Option<u64>,
     ) -> SimSession<'p> {
-        let layout = CodeLayout::of(program);
-        let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
-        let mut pipeline = Pipeline::new(*machine, layout);
-        let run = emulator.start(&mut pipeline);
-        SimSession {
-            run,
-            pipeline,
-            buffer: crb.map(ReuseBuffer::new),
-            stream: FingerprintStream::new(window),
-            workload: String::new(),
-            config_hash: String::new(),
-            outcome: None,
-            final_hash: None,
-        }
+        let mut session = SimSession::build(program, machine, crb, emu, None)
+            .expect("a fresh session always starts");
+        session.stream = window.map(FingerprintStream::new);
+        session
     }
 
-    /// Rebuilds a session from a mid-run snapshot. The caller supplies
-    /// the same program and configuration the snapshot was taken
-    /// under; structural mismatches are rejected with one-line errors.
+    /// Rebuilds a session from a mid-run snapshot, fingerprinted under
+    /// the snapshot's window. The caller supplies the same program and
+    /// configuration the snapshot was taken under; structural
+    /// mismatches are rejected with one-line errors.
     ///
     /// # Errors
     ///
@@ -88,49 +161,92 @@ impl<'p> SimSession<'p> {
         emu: EmuConfig,
         snap: &SimSnapshot,
     ) -> Result<SimSession<'p>, String> {
+        SimSession::build(program, machine, crb, emu, Some(snap))
+    }
+
+    /// The one composition of emulator, pipeline and buffer: fresh
+    /// from cycle 0, or from `snap` (with its fingerprint stream).
+    fn build(
+        program: &'p Program,
+        machine: &MachineConfig,
+        crb: Option<CrbConfig>,
+        emu: EmuConfig,
+        snap: Option<&SimSnapshot>,
+    ) -> Result<SimSession<'p>, String> {
         let layout = CodeLayout::of(program);
         let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
-        let pipeline = Pipeline::restore(*machine, layout, &snap.pipeline)?;
-        let run = emulator.resume(&snap.emu)?;
-        let buffer = match (crb, &snap.crb) {
-            (Some(config), Some(cs)) => {
-                check_crb_registers(program, cs)?;
-                Some(ReuseBuffer::restore(config, cs)?)
+        let (run, pipeline, buffer, stream) = match snap {
+            None => {
+                let mut pipeline = Pipeline::new(*machine, layout);
+                let run = emulator.start(&mut pipeline);
+                (run, pipeline, crb.map(ReuseBuffer::new), None)
             }
-            (None, None) => None,
-            (Some(_), None) => {
-                return Err(
-                    "snapshot has no crb record but the configuration enables the CCR".to_string(),
-                )
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "snapshot has a crb record but the configuration disables the CCR".to_string(),
-                )
+            Some(snap) => {
+                let pipeline = Pipeline::restore(*machine, layout, &snap.pipeline)?;
+                let run = emulator.resume(&snap.emu)?;
+                let buffer = match (crb, &snap.crb) {
+                    (Some(config), Some(cs)) => {
+                        check_crb_registers(program, cs)?;
+                        Some(ReuseBuffer::restore(config, cs)?)
+                    }
+                    (None, None) => None,
+                    (config, _) => {
+                        let (has, does) = match config {
+                            Some(_) => ("no", "enables"),
+                            None => ("a", "disables"),
+                        };
+                        return Err(format!(
+                            "snapshot has {has} crb record but the configuration {does} the CCR"
+                        ));
+                    }
+                };
+                let fp = &snap.fingerprint;
+                let stream = FingerprintStream::restore(fp.window, fp.hash, fp.windows.clone())?;
+                (run, pipeline, buffer, Some(stream))
             }
         };
-        let stream = FingerprintStream::restore(
-            snap.fingerprint.window,
-            snap.fingerprint.hash,
-            snap.fingerprint.windows.clone(),
-        )?;
         Ok(SimSession {
+            program,
             run,
             pipeline,
             buffer,
             stream,
-            workload: snap.workload.clone(),
-            config_hash: snap.config_hash.clone(),
+            narrator: None,
             outcome: None,
             final_hash: None,
         })
     }
 
-    /// Labels future snapshots with the producing workload and config
-    /// hash (preflight checks on restore; both default to empty).
-    pub fn set_provenance(&mut self, workload: &str, config_hash: &str) {
-        self.workload = workload.to_string();
-        self.config_hash = config_hash.to_string();
+    /// Narrates the run to `sink`: the reuse timeline and interval IPC
+    /// (one `ipc_window` per `cfg.window` dynamic instructions) during
+    /// execution, then the CRB event log and per-region / whole-run
+    /// summaries when the run is finished into its outcome. With
+    /// `cfg.profile` on, the pipeline also attributes every cycle
+    /// (surfaced as [`crate::SimStats::attribution`]) and the stream
+    /// gains `cycle_sample` call-stack events and per-miss `cause`
+    /// fields on `reuse` events. With a disabled sink (e.g.
+    /// [`ccr_telemetry::NullSink`]) and profiling off this does
+    /// nothing, so the run stays plain.
+    ///
+    /// Timing is identical either way: the narrator only observes what
+    /// the pipeline has already seen.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless called before the first step of a fresh session,
+    /// or if `cfg.window` (or, profiled, `cfg.sample_period`) is zero.
+    pub fn narrate(&mut self, sink: &'p mut dyn TelemetrySink, cfg: &TraceConfig) {
+        assert_eq!(self.run.dyn_instrs(), 0, "narration starts with the run");
+        if cfg.profile {
+            self.pipeline.enable_profiling(function_names(self.program));
+        }
+        if !sink.enabled() && !cfg.profile {
+            return;
+        }
+        if let Some(buffer) = self.buffer.as_mut() {
+            buffer.set_event_logging(sink.enabled());
+        }
+        self.narrator = Some(Narrator::new(self.program, sink, cfg));
     }
 
     /// True once the program has returned.
@@ -144,22 +260,15 @@ impl<'p> SimSession<'p> {
         self.pipeline.cycles_so_far()
     }
 
-    /// Dynamic instructions executed so far.
-    pub fn dyn_instrs(&self) -> u64 {
-        self.run.dyn_instrs()
-    }
-
-    /// The running fingerprint chain hash.
-    pub fn fingerprint_hash(&self) -> u64 {
-        self.stream.hash()
-    }
-
-    /// The sealed window chain so far.
+    /// The sealed window chain so far (empty without a fingerprint
+    /// window).
     pub fn windows(&self) -> &[WindowDigest] {
-        self.stream.windows()
+        self.stream
+            .as_ref()
+            .map_or(&[][..], FingerprintStream::windows)
     }
 
-    /// The final chain hash, once the run has completed.
+    /// The final chain hash, once a fingerprinted run has completed.
     pub fn final_hash(&self) -> Option<u64> {
         self.final_hash
     }
@@ -176,42 +285,38 @@ impl<'p> SimSession<'p> {
     /// Panics if called after the run finished.
     pub fn step(&mut self) -> Result<(), EmuError> {
         assert!(!self.finished(), "step after the run finished");
-        let out = match self.buffer.as_mut() {
-            Some(buf) => self.run.step(buf, &mut self.pipeline)?,
-            None => self.run.step(&mut NullCrb, &mut self.pipeline)?,
-        };
-        let cycle = self.pipeline.cycles_so_far();
-        if self.stream.due(cycle) {
+        let out = self.advance(false)?;
+        if let Some(stream) = self.stream.as_mut() {
             let (run, pipeline, buffer) = (&self.run, &self.pipeline, &self.buffer);
-            self.stream.observe(cycle, |push| {
+            let fold_state = |push: &mut dyn FnMut(u64)| {
                 run.fold_state(push);
                 pipeline.fold_state(push);
                 if let Some(b) = buffer {
                     b.fold_state(push);
                 }
-            });
+            };
+            let cycle = pipeline.cycles_so_far();
+            if stream.due(cycle) {
+                stream.observe(cycle, fold_state);
+            }
+            if out.is_some() {
+                self.final_hash = Some(stream.finalize(fold_state));
+            }
         }
-        if let Some(out) = out {
-            let (run, pipeline, buffer) = (&self.run, &self.pipeline, &self.buffer);
-            let hash = self.stream.finalize(|push| {
-                run.fold_state(push);
-                pipeline.fold_state(push);
-                if let Some(b) = buffer {
-                    b.fold_state(push);
-                }
-            });
-            self.final_hash = Some(hash);
-            self.outcome = Some(out);
-        }
+        self.outcome = out;
         Ok(())
     }
 
-    /// Runs to completion.
+    /// Runs to completion. Without a fingerprint window this is one
+    /// uninterrupted emulator loop.
     ///
     /// # Errors
     ///
     /// Propagates emulator limit violations ([`EmuError`]).
     pub fn run_to_end(&mut self) -> Result<(), EmuError> {
+        if self.stream.is_none() && !self.finished() {
+            self.outcome = self.advance(true)?;
+        }
         while !self.finished() {
             self.step()?;
         }
@@ -231,19 +336,44 @@ impl<'p> SimSession<'p> {
         Ok(())
     }
 
-    /// Captures the complete session state as a [`SimSnapshot`].
+    /// Steps the emulator once, or until the program returns when
+    /// `to_end`, with the buffer (or [`NullCrb`]) as its reuse model
+    /// and the pipeline, narrated when asked, as its trace sink.
+    fn advance(&mut self, to_end: bool) -> Result<Option<RunOutcome>, EmuError> {
+        let (run, pipeline) = (&mut self.run, &mut self.pipeline);
+        match (self.buffer.as_mut(), self.narrator.as_mut()) {
+            (Some(buffer), None) => drive(run, buffer, pipeline, to_end),
+            (None, None) => drive(run, &mut NullCrb, pipeline, to_end),
+            (Some(buffer), Some(narrator)) => {
+                drive(run, buffer, &mut Narrated { pipeline, narrator }, to_end)
+            }
+            (None, Some(narrator)) => drive(
+                run,
+                &mut NullCrb,
+                &mut Narrated { pipeline, narrator },
+                to_end,
+            ),
+        }
+    }
+
+    /// Captures the complete session state as a [`SimSnapshot`],
+    /// labelled with the producing `workload` and `config_hash` (which
+    /// a restore preflight-checks).
     ///
     /// # Errors
     ///
     /// Returns a one-line description for a finished run (there is no
-    /// state left to resume).
-    pub fn snapshot(&self) -> Result<SimSnapshot, String> {
+    /// state left to resume), a run without a fingerprint window (a
+    /// snapshot carries the chain so far), or a profiled run.
+    pub fn snapshot(&self, workload: &str, config_hash: &str) -> Result<SimSnapshot, String> {
         if self.finished() {
             return Err("cannot snapshot a finished run".to_string());
         }
+        let stream = (self.stream.as_ref())
+            .ok_or_else(|| "cannot snapshot a run without a fingerprint window".to_string())?;
         Ok(SimSnapshot {
-            workload: self.workload.clone(),
-            config_hash: self.config_hash.clone(),
+            workload: workload.to_string(),
+            config_hash: config_hash.to_string(),
             cycle: self.pipeline.cycles_so_far(),
             emu: self.run.snapshot(),
             pipeline: self.pipeline.snapshot()?,
@@ -253,15 +383,15 @@ impl<'p> SimSession<'p> {
                 .map(ReuseBuffer::snapshot)
                 .transpose()?,
             fingerprint: FingerprintSnapshot {
-                window: self.stream.window(),
-                hash: self.stream.hash(),
-                windows: self.stream.windows().to_vec(),
+                window: stream.window(),
+                hash: stream.hash(),
+                windows: stream.windows().to_vec(),
             },
         })
     }
 
-    /// Finalizes a completed run into the same [`SimOutcome`] that
-    /// [`crate::simulate`] returns (bit-identical stats).
+    /// Finalizes a completed run into its [`SimOutcome`], ending the
+    /// narration (the CRB event log and the summaries) if one is on.
     ///
     /// # Panics
     ///
@@ -269,8 +399,13 @@ impl<'p> SimSession<'p> {
     pub fn into_outcome(self) -> SimOutcome {
         let run = self.outcome.expect("run completed");
         let mut stats = self.pipeline.into_stats();
-        if let Some(buffer) = self.buffer {
+        let mut buffer = self.buffer;
+        if let Some(buffer) = &buffer {
             stats.crb = buffer.stats();
+        }
+        if let Some(narrator) = self.narrator {
+            let events = buffer.as_mut().map(ReuseBuffer::take_events);
+            narrator.finish(events.unwrap_or_default(), &stats);
         }
         SimOutcome { run, stats }
     }
@@ -287,6 +422,24 @@ impl<'p> SimSession<'p> {
                 true
             }
             None => false,
+        }
+    }
+}
+
+/// Steps `run` once, or until the program returns when `to_end` (the
+/// loop [`Emulator::run`] runs). Each step's result is tested in
+/// place: moving it out of the `Result` would copy the outcome's bytes
+/// on every dynamic instruction.
+fn drive<C: CrbModel, S: TraceSink>(
+    run: &mut EmuRun<'_>,
+    crb: &mut C,
+    sink: &mut S,
+    to_end: bool,
+) -> Result<Option<RunOutcome>, EmuError> {
+    loop {
+        let out = run.step(crb, sink);
+        if !to_end || !matches!(out, Ok(None)) {
+            return out;
         }
     }
 }
@@ -334,7 +487,6 @@ fn check_crb_registers(program: &Program, snap: &CrbSnapshot) -> Result<(), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::simulate;
     use crate::snapshot::{parse_snapshot, write_snapshot, CrbEntrySnapshot, CrbGhostSnapshot};
     use ccr_ir::{BinKind, CmpPred, InstrExt, Op, Operand, ProgramBuilder};
 
@@ -398,37 +550,11 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_simulate_bit_for_bit() {
-        let p = annotated_program(300);
-        let (m, crb, emu) = paper();
-        let direct = simulate(&p, &m, crb, emu).unwrap();
-        let mut s = SimSession::new(&p, &m, crb, emu, 64);
-        s.run_to_end().unwrap();
-        assert!(s.final_hash().is_some());
-        assert!(!s.windows().is_empty(), "the run must cross windows");
-        let out = s.into_outcome();
-        assert_eq!(out.stats, direct.stats);
-        assert_eq!(out.run.returned, direct.run.returned);
-        assert_eq!(out.run.dyn_instrs, direct.run.dyn_instrs);
-    }
-
-    #[test]
-    fn baseline_session_matches_simulate() {
-        let p = annotated_program(100);
-        let (m, _, emu) = paper();
-        let direct = simulate(&p, &m, None, emu).unwrap();
-        let mut s = SimSession::new(&p, &m, None, emu, 128);
-        s.run_to_end().unwrap();
-        let out = s.into_outcome();
-        assert_eq!(out.stats, direct.stats);
-    }
-
-    #[test]
     fn fingerprints_are_deterministic_across_runs() {
         let p = annotated_program(200);
         let (m, crb, emu) = paper();
-        let mut a = SimSession::new(&p, &m, crb, emu, 64);
-        let mut b = SimSession::new(&p, &m, crb, emu, 64);
+        let mut a = SimSession::new(&p, &m, crb, emu, Some(64));
+        let mut b = SimSession::new(&p, &m, crb, emu, Some(64));
         a.run_to_end().unwrap();
         b.run_to_end().unwrap();
         assert_eq!(a.windows(), b.windows());
@@ -441,7 +567,7 @@ mod tests {
         let (m, crb, emu) = paper();
 
         // Cold reference run.
-        let mut cold = SimSession::new(&p, &m, crb, emu, 64);
+        let mut cold = SimSession::new(&p, &m, crb, emu, Some(64));
         cold.run_to_end().unwrap();
         let cold_windows = cold.windows().to_vec();
         let cold_final = cold.final_hash().unwrap();
@@ -449,11 +575,10 @@ mod tests {
 
         // Interrupted run: snapshot mid-flight, round-trip the
         // serialized form, resume, and finish.
-        let mut first = SimSession::new(&p, &m, crb, emu, 64);
-        first.set_provenance("annotated", "cfg");
+        let mut first = SimSession::new(&p, &m, crb, emu, Some(64));
         first.run_until_cycle(cold_out.stats.cycles / 2).unwrap();
         assert!(!first.finished(), "must interrupt mid-run");
-        let snap = first.snapshot().unwrap();
+        let snap = first.snapshot("annotated", "cfg").unwrap();
         let snap = parse_snapshot("mem", &write_snapshot(&snap)).unwrap();
         assert_eq!(snap.workload, "annotated");
 
@@ -470,9 +595,9 @@ mod tests {
     fn restore_rejects_configuration_mismatches() {
         let p = annotated_program(50);
         let (m, crb, emu) = paper();
-        let mut s = SimSession::new(&p, &m, crb, emu, 64);
+        let mut s = SimSession::new(&p, &m, crb, emu, Some(64));
         s.run_until_cycle(100).unwrap();
-        let snap = s.snapshot().unwrap();
+        let snap = s.snapshot("", "").unwrap();
         let err = SimSession::restore(&p, &m, None, emu, &snap)
             .err()
             .expect("restore must fail");
@@ -488,9 +613,9 @@ mod tests {
     /// entry holding a recorded instance, for hand edits.
     fn mid_run_snapshot(p: &Program) -> (SimSnapshot, usize) {
         let (m, crb, emu) = paper();
-        let mut s = SimSession::new(p, &m, crb, emu, 64);
+        let mut s = SimSession::new(p, &m, crb, emu, Some(64));
         s.run_until_cycle(1000).unwrap();
-        let snap = s.snapshot().unwrap();
+        let snap = s.snapshot("", "").unwrap();
         let idx = snap
             .crb
             .as_ref()
@@ -568,20 +693,24 @@ mod tests {
     fn finished_runs_cannot_be_snapshotted() {
         let p = annotated_program(20);
         let (m, crb, emu) = paper();
-        let mut s = SimSession::new(&p, &m, crb, emu, 64);
+        let mut s = SimSession::new(&p, &m, crb, emu, Some(64));
         s.run_to_end().unwrap();
-        let err = s.snapshot().unwrap_err();
+        let err = s.snapshot("", "").unwrap_err();
         assert_eq!(err, "cannot snapshot a finished run");
+        let mut plain = SimSession::new(&p, &m, crb, emu, None);
+        plain.run_until_cycle(10).unwrap();
+        let err = plain.snapshot("", "").unwrap_err();
+        assert_eq!(err, "cannot snapshot a run without a fingerprint window");
     }
 
     #[test]
     fn perturbation_pins_the_first_divergent_window() {
         let p = annotated_program(400);
         let (m, crb, emu) = paper();
-        let mut cold = SimSession::new(&p, &m, crb, emu, 64);
+        let mut cold = SimSession::new(&p, &m, crb, emu, Some(64));
         cold.run_to_end().unwrap();
 
-        let mut twin = SimSession::new(&p, &m, crb, emu, 64);
+        let mut twin = SimSession::new(&p, &m, crb, emu, Some(64));
         twin.run_until_cycle(cold.cycles_so_far() / 2).unwrap();
         let sealed_before = twin.windows().len();
         assert!(twin.perturb_for_tests(), "CCR session must perturb");
@@ -599,5 +728,140 @@ mod tests {
             "divergence must surface in the first window sealed after the perturbation"
         );
         assert_ne!(cold.final_hash(), twin.final_hash());
+    }
+
+    fn sum_loop(n: i64) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let t = pb.table("t", (0..16).collect());
+        let mut f = pb.function("main", 0, 1);
+        let acc = f.movi(0);
+        let i = f.movi(0);
+        let body = f.block();
+        let done = f.block();
+        f.jump(body);
+        f.switch_to(body);
+        let m = f.and(i, 15);
+        let v = f.load(t, m);
+        f.bin_into(BinKind::Add, acc, acc, v);
+        f.inc(i, 1);
+        f.br(CmpPred::Lt, i, n, body, done);
+        f.switch_to(done);
+        f.ret(&[Operand::Reg(acc)]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        pb.finish()
+    }
+
+    #[test]
+    fn baseline_simulation_reports_consistent_counts() {
+        let p = sum_loop(1000);
+        let out = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
+        assert_eq!(out.run.dyn_instrs, out.stats.dyn_instrs);
+        assert!(out.stats.cycles > 0);
+        assert!(out.stats.cycles <= out.stats.dyn_instrs * 4);
+        assert_eq!(out.stats.reuse_hits, 0);
+        assert_eq!(out.stats.skipped_instrs, 0);
+    }
+
+    #[test]
+    fn simulation_is_deterministic() {
+        let p = sum_loop(500);
+        let a = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
+        let b = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
+        assert_eq!(a.stats.cycles, b.stats.cycles);
+        assert_eq!(a.run.returned, b.run.returned);
+    }
+
+    #[test]
+    fn crb_presence_does_not_change_architectural_results() {
+        let p = sum_loop(800);
+        let base = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
+        let ccr = simulate(
+            &p,
+            &MachineConfig::paper(),
+            Some(CrbConfig::paper()),
+            EmuConfig::default(),
+        )
+        .unwrap();
+        // No annotations: identical timing, identical results.
+        assert_eq!(base.run.returned, ccr.run.returned);
+        assert_eq!(base.stats.cycles, ccr.stats.cycles);
+        assert_eq!(ccr.stats.crb.lookups, 0);
+    }
+
+    #[test]
+    fn speculative_validation_never_slows_a_run() {
+        // Build a hand-annotated reusing program and compare timing
+        // with and without validation speculation.
+        let mut pb = ccr_ir::ProgramBuilder::new();
+        let mut f = pb.function("main", 0, 1);
+        let x = f.movi(9);
+        let count = f.movi(0);
+        let acc = f.movi(0);
+        let y = f.fresh();
+        let reuse_blk = f.block();
+        let body = f.block();
+        let cont = f.block();
+        let done = f.block();
+        f.jump(reuse_blk);
+        f.switch_to(reuse_blk);
+        f.jump(body);
+        f.switch_to(body);
+        f.bin_into(BinKind::Mul, y, x, x);
+        for _ in 0..10 {
+            f.bin_into(BinKind::Add, y, y, 3);
+        }
+        f.jump(cont);
+        f.switch_to(cont);
+        f.bin_into(BinKind::Add, acc, acc, y);
+        f.inc(count, 1);
+        f.br(ccr_ir::CmpPred::Lt, count, 200, reuse_blk, done);
+        f.switch_to(done);
+        f.ret(&[Operand::Reg(acc)]);
+        let id = pb.finish_function(f);
+        pb.set_main(id);
+        let mut p = pb.finish();
+        let region = p.fresh_region_id();
+        let func = p.function_mut(id);
+        func.block_mut(ccr_ir::BlockId(1)).instrs[0].op = Op::Reuse {
+            region,
+            body: ccr_ir::BlockId(2),
+            cont: ccr_ir::BlockId(3),
+        };
+        let blen = func.block(ccr_ir::BlockId(2)).len();
+        func.block_mut(ccr_ir::BlockId(2)).instrs[0].ext = InstrExt::LIVE_OUT;
+        func.block_mut(ccr_ir::BlockId(2)).instrs[blen - 1].ext = InstrExt::REGION_END;
+        ccr_ir::verify_program(&p).unwrap();
+
+        let normal = simulate(
+            &p,
+            &MachineConfig::paper(),
+            Some(CrbConfig::paper()),
+            EmuConfig::default(),
+        )
+        .unwrap();
+        let spec = simulate(
+            &p,
+            &MachineConfig::with_speculative_validation(),
+            Some(CrbConfig::paper()),
+            EmuConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(normal.run.returned, spec.run.returned);
+        assert!(spec.stats.reuse_hits > 100);
+        assert!(
+            spec.stats.cycles <= normal.stats.cycles,
+            "speculation must not slow the run: {} vs {}",
+            spec.stats.cycles,
+            normal.stats.cycles
+        );
+    }
+
+    #[test]
+    fn speedup_over_computes_ratio() {
+        let p = sum_loop(100);
+        let out = simulate(&p, &MachineConfig::paper(), None, EmuConfig::default()).unwrap();
+        let s = out.speedup_over(out.stats.cycles * 2);
+        assert!((s - 2.0).abs() < 1e-9);
     }
 }

@@ -1,29 +1,32 @@
-//! Bridging the timing simulation into the telemetry event stream.
+//! Narrating a simulation into the telemetry event stream.
 //!
-//! [`TelemetryBridge`] wraps the [`Pipeline`] as a
-//! [`ccr_profile::TraceSink`], forwarding every trace callback
-//! unchanged — the pipeline sees the identical event sequence with or
-//! without telemetry, so cycle counts cannot drift — while emitting:
+//! A [`crate::SimSession`] asked to narrate
+//! ([`crate::SimSession::narrate`]) passes every trace callback to the
+//! timing [`Pipeline`] first and then to its [`Narrator`], which only
+//! reads the pipeline's cycle count: the pipeline sees the identical
+//! event sequence with or without narration, so cycle counts cannot
+//! drift. During the run the narrator emits:
 //!
 //! * a per-region reuse timeline (`reuse` events: region, hit or miss,
 //!   instructions skipped, and the pipeline cycle after the lookup),
 //! * interval IPC samples (`ipc_window` events, one per window of
 //!   dynamic instructions), exposing phase behaviour that the run-wide
-//!   mean hides.
+//!   mean hides,
+//! * in profiled runs, periodic `cycle_sample` call-stack events and a
+//!   `cause` field on every missing `reuse` event.
 //!
-//! [`simulate_traced`] runs a full simulation through the bridge and
-//! additionally drains the buffer's eviction/conflict/invalidation log
-//! (`crb_evict` / `crb_conflict` / `crb_invalidate` events), per-region
-//! totals (`region_summary`), and the run totals (`sim_summary`).
+//! When the session finishes ([`crate::SimSession::into_outcome`]),
+//! the narrator emits the trailing partial window, the buffer's
+//! eviction/conflict/invalidation log (`crb_evict` / `crb_conflict` /
+//! `crb_invalidate` events), per-region totals (`region_summary`), and
+//! the run totals (`sim_summary`).
 
-use ccr_ir::{BlockId, CodeLayout, FuncId, Program};
-use ccr_profile::{EmuConfig, EmuError, Emulator, ExecEvent, NullCrb, TraceSink};
+use ccr_ir::{BlockId, FuncId, Program};
+use ccr_profile::{ExecEvent, TraceSink};
 use ccr_telemetry::{emit, TelemetrySink};
 
-use crate::crb::{CrbConfig, CrbEventKind, ReuseBuffer};
-use crate::machine::MachineConfig;
+use crate::crb::{CrbEvent, CrbEventKind};
 use crate::pipeline::Pipeline;
-use crate::simulator::SimOutcome;
 use crate::stats::SimStats;
 
 /// Default dynamic-instruction window for interval IPC samples.
@@ -32,7 +35,7 @@ pub const DEFAULT_IPC_WINDOW: u64 = 4096;
 /// Default cycle period between call-stack samples in profiled runs.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 256;
 
-/// Tracing knobs for [`simulate_traced`].
+/// Narration knobs for [`crate::SimSession::narrate`].
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Dynamic-instruction window for interval IPC samples.
@@ -55,6 +58,15 @@ impl Default for TraceConfig {
     }
 }
 
+/// The function names of `program`, indexed by `FuncId::index()`.
+pub(crate) fn function_names(program: &Program) -> Vec<String> {
+    program
+        .functions()
+        .iter()
+        .map(|f| f.name().to_string())
+        .collect()
+}
+
 /// Call-stack sampling state (profiled runs only).
 struct Sampler {
     /// Function names indexed by `FuncId::index()`.
@@ -66,11 +78,11 @@ struct Sampler {
     next: u64,
 }
 
-/// A [`TraceSink`] that owns the timing [`Pipeline`] and narrates the
-/// run to a [`TelemetrySink`]. Strictly pass-through for timing.
-pub struct TelemetryBridge<'a> {
-    pipeline: Pipeline,
-    sink: &'a mut dyn TelemetrySink,
+/// Narrates a run to a [`TelemetrySink`]. It never touches the
+/// pipeline: the session hands it each trace event after the pipeline
+/// has seen it, together with the pipeline's cycle count.
+pub(crate) struct Narrator<'s> {
+    sink: &'s mut dyn TelemetrySink,
     window: u64,
     window_index: u64,
     window_instrs: u64,
@@ -79,50 +91,48 @@ pub struct TelemetryBridge<'a> {
     sampler: Option<Sampler>,
 }
 
-impl<'a> TelemetryBridge<'a> {
-    /// Wraps `pipeline`, emitting one `ipc_window` event per `window`
-    /// dynamic instructions.
+impl<'s> Narrator<'s> {
+    /// A narrator for a run of `program` starting at cycle 0 in its
+    /// `main` function: one `ipc_window` event per `cfg.window`
+    /// dynamic instructions and, with `cfg.profile`, one
+    /// `cycle_sample` every `cfg.sample_period` cycles, carrying the
+    /// `;`-joined stack of function names (outermost first) and the
+    /// cycles covered since the previous sample.
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero.
-    pub fn new(pipeline: Pipeline, sink: &'a mut dyn TelemetrySink, window: u64) -> Self {
-        assert!(window > 0, "ipc window must be nonzero");
-        TelemetryBridge {
-            pipeline,
+    /// Panics if `cfg.window` is zero, or `cfg.sample_period` is zero
+    /// in a profiled run.
+    pub(crate) fn new(
+        program: &Program,
+        sink: &'s mut dyn TelemetrySink,
+        cfg: &TraceConfig,
+    ) -> Narrator<'s> {
+        assert!(cfg.window > 0, "ipc window must be nonzero");
+        let sampler = cfg.profile.then(|| {
+            assert!(cfg.sample_period > 0, "sample period must be nonzero");
+            Sampler {
+                names: function_names(program),
+                stack: vec![program.main()],
+                period: cfg.sample_period,
+                next: cfg.sample_period,
+            }
+        });
+        Narrator {
             sink,
-            window,
+            window: cfg.window,
             window_index: 0,
             window_instrs: 0,
             window_skipped: 0,
             window_start_cycle: 0,
-            sampler: None,
+            sampler,
         }
     }
 
-    /// Turns on periodic `cycle_sample` call-stack events: one every
-    /// `period` cycles, carrying the `;`-joined stack of function
-    /// names (outermost first) and the cycles covered since the
-    /// previous sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn enable_sampling(&mut self, names: Vec<String>, period: u64) {
-        assert!(period > 0, "sample period must be nonzero");
-        self.sampler = Some(Sampler {
-            names,
-            stack: Vec::new(),
-            period,
-            next: period,
-        });
-    }
-
-    fn maybe_sample(&mut self) {
+    fn maybe_sample(&mut self, now: u64) {
         let Some(sampler) = self.sampler.as_mut() else {
             return;
         };
-        let now = self.pipeline.cycles_so_far();
         if now < sampler.next {
             return;
         }
@@ -147,8 +157,7 @@ impl<'a> TelemetryBridge<'a> {
         sampler.next += cycles;
     }
 
-    fn flush_window(&mut self) {
-        let now = self.pipeline.cycles_so_far();
+    fn flush_window(&mut self, now: u64) {
         let cycles = now.saturating_sub(self.window_start_cycle);
         let work = self.window_instrs + self.window_skipped;
         let ipc = if cycles == 0 {
@@ -170,19 +179,9 @@ impl<'a> TelemetryBridge<'a> {
         self.window_start_cycle = now;
     }
 
-    /// Finalizes the run: emits the trailing partial window (if any)
-    /// and returns the pipeline's statistics.
-    pub fn into_stats(mut self) -> SimStats {
-        if self.window_instrs > 0 {
-            self.flush_window();
-        }
-        self.pipeline.into_stats()
-    }
-}
-
-impl TraceSink for TelemetryBridge<'_> {
-    fn on_exec(&mut self, event: &ExecEvent<'_>) {
-        self.pipeline.on_exec(event);
+    /// Narrates one executed instruction; `now` is the pipeline's
+    /// cycle count after it.
+    fn on_exec(&mut self, event: &ExecEvent<'_>, now: u64) {
         if let Some(outcome) = event.reuse {
             match outcome.miss_cause {
                 Some(cause) if !outcome.hit => {
@@ -190,7 +189,7 @@ impl TraceSink for TelemetryBridge<'_> {
                         region: outcome.region.index(),
                         hit: outcome.hit,
                         skipped: outcome.skipped_instrs,
-                        cycle: self.pipeline.cycles_so_far(),
+                        cycle: now,
                         cause: cause.as_str(),
                     );
                 }
@@ -199,155 +198,109 @@ impl TraceSink for TelemetryBridge<'_> {
                         region: outcome.region.index(),
                         hit: outcome.hit,
                         skipped: outcome.skipped_instrs,
-                        cycle: self.pipeline.cycles_so_far(),
+                        cycle: now,
                     );
                 }
             }
             self.window_skipped += outcome.skipped_instrs;
         }
-        self.maybe_sample();
+        self.maybe_sample(now);
         self.window_instrs += 1;
         if self.window_instrs >= self.window {
-            self.flush_window();
+            self.flush_window(now);
         }
     }
 
-    fn on_block_enter(&mut self, func: FuncId, block: BlockId) {
-        if let Some(sampler) = self.sampler.as_mut() {
-            if sampler.stack.is_empty() {
-                sampler.stack.push(func);
-            }
+    /// Ends the narration of a finished run: the trailing partial
+    /// window (if any), then the buffer's event log, per-region
+    /// summaries and the run summary.
+    pub(crate) fn finish(mut self, crb_events: Vec<CrbEvent>, stats: &SimStats) {
+        if self.window_instrs > 0 {
+            self.flush_window(stats.cycles);
         }
+        for ev in crb_events {
+            let kind = match ev.kind {
+                CrbEventKind::Evict => "crb_evict",
+                CrbEventKind::Conflict => "crb_conflict",
+                CrbEventKind::Invalidate => "crb_invalidate",
+            };
+            emit!(self.sink, kind,
+                clock: ev.clock,
+                region: ev.region.index(),
+                entry: ev.entry,
+                occupancy: ev.occupancy,
+                lost: ev.lost,
+            );
+        }
+        let mut regions: Vec<_> = stats.regions.iter().map(|(id, rs)| (*id, *rs)).collect();
+        regions.sort_by_key(|(id, _)| id.index());
+        for (id, rs) in regions {
+            emit!(self.sink, "region_summary",
+                region: id.index(),
+                hits: rs.hits,
+                misses: rs.misses,
+                miss_cold: rs.miss_cold,
+                miss_mismatch: rs.miss_mismatch,
+                miss_capacity: rs.miss_capacity,
+                miss_conflict: rs.miss_conflict,
+                miss_invalidated: rs.miss_invalidated,
+                skipped: rs.skipped_instrs,
+            );
+        }
+        emit!(self.sink, "sim_summary",
+            cycles: stats.cycles,
+            dyn_instrs: stats.dyn_instrs,
+            skipped: stats.skipped_instrs,
+            reuse_hits: stats.reuse_hits,
+            reuse_misses: stats.reuse_misses,
+            effective_ipc: stats.effective_ipc(),
+        );
+    }
+}
+
+/// The trace sink of a narrated step: each callback goes to the
+/// pipeline first, then to the narrator.
+pub(crate) struct Narrated<'a, 's> {
+    pub(crate) pipeline: &'a mut Pipeline,
+    pub(crate) narrator: &'a mut Narrator<'s>,
+}
+
+impl TraceSink for Narrated<'_, '_> {
+    fn on_exec(&mut self, event: &ExecEvent<'_>) {
+        self.pipeline.on_exec(event);
+        self.narrator.on_exec(event, self.pipeline.cycles_so_far());
+    }
+
+    fn on_block_enter(&mut self, func: FuncId, block: BlockId) {
         self.pipeline.on_block_enter(func, block);
     }
 
     fn on_call(&mut self, caller: FuncId, callee: FuncId) {
-        if let Some(sampler) = self.sampler.as_mut() {
+        self.pipeline.on_call(caller, callee);
+        if let Some(sampler) = self.narrator.sampler.as_mut() {
             sampler.stack.push(callee);
         }
-        self.pipeline.on_call(caller, callee);
     }
 
     fn on_ret(&mut self, from: FuncId) {
-        if let Some(sampler) = self.sampler.as_mut() {
+        self.pipeline.on_ret(from);
+        if let Some(sampler) = self.narrator.sampler.as_mut() {
             if sampler.stack.len() > 1 {
                 sampler.stack.pop();
             }
         }
-        self.pipeline.on_ret(from);
     }
-}
-
-/// Like [`crate::simulate`], narrating the run to `sink`: the reuse
-/// timeline and interval IPC (one `ipc_window` per `cfg.window`
-/// dynamic instructions) during execution, then the CRB event log and
-/// per-region / whole-run summaries. With a disabled sink (e.g.
-/// [`ccr_telemetry::NullSink`]) no event is materialized and the CRB
-/// event log stays off, so the overhead is a branch per callback.
-///
-/// With `cfg.profile` on, the pipeline additionally attributes every
-/// cycle (surfaced as [`SimStats::attribution`]) and the stream gains
-/// `cycle_sample` call-stack events and per-miss `cause` fields on
-/// `reuse` events.
-///
-/// Timing is identical to an untraced [`crate::simulate`] of the same
-/// inputs — the bridge never alters what the pipeline observes.
-///
-/// # Errors
-///
-/// Propagates emulator limit violations ([`EmuError`]).
-pub fn simulate_traced(
-    program: &Program,
-    machine: &MachineConfig,
-    crb: Option<CrbConfig>,
-    emu: EmuConfig,
-    cfg: &TraceConfig,
-    sink: &mut dyn TelemetrySink,
-) -> Result<SimOutcome, EmuError> {
-    let enabled = sink.enabled();
-    let layout = CodeLayout::of(program);
-    let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
-    let mut pipeline = Pipeline::new(*machine, layout);
-    if cfg.profile {
-        pipeline.enable_profiling(
-            program
-                .functions()
-                .iter()
-                .map(|f| f.name().to_string())
-                .collect(),
-        );
-    }
-    let mut bridge = TelemetryBridge::new(pipeline, &mut *sink, cfg.window);
-    if cfg.profile {
-        bridge.enable_sampling(
-            program
-                .functions()
-                .iter()
-                .map(|f| f.name().to_string())
-                .collect(),
-            cfg.sample_period,
-        );
-    }
-    let (run, stats) = match crb {
-        Some(config) => {
-            let mut buffer = ReuseBuffer::new(config);
-            buffer.set_event_logging(enabled);
-            let run = emulator.run(&mut buffer, &mut bridge)?;
-            let mut stats = bridge.into_stats();
-            stats.crb = buffer.stats();
-            for ev in buffer.take_events() {
-                let kind = match ev.kind {
-                    CrbEventKind::Evict => "crb_evict",
-                    CrbEventKind::Conflict => "crb_conflict",
-                    CrbEventKind::Invalidate => "crb_invalidate",
-                };
-                emit!(sink, kind,
-                    clock: ev.clock,
-                    region: ev.region.index(),
-                    entry: ev.entry,
-                    occupancy: ev.occupancy,
-                    lost: ev.lost,
-                );
-            }
-            (run, stats)
-        }
-        None => {
-            let run = emulator.run(&mut NullCrb, &mut bridge)?;
-            (run, bridge.into_stats())
-        }
-    };
-    let mut regions: Vec<_> = stats.regions.iter().map(|(id, rs)| (*id, *rs)).collect();
-    regions.sort_by_key(|(id, _)| id.index());
-    for (id, rs) in regions {
-        emit!(sink, "region_summary",
-            region: id.index(),
-            hits: rs.hits,
-            misses: rs.misses,
-            miss_cold: rs.miss_cold,
-            miss_mismatch: rs.miss_mismatch,
-            miss_capacity: rs.miss_capacity,
-            miss_conflict: rs.miss_conflict,
-            miss_invalidated: rs.miss_invalidated,
-            skipped: rs.skipped_instrs,
-        );
-    }
-    emit!(sink, "sim_summary",
-        cycles: stats.cycles,
-        dyn_instrs: stats.dyn_instrs,
-        skipped: stats.skipped_instrs,
-        reuse_hits: stats.reuse_hits,
-        reuse_misses: stats.reuse_misses,
-        effective_ipc: stats.effective_ipc(),
-    );
-    Ok(SimOutcome { run, stats })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::simulate;
+    use crate::crb::CrbConfig;
+    use crate::machine::MachineConfig;
+    use crate::session::{SimOutcome, SimSession};
     use ccr_ir::{BinKind, CmpPred, InstrExt, Op, Operand, ProgramBuilder};
-    use ccr_telemetry::{NullSink, SummarySink};
+    use ccr_profile::EmuConfig;
+    use ccr_telemetry::SummarySink;
 
     /// A hand-annotated reusing loop: one recording miss, then 99 hits
     /// each skipping a 13-instruction body.
@@ -396,49 +349,29 @@ mod tests {
         p
     }
 
-    #[test]
-    fn traced_run_matches_untraced_run_exactly() {
-        let p = reusing_program();
+    /// Simulates `p` on the paper machine, narrated to `sink`.
+    fn narrated(
+        p: &ccr_ir::Program,
+        crb: Option<CrbConfig>,
+        cfg: &TraceConfig,
+        sink: &mut dyn TelemetrySink,
+    ) -> SimOutcome {
         let machine = MachineConfig::paper();
-        let plain = simulate(&p, &machine, Some(CrbConfig::paper()), EmuConfig::default()).unwrap();
-        let mut null = NullSink;
-        let traced = simulate_traced(
-            &p,
-            &machine,
-            Some(CrbConfig::paper()),
-            EmuConfig::default(),
-            &TraceConfig {
-                window: 256,
-                ..TraceConfig::default()
-            },
-            &mut null,
-        )
-        .unwrap();
-        assert_eq!(plain.run.returned, traced.run.returned);
-        assert_eq!(plain.stats.cycles, traced.stats.cycles);
-        assert_eq!(plain.stats.dyn_instrs, traced.stats.dyn_instrs);
-        assert_eq!(plain.stats.skipped_instrs, traced.stats.skipped_instrs);
-        assert_eq!(plain.stats.crb, traced.stats.crb);
-        assert_eq!(plain.stats.regions, traced.stats.regions);
+        let mut session = SimSession::new(p, &machine, crb, EmuConfig::default(), None);
+        session.narrate(sink, cfg);
+        session.run_to_end().unwrap();
+        session.into_outcome()
     }
 
     #[test]
     fn traced_run_narrates_reuse_windows_and_summaries() {
         let p = reusing_program();
-        let machine = MachineConfig::paper();
         let mut summary = SummarySink::new();
-        let out = simulate_traced(
-            &p,
-            &machine,
-            Some(CrbConfig::paper()),
-            EmuConfig::default(),
-            &TraceConfig {
-                window: 64,
-                ..TraceConfig::default()
-            },
-            &mut summary,
-        )
-        .unwrap();
+        let cfg = TraceConfig {
+            window: 64,
+            ..TraceConfig::default()
+        };
+        let out = narrated(&p, Some(CrbConfig::paper()), &cfg, &mut summary);
         // One reuse event per lookup.
         assert_eq!(
             summary.count("reuse"),
@@ -467,52 +400,15 @@ mod tests {
     }
 
     #[test]
-    fn profiled_traced_run_is_cycle_identical() {
-        let p = reusing_program();
-        let machine = MachineConfig::paper();
-        let plain = simulate(&p, &machine, Some(CrbConfig::paper()), EmuConfig::default()).unwrap();
-        let cfg = TraceConfig {
-            window: 256,
-            profile: true,
-            sample_period: 64,
-        };
-        let mut null = NullSink;
-        let profiled = simulate_traced(
-            &p,
-            &machine,
-            Some(CrbConfig::paper()),
-            EmuConfig::default(),
-            &cfg,
-            &mut null,
-        )
-        .unwrap();
-        assert_eq!(plain.stats.cycles, profiled.stats.cycles);
-        assert_eq!(plain.stats.dyn_instrs, profiled.stats.dyn_instrs);
-        assert_eq!(plain.stats.crb, profiled.stats.crb);
-        assert_eq!(plain.stats.regions, profiled.stats.regions);
-        let attr = profiled.stats.attribution.as_ref().expect("profiled");
-        assert_eq!(attr.total.total(), profiled.stats.cycles);
-    }
-
-    #[test]
     fn profiled_run_emits_samples_and_miss_causes() {
         let p = reusing_program();
-        let machine = MachineConfig::paper();
         let cfg = TraceConfig {
             window: 256,
             profile: true,
             sample_period: 32,
         };
         let mut summary = SummarySink::new();
-        let out = simulate_traced(
-            &p,
-            &machine,
-            Some(CrbConfig::paper()),
-            EmuConfig::default(),
-            &cfg,
-            &mut summary,
-        )
-        .unwrap();
+        let out = narrated(&p, Some(CrbConfig::paper()), &cfg, &mut summary);
         // Samples tile the run in whole periods: their covered cycles
         // never exceed the total and reach within one gap of it.
         assert!(summary.count("cycle_sample") >= 1);
@@ -520,15 +416,7 @@ mod tests {
         assert!(sampled > 0 && sampled <= out.stats.cycles, "{sampled}");
         // The JSONL form carries the stack and the miss cause.
         let mut jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
-        simulate_traced(
-            &p,
-            &machine,
-            Some(CrbConfig::paper()),
-            EmuConfig::default(),
-            &cfg,
-            &mut jsonl,
-        )
-        .unwrap();
+        narrated(&p, Some(CrbConfig::paper()), &cfg, &mut jsonl);
         let text = String::from_utf8(jsonl.into_inner()).unwrap();
         assert!(
             text.contains("\"ev\":\"cycle_sample\",\"stack\":\"main\""),
@@ -545,21 +433,17 @@ mod tests {
     }
 
     #[test]
-    fn baseline_traced_run_matches_baseline() {
+    fn baseline_narration_has_lookups_but_no_buffer_events() {
         let p = reusing_program();
-        let machine = MachineConfig::paper();
-        let plain = simulate(&p, &machine, None, EmuConfig::default()).unwrap();
         let mut summary = SummarySink::new();
         let cfg = TraceConfig {
             window: 128,
             ..TraceConfig::default()
         };
-        let traced =
-            simulate_traced(&p, &machine, None, EmuConfig::default(), &cfg, &mut summary).unwrap();
-        assert_eq!(plain.stats.cycles, traced.stats.cycles);
+        let out = narrated(&p, None, &cfg, &mut summary);
         // Without a CRB every reuse misses; the timeline still records
         // each lookup, and no buffer events exist.
-        assert_eq!(summary.count("reuse"), traced.stats.reuse_misses);
+        assert_eq!(summary.count("reuse"), out.stats.reuse_misses);
         assert_eq!(summary.count("crb_evict"), 0);
         assert_eq!(summary.count("crb_conflict"), 0);
     }

@@ -5,6 +5,11 @@
 //! must produce identical functional outcomes, timing statistics and
 //! value profiles: covered here on every workload at scale 1, baseline
 //! and CCR builds with the paper buffer.
+//!
+//! The hand-assembled `&mut dyn` run is also the independent reference
+//! for the one simulation driver, `SimSession`: every mode it runs in
+//! (plain, fingerprinted, narrated to a disabled or a JSONL sink, and
+//! profiled) must give the reference's outcome and statistics.
 
 use ccr_ir::{CodeLayout, Program};
 use ccr_opt::{optimize, OptConfig};
@@ -12,7 +17,11 @@ use ccr_profile::{
     CrbModel, EmuConfig, Emulator, NullCrb, ReuseProfile, RunOutcome, TraceSink, ValueProfiler,
 };
 use ccr_regions::{form_regions, transform, RegionConfig};
-use ccr_sim::{simulate, CrbConfig, MachineConfig, Pipeline, ReuseBuffer, SimStats};
+use ccr_sim::{
+    simulate, CrbConfig, MachineConfig, Pipeline, ReuseBuffer, SimOutcome, SimSession, SimStats,
+    TraceConfig,
+};
+use ccr_telemetry::{JsonlSink, NullSink, TelemetrySink};
 use ccr_workloads::{build, InputSet, NAMES};
 
 /// `program` simulated through `&mut dyn` references to the buffer and
@@ -43,6 +52,78 @@ fn assert_same_sim(program: &Program, crb: Option<CrbConfig>, what: &str) {
     let (run, stats) = simulate_dyn(program, crb);
     assert_eq!(run, direct.run, "{what}: run outcome");
     assert_eq!(stats, direct.stats, "{what}: statistics");
+}
+
+/// `program` run to the end through a paper-machine session narrated
+/// to `sink` under `cfg`.
+fn narrated(
+    program: &Program,
+    crb: Option<CrbConfig>,
+    cfg: &TraceConfig,
+    sink: &mut dyn TelemetrySink,
+) -> SimOutcome {
+    let machine = MachineConfig::paper();
+    let mut session = SimSession::new(program, &machine, crb, EmuConfig::default(), None);
+    session.narrate(sink, cfg);
+    session.run_to_end().expect("within limits");
+    session.into_outcome()
+}
+
+/// Checks every `SimSession` mode against the hand-assembled reference.
+fn assert_every_mode_matches(program: &Program, crb: Option<CrbConfig>, what: &str) {
+    let (run, stats) = simulate_dyn(program, crb);
+    let check = |mode: &str, out: SimOutcome| {
+        assert_eq!(out.run, run, "{what} {mode}: run outcome");
+        assert_eq!(out.stats, stats, "{what} {mode}: statistics");
+    };
+    let (machine, emu) = (MachineConfig::paper(), EmuConfig::default());
+    check("plain", simulate(program, &machine, crb, emu).unwrap());
+
+    let mut session = SimSession::new(program, &machine, crb, emu, Some(65536));
+    session.run_to_end().expect("within limits");
+    assert!(session.final_hash().is_some(), "{what}: fingerprinted");
+    check("fingerprinted", session.into_outcome());
+
+    let cfg = TraceConfig::default();
+    check(
+        "narrated (null)",
+        narrated(program, crb, &cfg, &mut NullSink),
+    );
+    let mut jsonl = JsonlSink::new(Vec::new());
+    check("narrated (jsonl)", narrated(program, crb, &cfg, &mut jsonl));
+    let text = String::from_utf8(jsonl.into_inner()).unwrap();
+    let last = text.lines().last().unwrap_or_default();
+    assert!(last.contains("\"ev\":\"sim_summary\""), "{what}: {last}");
+
+    let profiled = TraceConfig {
+        profile: true,
+        ..TraceConfig::default()
+    };
+    let mut out = narrated(program, crb, &profiled, &mut JsonlSink::new(Vec::new()));
+    let attribution = out.stats.attribution.take().expect("profiled stats");
+    assert_eq!(
+        attribution.total.total(),
+        out.stats.cycles,
+        "{what}: attribution"
+    );
+    check("profiled", out);
+}
+
+/// `name` at scale 1, optimized.
+fn optimized(name: &str) -> Program {
+    let mut base = build(name, InputSet::Train, 1).expect("registered workload");
+    optimize(&mut base, OptConfig::default());
+    base
+}
+
+/// `base` annotated with the paper's regions for `profile`.
+fn annotated(base: &Program, profile: &ReuseProfile) -> Program {
+    let mut annotated = base.clone();
+    transform::annotate(
+        &mut annotated,
+        form_regions(base, profile, &RegionConfig::paper()),
+    );
+    annotated
 }
 
 /// Every public observation of a value profile, in a deterministic
@@ -79,9 +160,7 @@ fn profile_view(program: &Program, profile: &ReuseProfile) -> Vec<String> {
 #[test]
 fn static_and_dyn_dispatch_agree_on_every_workload() {
     for name in NAMES {
-        let mut base = build(name, InputSet::Train, 1).expect("registered workload");
-        optimize(&mut base, OptConfig::default());
-
+        let base = optimized(name);
         let mut direct = ValueProfiler::for_program(&base);
         Emulator::new(&base)
             .run(&mut NullCrb, &mut direct)
@@ -102,16 +181,30 @@ fn static_and_dyn_dispatch_agree_on_every_workload() {
             "{name}: value profile"
         );
 
-        let specs = form_regions(&base, &direct, &RegionConfig::paper());
         assert_eq!(
             form_regions(&base, &erased, &RegionConfig::paper()),
-            specs,
+            form_regions(&base, &direct, &RegionConfig::paper()),
             "{name}: regions"
         );
-        let mut annotated = base.clone();
-        transform::annotate(&mut annotated, specs);
+        let annotated = annotated(&base, &direct);
 
         assert_same_sim(&base, None, &format!("{name} baseline"));
         assert_same_sim(&annotated, Some(CrbConfig::paper()), &format!("{name} CCR"));
+    }
+}
+
+#[test]
+fn every_session_mode_matches_the_reference_on_every_workload() {
+    for name in NAMES {
+        let base = optimized(name);
+        let mut profiler = ValueProfiler::for_program(&base);
+        Emulator::new(&base)
+            .run(&mut NullCrb, &mut profiler)
+            .expect("within limits");
+        let annotated = annotated(&base, &profiler.finish());
+
+        assert_every_mode_matches(&base, None, &format!("{name} baseline"));
+        let crb = Some(CrbConfig::paper());
+        assert_every_mode_matches(&annotated, crb, &format!("{name} CCR"));
     }
 }

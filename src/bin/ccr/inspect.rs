@@ -18,8 +18,7 @@ pub(crate) fn cmd_list(_: &Flags) -> Result<(), CliError> {
 pub(crate) fn cmd_regions(flags: &Flags) -> Result<(), CliError> {
     let spec = target_of(flags)?;
     let p = load_program(&spec, flags.input, flags.scale)?;
-    let compiled = ccr::compile_ccr(&p, &p, &scenario_of(flags).compile_config())
-        .map_err(|e| e.to_string())?;
+    let compiled = ccr::compile_ccr(&p, &p, &scenario_of(flags).compile_config())?;
     let mut table = Table::new([
         "region",
         "shape",
@@ -55,7 +54,7 @@ pub(crate) fn cmd_regions(flags: &Flags) -> Result<(), CliError> {
 pub(crate) fn cmd_potential(flags: &Flags) -> Result<(), CliError> {
     let spec = target_of(flags)?;
     let p = load_program(&spec, flags.input, flags.scale)?;
-    let pot = ccr::measure::reuse_potential(&p, RUN_EMU).map_err(|e| e.to_string())?;
+    let pot = ccr::measure::reuse_potential(&p, RUN_EMU)?;
     println!("dynamic instructions : {}", pot.total_instrs);
     println!("block-level reusable : {}", pct(pot.block_ratio()));
     println!("region-level reusable: {}", pct(pot.region_ratio()));
@@ -124,8 +123,7 @@ pub(crate) fn cmd_print(flags: &Flags) -> Result<(), CliError> {
     let spec = target_of(flags)?;
     let p = load_program(&spec, flags.input, flags.scale)?;
     if flags.annotated {
-        let compiled = ccr::compile_ccr(&p, &p, &scenario_of(flags).compile_config())
-            .map_err(|e| e.to_string())?;
+        let compiled = ccr::compile_ccr(&p, &p, &scenario_of(flags).compile_config())?;
         print!("{}", compiled.annotated);
     } else {
         print!("{p}");

@@ -26,13 +26,15 @@ mod replay;
 mod results;
 mod service;
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 use ccr::ir::Program;
 use ccr::regions::RegionConfig;
 use ccr::sim::CrbConfig;
 use ccr::workloads::{build, InputSet};
-use ccr::{compile_ccr, ProgressMode};
+use ccr::{compile_ccr, CompiledWorkload, Harness, Measurement, ProgressMode};
 use ccr_bench::exp::Scenario;
 
 /// A CLI failure. `Usage` errors (bad subcommand, bad flags, missing
@@ -48,6 +50,12 @@ enum CliError {
 impl From<String> for CliError {
     fn from(msg: String) -> CliError {
         CliError::Failure(msg)
+    }
+}
+
+impl From<ccr::profile::EmuError> for CliError {
+    fn from(e: ccr::profile::EmuError) -> CliError {
+        CliError::Failure(e.to_string())
     }
 }
 
@@ -105,12 +113,13 @@ const USAGE: &str = "usage:
   ccr snapshot save <benchmark|file.ccr> --at-cycle N [--out FILE] [--window K]
                [--input train|ref] [--scale N] [--entries E] [--instances C]
   ccr snapshot restore <FILE> [--entries E] [--instances C]
-  (run also takes [--save-snapshot FILE --snapshot-cycle N] and
+  (run also takes [--save-snapshot FILE --snapshot-cycle N [--window K]] and
    [--restore-snapshot FILE]; exp also takes [--checkpoint FILE] and
    [--fingerprint [--window K]] — resumable sweeps and stored trajectory
    hashes)
   (bench/exp/profile also take [--store FILE] [--no-store] [--at TS])
-  (suite/bench/exp/profile also take [--progress[=plain|json]] [--no-progress]
+  (suite/run/bench/exp/profile/fingerprint/snapshot also take
+   [--progress[=plain|json]] [--no-progress]
    [--harness-out FILE] — live progress to stderr and a structured
    harness.jsonl event log; simulated results are bit-identical either way)
   ccr regions <benchmark|file.ccr>
@@ -303,7 +312,7 @@ const TARGET: &str = "--input --scale";
 const CONFIG: &str = "--entries --instances --function-level";
 const HARNESS: &str = "--progress --no-progress --harness-out";
 const STORE: &str = "--store --no-store --at";
-const SNAPSHOT: &str = "--save-snapshot --snapshot-cycle --restore-snapshot";
+const SNAPSHOT: &str = "--save-snapshot --snapshot-cycle --restore-snapshot --window";
 const GATE: &str = concat!(
     "--thresholds --max-cycle-regress-pct --max-hit-rate-drop-pp ",
     "--max-speedup-drop-pct --max-host-throughput-drop-pct"
@@ -327,13 +336,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
             ok(measure::cmd_suite(f))
         }),
         "run" => (
-            &[
-                TARGET,
-                CONFIG,
-                HARNESS,
-                "--jobs --telemetry --window",
-                SNAPSHOT,
-            ],
+            &[TARGET, CONFIG, HARNESS, SNAPSHOT, "--jobs --telemetry"],
             |f| ok(measure::cmd_run(f)),
         ),
         "profile" => (
@@ -396,26 +399,53 @@ fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
         "trace" => (&[TARGET, "--limit"], |f| ok(inspect::cmd_trace(f))),
         other => return Err(usage_err(format!("unknown subcommand `{other}`"))),
     };
-    run(&parse_flags(cmd, &args[1..], reads).map_err(usage_err)?)
+    let mut flags = parse_flags(cmd, &args[1..], reads).map_err(usage_err)?;
+    if cmd == "snapshot" && flags.positional.first().is_some_and(|p| p == "restore") {
+        // A restore takes its workload, input, scale, cycle and window
+        // from the snapshot, so it reads fewer flags than a save.
+        let reads = [CONFIG, HARNESS];
+        flags = parse_flags("snapshot restore", &args[1..], &reads).map_err(usage_err)?;
+    }
+    run(&flags)
+}
+
+/// Runs `sims` — a command's baseline and CCR simulations of `spec`
+/// — as one `sim:{kind}:{spec}:{config}` task of `harness`, returning
+/// the measurement and its host time in milliseconds.
+fn sim_task(
+    flags: &Flags,
+    harness: &Harness,
+    kind: &str,
+    spec: &str,
+    sims: impl FnOnce() -> Result<Measurement, CliError>,
+) -> Result<(Measurement, u64), CliError> {
+    let label = format!("sim:{kind}:{spec}:{}", config_hash(flags));
+    harness.task_start("sim", &label);
+    let start = Instant::now();
+    let m = sims()?;
+    let wall_ms = start.elapsed().as_millis() as u64;
+    let cycles = m.base.stats.cycles + m.ccr.stats.cycles;
+    harness.task_finish("sim", &label, wall_ms, Some(cycles));
+    Ok((m, wall_ms))
 }
 
 /// Builds the harness from `--progress` / `--no-progress` /
 /// `--harness-out`. Disabled (a guaranteed no-op) unless some sink
 /// was requested; `--no-progress` silences the stderr stream but
 /// leaves a requested `--harness-out` file active.
-fn harness_of(flags: &Flags) -> Result<ccr::Harness, String> {
+fn harness_of(flags: &Flags) -> Result<Harness, String> {
     let opts = ccr::HarnessOptions {
         progress: flags.progress,
         out: flags.harness_out.as_ref().map(std::path::PathBuf::from),
         ..ccr::HarnessOptions::default()
     };
-    ccr::Harness::start(&opts).map_err(|e| format!("harness: {e}"))
+    Harness::start(&opts).map_err(|e| format!("harness: {e}"))
 }
 
 /// Ends a harnessed command: stops the monitor, emits the
 /// `harness_summary` event, and renders the summary to stderr (off
 /// when the harness is disabled, so undecorated runs stay silent).
-fn finish_harness(harness: &ccr::Harness) -> Option<ccr::HarnessSummary> {
+fn finish_harness(harness: &Harness) -> Option<ccr::HarnessSummary> {
     let summary = harness.finish()?;
     eprint!("{}", summary.render());
     Some(summary)
@@ -434,6 +464,13 @@ fn scenario_of(flags: &Flags) -> Scenario {
         ..CrbConfig::paper()
     };
     Scenario::single(flags.input, flags.scale, &region, crb)
+}
+
+/// The local configuration's hash: the paper machine and the flags'
+/// CRB, as harness labels, digest files and snapshots record it.
+fn config_hash(flags: &Flags) -> String {
+    let sc = scenario_of(flags);
+    ccr::config_hash(&sc.machine, &sc.crb)
 }
 
 /// Loads a program: a built-in benchmark name or a `.ccr` text file.
@@ -460,17 +497,35 @@ fn target_of(flags: &Flags) -> Result<String, CliError> {
         .ok_or_else(|| usage_err("missing <benchmark|file.ccr>"))
 }
 
-/// Compiles a workload the way `ccr run` does: the train input drives
-/// region selection, the requested input is the measured target.
+/// Compiles a workload the way `ccr run` does, as one
+/// `compile:{spec}:{input}@{scale}` task of `harness`: the train input
+/// drives region selection, the requested input is the measured
+/// target.
 fn compile_target(
     flags: &Flags,
     spec: &str,
     input: InputSet,
     scale: u32,
-) -> Result<ccr::CompiledWorkload, String> {
+    harness: &Harness,
+) -> Result<CompiledWorkload, String> {
+    let label = format!("compile:{spec}:{}@{scale}", input.name());
+    harness.task_start("compile", &label);
+    let start = Instant::now();
     let train = load_program(spec, InputSet::Train, scale)?;
     let target = load_program(spec, input, scale)?;
-    compile_ccr(&train, &target, &scenario_of(flags).compile_config()).map_err(|e| e.to_string())
+    let compiled = compile_ccr(&train, &target, &scenario_of(flags).compile_config())
+        .map_err(|e| e.to_string())?;
+    harness.task_finish("compile", &label, start.elapsed().as_millis() as u64, None);
+    Ok(compiled)
+}
+
+/// Writes `contents` to `dir/name`, creating `dir` first; returns the
+/// written path.
+fn write_file(dir: &Path, name: &str, contents: &str) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let path = dir.join(name);
+    std::fs::write(&path, contents).map_err(|e| format!("write {}: {e}", path.display()))?;
+    Ok(path)
 }
 
 /// Filesystem-safe stem for per-workload output files.

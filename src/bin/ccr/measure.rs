@@ -38,7 +38,6 @@
 //! `--no-store` to opt out, `--at TS` to pin the record timestamp.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use ccr::report::{pct, speedup, Table};
 use ccr::sim::TraceConfig;
@@ -47,7 +46,7 @@ use ccr::{CompiledWorkload, Harness, Measurement};
 
 use crate::{
     append_to_store, compile_target, file_stem, finish_harness, harness_of, record_timestamp,
-    replay, results, scenario_of, target_of, usage_err, CliError, Flags,
+    replay, results, scenario_of, sim_task, target_of, usage_err, write_file, CliError, Flags,
 };
 
 pub(crate) fn cmd_suite(flags: &Flags) -> Result<(), CliError> {
@@ -91,51 +90,61 @@ pub(crate) fn cmd_suite(flags: &Flags) -> Result<(), CliError> {
 }
 
 pub(crate) fn cmd_run(flags: &Flags) -> Result<(), CliError> {
-    if flags.save_snapshot.is_some() || flags.restore_snapshot.is_some() {
-        if flags.save_snapshot.is_some() && flags.restore_snapshot.is_some() {
-            return Err(usage_err(
-                "--save-snapshot and --restore-snapshot are mutually exclusive",
-            ));
-        }
-        if flags.telemetry.is_some() {
-            return Err(usage_err(
-                "--telemetry cannot be combined with --save-snapshot/--restore-snapshot",
-            ));
-        }
-        if flags.save_snapshot.is_some() && flags.snapshot_cycle.is_none() {
-            return Err(usage_err("--save-snapshot needs --snapshot-cycle N"));
-        }
-        return replay::run_snapshotted(flags);
+    let snapshotted = flags.save_snapshot.is_some() || flags.restore_snapshot.is_some();
+    if flags.save_snapshot.is_some() && flags.restore_snapshot.is_some() {
+        return Err(usage_err(
+            "--save-snapshot and --restore-snapshot are mutually exclusive",
+        ));
     }
-    if flags.snapshot_cycle.is_some() {
+    if snapshotted && flags.telemetry.is_some() {
+        return Err(usage_err(
+            "--telemetry cannot be combined with --save-snapshot/--restore-snapshot",
+        ));
+    }
+    if flags.save_snapshot.is_some() && flags.snapshot_cycle.is_none() {
+        return Err(usage_err("--save-snapshot needs --snapshot-cycle N"));
+    }
+    if flags.save_snapshot.is_none() && flags.snapshot_cycle.is_some() {
         return Err(usage_err("--snapshot-cycle needs --save-snapshot FILE"));
     }
+    if flags.save_snapshot.is_none() && flags.window.is_some() {
+        return Err(usage_err("--window needs --save-snapshot FILE"));
+    }
     let spec = target_of(flags)?;
-    let compiled = compile_target(flags, &spec, flags.input, flags.scale)?;
+    let harness = harness_of(flags)?;
+    harness.plan(1, 1, &[("scale", u64::from(flags.scale))]);
+    if snapshotted {
+        let (compiled, m, fingerprint) = replay::run_snapshotted(flags, &spec, &harness)?;
+        finish_harness(&harness);
+        print_measurement(&spec, &compiled, &m);
+        println!("{fingerprint}");
+        return Ok(());
+    }
+    let compiled = compile_target(flags, &spec, flags.input, flags.scale, &harness)?;
     let jobs = ccr::resolve_jobs(flags.jobs);
     let trace = TraceConfig::default();
-    let sc = scenario_of(flags);
     let m = match &flags.telemetry {
-        None => ccr::measure_with(
-            &compiled,
-            &sc.machine,
-            sc.crb,
-            sc.emu,
-            jobs,
-            &trace,
-            &mut ccr::telemetry::NullSink,
-        )
-        .map_err(|e| e.to_string())?,
+        None => {
+            let ccr_bench::exp::Scenario {
+                machine, crb, emu, ..
+            } = scenario_of(flags);
+            let mut sink = ccr::telemetry::NullSink;
+            let sims = || {
+                Ok(ccr::measure_with(
+                    &compiled, &machine, crb, emu, jobs, &trace, &mut sink,
+                )?)
+            };
+            sim_task(flags, &harness, "run", &spec, sims)?.0
+        }
         Some(dir) => {
-            let dir = Path::new(dir);
             let cap = capture(
                 flags,
                 &spec,
                 &compiled,
-                dir,
+                Path::new(dir),
                 &trace,
                 jobs,
-                &Harness::disabled(),
+                &harness,
             )?;
             println!(
                 "telemetry : {} + {}",
@@ -145,6 +154,7 @@ pub(crate) fn cmd_run(flags: &Flags) -> Result<(), CliError> {
             cap.measurement
         }
     };
+    finish_harness(&harness);
     print_measurement(&spec, &compiled, &m);
     Ok(())
 }
@@ -177,8 +187,7 @@ struct Capture {
 /// profile`: measures `compiled` under `cfg` with its event stream in
 /// `dir/events.jsonl` (a `run_begin` marker, the compile events, then
 /// the simulations) and writes the full run report to
-/// `dir/report.json`. The simulation is one `sim` task of `harness`
-/// (a live harness only under `ccr profile`).
+/// `dir/report.json`. The simulations are one `sim` task of `harness`.
 fn capture(
     flags: &Flags,
     spec: &str,
@@ -209,18 +218,12 @@ fn capture(
         fields: &begin,
     });
     ccr::emit_compile_events(&compiled.telemetry, &mut sink);
-    let sim_label = format!("sim:profile:{spec}:{}", ccr::config_hash(&machine, &crb));
-    harness.task_start("sim", &sim_label);
-    let sim_start = Instant::now();
-    let m = ccr::measure_with(compiled, &machine, crb, emu, jobs, cfg, &mut sink)
-        .map_err(|e| e.to_string())?;
-    let sim_wall_ms = sim_start.elapsed().as_millis() as u64;
-    harness.task_finish(
-        "sim",
-        &sim_label,
-        sim_wall_ms,
-        Some(m.base.stats.cycles + m.ccr.stats.cycles),
-    );
+    let kind = if cfg.profile { "profile" } else { "run" };
+    let (m, sim_wall_ms) = sim_task(flags, harness, kind, spec, || {
+        Ok(ccr::measure_with(
+            compiled, &machine, crb, emu, jobs, cfg, &mut sink,
+        )?)
+    })?;
     sink.finish()
         .map_err(|e| format!("{}: {e}", events.display()))?;
     let argv: Vec<String> = std::env::args().collect();
@@ -251,16 +254,7 @@ pub(crate) fn cmd_profile(flags: &Flags) -> Result<(), CliError> {
     let spec = target_of(flags)?;
     let harness = harness_of(flags)?;
     harness.plan(1, 1, &[("scale", u64::from(flags.scale))]);
-    let compile_label = format!("compile:{spec}:{}@{}", flags.input.name(), flags.scale);
-    harness.task_start("compile", &compile_label);
-    let compile_start = Instant::now();
-    let compiled = compile_target(flags, &spec, flags.input, flags.scale)?;
-    harness.task_finish(
-        "compile",
-        &compile_label,
-        compile_start.elapsed().as_millis() as u64,
-        None,
-    );
+    let compiled = compile_target(flags, &spec, flags.input, flags.scale, &harness)?;
 
     // Default the output directory to one derived from the target, so
     // `ccr profile bitcount` works bare.
@@ -297,7 +291,7 @@ pub(crate) fn cmd_profile(flags: &Flags) -> Result<(), CliError> {
     // Store hook: the analysis's own record, with the miss mix the
     // profiled run classified. The rest stays zero: a profile run is
     // single-threaded host-side (no pool, no utilization measurement),
-    // goes through the attributing simulator (no fingerprint stream)
+    // runs a profiled session (no fingerprint window)
     // and is a one-shot run, not a serve session.
     let rec = ccr_analyze::RunRecord {
         timestamp: record_timestamp(flags),
@@ -435,6 +429,9 @@ fn median_ms(samples: &mut [u64]) -> u64 {
 /// to stderr so piped table output stays clean.
 pub(crate) fn cmd_exp(flags: &Flags) -> Result<(), CliError> {
     use ccr_bench::exp;
+    if flags.window.is_some() && !flags.fingerprint {
+        return Err(usage_err("--window needs --fingerprint"));
+    }
     let registry = exp::specs::registry();
     if flags.list {
         let mut table = Table::new(["name", "output", "experiment"]);
@@ -493,16 +490,10 @@ pub(crate) fn cmd_exp(flags: &Flags) -> Result<(), CliError> {
         let rendered = executed.results(spec).render();
         match &flags.out {
             Some(dir) => {
-                let dir = std::path::Path::new(dir);
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("create {}: {e}", dir.display()))?;
-                let txt = dir.join(format!("{}.txt", spec.output));
-                std::fs::write(&txt, &rendered.text)
-                    .map_err(|e| format!("write {}: {e}", txt.display()))?;
+                let dir = Path::new(dir);
+                let txt = write_file(dir, &format!("{}.txt", spec.output), &rendered.text)?;
                 for (name, table) in &rendered.tables {
-                    let csv = dir.join(format!("{}.{name}.csv", spec.output));
-                    std::fs::write(&csv, table.to_csv())
-                        .map_err(|e| format!("write {}: {e}", csv.display()))?;
+                    write_file(dir, &format!("{}.{name}.csv", spec.output), &table.to_csv())?;
                 }
                 eprintln!("wrote {}", txt.display());
             }

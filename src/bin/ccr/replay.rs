@@ -1,5 +1,6 @@
 //! The trajectory commands: `fingerprint`, `snapshot`, and the
-//! snapshot flags of `run` — every path that drives a [`SimSession`].
+//! snapshot flags of `run` — every path that drives a fingerprinted
+//! [`SimSession`] step by step.
 //!
 //! `ccr fingerprint` runs each named workload under the simulator's
 //! streaming determinism fingerprint (an FNV-1a fold over the full
@@ -34,8 +35,8 @@ use ccr_analyze::{format_hash, DigestFile};
 use ccr_bench::exp::Scenario;
 
 use crate::{
-    compile_target, file_stem, finish_harness, harness_of, measure, scenario_of, target_of,
-    usage_err, CliError, Flags,
+    compile_target, config_hash, file_stem, finish_harness, harness_of, scenario_of, sim_task,
+    usage_err, write_file, CliError, Flags,
 };
 
 /// The fingerprint window in cycles: `--window` when given, the
@@ -55,13 +56,6 @@ fn decode_workload(s: &str) -> Result<(String, InputSet, u32), String> {
     Ok((spec.to_string(), input, scale))
 }
 
-/// The local configuration's hash: the paper machine and the flags'
-/// CRB, as digest files and snapshots record it.
-fn config_hash(flags: &Flags) -> String {
-    let sc = scenario_of(flags);
-    ccr::config_hash(&sc.machine, &sc.crb)
-}
-
 /// A workload compiled for replay on the paper machine under the
 /// flags' CRB, with the `spec:input@scale` label and the config hash
 /// its digests and snapshots carry.
@@ -77,12 +71,19 @@ struct Replay {
 }
 
 impl Replay {
-    /// Compiles `spec` for `input` at `scale` the way `ccr run` does.
-    fn compile(flags: &Flags, spec: &str, input: InputSet, scale: u32) -> Result<Replay, String> {
+    /// Compiles `spec` for `input` at `scale` the way `ccr run` does,
+    /// as one `compile` task of `harness`.
+    fn compile(
+        flags: &Flags,
+        spec: &str,
+        input: InputSet,
+        scale: u32,
+        harness: &Harness,
+    ) -> Result<Replay, String> {
         Ok(Replay {
             spec: spec.to_string(),
             workload: format!("{spec}:{}@{scale}", input.name()),
-            compiled: compile_target(flags, spec, input, scale)?,
+            compiled: compile_target(flags, spec, input, scale, harness)?,
             scenario: scenario_of(flags),
             config_hash: config_hash(flags),
         })
@@ -95,6 +96,7 @@ impl Replay {
         flags: &Flags,
         file: &str,
         spec: Option<&str>,
+        harness: &Harness,
     ) -> Result<(Replay, SimSnapshot), CliError> {
         let snap = ccr::sim::load_snapshot(Path::new(file))?;
         let (snap_spec, input, scale) =
@@ -114,15 +116,15 @@ impl Replay {
             )
             .into());
         }
-        Ok((Replay::compile(flags, &snap_spec, input, scale)?, snap))
+        let replay = Replay::compile(flags, &snap_spec, input, scale, harness)?;
+        Ok((replay, snap))
     }
 
-    /// A fresh CCR session from cycle 0, labelled for its snapshots.
+    /// A fresh CCR session from cycle 0, fingerprinted every `window`
+    /// cycles.
     fn start(&self, window: u64) -> SimSession<'_> {
         let (program, sc) = (&self.compiled.annotated, &self.scenario);
-        let mut session = SimSession::new(program, &sc.machine, Some(sc.crb), sc.emu, window);
-        session.set_provenance(&self.workload, &self.config_hash);
-        session
+        SimSession::new(program, &sc.machine, Some(sc.crb), sc.emu, Some(window))
     }
 
     /// Rebuilds the session `snap` (read from `file`) was taken of.
@@ -149,7 +151,7 @@ impl Replay {
         path: &str,
         harness: &Harness,
     ) -> Result<SimSnapshot, CliError> {
-        session.run_until_cycle(cycle).map_err(|e| e.to_string())?;
+        session.run_until_cycle(cycle)?;
         if session.finished() {
             return Err(format!(
                 "{}: run finished at cycle {} before {flag} {cycle}",
@@ -158,7 +160,7 @@ impl Replay {
             )
             .into());
         }
-        let snap = session.snapshot()?;
+        let snap = session.snapshot(&self.workload, &self.config_hash)?;
         ccr::sim::save_snapshot(Path::new(path), &snap)?;
         harness.snapshot("save", &self.workload, snap.cycle, path);
         Ok(snap)
@@ -171,7 +173,7 @@ impl Replay {
         mut session: SimSession<'_>,
         harness: &Harness,
     ) -> Result<(SimOutcome, String), CliError> {
-        session.run_to_end().map_err(|e| e.to_string())?;
+        session.run_to_end()?;
         let windows = session.windows().len() as u64;
         let hash = format_hash(session.final_hash().expect("finished run has a final hash"));
         harness.fingerprint(&self.workload, windows, session.cycles_so_far(), &hash);
@@ -253,7 +255,7 @@ pub(crate) fn cmd_fingerprint(flags: &Flags) -> Result<ExitCode, CliError> {
         |i, spec| -> Result<DigestFile, String> {
             harness.task_start("sim", &labels[i]);
             let start = std::time::Instant::now();
-            let replay = Replay::compile(flags, spec, flags.input, flags.scale)?;
+            let replay = Replay::compile(flags, spec, flags.input, flags.scale, &harness)?;
             let digest = replay.digest(window, perturb_at)?;
             harness.task_finish(
                 "sim",
@@ -296,18 +298,14 @@ pub(crate) fn cmd_fingerprint(flags: &Flags) -> Result<ExitCode, CliError> {
     }
     if let Some(dir) = &flags.out {
         let dir = Path::new(dir);
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         let mut chains = String::new();
         for (spec, d) in flags.positional.iter().zip(&digests) {
-            let path = dir.join(format!("{}.fp.jsonl", file_stem(spec)));
-            std::fs::write(&path, ccr_analyze::write_digest_file(d))
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
+            let name = format!("{}.fp.jsonl", file_stem(spec));
+            let path = write_file(dir, &name, &ccr_analyze::write_digest_file(d))?;
             eprintln!("wrote {}", path.display());
             chains.push_str(&format!("{spec} {}\n", format_hash(d.final_hash)));
         }
-        let chains_path = dir.join("chains.txt");
-        std::fs::write(&chains_path, chains)
-            .map_err(|e| format!("write {}: {e}", chains_path.display()))?;
+        let chains_path = write_file(dir, "chains.txt", &chains)?;
         eprintln!("wrote {}", chains_path.display());
     }
     Ok(ExitCode::SUCCESS)
@@ -347,7 +345,9 @@ fn cmd_fingerprint_compare(flags: &Flags) -> Result<ExitCode, CliError> {
             println!("divergence at window {index} (cycle {cycle}):");
             println!("  A {a_path}: {}", format_hash(a_hash));
             println!("  B {b_path}: {}", format_hash(b_hash));
-            dump_divergence_snapshot(flags, &a, &b, index);
+            if let Err(msg) = replay_divergence(flags, &a, &b, index) {
+                println!("  note: {msg}");
+            }
             Ok(ExitCode::from(2))
         }
         ccr_analyze::FingerprintDiff::LengthMismatch {
@@ -380,14 +380,8 @@ fn cmd_fingerprint_compare(flags: &Flags) -> Result<ExitCode, CliError> {
 /// config hash), re-runs it to the last agreed window boundary, saves
 /// a `SimSnapshot` there for inspection, then steps through the
 /// divergent window and reports which side this host agrees with.
-/// Every failure degrades to a printed note — the exit-2 verdict
+/// The caller prints any failure as a note — the exit-2 verdict
 /// stands on the digests alone.
-fn dump_divergence_snapshot(flags: &Flags, a: &DigestFile, b: &DigestFile, index: u64) {
-    if let Err(msg) = replay_divergence(flags, a, b, index) {
-        println!("  note: {msg}");
-    }
-}
-
 fn replay_divergence(
     flags: &Flags,
     a: &DigestFile,
@@ -404,7 +398,7 @@ fn replay_divergence(
             a.config_hash
         ));
     }
-    let replay = Replay::compile(flags, &spec, input, scale)?;
+    let replay = Replay::compile(flags, &spec, input, scale, &Harness::disabled())?;
     let mut session = replay.start(a.window);
     // The last boundary both digests agree on: window `index - 1`'s
     // seal cycle (cycle 0 when the very first window diverged).
@@ -416,7 +410,7 @@ fn replay_divergence(
     session
         .run_until_cycle(boundary)
         .map_err(|e| e.to_string())?;
-    let snap = session.snapshot()?;
+    let snap = session.snapshot(&replay.workload, &replay.config_hash)?;
     let out_dir = Path::new(flags.out.as_deref().unwrap_or("."));
     std::fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
     let path = out_dir.join(format!("{}.diverge.w{index}.snap.jsonl", file_stem(&spec)));
@@ -473,7 +467,8 @@ fn cmd_snapshot_save(flags: &Flags) -> Result<(), CliError> {
         .at_cycle
         .ok_or_else(|| usage_err("snapshot save needs --at-cycle N"))?;
     let harness = harness_of(flags)?;
-    let replay = Replay::compile(flags, spec, flags.input, flags.scale)?;
+    harness.plan(1, 0, &[]);
+    let replay = Replay::compile(flags, spec, flags.input, flags.scale, &harness)?;
     let mut session = replay.start(fingerprint_window(flags));
     let path = flags
         .out
@@ -485,8 +480,8 @@ fn cmd_snapshot_save(flags: &Flags) -> Result<(), CliError> {
     println!("cycle      : {}", snap.cycle);
     println!(
         "fingerprint: {} ({} window(s) sealed)",
-        format_hash(session.fingerprint_hash()),
-        session.windows().len()
+        format_hash(snap.fingerprint.hash),
+        snap.fingerprint.windows.len()
     );
     println!("wrote      : {path}");
     Ok(())
@@ -497,8 +492,9 @@ fn cmd_snapshot_restore(flags: &Flags) -> Result<(), CliError> {
         .positional
         .get(1)
         .ok_or_else(|| usage_err("snapshot restore needs <FILE>"))?;
-    let (replay, snap) = Replay::load(flags, file, None)?;
     let harness = harness_of(flags)?;
+    harness.plan(1, 0, &[]);
+    let (replay, snap) = Replay::load(flags, file, None, &harness)?;
     let session = replay.restore(&snap, file, &harness)?;
     let (outcome, fingerprint) = replay.finish(session, &harness)?;
     finish_harness(&harness);
@@ -516,45 +512,48 @@ fn cmd_snapshot_restore(flags: &Flags) -> Result<(), CliError> {
 }
 
 /// `ccr run --save-snapshot/--restore-snapshot`: the full measurement
-/// (baseline + CCR + speedup) with the CCR leg driven through a
-/// [`SimSession`] so it can be checkpointed mid-flight or resumed
-/// from a prior checkpoint. Final statistics are bit-identical to a
-/// plain `ccr run`, and pass the same soundness check.
-pub(crate) fn run_snapshotted(flags: &Flags) -> Result<(), CliError> {
-    let spec = target_of(flags)?;
-    let harness = harness_of(flags)?;
+/// (baseline + CCR + speedup) with the CCR leg's session checkpointed
+/// mid-flight or resumed from a prior checkpoint, compiled and
+/// simulated as tasks of `harness`. Final statistics are bit-identical
+/// to a plain `ccr run`, and pass the same soundness check. Returns
+/// the compiled workload, the measurement and the `fingerprint:` line.
+pub(crate) fn run_snapshotted(
+    flags: &Flags,
+    spec: &str,
+    harness: &Harness,
+) -> Result<(ccr::CompiledWorkload, ccr::Measurement, String), CliError> {
     let (replay, restored) = match &flags.restore_snapshot {
         Some(file) => {
-            let (replay, snap) = Replay::load(flags, file, Some(&spec))?;
+            let (replay, snap) = Replay::load(flags, file, Some(spec), harness)?;
             (replay, Some((snap, file)))
         }
         None => (
-            Replay::compile(flags, &spec, flags.input, flags.scale)?,
+            Replay::compile(flags, spec, flags.input, flags.scale, harness)?,
             None,
         ),
     };
-    let session = match restored {
-        Some((snap, file)) => {
-            let session = replay.restore(&snap, file, &harness)?;
-            println!("resumed   : cycle {} <- {file}", snap.cycle);
-            session
-        }
-        None => {
-            let cycle = flags.snapshot_cycle.expect("checked by cmd_run");
-            let file = flags.save_snapshot.as_deref().expect("checked by cmd_run");
-            let mut session = replay.start(fingerprint_window(flags));
-            let snap = replay.save(&mut session, "--snapshot-cycle", cycle, file, &harness)?;
-            println!("snapshot  : cycle {} -> {file}", snap.cycle);
-            session
-        }
-    };
-    let (outcome, fingerprint) = replay.finish(session, &harness)?;
-    finish_harness(&harness);
-    let sc = &replay.scenario;
-    let base = ccr::sim::simulate(&replay.compiled.base, &sc.machine, None, sc.emu)
-        .map_err(|e| e.to_string())?;
-    let m = ccr::Measurement::checked(base, outcome);
-    measure::print_measurement(&spec, &replay.compiled, &m);
-    println!("{fingerprint}");
-    Ok(())
+    let mut fingerprint = String::new();
+    let (m, _) = sim_task(flags, harness, "run", spec, || {
+        let session = match restored {
+            Some((snap, file)) => {
+                let session = replay.restore(&snap, file, harness)?;
+                println!("resumed   : cycle {} <- {file}", snap.cycle);
+                session
+            }
+            None => {
+                let cycle = flags.snapshot_cycle.expect("checked by cmd_run");
+                let file = flags.save_snapshot.as_deref().expect("checked by cmd_run");
+                let mut session = replay.start(fingerprint_window(flags));
+                let snap = replay.save(&mut session, "--snapshot-cycle", cycle, file, harness)?;
+                println!("snapshot  : cycle {} -> {file}", snap.cycle);
+                session
+            }
+        };
+        let (outcome, line) = replay.finish(session, harness)?;
+        fingerprint = line;
+        let sc = &replay.scenario;
+        let base = ccr::sim::simulate(&replay.compiled.base, &sc.machine, None, sc.emu)?;
+        Ok(ccr::Measurement::checked(base, outcome))
+    })?;
+    Ok((replay.compiled, m, fingerprint))
 }

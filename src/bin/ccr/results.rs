@@ -22,7 +22,7 @@
 
 use std::process::ExitCode;
 
-use crate::{record_timestamp, store_path, usage_err, CliError, Flags};
+use crate::{record_timestamp, store_path, usage_err, write_file, CliError, Flags};
 
 /// Checks a telemetry directory has both run artifacts before any
 /// analysis starts, so a wrong path fails with one clear line naming
@@ -186,12 +186,8 @@ pub(crate) fn cmd_report(flags: &Flags) -> Result<ExitCode, CliError> {
             let output = ccr_analyze::report_over(&store, &thresholds_of(flags));
             if let Some(dir) = &flags.out {
                 let dir = std::path::Path::new(dir);
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("create {}: {e}", dir.display()))?;
                 for (name, table) in &output.tables {
-                    let csv = dir.join(format!("report.{name}.csv"));
-                    std::fs::write(&csv, table.to_csv())
-                        .map_err(|e| format!("write {}: {e}", csv.display()))?;
+                    write_file(dir, &format!("report.{name}.csv"), &table.to_csv())?;
                 }
                 eprintln!(
                     "wrote {} csv table(s) under {}",

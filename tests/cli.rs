@@ -606,6 +606,115 @@ fn bad_arguments_fail_with_usage() {
 }
 
 #[test]
+fn flags_a_command_would_ignore_are_usage_errors() {
+    for (args, error) in [
+        (
+            &["run", "bitcount", "--window", "500"][..],
+            "--window needs --save-snapshot FILE",
+        ),
+        (
+            &[
+                "run",
+                "bitcount",
+                "--restore-snapshot",
+                "b.snap",
+                "--window",
+                "500",
+            ][..],
+            "--window needs --save-snapshot FILE",
+        ),
+        (
+            &["exp", "fig4", "--window", "500"][..],
+            "--window needs --fingerprint",
+        ),
+        (
+            &["snapshot", "restore", "b.snap", "--at-cycle", "9"][..],
+            "`ccr snapshot restore` does not take --at-cycle",
+        ),
+        (
+            &["snapshot", "restore", "b.snap", "--out", "x"][..],
+            "`ccr snapshot restore` does not take --out",
+        ),
+        (
+            &["snapshot", "restore", "b.snap", "--window", "500"][..],
+            "`ccr snapshot restore` does not take --window",
+        ),
+        (
+            &["snapshot", "--input", "ref", "restore", "b.snap"][..],
+            "`ccr snapshot restore` does not take --input",
+        ),
+        (
+            &["snapshot", "restore", "b.snap", "--scale", "2"][..],
+            "`ccr snapshot restore` does not take --scale",
+        ),
+    ] {
+        let out = ccr().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("error: {error}"), "{args:?}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing runs: {args:?}");
+    }
+}
+
+#[test]
+fn run_records_its_compile_and_simulation_in_the_harness() {
+    let dir = std::env::temp_dir().join("ccr-cli-run-harness");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let plain = ccr().args(["run", "bitcount"]).output().unwrap();
+    assert!(plain.status.success());
+    for (case, extra) in [
+        ("plain", &[][..]),
+        (
+            "telemetry",
+            &["--telemetry", dir.join("tel").to_str().unwrap()][..],
+        ),
+    ] {
+        let log = dir.join(format!("{case}.jsonl"));
+        let out = ccr()
+            .args(["run", "bitcount", "--harness-out"])
+            .arg(&log)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{case}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let lines = |s: &str| -> Vec<String> {
+            s.lines()
+                .filter(|l| !l.starts_with("telemetry :"))
+                .map(String::from)
+                .collect()
+        };
+        assert_eq!(
+            lines(&stdout),
+            lines(&String::from_utf8_lossy(&plain.stdout)),
+            "{case}: the harness never changes stdout"
+        );
+        let text = std::fs::read_to_string(&log).unwrap_or_else(|e| panic!("{case}: {e}"));
+        let events: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.split("\"ev\":\"").nth(1)?.split('"').next())
+            .collect();
+        assert_eq!(events.first(), Some(&"plan"), "{case}: {text}");
+        assert_eq!(events.last(), Some(&"harness_summary"), "{case}: {text}");
+        for ev in ["compile_start", "compile_finish", "sim_start", "sim_finish"] {
+            assert_eq!(
+                events.iter().filter(|e| **e == ev).count(),
+                1,
+                "{case}: one {ev} in {text}"
+            );
+        }
+        assert!(
+            text.contains("\"label\":\"sim:run:bitcount:"),
+            "{case}: {text}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn checkpointed_exp_resumes_byte_identically() {
     let dir = std::env::temp_dir().join("ccr-cli-checkpoint");
     let _ = std::fs::remove_dir_all(&dir);

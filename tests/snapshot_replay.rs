@@ -59,20 +59,34 @@ fn round_trip(name: &str) -> (Trajectory, Trajectory) {
     let machine = MachineConfig::paper();
     let crb = CrbConfig::paper();
 
-    let mut cold = SimSession::new(&compiled.annotated, &machine, Some(crb), emu(), WINDOW);
-    cold.set_provenance(name, "test-config");
+    let mut cold = SimSession::new(
+        &compiled.annotated,
+        &machine,
+        Some(crb),
+        emu(),
+        Some(WINDOW),
+    );
     cold.run_to_end().expect("cold run completes");
     let cold_hash = cold.final_hash().expect("finished run has a final hash");
     let midpoint = cold.cycles_so_far() / 2;
     let cold_view = (cold.into_outcome(), cold_hash);
 
-    let mut first = SimSession::new(&compiled.annotated, &machine, Some(crb), emu(), WINDOW);
-    first.set_provenance(name, "test-config");
+    let mut first = SimSession::new(
+        &compiled.annotated,
+        &machine,
+        Some(crb),
+        emu(),
+        Some(WINDOW),
+    );
     first.run_until_cycle(midpoint).expect("first half runs");
     assert!(!first.finished(), "{name}: midpoint must be mid-run");
     // Round-trip through the serialized text, not the in-memory
     // struct: the JSONL encoder/decoder is part of the contract.
-    let text = write_snapshot(&first.snapshot().expect("snapshot mid-run"));
+    let text = write_snapshot(
+        &first
+            .snapshot(name, "test-config")
+            .expect("snapshot mid-run"),
+    );
     let snap = parse_snapshot(name, &text).expect("snapshot text parses back");
 
     let mut resumed = SimSession::restore(&compiled.annotated, &machine, Some(crb), emu(), &snap)
