@@ -33,6 +33,13 @@
 //!   appended to it, so a resumed sweep's finished units are ordinary
 //!   cache hits.
 //!
+//! Simulations run in **functional groups**: the sims of a plan that
+//! differ only in machine knobs (the width study, the penalty and
+//! speculation ablations, the baselines) share one emulation, whose
+//! events feed one pipeline per machine, while each simulation keeps
+//! its own cache entry, journal line and harness events (see
+//! [`Engine::execute_plan`]).
+//!
 //! The one-shot paths (`ccr exp`, `ccr bench`, `ccr suite`,
 //! `ccr profile`) construct a fresh engine per invocation — every
 //! lookup misses, and every rendered table stays byte-identical to
@@ -69,7 +76,7 @@ use crate::exp::{
     hash_fields, plan_selection, CompileCache, CompileUnit, Executed, Plan, PointMeta,
     PotentialUnit, Scenario,
 };
-use crate::single_flight::SingleFlight;
+use crate::single_flight::{Claim, SingleFlight};
 use crate::{emu_config, SuiteRun};
 
 /// Default retained-entry capacity of a fresh engine's
@@ -113,6 +120,16 @@ struct ResultStore {
     /// the latter), so both share one pending set.
     potentials: HashMap<String, ReusePotential>,
     tick: u64,
+}
+
+impl ResultStore {
+    /// The ready entry of `key`, touched as most recently used.
+    fn touch(&mut self, key: &str) -> Option<CachedSim> {
+        let entry = self.ready.get_mut(key)?;
+        self.tick += 1;
+        entry.last_used = self.tick;
+        Some(entry.value.clone())
+    }
 }
 
 /// A content-addressed cache of completed simulation outcomes.
@@ -211,12 +228,7 @@ impl SimResultCache {
     ) -> Result<CachedSim, String> {
         self.flight.get_or_run(
             key,
-            |s| {
-                let entry = s.ready.get_mut(key)?;
-                s.tick += 1;
-                entry.last_used = s.tick;
-                Some(entry.value.clone())
-            },
+            |s| s.touch(key),
             || {
                 let value = run()?;
                 self.append_to_journal(key, &value);
@@ -224,6 +236,56 @@ impl SimResultCache {
             },
             |s, value| self.insert_ready(s, key, value.clone()),
         )
+    }
+
+    /// [`SimResultCache::get_or_run`] for the members of one
+    /// functional group, under their own keys: members already ready
+    /// are hits, and one call of `run` computes every member this
+    /// caller claims (`run` gets their indices into `keys` and returns
+    /// one result per index, in order). Each computed member is
+    /// journaled and stored on its own. A member another caller is
+    /// computing is looked up again once this caller's claims are
+    /// released (a hit when that computation succeeds, its own `run`
+    /// otherwise), so no caller waits while holding a claim. Results
+    /// come back in `keys` order.
+    fn get_or_run_group(
+        &self,
+        keys: &[&str],
+        run: impl Fn(&[usize]) -> Result<Vec<CachedSim>, String>,
+    ) -> Vec<Result<CachedSim, String>> {
+        let mut out: Vec<Option<Result<CachedSim, String>>> = vec![None; keys.len()];
+        let (mut mine, mut busy) = (Vec::new(), Vec::new());
+        for (i, &key) in keys.iter().enumerate() {
+            match self.flight.try_claim(key, |s| s.touch(key)) {
+                Claim::Ready(hit) => out[i] = Some(Ok(hit)),
+                Claim::Mine(pending) => mine.push((i, pending)),
+                Claim::Busy => busy.push(i),
+            }
+        }
+        if !mine.is_empty() {
+            let todo: Vec<usize> = mine.iter().map(|(i, _)| *i).collect();
+            match run(&todo) {
+                Ok(values) => {
+                    for ((i, pending), value) in mine.into_iter().zip(values) {
+                        self.append_to_journal(keys[i], &value);
+                        pending.store(|s| self.insert_ready(s, keys[i], value.clone()));
+                        out[i] = Some(Ok(value));
+                    }
+                }
+                Err(e) => {
+                    for (i, _released) in mine {
+                        out[i] = Some(Err(e.clone()));
+                    }
+                }
+            }
+        }
+        for i in busy {
+            let one = || run(&[i]).map(|mut v| v.pop().expect("one result per member"));
+            out[i] = Some(self.get_or_run(keys[i], one));
+        }
+        out.into_iter()
+            .map(|r| r.expect("every member resolved"))
+            .collect()
     }
 
     /// Stores `value` under `key` as the most recently used entry,
@@ -360,9 +422,20 @@ impl Engine {
     }
 
     /// Runs a plan through the engine: compiles and potential studies
-    /// first (a simulation needs its compile), then every simulation
-    /// as an independent work item, all over the engine's workers and
-    /// through the shared caches.
+    /// first (a simulation needs its compile), then the simulations,
+    /// all over the engine's workers and through the shared caches.
+    ///
+    /// After the compiles, the simulations are grouped by functional
+    /// key: the simulated program, emulator limits and CRB, with no
+    /// machine field. Each group is one work item and one emulation
+    /// that feeds one pipeline per distinct machine of its members
+    /// ([`SimSession::with_machines`]); the full registry's 351
+    /// simulations take 190 emulations. Everything else stays per
+    /// simulation: its result-cache key and journal line, its
+    /// `sim_start`/`sim_finish` events and its [`CachedSim`], whose
+    /// `wall_ms` is an equal share of its group's host time (the
+    /// remainder going to the first members, so the shares sum to the
+    /// group's time). Fingerprinted plans run groups of one.
     ///
     /// - `harness`: every unit runs under a stable task label
     ///   (`compile:`/`potential:`/`sim:base:`/`sim:ccr:` × workload ×
@@ -389,6 +462,8 @@ impl Engine {
     /// Cache accounting on the returned [`Executed`] (and the
     /// `compile_cache` harness event) is the **delta** this run
     /// contributed, so a fresh engine reports every compile as a miss.
+    /// The functional runs executed ([`Executed::functional_runs`])
+    /// land in a `sim_groups` harness event after the simulations.
     ///
     /// # Errors
     ///
@@ -512,6 +587,7 @@ impl Engine {
                 .collect(),
             cache: (cache.hits() - hits_before, cache.misses() - misses_before),
             profiles,
+            functional_runs: (0, 0),
         };
         for out in prep {
             match out? {
@@ -536,6 +612,7 @@ impl Engine {
                     &hash_fields(&u.machine.fields())[..8]
                 ),
                 key: result_cache_key(&u.key, fingerprint_window),
+                compile_key: &u.compile_key,
                 program: &compiles[&u.compile_key].base,
                 machine: &u.machine,
                 crb: None,
@@ -546,6 +623,7 @@ impl Engine {
                 name: u.name,
                 label: format!("sim:ccr:{}:{}", u.name, config_hash(&u.machine, &u.crb)),
                 key: result_cache_key(&u.keys.ccr, fingerprint_window),
+                compile_key: &u.keys.compile,
                 program: &compiles[&u.keys.compile].annotated,
                 machine: &u.machine,
                 crb: Some(u.crb),
@@ -568,8 +646,11 @@ impl Engine {
                 );
             }
         }
-        let sims = self.run_sims(&tasks, harness);
+        let groups = functional_groups(&tasks, fingerprint_window.is_some());
+        let (sims, functional_runs) = self.run_sims(&tasks, &groups, harness);
         self.result_cache.close_journal();
+        harness.sim_groups(functional_runs.0 + functional_runs.1, tasks.len() as u64);
+        executed.functional_runs = functional_runs;
         let keys = plan.bases.iter().map(|u| &u.key);
         for (key, out) in keys.chain(plan.ccrs.iter().map(|u| &u.keys.ccr)).zip(sims) {
             executed.sims.insert(key.clone(), out?);
@@ -601,43 +682,75 @@ impl Engine {
         Ok(names.iter().map(|&n| executed.run(n, scenario)).collect())
     }
 
-    /// The one simulation fan-out: runs every task over the engine's
-    /// workers, each through the result cache under its key, reporting
-    /// `sim` start/finish events and the `sim` pool to `harness`.
-    /// Results come back in task order.
-    fn run_sims(&self, tasks: &[SimTask<'_>], harness: &Harness) -> Vec<Result<CachedSim, String>> {
-        let labels: Vec<String> = tasks.iter().map(|t| t.label.clone()).collect();
-        let (sims, pool) = parallel_map_observed(
-            tasks,
+    /// The one simulation fan-out: runs every functional group over
+    /// the engine's workers, each member through the result cache
+    /// under its own key ([`SimResultCache::get_or_run_group`]), and
+    /// reports every member's `sim` start/finish events and the `sim`
+    /// pool to `harness`. Results come back in task order, with the
+    /// (baseline, CCR) functional runs executed.
+    fn run_sims(
+        &self,
+        tasks: &[SimTask<'_>],
+        groups: &[Vec<usize>],
+        harness: &Harness,
+    ) -> (Vec<Result<CachedSim, String>>, (u64, u64)) {
+        let labels: Vec<String> = groups
+            .iter()
+            .map(|g| match g.len() {
+                1 => tasks[g[0]].label.clone(),
+                n => format!("{}+{}", tasks[g[0]].label, n - 1),
+            })
+            .collect();
+        let (base_runs, ccr_runs) = (Counter::default(), Counter::default());
+        let (outs, pool) = parallel_map_observed(
+            groups,
             self.jobs,
             Some(&labels),
             harness.observer(),
-            |_, task| {
-                harness.task_start("sim", &task.label);
-                let out = self.result_cache.get_or_run(&task.key, || task.run());
-                if let Ok(c) = &out {
-                    harness.task_finish(
-                        "sim",
-                        &task.label,
-                        c.wall_ms,
-                        Some(c.outcome.stats.cycles),
-                    );
+            |_, group| {
+                let members: Vec<&SimTask<'_>> = group.iter().map(|&i| &tasks[i]).collect();
+                for task in &members {
+                    harness.task_start("sim", &task.label);
                 }
-                out
+                let keys: Vec<&str> = members.iter().map(|t| t.key.as_str()).collect();
+                let outs = self.result_cache.get_or_run_group(&keys, |todo| {
+                    let runs = match members[0].crb {
+                        None => &base_runs,
+                        Some(_) => &ccr_runs,
+                    };
+                    runs.inc();
+                    let todo: Vec<&SimTask<'_>> = todo.iter().map(|&m| members[m]).collect();
+                    run_group(&todo)
+                });
+                for (task, out) in members.iter().zip(&outs) {
+                    if let Ok(c) = out {
+                        let cycles = Some(c.outcome.stats.cycles);
+                        harness.task_finish("sim", &task.label, c.wall_ms, cycles);
+                    }
+                }
+                outs
             },
         );
         harness.pool("sim", &pool);
-        sims
+        let mut sims: Vec<Option<Result<CachedSim, String>>> = vec![None; tasks.len()];
+        for (group, outs) in groups.iter().zip(outs) {
+            for (&i, out) in group.iter().zip(outs) {
+                sims[i] = Some(out);
+            }
+        }
+        let sims = sims.into_iter().map(|s| s.expect("every task grouped"));
+        (sims.collect(), (base_runs.get(), ccr_runs.get()))
     }
 }
 
-/// One simulation work item of [`Engine::run_sims`]: the program and
-/// hardware to simulate, the result-cache key it memoizes under, and
-/// its harness task label.
+/// One simulation work item: the program and hardware to simulate,
+/// the result-cache key it memoizes under, and its harness task label.
 struct SimTask<'a> {
     name: &'static str,
     label: String,
     key: String,
+    /// The compile unit whose program this simulates.
+    compile_key: &'a str,
     program: &'a Program,
     machine: &'a MachineConfig,
     crb: Option<CrbConfig>,
@@ -647,22 +760,86 @@ struct SimTask<'a> {
     fingerprint_window: Option<u64>,
 }
 
-impl SimTask<'_> {
-    /// Simulates the task, timing it on the host.
-    fn run(&self) -> Result<CachedSim, String> {
-        let start = Instant::now();
-        let window = self.fingerprint_window;
-        let mut session = SimSession::new(self.program, self.machine, self.crb, self.emu, window);
-        session
-            .run_to_end()
-            .map_err(|e| format!("{}: {e}", self.name))?;
-        let fingerprint = (session.final_hash()).map_or_else(String::new, |h| format!("{h:016x}"));
-        Ok(CachedSim {
-            outcome: session.into_outcome(),
-            wall_ms: start.elapsed().as_millis() as u64,
-            fingerprint,
-        })
+/// Groups `tasks` by functional key, in first-encounter order: the
+/// simulated program, the emulator limits and the CRB fields. No
+/// machine field is in the key: neither the emulator nor the buffer
+/// reads the machine, so a group's members differ only in timing and
+/// one functional run serves them all. Programs are told apart by
+/// equality, once per compile unit and build, against the distinct
+/// programs of the same workload seen so far. Fingerprinted tasks stay
+/// groups of one: a fingerprint folds one pipeline's state.
+fn functional_groups(tasks: &[SimTask<'_>], fingerprinted: bool) -> Vec<Vec<usize>> {
+    if fingerprinted {
+        return (0..tasks.len()).map(|i| vec![i]).collect();
     }
+    let mut distinct: Vec<(&str, &Program)> = Vec::new();
+    let mut program_of: HashMap<(&str, bool), usize> = HashMap::new();
+    let mut index = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, task) in tasks.iter().enumerate() {
+        let program = *program_of
+            .entry((task.compile_key, task.crb.is_none()))
+            .or_insert_with(|| {
+                let same = |(name, p): &(&str, &Program)| *name == task.name && *p == task.program;
+                distinct.iter().position(same).unwrap_or_else(|| {
+                    distinct.push((task.name, task.program));
+                    distinct.len() - 1
+                })
+            });
+        let crb = task.crb.map(|c| hash_fields(&c.fields()));
+        let key = (program, task.emu.max_instrs, task.emu.max_depth, crb);
+        let g = *index.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+    groups
+}
+
+/// Simulates `members` (one functional group) in one session, timing
+/// it on the host: one pipeline per distinct machine, shared by the
+/// members that name equal machines. Each member's `wall_ms` is its
+/// equal share of the group's host time, the remainder going to the
+/// first members, so the shares sum to the group's time.
+fn run_group(members: &[&SimTask<'_>]) -> Result<Vec<CachedSim>, String> {
+    let start = Instant::now();
+    let first = members[0];
+    let mut machines: Vec<MachineConfig> = Vec::new();
+    let mut machine_keys: Vec<String> = Vec::new();
+    let slots: Vec<usize> = members
+        .iter()
+        .map(|t| {
+            let key = hash_fields(&t.machine.fields());
+            machine_keys
+                .iter()
+                .position(|k| *k == key)
+                .unwrap_or_else(|| {
+                    machines.push(*t.machine);
+                    machine_keys.push(key);
+                    machines.len() - 1
+                })
+        })
+        .collect();
+    let window = first.fingerprint_window;
+    let mut session =
+        SimSession::with_machines(first.program, &machines, first.crb, first.emu, window)?;
+    session
+        .run_to_end()
+        .map_err(|e| format!("{}: {e}", first.name))?;
+    let fingerprint = (session.final_hash()).map_or_else(String::new, |h| format!("{h:016x}"));
+    let outcomes = session.into_outcomes();
+    let total = start.elapsed().as_millis() as u64;
+    let n = members.len() as u64;
+    Ok(slots
+        .iter()
+        .zip(0..)
+        .map(|(&slot, k)| CachedSim {
+            outcome: outcomes[slot].clone(),
+            wall_ms: total / n + u64::from(k < total % n),
+            fingerprint: fingerprint.clone(),
+        })
+        .collect())
 }
 
 /// The result-cache key of a planned simulation unit: the planner's
@@ -672,5 +849,74 @@ fn result_cache_key(unit_key: &str, fingerprint_window: Option<u64>) -> String {
     match fingerprint_window {
         None => format!("{unit_key}|fp:none"),
         Some(w) => format!("{unit_key}|fp:{w}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ccr_profile::RunOutcome;
+    use ccr_sim::SimStats;
+    use std::sync::mpsc;
+
+    fn sim_of(cycles: u64) -> CachedSim {
+        CachedSim {
+            outcome: SimOutcome {
+                run: RunOutcome {
+                    returned: Vec::new(),
+                    dyn_instrs: 0,
+                    skipped_instrs: 0,
+                    reuse_hits: 0,
+                    reuse_misses: 0,
+                    memory_digest: 0,
+                },
+                stats: SimStats {
+                    cycles,
+                    ..SimStats::default()
+                },
+            },
+            wall_ms: 1,
+            fingerprint: String::new(),
+        }
+    }
+
+    #[test]
+    fn a_member_in_flight_elsewhere_is_waited_for_after_the_own_claims() {
+        let cache = SimResultCache::new(8);
+        let (started_tx, started) = mpsc::channel();
+        let (go, go_rx) = mpsc::channel::<()>();
+        let (computed_tx, computed) = mpsc::channel();
+        let cache = &cache;
+        std::thread::scope(|scope| {
+            // One caller claims `k1` and holds it until told to go.
+            let first = scope.spawn(move || {
+                cache.get_or_run_group(&["k1"], |_| {
+                    started_tx.send(()).expect("test is listening");
+                    go_rx.recv().expect("test sends go");
+                    Ok(vec![sim_of(1)])
+                })
+            });
+            started.recv().expect("the first caller claims k1");
+            // The second caller's group is `k0` (free) and `k1` (in
+            // flight): it computes `k0` alone, then waits out `k1`.
+            let second = scope.spawn(move || {
+                cache.get_or_run_group(&["k0", "k1"], |todo| {
+                    computed_tx.send(todo.to_vec()).expect("test is listening");
+                    Ok(todo.iter().map(|_| sim_of(0)).collect())
+                })
+            });
+            assert_eq!(computed.recv().expect("k0 computed"), vec![0]);
+            go.send(()).expect("the first caller waits");
+            let first = first.join().expect("first caller");
+            let second = second.join().expect("second caller");
+            assert_eq!(first[0].as_ref().unwrap().outcome.stats.cycles, 1);
+            let cycles: Vec<u64> = second
+                .iter()
+                .map(|r| r.as_ref().unwrap().outcome.stats.cycles)
+                .collect();
+            assert_eq!(cycles, [0, 1], "k1 is the first caller's result");
+        });
+        assert!(computed.try_recv().is_err(), "k1 ran once");
+        assert_eq!((cache.misses(), cache.hits()), (2, 1));
     }
 }

@@ -817,6 +817,8 @@ pub struct Executed<'s> {
     pub(crate) cache: (u64, u64),
     /// Value profiles (run, reused) delta for the run.
     pub(crate) profiles: (u64, u64),
+    /// Functional runs (baseline, CCR) the run executed.
+    pub(crate) functional_runs: (u64, u64),
 }
 
 /// Identity of one unique CCR sweep point, kept by the executor so
@@ -842,6 +844,15 @@ impl<'s> Executed<'s> {
     /// another compile's profile.
     pub fn profile_stats(&self) -> (u64, u64) {
         self.profiles
+    }
+
+    /// Functional runs `(baseline, CCR)` the run executed: one
+    /// emulation per functional group with a member to simulate, each
+    /// feeding the pipelines of all its members' machines (see
+    /// [`crate::Engine::execute_plan`]). On a fresh engine, at most
+    /// the plan's `unique_sims`.
+    pub fn functional_runs(&self) -> (u64, u64) {
+        self.functional_runs
     }
 
     /// The one builder of a measured point: `name`'s compile and its
@@ -1065,6 +1076,130 @@ mod tests {
         assert_eq!(fourth.result_cache().hits(), 2, "both units restored");
         assert_eq!(summary_view(&third.records()), summary_view(&out.records()),);
 
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// One workload on three machines that differ only in timing (the
+    /// branch misprediction penalty): one baseline and one CCR
+    /// functional group of three members each.
+    fn group_spec() -> ExperimentSpec {
+        ExperimentSpec {
+            name: "group_tiny",
+            output: "group_tiny",
+            title: "functional-group engine tests",
+            scenarios: [4, 8, 16]
+                .into_iter()
+                .map(|mispredict_penalty| {
+                    let machine = MachineConfig {
+                        mispredict_penalty,
+                        ..MachineConfig::paper()
+                    };
+                    let region = RegionConfig::paper();
+                    Scenario::new(
+                        "penalty",
+                        InputSet::Train,
+                        &region,
+                        &machine,
+                        CrbConfig::paper(),
+                    )
+                })
+                .collect(),
+            ..tiny_spec()
+        }
+    }
+
+    /// The journal's keys, in line order.
+    fn journal_keys(text: &str) -> Vec<String> {
+        let key = |l: &str| value::parse(l).unwrap().str_field("key").to_string();
+        text.lines().map(key).collect()
+    }
+
+    #[test]
+    fn a_partly_journaled_group_simulates_only_its_missing_members() {
+        let spec = group_spec();
+        let plan = plan(&[&spec]);
+        let harness = Harness::disabled();
+        let path = temp_file("partial-group.ckpt.jsonl");
+        let engine = Engine::new(1);
+        let full = engine
+            .execute_plan(&plan, &harness, Some(&path), None)
+            .unwrap();
+        assert_eq!(full.functional_runs(), (1, 1), "two groups of three");
+        // Each member equals its point run alone (groups of one), and
+        // the machines tell the members apart.
+        let records = full.records();
+        for (sc, record) in spec.scenarios.iter().zip(&records) {
+            let alone = &Engine::new(1)
+                .run_selected(&ONE_WORKLOAD, sc, &harness)
+                .unwrap()[0];
+            let m = &alone.measurement;
+            let cycles = (m.base.stats.cycles, m.ccr.stats.cycles);
+            assert_eq!(cycles, (record.base_cycles, record.ccr_cycles));
+        }
+        assert!(records[0].base_cycles < records[2].base_cycles);
+        assert!(records[0].ccr_cycles < records[2].ccr_cycles);
+        assert_eq!(
+            (engine.result_cache().misses(), engine.result_cache().hits()),
+            (6, 0)
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 6, "one line per member:\n{text}");
+
+        // Keep the first member of the baseline group and the first and
+        // last of the CCR group; drop the rest.
+        let kept: String = [0, 3, 5]
+            .iter()
+            .map(|&i| format!("{}\n", lines[i]))
+            .collect();
+        std::fs::write(&path, &kept).unwrap();
+        let engine = Engine::new(1);
+        let resumed = engine
+            .execute_plan(&plan, &harness, Some(&path), None)
+            .unwrap();
+        let rc = engine.result_cache();
+        assert_eq!(
+            (rc.misses(), rc.hits()),
+            (3, 3),
+            "only the missing members run"
+        );
+        assert_eq!(
+            resumed.functional_runs(),
+            (1, 1),
+            "one run per partial group"
+        );
+        let after = std::fs::read_to_string(&path).unwrap();
+        let mut appended = journal_keys(&after[kept.len()..]);
+        let mut missing: Vec<String> = [1, 2, 4]
+            .iter()
+            .map(|&i| journal_keys(lines[i])[0].clone())
+            .collect();
+        appended.sort();
+        missing.sort();
+        assert_eq!(
+            appended, missing,
+            "the journal gains exactly the missing members"
+        );
+
+        // Every record equals the uninterrupted run's. A point whose
+        // sims were both journaled keeps their recorded wall times; a
+        // re-simulated one is re-timed, so its wall column is left out.
+        let (a, b) = (
+            summary_view(&full.records()),
+            summary_view(&resumed.records()),
+        );
+        assert_eq!(a.len(), 3);
+        let strip = |row: &str| {
+            let mut cols: Vec<&str> = row.split(' ').collect();
+            cols.remove(cols.len() - 2);
+            cols.join(" ")
+        };
+        for (i, (a, b)) in a.iter().zip(&b).enumerate() {
+            match i {
+                0 => assert_eq!(a, b, "both sims of the first point were journaled"),
+                _ => assert_eq!(strip(a), strip(b)),
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -2,7 +2,7 @@
 //! cache and the simulation-result cache.
 
 use std::collections::HashSet;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use ccr_core::telemetry::Counter;
 
@@ -69,28 +69,68 @@ impl<S> SingleFlight<S> {
             }
             state = self.cv.wait(state).expect("single-flight lock");
         }
-        state.pending.insert(key.to_string());
-        self.misses.inc();
-        drop(state);
-        let _pending = Pending { flight: self, key };
+        let pending = self.claim(state, key);
         let result = compute();
         if let Ok(value) = &result {
-            insert(
-                &mut self.state.lock().expect("single-flight lock").store,
-                value,
-            );
+            pending.store(|s| insert(s, value));
         }
         result
     }
+
+    /// The non-blocking half of [`SingleFlight::get_or_run`], for a
+    /// caller that computes several keys at once: `lookup`'s hit for
+    /// `key` (a hit), else the key marked pending for this caller (a
+    /// miss), else [`Claim::Busy`] when another caller is computing it
+    /// (counted neither way: the caller looks it up again once its own
+    /// claims are released, so it never waits while holding one).
+    pub(crate) fn try_claim<'a, T>(
+        &'a self,
+        key: &'a str,
+        lookup: impl FnOnce(&mut S) -> Option<T>,
+    ) -> Claim<'a, S, T> {
+        let mut state = self.state.lock().expect("single-flight lock");
+        if let Some(hit) = lookup(&mut state.store) {
+            self.hits.inc();
+            return Claim::Ready(hit);
+        }
+        if state.pending.contains(key) {
+            return Claim::Busy;
+        }
+        Claim::Mine(self.claim(state, key))
+    }
+
+    /// Marks `key` pending for the caller and counts the miss.
+    fn claim<'a>(&'a self, mut state: MutexGuard<'_, Flight<S>>, key: &'a str) -> Pending<'a, S> {
+        state.pending.insert(key.to_string());
+        self.misses.inc();
+        Pending { flight: self, key }
+    }
+}
+
+/// What [`SingleFlight::try_claim`] found.
+pub(crate) enum Claim<'a, S, T> {
+    /// The key's stored value.
+    Ready(T),
+    /// The key is now pending for this caller.
+    Mine(Pending<'a, S>),
+    /// Another caller is computing the key.
+    Busy,
 }
 
 /// Clears a pending key and wakes its waiters when dropped — after the
 /// value is stored, after an error, and during unwinding if the
 /// computation panicked, so a panic cannot leave waiters blocked
 /// forever.
-struct Pending<'a, S> {
+pub(crate) struct Pending<'a, S> {
     flight: &'a SingleFlight<S>,
     key: &'a str,
+}
+
+impl<S> Pending<'_, S> {
+    /// Stores the computed value with `insert`, then releases the key.
+    pub(crate) fn store(self, insert: impl FnOnce(&mut S)) {
+        insert(&mut self.flight.state.lock().expect("single-flight lock").store);
+    }
 }
 
 impl<S> Drop for Pending<'_, S> {

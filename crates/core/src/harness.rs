@@ -483,6 +483,17 @@ impl Harness {
         shared.emit_line(w);
     }
 
+    /// Emits a `sim_groups` event: the functional runs (emulations) a
+    /// plan's simulation phase executed for its `sims` simulation
+    /// units, each run feeding one pipeline per machine of its group.
+    pub fn sim_groups(&self, functional_runs: u64, sims: u64) {
+        let Some(shared) = &self.shared else { return };
+        let mut w = shared.line_begin("sim_groups");
+        w.key("functional_runs").u64_val(functional_runs);
+        w.key("sims").u64_val(sims);
+        shared.emit_line(w);
+    }
+
     /// Records the value-profile counters of the compile cache's first
     /// stage (cumulative for the run) for the `harness_summary` event.
     pub fn value_profiles(&self, run: u64, reused: u64) {

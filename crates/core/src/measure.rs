@@ -144,7 +144,9 @@ pub fn measure_with(
     let phase = |name: &'static str, program: &Program, crb, sink: &mut dyn TelemetrySink| {
         emit!(sink, "sim_begin", phase: name);
         let mut session = SimSession::new(program, machine, crb, emu, None);
-        session.narrate(sink, cfg);
+        session
+            .narrate(sink, cfg)
+            .expect("a one-machine session narrates");
         session.run_to_end()?;
         Ok(session.into_outcome())
     };

@@ -240,8 +240,12 @@ impl<'p> Emulator<'p> {
     {
         let mut run = self.start(sink);
         loop {
-            if let Some(out) = run.step(crb, sink)? {
-                return Ok(out);
+            // Tested in place: moving each step's result out of the
+            // `Result` would copy the outcome's bytes on every dynamic
+            // instruction.
+            let step = run.step(crb, sink);
+            if !matches!(step, Ok(None)) {
+                return step.map(|out| out.expect("a stopped run has its outcome"));
             }
         }
     }

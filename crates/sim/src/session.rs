@@ -19,6 +19,16 @@
 //!   [`TraceConfig::profile`] attributes every cycle.
 //! - **resumed** — [`SimSession::restore`] rebuilds a fingerprinted
 //!   session from a [`SimSnapshot`].
+//! - **multi-machine** — [`SimSession::with_machines`] given several
+//!   machines runs one functional execution (emulator plus buffer)
+//!   and feeds its events through a fan-out tee to one [`Pipeline`]
+//!   per machine; [`SimSession::into_outcomes`] returns one
+//!   [`SimOutcome`] per machine. Neither the emulator nor the buffer
+//!   reads the machine, so each outcome is bit-identical to a
+//!   one-machine session's (`crates/sim/tests/functional_runs.rs`
+//!   pins this). Narrated, fingerprinted, snapshotted and restored
+//!   sessions stay one-machine: asking a multi-machine session for any
+//!   of them is a one-line error.
 //!
 //! Every mode produces **bit-identical** [`crate::SimStats`], and a
 //! session restored from a mid-run snapshot completes with
@@ -28,9 +38,9 @@
 
 use std::collections::HashMap;
 
-use ccr_ir::{CodeLayout, Function, Op, Program};
+use ccr_ir::{BlockId, CodeLayout, FuncId, Function, Op, Program};
 use ccr_profile::{
-    CrbModel, EmuConfig, EmuError, EmuRun, Emulator, NullCrb, RunOutcome, TraceSink,
+    CrbModel, EmuConfig, EmuError, EmuRun, Emulator, ExecEvent, NullCrb, RunOutcome, TraceSink,
 };
 use ccr_telemetry::TelemetrySink;
 
@@ -109,7 +119,9 @@ pub fn simulate(
 pub struct SimSession<'p> {
     program: &'p Program,
     run: EmuRun<'p>,
-    pipeline: Pipeline,
+    /// One pipeline per machine, in the order the session was given
+    /// them; never empty.
+    pipelines: Vec<Pipeline>,
     buffer: Option<ReuseBuffer>,
     stream: Option<FingerprintStream>,
     narrator: Option<Narrator<'p>>,
@@ -136,10 +148,43 @@ impl<'p> SimSession<'p> {
         emu: EmuConfig,
         window: Option<u64>,
     ) -> SimSession<'p> {
-        let mut session = SimSession::build(program, machine, crb, emu, None)
-            .expect("a fresh session always starts");
+        SimSession::with_machines(program, std::slice::from_ref(machine), crb, emu, window)
+            .expect("a one-machine session always starts")
+    }
+
+    /// [`SimSession::new`] on several machines at once: one functional
+    /// run whose events reach one pipeline per machine, finished with
+    /// [`SimSession::into_outcomes`]. With one machine this is exactly
+    /// [`SimSession::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description when `machines` is empty, or
+    /// when a fingerprint window is asked of several machines (the
+    /// fingerprint folds one pipeline's state).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `window` is `Some(0)`.
+    pub fn with_machines(
+        program: &'p Program,
+        machines: &[MachineConfig],
+        crb: Option<CrbConfig>,
+        emu: EmuConfig,
+        window: Option<u64>,
+    ) -> Result<SimSession<'p>, String> {
+        let n = machines.len();
+        if n == 0 {
+            return Err("a session needs at least one machine".to_string());
+        }
+        if n > 1 && window.is_some() {
+            return Err(format!(
+                "a fingerprinted session simulates one machine, not {n}"
+            ));
+        }
+        let mut session = SimSession::build(program, machines, crb, emu, None)?;
         session.stream = window.map(FingerprintStream::new);
-        session
+        Ok(session)
     }
 
     /// Rebuilds a session from a mid-run snapshot, fingerprinted under
@@ -161,28 +206,36 @@ impl<'p> SimSession<'p> {
         emu: EmuConfig,
         snap: &SimSnapshot,
     ) -> Result<SimSession<'p>, String> {
-        SimSession::build(program, machine, crb, emu, Some(snap))
+        SimSession::build(program, std::slice::from_ref(machine), crb, emu, Some(snap))
     }
 
-    /// The one composition of emulator, pipeline and buffer: fresh
-    /// from cycle 0, or from `snap` (with its fingerprint stream).
+    /// The one composition of emulator, pipelines and buffer: fresh
+    /// from cycle 0 on every machine, or from `snap` (with its
+    /// fingerprint stream) on the one machine [`SimSession::restore`]
+    /// passes.
     fn build(
         program: &'p Program,
-        machine: &MachineConfig,
+        machines: &[MachineConfig],
         crb: Option<CrbConfig>,
         emu: EmuConfig,
         snap: Option<&SimSnapshot>,
     ) -> Result<SimSession<'p>, String> {
         let layout = CodeLayout::of(program);
         let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
-        let (run, pipeline, buffer, stream) = match snap {
+        let (run, pipelines, buffer, stream) = match snap {
             None => {
-                let mut pipeline = Pipeline::new(*machine, layout);
-                let run = emulator.start(&mut pipeline);
-                (run, pipeline, crb.map(ReuseBuffer::new), None)
+                let mut pipelines: Vec<Pipeline> = machines
+                    .iter()
+                    .map(|m| Pipeline::new(*m, layout.clone()))
+                    .collect();
+                let run = match pipelines.as_mut_slice() {
+                    [pipeline] => emulator.start(pipeline),
+                    all => emulator.start(&mut Tee(all)),
+                };
+                (run, pipelines, crb.map(ReuseBuffer::new), None)
             }
             Some(snap) => {
-                let pipeline = Pipeline::restore(*machine, layout, &snap.pipeline)?;
+                let pipeline = Pipeline::restore(machines[0], layout, &snap.pipeline)?;
                 let run = emulator.resume(&snap.emu)?;
                 let buffer = match (crb, &snap.crb) {
                     (Some(config), Some(cs)) => {
@@ -202,13 +255,13 @@ impl<'p> SimSession<'p> {
                 };
                 let fp = &snap.fingerprint;
                 let stream = FingerprintStream::restore(fp.window, fp.hash, fp.windows.clone())?;
-                (run, pipeline, buffer, Some(stream))
+                (run, vec![pipeline], buffer, Some(stream))
             }
         };
         Ok(SimSession {
             program,
             run,
-            pipeline,
+            pipelines,
             buffer,
             stream,
             narrator: None,
@@ -231,22 +284,38 @@ impl<'p> SimSession<'p> {
     /// Timing is identical either way: the narrator only observes what
     /// the pipeline has already seen.
     ///
+    /// # Errors
+    ///
+    /// Returns a one-line description on a multi-machine session (the
+    /// narration follows one pipeline).
+    ///
     /// # Panics
     ///
     /// Panics unless called before the first step of a fresh session,
     /// or if `cfg.window` (or, profiled, `cfg.sample_period`) is zero.
-    pub fn narrate(&mut self, sink: &'p mut dyn TelemetrySink, cfg: &TraceConfig) {
+    pub fn narrate(
+        &mut self,
+        sink: &'p mut dyn TelemetrySink,
+        cfg: &TraceConfig,
+    ) -> Result<(), String> {
+        let [pipeline] = self.pipelines.as_mut_slice() else {
+            return Err(format!(
+                "a narrated session simulates one machine, not {}",
+                self.pipelines.len()
+            ));
+        };
         assert_eq!(self.run.dyn_instrs(), 0, "narration starts with the run");
         if cfg.profile {
-            self.pipeline.enable_profiling(function_names(self.program));
+            pipeline.enable_profiling(function_names(self.program));
         }
         if !sink.enabled() && !cfg.profile {
-            return;
+            return Ok(());
         }
         if let Some(buffer) = self.buffer.as_mut() {
             buffer.set_event_logging(sink.enabled());
         }
         self.narrator = Some(Narrator::new(self.program, sink, cfg));
+        Ok(())
     }
 
     /// True once the program has returned.
@@ -255,9 +324,9 @@ impl<'p> SimSession<'p> {
     }
 
     /// Simulated cycles so far (the quantity window boundaries are
-    /// measured against).
+    /// measured against), on the session's first machine.
     pub fn cycles_so_far(&self) -> u64 {
-        self.pipeline.cycles_so_far()
+        self.pipelines[0].cycles_so_far()
     }
 
     /// The sealed window chain so far (empty without a fingerprint
@@ -287,7 +356,7 @@ impl<'p> SimSession<'p> {
         assert!(!self.finished(), "step after the run finished");
         let out = self.advance(false)?;
         if let Some(stream) = self.stream.as_mut() {
-            let (run, pipeline, buffer) = (&self.run, &self.pipeline, &self.buffer);
+            let (run, pipeline, buffer) = (&self.run, &self.pipelines[0], &self.buffer);
             let fold_state = |push: &mut dyn FnMut(u64)| {
                 run.fold_state(push);
                 pipeline.fold_state(push);
@@ -330,29 +399,37 @@ impl<'p> SimSession<'p> {
     ///
     /// Propagates emulator limit violations ([`EmuError`]).
     pub fn run_until_cycle(&mut self, cycle: u64) -> Result<(), EmuError> {
-        while !self.finished() && self.pipeline.cycles_so_far() < cycle {
+        while !self.finished() && self.cycles_so_far() < cycle {
             self.step()?;
         }
         Ok(())
     }
 
     /// Steps the emulator once, or until the program returns when
-    /// `to_end`, with the buffer (or [`NullCrb`]) as its reuse model
-    /// and the pipeline, narrated when asked, as its trace sink.
+    /// `to_end`, with the buffer (or [`NullCrb`]) as its reuse model.
+    /// One pipeline, narrated when asked, is the trace sink itself;
+    /// several are fed through the fan-out [`Tee`].
     fn advance(&mut self, to_end: bool) -> Result<Option<RunOutcome>, EmuError> {
-        let (run, pipeline) = (&mut self.run, &mut self.pipeline);
-        match (self.buffer.as_mut(), self.narrator.as_mut()) {
-            (Some(buffer), None) => drive(run, buffer, pipeline, to_end),
-            (None, None) => drive(run, &mut NullCrb, pipeline, to_end),
-            (Some(buffer), Some(narrator)) => {
+        let run = &mut self.run;
+        let buffer = self.buffer.as_mut();
+        match (
+            buffer,
+            self.narrator.as_mut(),
+            self.pipelines.as_mut_slice(),
+        ) {
+            (Some(buffer), None, [pipeline]) => drive(run, buffer, pipeline, to_end),
+            (None, None, [pipeline]) => drive(run, &mut NullCrb, pipeline, to_end),
+            (Some(buffer), Some(narrator), [pipeline]) => {
                 drive(run, buffer, &mut Narrated { pipeline, narrator }, to_end)
             }
-            (None, Some(narrator)) => drive(
+            (None, Some(narrator), [pipeline]) => drive(
                 run,
                 &mut NullCrb,
                 &mut Narrated { pipeline, narrator },
                 to_end,
             ),
+            (Some(buffer), _, all) => drive(run, buffer, &mut Tee(all), to_end),
+            (None, _, all) => drive(run, &mut NullCrb, &mut Tee(all), to_end),
         }
     }
 
@@ -364,19 +441,21 @@ impl<'p> SimSession<'p> {
     ///
     /// Returns a one-line description for a finished run (there is no
     /// state left to resume), a run without a fingerprint window (a
-    /// snapshot carries the chain so far), or a profiled run.
+    /// snapshot carries the chain so far, so this covers every
+    /// multi-machine session too), or a profiled run.
     pub fn snapshot(&self, workload: &str, config_hash: &str) -> Result<SimSnapshot, String> {
         if self.finished() {
             return Err("cannot snapshot a finished run".to_string());
         }
         let stream = (self.stream.as_ref())
             .ok_or_else(|| "cannot snapshot a run without a fingerprint window".to_string())?;
+        let pipeline = &self.pipelines[0];
         Ok(SimSnapshot {
             workload: workload.to_string(),
             config_hash: config_hash.to_string(),
-            cycle: self.pipeline.cycles_so_far(),
+            cycle: pipeline.cycles_so_far(),
             emu: self.run.snapshot(),
-            pipeline: self.pipeline.snapshot()?,
+            pipeline: pipeline.snapshot()?,
             crb: self
                 .buffer
                 .as_ref()
@@ -390,24 +469,48 @@ impl<'p> SimSession<'p> {
         })
     }
 
-    /// Finalizes a completed run into its [`SimOutcome`], ending the
-    /// narration (the CRB event log and the summaries) if one is on.
+    /// Finalizes a completed one-machine run into its [`SimOutcome`],
+    /// ending the narration (the CRB event log and the summaries) if
+    /// one is on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has not completed, or if the session has
+    /// several machines (use [`SimSession::into_outcomes`]).
+    pub fn into_outcome(self) -> SimOutcome {
+        assert_eq!(self.pipelines.len(), 1, "one outcome per machine");
+        let mut outcomes = self.into_outcomes();
+        outcomes.pop().expect("one machine")
+    }
+
+    /// Finalizes a completed run into one [`SimOutcome`] per machine,
+    /// in the order the session was given them: the functional outcome
+    /// and the buffer's statistics are shared, the timing is each
+    /// machine's own.
     ///
     /// # Panics
     ///
     /// Panics if the run has not completed.
-    pub fn into_outcome(self) -> SimOutcome {
+    pub fn into_outcomes(self) -> Vec<SimOutcome> {
         let run = self.outcome.expect("run completed");
-        let mut stats = self.pipeline.into_stats();
         let mut buffer = self.buffer;
-        if let Some(buffer) = &buffer {
-            stats.crb = buffer.stats();
-        }
+        let outcomes: Vec<SimOutcome> = (self.pipelines.into_iter())
+            .map(|pipeline| {
+                let mut stats = pipeline.into_stats();
+                if let Some(buffer) = &buffer {
+                    stats.crb = buffer.stats();
+                }
+                SimOutcome {
+                    run: run.clone(),
+                    stats,
+                }
+            })
+            .collect();
         if let Some(narrator) = self.narrator {
             let events = buffer.as_mut().map(ReuseBuffer::take_events);
-            narrator.finish(events.unwrap_or_default(), &stats);
+            narrator.finish(events.unwrap_or_default(), &outcomes[0].stats);
         }
-        SimOutcome { run, stats }
+        outcomes
     }
 
     /// Test hook: deterministically disturbs reuse-buffer state so
@@ -422,6 +525,36 @@ impl<'p> SimSession<'p> {
                 true
             }
             None => false,
+        }
+    }
+}
+
+/// The fan-out tee of a multi-machine session: every event reaches
+/// each machine's pipeline, in machine order.
+struct Tee<'a>(&'a mut [Pipeline]);
+
+impl TraceSink for Tee<'_> {
+    fn on_exec(&mut self, event: &ExecEvent<'_>) {
+        for pipeline in self.0.iter_mut() {
+            pipeline.on_exec(event);
+        }
+    }
+
+    fn on_block_enter(&mut self, func: FuncId, block: BlockId) {
+        for pipeline in self.0.iter_mut() {
+            pipeline.on_block_enter(func, block);
+        }
+    }
+
+    fn on_call(&mut self, caller: FuncId, callee: FuncId) {
+        for pipeline in self.0.iter_mut() {
+            pipeline.on_call(caller, callee);
+        }
+    }
+
+    fn on_ret(&mut self, from: FuncId) {
+        for pipeline in self.0.iter_mut() {
+            pipeline.on_ret(from);
         }
     }
 }
@@ -701,6 +834,36 @@ mod tests {
         plain.run_until_cycle(10).unwrap();
         let err = plain.snapshot("", "").unwrap_err();
         assert_eq!(err, "cannot snapshot a run without a fingerprint window");
+    }
+
+    #[test]
+    fn multi_machine_sessions_refuse_one_machine_modes() {
+        let p = annotated_program(50);
+        let (m, crb, emu) = paper();
+        let two = [m, MachineConfig::with_speculative_validation()];
+        let err = SimSession::with_machines(&p, &[], crb, emu, None).err();
+        assert_eq!(err.as_deref(), Some("a session needs at least one machine"));
+        let err = SimSession::with_machines(&p, &two, crb, emu, Some(64)).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("a fingerprinted session simulates one machine, not 2")
+        );
+        let mut s = SimSession::with_machines(&p, &two, crb, emu, None).unwrap();
+        let mut sink = ccr_telemetry::NullSink;
+        let err = s.narrate(&mut sink, &TraceConfig::default()).unwrap_err();
+        assert_eq!(err, "a narrated session simulates one machine, not 2");
+        s.run_until_cycle(100).unwrap();
+        let err = s.snapshot("", "").unwrap_err();
+        assert_eq!(err, "cannot snapshot a run without a fingerprint window");
+        s.run_to_end().unwrap();
+        let outcomes = s.into_outcomes();
+        assert_eq!(outcomes.len(), 2);
+        for (machine, got) in two.iter().zip(&outcomes) {
+            let want = simulate(&p, machine, crb, emu).unwrap();
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(got.run, want.run);
+        }
+        assert!(outcomes[1].stats.cycles <= outcomes[0].stats.cycles);
     }
 
     #[test]

@@ -358,7 +358,9 @@ mod tests {
     ) -> SimOutcome {
         let machine = MachineConfig::paper();
         let mut session = SimSession::new(p, &machine, crb, EmuConfig::default(), None);
-        session.narrate(sink, cfg);
+        session
+            .narrate(sink, cfg)
+            .expect("a one-machine session narrates");
         session.run_to_end().unwrap();
         session.into_outcome()
     }

@@ -64,7 +64,9 @@ fn narrated(
 ) -> SimOutcome {
     let machine = MachineConfig::paper();
     let mut session = SimSession::new(program, &machine, crb, EmuConfig::default(), None);
-    session.narrate(sink, cfg);
+    session
+        .narrate(sink, cfg)
+        .expect("a one-machine session narrates");
     session.run_to_end().expect("within limits");
     session.into_outcome()
 }

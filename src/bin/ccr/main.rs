@@ -409,24 +409,31 @@ fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
     run(&flags)
 }
 
-/// Runs `sims` — a command's baseline and CCR simulations of `spec`
-/// — as one `sim:{kind}:{spec}:{config}` task of `harness`, returning
-/// the measurement and its host time in milliseconds.
-fn sim_task(
+/// Runs `sims` — a command's simulations of `spec` — as one
+/// `sim:{kind}:{spec}:{config}` task of `harness`. `sims` returns its
+/// result and the cycles it simulated; `sim_task` returns the result
+/// and its host time in milliseconds.
+fn sim_task<T>(
     flags: &Flags,
     harness: &Harness,
     kind: &str,
     spec: &str,
-    sims: impl FnOnce() -> Result<Measurement, CliError>,
-) -> Result<(Measurement, u64), CliError> {
+    sims: impl FnOnce() -> Result<(T, u64), CliError>,
+) -> Result<(T, u64), CliError> {
     let label = format!("sim:{kind}:{spec}:{}", config_hash(flags));
     harness.task_start("sim", &label);
     let start = Instant::now();
-    let m = sims()?;
+    let (out, cycles) = sims()?;
     let wall_ms = start.elapsed().as_millis() as u64;
-    let cycles = m.base.stats.cycles + m.ccr.stats.cycles;
     harness.task_finish("sim", &label, wall_ms, Some(cycles));
-    Ok((m, wall_ms))
+    Ok((out, wall_ms))
+}
+
+/// A measurement with the cycles its baseline and CCR runs simulated,
+/// as [`sim_task`] takes it.
+fn measured(m: Measurement) -> (Measurement, u64) {
+    let cycles = m.base.stats.cycles + m.ccr.stats.cycles;
+    (m, cycles)
 }
 
 /// Builds the harness from `--progress` / `--no-progress` /

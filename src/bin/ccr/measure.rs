@@ -45,8 +45,9 @@ use ccr::workloads::NAMES;
 use ccr::{CompiledWorkload, Harness, Measurement};
 
 use crate::{
-    append_to_store, compile_target, file_stem, finish_harness, harness_of, record_timestamp,
-    replay, results, scenario_of, sim_task, target_of, usage_err, write_file, CliError, Flags,
+    append_to_store, compile_target, file_stem, finish_harness, harness_of, measured,
+    record_timestamp, replay, results, scenario_of, sim_task, target_of, usage_err, write_file,
+    CliError, Flags,
 };
 
 pub(crate) fn cmd_suite(flags: &Flags) -> Result<(), CliError> {
@@ -130,9 +131,9 @@ pub(crate) fn cmd_run(flags: &Flags) -> Result<(), CliError> {
             } = scenario_of(flags);
             let mut sink = ccr::telemetry::NullSink;
             let sims = || {
-                Ok(ccr::measure_with(
+                Ok(measured(ccr::measure_with(
                     &compiled, &machine, crb, emu, jobs, &trace, &mut sink,
-                )?)
+                )?))
             };
             sim_task(flags, &harness, "run", &spec, sims)?.0
         }
@@ -220,9 +221,9 @@ fn capture(
     ccr::emit_compile_events(&compiled.telemetry, &mut sink);
     let kind = if cfg.profile { "profile" } else { "run" };
     let (m, sim_wall_ms) = sim_task(flags, harness, kind, spec, || {
-        Ok(ccr::measure_with(
+        Ok(measured(ccr::measure_with(
             compiled, &machine, crb, emu, jobs, cfg, &mut sink,
-        )?)
+        )?))
     })?;
     sink.finish()
         .map_err(|e| format!("{}: {e}", events.display()))?;
@@ -485,6 +486,12 @@ pub(crate) fn cmd_exp(flags: &Flags) -> Result<(), CliError> {
     );
     let (profiles_run, profiles_reused) = executed.profile_stats();
     eprintln!("value profiles: {profiles_run} run, {profiles_reused} reused");
+    let (base_runs, ccr_runs) = executed.functional_runs();
+    eprintln!(
+        "functional runs: {} for {} sims ({base_runs} baseline + {ccr_runs} ccr)",
+        base_runs + ccr_runs,
+        plan.stats.unique_sims
+    );
     let harness_summary = finish_harness(&harness);
     for spec in &selected {
         let rendered = executed.results(spec).render();

@@ -35,8 +35,8 @@ use ccr_analyze::{format_hash, DigestFile};
 use ccr_bench::exp::Scenario;
 
 use crate::{
-    compile_target, config_hash, file_stem, finish_harness, harness_of, scenario_of, sim_task,
-    usage_err, write_file, CliError, Flags,
+    compile_target, config_hash, file_stem, finish_harness, harness_of, measured, scenario_of,
+    sim_task, usage_err, write_file, CliError, Flags,
 };
 
 /// The fingerprint window in cycles: `--window` when given, the
@@ -467,14 +467,18 @@ fn cmd_snapshot_save(flags: &Flags) -> Result<(), CliError> {
         .at_cycle
         .ok_or_else(|| usage_err("snapshot save needs --at-cycle N"))?;
     let harness = harness_of(flags)?;
-    harness.plan(1, 0, &[]);
+    harness.plan(1, 1, &[]);
     let replay = Replay::compile(flags, spec, flags.input, flags.scale, &harness)?;
-    let mut session = replay.start(fingerprint_window(flags));
     let path = flags
         .out
         .clone()
         .unwrap_or_else(|| format!("{}.snap.jsonl", file_stem(spec)));
-    let snap = replay.save(&mut session, "--at-cycle", at, &path, &harness)?;
+    let (snap, _) = sim_task(flags, &harness, "snapshot", spec, || {
+        let mut session = replay.start(fingerprint_window(flags));
+        let snap = replay.save(&mut session, "--at-cycle", at, &path, &harness)?;
+        let cycles = snap.cycle;
+        Ok((snap, cycles))
+    })?;
     finish_harness(&harness);
     println!("workload   : {}", replay.workload);
     println!("cycle      : {}", snap.cycle);
@@ -493,10 +497,14 @@ fn cmd_snapshot_restore(flags: &Flags) -> Result<(), CliError> {
         .get(1)
         .ok_or_else(|| usage_err("snapshot restore needs <FILE>"))?;
     let harness = harness_of(flags)?;
-    harness.plan(1, 0, &[]);
+    harness.plan(1, 1, &[]);
     let (replay, snap) = Replay::load(flags, file, None, &harness)?;
-    let session = replay.restore(&snap, file, &harness)?;
-    let (outcome, fingerprint) = replay.finish(session, &harness)?;
+    let ((outcome, fingerprint), _) = sim_task(flags, &harness, "snapshot", &replay.spec, || {
+        let session = replay.restore(&snap, file, &harness)?;
+        let (outcome, fingerprint) = replay.finish(session, &harness)?;
+        let cycles = outcome.stats.cycles;
+        Ok(((outcome, fingerprint), cycles))
+    })?;
     finish_harness(&harness);
     println!(
         "resumed    : {} from cycle {} ({file})",
@@ -553,7 +561,7 @@ pub(crate) fn run_snapshotted(
         fingerprint = line;
         let sc = &replay.scenario;
         let base = ccr::sim::simulate(&replay.compiled.base, &sc.machine, None, sc.emu)?;
-        Ok(ccr::Measurement::checked(base, outcome))
+        Ok(measured(ccr::Measurement::checked(base, outcome)))
     })?;
     Ok((replay.compiled, m, fingerprint))
 }

@@ -715,6 +715,58 @@ fn run_records_its_compile_and_simulation_in_the_harness() {
 }
 
 #[test]
+fn snapshot_save_and_restore_record_their_simulation_in_the_harness() {
+    let dir = std::env::temp_dir().join("ccr-cli-snapshot-harness");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("bitcount.snap.jsonl");
+    let snap = snap.to_str().unwrap();
+    for (cmd, args) in [
+        (
+            "save",
+            &["bitcount", "--at-cycle", "1000", "--out", snap][..],
+        ),
+        ("restore", &[snap][..]),
+    ] {
+        let log = dir.join(format!("{cmd}.jsonl"));
+        let out = ccr()
+            .args(["snapshot", cmd])
+            .args(args)
+            .arg("--harness-out")
+            .arg(&log)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&log).unwrap();
+        let events: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.split("\"ev\":\"").nth(1)?.split('"').next())
+            .collect();
+        assert_eq!(events.first(), Some(&"plan"), "{cmd}: {text}");
+        for ev in ["compile_finish", "sim_start", "sim_finish"] {
+            assert_eq!(
+                events.iter().filter(|e| **e == ev).count(),
+                1,
+                "{cmd}: one {ev} in {text}"
+            );
+        }
+        assert!(
+            text.contains("\"label\":\"sim:snapshot:bitcount:"),
+            "{cmd}: {text}"
+        );
+        assert!(
+            text.contains("\"sims\":1,"),
+            "{cmd}: the plan counts one sim"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn checkpointed_exp_resumes_byte_identically() {
     let dir = std::env::temp_dir().join("ccr-cli-checkpoint");
     let _ = std::fs::remove_dir_all(&dir);

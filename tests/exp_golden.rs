@@ -166,7 +166,8 @@ fn point_summaries_flatten_each_unique_ccr_point_once() {
 #[test]
 fn full_registry_plan_pins_compile_profile_and_sim_counts() {
     let registry = specs::registry();
-    let stats = exp::plan(&registry.iter().collect::<Vec<_>>()).stats;
+    let plan = exp::plan(&registry.iter().collect::<Vec<_>>());
+    let stats = &plan.stats;
     assert_eq!(stats.unique_compiles, 117);
     // Every region configuration and both target inputs of a workload
     // share one value profile.
@@ -176,6 +177,19 @@ fn full_registry_plan_pins_compile_profile_and_sim_counts() {
     // speculative-validation machines reuse the paper baseline.
     assert_eq!(stats.base_sims, 65);
     assert_eq!(stats.unique_sims - stats.base_sims, 286);
+    if cfg!(debug_assertions) {
+        // Executing the registry is release-only, like the table tests.
+        return;
+    }
+    // Executed, the 351 sims take one functional run per distinct
+    // (program, emulator limits, CRB): one baseline build per workload
+    // and input, whatever the machine, and 164 CCR runs, since the
+    // 117 compiles yield fewer distinct annotated programs and the
+    // machine-only scenarios share theirs.
+    let executed = Engine::new(0)
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
+        .expect("known workloads, within limits");
+    assert_eq!(executed.functional_runs(), (26, 164));
 }
 
 #[test]
