@@ -19,7 +19,7 @@
 //! nanoseconds and every task's wall time under a caller-supplied
 //! stable label (workload × config-hash × phase), returning them as a
 //! [`PoolStats`] summary, and streams start/finish callbacks to an
-//! optional [`PoolObserver`] so a monitor thread can render live
+//! optional [`PoolObserver`] so the harness can render live
 //! progress. Observation is passive — it reads clocks and bumps
 //! counters around `f`, never inside it — so observed and unobserved
 //! maps produce identical results.
@@ -141,11 +141,16 @@ impl PoolStats {
         ranked
     }
 
-    /// Folds another pool's accounting into this one (worker lists
-    /// concatenate; task lists concatenate). Used by the harness to
-    /// summarize a run that maps more than once (compiles, then sims).
+    /// Folds another pool's accounting into this one. Used by the
+    /// harness to summarize a run that maps more than once (compiles,
+    /// then sims). `jobs` becomes the run's distinct workers — the
+    /// most any one map ran, where a map that ran no task adds none;
+    /// worker and task lists concatenate, so utilization weighs every
+    /// map's workers.
     pub fn merge(&mut self, other: &PoolStats) {
-        self.jobs = self.jobs.max(other.jobs);
+        if !other.tasks.is_empty() {
+            self.jobs = self.jobs.max(other.jobs);
+        }
         self.wall_ns += other.wall_ns;
         self.workers.extend(other.workers.iter().cloned());
         self.tasks.extend(other.tasks.iter().cloned());
@@ -480,6 +485,15 @@ mod tests {
         assert_eq!(a.tasks.len(), 12);
         assert_eq!(a.workers.len(), 5);
         assert_eq!(a.wall_ns, wall);
+        // An empty map runs one worker but adds none to the count.
+        let (_, mut c) = parallel_map_observed(&items, 1, None, None, |_, _| ());
+        let (_, empty) = parallel_map_observed(&[] as &[u64], 4, None, None, |_, _| ());
+        assert_eq!(empty.jobs, 1);
+        c.merge(&empty);
+        assert_eq!(c.jobs, 1);
+        let mut none = PoolStats::default();
+        none.merge(&empty);
+        assert_eq!(none.jobs, 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use ccr_ir::Program;
 use ccr_profile::{EmuConfig, EmuError, Emulator, NullCrb, PotentialStudy, ReusePotential};
 use ccr_sim::{CrbConfig, MachineConfig, SimOutcome, SimSession, TraceConfig};
-use ccr_telemetry::{emit, NullSink, RecordSink, TelemetrySink};
+use ccr_telemetry::{emit, NullSink, TelemetrySink};
 
 use crate::compile::CompiledWorkload;
 
@@ -79,8 +79,8 @@ impl Measurement {
 }
 
 /// Simulates a compiled workload on the baseline machine and on the
-/// same machine extended with a CRB, serially and unobserved: the
-/// [`measure_with`] defaults.
+/// same machine extended with a CRB, unobserved: the [`measure_with`]
+/// defaults.
 ///
 /// # Errors
 ///
@@ -101,28 +101,22 @@ pub fn measure(
         machine,
         crb,
         emu,
-        1,
         &TraceConfig::default(),
         &mut NullSink,
     )
 }
 
-/// [`measure`] with every knob: `jobs`, tracing and profiling.
-///
-/// - Each phase is one [`SimSession`] asked to narrate to `sink` (see
-///   [`SimSession::narrate`]): a `sim_begin` marker (`base`, then
-///   `ccr`), then the run's reuse timeline, interval IPC windows, CRB
-///   events and summaries. With a disabled `sink` and `cfg.profile`
-///   off the session runs plain. With `cfg.profile` on, the stats
-///   carry [`ccr_sim::Attribution`] blocks and the stream gains
-///   `cycle_sample` and per-miss `cause` events.
-/// - With `jobs > 1` the two phases run on scoped threads. Each
-///   narrates into its own [`RecordSink`], and the recordings are
-///   replayed into `sink` in serial order afterwards, so the delivered
-///   stream is byte-identical to a serial run's.
+/// [`measure`] with tracing and profiling: runs the baseline, then
+/// CCR, each as one [`SimSession`] asked to narrate to `sink` (see
+/// [`SimSession::narrate`]): a `sim_begin` marker (`base`, then
+/// `ccr`), then the run's reuse timeline, interval IPC windows, CRB
+/// events and summaries. With a disabled `sink` and `cfg.profile` off
+/// the session runs plain. With `cfg.profile` on, the stats carry
+/// [`ccr_sim::Attribution`] blocks and the stream gains
+/// `cycle_sample` and per-miss `cause` events.
 ///
 /// The statistics are identical to [`measure`]'s either way —
-/// telemetry and threads observe the simulation, they never steer it.
+/// telemetry observes the simulation, it never steers it.
 ///
 /// # Errors
 ///
@@ -137,7 +131,6 @@ pub fn measure_with(
     machine: &MachineConfig,
     crb: CrbConfig,
     emu: EmuConfig,
-    jobs: usize,
     cfg: &TraceConfig,
     sink: &mut dyn TelemetrySink,
 ) -> Result<Measurement, EmuError> {
@@ -150,26 +143,8 @@ pub fn measure_with(
         session.run_to_end()?;
         Ok(session.into_outcome())
     };
-    let (base, ccr) = if jobs <= 1 {
-        let base = phase("base", &compiled.base, None, &mut *sink)?;
-        (base, phase("ccr", &compiled.annotated, Some(crb), sink)?)
-    } else {
-        let record = sink.enabled();
-        let recorded = |name, program, crb| {
-            let mut rec = RecordSink::new();
-            let sink: &mut dyn TelemetrySink = if record { &mut rec } else { &mut NullSink };
-            (phase(name, program, crb, sink), rec)
-        };
-        let ((base, base_rec), (ccr, ccr_rec)) = std::thread::scope(|scope| {
-            let base = scope.spawn(|| recorded("base", &compiled.base, None));
-            let ccr = recorded("ccr", &compiled.annotated, Some(crb));
-            (base.join().expect("baseline simulation panicked"), ccr)
-        });
-        let (base, ccr) = (base?, ccr?);
-        base_rec.replay_into(sink);
-        ccr_rec.replay_into(sink);
-        (base, ccr)
-    };
+    let base = phase("base", &compiled.base, None, &mut *sink)?;
+    let ccr = phase("ccr", &compiled.annotated, Some(crb), sink)?;
     Ok(Measurement::checked(base, ccr))
 }
 
@@ -249,121 +224,68 @@ mod tests {
             profile: true,
             ..TraceConfig::default()
         };
-        let run = |jobs, cfg: &TraceConfig, sink: &mut dyn TelemetrySink| {
+        let run = |cfg: &TraceConfig, sink: &mut dyn TelemetrySink| {
             measure_with(
                 &cw,
                 &machine,
                 CrbConfig::paper(),
                 EmuConfig::default(),
-                jobs,
                 cfg,
                 sink,
             )
             .unwrap()
         };
-        for jobs in [1, 2] {
-            let a = run(jobs, &traced, &mut NullSink);
-            let mut jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
-            let b = run(jobs, &traced, &mut jsonl);
-            let c = run(jobs, &profiled, &mut NullSink);
-            let mut profiled_jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
-            let d = run(jobs, &profiled, &mut profiled_jsonl);
-            // Telemetry — disabled or fully materialized — must not
-            // move a single counter.
-            for m in [&a, &b, &c, &d] {
-                assert_eq!(plain.base.stats.cycles, m.base.stats.cycles);
-                assert_eq!(plain.base.stats.dyn_instrs, m.base.stats.dyn_instrs);
-                assert_eq!(plain.ccr.stats.cycles, m.ccr.stats.cycles);
-                assert_eq!(plain.ccr.stats.dyn_instrs, m.ccr.stats.dyn_instrs);
-                assert_eq!(plain.ccr.stats.skipped_instrs, m.ccr.stats.skipped_instrs);
-                assert_eq!(plain.ccr.stats.reuse_hits, m.ccr.stats.reuse_hits);
-                assert_eq!(plain.ccr.stats.reuse_misses, m.ccr.stats.reuse_misses);
-                assert_eq!(plain.ccr.stats.crb, m.ccr.stats.crb);
-                assert_eq!(plain.ccr.stats.regions, m.ccr.stats.regions);
-                assert_eq!(plain.ccr.run.returned, m.ccr.run.returned);
-            }
-            // The JSONL stream is well-formed: one versioned event per line.
-            let text = String::from_utf8(jsonl.into_inner()).unwrap();
-            assert!(text.lines().count() > 4, "expected a real event stream");
-            assert!(
-                text.lines().all(|l| l.starts_with("{\"v\":1,\"ev\":\"")),
-                "every event carries the schema version"
-            );
-            assert!(text.contains("\"ev\":\"sim_begin\""));
-            assert!(text.contains("\"ev\":\"reuse\""));
-            assert!(text.contains("\"ev\":\"ipc_window\""));
-            assert!(text.contains("\"ev\":\"sim_summary\""));
-            // The profiled stream stays at event schema v1 (additive) and
-            // carries the attribution extras.
-            let ptext = String::from_utf8(profiled_jsonl.into_inner()).unwrap();
-            assert!(
-                ptext.lines().all(|l| l.starts_with("{\"v\":1,\"ev\":\"")),
-                "profiled events stay at v1"
-            );
-            assert!(ptext.contains("\"ev\":\"cycle_sample\""));
-            assert!(ptext.contains("\"cause\":\""));
-            // And the profiled measurements carry conserved attributions,
-            // whether or not the sink materializes events.
-            for outcome in [&c.base, &c.ccr, &d.base, &d.ccr] {
-                let attr = outcome.stats.attribution.as_ref().expect("profiled");
-                assert_eq!(attr.total.total(), outcome.stats.cycles);
-            }
-            for m in [&a, &b] {
-                assert!(
-                    m.base.stats.attribution.is_none(),
-                    "tracing alone does not attribute"
-                );
-            }
+        let a = run(&traced, &mut NullSink);
+        let mut jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
+        let b = run(&traced, &mut jsonl);
+        let c = run(&profiled, &mut NullSink);
+        let mut profiled_jsonl = ccr_telemetry::JsonlSink::new(Vec::new());
+        let d = run(&profiled, &mut profiled_jsonl);
+        // Telemetry — disabled or fully materialized — must not
+        // move a single counter.
+        for m in [&a, &b, &c, &d] {
+            assert_eq!(plain.base.stats.cycles, m.base.stats.cycles);
+            assert_eq!(plain.base.stats.dyn_instrs, m.base.stats.dyn_instrs);
+            assert_eq!(plain.ccr.stats.cycles, m.ccr.stats.cycles);
+            assert_eq!(plain.ccr.stats.dyn_instrs, m.ccr.stats.dyn_instrs);
+            assert_eq!(plain.ccr.stats.skipped_instrs, m.ccr.stats.skipped_instrs);
+            assert_eq!(plain.ccr.stats.reuse_hits, m.ccr.stats.reuse_hits);
+            assert_eq!(plain.ccr.stats.reuse_misses, m.ccr.stats.reuse_misses);
+            assert_eq!(plain.ccr.stats.crb, m.ccr.stats.crb);
+            assert_eq!(plain.ccr.stats.regions, m.ccr.stats.regions);
+            assert_eq!(plain.ccr.run.returned, m.ccr.run.returned);
         }
-    }
-
-    #[test]
-    fn parallel_measure_matches_serial_stats_and_stream() {
-        let p = build("124.m88ksim", InputSet::Train, 1).unwrap();
-        let cw = compile_ccr(&p, &p, &CompileConfig::paper()).unwrap();
-        let machine = MachineConfig::paper();
-        let run = |jobs, cfg: &TraceConfig, sink: &mut dyn TelemetrySink| {
-            measure_with(
-                &cw,
-                &machine,
-                CrbConfig::paper(),
-                EmuConfig::default(),
-                jobs,
-                cfg,
-                sink,
-            )
-            .unwrap()
-        };
-        let serial = measure(&cw, &machine, CrbConfig::paper(), EmuConfig::default()).unwrap();
-        let par = run(2, &TraceConfig::default(), &mut NullSink);
-        for (s, p) in [(&serial.base, &par.base), (&serial.ccr, &par.ccr)] {
-            assert_eq!(s.stats.cycles, p.stats.cycles);
-            assert_eq!(s.stats.dyn_instrs, p.stats.dyn_instrs);
-            assert_eq!(s.stats.skipped_instrs, p.stats.skipped_instrs);
-            assert_eq!(s.stats.reuse_hits, p.stats.reuse_hits);
-            assert_eq!(s.stats.reuse_misses, p.stats.reuse_misses);
-            assert_eq!(s.stats.crb, p.stats.crb);
-            assert_eq!(s.stats.regions, p.stats.regions);
-            assert_eq!(s.run.returned, p.run.returned);
+        // The JSONL stream is well-formed: one versioned event per line.
+        let text = String::from_utf8(jsonl.into_inner()).unwrap();
+        assert!(text.lines().count() > 4, "expected a real event stream");
+        assert!(
+            text.lines().all(|l| l.starts_with("{\"v\":1,\"ev\":\"")),
+            "every event carries the schema version"
+        );
+        assert!(text.contains("\"ev\":\"sim_begin\""));
+        assert!(text.contains("\"ev\":\"reuse\""));
+        assert!(text.contains("\"ev\":\"ipc_window\""));
+        assert!(text.contains("\"ev\":\"sim_summary\""));
+        // The profiled stream stays at event schema v1 (additive) and
+        // carries the attribution extras.
+        let ptext = String::from_utf8(profiled_jsonl.into_inner()).unwrap();
+        assert!(
+            ptext.lines().all(|l| l.starts_with("{\"v\":1,\"ev\":\"")),
+            "profiled events stay at v1"
+        );
+        assert!(ptext.contains("\"ev\":\"cycle_sample\""));
+        assert!(ptext.contains("\"cause\":\""));
+        // And the profiled measurements carry conserved attributions,
+        // whether or not the sink materializes events.
+        for outcome in [&c.base, &c.ccr, &d.base, &d.ccr] {
+            let attr = outcome.stats.attribution.as_ref().expect("profiled");
+            assert_eq!(attr.total.total(), outcome.stats.cycles);
         }
-        // Traced runs must deliver a byte-identical JSONL stream, plain
-        // and profiled: per-phase recordings replayed in serial order.
-        for profile in [false, true] {
-            let cfg = TraceConfig {
-                profile,
-                ..TraceConfig::default()
-            };
-            let mut serial_sink = ccr_telemetry::JsonlSink::new(Vec::new());
-            run(1, &cfg, &mut serial_sink);
-            let mut par_sink = ccr_telemetry::JsonlSink::new(Vec::new());
-            let m = run(2, &cfg, &mut par_sink);
-            assert_eq!(serial_sink.into_inner(), par_sink.into_inner());
-            if profile {
-                for outcome in [&m.base, &m.ccr] {
-                    let attr = outcome.stats.attribution.as_ref().expect("profiled");
-                    assert_eq!(attr.total.total(), outcome.stats.cycles);
-                }
-            }
+        for m in [&a, &b] {
+            assert!(
+                m.base.stats.attribution.is_none(),
+                "tracing alone does not attribute"
+            );
         }
     }
 

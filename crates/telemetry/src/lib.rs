@@ -5,14 +5,9 @@
 //! Lightweight, dependency-free observability plumbing shared by the
 //! compiler passes, the region former, and the timing simulator:
 //!
-//! * [`metrics::MetricsRegistry`] — a thread-safe registry of named
-//!   counters, gauges, and log₂-bucketed histograms; counters and
-//!   gauges are atomics behind lock-free [`metrics::Counter`] /
-//!   [`metrics::Gauge`] handles, with cheap point-in-time
-//!   [`metrics::MetricsSnapshot`]s,
-//! * [`monitor::Monitor`] — a background thread sampling a shared
-//!   registry on a fixed period (the live-progress backbone of the
-//!   experiment harness),
+//! * [`metrics::Counter`] — a lock-free shared counter, and
+//!   [`metrics::Histogram`] — a log₂-bucketed histogram with
+//!   percentile estimates,
 //! * [`event::Event`] + [`sink::TelemetrySink`] — a borrowed,
 //!   allocation-free event record fanned out to pluggable sinks:
 //!   [`sink::NullSink`] (zero-overhead default), [`sink::JsonlSink`]
@@ -35,16 +30,14 @@
 pub mod event;
 pub mod json;
 pub mod metrics;
-pub mod monitor;
 pub mod sink;
 pub mod table;
 pub mod value;
 
 pub use event::{Event, FieldValue};
 pub use json::JsonWriter;
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use monitor::{Monitor, MonitorSample};
-pub use sink::{JsonlSink, NullSink, RecordSink, SummarySink, TelemetrySink};
+pub use metrics::{Counter, Histogram};
+pub use sink::{JsonlSink, NullSink, SummarySink, TelemetrySink};
 pub use table::Table;
 
 /// Version of the emitted event / run-report schema. Bumped whenever

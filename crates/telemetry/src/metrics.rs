@@ -1,16 +1,11 @@
-//! Thread-safe named metrics: counters, gauges, and log₂ histograms.
+//! Metrics primitives: a shared atomic counter and log₂ histograms.
 //!
-//! Counters and gauges are plain atomics shared through cheap
-//! [`Counter`]/[`Gauge`] handles, so hot paths (a job-pool worker
-//! finishing a task, a simulation retiring) update them without
-//! taking a lock; the registry mutex is only held to register a name
-//! or take a [`MetricsSnapshot`]. The [`crate::monitor::Monitor`]
-//! thread samples a registry on a fixed period off exactly these
-//! snapshots.
+//! A [`Counter`] is a plain atomic behind a cheap cloneable handle, so
+//! hot paths (a cache lookup, a functional run starting on a pool
+//! worker) bump it without taking a lock.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Number of histogram buckets: one for zero plus one per power of
 /// two up to `u64::MAX`.
@@ -173,10 +168,8 @@ impl Histogram {
     }
 }
 
-/// A lock-free handle to one named counter in a [`MetricsRegistry`].
-/// Clones share the same underlying atomic; updates are visible to
-/// concurrent [`MetricsRegistry::snapshot`]s immediately. A
-/// `Counter::default()` belongs to no registry.
+/// A lock-free shared counter. Clones share the same underlying
+/// atomic.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -194,129 +187,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A lock-free handle to one named gauge (an `f64` stored as bits in
-/// an atomic). Last write wins.
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// A thread-safe registry of named metrics. Cheap to share by
-/// reference. Counters and gauges are atomics: the internal mutex is
-/// held only to register a name, hand out a [`Counter`]/[`Gauge`]
-/// handle, or snapshot — updates through a handle never lock, so
-/// job-pool workers can bump progress counters without contending.
-/// Histograms stay under the mutex (recorded at phase granularity,
-/// not per simulated instruction).
-#[derive(Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// A lock-free handle to counter `name` (created at zero).
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
-        Counter(Arc::clone(
-            inner.counters.entry(name.to_string()).or_default(),
-        ))
-    }
-
-    /// A lock-free handle to gauge `name` (created at 0.0).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
-        Gauge(Arc::clone(
-            inner
-                .gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0.0f64.to_bits()))),
-        ))
-    }
-
-    /// Adds `delta` to counter `name` (creating it at zero).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.counter(name).add(delta);
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.gauge(name).set(value);
-    }
-
-    /// Records `value` into histogram `name`.
-    pub fn histogram_record(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Takes a point-in-time copy of every metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics poisoned");
-        MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
-                .collect(),
-            histograms: inner.histograms.clone(),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`MetricsRegistry`]'s contents.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsSnapshot {
-    /// Monotone counters by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Last-written gauge values by name.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsSnapshot {
-    /// Counter value, or 0 when absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 }
 
@@ -447,55 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_round_trip() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("regions.accepted", 3);
-        reg.counter_add("regions.accepted", 2);
-        reg.gauge_set("sim.ipc", 1.25);
-        reg.histogram_record("crb.occupancy", 12);
-        reg.histogram_record("crb.occupancy", 900);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("regions.accepted"), 5);
-        assert_eq!(snap.counter("missing"), 0);
-        assert_eq!(snap.gauge("sim.ipc"), Some(1.25));
-        assert_eq!(snap.gauge("missing"), None);
-        assert_eq!(snap.histograms["crb.occupancy"].count(), 2);
-    }
-
-    #[test]
-    fn handles_are_lock_free_views_of_the_same_metric() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("sims.done");
-        let c2 = reg.counter("sims.done");
+    fn counter_clones_share_one_atomic() {
+        let c = Counter::default();
+        let c2 = c.clone();
         c.add(2);
         c2.inc();
-        assert_eq!(c.get(), 3, "clones share one atomic");
-        assert_eq!(reg.snapshot().counter("sims.done"), 3);
-        // Registry-path updates land in the same cell as handle updates.
-        reg.counter_add("sims.done", 4);
-        assert_eq!(c.get(), 7);
-
-        let g = reg.gauge("queue.depth");
-        assert_eq!(g.get(), 0.0, "gauges register at 0.0");
-        g.set(12.5);
-        assert_eq!(reg.gauge("queue.depth").get(), 12.5);
-        assert_eq!(reg.snapshot().gauge("queue.depth"), Some(12.5));
-        reg.gauge_set("queue.depth", -1.0);
-        assert_eq!(g.get(), -1.0);
-    }
-
-    #[test]
-    fn registry_is_shareable_across_threads() {
-        let reg = MetricsRegistry::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        reg.counter_add("n", 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(reg.snapshot().counter("n"), 4000);
+        assert_eq!(c.get(), 3);
+        assert_eq!(c2.get(), 3);
     }
 }

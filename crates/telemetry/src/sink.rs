@@ -166,103 +166,6 @@ impl<W: Write> TelemetrySink for JsonlSink<W> {
     }
 }
 
-/// An owned copy of one [`FieldValue`], so a recorded event can
-/// outlive the emit site's stack frame.
-#[derive(Clone, Debug, PartialEq)]
-enum OwnedFieldValue {
-    U64(u64),
-    I64(i64),
-    F64(f64),
-    Bool(bool),
-    Str(String),
-}
-
-/// An owned copy of one [`Event`].
-#[derive(Clone, Debug)]
-struct OwnedEvent {
-    kind: String,
-    fields: Vec<(String, OwnedFieldValue)>,
-}
-
-/// Buffers owned copies of every emitted event so a stream produced on
-/// one thread can later be replayed — in order — into another sink.
-///
-/// This is what lets the parallel harness trace the base and CCR
-/// simulations concurrently: each phase emits into its own
-/// `RecordSink`, and the phases are replayed into the real sink in
-/// serial order afterwards, producing a byte-identical stream to a
-/// fully serial run.
-#[derive(Clone, Debug, Default)]
-pub struct RecordSink {
-    events: Vec<OwnedEvent>,
-}
-
-impl RecordSink {
-    /// Creates an empty recorder.
-    pub fn new() -> RecordSink {
-        RecordSink::default()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Re-emits every recorded event, in recording order, into `sink`.
-    pub fn replay_into(&self, sink: &mut dyn TelemetrySink) {
-        if !sink.enabled() {
-            return;
-        }
-        for ev in &self.events {
-            let fields: Vec<(&str, FieldValue)> = ev
-                .fields
-                .iter()
-                .map(|(name, value)| {
-                    let v = match value {
-                        OwnedFieldValue::U64(v) => FieldValue::U64(*v),
-                        OwnedFieldValue::I64(v) => FieldValue::I64(*v),
-                        OwnedFieldValue::F64(v) => FieldValue::F64(*v),
-                        OwnedFieldValue::Bool(v) => FieldValue::Bool(*v),
-                        OwnedFieldValue::Str(v) => FieldValue::Str(v),
-                    };
-                    (name.as_str(), v)
-                })
-                .collect();
-            sink.emit(&Event {
-                kind: &ev.kind,
-                fields: &fields,
-            });
-        }
-    }
-}
-
-impl TelemetrySink for RecordSink {
-    fn emit(&mut self, event: &Event) {
-        self.events.push(OwnedEvent {
-            kind: event.kind.to_string(),
-            fields: event
-                .fields
-                .iter()
-                .map(|(name, value)| {
-                    let v = match value {
-                        FieldValue::U64(v) => OwnedFieldValue::U64(*v),
-                        FieldValue::I64(v) => OwnedFieldValue::I64(*v),
-                        FieldValue::F64(v) => OwnedFieldValue::F64(*v),
-                        FieldValue::Bool(v) => OwnedFieldValue::Bool(*v),
-                        FieldValue::Str(v) => OwnedFieldValue::Str(v.to_string()),
-                    };
-                    (name.to_string(), v)
-                })
-                .collect(),
-        });
-    }
-}
-
 /// Aggregates events in memory: a per-kind count plus sums of every
 /// numeric field, for quick end-of-run summaries and tests.
 #[derive(Clone, Debug, Default)]
@@ -401,37 +304,6 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         // … and the error is consumed: a second finish is clean.
         assert!(sink.finish().is_ok());
-    }
-
-    #[test]
-    fn record_sink_replays_a_byte_identical_stream() {
-        let mut direct = JsonlSink::new(Vec::new());
-        direct.emit(&sample());
-        direct.emit(&Event {
-            kind: "note",
-            fields: &[("msg", FieldValue::Str("a\"b"))],
-        });
-
-        let mut rec = RecordSink::new();
-        rec.emit(&sample());
-        rec.emit(&Event {
-            kind: "note",
-            fields: &[("msg", FieldValue::Str("a\"b"))],
-        });
-        assert_eq!(rec.len(), 2);
-        assert!(!rec.is_empty());
-        let mut replayed = JsonlSink::new(Vec::new());
-        rec.replay_into(&mut replayed);
-
-        assert_eq!(direct.into_inner(), replayed.into_inner());
-    }
-
-    #[test]
-    fn record_sink_skips_disabled_targets() {
-        let mut rec = RecordSink::new();
-        rec.emit(&sample());
-        let mut null = NullSink;
-        rec.replay_into(&mut null); // must not panic, must not emit
     }
 
     #[test]

@@ -84,7 +84,7 @@ const USAGE: &str = "usage:
   ccr suite [--input train|ref] [--scale N] [--entries E] [--instances C]
             [--jobs N]
   ccr run <benchmark|file.ccr> [--entries E] [--instances C] [--function-level]
-          [--telemetry DIR] [--jobs N]
+          [--telemetry DIR]
   ccr profile <benchmark|file.ccr> [--telemetry DIR] [--sample-period N]
               [--entries E] [--instances C] [--function-level] [--top N]
   ccr analyze <DIR> [--top N] [--out DIR]
@@ -335,10 +335,9 @@ fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
         "suite" => (&[TARGET, CONFIG, HARNESS, "--jobs"], |f| {
             ok(measure::cmd_suite(f))
         }),
-        "run" => (
-            &[TARGET, CONFIG, HARNESS, SNAPSHOT, "--jobs --telemetry"],
-            |f| ok(measure::cmd_run(f)),
-        ),
+        "run" => (&[TARGET, CONFIG, HARNESS, SNAPSHOT, "--telemetry"], |f| {
+            ok(measure::cmd_run(f))
+        }),
         "profile" => (
             &[
                 TARGET,
@@ -444,13 +443,12 @@ fn harness_of(flags: &Flags) -> Result<Harness, String> {
     let opts = ccr::HarnessOptions {
         progress: flags.progress,
         out: flags.harness_out.as_ref().map(std::path::PathBuf::from),
-        ..ccr::HarnessOptions::default()
     };
     Harness::start(&opts).map_err(|e| format!("harness: {e}"))
 }
 
-/// Ends a harnessed command: stops the monitor, emits the
-/// `harness_summary` event, and renders the summary to stderr (off
+/// Ends a harnessed command: takes the final `monitor` sample, emits
+/// the `harness_summary` event, and renders the summary to stderr (off
 /// when the harness is disabled, so undecorated runs stay silent).
 fn finish_harness(harness: &Harness) -> Option<ccr::HarnessSummary> {
     let summary = harness.finish()?;

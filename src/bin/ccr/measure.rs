@@ -122,31 +122,17 @@ pub(crate) fn cmd_run(flags: &Flags) -> Result<(), CliError> {
         return Ok(());
     }
     let compiled = compile_target(flags, &spec, flags.input, flags.scale, &harness)?;
-    let jobs = ccr::resolve_jobs(flags.jobs);
-    let trace = TraceConfig::default();
     let m = match &flags.telemetry {
         None => {
             let ccr_bench::exp::Scenario {
                 machine, crb, emu, ..
             } = scenario_of(flags);
-            let mut sink = ccr::telemetry::NullSink;
-            let sims = || {
-                Ok(measured(ccr::measure_with(
-                    &compiled, &machine, crb, emu, jobs, &trace, &mut sink,
-                )?))
-            };
+            let sims = || Ok(measured(ccr::measure(&compiled, &machine, crb, emu)?));
             sim_task(flags, &harness, "run", &spec, sims)?.0
         }
         Some(dir) => {
-            let cap = capture(
-                flags,
-                &spec,
-                &compiled,
-                Path::new(dir),
-                &trace,
-                jobs,
-                &harness,
-            )?;
+            let trace = TraceConfig::default();
+            let cap = capture(flags, &spec, &compiled, Path::new(dir), &trace, &harness)?;
             println!(
                 "telemetry : {} + {}",
                 cap.events.display(),
@@ -195,7 +181,6 @@ fn capture(
     compiled: &CompiledWorkload,
     dir: &Path,
     cfg: &TraceConfig,
-    jobs: usize,
     harness: &Harness,
 ) -> Result<Capture, CliError> {
     use ccr::telemetry::{Event, FieldValue, JsonlSink, TelemetrySink, SCHEMA_VERSION};
@@ -222,7 +207,7 @@ fn capture(
     let kind = if cfg.profile { "profile" } else { "run" };
     let (m, sim_wall_ms) = sim_task(flags, harness, kind, spec, || {
         Ok(measured(ccr::measure_with(
-            compiled, &machine, crb, emu, jobs, cfg, &mut sink,
+            compiled, &machine, crb, emu, cfg, &mut sink,
         )?))
     })?;
     sink.finish()
@@ -269,7 +254,7 @@ pub(crate) fn cmd_profile(flags: &Flags) -> Result<(), CliError> {
         sample_period: flags.sample_period,
         ..TraceConfig::default()
     };
-    let cap = capture(flags, &spec, &compiled, dir, &cfg, 1, &harness)?;
+    let cap = capture(flags, &spec, &compiled, dir, &cfg, &harness)?;
     finish_harness(&harness);
 
     // Read the capture back through the same path `ccr analyze` uses:

@@ -256,7 +256,6 @@ pub fn run(opts: &ServeOptions) -> Result<ServeSummary, String> {
     let harness = Harness::start(&HarnessOptions {
         progress: ProgressMode::Off,
         out: opts.harness_out.clone(),
-        ..HarnessOptions::default()
     })
     .map_err(|e| format!("harness: {e}"))?;
     let session = Arc::new(Session {

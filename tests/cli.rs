@@ -628,6 +628,10 @@ fn flags_a_command_would_ignore_are_usage_errors() {
             "--window needs --fingerprint",
         ),
         (
+            &["run", "bitcount", "--jobs", "2"][..],
+            "`ccr run` does not take --jobs",
+        ),
+        (
             &["snapshot", "restore", "b.snap", "--at-cycle", "9"][..],
             "`ccr snapshot restore` does not take --at-cycle",
         ),

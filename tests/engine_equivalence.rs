@@ -194,7 +194,6 @@ fn a_selections_host_time_is_its_two_sims() {
     let harness = ccr::Harness::start(&ccr::HarnessOptions {
         progress: ccr::ProgressMode::Off,
         out: Some(out.clone()),
-        ..ccr::HarnessOptions::default()
     })
     .unwrap();
     let runs = Engine::new(2)

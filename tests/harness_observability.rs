@@ -3,7 +3,7 @@
 //! Three things are pinned here:
 //!
 //! 1. **Bit-identity**: running an experiment with the harness live —
-//!    monitor thread sampling, progress rendering, harness.jsonl
+//!    task-boundary sampling, progress rendering, harness.jsonl
 //!    sink — produces exactly the same simulated statistics and
 //!    rendered tables as running with the harness disabled. The
 //!    harness only reads clocks, bumps atomics, and writes to stderr
@@ -24,7 +24,9 @@
 //!    ```
 //! 3. **Summary accounting**: the `harness_summary` event and the
 //!    returned [`ccr::HarnessSummary`] agree with the work actually
-//!    done (compiles, sims, cache traffic, utilization in (0, 100]).
+//!    done (compiles, sims, cache traffic, distinct workers,
+//!    utilization in (0, 100]), and a finished run's final `monitor`
+//!    sample shows every planned unit started and an empty queue.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -84,9 +86,6 @@ fn live_harness(out: &Path) -> ccr::Harness {
     let opts = ccr::HarnessOptions {
         progress: ccr::ProgressMode::Off,
         out: Some(out.to_path_buf()),
-        // Sample fast so even a quick tiny-spec run sees the monitor
-        // thread fire mid-flight, not just the final sample.
-        period_ms: 5,
     };
     ccr::Harness::start(&opts).unwrap()
 }
@@ -149,6 +148,62 @@ fn tiny_exp_is_bit_identical_with_the_harness_live() {
         summary.utilization_pct
     );
     assert!(!summary.stragglers.is_empty());
+    // Two workers ran the prep map and the sim map: the summary counts
+    // distinct workers, not the workers of each map summed.
+    assert_eq!(summary.workers, 2);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_finished_run_samples_an_empty_queue() {
+    // Two scenarios that differ only in machine width: each workload's
+    // baseline and CCR sims form two-member functional groups (one
+    // emulation feeding two pipelines), so the sim map runs fewer pool
+    // items than there are sim units.
+    let mut spec = tiny_spec("tiny_queue");
+    let wide = MachineConfig {
+        issue_width: 8,
+        ..MachineConfig::paper()
+    };
+    spec.scenarios.push(exp::Scenario::new(
+        "wide",
+        InputSet::Train,
+        &RegionConfig::paper(),
+        &wide,
+        CrbConfig::paper(),
+    ));
+    let plan = exp::plan(&[&spec]);
+    let dir = temp_dir("ccr-harness-queue-test");
+    let out = dir.join("harness.jsonl");
+    let harness = live_harness(&out);
+    let executed = Engine::new(2)
+        .execute_plan(&plan, &harness, None, None)
+        .expect("observed run succeeds");
+    let summary = harness.finish().expect("live harness yields a summary");
+    let (base_runs, ccr_runs) = executed.functional_runs();
+    assert_eq!(summary.sims, 8);
+    assert_eq!(base_runs + ccr_runs, 4, "sims share functional runs");
+
+    let text = std::fs::read_to_string(&out).unwrap();
+    let last = text
+        .lines()
+        .rfind(|l| l.contains("\"ev\":\"monitor\""))
+        .expect("a final sample");
+    let sample = ccr_analyze::value::parse(last).unwrap();
+    assert_eq!(sample.get("last").and_then(|v| v.as_bool()), Some(true));
+    let counters = sample.get("counters").expect("counters");
+    assert_eq!(
+        counters.u64_field("harness.tasks.started"),
+        counters.u64_field("harness.compiles.total") + counters.u64_field("harness.sims.total"),
+        "every planned unit started: {last}"
+    );
+    assert_eq!(counters.u64_field("harness.sims.total"), 8);
+    let depth = sample
+        .get("gauges")
+        .expect("gauges")
+        .f64_field("harness.queue.depth");
+    assert_eq!(depth, 0.0, "{last}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -204,7 +259,7 @@ fn harness_jsonl_schema_matches_the_committed_golden() {
     assert_eq!(events.iter().filter(|e| *e == "plan").count(), 1);
     assert!(
         events.iter().any(|e| e == "monitor"),
-        "monitor thread sampled"
+        "finish takes the final sample"
     );
 
     let mut rendered = String::new();

@@ -345,3 +345,21 @@ fn queue_is_drained_before_shutdown_completes() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_idle_server_samples_its_harness_only_at_shutdown() {
+    let dir = temp_dir("ccr-serve-idle-test");
+    let server = Server::start(&dir, 8, 2, None);
+    std::thread::sleep(std::time::Duration::from_millis(600));
+    let summary = server.stop();
+    assert_eq!(summary.requests, 0);
+    let log = std::fs::read_to_string(dir.join("serve.jsonl")).unwrap();
+    let monitors: Vec<&str> = log
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"monitor\""))
+        .collect();
+    assert_eq!(monitors.len(), 1, "only the final sample: {log}");
+    assert!(monitors[0].contains("\"last\":true"), "{log}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
