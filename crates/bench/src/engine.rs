@@ -4,7 +4,7 @@
 //!
 //! [`Engine`] is the one way to run the plan→compile→sim pipeline,
 //! and [`Engine::execute_plan`] is its one entry point: it runs a
-//! planned experiment sweep (`ccr exp`, `ccr fingerprint`, served
+//! planned experiment sweep (`ccr exp`, `ccr exp --fingerprint`, served
 //! experiment requests), and [`Engine::run_selected`] plans a workload
 //! selection under one [`Scenario`] (`ccr suite`, `ccr bench`, served
 //! point requests) and runs it through the same call. `ccr serve`
@@ -37,7 +37,8 @@
 //! differ only in machine knobs (the width study, the penalty and
 //! speculation ablations, the baselines) share one emulation, whose
 //! events feed one pipeline per machine, while each simulation keeps
-//! its own cache entry, journal line and harness events (see
+//! its own cache entry, journal line, harness events and, in a
+//! fingerprinted plan, its own fingerprint chain (see
 //! [`Engine::execute_plan`]).
 //!
 //! The one-shot paths (`ccr exp`, `ccr bench`, `ccr suite`,
@@ -435,7 +436,10 @@ impl Engine {
     /// `sim_start`/`sim_finish` events and its [`CachedSim`], whose
     /// `wall_ms` is an equal share of its group's host time (the
     /// remainder going to the first members, so the shares sum to the
-    /// group's time). Fingerprinted plans run groups of one.
+    /// group's time). Fingerprinted plans group the same way: each
+    /// member's pipeline folds its own chain. A plan without
+    /// simulations runs no sim pool and emits no `sim` pool or
+    /// `sim_groups` event.
     ///
     /// - `harness`: every unit runs under a stable task label
     ///   (`compile:`/`potential:`/`sim:base:`/`sim:ccr:` × workload ×
@@ -453,10 +457,10 @@ impl Engine {
     ///   resumed run reproduces the original run's
     ///   [`Executed::records`] exactly. Entries recorded
     ///   under another fingerprint window (or none) never match.
-    /// - `fingerprint_window`: when set, every CCR simulation's
-    ///   [`SimSession`] folds the determinism fingerprint every that
-    ///   many cycles (bit-identical statistics to a plain session),
-    ///   and the final chain hash lands in the
+    /// - `fingerprint_window`: when set, every CCR group's
+    ///   [`SimSession`] folds each member's determinism fingerprint
+    ///   every that many of its cycles (bit-identical statistics to a
+    ///   plain session), and the member's final chain hash lands in the
     ///   `fingerprint` of the point's [`Executed::records`] entry.
     ///
     /// Cache accounting on the returned [`Executed`] (and the
@@ -617,7 +621,6 @@ impl Engine {
                 machine: &u.machine,
                 crb: None,
                 emu: u.emu,
-                fingerprint_window: None,
             })
             .chain(plan.ccrs.iter().map(|u| SimTask {
                 name: u.name,
@@ -628,7 +631,6 @@ impl Engine {
                 machine: &u.machine,
                 crb: Some(u.crb),
                 emu: u.emu,
-                fingerprint_window,
             }))
             .collect();
         if let Some(path) = checkpoint {
@@ -646,10 +648,9 @@ impl Engine {
                 );
             }
         }
-        let groups = functional_groups(&tasks, fingerprint_window.is_some());
-        let (sims, functional_runs) = self.run_sims(&tasks, &groups, harness);
+        let groups = functional_groups(&tasks);
+        let (sims, functional_runs) = self.run_sims(&tasks, &groups, fingerprint_window, harness);
         self.result_cache.close_journal();
-        harness.sim_groups(functional_runs.0 + functional_runs.1, tasks.len() as u64);
         executed.functional_runs = functional_runs;
         let keys = plan.bases.iter().map(|u| &u.key);
         for (key, out) in keys.chain(plan.ccrs.iter().map(|u| &u.keys.ccr)).zip(sims) {
@@ -685,15 +686,21 @@ impl Engine {
     /// The one simulation fan-out: runs every functional group over
     /// the engine's workers, each member through the result cache
     /// under its own key ([`SimResultCache::get_or_run_group`]), and
-    /// reports every member's `sim` start/finish events and the `sim`
-    /// pool to `harness`. Results come back in task order, with the
-    /// (baseline, CCR) functional runs executed.
+    /// reports every member's `sim` start/finish events, the `sim`
+    /// pool and the `sim_groups` count to `harness`. CCR groups fold
+    /// fingerprints under `window`. Results come back in task order,
+    /// with the (baseline, CCR) functional runs executed. Without
+    /// tasks, no pool starts and nothing is reported.
     fn run_sims(
         &self,
         tasks: &[SimTask<'_>],
         groups: &[Vec<usize>],
+        window: Option<u64>,
         harness: &Harness,
     ) -> (Vec<Result<CachedSim, String>>, (u64, u64)) {
+        if tasks.is_empty() {
+            return (Vec::new(), (0, 0));
+        }
         let labels: Vec<String> = groups
             .iter()
             .map(|g| match g.len() {
@@ -720,7 +727,7 @@ impl Engine {
                     };
                     runs.inc();
                     let todo: Vec<&SimTask<'_>> = todo.iter().map(|&m| members[m]).collect();
-                    run_group(&todo)
+                    run_group(&todo, window)
                 });
                 for (task, out) in members.iter().zip(&outs) {
                     if let Ok(c) = out {
@@ -732,6 +739,8 @@ impl Engine {
             },
         );
         harness.pool("sim", &pool);
+        let runs = (base_runs.get(), ccr_runs.get());
+        harness.sim_groups(runs.0 + runs.1, tasks.len() as u64);
         let mut sims: Vec<Option<Result<CachedSim, String>>> = vec![None; tasks.len()];
         for (group, outs) in groups.iter().zip(outs) {
             for (&i, out) in group.iter().zip(outs) {
@@ -739,7 +748,7 @@ impl Engine {
             }
         }
         let sims = sims.into_iter().map(|s| s.expect("every task grouped"));
-        (sims.collect(), (base_runs.get(), ccr_runs.get()))
+        (sims.collect(), runs)
     }
 }
 
@@ -755,9 +764,6 @@ struct SimTask<'a> {
     machine: &'a MachineConfig,
     crb: Option<CrbConfig>,
     emu: EmuConfig,
-    /// When set, the session folds the determinism fingerprint every
-    /// that many cycles (statistics bit-identical to a plain run).
-    fingerprint_window: Option<u64>,
 }
 
 /// Groups `tasks` by functional key, in first-encounter order: the
@@ -766,12 +772,8 @@ struct SimTask<'a> {
 /// reads the machine, so a group's members differ only in timing and
 /// one functional run serves them all. Programs are told apart by
 /// equality, once per compile unit and build, against the distinct
-/// programs of the same workload seen so far. Fingerprinted tasks stay
-/// groups of one: a fingerprint folds one pipeline's state.
-fn functional_groups(tasks: &[SimTask<'_>], fingerprinted: bool) -> Vec<Vec<usize>> {
-    if fingerprinted {
-        return (0..tasks.len()).map(|i| vec![i]).collect();
-    }
+/// programs of the same workload seen so far.
+fn functional_groups(tasks: &[SimTask<'_>]) -> Vec<Vec<usize>> {
     let mut distinct: Vec<(&str, &Program)> = Vec::new();
     let mut program_of: HashMap<(&str, bool), usize> = HashMap::new();
     let mut index = HashMap::new();
@@ -799,10 +801,12 @@ fn functional_groups(tasks: &[SimTask<'_>], fingerprinted: bool) -> Vec<Vec<usiz
 
 /// Simulates `members` (one functional group) in one session, timing
 /// it on the host: one pipeline per distinct machine, shared by the
-/// members that name equal machines. Each member's `wall_ms` is its
-/// equal share of the group's host time, the remainder going to the
-/// first members, so the shares sum to the group's time.
-fn run_group(members: &[&SimTask<'_>]) -> Result<Vec<CachedSim>, String> {
+/// members that name equal machines. A CCR group folds each machine's
+/// fingerprint chain under `window`, and each member records its
+/// machine's final hash. Each member's `wall_ms` is its equal share of
+/// the group's host time, the remainder going to the first members, so
+/// the shares sum to the group's time.
+fn run_group(members: &[&SimTask<'_>], window: Option<u64>) -> Result<Vec<CachedSim>, String> {
     let start = Instant::now();
     let first = members[0];
     let mut machines: Vec<MachineConfig> = Vec::new();
@@ -821,13 +825,15 @@ fn run_group(members: &[&SimTask<'_>]) -> Result<Vec<CachedSim>, String> {
                 })
         })
         .collect();
-    let window = first.fingerprint_window;
+    let window = window.filter(|_| first.crb.is_some());
     let mut session =
         SimSession::with_machines(first.program, &machines, first.crb, first.emu, window)?;
     session
         .run_to_end()
         .map_err(|e| format!("{}: {e}", first.name))?;
-    let fingerprint = (session.final_hash()).map_or_else(String::new, |h| format!("{h:016x}"));
+    let fingerprints: Vec<String> = (0..machines.len())
+        .map(|m| (session.final_hash_of(m)).map_or_else(String::new, |h| format!("{h:016x}")))
+        .collect();
     let outcomes = session.into_outcomes();
     let total = start.elapsed().as_millis() as u64;
     let n = members.len() as u64;
@@ -837,7 +843,7 @@ fn run_group(members: &[&SimTask<'_>]) -> Result<Vec<CachedSim>, String> {
         .map(|(&slot, k)| CachedSim {
             outcome: outcomes[slot].clone(),
             wall_ms: total / n + u64::from(k < total % n),
-            fingerprint: fingerprint.clone(),
+            fingerprint: fingerprints[slot].clone(),
         })
         .collect())
 }

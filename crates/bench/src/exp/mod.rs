@@ -1273,6 +1273,30 @@ mod tests {
         assert_eq!(plain_points[0].ccr_cycles, points[0].ccr_cycles);
         assert_eq!(plain_points[0].miss_causes, points[0].miss_causes);
         assert_eq!(plain_points[0].fingerprint, "", "unmeasured stays empty");
+
+        // Three machines that differ only in timing share one baseline
+        // and one CCR run, and each member folds the chain its
+        // one-point run folds.
+        let group = group_spec();
+        let grouped = Engine::new(1)
+            .execute_plan(&super::plan(&[&group]), &harness, None, Some(50_000))
+            .unwrap();
+        assert_eq!(grouped.functional_runs(), (1, 1));
+        let records = grouped.records();
+        assert_eq!(records.len(), 3);
+        for (sc, record) in group.scenarios.iter().zip(&records) {
+            let one = ExperimentSpec {
+                scenarios: vec![sc.clone()],
+                ..group_spec()
+            };
+            let alone = Engine::new(1)
+                .execute_plan(&super::plan(&[&one]), &harness, None, Some(50_000))
+                .unwrap();
+            assert_eq!(alone.functional_runs(), (1, 1));
+            assert_eq!(alone.records()[0].fingerprint, record.fingerprint);
+        }
+        let distinct: HashSet<&str> = records.iter().map(|r| r.fingerprint.as_str()).collect();
+        assert_eq!(distinct.len(), 3, "the machines fold different chains");
     }
 
     /// One real line of each journal format, from its own writer: a

@@ -11,9 +11,9 @@
 //!   exactly this.
 //! - **fingerprinted** — with a window, every step folds the full
 //!   architectural, pipeline and CRB state into a
-//!   [`FingerprintStream`] at each crossed window boundary, and
-//!   [`SimSession::snapshot`] can capture the run at an exact
-//!   instruction boundary.
+//!   [`FingerprintStream`] at each crossed window boundary, one stream
+//!   per machine, and [`SimSession::snapshot`] can capture a
+//!   one-machine run at an exact instruction boundary.
 //! - **narrated** — [`SimSession::narrate`] reports the run to a
 //!   telemetry sink (see [`crate::telemetry`]), and with
 //!   [`TraceConfig::profile`] attributes every cycle.
@@ -25,10 +25,14 @@
 //!   per machine; [`SimSession::into_outcomes`] returns one
 //!   [`SimOutcome`] per machine. Neither the emulator nor the buffer
 //!   reads the machine, so each outcome is bit-identical to a
-//!   one-machine session's (`crates/sim/tests/functional_runs.rs`
-//!   pins this). Narrated, fingerprinted, snapshotted and restored
-//!   sessions stay one-machine: asking a multi-machine session for any
-//!   of them is a one-line error.
+//!   one-machine session's. A fingerprinted multi-machine session
+//!   folds each machine's chain at that machine's own window
+//!   boundaries, where the shared emulator and buffer hold exactly
+//!   what a one-machine run holds at the same dynamic instruction, so
+//!   each chain is that machine's one-machine chain too
+//!   (`crates/sim/tests/functional_runs.rs` pins both). Narrated,
+//!   snapshotted and restored sessions stay one-machine: asking a
+//!   multi-machine session for any of them is a one-line error.
 //!
 //! Every mode produces **bit-identical** [`crate::SimStats`], and a
 //! session restored from a mid-run snapshot completes with
@@ -123,10 +127,12 @@ pub struct SimSession<'p> {
     /// them; never empty.
     pipelines: Vec<Pipeline>,
     buffer: Option<ReuseBuffer>,
-    stream: Option<FingerprintStream>,
+    /// One fingerprint stream per pipeline, or none on a plain run.
+    streams: Vec<FingerprintStream>,
     narrator: Option<Narrator<'p>>,
     outcome: Option<RunOutcome>,
-    final_hash: Option<u64>,
+    /// One final chain hash per stream, once the run has completed.
+    final_hashes: Vec<u64>,
 }
 
 impl<'p> SimSession<'p> {
@@ -154,14 +160,14 @@ impl<'p> SimSession<'p> {
 
     /// [`SimSession::new`] on several machines at once: one functional
     /// run whose events reach one pipeline per machine, finished with
-    /// [`SimSession::into_outcomes`]. With one machine this is exactly
+    /// [`SimSession::into_outcomes`]. With a window, each machine keeps
+    /// its own fingerprint chain ([`SimSession::windows_of`],
+    /// [`SimSession::final_hash_of`]). With one machine this is exactly
     /// [`SimSession::new`].
     ///
     /// # Errors
     ///
-    /// Returns a one-line description when `machines` is empty, or
-    /// when a fingerprint window is asked of several machines (the
-    /// fingerprint folds one pipeline's state).
+    /// Returns a one-line description when `machines` is empty.
     ///
     /// # Panics
     ///
@@ -173,17 +179,13 @@ impl<'p> SimSession<'p> {
         emu: EmuConfig,
         window: Option<u64>,
     ) -> Result<SimSession<'p>, String> {
-        let n = machines.len();
-        if n == 0 {
+        if machines.is_empty() {
             return Err("a session needs at least one machine".to_string());
         }
-        if n > 1 && window.is_some() {
-            return Err(format!(
-                "a fingerprinted session simulates one machine, not {n}"
-            ));
-        }
         let mut session = SimSession::build(program, machines, crb, emu, None)?;
-        session.stream = window.map(FingerprintStream::new);
+        if let Some(window) = window {
+            session.streams = vec![FingerprintStream::new(window); machines.len()];
+        }
         Ok(session)
     }
 
@@ -222,7 +224,7 @@ impl<'p> SimSession<'p> {
     ) -> Result<SimSession<'p>, String> {
         let layout = CodeLayout::of(program);
         let emulator = Emulator::with_decoded(program, emu, layout.decoded().clone());
-        let (run, pipelines, buffer, stream) = match snap {
+        let (run, pipelines, buffer, streams) = match snap {
             None => {
                 let mut pipelines: Vec<Pipeline> = machines
                     .iter()
@@ -232,7 +234,7 @@ impl<'p> SimSession<'p> {
                     [pipeline] => emulator.start(pipeline),
                     all => emulator.start(&mut Tee(all)),
                 };
-                (run, pipelines, crb.map(ReuseBuffer::new), None)
+                (run, pipelines, crb.map(ReuseBuffer::new), Vec::new())
             }
             Some(snap) => {
                 let pipeline = Pipeline::restore(machines[0], layout, &snap.pipeline)?;
@@ -255,7 +257,7 @@ impl<'p> SimSession<'p> {
                 };
                 let fp = &snap.fingerprint;
                 let stream = FingerprintStream::restore(fp.window, fp.hash, fp.windows.clone())?;
-                (run, vec![pipeline], buffer, Some(stream))
+                (run, vec![pipeline], buffer, vec![stream])
             }
         };
         Ok(SimSession {
@@ -263,10 +265,10 @@ impl<'p> SimSession<'p> {
             run,
             pipelines,
             buffer,
-            stream,
+            streams,
             narrator: None,
             outcome: None,
-            final_hash: None,
+            final_hashes: Vec::new(),
         })
     }
 
@@ -330,20 +332,34 @@ impl<'p> SimSession<'p> {
     }
 
     /// The sealed window chain so far (empty without a fingerprint
-    /// window).
+    /// window), on the session's first machine.
     pub fn windows(&self) -> &[WindowDigest] {
-        self.stream
-            .as_ref()
+        self.windows_of(0)
+    }
+
+    /// The final chain hash, once a fingerprinted run has completed, on
+    /// the session's first machine.
+    pub fn final_hash(&self) -> Option<u64> {
+        self.final_hash_of(0)
+    }
+
+    /// [`SimSession::windows`] on the `machine`-th machine the session
+    /// was given.
+    pub fn windows_of(&self, machine: usize) -> &[WindowDigest] {
+        self.streams
+            .get(machine)
             .map_or(&[][..], FingerprintStream::windows)
     }
 
-    /// The final chain hash, once a fingerprinted run has completed.
-    pub fn final_hash(&self) -> Option<u64> {
-        self.final_hash
+    /// [`SimSession::final_hash`] on the `machine`-th machine the
+    /// session was given.
+    pub fn final_hash_of(&self, machine: usize) -> Option<u64> {
+        self.final_hashes.get(machine).copied()
     }
 
-    /// Executes one dynamic instruction, sealing any crossed
-    /// fingerprint windows; on completion, folds the final state.
+    /// Executes one dynamic instruction, sealing each machine's crossed
+    /// fingerprint windows; on completion, folds each machine's final
+    /// state.
     ///
     /// # Errors
     ///
@@ -355,8 +371,8 @@ impl<'p> SimSession<'p> {
     pub fn step(&mut self) -> Result<(), EmuError> {
         assert!(!self.finished(), "step after the run finished");
         let out = self.advance(false)?;
-        if let Some(stream) = self.stream.as_mut() {
-            let (run, pipeline, buffer) = (&self.run, &self.pipelines[0], &self.buffer);
+        let (run, buffer) = (&self.run, &self.buffer);
+        for (stream, pipeline) in self.streams.iter_mut().zip(&self.pipelines) {
             let fold_state = |push: &mut dyn FnMut(u64)| {
                 run.fold_state(push);
                 pipeline.fold_state(push);
@@ -369,7 +385,7 @@ impl<'p> SimSession<'p> {
                 stream.observe(cycle, fold_state);
             }
             if out.is_some() {
-                self.final_hash = Some(stream.finalize(fold_state));
+                self.final_hashes.push(stream.finalize(fold_state));
             }
         }
         self.outcome = out;
@@ -383,7 +399,7 @@ impl<'p> SimSession<'p> {
     ///
     /// Propagates emulator limit violations ([`EmuError`]).
     pub fn run_to_end(&mut self) -> Result<(), EmuError> {
-        if self.stream.is_none() && !self.finished() {
+        if self.streams.is_empty() && !self.finished() {
             self.outcome = self.advance(true)?;
         }
         while !self.finished() {
@@ -441,15 +457,18 @@ impl<'p> SimSession<'p> {
     ///
     /// Returns a one-line description for a finished run (there is no
     /// state left to resume), a run without a fingerprint window (a
-    /// snapshot carries the chain so far, so this covers every
-    /// multi-machine session too), or a profiled run.
+    /// snapshot carries the chain so far), a multi-machine run, or a
+    /// profiled run.
     pub fn snapshot(&self, workload: &str, config_hash: &str) -> Result<SimSnapshot, String> {
         if self.finished() {
             return Err("cannot snapshot a finished run".to_string());
         }
-        let stream = (self.stream.as_ref())
-            .ok_or_else(|| "cannot snapshot a run without a fingerprint window".to_string())?;
-        let pipeline = &self.pipelines[0];
+        let ([pipeline], [stream]) = (self.pipelines.as_slice(), self.streams.as_slice()) else {
+            return Err(match self.streams.len() {
+                0 => "cannot snapshot a run without a fingerprint window".to_string(),
+                n => format!("a snapshotted session simulates one machine, not {n}"),
+            });
+        };
         Ok(SimSnapshot {
             workload: workload.to_string(),
             config_hash: config_hash.to_string(),
@@ -843,11 +862,6 @@ mod tests {
         let two = [m, MachineConfig::with_speculative_validation()];
         let err = SimSession::with_machines(&p, &[], crb, emu, None).err();
         assert_eq!(err.as_deref(), Some("a session needs at least one machine"));
-        let err = SimSession::with_machines(&p, &two, crb, emu, Some(64)).err();
-        assert_eq!(
-            err.as_deref(),
-            Some("a fingerprinted session simulates one machine, not 2")
-        );
         let mut s = SimSession::with_machines(&p, &two, crb, emu, None).unwrap();
         let mut sink = ccr_telemetry::NullSink;
         let err = s.narrate(&mut sink, &TraceConfig::default()).unwrap_err();
@@ -855,13 +869,30 @@ mod tests {
         s.run_until_cycle(100).unwrap();
         let err = s.snapshot("", "").unwrap_err();
         assert_eq!(err, "cannot snapshot a run without a fingerprint window");
+        // A window is a mode of a multi-machine session; a snapshot is
+        // not.
+        let mut fp = SimSession::with_machines(&p, &two, crb, emu, Some(64)).unwrap();
+        fp.run_until_cycle(100).unwrap();
+        let err = fp.snapshot("", "").unwrap_err();
+        assert_eq!(err, "a snapshotted session simulates one machine, not 2");
         s.run_to_end().unwrap();
+        fp.run_to_end().unwrap();
+        for (k, machine) in two.iter().enumerate() {
+            let mut solo = SimSession::new(&p, machine, crb, emu, Some(64));
+            solo.run_to_end().unwrap();
+            assert_eq!(fp.windows_of(k), solo.windows(), "machine {k}");
+            assert_eq!(fp.final_hash_of(k), solo.final_hash(), "machine {k}");
+        }
+        assert_ne!(fp.final_hash_of(0), fp.final_hash_of(1));
+        assert_eq!(fp.final_hash(), fp.final_hash_of(0));
+        let fingerprinted = fp.into_outcomes();
         let outcomes = s.into_outcomes();
         assert_eq!(outcomes.len(), 2);
-        for (machine, got) in two.iter().zip(&outcomes) {
+        for ((machine, got), fp) in two.iter().zip(&outcomes).zip(&fingerprinted) {
             let want = simulate(&p, machine, crb, emu).unwrap();
             assert_eq!(got.stats, want.stats);
             assert_eq!(got.run, want.run);
+            assert_eq!(fp.stats, want.stats);
         }
         assert!(outcomes[1].stats.cycles <= outcomes[0].stats.cycles);
     }

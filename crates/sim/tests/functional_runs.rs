@@ -6,7 +6,8 @@
 //! event log and the final CRB state — so sims that differ only in
 //! machine knobs can share one emulation. A multi-machine session,
 //! which runs that one emulation through one pipeline per machine,
-//! must then give every machine exactly its one-machine outcome.
+//! must then give every machine exactly its one-machine outcome, and
+//! under a fingerprint window exactly its one-machine chain.
 
 use ccr_ir::{CodeLayout, Program};
 use ccr_opt::{optimize, OptConfig};
@@ -22,6 +23,10 @@ use rand::{Rng, SeedableRng};
 
 /// Random machines drawn per workload.
 const DRAWS: usize = 4;
+
+/// The fingerprint window of the fingerprinted multi-machine sessions:
+/// small enough that every workload seals several windows.
+const WINDOW: u64 = 4096;
 
 /// The optimized build of a workload and its region-annotated twin
 /// (regions formed from its own profile).
@@ -152,10 +157,25 @@ fn a_multi_machine_session_gives_each_machine_its_own_outcome() {
         machines.extend((0..DRAWS).map(|_| draw(&mut rng)));
         // A repeated machine gets its own pipeline and its own outcome.
         machines.push(machines[1]);
-        for (program, crb) in [(&base, None), (&annotated, Some(CrbConfig::paper()))] {
+        let (base_crb, ccr_crb) = (None, Some(CrbConfig::paper()));
+        for (program, crb, window) in [
+            (&base, base_crb, None),
+            (&annotated, ccr_crb, None),
+            (&base, base_crb, Some(WINDOW)),
+            (&annotated, ccr_crb, Some(WINDOW)),
+        ] {
             let mut session =
-                SimSession::with_machines(program, &machines, crb, emu, None).expect("starts");
+                SimSession::with_machines(program, &machines, crb, emu, window).expect("starts");
             session.run_to_end().expect("within limits");
+            // Each machine's fingerprint chain is its solo chain.
+            for (k, machine) in machines.iter().enumerate() {
+                let mut solo = SimSession::new(program, machine, crb, emu, window);
+                solo.run_to_end().expect("within limits");
+                let what = format!("{name} (window {window:?}) under {machine:?}");
+                assert_eq!(session.windows_of(k), solo.windows(), "{what}");
+                assert_eq!(session.final_hash_of(k), solo.final_hash(), "{what}");
+                assert_eq!(window.is_some(), solo.final_hash().is_some(), "{what}");
+            }
             let outcomes = session.into_outcomes();
             assert_eq!(outcomes.len(), machines.len());
             for (machine, got) in machines.iter().zip(&outcomes) {

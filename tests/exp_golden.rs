@@ -190,6 +190,27 @@ fn full_registry_plan_pins_compile_profile_and_sim_counts() {
         .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
         .expect("known workloads, within limits");
     assert_eq!(executed.functional_runs(), (26, 164));
+    // A fingerprinted sweep groups the same way: each member folds its
+    // own chain, and every chain hash is the one a solo run folds
+    // (the digest of the sorted hashes predates the grouping).
+    let window = Some(ccr::sim::DEFAULT_FINGERPRINT_WINDOW);
+    let executed = Engine::new(0)
+        .execute_plan(&plan, &ccr::Harness::disabled(), None, window)
+        .expect("known workloads, within limits");
+    assert_eq!(executed.functional_runs(), (26, 164));
+    let mut hashes: Vec<String> = (executed.records().into_iter())
+        .map(|r| r.fingerprint)
+        .collect();
+    assert_eq!(hashes.len(), 286);
+    assert!(
+        hashes.iter().all(|h| h.len() == 16),
+        "every point is fingerprinted"
+    );
+    hashes.sort();
+    assert_eq!(
+        ccr::fnv1a_hex(hashes.join("\n").as_bytes()),
+        "d616882ab78232b8"
+    );
 }
 
 #[test]

@@ -209,6 +209,42 @@ fn a_finished_run_samples_an_empty_queue() {
 }
 
 #[test]
+fn a_plan_without_sims_logs_no_sim_phase() {
+    // Figure 4 plans only potential studies: no sim pool starts, so
+    // neither a `sim` pool event nor a `sim_groups` event is logged,
+    // and the summary counts the prep map's two workers.
+    let spec = exp::specs::find("fig4").expect("known spec");
+    let plan = exp::plan(&[&spec]);
+    assert_eq!(plan.stats.unique_sims, 0);
+    let dir = temp_dir("ccr-harness-no-sims-test");
+    let out = dir.join("harness.jsonl");
+    let harness = live_harness(&out);
+    let executed = Engine::new(2)
+        .execute_plan(&plan, &harness, None, None)
+        .expect("observed run succeeds");
+    let summary = harness.finish().expect("live harness yields a summary");
+    assert_eq!(executed.functional_runs(), (0, 0));
+    assert_eq!(summary.sims, 0);
+    assert_eq!(summary.workers, 2);
+
+    let text = std::fs::read_to_string(&out).unwrap();
+    let pools: Vec<String> = text
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"pool\""))
+        .map(|l| {
+            ccr_analyze::value::parse(l)
+                .unwrap()
+                .str_field("phase")
+                .to_string()
+        })
+        .collect();
+    assert_eq!(pools, ["prep"], "{text}");
+    assert!(!text.contains("\"ev\":\"sim_groups\""), "{text}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn harness_jsonl_schema_matches_the_committed_golden() {
     let spec = tiny_spec("tiny_schema");
     let plan = exp::plan(&[&spec]);
