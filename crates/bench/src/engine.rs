@@ -530,6 +530,7 @@ impl Engine {
         let cache = &self.compile_cache;
         let (hits_before, misses_before) = (cache.hits(), cache.misses());
         let (run_before, reused_before) = (cache.profiles_run(), cache.profiles_reused());
+        let trials_before = cache.trial_stats();
         let prep_items: Vec<Prep<'_>> = plan
             .compiles
             .iter()
@@ -571,6 +572,8 @@ impl Engine {
             cache.profiles_run() - run_before,
             cache.profiles_reused() - reused_before,
         );
+        let trials = cache.trial_stats();
+        let trials = (trials.0 - trials_before.0, trials.1 - trials_before.1);
         harness.compile_cache(cache.hits() - hits_before, cache.misses() - misses_before);
         harness.value_profiles(profiles.0, profiles.1);
         let mut executed = Executed {
@@ -591,6 +594,7 @@ impl Engine {
                 .collect(),
             cache: (cache.hits() - hits_before, cache.misses() - misses_before),
             profiles,
+            trials,
             functional_runs: (0, 0),
         };
         for out in prep {
@@ -615,7 +619,9 @@ impl Engine {
                     u.name,
                     &hash_fields(&u.machine.fields())[..8]
                 ),
-                key: result_cache_key(&u.key, fingerprint_window),
+                // Baselines are never fingerprinted (`run_group`), so
+                // plain and fingerprinted runs share their entries.
+                key: result_cache_key(&u.key, None),
                 compile_key: &u.compile_key,
                 program: &compiles[&u.compile_key].base,
                 machine: &u.machine,
@@ -850,7 +856,8 @@ fn run_group(members: &[&SimTask<'_>], window: Option<u64>) -> Result<Vec<Cached
 
 /// The result-cache key of a planned simulation unit: the planner's
 /// dedup key plus the fingerprint window, so fingerprinted and plain
-/// runs of the same point never share an entry.
+/// runs of the same CCR point never share an entry. Baselines always
+/// take the `None` window: they carry no fingerprint either way.
 fn result_cache_key(unit_key: &str, fingerprint_window: Option<u64>) -> String {
     match fingerprint_window {
         None => format!("{unit_key}|fp:none"),

@@ -614,7 +614,9 @@ impl<'s> Plan<'s> {
 /// [`compile_with_profile`]), and the first stage has a memo of its
 /// own keyed by (workload, scale, optimizer, emulator settings): every
 /// region configuration and both target inputs of a workload share one
-/// value-profiling run.
+/// value-profiling run. A compile on the training input takes its
+/// optimized build from that profile, and each profile memoizes the
+/// reiteration trials compiled through it.
 ///
 /// Thread-safe and **single-flight** at both stages: a concurrent miss
 /// on a key another thread is already computing blocks until that
@@ -657,6 +659,16 @@ impl CompileCache {
         self.profiles.hits()
     }
 
+    /// Reiteration trials `(run, reused)` summed over every memoized
+    /// value profile ([`TrainProfile::trial_stats`]).
+    pub fn trial_stats(&self) -> (u64, u64) {
+        self.profiles.with_store(|done| {
+            done.values()
+                .map(|tp| tp.trial_stats())
+                .fold((0, 0), |(r, u), (dr, du)| (r + dr, u + du))
+        })
+    }
+
     /// Returns the cached compile of `(name, target, scale, config)`,
     /// compiling and memoizing on first use.
     ///
@@ -677,9 +689,15 @@ impl CompileCache {
             |done| done.get(&key).cloned(),
             || {
                 let train = self.train_profile(name, scale, config)?;
-                let target = build(name, target, scale)
-                    .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-                compile_with_profile(&train, &target, config)
+                // The training build's optimized form is the profile's.
+                let target = match target {
+                    InputSet::Train => None,
+                    input => Some(
+                        build(name, input, scale)
+                            .ok_or_else(|| format!("unknown benchmark `{name}`"))?,
+                    ),
+                };
+                compile_with_profile(&train, target.as_ref(), config)
                     .map(Arc::new)
                     .map_err(|e| format!("{name}: {e}"))
             },
@@ -817,6 +835,8 @@ pub struct Executed<'s> {
     pub(crate) cache: (u64, u64),
     /// Value profiles (run, reused) delta for the run.
     pub(crate) profiles: (u64, u64),
+    /// Reiteration trials (run, reused) delta for the run.
+    pub(crate) trials: (u64, u64),
     /// Functional runs (baseline, CCR) the run executed.
     pub(crate) functional_runs: (u64, u64),
 }
@@ -844,6 +864,13 @@ impl<'s> Executed<'s> {
     /// another compile's profile.
     pub fn profile_stats(&self) -> (u64, u64) {
         self.profiles
+    }
+
+    /// Reiteration trials `(run, reused)` for the run: how many
+    /// compiles ran the trial, and how many read the hit ratios of an
+    /// identical trial on the same value profile.
+    pub fn trial_stats(&self) -> (u64, u64) {
+        self.trials
     }
 
     /// Functional runs `(baseline, CCR)` the run executed: one

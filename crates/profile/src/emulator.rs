@@ -39,7 +39,7 @@ use crate::regset::RegSet;
 use crate::trace::{ExecEvent, MemAccess, ReuseOutcome, TraceSink};
 
 /// Emulator limits.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EmuConfig {
     /// Maximum dynamic instructions before aborting with
     /// [`EmuError::StepLimit`].

@@ -471,6 +471,8 @@ pub(crate) fn cmd_exp(flags: &Flags) -> Result<(), CliError> {
     );
     let (profiles_run, profiles_reused) = executed.profile_stats();
     eprintln!("value profiles: {profiles_run} run, {profiles_reused} reused");
+    let (trials_run, trials_reused) = executed.trial_stats();
+    eprintln!("reiteration trials: {trials_run} run, {trials_reused} reused");
     let (base_runs, ccr_runs) = executed.functional_runs();
     eprintln!(
         "functional runs: {} for {} sims ({base_runs} baseline + {ccr_runs} ccr)",

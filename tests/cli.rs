@@ -831,6 +831,41 @@ fn checkpointed_exp_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_fingerprinted_exp_resumes_the_baselines_of_a_plain_checkpoint() {
+    let dir = std::env::temp_dir().join("ccr-cli-checkpoint-fp");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("width.ckpt.jsonl");
+    let run = |extra: &[&str]| {
+        let out = ccr()
+            .args(["exp", "width", "--checkpoint"])
+            .arg(&ckpt)
+            .arg("--no-store")
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+    run(&[]);
+    let plain = std::fs::read_to_string(&ckpt).unwrap();
+    // Baselines carry no fingerprint, so a fingerprinted run reads the
+    // plain run's baseline lines and simulates only its CCR points.
+    let second = run(&["--fingerprint"]);
+    assert!(
+        second.contains("checkpoint: restored 52 of 104 sim unit(s)"),
+        "{second}"
+    );
+    assert!(second.contains("(0 baseline + "), "{second}");
+    let journal = std::fs::read_to_string(&ckpt).unwrap();
+    let added: Vec<&str> = journal[plain.len()..].lines().collect();
+    assert_eq!(added.len(), 52, "one line per fingerprinted CCR point");
+    assert!(added.iter().all(|l| !l.contains("\"key\":\"base|")));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every live producer of run-store records (`ccr exp`, `ccr bench`,
 /// `ccr profile`, a served point) measures the paper-configuration
 /// `lex` point the same way: whatever the record's `source`, its

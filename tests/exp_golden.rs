@@ -190,6 +190,11 @@ fn full_registry_plan_pins_compile_profile_and_sim_counts() {
         .execute_plan(&plan, &ccr::Harness::disabled(), None, None)
         .expect("known workloads, within limits");
     assert_eq!(executed.functional_runs(), (26, 164));
+    // The 104 training-input compiles take their optimized build from
+    // the 13 value profiles, and the reiteration trial runs once per
+    // distinct (profile, pre-trial regions, trial buffer shape).
+    assert_eq!(executed.profile_stats(), (13, 104));
+    assert_eq!(executed.trial_stats(), (75, 42), "(run, reused)");
     // A fingerprinted sweep groups the same way: each member folds its
     // own chain, and every chain hash is the one a solo run folds
     // (the digest of the sorted hashes predates the grouping).
