@@ -1,9 +1,9 @@
 //! Microbenchmarks for the simulator's hot paths — the code the
 //! host-performance work in DESIGN.md §9 targets: CRB instance
 //! scanning (short and long entries), ghost scanning, a whole baseline
-//! simulation, both halves of the simulation loop (bare emulation and
-//! a CCR simulation), the value profiler and the reuse-potential
-//! study.
+//! simulation, the layers of the simulation loop (bare emulation, the
+//! same program simulated without a buffer, and a CCR simulation), the
+//! value profiler and the reuse-potential study.
 
 use ccr_core::compile::{compile_ccr, profile_train};
 use ccr_core::measure::reuse_potential;
@@ -134,6 +134,21 @@ fn bench_simulation_loop(c: &mut Criterion) {
                     .unwrap()
                     .dyn_instrs,
             )
+        });
+    });
+    // The same program simulated on the paper machine without a
+    // buffer: the emulator above plus the timing pipeline, so the
+    // difference of the two rows is the timing model's cost.
+    g.bench_function("simulate_base_m88ksim", |b| {
+        b.iter(|| {
+            let out = simulate(
+                &program,
+                &MachineConfig::paper(),
+                None,
+                ccr_bench::emu_config(),
+            )
+            .unwrap();
+            black_box(out.stats.cycles);
         });
     });
     // The whole loop on the region-annotated build: emulator, paper

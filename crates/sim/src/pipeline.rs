@@ -262,6 +262,7 @@ impl Pipeline {
         self.stats
     }
 
+    #[inline]
     fn issue_at(&mut self, earliest: u64, class: OpClass) -> u64 {
         let unit = fu_unit(class);
         let limit = self.fu_limits[unit];
@@ -283,6 +284,7 @@ impl Pipeline {
         t
     }
 
+    #[inline]
     fn set_ready(&mut self, reg: Reg, cycle: u64, kind: AttrBucket) {
         let profiled = self.attr.is_some();
         let frame = self.frames.last_mut().expect("frame");
@@ -519,6 +521,7 @@ impl Pipeline {
 }
 
 impl TraceSink for Pipeline {
+    #[inline(always)]
     fn on_exec(&mut self, event: &ExecEvent<'_>) {
         let instr = event.instr;
         let row = event.decoded;
@@ -576,100 +579,103 @@ impl TraceSink for Pipeline {
             self.charge_cycles(event.func, t, ops_ready, bind);
         }
 
-        match &instr.op {
-            Op::Binary { dst, .. } | Op::Unary { dst, .. } | Op::Cmp { dst, .. } => {
-                let lat = match row.latency {
-                    Latency::Mul => self.machine.mul_latency,
-                    Latency::Fp => self.machine.fp_latency,
-                    _ => self.machine.int_latency,
-                };
-                self.set_ready(*dst, t + lat, AttrBucket::Issue);
-            }
-            Op::Load { dst, .. } => {
+        // Dispatch on the decoded row: an instruction with a register
+        // result is timed by its latency kind alone; only result-free
+        // instructions (stores, control, CCR) look at the operation.
+        let lat = match row.latency {
+            Latency::Int => Some((self.machine.int_latency, AttrBucket::Issue)),
+            Latency::Mul => Some((self.machine.mul_latency, AttrBucket::Issue)),
+            Latency::Fp => Some((self.machine.fp_latency, AttrBucket::Issue)),
+            Latency::Load => {
                 let mem = event.mem.expect("load has a memory access");
                 let daddr = self.layout.data_addr(mem.object, mem.index);
                 let extra = self.dcache.access(daddr);
-                self.set_ready(
-                    *dst,
-                    t + self.machine.load_latency + extra,
-                    AttrBucket::Memory,
-                );
+                Some((self.machine.load_latency + extra, AttrBucket::Memory))
             }
-            Op::Store { .. } => {
-                let mem = event.mem.expect("store has a memory access");
-                let daddr = self.layout.data_addr(mem.object, mem.index);
-                let _ = self.dcache.access(daddr);
-            }
-            Op::Branch { .. } => {
-                let taken = event.taken.expect("branch outcome");
-                let correct = self.btb.update(addr, taken);
-                if !correct {
-                    self.redirect_fetch(t + 1 + self.machine.mispredict_penalty, AttrBucket::Fetch);
-                } else if taken {
-                    // Correctly-predicted taken branch: fetch stream
-                    // moves to a new line next access.
+            Latency::None => None,
+        };
+        if let Some((lat, kind)) = lat {
+            debug_assert_eq!(row.dsts().len(), 1, "a timed result has one destination");
+            self.set_ready(row.dsts()[0], t + lat, kind);
+        } else {
+            match &instr.op {
+                Op::Store { .. } => {
+                    let mem = event.mem.expect("store has a memory access");
+                    let daddr = self.layout.data_addr(mem.object, mem.index);
+                    let _ = self.dcache.access(daddr);
+                }
+                Op::Branch { .. } => {
+                    let taken = event.taken.expect("branch outcome");
+                    let correct = self.btb.update(addr, taken);
+                    if !correct {
+                        self.redirect_fetch(
+                            t + 1 + self.machine.mispredict_penalty,
+                            AttrBucket::Fetch,
+                        );
+                    } else if taken {
+                        // Correctly-predicted taken branch: fetch
+                        // stream moves to a new line next access.
+                        self.last_fetch_line = None;
+                    }
+                }
+                Op::Jump { .. } | Op::Ret { .. } => {
                     self.last_fetch_line = None;
                 }
-            }
-            Op::Jump { .. } => {
-                self.last_fetch_line = None;
-            }
-            Op::Call { rets, .. } => {
-                let mut regs = self.rets_pool.pop().unwrap_or_default();
-                regs.clear();
-                regs.extend_from_slice(rets);
-                self.pending_call = Some((t + 1, regs));
-                self.last_fetch_line = None;
-            }
-            Op::Ret { .. } => {
-                self.last_fetch_line = None;
-            }
-            Op::Reuse { region, .. } => {
-                let outcome = event.reuse.expect("reuse outcome");
-                if outcome.hit {
-                    // Commit live-outs at retirement width after the
-                    // validation latency (1 cycle when speculating:
-                    // the buffer read itself).
-                    let lat = if self.machine.speculative_validation {
-                        1
-                    } else {
-                        self.machine.reuse_hit_latency
-                    };
-                    let groups =
-                        (outcome.outputs.len() as u64).div_ceil(self.machine.issue_width as u64);
-                    let done = t + lat + groups;
-                    for r in outcome.outputs.iter() {
-                        self.set_ready(*r, done, AttrBucket::ReuseHit);
-                    }
-                    self.stats.reuse_hits += 1;
-                    self.stats.skipped_instrs += outcome.skipped_instrs;
-                    let rs = self.region_stats(*region);
-                    rs.hits += 1;
-                    rs.skipped_instrs += outcome.skipped_instrs;
-                    // Fetch redirects to the continuation.
-                    let redirect = if self.machine.speculative_validation {
-                        1
-                    } else {
-                        self.machine.reuse_hit_latency
-                    };
-                    self.redirect_fetch(t + redirect, AttrBucket::ReuseHit);
-                    if let Some(attr) = self.attr.as_mut() {
-                        attr.cur_region = None;
-                    }
-                } else {
-                    self.stats.reuse_misses += 1;
-                    let cause = outcome.miss_cause.unwrap_or(MissCause::Cold);
-                    let rs = self.region_stats(*region);
-                    rs.misses += 1;
-                    rs.count_miss_cause(cause);
-                    self.redirect_fetch(t + 1 + self.machine.reuse_miss_penalty, AttrBucket::Fetch);
+                Op::Call { rets, .. } => {
+                    let mut regs = self.rets_pool.pop().unwrap_or_default();
+                    regs.clear();
+                    regs.extend_from_slice(rets);
+                    self.pending_call = Some((t + 1, regs));
+                    self.last_fetch_line = None;
                 }
+                Op::Reuse { region, .. } => {
+                    let outcome = event.reuse.expect("reuse outcome");
+                    if outcome.hit {
+                        // Commit live-outs at retirement width after
+                        // the validation latency (1 cycle when
+                        // speculating: the buffer read itself).
+                        let lat = if self.machine.speculative_validation {
+                            1
+                        } else {
+                            self.machine.reuse_hit_latency
+                        };
+                        let groups = (outcome.outputs.len() as u64)
+                            .div_ceil(self.machine.issue_width as u64);
+                        let done = t + lat + groups;
+                        for r in outcome.outputs.iter() {
+                            self.set_ready(*r, done, AttrBucket::ReuseHit);
+                        }
+                        self.stats.reuse_hits += 1;
+                        self.stats.skipped_instrs += outcome.skipped_instrs;
+                        let rs = self.region_stats(*region);
+                        rs.hits += 1;
+                        rs.skipped_instrs += outcome.skipped_instrs;
+                        // Fetch redirects to the continuation after the
+                        // same latency.
+                        self.redirect_fetch(t + lat, AttrBucket::ReuseHit);
+                        if let Some(attr) = self.attr.as_mut() {
+                            attr.cur_region = None;
+                        }
+                    } else {
+                        self.stats.reuse_misses += 1;
+                        let cause = outcome.miss_cause.unwrap_or(MissCause::Cold);
+                        let rs = self.region_stats(*region);
+                        rs.misses += 1;
+                        rs.count_miss_cause(cause);
+                        self.redirect_fetch(
+                            t + 1 + self.machine.reuse_miss_penalty,
+                            AttrBucket::Fetch,
+                        );
+                    }
+                }
+                // Invalidates and nops only issue; every operation
+                // with a result was timed above.
+                _ => {}
             }
-            Op::Invalidate { .. } | Op::Nop => {}
         }
 
-        if instr.ext.contains(InstrExt::REGION_END) {
-            if let Some(attr) = self.attr.as_mut() {
+        if let Some(attr) = self.attr.as_mut() {
+            if instr.ext.contains(InstrExt::REGION_END) {
                 attr.cur_region = None;
             }
         }

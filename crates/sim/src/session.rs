@@ -9,10 +9,10 @@
 //!   with [`SimSession::run_to_end`]: the same monomorphised
 //!   [`EmuRun::step`] loop [`Emulator::run`] drives. [`simulate`] is
 //!   exactly this.
-//! - **fingerprinted** — with a window, every step folds the full
-//!   architectural, pipeline and CRB state into a
-//!   [`FingerprintStream`] at each crossed window boundary, one stream
-//!   per machine, and [`SimSession::snapshot`] can capture a
+//! - **fingerprinted** — with a window, the same loop checks after
+//!   every step whether a window boundary was crossed and folds the
+//!   full architectural, pipeline and CRB state into a
+//!   [`FingerprintStream`] there, one stream per machine, and [`SimSession::snapshot`] can capture a
 //!   one-machine run at an exact instruction boundary.
 //! - **narrated** — [`SimSession::narrate`] reports the run to a
 //!   telemetry sink (see [`crate::telemetry`]), and with
@@ -370,40 +370,19 @@ impl<'p> SimSession<'p> {
     /// Panics if called after the run finished.
     pub fn step(&mut self) -> Result<(), EmuError> {
         assert!(!self.finished(), "step after the run finished");
-        let out = self.advance(false)?;
-        let (run, buffer) = (&self.run, &self.buffer);
-        for (stream, pipeline) in self.streams.iter_mut().zip(&self.pipelines) {
-            let fold_state = |push: &mut dyn FnMut(u64)| {
-                run.fold_state(push);
-                pipeline.fold_state(push);
-                if let Some(b) = buffer {
-                    b.fold_state(push);
-                }
-            };
-            let cycle = pipeline.cycles_so_far();
-            if stream.due(cycle) {
-                stream.observe(cycle, fold_state);
-            }
-            if out.is_some() {
-                self.final_hashes.push(stream.finalize(fold_state));
-            }
-        }
-        self.outcome = out;
+        self.outcome = self.advance(false)?;
         Ok(())
     }
 
-    /// Runs to completion. Without a fingerprint window this is one
-    /// uninterrupted emulator loop.
+    /// Runs to completion: one uninterrupted emulator loop, which
+    /// seals the fingerprint windows as it crosses them.
     ///
     /// # Errors
     ///
     /// Propagates emulator limit violations ([`EmuError`]).
     pub fn run_to_end(&mut self) -> Result<(), EmuError> {
-        if self.streams.is_empty() && !self.finished() {
+        if !self.finished() {
             self.outcome = self.advance(true)?;
-        }
-        while !self.finished() {
-            self.step()?;
         }
         Ok(())
     }
@@ -427,25 +406,33 @@ impl<'p> SimSession<'p> {
     /// several are fed through the fan-out [`Tee`].
     fn advance(&mut self, to_end: bool) -> Result<Option<RunOutcome>, EmuError> {
         let run = &mut self.run;
-        let buffer = self.buffer.as_mut();
+        let folds = &mut Folds {
+            streams: &mut self.streams,
+            final_hashes: &mut self.final_hashes,
+        };
         match (
-            buffer,
+            self.buffer.as_mut(),
             self.narrator.as_mut(),
             self.pipelines.as_mut_slice(),
         ) {
-            (Some(buffer), None, [pipeline]) => drive(run, buffer, pipeline, to_end),
-            (None, None, [pipeline]) => drive(run, &mut NullCrb, pipeline, to_end),
-            (Some(buffer), Some(narrator), [pipeline]) => {
-                drive(run, buffer, &mut Narrated { pipeline, narrator }, to_end)
-            }
+            (Some(buffer), None, [pipeline]) => drive(run, buffer, pipeline, to_end, folds),
+            (None, None, [pipeline]) => drive(run, &mut NullCrb, pipeline, to_end, folds),
+            (Some(buffer), Some(narrator), [pipeline]) => drive(
+                run,
+                buffer,
+                &mut Narrated { pipeline, narrator },
+                to_end,
+                folds,
+            ),
             (None, Some(narrator), [pipeline]) => drive(
                 run,
                 &mut NullCrb,
                 &mut Narrated { pipeline, narrator },
                 to_end,
+                folds,
             ),
-            (Some(buffer), _, all) => drive(run, buffer, &mut Tee(all), to_end),
-            (None, _, all) => drive(run, &mut NullCrb, &mut Tee(all), to_end),
+            (Some(buffer), _, all) => drive(run, buffer, &mut Tee(all), to_end, folds),
+            (None, _, all) => drive(run, &mut NullCrb, &mut Tee(all), to_end, folds),
         }
     }
 
@@ -578,19 +565,114 @@ impl TraceSink for Tee<'_> {
     }
 }
 
+/// The reuse model of a session's loop, as the fingerprint folds see
+/// it: the buffer, or nothing on a baseline run.
+trait SessionCrb: CrbModel {
+    fn buffer(&self) -> Option<&ReuseBuffer>;
+}
+
+impl SessionCrb for ReuseBuffer {
+    fn buffer(&self) -> Option<&ReuseBuffer> {
+        Some(self)
+    }
+}
+
+impl SessionCrb for NullCrb {
+    fn buffer(&self) -> Option<&ReuseBuffer> {
+        None
+    }
+}
+
+/// The trace sink of a session's loop, as the fingerprint folds see
+/// it: the pipelines it feeds, in machine order.
+trait SessionSink: TraceSink {
+    fn pipelines(&self) -> &[Pipeline];
+}
+
+impl SessionSink for Pipeline {
+    fn pipelines(&self) -> &[Pipeline] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl SessionSink for Tee<'_> {
+    fn pipelines(&self) -> &[Pipeline] {
+        self.0
+    }
+}
+
+impl SessionSink for Narrated<'_, '_> {
+    fn pipelines(&self) -> &[Pipeline] {
+        std::slice::from_ref(self.pipeline)
+    }
+}
+
+/// A session's fingerprint streams, one per pipeline (none on a plain
+/// run), and the final hashes they give once the run completes.
+struct Folds<'a> {
+    streams: &'a mut [FingerprintStream],
+    final_hashes: &'a mut Vec<u64>,
+}
+
+impl Folds<'_> {
+    /// Seals each machine's windows crossed by the step just taken,
+    /// and on the last step folds each machine's final state.
+    fn after_step(
+        &mut self,
+        run: &EmuRun<'_>,
+        buffer: Option<&ReuseBuffer>,
+        pipelines: &[Pipeline],
+        done: bool,
+    ) {
+        for (stream, pipeline) in self.streams.iter_mut().zip(pipelines) {
+            let fold_state = |push: &mut dyn FnMut(u64)| {
+                run.fold_state(push);
+                pipeline.fold_state(push);
+                if let Some(b) = buffer {
+                    b.fold_state(push);
+                }
+            };
+            let cycle = pipeline.cycles_so_far();
+            if stream.due(cycle) {
+                stream.observe(cycle, fold_state);
+            }
+            if done {
+                self.final_hashes.push(stream.finalize(fold_state));
+            }
+        }
+    }
+}
+
 /// Steps `run` once, or until the program returns when `to_end` (the
-/// loop [`Emulator::run`] runs). Each step's result is tested in
-/// place: moving it out of the `Result` would copy the outcome's bytes
-/// on every dynamic instruction.
-fn drive<C: CrbModel, S: TraceSink>(
+/// loop [`Emulator::run`] runs), sealing fingerprint windows after
+/// every step when the session has streams. Each step's result is
+/// tested in place: moving it out of the `Result` would copy the
+/// outcome's bytes on every dynamic instruction.
+fn drive<C: SessionCrb, S: SessionSink>(
     run: &mut EmuRun<'_>,
     crb: &mut C,
     sink: &mut S,
     to_end: bool,
+    folds: &mut Folds<'_>,
 ) -> Result<Option<RunOutcome>, EmuError> {
+    // A plain run keeps a loop without the per-step fold check.
+    if folds.streams.is_empty() {
+        loop {
+            let out = run.step(crb, sink);
+            if !to_end || !matches!(out, Ok(None)) {
+                return out;
+            }
+        }
+    }
     loop {
         let out = run.step(crb, sink);
-        if !to_end || !matches!(out, Ok(None)) {
+        let done = match out {
+            Ok(None) => false,
+            Ok(Some(_)) => true,
+            Err(_) => return out,
+        };
+        folds.after_step(run, crb.buffer(), sink.pipelines(), done);
+        if !to_end || done {
             return out;
         }
     }

@@ -29,9 +29,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use ccr_ir::{InstrId, MemObjectId, Op, OpClass, Program, Reg, RegionId};
-use ccr_profile::{ExecEvent, MissCause, TraceSink};
-use ccr_sim::{MachineConfig, RegionDynStats, SimStats};
+use ccr_ir::{CodeLayout, InstrId, MemObjectId, Op, OpClass, Program, Reg, RegionId};
+use ccr_profile::{EmuConfig, Emulator, ExecEvent, MissCause, NullCrb, TraceSink};
+use ccr_sim::{CrbConfig, MachineConfig, Pipeline, RegionDynStats, ReuseBuffer, SimStats};
 
 /// Operations issued in one cycle: total, then per unit kind.
 #[derive(Clone, Copy, Default)]
@@ -367,4 +367,65 @@ impl TraceSink for ReferencePipeline {
             self.write(r, at);
         }
     }
+}
+
+/// Feeds every event to the pipeline and the reference, comparing
+/// issue cycles after each instruction.
+struct Lockstep {
+    pipe: Pipeline,
+    reference: ReferencePipeline,
+    executed: u64,
+}
+
+impl TraceSink for Lockstep {
+    fn on_exec(&mut self, e: &ExecEvent<'_>) {
+        self.pipe.on_exec(e);
+        self.reference.on_exec(e);
+        self.executed += 1;
+        assert_eq!(
+            self.pipe.last_issue(),
+            self.reference.last_issue,
+            "issue cycle of dynamic instruction {} ({:?})",
+            self.executed,
+            e.instr
+        );
+    }
+    fn on_block_enter(&mut self, func: ccr_ir::FuncId, block: ccr_ir::BlockId) {
+        self.pipe.on_block_enter(func, block);
+        self.reference.on_block_enter(func, block);
+    }
+    fn on_call(&mut self, caller: ccr_ir::FuncId, callee: ccr_ir::FuncId) {
+        self.pipe.on_call(caller, callee);
+        self.reference.on_call(caller, callee);
+    }
+    fn on_ret(&mut self, from: ccr_ir::FuncId) {
+        self.pipe.on_ret(from);
+        self.reference.on_ret(from);
+    }
+}
+
+/// Runs one simulation of `program` with `Pipeline` and the reference
+/// in lockstep from one emulation, requires every instruction to issue
+/// in the same cycle in both and the final statistics to agree, and
+/// returns the run's reuse hits. `what` labels a failure.
+pub fn lockstep(
+    program: &Program,
+    machine: MachineConfig,
+    crb: Option<CrbConfig>,
+    what: &str,
+) -> u64 {
+    let mut tee = Lockstep {
+        pipe: Pipeline::new(machine, CodeLayout::of(program)),
+        reference: ReferencePipeline::new(machine, program),
+        executed: 0,
+    };
+    let emulator = Emulator::with_config(program, EmuConfig::default());
+    match crb {
+        Some(config) => emulator.run(&mut ReuseBuffer::new(config), &mut tee),
+        None => emulator.run(&mut NullCrb, &mut tee),
+    }
+    .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let stats = tee.pipe.into_stats();
+    assert_eq!(stats, tee.reference.stats(), "{what}");
+    stats.reuse_hits
 }
