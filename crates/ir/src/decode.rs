@@ -262,6 +262,14 @@ mod tests {
             .collect();
         use Latency::*;
         assert_eq!(lats, vec![Int, Mul, Fp, Load, None, None]);
+        // The timing model takes a timed row's result from its one
+        // destination.
+        for (_, i) in p.function(id).iter_instrs() {
+            let row = d.row(i.id);
+            if row.latency != Latency::None {
+                assert_eq!(row.dsts(), [i.dst().expect("a result")], "{i:?}");
+            }
+        }
         assert_eq!(d.code_size(), 6 * INSTR_BYTES);
     }
 }

@@ -668,9 +668,10 @@ impl TraceSink for Pipeline {
                         );
                     }
                 }
-                // Invalidates and nops only issue; every operation
-                // with a result was timed above.
-                _ => {}
+                Op::Invalidate { .. } | Op::Nop => {}
+                Op::Binary { .. } | Op::Unary { .. } | Op::Cmp { .. } | Op::Load { .. } => {
+                    unreachable!("an operation with a result has a latency kind")
+                }
             }
         }
 

@@ -4,12 +4,13 @@
 //! same cycle in both, and the final statistics must agree. Covered:
 //! all workloads at scale 1, baseline and CCR builds, on the paper
 //! machine and with each timing knob moved (speculative validation,
-//! reuse hit latency, reuse miss penalty, issue width).
+//! reuse hit latency, reuse miss penalty, issue width). The same builds
+//! pin the decoded-row invariant the timing model's dispatch relies on.
 
 #[path = "common/reference_pipeline.rs"]
 mod reference_pipeline;
 
-use ccr_ir::Program;
+use ccr_ir::{CodeLayout, Latency, Program};
 use ccr_opt::{optimize, OptConfig};
 use ccr_profile::{Emulator, NullCrb, ValueProfiler};
 use ccr_regions::{form_regions, transform, RegionConfig};
@@ -86,11 +87,26 @@ fn machines() -> Vec<(&'static str, MachineConfig)> {
     ]
 }
 
+/// Every decoded row with a result latency has exactly one
+/// destination: the pipeline times such an instruction from its row
+/// alone.
+fn assert_timed_rows_have_one_destination(program: &Program, what: &str) {
+    let layout = CodeLayout::of(program);
+    for (_, instr) in program.iter_instrs() {
+        let row = layout.decoded().row(instr.id);
+        if row.latency != Latency::None {
+            assert_eq!(row.dsts().len(), 1, "{what}: {instr:?}");
+        }
+    }
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
 fn pipeline_issues_every_instruction_when_the_reference_does() {
     for name in NAMES {
         let (base, annotated) = builds(name);
+        assert_timed_rows_have_one_destination(&base, &format!("{name} base"));
+        assert_timed_rows_have_one_destination(&annotated, &format!("{name} annotated"));
         for (label, machine) in machines() {
             lockstep(&base, machine, None, &format!("{name} baseline, {label}"));
             let hits = lockstep(

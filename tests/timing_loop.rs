@@ -5,15 +5,13 @@
 //! `Pipeline` against the independent reference model of
 //! `crates/sim/tests/common/reference_pipeline.rs` in lockstep, and the
 //! three session loops (plain `simulate`, each member of a two-machine
-//! session, a narrated run) against each other. It also pins the row
-//! invariant the model's dispatch relies on, over every workload.
+//! session, a narrated run) against each other.
 
 #[path = "../crates/sim/tests/common/reference_pipeline.rs"]
 mod reference_pipeline;
 
-use ccr::workloads::{build, InputSet, NAMES};
+use ccr::workloads::{build, InputSet};
 use ccr::{compile_ccr, CompileConfig, CompiledWorkload};
-use ccr_ir::{CodeLayout, Latency, Program};
 use ccr_profile::EmuConfig;
 use ccr_sim::{simulate, CrbConfig, MachineConfig, SimSession, TraceConfig};
 use ccr_telemetry::SummarySink;
@@ -88,26 +86,5 @@ fn the_inlined_pipeline_matches_the_reference_and_every_session_loop() {
             1,
             "{build}: the run was narrated"
         );
-    }
-}
-
-/// Every decoded row with a result latency has exactly one destination:
-/// the pipeline times such an instruction from its row alone.
-fn assert_timed_rows_have_one_destination(program: &Program, what: &str) {
-    let layout = CodeLayout::of(program);
-    for (_, instr) in program.iter_instrs() {
-        let row = layout.decoded().row(instr.id);
-        if row.latency != Latency::None {
-            assert_eq!(row.dsts().len(), 1, "{what}: {instr:?}");
-        }
-    }
-}
-
-#[test]
-fn every_timed_row_has_one_destination() {
-    for name in NAMES {
-        let compiled = compiled(name);
-        assert_timed_rows_have_one_destination(&compiled.base, &format!("{name} base"));
-        assert_timed_rows_have_one_destination(&compiled.annotated, &format!("{name} annotated"));
     }
 }
