@@ -32,7 +32,7 @@
 //!   [`Thresholds::judge`] is the one regression verdict `ccr diff`
 //!   and `ccr report` share, and its [`diff::RunSnapshot`] the one
 //!   reader of `analysis.json`,
-//! * [`bench`] — the `BENCH_ccr.json` schema: a versioned,
+//! * [`bench`](mod@bench) — the `BENCH_ccr.json` schema: a versioned,
 //!   per-workload performance snapshot forming the repo's committed
 //!   perf trajectory,
 //! * [`store`] — the append-only cross-run store: one versioned JSONL

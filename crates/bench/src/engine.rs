@@ -68,6 +68,7 @@ use ccr_core::config_hash;
 use ccr_core::harness::Harness;
 use ccr_core::jobs::parallel_map_observed;
 use ccr_core::measure::reuse_potential;
+use ccr_core::single_flight::{Claim, SingleFlight};
 use ccr_core::telemetry::Counter;
 use ccr_ir::Program;
 use ccr_profile::{EmuConfig, ReusePotential};
@@ -77,7 +78,6 @@ use crate::exp::{
     hash_fields, plan_selection, CompileCache, CompileUnit, Executed, Plan, PointMeta,
     PotentialUnit, Scenario,
 };
-use crate::single_flight::{Claim, SingleFlight};
 use crate::{emu_config, SuiteRun};
 
 /// Default retained-entry capacity of a fresh engine's
@@ -135,9 +135,11 @@ impl ResultStore {
 
 /// A content-addressed cache of completed simulation outcomes.
 ///
-/// Keys are the planner's FNV-1a dedup keys (suffixed with the
-/// fingerprint window so fingerprinted and plain runs never share an
-/// entry): identical keys imply identical deterministic outcomes.
+/// Keys are the planner's FNV-1a dedup keys, suffixed with the
+/// fingerprint window of a CCR point (`…|fp:<window>`) and with
+/// `…|fp:none` on a plain CCR point and on every baseline, which
+/// carries no fingerprint: identical keys imply identical
+/// deterministic outcomes.
 /// Lookups are single-flight — a miss marks the key pending and
 /// computes outside the lock; concurrent lookups of the same key
 /// block and then count as hits — so each unique simulation runs
@@ -455,8 +457,10 @@ impl Engine {
     ///   their result-cache keys, so units a previous run finished are
     ///   ordinary cache hits that keep their recorded wall times — a
     ///   resumed run reproduces the original run's
-    ///   [`Executed::records`] exactly. Entries recorded
-    ///   under another fingerprint window (or none) never match.
+    ///   [`Executed::records`] exactly. A CCR entry recorded under
+    ///   another fingerprint window (or none) never matches; baselines
+    ///   carry no fingerprint, so a plain run's baselines resume a
+    ///   fingerprinted one.
     /// - `fingerprint_window`: when set, every CCR group's
     ///   [`SimSession`] folds each member's determinism fingerprint
     ///   every that many of its cycles (bit-identical statistics to a

@@ -30,8 +30,9 @@
 //!    or vary the reuse penalties.
 //! 3. **Executor** ([`crate::Engine::execute_plan`]): fans the planned
 //!    units through the [`ccr_core::jobs`] pool — compiles and
-//!    reuse-potential studies first, then every simulation as an
-//!    independent work item.
+//!    reuse-potential studies first, then the simulations in functional
+//!    groups, one emulation per group feeding one pipeline per machine
+//!    (see [`crate::engine`]).
 //!
 //! **Bit-identity contract:** every rendered table is byte-identical
 //! to what the original per-figure binaries printed. Deduplication only
@@ -47,9 +48,11 @@
 //! the file's lines as ready cache entries, so finished units are
 //! ordinary cache hits instead of re-simulations. Lines are keyed by
 //! result-cache key — the planner's dedup key (workload, input, scale,
-//! emulator limits, config-field hashes) plus the fingerprint window —
-//! so a stale checkpoint from a different sweep, or one recorded
-//! without fingerprints or at another window, simply never matches. A
+//! emulator limits, config-field hashes) plus a CCR point's
+//! fingerprint window (`fp:none` without one, and on every baseline) —
+//! so a stale checkpoint from a different sweep never matches, nor do
+//! CCR lines recorded without fingerprints or at another window, while
+//! a plain checkpoint's baselines resume a fingerprinted sweep. A
 //! torn final line (crashed run) fails to parse and is silently
 //! re-simulated. With a fingerprint window, every CCR simulation's
 //! [`ccr_sim::SimSession`] additionally folds the determinism
@@ -70,6 +73,7 @@ use ccr_core::compile::{
 };
 use ccr_core::measure::Measurement;
 use ccr_core::report::Table;
+use ccr_core::single_flight::SingleFlight;
 use ccr_core::telemetry::value::{self, req, req_arr, req_u64, Value};
 use ccr_core::telemetry::JsonWriter;
 use ccr_core::{config_hash, fnv1a_hex};
@@ -80,7 +84,6 @@ use ccr_sim::{CrbConfig, MachineConfig, SimOutcome};
 use ccr_workloads::{build, InputSet};
 
 use crate::engine::CachedSim;
-use crate::single_flight::SingleFlight;
 use crate::{emu_config, SuiteRun, RUN_EMU, SCALE};
 
 /// One configuration a workload selection runs under: the only

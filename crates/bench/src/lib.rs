@@ -25,7 +25,6 @@
 
 pub mod engine;
 pub mod exp;
-mod single_flight;
 
 use std::sync::Arc;
 

@@ -1,13 +1,15 @@
 //! The compile half of the pipeline: optimize → profile → form →
 //! annotate.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use ccr_ir::Program;
 use ccr_opt::{OptConfig, PassRecord, RecordingObserver};
 use ccr_profile::{EmuConfig, EmuError, Emulator, NullCrb, ReuseProfile, ValueProfiler};
 use ccr_regions::{FormationStats, RegionConfig, RegionInfo, RegionSpec};
-use ccr_telemetry::Counter;
+
+use crate::single_flight::SingleFlight;
 
 /// Configuration of the compile pipeline.
 #[derive(Clone, Copy, Debug, Default)]
@@ -64,12 +66,14 @@ pub struct CompiledWorkload {
 /// `TrainProfile` serves every region configuration and both target
 /// inputs of a workload. It also memoizes the reiteration trials run
 /// on its training build ([`TrainProfile::trial_stats`]).
-#[derive(Debug)]
 pub struct TrainProfile {
     train_opt: Program,
     passes: Vec<PassRecord>,
     profile: Arc<ReuseProfile>,
-    trials: TrialMemo,
+    /// Per-region trial hit ratios, keyed by the exact trial buffer
+    /// shape and pre-trial region list: a trial is a pure function of
+    /// the training build and of those two.
+    trials: SingleFlight<HashMap<String, Arc<[f64]>>>,
 }
 
 impl TrainProfile {
@@ -77,7 +81,7 @@ impl TrainProfile {
     /// many compiles ran the trial, and how many read the hit ratios
     /// of an identical trial another compile ran (or was running).
     pub fn trial_stats(&self) -> (u64, u64) {
-        (self.trials.run.get(), self.trials.reused.get())
+        (self.trials.misses(), self.trials.hits())
     }
 
     /// The per-region hit ratios of the trial of `specs` under
@@ -87,66 +91,23 @@ impl TrainProfile {
         specs: &[RegionSpec],
         config: &CompileConfig,
     ) -> Result<Arc<[f64]>, EmuError> {
-        let shape = TrialShape {
-            instances: config.region.trial_instances,
-            max_live_in: config.region.max_live_in,
-            max_live_out: config.region.max_live_out,
-            emu: config.emu,
-        };
-        let slot = {
-            let mut slots = self
-                .trials
-                .slots
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match slots.iter().find(|(s, k, _)| *k == shape && s == specs) {
-                Some((_, _, slot)) => Arc::clone(slot),
-                None => {
-                    let slot = TrialSlot::default();
-                    slots.push((specs.to_vec(), shape, Arc::clone(&slot)));
-                    slot
-                }
-            }
-        };
-        // A trial that panicked left its slot empty, as an error does.
-        let mut ratios = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(r) = &*ratios {
-            self.trials.reused.inc();
-            return Ok(Arc::clone(r));
-        }
-        self.trials.run.inc();
-        let r: Arc<[f64]> = trial_hit_ratios(&self.train_opt, specs, config)?.into();
-        *ratios = Some(Arc::clone(&r));
-        Ok(r)
+        // The buffer and emulator limits the trial runs under.
+        let shape = (
+            config.region.trial_instances,
+            config.region.max_live_in,
+            config.region.max_live_out,
+            config.emu,
+        );
+        let key = format!("{shape:?}|{specs:?}");
+        self.trials.get_or_run(
+            &key,
+            |done| done.get(&key).cloned(),
+            || trial_hit_ratios(&self.train_opt, specs, config).map(Arc::from),
+            |done, ratios| {
+                done.insert(key.clone(), Arc::clone(ratios));
+            },
+        )
     }
-}
-
-/// One memoized trial's per-region hit ratios, `None` until a trial
-/// of its key succeeds.
-type TrialSlot = Arc<Mutex<Option<Arc<[f64]>>>>;
-
-/// The reiteration-trial memo of one [`TrainProfile`]. A trial is a
-/// pure function of the training build and of its inputs here: the
-/// pre-trial region list and the [`TrialShape`]. Keys match by exact
-/// equality, and a profile sees a handful of them, so the list is
-/// scanned. A slot's lock is held while its trial runs, so a
-/// concurrent miss on the same key waits for that trial and reads its
-/// result (single flight). An error leaves the slot empty, and the
-/// next caller runs the trial itself.
-#[derive(Debug, Default)]
-struct TrialMemo {
-    slots: Mutex<Vec<(Vec<RegionSpec>, TrialShape, TrialSlot)>>,
-    run: Counter,
-    reused: Counter,
-}
-
-/// The buffer and emulator limits a reiteration trial runs under.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct TrialShape {
-    instances: usize,
-    max_live_in: usize,
-    max_live_out: usize,
-    emu: EmuConfig,
 }
 
 /// Optimizes `train` and value-profiles the result: the first stage of
@@ -165,7 +126,7 @@ pub fn profile_train(train: &Program, config: &CompileConfig) -> Result<TrainPro
         train_opt,
         passes: observer.records,
         profile: Arc::new(profiler.finish()),
-        trials: TrialMemo::default(),
+        trials: SingleFlight::default(),
     })
 }
 
@@ -302,7 +263,6 @@ fn trial_hit_ratios(
     config: &CompileConfig,
 ) -> Result<Vec<f64>, EmuError> {
     use ccr_profile::{ExecEvent, TraceSink};
-    use std::collections::HashMap;
 
     let mut trial = train_opt.clone();
     let infos = ccr_regions::transform::annotate(&mut trial, specs.to_vec());

@@ -24,6 +24,7 @@ pub mod jobs;
 pub mod measure;
 pub mod report;
 pub mod runreport;
+pub mod single_flight;
 
 pub use compile::{compile_ccr, CompileConfig, CompileTelemetry, CompiledWorkload};
 pub use harness::{Harness, HarnessOptions, HarnessSummary, ProgressMode, HARNESS_SCHEMA_VERSION};

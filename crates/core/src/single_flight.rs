@@ -1,10 +1,12 @@
-//! Single-flight memoization: the lookup loop shared by the compile
-//! cache and the simulation-result cache.
+//! Single-flight memoization: the one lookup loop behind every memo
+//! of the program — compile units, value profiles and reiteration
+//! trials ([`crate::compile::TrainProfile`]), and the simulation
+//! results and reuse-potential studies of `ccr-bench`'s engine.
 
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use ccr_core::telemetry::Counter;
+use ccr_telemetry::Counter;
 
 /// A mutex-guarded store `S` plus the set of keys some thread is
 /// currently computing. A lookup that misses marks its key pending and
@@ -14,7 +16,7 @@ use ccr_core::telemetry::Counter;
 /// are deterministic. Errors are never stored: waiters on a failed
 /// (or panicked) computation retry with their own.
 #[derive(Default)]
-pub(crate) struct SingleFlight<S> {
+pub struct SingleFlight<S> {
     state: Mutex<Flight<S>>,
     cv: Condvar,
     hits: Counter,
@@ -30,17 +32,17 @@ struct Flight<S> {
 impl<S> SingleFlight<S> {
     /// Lookups served from the store, including those that waited out
     /// another thread's computation.
-    pub(crate) fn hits(&self) -> u64 {
+    pub fn hits(&self) -> u64 {
         self.hits.get()
     }
 
     /// Lookups that had to compute.
-    pub(crate) fn misses(&self) -> u64 {
+    pub fn misses(&self) -> u64 {
         self.misses.get()
     }
 
     /// Runs `f` on the store under the lock.
-    pub(crate) fn with_store<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+    pub fn with_store<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.state.lock().expect("single-flight lock").store)
     }
 
@@ -51,7 +53,7 @@ impl<S> SingleFlight<S> {
     /// # Errors
     ///
     /// Returns `compute`'s error without storing it.
-    pub(crate) fn get_or_run<T, E>(
+    pub fn get_or_run<T, E>(
         &self,
         key: &str,
         mut lookup: impl FnMut(&mut S) -> Option<T>,
@@ -83,7 +85,7 @@ impl<S> SingleFlight<S> {
     /// miss), else [`Claim::Busy`] when another caller is computing it
     /// (counted neither way: the caller looks it up again once its own
     /// claims are released, so it never waits while holding one).
-    pub(crate) fn try_claim<'a, T>(
+    pub fn try_claim<'a, T>(
         &'a self,
         key: &'a str,
         lookup: impl FnOnce(&mut S) -> Option<T>,
@@ -108,7 +110,7 @@ impl<S> SingleFlight<S> {
 }
 
 /// What [`SingleFlight::try_claim`] found.
-pub(crate) enum Claim<'a, S, T> {
+pub enum Claim<'a, S, T> {
     /// The key's stored value.
     Ready(T),
     /// The key is now pending for this caller.
@@ -121,14 +123,14 @@ pub(crate) enum Claim<'a, S, T> {
 /// value is stored, after an error, and during unwinding if the
 /// computation panicked, so a panic cannot leave waiters blocked
 /// forever.
-pub(crate) struct Pending<'a, S> {
+pub struct Pending<'a, S> {
     flight: &'a SingleFlight<S>,
     key: &'a str,
 }
 
 impl<S> Pending<'_, S> {
     /// Stores the computed value with `insert`, then releases the key.
-    pub(crate) fn store(self, insert: impl FnOnce(&mut S)) {
+    pub fn store(self, insert: impl FnOnce(&mut S)) {
         insert(&mut self.flight.state.lock().expect("single-flight lock").store);
     }
 }

@@ -10,8 +10,8 @@
 //! match the current architectural state and its memory state has not
 //! been invalidated.
 //!
-//! Host layout: one plain [`Instance`] per slot, holding its banks as
-//! `(register, value)` vectors, and a queue of [`Ghost`]s per entry. A
+//! Host layout: one plain `Instance` per slot, holding its banks as
+//! `(register, value)` vectors, and a queue of `Ghost`s per entry. A
 //! lookup takes the first valid instance whose recorded pairs all
 //! still hold, exactly the paper's rule (DESIGN.md §9.3).
 

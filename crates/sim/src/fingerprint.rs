@@ -6,7 +6,7 @@
 //! caches, BTB, reuse buffer) — every `window` cycles. The running
 //! hash never resets, so the value sealed at each window boundary
 //! *chains*: two runs agree on window `i` only if they agreed on every
-//! window before it, which is what lets [`ccr_analyze`]'s digest
+//! window before it, which is what lets `ccr_analyze`'s digest
 //! comparison bisect a divergence to the first bad window.
 //!
 //! The fold definition is fixed by [`Fold::push`]: starting from the

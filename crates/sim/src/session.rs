@@ -118,7 +118,7 @@ pub fn simulate(
     Ok(session.into_outcome())
 }
 
-/// A simulation run, stepwise or to the end. See the module docs for
+/// A simulation run, to a cycle or to the end. See the module docs for
 /// its modes and the replay contract.
 pub struct SimSession<'p> {
     program: &'p Program,
@@ -293,7 +293,7 @@ impl<'p> SimSession<'p> {
     ///
     /// # Panics
     ///
-    /// Panics unless called before the first step of a fresh session,
+    /// Panics unless called before a fresh session has run,
     /// or if `cfg.window` (or, profiled, `cfg.sample_period`) is zero.
     pub fn narrate(
         &mut self,
@@ -357,23 +357,6 @@ impl<'p> SimSession<'p> {
         self.final_hashes.get(machine).copied()
     }
 
-    /// Executes one dynamic instruction, sealing each machine's crossed
-    /// fingerprint windows; on completion, folds each machine's final
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates emulator limit violations ([`EmuError`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after the run finished.
-    pub fn step(&mut self) -> Result<(), EmuError> {
-        assert!(!self.finished(), "step after the run finished");
-        self.outcome = self.advance(false)?;
-        Ok(())
-    }
-
     /// Runs to completion: one uninterrupted emulator loop, which
     /// seals the fingerprint windows as it crosses them.
     ///
@@ -381,30 +364,31 @@ impl<'p> SimSession<'p> {
     ///
     /// Propagates emulator limit violations ([`EmuError`]).
     pub fn run_to_end(&mut self) -> Result<(), EmuError> {
-        if !self.finished() {
-            self.outcome = self.advance(true)?;
-        }
-        Ok(())
+        self.run_until_cycle(u64::MAX)
     }
 
     /// Runs until the simulated cycle count reaches `cycle` (or the
-    /// program finishes first).
+    /// program finishes first): the [`SimSession::run_to_end`] loop,
+    /// stopped after the first instruction that reaches `cycle`. Each
+    /// fingerprint window `n` is sealed by the first instruction on or
+    /// past cycle `n * window`, so running to that cycle leaves exactly
+    /// `n` windows sealed.
     ///
     /// # Errors
     ///
     /// Propagates emulator limit violations ([`EmuError`]).
     pub fn run_until_cycle(&mut self, cycle: u64) -> Result<(), EmuError> {
-        while !self.finished() && self.cycles_so_far() < cycle {
-            self.step()?;
+        if !self.finished() && self.cycles_so_far() < cycle {
+            self.outcome = self.advance(cycle)?;
         }
         Ok(())
     }
 
-    /// Steps the emulator once, or until the program returns when
-    /// `to_end`, with the buffer (or [`NullCrb`]) as its reuse model.
-    /// One pipeline, narrated when asked, is the trace sink itself;
-    /// several are fed through the fan-out [`Tee`].
-    fn advance(&mut self, to_end: bool) -> Result<Option<RunOutcome>, EmuError> {
+    /// Runs the emulator until the program returns or the first
+    /// machine reaches cycle `until`, with the buffer (or [`NullCrb`])
+    /// as its reuse model. One pipeline, narrated when asked, is the
+    /// trace sink itself; several are fed through the fan-out [`Tee`].
+    fn advance(&mut self, until: u64) -> Result<Option<RunOutcome>, EmuError> {
         let run = &mut self.run;
         let folds = &mut Folds {
             streams: &mut self.streams,
@@ -415,24 +399,24 @@ impl<'p> SimSession<'p> {
             self.narrator.as_mut(),
             self.pipelines.as_mut_slice(),
         ) {
-            (Some(buffer), None, [pipeline]) => drive(run, buffer, pipeline, to_end, folds),
-            (None, None, [pipeline]) => drive(run, &mut NullCrb, pipeline, to_end, folds),
+            (Some(buffer), None, [pipeline]) => drive(run, buffer, pipeline, until, folds),
+            (None, None, [pipeline]) => drive(run, &mut NullCrb, pipeline, until, folds),
             (Some(buffer), Some(narrator), [pipeline]) => drive(
                 run,
                 buffer,
                 &mut Narrated { pipeline, narrator },
-                to_end,
+                until,
                 folds,
             ),
             (None, Some(narrator), [pipeline]) => drive(
                 run,
                 &mut NullCrb,
                 &mut Narrated { pipeline, narrator },
-                to_end,
+                until,
                 folds,
             ),
-            (Some(buffer), _, all) => drive(run, buffer, &mut Tee(all), to_end, folds),
-            (None, _, all) => drive(run, &mut NullCrb, &mut Tee(all), to_end, folds),
+            (Some(buffer), _, all) => drive(run, buffer, &mut Tee(all), until, folds),
+            (None, _, all) => drive(run, &mut NullCrb, &mut Tee(all), until, folds),
         }
     }
 
@@ -643,20 +627,22 @@ impl Folds<'_> {
     }
 }
 
-/// Steps `run` once, or until the program returns when `to_end` (the
-/// loop [`Emulator::run`] runs), sealing fingerprint windows after
-/// every step when the session has streams. Each step's result is
-/// tested in place: moving it out of the `Result` would copy the
-/// outcome's bytes on every dynamic instruction. A plain run skips the
-/// fold call: making it over no streams on every step cost about 7% of
-/// the `design-space` benchmark's wall time.
+/// Steps `run` until the program returns (the loop [`Emulator::run`]
+/// runs) or the first pipeline reaches cycle `until`, sealing
+/// fingerprint windows after every step when the session has streams.
+/// Each step's result is tested in place: moving it out of the
+/// `Result` would copy the outcome's bytes on every dynamic
+/// instruction. A plain run to the end skips the fold call and the
+/// cycle test: making the call over no streams on every step cost
+/// about 7% of the `design-space` benchmark's wall time.
 fn drive<C: SessionCrb, S: SessionSink>(
     run: &mut EmuRun<'_>,
     crb: &mut C,
     sink: &mut S,
-    to_end: bool,
+    until: u64,
     folds: &mut Folds<'_>,
 ) -> Result<Option<RunOutcome>, EmuError> {
+    let watched = !folds.streams.is_empty() || until < u64::MAX;
     loop {
         let out = run.step(crb, sink);
         let done = match out {
@@ -664,10 +650,13 @@ fn drive<C: SessionCrb, S: SessionSink>(
             Ok(Some(_)) => true,
             Err(_) => return out,
         };
-        if !folds.streams.is_empty() {
+        if watched {
             folds.after_step(run, crb.buffer(), sink.pipelines(), done);
+            if sink.pipelines()[0].cycles_so_far() >= until {
+                return out;
+            }
         }
-        if !to_end || done {
+        if done {
             return out;
         }
     }
@@ -972,6 +961,38 @@ mod tests {
             assert_eq!(fp.stats, want.stats);
         }
         assert!(outcomes[1].stats.cycles <= outcomes[0].stats.cycles);
+    }
+
+    /// The invariant window-by-window replay rests on: running to a
+    /// cycle seals exactly the windows below it, on one machine and on
+    /// several.
+    #[test]
+    fn running_to_a_cycle_seals_every_window_below_it() {
+        let p = annotated_program(300);
+        let (m, crb, emu) = paper();
+        let window = 64;
+        let machines = [m, MachineConfig::with_speculative_validation()];
+        for n in [1, 2] {
+            let end = {
+                let mut s = SimSession::with_machines(&p, &machines[..n], crb, emu, None).unwrap();
+                s.run_to_end().unwrap();
+                s.cycles_so_far()
+            };
+            assert!(end > 3 * window);
+            for c in [0, 1, window - 1, window, 3 * window, end + 1] {
+                let mut s =
+                    SimSession::with_machines(&p, &machines[..n], crb, emu, Some(window)).unwrap();
+                s.run_until_cycle(c).unwrap();
+                let at = s.cycles_so_far();
+                assert_eq!(
+                    s.windows().len() as u64,
+                    at / window,
+                    "{n} machine(s), cycle {c}"
+                );
+                assert!(s.finished() || at >= c, "{n} machine(s), cycle {c}");
+                assert_eq!(s.finished(), c > end, "{n} machine(s), cycle {c}");
+            }
+        }
     }
 
     #[test]

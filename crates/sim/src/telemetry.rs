@@ -2,7 +2,7 @@
 //!
 //! A [`crate::SimSession`] asked to narrate
 //! ([`crate::SimSession::narrate`]) passes every trace callback to the
-//! timing [`Pipeline`] first and then to its [`Narrator`], which only
+//! timing [`Pipeline`] first and then to its `Narrator`, which only
 //! reads the pipeline's cycle count: the pipeline sees the identical
 //! event sequence with or without narration, so cycle counts cannot
 //! drift. During the run the narrator emits:

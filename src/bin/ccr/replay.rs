@@ -1,6 +1,6 @@
 //! The trajectory commands: `fingerprint`, `snapshot`, and the
-//! snapshot flags of `run` — every path that drives a fingerprinted
-//! [`SimSession`] step by step.
+//! snapshot flags of `run` — every path that runs a fingerprinted
+//! [`SimSession`] to a cycle.
 //!
 //! `ccr fingerprint` runs each named workload under the simulator's
 //! streaming determinism fingerprint (an FNV-1a fold over the full
@@ -187,9 +187,10 @@ impl Replay {
     fn digest(&self, window: u64, perturb_at: Option<u64>) -> Result<DigestFile, String> {
         let mut session = self.start(window);
         if let Some(n) = perturb_at {
-            while !session.finished() && (session.windows().len() as u64) < n {
-                session.step().map_err(|e| e.to_string())?;
-            }
+            // Window `n` seals at the first step on or past this cycle.
+            session
+                .run_until_cycle(n.saturating_mul(window))
+                .map_err(|e| e.to_string())?;
             session.perturb_for_tests();
         }
         session.run_to_end().map_err(|e| e.to_string())?;
@@ -378,7 +379,7 @@ fn cmd_fingerprint_compare(flags: &Flags) -> Result<ExitCode, CliError> {
 /// Best-effort local replay at a `--compare` divergence: when digest
 /// A's workload is reproducible here (decodable label, matching
 /// config hash), re-runs it to the last agreed window boundary, saves
-/// a `SimSnapshot` there for inspection, then steps through the
+/// a `SimSnapshot` there for inspection, then runs through the
 /// divergent window and reports which side this host agrees with.
 /// The caller prints any failure as a note — the exit-2 verdict
 /// stands on the digests alone.
@@ -420,11 +421,11 @@ fn replay_divergence(
         snap.cycle,
         path.display()
     );
-    // Step through the divergent window locally and say which side
+    // Run through the divergent window locally and say which side
     // this host reproduces — the arbiter between A and B.
-    while !session.finished() && (session.windows().len() as u64) <= index {
-        session.step().map_err(|e| e.to_string())?;
-    }
+    session
+        .run_until_cycle((index + 1).saturating_mul(a.window))
+        .map_err(|e| e.to_string())?;
     let w = (session.windows().get(index as usize))
         .ok_or_else(|| format!("local replay finished before window {index}"))?;
     let hash_of = |d: &DigestFile| d.windows.get(index as usize).map(|x| x.hash);
