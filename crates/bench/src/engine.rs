@@ -69,9 +69,10 @@ use ccr_core::harness::Harness;
 use ccr_core::jobs::parallel_map_observed;
 use ccr_core::measure::reuse_potential;
 use ccr_core::single_flight::{Claim, SingleFlight};
-use ccr_core::telemetry::Counter;
+use ccr_core::telemetry::{value, Counter, JsonWriter};
 use ccr_ir::Program;
 use ccr_profile::{EmuConfig, ReusePotential};
+use ccr_sim::snapshot::{parse_outcome, write_outcome_fields};
 use ccr_sim::{CrbConfig, MachineConfig, SimOutcome, SimSession};
 
 use crate::exp::{
@@ -171,6 +172,62 @@ pub struct SimResultCache {
 struct Journal {
     file: File,
     torn: bool,
+}
+
+/// Version tag of experiment-checkpoint JSONL lines. Bumped only on
+/// incompatible changes; additive fields ride under the same version.
+/// Lines are keyed by result-cache key (`…|fp:none`, `…|fp:<window>`).
+pub const CKPT_VERSION: u64 = 4;
+
+/// One checkpoint journal line: a result-cache entry under its key,
+/// with the outcome's fields from [`write_outcome_fields`].
+pub(crate) fn ckpt_line(key: &str, c: &CachedSim) -> String {
+    let mut w = JsonWriter::new();
+    w.obj_begin();
+    w.key("ckpt_v").u64_val(CKPT_VERSION);
+    w.key("key").str_val(key);
+    w.key("wall_ms").u64_val(c.wall_ms);
+    w.key("fingerprint").str_val(&c.fingerprint);
+    write_outcome_fields(&mut w, &c.outcome);
+    w.obj_end();
+    w.finish()
+}
+
+/// Loads a checkpoint journal as result-cache entries in file order,
+/// plus whether the file ends in a torn line (non-empty, no final
+/// newline). A missing file is an empty journal (first run); an
+/// unreadable or wrong-version file is a one-line error. Lines that
+/// fail to parse as JSON are skipped — that is the torn final line of
+/// a crashed run, and the unit it would have recorded simply
+/// re-simulates.
+pub(crate) fn load_checkpoint(path: &Path) -> Result<(Vec<(String, CachedSim)>, bool), String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
+        Err(e) => return Err(format!("{}: {e}", path.display())),
+    };
+    let mut out = Vec::new();
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let Ok(v) = value::parse(line) else { continue };
+        let ctx = format!("{}:{}", path.display(), i + 1);
+        value::check_version(&v, "ckpt_v", &[CKPT_VERSION]).map_err(|e| format!("{ctx}: {e}"))?;
+        let key = v.str_field("key").to_string();
+        if key.is_empty() {
+            return Err(format!("{ctx}: missing `key`"));
+        }
+        let cached = CachedSim {
+            outcome: parse_outcome(&v, &ctx)?,
+            wall_ms: v.u64_field("wall_ms"),
+            fingerprint: v.str_field("fingerprint").to_string(),
+        };
+        out.push((key, cached));
+    }
+    let torn = !text.is_empty() && !text.ends_with('\n');
+    Ok((out, torn))
 }
 
 impl SimResultCache {
@@ -316,7 +373,7 @@ impl SimResultCache {
     /// entries (neither hits nor misses) and later computations append
     /// to it. A missing file is an empty journal.
     fn open_journal(&self, path: &Path) -> Result<(), String> {
-        let (entries, torn) = crate::exp::load_checkpoint(path)?;
+        let (entries, torn) = load_checkpoint(path)?;
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)
@@ -348,7 +405,7 @@ impl SimResultCache {
     fn append_to_journal(&self, key: &str, value: &CachedSim) {
         let mut journal = self.journal.lock().expect("journal lock");
         let Some(j) = journal.as_mut() else { return };
-        let mut line = crate::exp::ckpt_line(key, value);
+        let mut line = ckpt_line(key, value);
         line.push('\n');
         if std::mem::take(&mut j.torn) {
             line.insert(0, '\n');

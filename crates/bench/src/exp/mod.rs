@@ -64,7 +64,6 @@ pub mod specs;
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::path::Path;
 use std::sync::Arc;
 
 use ccr_analyze::RunRecord;
@@ -74,13 +73,10 @@ use ccr_core::compile::{
 use ccr_core::measure::Measurement;
 use ccr_core::report::Table;
 use ccr_core::single_flight::SingleFlight;
-use ccr_core::telemetry::value::{self, req, req_arr, req_u64, Value};
-use ccr_core::telemetry::JsonWriter;
 use ccr_core::{config_hash, fnv1a_hex};
-use ccr_profile::{EmuConfig, ReusePotential, RunOutcome};
+use ccr_profile::{EmuConfig, ReusePotential};
 use ccr_regions::RegionConfig;
-use ccr_sim::snapshot::{parse_sim_stats, write_sim_stats};
-use ccr_sim::{CrbConfig, MachineConfig, SimOutcome};
+use ccr_sim::{CrbConfig, MachineConfig};
 use ccr_workloads::{build, InputSet};
 
 use crate::engine::CachedSim;
@@ -735,95 +731,6 @@ impl CompileCache {
     }
 }
 
-/// Version tag of experiment-checkpoint JSONL lines. Bumped only on
-/// incompatible changes; additive fields ride under the same version.
-/// Lines are keyed by result-cache key (`…|fp:none`, `…|fp:<window>`).
-pub const CKPT_VERSION: u64 = 4;
-
-/// One checkpoint journal line: a result-cache entry under its key.
-pub(crate) fn ckpt_line(key: &str, c: &CachedSim) -> String {
-    let o = &c.outcome;
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("ckpt_v").u64_val(CKPT_VERSION);
-    w.key("key").str_val(key);
-    w.key("wall_ms").u64_val(c.wall_ms);
-    w.key("fingerprint").str_val(&c.fingerprint);
-    w.key("returned").arr_begin();
-    for v in &o.run.returned {
-        w.i64_val(v.0);
-    }
-    w.arr_end();
-    w.key("dyn_instrs").u64_val(o.run.dyn_instrs);
-    w.key("skipped_instrs").u64_val(o.run.skipped_instrs);
-    w.key("reuse_hits").u64_val(o.run.reuse_hits);
-    w.key("reuse_misses").u64_val(o.run.reuse_misses);
-    w.key("memory_digest").u64_val(o.run.memory_digest);
-    w.key("stats");
-    write_sim_stats(&mut w, &o.stats);
-    w.obj_end();
-    w.finish()
-}
-
-/// Loads a checkpoint journal as result-cache entries in file order,
-/// plus whether the file ends in a torn line (non-empty, no final
-/// newline). A missing file is an empty journal (first run); an
-/// unreadable or wrong-version file is a one-line error. Lines that
-/// fail to parse as JSON are skipped — that is the torn final line of
-/// a crashed run, and the unit it would have recorded simply
-/// re-simulates.
-pub(crate) fn load_checkpoint(path: &Path) -> Result<(Vec<(String, CachedSim)>, bool), String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Ok(v) = value::parse(line) else { continue };
-        let ctx = format!("{}:{}", path.display(), i + 1);
-        value::check_version(&v, "ckpt_v", &[CKPT_VERSION]).map_err(|e| format!("{ctx}: {e}"))?;
-        let key = v.str_field("key").to_string();
-        if key.is_empty() {
-            return Err(format!("{ctx}: missing `key`"));
-        }
-        let returned = req_arr(&v, "returned", &ctx)?
-            .iter()
-            .map(|x| match x {
-                Value::U64(n) => i64::try_from(*n)
-                    .map(ccr_ir::Value)
-                    .map_err(|_| format!("{ctx}: returned value out of i64 range")),
-                Value::I64(n) => Ok(ccr_ir::Value(*n)),
-                _ => Err(format!("{ctx}: non-integer returned value")),
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        out.push((
-            key,
-            CachedSim {
-                outcome: SimOutcome {
-                    run: RunOutcome {
-                        returned,
-                        dyn_instrs: req_u64(&v, "dyn_instrs", &ctx)?,
-                        skipped_instrs: req_u64(&v, "skipped_instrs", &ctx)?,
-                        reuse_hits: req_u64(&v, "reuse_hits", &ctx)?,
-                        reuse_misses: req_u64(&v, "reuse_misses", &ctx)?,
-                        memory_digest: req_u64(&v, "memory_digest", &ctx)?,
-                    },
-                    stats: parse_sim_stats(req(&v, "stats", &ctx)?, &ctx)?,
-                },
-                wall_ms: v.u64_field("wall_ms"),
-                fingerprint: v.str_field("fingerprint").to_string(),
-            },
-        ));
-    }
-    let torn = !text.is_empty() && !text.ends_with('\n');
-    Ok((out, torn))
-}
-
 /// Executed results, keyed for assembly into per-spec views.
 pub struct Executed<'s> {
     pub(crate) specs: Vec<&'s ExperimentSpec>,
@@ -969,10 +876,12 @@ impl<'s> Executed<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ckpt_line, load_checkpoint, CKPT_VERSION};
     use crate::Engine;
     use ccr_core::harness::Harness;
+    use ccr_core::telemetry::value;
     use proptest::prelude::*;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     static ONE_WORKLOAD: [&str; 1] = ["bitcount"];
 
@@ -1371,6 +1280,9 @@ mod tests {
         assert_eq!((entries.len(), torn), (1, false));
         assert!(entries[0].1.outcome.stats.cycles > 0);
         let _ = std::fs::remove_file(&path);
+        // The checkpoint line's bytes are pinned, so a format drift
+        // shows up here, not only as a failed round trip.
+        assert_eq!(fnv1a_hex(ckpt.as_bytes()), "948bce87629f1a76");
     }
 
     /// `line` after `edits`: each inserts, deletes, replaces or

@@ -25,9 +25,14 @@
 //!
 //! All counters are serialized as the exact integers the simulator
 //! reported, so a report agrees byte-for-byte with the plain-text
-//! tables rendered from the same run.
+//! tables rendered from the same run. The `base` and `ccr` blocks
+//! take their counters from the one [`SimStats`] declaration in
+//! `ccr_sim::snapshot` (the snapshot's and checkpoint's stats object,
+//! through [`ccr_sim::snapshot::write_sim_stats_fields`]) and add only
+//! `effective_ipc` and `attribution`.
 
 use ccr_regions::RegionInfo;
+use ccr_sim::snapshot::write_sim_stats_fields;
 use ccr_sim::{CrbConfig, MachineConfig, Replacement, SimStats};
 use ccr_telemetry::{emit, JsonWriter, TelemetrySink};
 
@@ -290,58 +295,18 @@ fn crb_json(w: &mut JsonWriter, c: &CrbConfig) {
     w.obj_end();
 }
 
+/// A phase's statistics: the checkpoint's [`SimStats`] members, plus
+/// the report's own `effective_ipc` and `attribution`.
 fn sim_stats_json(w: &mut JsonWriter, s: &SimStats) {
     w.obj_begin();
-    w.key("cycles").u64_val(s.cycles);
-    w.key("dyn_instrs").u64_val(s.dyn_instrs);
-    w.key("skipped_instrs").u64_val(s.skipped_instrs);
-    w.key("icache_hits").u64_val(s.icache_hits);
-    w.key("icache_misses").u64_val(s.icache_misses);
-    w.key("dcache_hits").u64_val(s.dcache_hits);
-    w.key("dcache_misses").u64_val(s.dcache_misses);
-    w.key("branch_correct").u64_val(s.branch_correct);
-    w.key("branch_mispredicts").u64_val(s.branch_mispredicts);
-    w.key("reuse_hits").u64_val(s.reuse_hits);
-    w.key("reuse_misses").u64_val(s.reuse_misses);
-    w.key("crb").obj_begin();
-    w.key("lookups").u64_val(s.crb.lookups);
-    w.key("hits").u64_val(s.crb.hits);
-    w.key("misses").u64_val(s.crb.misses);
-    w.key("miss_cold").u64_val(s.crb.miss_cold);
-    w.key("miss_mismatch").u64_val(s.crb.miss_mismatch);
-    w.key("miss_capacity").u64_val(s.crb.miss_capacity);
-    w.key("miss_conflict").u64_val(s.crb.miss_conflict);
-    w.key("miss_invalidated").u64_val(s.crb.miss_invalidated);
-    w.key("records").u64_val(s.crb.records);
-    w.key("invalidations").u64_val(s.crb.invalidations);
-    w.key("entry_conflicts").u64_val(s.crb.entry_conflicts);
-    w.obj_end();
-    let mut regions: Vec<_> = s.regions.iter().map(|(id, rs)| (*id, *rs)).collect();
-    regions.sort_by_key(|(id, _)| id.index());
-    w.key("regions").arr_begin();
-    for (id, rs) in regions {
-        w.obj_begin();
-        w.key("region").u64_val(id.index() as u64);
-        w.key("hits").u64_val(rs.hits);
-        w.key("misses").u64_val(rs.misses);
-        w.key("miss_cold").u64_val(rs.miss_cold);
-        w.key("miss_mismatch").u64_val(rs.miss_mismatch);
-        w.key("miss_capacity").u64_val(rs.miss_capacity);
-        w.key("miss_conflict").u64_val(rs.miss_conflict);
-        w.key("miss_invalidated").u64_val(rs.miss_invalidated);
-        w.key("skipped_instrs").u64_val(rs.skipped_instrs);
-        w.obj_end();
-    }
-    w.arr_end();
+    write_sim_stats_fields(w, s);
     w.key("effective_ipc").f64_val(s.effective_ipc());
+    w.key("attribution");
     match &s.attribution {
         None => {
-            w.key("attribution").null_val();
+            w.null_val();
         }
-        Some(attr) => {
-            w.key("attribution");
-            attribution_json(w, attr);
-        }
+        Some(attr) => attribution_json(w, attr),
     }
     w.obj_end();
 }
@@ -442,6 +407,25 @@ mod tests {
         let closes = json.matches('}').count();
         assert_eq!(opens, closes, "{json}");
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+
+        // Pin the bytes: with the host-dependent fields fixed, the
+        // report is a pure function of the run, so a format drift
+        // shows up as a new digest.
+        let mut compile = cw.telemetry.clone();
+        for pass in &mut compile.passes {
+            pass.wall_us = 0;
+        }
+        let fixed = Provenance {
+            crate_version: "0.0.0".into(),
+            git_commit: "unknown".into(),
+            ..provenance.clone()
+        };
+        let pinned = RunReport {
+            compile: &compile,
+            provenance: &fixed,
+            ..report
+        };
+        assert_eq!(fnv1a_hex(pinned.to_json().as_bytes()), "7423b1ee0064ed16");
     }
 
     #[test]

@@ -295,8 +295,11 @@ impl<'p> Emulator<'p> {
     ///
     /// Returns a one-line description when the snapshot is
     /// structurally inconsistent with the program — wrong object
-    /// sizes, out-of-range functions/blocks/positions, or a caller
-    /// frame not suspended at a call to its callee.
+    /// sizes, out-of-range functions/blocks/positions, a caller frame
+    /// not suspended at a call to its callee, or an in-flight
+    /// memoization whose region has no `reuse` instruction in its
+    /// anchor frame's function or whose registers lie outside that
+    /// function's registers.
     pub fn resume(&self, snap: &EmuSnapshot) -> Result<EmuRun<'p>, String> {
         let program = self.program;
         if snap.memory.len() != program.objects().len() {
@@ -383,6 +386,31 @@ impl<'p> Emulator<'p> {
                         "memoization depth {} exceeds stack depth {}",
                         ms.depth,
                         stack.len()
+                    ));
+                }
+                // Recording starts at the region's `reuse` instruction
+                // and reads and writes registers of that frame only.
+                let anchor = program.function(stack[ms.depth as usize].func);
+                let has_reuse = anchor.iter_instrs().any(
+                    |(_, i)| matches!(i.op, Op::Reuse { region, .. } if region.0 == ms.region),
+                );
+                if !has_reuse {
+                    return Err(format!(
+                        "memoization region {} has no reuse instruction in {}",
+                        ms.region,
+                        anchor.name()
+                    ));
+                }
+                let limit = anchor.reg_limit();
+                let regs = ms.inputs.iter().map(|(r, _)| r);
+                if let Some(r) = regs
+                    .chain(&ms.outputs)
+                    .chain(&ms.written)
+                    .find(|r| **r >= limit)
+                {
+                    return Err(format!(
+                        "memoization register r{r} is outside {}'s {limit} registers",
+                        anchor.name()
                     ));
                 }
                 let mut m = MemoState::new(RegionId(ms.region));

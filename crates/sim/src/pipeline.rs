@@ -414,7 +414,10 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns a one-line description when cache/BTB geometry in the
-    /// snapshot does not match `machine`, or the frame stack is empty.
+    /// snapshot does not match `machine`, the frame stack is empty, or
+    /// the issue group is one `issue_at` never leaves: its cycle is not
+    /// the last issue's (or that is `u64::MAX`), or it uses more slots
+    /// or units than `machine` has.
     pub fn restore(
         machine: MachineConfig,
         layout: CodeLayout,
@@ -424,6 +427,29 @@ impl Pipeline {
             return Err("pipeline snapshot has no frames".to_string());
         }
         let mut p = Pipeline::new(machine, layout);
+        // `issue_at` only leaves issue groups with the group cycle at
+        // the last issue and within the machine's slot and unit limits;
+        // any other group would never close.
+        if snap.last_issue == u64::MAX || snap.slot_cycle != snap.last_issue {
+            return Err(format!(
+                "pipeline issue group at cycle {} does not follow the last issue at cycle {}",
+                snap.slot_cycle, snap.last_issue
+            ));
+        }
+        if snap.slots_used > machine.issue_width {
+            return Err(format!(
+                "pipeline issue group uses {} slots, the machine issues {}",
+                snap.slots_used, machine.issue_width
+            ));
+        }
+        if let Some(unit) = (0..4).find(|&u| snap.fu_used[u] > p.fu_limits[u]) {
+            return Err(format!(
+                "pipeline issue group uses {} {} unit(s), the machine has {}",
+                snap.fu_used[unit],
+                ["int", "mem", "fp", "branch"][unit],
+                p.fu_limits[unit]
+            ));
+        }
         p.icache = Cache::restore(
             machine.icache,
             snap.icache.tags.clone(),

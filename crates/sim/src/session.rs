@@ -52,7 +52,7 @@ use crate::crb::{CrbConfig, ReuseBuffer};
 use crate::fingerprint::{FingerprintStream, WindowDigest};
 use crate::machine::MachineConfig;
 use crate::pipeline::Pipeline;
-use crate::snapshot::{CrbSnapshot, FingerprintSnapshot, SimSnapshot};
+use crate::snapshot::{CrbSnapshot, FingerprintSnapshot, PipelineSnapshot, SimSnapshot};
 use crate::stats::SimStats;
 use crate::telemetry::{function_names, Narrated, Narrator, TraceConfig};
 
@@ -237,11 +237,13 @@ impl<'p> SimSession<'p> {
                 (run, pipelines, crb.map(ReuseBuffer::new), Vec::new())
             }
             Some(snap) => {
+                let homes = reuse_homes(program);
+                check_pipeline_state(program, &homes, &snap.pipeline)?;
                 let pipeline = Pipeline::restore(machines[0], layout, &snap.pipeline)?;
                 let run = emulator.resume(&snap.emu)?;
                 let buffer = match (crb, &snap.crb) {
                     (Some(config), Some(cs)) => {
-                        check_crb_registers(program, cs)?;
+                        check_crb_registers(&homes, cs)?;
                         Some(ReuseBuffer::restore(config, cs)?)
                     }
                     (None, None) => None,
@@ -662,24 +664,62 @@ fn drive<C: SessionCrb, S: SessionSink>(
     }
 }
 
+/// The function holding each region's `reuse` instruction.
+fn reuse_homes(program: &Program) -> HashMap<u32, &Function> {
+    let mut homes = HashMap::new();
+    for func in program.functions() {
+        for (_, instr) in func.iter_instrs() {
+            if let Op::Reuse { region, .. } = instr.op {
+                homes.insert(region.0, func);
+            }
+        }
+    }
+    homes
+}
+
+/// Checks the restored pipeline's program-dependent state: every
+/// return register it will make ready lies inside some function's
+/// frame (each is a register of the caller whose call named it), and
+/// every per-region row belongs to a region with a `reuse` instruction
+/// (only those count hits and misses). The pipeline sizes a scoreboard
+/// by the one and a table by the other.
+fn check_pipeline_state(
+    program: &Program,
+    homes: &HashMap<u32, &Function>,
+    snap: &PipelineSnapshot,
+) -> Result<(), String> {
+    let limit = program
+        .functions()
+        .iter()
+        .map(Function::reg_limit)
+        .max()
+        .unwrap_or(0);
+    let pending = snap.pending_call.iter().flat_map(|(_, regs)| regs);
+    let mut rets = snap.frames.iter().flat_map(|f| &f.ret_regs).chain(pending);
+    if let Some(r) = rets.find(|&&r| r >= limit) {
+        return Err(format!(
+            "pipeline return register r{r} is outside every function's registers"
+        ));
+    }
+    let regions = snap.stats.regions.keys().map(|r| r.0);
+    match regions.filter(|r| !homes.contains_key(r)).min() {
+        Some(r) => Err(format!(
+            "pipeline stats: region {r} has no reuse instruction"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Checks that every register a restored CRB instance or ghost names
 /// lies inside the frame of the function holding its region's `reuse`
 /// instruction: a lookup reads, and a hit writes, those registers in
 /// that frame.
-fn check_crb_registers(program: &Program, snap: &CrbSnapshot) -> Result<(), String> {
-    let mut home: HashMap<u32, &Function> = HashMap::new();
-    for func in program.functions() {
-        for (_, instr) in func.iter_instrs() {
-            if let Op::Reuse { region, .. } = instr.op {
-                home.insert(region.0, func);
-            }
-        }
-    }
+fn check_crb_registers(homes: &HashMap<u32, &Function>, snap: &CrbSnapshot) -> Result<(), String> {
     for (i, entry) in snap.entries.iter().enumerate() {
         let Some(tag) = entry.tag else {
             continue;
         };
-        let func = home
+        let func = homes
             .get(&tag)
             .ok_or_else(|| format!("crb entry {i}: region {tag} has no reuse instruction"))?;
         let limit = func.reg_limit();
@@ -706,7 +746,8 @@ fn check_crb_registers(program: &Program, snap: &CrbSnapshot) -> Result<(), Stri
 mod tests {
     use super::*;
     use crate::snapshot::{parse_snapshot, write_snapshot, CrbEntrySnapshot, CrbGhostSnapshot};
-    use ccr_ir::{BinKind, CmpPred, InstrExt, Op, Operand, ProgramBuilder};
+    use crate::stats::RegionDynStats;
+    use ccr_ir::{BinKind, CmpPred, InstrExt, Op, Operand, ProgramBuilder, RegionId};
 
     /// A hand-annotated reusing loop: one region, `trips` iterations,
     /// an input that changes every 8 trips so the CRB sees both hits
@@ -905,6 +946,97 @@ mod tests {
             .err()
             .expect("restore must fail");
         assert!(err.contains("counter is at u64::MAX"), "{err}");
+    }
+
+    /// A snapshot of the reusing loop taken while a region records.
+    fn recording_snapshot(p: &Program) -> SimSnapshot {
+        let (m, crb, emu) = paper();
+        let mut s = SimSession::new(p, &m, crb, emu, Some(64));
+        loop {
+            s.run_until_cycle(s.cycles_so_far() + 1).unwrap();
+            assert!(!s.finished(), "the loop records a region mid-run");
+            let snap = s.snapshot("", "").unwrap();
+            if snap.emu.memo.is_some() {
+                return snap;
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_states_the_simulator_never_reaches() {
+        let p = annotated_program(300);
+        let (m, crb, emu) = paper();
+        let limit = p.function(p.main()).reg_limit();
+        let snap = recording_snapshot(&p);
+        let restore = |edit: &dyn Fn(&mut SimSnapshot)| {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            SimSession::restore(&p, &m, crb, emu, &bad)
+                .err()
+                .expect("restore must fail")
+        };
+
+        // An in-flight recording names its region's function's registers.
+        let outside = format!("memoization register r{limit} is outside main's {limit} registers");
+        fn memo(s: &mut SimSnapshot) -> &mut ccr_profile::EmuMemoSnapshot {
+            s.emu.memo.as_mut().unwrap()
+        }
+        assert_eq!(restore(&|s| memo(s).inputs.push((limit, 0))), outside);
+        assert_eq!(restore(&|s| memo(s).outputs.push(limit)), outside);
+        assert_eq!(restore(&|s| memo(s).written.push(limit)), outside);
+        assert_eq!(
+            restore(&|s| memo(s).region = 999),
+            "memoization region 999 has no reuse instruction in main"
+        );
+
+        // The issue group is one `issue_at` can leave behind.
+        let at = snap.pipeline.last_issue;
+        assert_eq!(
+            restore(&|s| s.pipeline.slot_cycle = u64::MAX),
+            format!(
+                "pipeline issue group at cycle {} does not follow the last issue at cycle {at}",
+                u64::MAX
+            )
+        );
+        let max = u64::MAX;
+        let err = restore(&|s| (s.pipeline.last_issue, s.pipeline.slot_cycle) = (max, max));
+        assert_eq!(
+            err,
+            format!(
+                "pipeline issue group at cycle {max} does not follow the last issue at cycle {max}"
+            )
+        );
+        assert_eq!(
+            restore(&|s| s.pipeline.slots_used = m.issue_width + 1),
+            "pipeline issue group uses 7 slots, the machine issues 6"
+        );
+        assert_eq!(
+            restore(&|s| s.pipeline.fu_used[2] = m.fp_alus + 1),
+            "pipeline issue group uses 3 fp unit(s), the machine has 2"
+        );
+
+        // A return register no function has would size a scoreboard
+        // by its number.
+        assert_eq!(
+            restore(&|s| s.pipeline.frames[0].ret_regs.push(limit)),
+            format!("pipeline return register r{limit} is outside every function's registers")
+        );
+        assert_eq!(
+            restore(&|s| s.pipeline.pending_call = Some((0, vec![limit]))),
+            format!("pipeline return register r{limit} is outside every function's registers")
+        );
+        // So would a per-region row of a region no `reuse` names.
+        let row = RegionDynStats::default();
+        assert_eq!(
+            restore(&|s| {
+                s.pipeline.stats.regions.insert(RegionId(999), row);
+            }),
+            "pipeline stats: region 999 has no reuse instruction"
+        );
+
+        // The unedited snapshot restores and runs to the end.
+        let mut resumed = SimSession::restore(&p, &m, crb, emu, &snap).unwrap();
+        resumed.run_to_end().unwrap();
     }
 
     #[test]

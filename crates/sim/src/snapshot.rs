@@ -17,18 +17,36 @@
 //! trailer detects truncation. Lines with an unknown `kind` are
 //! skipped, so additive extensions never break old readers; an unknown
 //! `snap_v` is a hard, one-line error naming the known versions.
+//!
+//! # One declaration per record
+//!
+//! Each record's fields are listed once, in wire order, by a `record!`
+//! declaration, which derives both its writer and its reader; the
+//! experiment checkpoint line ([`write_outcome_fields`]) and the run
+//! report ([`write_sim_stats_fields`]) reuse the same declarations. A
+//! record is read in one of two modes:
+//!
+//! - *strict* (the snapshot records and [`ccr_profile::RunOutcome`]):
+//!   a missing key is a one-line `missing `k`` error, and a missing or
+//!   `null` optional field reads as `None`;
+//! - *lenient* (the [`SimStats`], [`CrbStats`] and [`RegionDynStats`]
+//!   counters): a missing or mistyped counter reads as 0, while a
+//!   region row without a valid `region` is still an error.
+//!
+//! Parsing checks only shape; whether a state is one the simulator can
+//! reach is checked on restore (`Emulator::resume`, `Pipeline::restore`
+//! and the buffer's own checks).
 
 use std::collections::HashMap;
 use std::path::Path;
 
 use ccr_ir::RegionId;
-use ccr_profile::{EmuFrameSnapshot, EmuMemoSnapshot, EmuSnapshot, MissCause};
-use ccr_telemetry::value::{
-    self, elem_u32, elem_u64, opt_u64, req, req_arr, req_bool, req_u32, req_u64, Value,
-};
+use ccr_profile::{EmuFrameSnapshot, EmuMemoSnapshot, EmuSnapshot, MissCause, RunOutcome};
+use ccr_telemetry::value::{self, req_u64, Value};
 use ccr_telemetry::JsonWriter;
 
 use crate::fingerprint::WindowDigest;
+use crate::session::SimOutcome;
 use crate::stats::{CrbStats, RegionDynStats, SimStats};
 
 /// Snapshot format version. Bumped only on incompatible changes;
@@ -216,301 +234,385 @@ pub(crate) fn cause_from_index(i: u64) -> Result<MissCause, String> {
         })
 }
 
-fn write_pairs(w: &mut JsonWriter, pairs: &[(u32, u64)]) {
-    w.arr_begin();
-    for (r, v) in pairs {
-        w.u64_val(u64::from(*r));
-        w.u64_val(*v);
+/// One JSON value shape, both directions. `get` reads a present value
+/// (`key` names it in errors, `ctx` locates it); `absent` is what a
+/// strict record reads for a missing key, where the type has such a
+/// value.
+trait Wire: Sized {
+    fn put(&self, w: &mut JsonWriter);
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<Self, String>;
+    fn absent() -> Option<Self> {
+        None
     }
-    w.arr_end();
 }
 
-fn write_cache(w: &mut JsonWriter, c: &CacheSnapshot) {
-    w.obj_begin();
-    w.key("tags").arr_begin();
-    for t in &c.tags {
-        match t {
-            None => w.null_val(),
-            Some(t) => w.u64_val(*t),
-        };
-    }
-    w.arr_end();
-    w.key("hits").u64_val(c.hits);
-    w.key("misses").u64_val(c.misses);
-    w.obj_end();
+/// How one field of a record goes on the wire: the record's read mode
+/// ([`Strict`], [`Lenient`]) or a field codec of its own.
+trait Codec<T> {
+    fn put(x: &T, w: &mut JsonWriter);
+    /// Reads field `key` of the record object `v`.
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<T, String>;
 }
 
-fn write_crb_stats(w: &mut JsonWriter, s: &CrbStats) {
-    w.obj_begin();
-    w.key("lookups").u64_val(s.lookups);
-    w.key("hits").u64_val(s.hits);
-    w.key("misses").u64_val(s.misses);
-    w.key("miss_cold").u64_val(s.miss_cold);
-    w.key("miss_mismatch").u64_val(s.miss_mismatch);
-    w.key("miss_capacity").u64_val(s.miss_capacity);
-    w.key("miss_conflict").u64_val(s.miss_conflict);
-    w.key("miss_invalidated").u64_val(s.miss_invalidated);
-    w.key("records").u64_val(s.records);
-    w.key("invalidations").u64_val(s.invalidations);
-    w.key("entry_conflicts").u64_val(s.entry_conflicts);
-    w.obj_end();
+/// A JSON object whose fields a `record!` declaration lists.
+trait Record: Sized {
+    fn put_fields(&self, w: &mut JsonWriter);
+    fn get_fields(v: &Value, ctx: &str) -> Result<Self, String>;
 }
 
-/// Serializes mid-run [`SimStats`] as a JSON object (the per-region
-/// map in sorted key order; `attribution` is excluded per the
-/// snapshot contract). Also reused by experiment checkpoints.
-pub fn write_sim_stats(w: &mut JsonWriter, s: &SimStats) {
-    w.obj_begin();
-    w.key("cycles").u64_val(s.cycles);
-    w.key("dyn_instrs").u64_val(s.dyn_instrs);
-    w.key("skipped_instrs").u64_val(s.skipped_instrs);
-    w.key("icache_hits").u64_val(s.icache_hits);
-    w.key("icache_misses").u64_val(s.icache_misses);
-    w.key("dcache_hits").u64_val(s.dcache_hits);
-    w.key("dcache_misses").u64_val(s.dcache_misses);
-    w.key("branch_correct").u64_val(s.branch_correct);
-    w.key("branch_mispredicts").u64_val(s.branch_mispredicts);
-    w.key("reuse_hits").u64_val(s.reuse_hits);
-    w.key("reuse_misses").u64_val(s.reuse_misses);
-    w.key("crb");
-    write_crb_stats(w, &s.crb);
-    let mut regions: Vec<(&RegionId, &RegionDynStats)> = s.regions.iter().collect();
-    regions.sort_by_key(|(r, _)| r.index());
-    w.key("regions").arr_begin();
-    for (r, rs) in regions {
+impl<R: Record> Wire for R {
+    fn put(&self, w: &mut JsonWriter) {
         w.obj_begin();
-        w.key("region").u64_val(r.index() as u64);
-        w.key("hits").u64_val(rs.hits);
-        w.key("misses").u64_val(rs.misses);
-        w.key("miss_cold").u64_val(rs.miss_cold);
-        w.key("miss_mismatch").u64_val(rs.miss_mismatch);
-        w.key("miss_capacity").u64_val(rs.miss_capacity);
-        w.key("miss_conflict").u64_val(rs.miss_conflict);
-        w.key("miss_invalidated").u64_val(rs.miss_invalidated);
-        w.key("skipped_instrs").u64_val(rs.skipped_instrs);
+        self.put_fields(w);
         w.obj_end();
     }
-    w.arr_end();
-    w.obj_end();
+    fn get(v: &Value, _key: &str, ctx: &str) -> Result<Self, String> {
+        R::get_fields(v, ctx)
+    }
 }
 
-fn emu_line(e: &EmuSnapshot) -> String {
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("kind").str_val("emu");
-    w.key("dyn_instrs").u64_val(e.dyn_instrs);
-    w.key("skipped_instrs").u64_val(e.skipped_instrs);
-    w.key("reuse_hits").u64_val(e.reuse_hits);
-    w.key("reuse_misses").u64_val(e.reuse_misses);
-    w.key("memory").arr_begin();
-    for obj in &e.memory {
-        w.arr_begin();
-        for word in obj {
-            w.u64_val(*word);
-        }
-        w.arr_end();
-    }
-    w.arr_end();
-    w.key("frames").arr_begin();
-    for f in &e.frames {
-        w.obj_begin();
-        w.key("func").u64_val(u64::from(f.func));
-        w.key("block").u64_val(u64::from(f.block));
-        w.key("pos").u64_val(f.pos);
-        w.key("regs").arr_begin();
-        for r in &f.regs {
-            w.u64_val(*r);
-        }
-        w.arr_end();
-        w.obj_end();
-    }
-    w.arr_end();
-    w.key("memo");
-    match &e.memo {
-        None => {
-            w.null_val();
-        }
-        Some(m) => {
-            w.obj_begin();
-            w.key("depth").u64_val(m.depth);
-            w.key("region").u64_val(u64::from(m.region));
-            w.key("inputs");
-            write_pairs(&mut w, &m.inputs);
-            w.key("outputs").arr_begin();
-            for r in &m.outputs {
-                w.u64_val(u64::from(*r));
-            }
-            w.arr_end();
-            w.key("written").arr_begin();
-            for r in &m.written {
-                w.u64_val(u64::from(*r));
-            }
-            w.arr_end();
-            w.key("accesses_memory").bool_val(m.accesses_memory);
-            w.key("body_instrs").u64_val(m.body_instrs);
-            w.obj_end();
-        }
-    }
-    w.obj_end();
-    w.finish()
+fn not_a(what: &str, key: &str, ctx: &str) -> String {
+    format!("{ctx}: `{key}` is not {what}")
 }
 
-fn pipeline_line(p: &PipelineSnapshot) -> String {
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("kind").str_val("pipeline");
-    w.key("last_issue").u64_val(p.last_issue);
-    w.key("slot_cycle").u64_val(p.slot_cycle);
-    w.key("slots_used").u64_val(u64::from(p.slots_used));
-    w.key("fu_used").arr_begin();
-    for u in p.fu_used {
-        w.u64_val(u64::from(u));
+impl Wire for u64 {
+    fn put(&self, w: &mut JsonWriter) {
+        w.u64_val(*self);
     }
-    w.arr_end();
-    w.key("fetch_ready").u64_val(p.fetch_ready);
-    w.key("last_fetch_line");
-    match p.last_fetch_line {
-        None => {
-            w.null_val();
-        }
-        Some(line) => {
-            w.u64_val(line);
-        }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
+        v.as_u64()
+            .ok_or_else(|| not_a("an unsigned integer", key, ctx))
     }
-    w.key("horizon").u64_val(p.horizon);
-    w.key("frames").arr_begin();
-    for f in &p.frames {
-        w.obj_begin();
-        w.key("ready").arr_begin();
-        for r in &f.ready {
-            w.u64_val(*r);
-        }
-        w.arr_end();
-        w.key("ret_regs").arr_begin();
-        for r in &f.ret_regs {
-            w.u64_val(u64::from(*r));
-        }
-        w.arr_end();
-        w.obj_end();
-    }
-    w.arr_end();
-    w.key("pending_call");
-    match &p.pending_call {
-        None => {
-            w.null_val();
-        }
-        Some((at, regs)) => {
-            w.obj_begin();
-            w.key("ready_at").u64_val(*at);
-            w.key("ret_regs").arr_begin();
-            for r in regs {
-                w.u64_val(u64::from(*r));
-            }
-            w.arr_end();
-            w.obj_end();
-        }
-    }
-    w.key("icache");
-    write_cache(&mut w, &p.icache);
-    w.key("dcache");
-    write_cache(&mut w, &p.dcache);
-    w.key("btb").obj_begin();
-    w.key("counters").arr_begin();
-    for c in &p.btb.counters {
-        w.u64_val(u64::from(*c));
-    }
-    w.arr_end();
-    w.key("correct").u64_val(p.btb.correct);
-    w.key("mispredicts").u64_val(p.btb.mispredicts);
-    w.obj_end();
-    w.key("stats");
-    write_sim_stats(&mut w, &p.stats);
-    w.obj_end();
-    w.finish()
 }
 
-fn crb_line(c: &CrbSnapshot) -> String {
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("kind").str_val("crb");
-    w.key("clock").u64_val(c.clock);
-    w.key("rng").u64_val(c.rng);
-    w.key("last_miss_cause");
-    match c.last_miss_cause {
-        None => {
-            w.null_val();
+/// Narrower unsigned integers: written as `u64`, range-checked on read.
+macro_rules! narrow_wire {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut JsonWriter) {
+                w.u64_val(u64::from(*self));
+            }
+            fn get(v: &Value, key: &str, ctx: &str) -> Result<$t, String> {
+                <$t>::try_from(u64::get(v, key, ctx)?)
+                    .map_err(|_| format!("{ctx}: `{key}` exceeds {}", stringify!($t)))
+            }
         }
-        Some(i) => {
-            w.u64_val(i);
+    )*};
+}
+narrow_wire!(u32, u8);
+
+impl Wire for bool {
+    fn put(&self, w: &mut JsonWriter) {
+        w.bool_val(*self);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<bool, String> {
+        v.as_bool().ok_or_else(|| not_a("a boolean", key, ctx))
+    }
+}
+
+/// A register value, as the signed integer it holds.
+impl Wire for ccr_ir::Value {
+    fn put(&self, w: &mut JsonWriter) {
+        w.i64_val(self.0);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<ccr_ir::Value, String> {
+        match *v {
+            Value::U64(n) => i64::try_from(n)
+                .map(ccr_ir::Value)
+                .map_err(|_| format!("{ctx}: `{key}` value out of i64 range")),
+            Value::I64(n) => Ok(ccr_ir::Value(n)),
+            _ => Err(not_a("an integer", key, ctx)),
         }
     }
-    w.key("ever_recorded").arr_begin();
-    for r in &c.ever_recorded {
-        w.u64_val(u64::from(*r));
-    }
-    w.arr_end();
-    w.key("stats");
-    write_crb_stats(&mut w, &c.stats);
-    w.key("entries").arr_begin();
-    for e in &c.entries {
-        w.obj_begin();
-        w.key("tag");
-        match e.tag {
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut JsonWriter) {
+        match self {
             None => {
                 w.null_val();
             }
-            Some(t) => {
-                w.u64_val(u64::from(t));
-            }
+            Some(x) => x.put(w),
         }
-        w.key("instances").arr_begin();
-        for i in &e.instances {
-            w.obj_begin();
-            w.key("valid").bool_val(i.valid);
-            w.key("inputs");
-            write_pairs(&mut w, &i.inputs);
-            w.key("fp").u64_val(i.fp);
-            w.key("outputs");
-            write_pairs(&mut w, &i.outputs);
-            w.key("accesses_memory").bool_val(i.accesses_memory);
-            w.key("body_instrs").u64_val(i.body_instrs);
-            w.key("last_use").u64_val(i.last_use);
-            w.key("inserted").u64_val(i.inserted);
-            w.obj_end();
-        }
-        w.arr_end();
-        w.key("ghosts").arr_begin();
-        for g in &e.ghosts {
-            w.obj_begin();
-            w.key("inputs");
-            write_pairs(&mut w, &g.inputs);
-            w.key("fp").u64_val(g.fp);
-            w.key("cause").u64_val(g.cause);
-            w.obj_end();
-        }
-        w.arr_end();
-        w.obj_end();
     }
-    w.arr_end();
-    w.obj_end();
-    w.finish()
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<Option<T>, String> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::get(v, key, ctx).map(Some),
+        }
+    }
+    fn absent() -> Option<Option<T>> {
+        Some(None)
+    }
 }
 
-fn fingerprint_line(f: &FingerprintSnapshot) -> String {
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("kind").str_val("fingerprint");
-    w.key("window").u64_val(f.window);
-    w.key("hash").u64_val(f.hash);
-    w.key("windows").arr_begin();
-    for d in &f.windows {
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut JsonWriter) {
+        w.arr_begin();
+        for x in self {
+            x.put(w);
+        }
+        w.arr_end();
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<Vec<T>, String> {
+        v.as_arr()
+            .ok_or_else(|| not_a("an array", key, ctx))?
+            .iter()
+            .map(|x| T::get(x, key, ctx))
+            .collect()
+    }
+}
+
+impl Wire for [u32; 4] {
+    fn put(&self, w: &mut JsonWriter) {
+        self.to_vec().put(w);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<[u32; 4], String> {
+        let all = Vec::<u32>::get(v, key, ctx)?;
+        let n = all.len();
+        all.try_into()
+            .map_err(|_| format!("{ctx}: `{key}` has {n} entries, want 4"))
+    }
+}
+
+/// The pending call of a [`PipelineSnapshot`]: `{ready_at, ret_regs}`.
+impl Wire for (u64, Vec<u32>) {
+    fn put(&self, w: &mut JsonWriter) {
         w.obj_begin();
-        w.key("index").u64_val(d.index);
-        w.key("cycle").u64_val(d.cycle);
-        w.key("hash").u64_val(d.hash);
+        w.key("ready_at").u64_val(self.0);
+        w.key("ret_regs");
+        self.1.put(w);
         w.obj_end();
     }
-    w.arr_end();
+    fn get(v: &Value, _key: &str, ctx: &str) -> Result<(u64, Vec<u32>), String> {
+        Ok((
+            Strict::get(v, "ready_at", ctx)?,
+            Strict::get(v, "ret_regs", ctx)?,
+        ))
+    }
+}
+
+/// Strict read mode: a missing key is an error, unless the field's
+/// type reads absence (`Option` reads `None`).
+struct Strict;
+
+impl<T: Wire> Codec<T> for Strict {
+    fn put(x: &T, w: &mut JsonWriter) {
+        x.put(w);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<T, String> {
+        match v.get(key) {
+            None => T::absent().ok_or_else(|| format!("{ctx}: missing `{key}`")),
+            Some(x) => T::get(x, key, ctx),
+        }
+    }
+}
+
+/// Lenient read mode: a missing or mistyped field reads as its
+/// default (0 for a counter).
+struct Lenient;
+
+impl<T: Wire + Default> Codec<T> for Lenient {
+    fn put(x: &T, w: &mut JsonWriter) {
+        x.put(w);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<T, String> {
+        Ok(v.get(key)
+            .and_then(|x| T::get(x, key, ctx).ok())
+            .unwrap_or_default())
+    }
+}
+
+/// A CRB bank: `(register, value)` pairs as one flat array.
+struct Pairs;
+
+impl Codec<Vec<(u32, u64)>> for Pairs {
+    fn put(pairs: &Vec<(u32, u64)>, w: &mut JsonWriter) {
+        w.arr_begin();
+        for &(r, x) in pairs {
+            w.u64_val(u64::from(r)).u64_val(x);
+        }
+        w.arr_end();
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u32, u64)>, String> {
+        let flat: Vec<u64> = Strict::get(v, key, ctx)?;
+        if !flat.len().is_multiple_of(2) {
+            return Err(format!("{ctx}: `{key}` has odd length {}", flat.len()));
+        }
+        flat.chunks_exact(2)
+            .map(|c| {
+                let r = u32::try_from(c[0])
+                    .map_err(|_| format!("{ctx}: `{key}` register exceeds u32"))?;
+                Ok((r, c[1]))
+            })
+            .collect()
+    }
+}
+
+/// The per-region rows of a [`SimStats`], sorted by region, each a
+/// `region` id followed by its [`RegionDynStats`]. Lenient like the
+/// counters (a missing or mistyped list reads empty), except that a
+/// row needs a valid `region`.
+struct RegionRows;
+
+impl Codec<HashMap<RegionId, RegionDynStats>> for RegionRows {
+    fn put(rows: &HashMap<RegionId, RegionDynStats>, w: &mut JsonWriter) {
+        let mut rows: Vec<_> = rows.iter().collect();
+        rows.sort_by_key(|(r, _)| r.index());
+        w.arr_begin();
+        for (r, rs) in rows {
+            w.obj_begin();
+            w.key("region").u64_val(r.index() as u64);
+            rs.put_fields(w);
+            w.obj_end();
+        }
+        w.arr_end();
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<HashMap<RegionId, RegionDynStats>, String> {
+        let rows = v.get(key).and_then(Value::as_arr).unwrap_or_default();
+        rows.iter()
+            .map(|r| {
+                let id = Strict::get(r, "region", ctx)?;
+                Ok((RegionId(id), RegionDynStats::get_fields(r, ctx)?))
+            })
+            .collect()
+    }
+}
+
+/// The codec of one field: its own, or the record's read mode.
+macro_rules! codec {
+    ($mode:ident) => {
+        $mode
+    };
+    ($mode:ident $own:ident) => {
+        $own
+    };
+}
+
+/// Declares a record's wire shape once: its fields in wire order, each
+/// read in the record's mode unless it names a codec of its own
+/// (`field: Codec`). A strict record is built field by field; a
+/// lenient one starts from `Default`, so fields kept off the wire
+/// (`SimStats::attribution`) read as their default.
+macro_rules! record {
+    ($mode:ident $ty:ident { $($f:ident $(: $own:ident)?),* $(,)? }) => {
+        impl Record for $ty {
+            fn put_fields(&self, w: &mut JsonWriter) {
+                $(
+                    w.key(stringify!($f));
+                    <codec!($mode $($own)?) as Codec<_>>::put(&self.$f, w);
+                )*
+            }
+            fn get_fields(v: &Value, ctx: &str) -> Result<Self, String> {
+                record!(@get $mode v, ctx, $($f $(: $own)?),*)
+            }
+        }
+    };
+    (@get Strict $v:ident, $ctx:ident, $($f:ident $(: $own:ident)?),*) => {
+        Ok(Self {
+            $($f: <codec!(Strict $($own)?) as Codec<_>>::get($v, stringify!($f), $ctx)?,)*
+        })
+    };
+    (@get Lenient $v:ident, $ctx:ident, $($f:ident $(: $own:ident)?),*) => {{
+        let mut r = Self::default();
+        $(r.$f = <codec!(Lenient $($own)?) as Codec<_>>::get($v, stringify!($f), $ctx)?;)*
+        Ok(r)
+    }};
+}
+
+record!(Strict EmuSnapshot {
+    dyn_instrs, skipped_instrs, reuse_hits, reuse_misses, memory, frames, memo,
+});
+record!(Strict EmuFrameSnapshot { func, block, pos, regs });
+record!(Strict EmuMemoSnapshot {
+    depth, region, inputs: Pairs, outputs, written, accesses_memory, body_instrs,
+});
+record!(Strict PipelineSnapshot {
+    last_issue, slot_cycle, slots_used, fu_used, fetch_ready, last_fetch_line, horizon,
+    frames, pending_call, icache, dcache, btb, stats,
+});
+record!(Strict PipelineFrameSnapshot { ready, ret_regs });
+record!(Strict CacheSnapshot { tags, hits, misses });
+record!(Strict BtbSnapshot { counters, correct, mispredicts });
+record!(Strict CrbSnapshot { clock, rng, last_miss_cause, ever_recorded, stats, entries });
+record!(Strict CrbEntrySnapshot { tag, instances, ghosts });
+record!(Strict CrbInstanceSnapshot {
+    valid, inputs: Pairs, fp, outputs: Pairs, accesses_memory, body_instrs, last_use, inserted,
+});
+record!(Strict CrbGhostSnapshot { inputs: Pairs, fp, cause });
+record!(Strict FingerprintSnapshot { window, hash, windows });
+record!(Strict WindowDigest { index, cycle, hash });
+record!(Strict RunOutcome {
+    returned, dyn_instrs, skipped_instrs, reuse_hits, reuse_misses, memory_digest,
+});
+record!(Lenient SimStats {
+    cycles, dyn_instrs, skipped_instrs, icache_hits, icache_misses, dcache_hits,
+    dcache_misses, branch_correct, branch_mispredicts, reuse_hits, reuse_misses, crb,
+    regions: RegionRows,
+});
+record!(Lenient CrbStats {
+    lookups, hits, misses, miss_cold, miss_mismatch, miss_capacity, miss_conflict,
+    miss_invalidated, records, invalidations, entry_conflicts,
+});
+record!(Lenient RegionDynStats {
+    hits, misses, miss_cold, miss_mismatch, miss_capacity, miss_conflict, miss_invalidated,
+    skipped_instrs,
+});
+
+/// Serializes mid-run [`SimStats`] as a JSON object (the per-region
+/// rows sorted by region; `attribution` is excluded per the snapshot
+/// contract). Also reused by experiment checkpoints.
+pub fn write_sim_stats(w: &mut JsonWriter, s: &SimStats) {
+    s.put(w);
+}
+
+/// The members of [`write_sim_stats`]'s object, without its braces, so
+/// a caller can append fields of its own (the run report's
+/// `effective_ipc` and `attribution`).
+pub fn write_sim_stats_fields(w: &mut JsonWriter, s: &SimStats) {
+    s.put_fields(w);
+}
+
+/// Parses a [`SimStats`] object written by [`write_sim_stats`].
+/// Missing counters read as zero (additive tolerance, matching the
+/// run-store conventions); `attribution` is always `None`.
+///
+/// # Errors
+///
+/// Returns a `{ctx}:`-prefixed one-line description on a structurally
+/// invalid region row.
+pub fn parse_sim_stats(v: &Value, ctx: &str) -> Result<SimStats, String> {
+    SimStats::get_fields(v, ctx)
+}
+
+/// Writes a finished run's outcome as object members: the
+/// [`RunOutcome`] fields (returned values, dynamic counts, memory
+/// digest), then its `stats` object (the checkpoint journal's entry).
+pub fn write_outcome_fields(w: &mut JsonWriter, o: &SimOutcome) {
+    o.run.put_fields(w);
+    w.key("stats");
+    o.stats.put(w);
+}
+
+/// Parses the members [`write_outcome_fields`] wrote.
+///
+/// # Errors
+///
+/// Returns a `{ctx}:`-prefixed one-line description of the first
+/// missing or mistyped field.
+pub fn parse_outcome(v: &Value, ctx: &str) -> Result<SimOutcome, String> {
+    Ok(SimOutcome {
+        run: RunOutcome::get_fields(v, ctx)?,
+        stats: Strict::get(v, "stats", ctx)?,
+    })
+}
+
+/// One `{"kind":...}` line of a snapshot.
+fn record_line(kind: &str, fields: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::new();
+    w.obj_begin();
+    w.key("kind").str_val(kind);
+    fields(&mut w);
     w.obj_end();
     w.finish()
 }
@@ -527,293 +629,21 @@ pub fn write_snapshot(snap: &SimSnapshot) -> String {
     w.key("cycle").u64_val(snap.cycle);
     w.obj_end();
     lines.push(w.finish());
-    lines.push(emu_line(&snap.emu));
-    lines.push(pipeline_line(&snap.pipeline));
+    lines.push(record_line("emu", |w| snap.emu.put_fields(w)));
+    lines.push(record_line("pipeline", |w| snap.pipeline.put_fields(w)));
     if let Some(crb) = &snap.crb {
-        lines.push(crb_line(crb));
+        lines.push(record_line("crb", |w| crb.put_fields(w)));
     }
-    lines.push(fingerprint_line(&snap.fingerprint));
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("kind").str_val("end");
-    w.key("lines").u64_val(lines.len() as u64);
-    w.obj_end();
-    lines.push(w.finish());
+    lines.push(record_line("fingerprint", |w| {
+        snap.fingerprint.put_fields(w)
+    }));
+    let end = lines.len() as u64;
+    lines.push(record_line("end", |w| {
+        w.key("lines").u64_val(end);
+    }));
     let mut out = lines.join("\n");
     out.push('\n');
     out
-}
-
-fn parse_pairs(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u32, u64)>, String> {
-    let arr = req_arr(v, key, ctx)?;
-    if arr.len() % 2 != 0 {
-        return Err(format!("{ctx}: `{key}` has odd length {}", arr.len()));
-    }
-    arr.chunks_exact(2)
-        .map(|c| {
-            Ok((
-                elem_u32(&c[0], ctx, &format!("`{key}` register"))?,
-                elem_u64(&c[1], ctx, &format!("`{key}` value"))?,
-            ))
-        })
-        .collect()
-}
-
-fn parse_u64_list(v: &Value, key: &str, ctx: &str) -> Result<Vec<u64>, String> {
-    req_arr(v, key, ctx)?
-        .iter()
-        .map(|x| elem_u64(x, ctx, &format!("`{key}` element")))
-        .collect()
-}
-
-fn parse_u32_list(v: &Value, key: &str, ctx: &str) -> Result<Vec<u32>, String> {
-    req_arr(v, key, ctx)?
-        .iter()
-        .map(|x| elem_u32(x, ctx, &format!("`{key}` element")))
-        .collect()
-}
-
-fn parse_emu(v: &Value, ctx: &str) -> Result<EmuSnapshot, String> {
-    let memory = req_arr(v, "memory", ctx)?
-        .iter()
-        .map(|obj| {
-            obj.as_arr()
-                .ok_or_else(|| format!("{ctx}: memory object is not an array"))?
-                .iter()
-                .map(|x| elem_u64(x, ctx, "memory word"))
-                .collect()
-        })
-        .collect::<Result<Vec<Vec<u64>>, String>>()?;
-    let frames = req_arr(v, "frames", ctx)?
-        .iter()
-        .map(|f| {
-            Ok(EmuFrameSnapshot {
-                func: req_u32(f, "func", ctx)?,
-                block: req_u32(f, "block", ctx)?,
-                pos: req_u64(f, "pos", ctx)?,
-                regs: parse_u64_list(f, "regs", ctx)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let memo = match v.get("memo") {
-        None | Some(Value::Null) => None,
-        Some(m) => Some(EmuMemoSnapshot {
-            depth: req_u64(m, "depth", ctx)?,
-            region: req_u32(m, "region", ctx)?,
-            inputs: parse_pairs(m, "inputs", ctx)?,
-            outputs: parse_u32_list(m, "outputs", ctx)?,
-            written: parse_u32_list(m, "written", ctx)?,
-            accesses_memory: req_bool(m, "accesses_memory", ctx)?,
-            body_instrs: req_u64(m, "body_instrs", ctx)?,
-        }),
-    };
-    Ok(EmuSnapshot {
-        memory,
-        frames,
-        dyn_instrs: req_u64(v, "dyn_instrs", ctx)?,
-        skipped_instrs: req_u64(v, "skipped_instrs", ctx)?,
-        reuse_hits: req_u64(v, "reuse_hits", ctx)?,
-        reuse_misses: req_u64(v, "reuse_misses", ctx)?,
-        memo,
-    })
-}
-
-fn parse_cache(v: &Value, key: &str, ctx: &str) -> Result<CacheSnapshot, String> {
-    let c = req(v, key, ctx)?;
-    let tags = req_arr(c, "tags", ctx)?
-        .iter()
-        .map(|t| match t {
-            Value::Null => Ok(None),
-            t => elem_u64(t, ctx, "cache tag").map(Some),
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(CacheSnapshot {
-        tags,
-        hits: req_u64(c, "hits", ctx)?,
-        misses: req_u64(c, "misses", ctx)?,
-    })
-}
-
-fn parse_crb_stats(v: &Value) -> CrbStats {
-    CrbStats {
-        lookups: v.u64_field("lookups"),
-        hits: v.u64_field("hits"),
-        misses: v.u64_field("misses"),
-        miss_cold: v.u64_field("miss_cold"),
-        miss_mismatch: v.u64_field("miss_mismatch"),
-        miss_capacity: v.u64_field("miss_capacity"),
-        miss_conflict: v.u64_field("miss_conflict"),
-        miss_invalidated: v.u64_field("miss_invalidated"),
-        records: v.u64_field("records"),
-        invalidations: v.u64_field("invalidations"),
-        entry_conflicts: v.u64_field("entry_conflicts"),
-    }
-}
-
-/// Parses a [`SimStats`] object written by [`write_sim_stats`].
-/// Missing counters read as zero (additive tolerance, matching the
-/// run-store conventions); `attribution` is always `None`.
-///
-/// # Errors
-///
-/// Returns a `{ctx}:`-prefixed one-line description on a structurally
-/// invalid region row.
-pub fn parse_sim_stats(v: &Value, ctx: &str) -> Result<SimStats, String> {
-    let mut regions = HashMap::new();
-    if let Some(arr) = v.get("regions").and_then(Value::as_arr) {
-        for r in arr {
-            let id = req_u32(r, "region", ctx)?;
-            regions.insert(
-                RegionId(id),
-                RegionDynStats {
-                    hits: r.u64_field("hits"),
-                    misses: r.u64_field("misses"),
-                    miss_cold: r.u64_field("miss_cold"),
-                    miss_mismatch: r.u64_field("miss_mismatch"),
-                    miss_capacity: r.u64_field("miss_capacity"),
-                    miss_conflict: r.u64_field("miss_conflict"),
-                    miss_invalidated: r.u64_field("miss_invalidated"),
-                    skipped_instrs: r.u64_field("skipped_instrs"),
-                },
-            );
-        }
-    }
-    Ok(SimStats {
-        cycles: v.u64_field("cycles"),
-        dyn_instrs: v.u64_field("dyn_instrs"),
-        skipped_instrs: v.u64_field("skipped_instrs"),
-        icache_hits: v.u64_field("icache_hits"),
-        icache_misses: v.u64_field("icache_misses"),
-        dcache_hits: v.u64_field("dcache_hits"),
-        dcache_misses: v.u64_field("dcache_misses"),
-        branch_correct: v.u64_field("branch_correct"),
-        branch_mispredicts: v.u64_field("branch_mispredicts"),
-        reuse_hits: v.u64_field("reuse_hits"),
-        reuse_misses: v.u64_field("reuse_misses"),
-        crb: v.get("crb").map(parse_crb_stats).unwrap_or_default(),
-        regions,
-        attribution: None,
-    })
-}
-
-fn parse_pipeline(v: &Value, ctx: &str) -> Result<PipelineSnapshot, String> {
-    let fu = parse_u64_list(v, "fu_used", ctx)?;
-    if fu.len() != 4 {
-        return Err(format!("{ctx}: `fu_used` has {} entries, want 4", fu.len()));
-    }
-    let mut fu_used = [0u32; 4];
-    for (slot, x) in fu_used.iter_mut().zip(&fu) {
-        *slot = u32::try_from(*x).map_err(|_| format!("{ctx}: `fu_used` exceeds u32"))?;
-    }
-    let frames = req_arr(v, "frames", ctx)?
-        .iter()
-        .map(|f| {
-            Ok(PipelineFrameSnapshot {
-                ready: parse_u64_list(f, "ready", ctx)?,
-                ret_regs: parse_u32_list(f, "ret_regs", ctx)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let pending_call = match v.get("pending_call") {
-        None | Some(Value::Null) => None,
-        Some(pc) => Some((
-            req_u64(pc, "ready_at", ctx)?,
-            parse_u32_list(pc, "ret_regs", ctx)?,
-        )),
-    };
-    let btb = req(v, "btb", ctx)?;
-    let counters = req_arr(btb, "counters", ctx)?
-        .iter()
-        .map(|c| {
-            u8::try_from(elem_u64(c, ctx, "btb counter")?)
-                .map_err(|_| format!("{ctx}: btb counter exceeds u8"))
-        })
-        .collect::<Result<Vec<u8>, String>>()?;
-    Ok(PipelineSnapshot {
-        last_issue: req_u64(v, "last_issue", ctx)?,
-        slot_cycle: req_u64(v, "slot_cycle", ctx)?,
-        slots_used: req_u32(v, "slots_used", ctx)?,
-        fu_used,
-        fetch_ready: req_u64(v, "fetch_ready", ctx)?,
-        last_fetch_line: opt_u64(v, "last_fetch_line", ctx)?,
-        frames,
-        pending_call,
-        horizon: req_u64(v, "horizon", ctx)?,
-        stats: parse_sim_stats(req(v, "stats", ctx)?, ctx)?,
-        icache: parse_cache(v, "icache", ctx)?,
-        dcache: parse_cache(v, "dcache", ctx)?,
-        btb: BtbSnapshot {
-            counters,
-            correct: req_u64(btb, "correct", ctx)?,
-            mispredicts: req_u64(btb, "mispredicts", ctx)?,
-        },
-    })
-}
-
-fn parse_crb(v: &Value, ctx: &str) -> Result<CrbSnapshot, String> {
-    let entries = req_arr(v, "entries", ctx)?
-        .iter()
-        .map(|e| {
-            let instances = req_arr(e, "instances", ctx)?
-                .iter()
-                .map(|i| {
-                    Ok(CrbInstanceSnapshot {
-                        valid: req_bool(i, "valid", ctx)?,
-                        inputs: parse_pairs(i, "inputs", ctx)?,
-                        fp: req_u64(i, "fp", ctx)?,
-                        outputs: parse_pairs(i, "outputs", ctx)?,
-                        accesses_memory: req_bool(i, "accesses_memory", ctx)?,
-                        body_instrs: req_u64(i, "body_instrs", ctx)?,
-                        last_use: req_u64(i, "last_use", ctx)?,
-                        inserted: req_u64(i, "inserted", ctx)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let ghosts = req_arr(e, "ghosts", ctx)?
-                .iter()
-                .map(|g| {
-                    Ok(CrbGhostSnapshot {
-                        inputs: parse_pairs(g, "inputs", ctx)?,
-                        fp: req_u64(g, "fp", ctx)?,
-                        cause: req_u64(g, "cause", ctx)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(CrbEntrySnapshot {
-                tag: opt_u64(e, "tag", ctx)?
-                    .map(|t| u32::try_from(t).map_err(|_| format!("{ctx}: `tag` exceeds u32")))
-                    .transpose()?,
-                instances,
-                ghosts,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(CrbSnapshot {
-        clock: req_u64(v, "clock", ctx)?,
-        rng: req_u64(v, "rng", ctx)?,
-        stats: parse_crb_stats(req(v, "stats", ctx)?),
-        last_miss_cause: opt_u64(v, "last_miss_cause", ctx)?,
-        ever_recorded: parse_u32_list(v, "ever_recorded", ctx)?,
-        entries,
-    })
-}
-
-fn parse_fingerprint(v: &Value, ctx: &str) -> Result<FingerprintSnapshot, String> {
-    let windows = req_arr(v, "windows", ctx)?
-        .iter()
-        .map(|d| {
-            Ok(WindowDigest {
-                index: req_u64(d, "index", ctx)?,
-                cycle: req_u64(d, "cycle", ctx)?,
-                hash: req_u64(d, "hash", ctx)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(FingerprintSnapshot {
-        window: req_u64(v, "window", ctx)?,
-        hash: req_u64(v, "hash", ctx)?,
-        windows,
-    })
 }
 
 /// Parses a snapshot serialized by [`write_snapshot`]. `path` labels
@@ -857,10 +687,10 @@ pub fn parse_snapshot(path: &str, text: &str) -> Result<SimSnapshot, String> {
             continue;
         }
         match v.str_field("kind") {
-            "emu" => emu = Some(parse_emu(&v, &ctx)?),
-            "pipeline" => pipeline = Some(parse_pipeline(&v, &ctx)?),
-            "crb" => crb = Some(parse_crb(&v, &ctx)?),
-            "fingerprint" => fingerprint = Some(parse_fingerprint(&v, &ctx)?),
+            "emu" => emu = Some(EmuSnapshot::get_fields(&v, &ctx)?),
+            "pipeline" => pipeline = Some(PipelineSnapshot::get_fields(&v, &ctx)?),
+            "crb" => crb = Some(CrbSnapshot::get_fields(&v, &ctx)?),
+            "fingerprint" => fingerprint = Some(FingerprintSnapshot::get_fields(&v, &ctx)?),
             "end" => {
                 let lines = req_u64(&v, "lines", &ctx)?;
                 if lines != seen {

@@ -160,9 +160,8 @@ pub fn check_version(v: &Value, key: &str, known: &[u64]) -> Result<u64, String>
     }
 }
 
-// Typed field readers for the strict formats (snapshots, digest files,
-// checkpoint journals): each error names the `ctx` location and the
-// offending field.
+// Typed field readers for the strict formats (snapshot headers, digest
+// files): each error names the `ctx` location and the offending field.
 
 /// `v[key]`, which must be present.
 pub fn req<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
@@ -174,48 +173,6 @@ pub fn req_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
     req(v, key, ctx)?
         .as_u64()
         .ok_or_else(|| format!("{ctx}: `{key}` is not an unsigned integer"))
-}
-
-/// `v[key]` as a required `u32`.
-pub fn req_u32(v: &Value, key: &str, ctx: &str) -> Result<u32, String> {
-    u32::try_from(req_u64(v, key, ctx)?).map_err(|_| format!("{ctx}: `{key}` exceeds u32"))
-}
-
-/// `v[key]` as a required bool.
-pub fn req_bool(v: &Value, key: &str, ctx: &str) -> Result<bool, String> {
-    req(v, key, ctx)?
-        .as_bool()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not a boolean"))
-}
-
-/// `v[key]` as a required array.
-pub fn req_arr<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a [Value], String> {
-    req(v, key, ctx)?
-        .as_arr()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not an array"))
-}
-
-/// An array element (`what` names it) as a `u64`.
-pub fn elem_u64(v: &Value, ctx: &str, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("{ctx}: {what} is not an unsigned integer"))
-}
-
-/// An array element (`what` names it) as a `u32`.
-pub fn elem_u32(v: &Value, ctx: &str, what: &str) -> Result<u32, String> {
-    u32::try_from(elem_u64(v, ctx, what)?).map_err(|_| format!("{ctx}: {what} exceeds u32"))
-}
-
-/// `v[key]` as an optional `u64`: `null` or missing maps to `None`;
-/// anything else must be a `u64`.
-pub fn opt_u64(v: &Value, key: &str, ctx: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("{ctx}: `{key}` is not null or an unsigned integer")),
-    }
 }
 
 struct Parser<'a> {

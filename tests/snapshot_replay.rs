@@ -14,10 +14,12 @@
 //!    diverges at an exactly known window, and `ccr fingerprint
 //!    --compare` names that window and cycle and exits 2.
 //! 3. **Preflight errors**: pointing the snapshot/fingerprint
-//!    commands at missing, corrupt, or future-versioned files, or at
-//!    a snapshot whose stored CRB fingerprints disagree with their
-//!    inputs, fails with exit 1 and one `error:` line — no usage
-//!    dump, no panic.
+//!    commands at missing, corrupt, or future-versioned files, at a
+//!    snapshot whose stored CRB fingerprints disagree with their
+//!    inputs, or at a well-formed snapshot of a state the simulator
+//!    never reaches, fails with exit 1 and one `error:` line — no
+//!    usage dump, no panic, no hang. The bytes `ccr snapshot save`
+//!    writes are pinned by digest.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -196,6 +198,55 @@ fn cli_snapshot_save_restore_reproduces_the_cold_fingerprint() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_snapshot_bytes_are_pinned_and_unreachable_states_are_refused() {
+    let dir = temp_dir("ccr-snapshot-pin-test");
+    let path = dir.join("m88ksim.snap.jsonl");
+    let save = ccr_bin()
+        .args(["snapshot", "save", "124.m88ksim", "--at-cycle", "20000"])
+        .arg("--out")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(
+        save.status.success(),
+        "{}",
+        String::from_utf8_lossy(&save.stderr)
+    );
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(ccr::fnv1a_hex(text.as_bytes()), "e19b5fd4e576b67b");
+
+    // Two well-formed copies of states the simulator never reaches: a
+    // recording whose output register lies outside its function, and
+    // an issue group that could never close. Each is refused on
+    // restore with one line, not a panic or a hang mid-run.
+    let memo = text.find(r#""memo":{"#).expect("a recording is in flight");
+    let outputs = memo + text[memo..].find(r#""outputs":["#).unwrap() + r#""outputs":["#.len();
+    let crafted = [
+        format!("{}900000,{}", &text[..outputs], &text[outputs..]),
+        set_number(&set_number(&text, "slot_cycle", u64::MAX), "slots_used", 6),
+    ];
+    for (k, bad) in crafted.iter().enumerate() {
+        let bad_path = dir.join(format!("crafted{k}.snap.jsonl"));
+        std::fs::write(&bad_path, bad).unwrap();
+        let restore = ccr_bin()
+            .args(["snapshot", "restore"])
+            .arg(&bad_path)
+            .output()
+            .unwrap();
+        assert_one_line_failure(&restore, &format!("crafted snapshot {k}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `text` with the first `"key":<digits>` set to `value`.
+fn set_number(text: &str, key: &str, value: u64) -> String {
+    let field = format!("\"{key}\":");
+    let at = text.find(&field).expect("the key is present") + field.len();
+    let len = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    format!("{}{value}{}", &text[..at], &text[at + len..])
 }
 
 #[test]
