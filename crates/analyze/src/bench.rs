@@ -11,8 +11,16 @@
 //! workload — gated only with a generous, explicitly requested
 //! tolerance — and a `git_commit` provenance field. v1 snapshots stay
 //! readable: the new fields read as `0.0` / `"unknown"`.
+//!
+//! The file is the `bench_schema_version` tag followed by the one
+//! lenient `record!` declaration of [`BenchReport`] and of its
+//! [`BenchWorkload`] rows (`ccr_telemetry::record`), which derives both
+//! the writer and the reader: a missing or mistyped field reads as 0 or
+//! `""`, except the legacy defaults (`git_commit` reads `"unknown"`,
+//! `host_reps` reads 1) and the `workloads` array, which must be there.
 
-use ccr_telemetry::JsonWriter;
+use ccr_telemetry::record::{Codec, Record, Strict};
+use ccr_telemetry::{record, JsonWriter};
 
 use crate::store::RunRecord;
 use crate::value::{self, Value};
@@ -137,44 +145,61 @@ pub struct BenchReport {
     pub workloads: Vec<BenchWorkload>,
 }
 
+record!(Lenient BenchReport {
+    suite, input, scale, config_hash, crate_version, git_commit: Legacy, host_reps: Legacy,
+    agg_sim_cycles_per_host_sec, serve_clients, serve_points_per_sec, workloads: Workloads,
+});
+record!(Lenient BenchWorkload {
+    name, base_cycles, ccr_cycles, speedup, hit_rate, regions, wall_ms, sim_cycles_per_host_sec,
+});
+
+/// Fields older snapshots lack, read with their legacy meaning: a
+/// missing or mistyped `git_commit` is `"unknown"` (v1), and a missing
+/// or mistyped `host_reps` is 1 (single-shot timing).
+struct Legacy;
+
+impl Codec<String> for Legacy {
+    fn put(commit: &String, key: &str, w: &mut JsonWriter) {
+        Strict::put(commit, key, w);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<String, String> {
+        Ok(Strict::get(v, key, ctx).unwrap_or_else(|_| "unknown".to_string()))
+    }
+}
+
+impl Codec<u64> for Legacy {
+    fn put(reps: &u64, key: &str, w: &mut JsonWriter) {
+        Strict::put(reps, key, w);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
+        Ok(Strict::get(v, key, ctx).unwrap_or(1))
+    }
+}
+
+/// The per-workload rows, which every snapshot has.
+struct Workloads;
+
+impl Codec<Vec<BenchWorkload>> for Workloads {
+    fn put(rows: &Vec<BenchWorkload>, key: &str, w: &mut JsonWriter) {
+        Strict::put(rows, key, w);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<Vec<BenchWorkload>, String> {
+        Strict::get(v, key, ctx).map_err(|_| "BENCH json missing `workloads` array".to_string())
+    }
+}
+
 impl BenchReport {
     /// Serializes the snapshot as `BENCH_ccr.json`. Deterministic for
     /// fixed measurements (only `wall_ms` and the derived host
     /// throughput vary between otherwise identical runs).
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.obj_begin();
-        w.key("bench_schema_version")
-            .u64_val(u64::from(BENCH_SCHEMA_VERSION));
-        w.key("suite").str_val(&self.suite);
-        w.key("input").str_val(&self.input);
-        w.key("scale").u64_val(self.scale);
-        w.key("config_hash").str_val(&self.config_hash);
-        w.key("crate_version").str_val(&self.crate_version);
-        w.key("git_commit").str_val(&self.git_commit);
-        w.key("host_reps").u64_val(self.host_reps);
-        w.key("agg_sim_cycles_per_host_sec")
-            .f64_val(self.agg_sim_cycles_per_host_sec);
-        w.key("serve_clients").u64_val(self.serve_clients);
-        w.key("serve_points_per_sec")
-            .f64_val(self.serve_points_per_sec);
-        w.key("workloads").arr_begin();
-        for wl in &self.workloads {
-            w.obj_begin();
-            w.key("name").str_val(&wl.name);
-            w.key("base_cycles").u64_val(wl.base_cycles);
-            w.key("ccr_cycles").u64_val(wl.ccr_cycles);
-            w.key("speedup").f64_val(wl.speedup);
-            w.key("hit_rate").f64_val(wl.hit_rate);
-            w.key("regions").u64_val(wl.regions);
-            w.key("wall_ms").u64_val(wl.wall_ms);
-            w.key("sim_cycles_per_host_sec")
-                .f64_val(wl.sim_cycles_per_host_sec);
-            w.obj_end();
-        }
-        w.arr_end();
-        w.obj_end();
-        let mut out = w.finish();
+        let mut out = record::object(
+            |w| {
+                w.key("bench_schema_version")
+                    .u64_val(u64::from(BENCH_SCHEMA_VERSION));
+            },
+            self,
+        );
         out.push('\n');
         out
     }
@@ -183,47 +208,12 @@ impl BenchReport {
     ///
     /// # Errors
     ///
-    /// Malformed JSON or an unknown `bench_schema_version`.
+    /// Malformed JSON, an unknown `bench_schema_version`, or a missing
+    /// `workloads` array.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
         let v = value::parse(text.trim()).map_err(|e| e.to_string())?;
         value::check_version(&v, "bench_schema_version", KNOWN_BENCH_VERSIONS)?;
-        let git_commit = match v.get("git_commit").and_then(Value::as_str) {
-            Some(c) => c.to_string(),
-            None => "unknown".to_string(), // v1 read path
-        };
-        let mut report = BenchReport {
-            suite: v.str_field("suite").to_string(),
-            input: v.str_field("input").to_string(),
-            scale: v.u64_field("scale"),
-            config_hash: v.str_field("config_hash").to_string(),
-            crate_version: v.str_field("crate_version").to_string(),
-            git_commit,
-            // Additive v2 fields: older snapshots read as single-shot
-            // timing with an untracked aggregate.
-            host_reps: v.get("host_reps").and_then(Value::as_u64).unwrap_or(1),
-            agg_sim_cycles_per_host_sec: v.f64_field("agg_sim_cycles_per_host_sec"),
-            serve_clients: v.get("serve_clients").and_then(Value::as_u64).unwrap_or(0),
-            serve_points_per_sec: v.f64_field("serve_points_per_sec"),
-            workloads: Vec::new(),
-        };
-        let workloads = v
-            .get("workloads")
-            .and_then(Value::as_arr)
-            .ok_or("BENCH json missing `workloads` array")?;
-        for wl in workloads {
-            report.workloads.push(BenchWorkload {
-                name: wl.str_field("name").to_string(),
-                base_cycles: wl.u64_field("base_cycles"),
-                ccr_cycles: wl.u64_field("ccr_cycles"),
-                speedup: wl.f64_field("speedup"),
-                hit_rate: wl.f64_field("hit_rate"),
-                regions: wl.u64_field("regions"),
-                wall_ms: wl.u64_field("wall_ms"),
-                // v1 read path: absent, reads as 0.0 (untracked).
-                sim_cycles_per_host_sec: wl.f64_field("sim_cycles_per_host_sec"),
-            });
-        }
-        Ok(report)
+        BenchReport::get_fields(&v, "BENCH json")
     }
 
     /// Renders the table `ccr bench` prints.
@@ -347,8 +337,14 @@ mod tests {
         assert!(text.ends_with("}\n"));
         let back = BenchReport::from_json(&text).unwrap();
         assert_eq!(back, report);
-        // And re-serialization is byte-identical.
+        // And re-serialization is byte-identical, here and on the
+        // committed snapshot.
         assert_eq!(back.to_json(), text);
+        let committed = include_str!("../../../BENCH_ccr.json");
+        assert_eq!(
+            BenchReport::from_json(committed).unwrap().to_json(),
+            committed
+        );
     }
 
     #[test]
@@ -365,6 +361,17 @@ mod tests {
         assert_eq!(report.serve_points_per_sec, 0.0);
         assert_eq!(report.workloads[0].sim_cycles_per_host_sec, 0.0);
         assert_eq!(report.workloads[0].base_cycles, 100);
+        // Mistyped fields read as their defaults, the legacy ones too.
+        let odd = v1
+            .replace(
+                r#""scale":1"#,
+                r#""scale":"one","git_commit":7,"host_reps":-2"#,
+            )
+            .replace(r#""speedup":1.25"#, r#""speedup":"fast""#);
+        let report = BenchReport::from_json(&odd).unwrap();
+        assert_eq!((report.scale, report.git_commit.as_str()), (0, "unknown"));
+        assert_eq!(report.host_reps, 1);
+        assert_eq!(report.workloads[0].speedup, 0.0);
     }
 
     #[test]
@@ -407,6 +414,12 @@ mod tests {
         let err = BenchReport::from_json(&text).unwrap_err();
         assert!(err.contains("bench_schema_version 99"), "{err}");
         assert!(BenchReport::from_json("not json").is_err());
+        // The one field a snapshot cannot do without.
+        for rows in ["", r#","workloads":{}"#] {
+            let text = format!(r#"{{"bench_schema_version":2,"suite":"ccr"{rows}}}"#);
+            let err = BenchReport::from_json(&text).unwrap_err();
+            assert_eq!(err, "BENCH json missing `workloads` array");
+        }
     }
 
     #[test]

@@ -25,10 +25,15 @@
 //! The `final` record doubles as the end trailer: a digest without one
 //! is truncated. Hashes are zero-padded 16-digit lowercase hex
 //! ([`format_hash`]); unknown `kind` lines are skipped (additive
-//! extensions), an unknown `fp_v` is a hard one-line error.
+//! extensions), an unknown `fp_v` is a hard one-line error. Each
+//! line's fields are one strict `record!` declaration
+//! (`ccr_telemetry::record`) that derives both the writer and the
+//! reader; the `meta` line's `workload` and `config_hash` read as `""`
+//! when absent.
 
-use ccr_telemetry::value::{self, req_u64, Value};
-use ccr_telemetry::JsonWriter;
+use ccr_telemetry::record::{kind_line, Codec, Lenient, Record, Strict};
+use ccr_telemetry::value::{self, Value};
+use ccr_telemetry::{record, JsonWriter};
 
 /// Digest file format version.
 pub const FP_VERSION: u64 = 1;
@@ -102,46 +107,63 @@ pub fn format_hash(h: u64) -> String {
     format!("{h:016x}")
 }
 
-fn parse_hash(v: &Value, ctx: &str) -> Result<u64, String> {
-    let s = v
-        .get("hash")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{ctx}: missing `hash`"))?;
-    u64::from_str_radix(s, 16).map_err(|_| format!("{ctx}: `hash` is not a hex hash: `{s}`"))
+/// A chain hash as [`format_hash`] writes it.
+struct Hex;
+
+impl Codec<u64> for Hex {
+    fn put(h: &u64, key: &str, w: &mut JsonWriter) {
+        Strict::put(&format_hash(*h), key, w);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
+        let s = v
+            .get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("{ctx}: missing `{key}`"))?;
+        u64::from_str_radix(s, 16).map_err(|_| format!("{ctx}: `{key}` is not a hex hash: `{s}`"))
+    }
 }
+
+/// The `meta` line's fields, after its `fp_v` and `kind` tags.
+struct Meta {
+    workload: String,
+    config_hash: String,
+    window: u64,
+}
+
+/// The `final` line's fields: the run's cycles, its window count, and
+/// the final chain hash.
+struct Final {
+    cycles: u64,
+    windows: u64,
+    hash: u64,
+}
+
+record!(Strict Meta { workload: Lenient, config_hash: Lenient, window });
+record!(Strict DigestWindow { index, cycle, hash: Hex });
+record!(Strict Final { cycles, windows, hash: Hex });
 
 /// Serializes a digest file (inverse of [`parse_digest_file`]).
 pub fn write_digest_file(d: &DigestFile) -> String {
-    let mut out = String::new();
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("fp_v").u64_val(FP_VERSION);
-    w.key("kind").str_val("meta");
-    w.key("workload").str_val(&d.workload);
-    w.key("config_hash").str_val(&d.config_hash);
-    w.key("window").u64_val(d.window);
-    w.obj_end();
-    out.push_str(&w.finish());
-    out.push('\n');
-    for win in &d.windows {
-        let mut w = JsonWriter::new();
-        w.obj_begin();
-        w.key("kind").str_val("window");
-        w.key("index").u64_val(win.index);
-        w.key("cycle").u64_val(win.cycle);
-        w.key("hash").str_val(&format_hash(win.hash));
-        w.obj_end();
-        out.push_str(&w.finish());
-        out.push('\n');
-    }
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("kind").str_val("final");
-    w.key("cycles").u64_val(d.cycles);
-    w.key("windows").u64_val(d.windows.len() as u64);
-    w.key("hash").str_val(&format_hash(d.final_hash));
-    w.obj_end();
-    out.push_str(&w.finish());
+    let meta = Meta {
+        workload: d.workload.clone(),
+        config_hash: d.config_hash.clone(),
+        window: d.window,
+    };
+    let mut lines = vec![record::object(
+        |w| {
+            w.key("fp_v").u64_val(FP_VERSION);
+            w.key("kind").str_val("meta");
+        },
+        &meta,
+    )];
+    lines.extend(d.windows.iter().map(|win| kind_line("window", win)));
+    let fin = Final {
+        cycles: d.cycles,
+        windows: d.windows.len() as u64,
+        hash: d.final_hash,
+    };
+    lines.push(kind_line("final", &fin));
+    let mut out = lines.join("\n");
     out.push('\n');
     out
 }
@@ -155,9 +177,9 @@ pub fn write_digest_file(d: &DigestFile) -> String {
 /// count that disagrees with the `final` record, or a truncated file
 /// (no `final` record).
 pub fn parse_digest_file(path: &str, text: &str) -> Result<DigestFile, String> {
-    let mut meta: Option<(String, String, u64)> = None;
+    let mut meta: Option<Meta> = None;
     let mut windows: Vec<DigestWindow> = Vec::new();
-    let mut fin: Option<(u64, u64)> = None;
+    let mut fin: Option<Final> = None;
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -173,57 +195,52 @@ pub fn parse_digest_file(path: &str, text: &str) -> Result<DigestFile, String> {
                 return Err(format!("{ctx}: missing fp_v header"));
             }
             value::check_version(&v, "fp_v", &[FP_VERSION]).map_err(|e| format!("{ctx}: {e}"))?;
-            let window = req_u64(&v, "window", &ctx)?;
-            if window == 0 {
+            let m = Meta::get_fields(&v, &ctx)?;
+            if m.window == 0 {
                 return Err(format!("{ctx}: window must be nonzero"));
             }
-            meta = Some((
-                v.str_field("workload").to_string(),
-                v.str_field("config_hash").to_string(),
-                window,
-            ));
+            meta = Some(m);
             continue;
         }
+        // The order and count checks come before the rest of the line.
         match v.str_field("kind") {
             "window" => {
-                let index = req_u64(&v, "index", &ctx)?;
+                let index: u64 = Strict::get(&v, "index", &ctx)?;
                 if index != windows.len() as u64 {
                     return Err(format!(
                         "{ctx}: window index {index} out of order (expected {})",
                         windows.len()
                     ));
                 }
-                windows.push(DigestWindow {
-                    index,
-                    cycle: req_u64(&v, "cycle", &ctx)?,
-                    hash: parse_hash(&v, &ctx)?,
-                });
+                windows.push(DigestWindow::get_fields(&v, &ctx)?);
             }
             "final" => {
-                let count = req_u64(&v, "windows", &ctx)?;
+                let count: u64 = Strict::get(&v, "windows", &ctx)?;
                 if count != windows.len() as u64 {
                     return Err(format!(
                         "{ctx}: final record says {count} windows, found {}",
                         windows.len()
                     ));
                 }
-                fin = Some((req_u64(&v, "cycles", &ctx)?, parse_hash(&v, &ctx)?));
+                fin = Some(Final::get_fields(&v, &ctx)?);
             }
             // Unknown kinds are additive extensions: skip.
             _ => {}
         }
     }
-    let (workload, config_hash, window) =
-        meta.ok_or_else(|| format!("{path}: empty digest file"))?;
-    let (cycles, final_hash) =
-        fin.ok_or_else(|| format!("{path}: truncated digest (missing final record)"))?;
+    let Meta {
+        workload,
+        config_hash,
+        window,
+    } = meta.ok_or_else(|| format!("{path}: empty digest file"))?;
+    let fin = fin.ok_or_else(|| format!("{path}: truncated digest (missing final record)"))?;
     Ok(DigestFile {
         workload,
         config_hash,
         window,
         windows,
-        cycles,
-        final_hash,
+        cycles: fin.cycles,
+        final_hash: fin.hash,
     })
 }
 
@@ -333,6 +350,30 @@ mod tests {
         let text = write_digest_file(&sample()).replacen("\"index\":1", "\"index\":5", 1);
         let err = parse_digest_file("d", &text).unwrap_err();
         assert!(err.contains("window index 5 out of order"), "{err}");
+    }
+
+    #[test]
+    fn malformed_fields_keep_their_wording() {
+        let text = write_digest_file(&sample());
+        let err =
+            |from: &str, to: &str| parse_digest_file("d", &text.replacen(from, to, 1)).unwrap_err();
+        assert_eq!(err(r#","window":65536"#, ""), "d:1: missing `window`");
+        assert_eq!(
+            err(r#""cycle":65536"#, r#""cycle":-1"#),
+            "d:2: `cycle` is not an unsigned integer"
+        );
+        assert_eq!(
+            err(r#""hash":"000000000000002a""#, r#""hash":"xyz""#),
+            "d:3: `hash` is not a hex hash: `xyz`"
+        );
+        assert_eq!(
+            err(r#","hash":"1af0"#, r#","hash_":"1af0"#),
+            "d:4: missing `hash`"
+        );
+        // The meta line's labels are optional.
+        let bare = text.replacen(r#""workload":"lex","config_hash":"abc","#, "", 1);
+        let d = parse_digest_file("d", &bare).unwrap();
+        assert_eq!((d.workload.as_str(), d.config_hash.as_str()), ("", ""));
     }
 
     #[test]

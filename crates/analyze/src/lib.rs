@@ -43,10 +43,13 @@
 //!   hit-rate / miss-mix / host-throughput trend tables over a store,
 //!   plus first-regression flagging against configurable thresholds.
 //!
-//! The crate has no dependencies beyond `ccr-telemetry` (for the
-//! shared `JsonWriter` and `Histogram`); in particular it does not
-//! depend on the simulator or compiler crates, so analysis can never
-//! perturb — or be perturbed by — the run that produced its input.
+//! The crate has no dependencies beyond `ccr-telemetry`: the shared
+//! `JsonWriter` and `Histogram`, the `value` reader, and the `record`
+//! codec whose one declaration per record derives both the writer and
+//! the reader of the run-store line, `BENCH_ccr.json` and the digest
+//! lines. In particular it does not depend on the simulator or
+//! compiler crates, so analysis can never perturb — or be perturbed
+//! by — the run that produced its input.
 //!
 //! Determinism is load-bearing: identical input artifacts must
 //! produce byte-identical `analysis.json` / `trace.json`, which is

@@ -19,13 +19,19 @@
 //! [`RunStore::skipped_lines`] and skipped, while a line that *parses*
 //! but carries an unknown `store_v` is a hard error, because silently
 //! misreading a future schema is worse than failing.
+//!
+//! A line is the `store_v` tag followed by the one lenient `record!`
+//! declaration of [`RunRecord`] (`ccr_telemetry::record`), which
+//! derives both the writer and the reader: a missing or mistyped field
+//! reads as 0 or `""`, so additive fields need no `store_v` bump.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
-use ccr_telemetry::JsonWriter;
+use ccr_telemetry::record::{Codec, Lenient, Record};
+use ccr_telemetry::{record, JsonWriter};
 
 use crate::value::{self, Value};
 
@@ -95,62 +101,40 @@ pub struct RunRecord {
     pub points_per_sec: f64,
 }
 
+record!(Lenient RunRecord {
+    timestamp = "ts", commit, config_hash, source, workload, input, scale, base_cycles,
+    ccr_cycles, speedup, hit_rate, miss_causes: MissCauses, regions, wall_ms,
+    sim_cycles_per_host_sec, host_util_pct, fingerprint, points_per_sec,
+});
+
+/// The miss-cause mix, flattened into one `miss_<cause>` counter per
+/// [`crate::MISS_CAUSES`] entry.
+struct MissCauses;
+
+impl Codec<[u64; 5]> for MissCauses {
+    fn put(causes: &[u64; 5], _key: &str, w: &mut JsonWriter) {
+        for (name, count) in crate::MISS_CAUSES.iter().zip(causes) {
+            Lenient::put(count, &format!("miss_{name}"), w);
+        }
+    }
+    fn get(v: &Value, _key: &str, ctx: &str) -> Result<[u64; 5], String> {
+        let mut causes = [0u64; 5];
+        for (slot, name) in causes.iter_mut().zip(crate::MISS_CAUSES) {
+            *slot = Lenient::get(v, &format!("miss_{name}"), ctx)?;
+        }
+        Ok(causes)
+    }
+}
+
 impl RunRecord {
     /// Serializes the record as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.obj_begin();
-        w.key("store_v").u64_val(u64::from(STORE_SCHEMA_VERSION));
-        w.key("ts").u64_val(self.timestamp);
-        w.key("commit").str_val(&self.commit);
-        w.key("config_hash").str_val(&self.config_hash);
-        w.key("source").str_val(&self.source);
-        w.key("workload").str_val(&self.workload);
-        w.key("input").str_val(&self.input);
-        w.key("scale").u64_val(self.scale);
-        w.key("base_cycles").u64_val(self.base_cycles);
-        w.key("ccr_cycles").u64_val(self.ccr_cycles);
-        w.key("speedup").f64_val(self.speedup);
-        w.key("hit_rate").f64_val(self.hit_rate);
-        for (name, count) in crate::MISS_CAUSES.iter().zip(self.miss_causes) {
-            w.key(&format!("miss_{name}")).u64_val(count);
-        }
-        w.key("regions").u64_val(self.regions);
-        w.key("wall_ms").u64_val(self.wall_ms);
-        w.key("sim_cycles_per_host_sec")
-            .f64_val(self.sim_cycles_per_host_sec);
-        w.key("host_util_pct").f64_val(self.host_util_pct);
-        w.key("fingerprint").str_val(&self.fingerprint);
-        w.key("points_per_sec").f64_val(self.points_per_sec);
-        w.obj_end();
-        w.finish()
-    }
-
-    fn from_value(v: &Value) -> RunRecord {
-        let mut miss_causes = [0u64; 5];
-        for (slot, name) in miss_causes.iter_mut().zip(crate::MISS_CAUSES) {
-            *slot = v.u64_field(&format!("miss_{name}"));
-        }
-        RunRecord {
-            timestamp: v.u64_field("ts"),
-            commit: v.str_field("commit").to_string(),
-            config_hash: v.str_field("config_hash").to_string(),
-            source: v.str_field("source").to_string(),
-            workload: v.str_field("workload").to_string(),
-            input: v.str_field("input").to_string(),
-            scale: v.u64_field("scale"),
-            base_cycles: v.u64_field("base_cycles"),
-            ccr_cycles: v.u64_field("ccr_cycles"),
-            speedup: v.f64_field("speedup"),
-            hit_rate: v.f64_field("hit_rate"),
-            miss_causes,
-            regions: v.u64_field("regions"),
-            wall_ms: v.u64_field("wall_ms"),
-            sim_cycles_per_host_sec: v.f64_field("sim_cycles_per_host_sec"),
-            host_util_pct: v.f64_field("host_util_pct"),
-            fingerprint: v.str_field("fingerprint").to_string(),
-            points_per_sec: v.f64_field("points_per_sec"),
-        }
+        record::object(
+            |w| {
+                w.key("store_v").u64_val(u64::from(STORE_SCHEMA_VERSION));
+            },
+            self,
+        )
     }
 
     /// The series this record belongs to: records with equal keys
@@ -209,9 +193,10 @@ impl RunStore {
                 store.skipped_lines += 1;
                 continue;
             };
+            let ctx = format!("{}:{}", path.display(), idx + 1);
             value::check_version(&v, "store_v", KNOWN_STORE_VERSIONS)
-                .map_err(|e| format!("{}:{}: {e}", path.display(), idx + 1))?;
-            store.records.push(RunRecord::from_value(&v));
+                .map_err(|e| format!("{ctx}: {e}"))?;
+            store.records.push(RunRecord::get_fields(&v, &ctx)?);
         }
         if store.records.is_empty() && store.skipped_lines > 0 {
             return Err(format!(
@@ -461,6 +446,26 @@ mod tests {
             text.lines().all(|l| l.starts_with("{\"store_v\":1,")),
             "{text}"
         );
+
+        // The committed fixture, loaded and re-written line by line,
+        // gives the same bytes as before the writer was a declaration.
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/run_store/store.jsonl"
+        );
+        let lines: Vec<String> = RunStore::load(Path::new(fixture))
+            .unwrap()
+            .records
+            .iter()
+            .map(RunRecord::to_json_line)
+            .collect();
+        let hash = lines
+            .join("\n")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(format!("{hash:016x}"), "c8d5d391852cb551");
     }
 
     #[test]

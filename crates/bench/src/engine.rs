@@ -69,10 +69,10 @@ use ccr_core::harness::Harness;
 use ccr_core::jobs::parallel_map_observed;
 use ccr_core::measure::reuse_potential;
 use ccr_core::single_flight::{Claim, SingleFlight};
-use ccr_core::telemetry::{value, Counter, JsonWriter};
+use ccr_core::telemetry::record::{Codec, Flat, Lenient, Record};
+use ccr_core::telemetry::{record, value, Counter};
 use ccr_ir::Program;
 use ccr_profile::{EmuConfig, ReusePotential};
-use ccr_sim::snapshot::{parse_outcome, write_outcome_fields};
 use ccr_sim::{CrbConfig, MachineConfig, SimOutcome, SimSession};
 
 use crate::exp::{
@@ -179,18 +179,20 @@ struct Journal {
 /// Lines are keyed by result-cache key (`…|fp:none`, `…|fp:<window>`).
 pub const CKPT_VERSION: u64 = 4;
 
+// A journal entry after its `ckpt_v` and `key`: the host figures, read
+// leniently, then the outcome's fields inline, read strictly.
+record!(Strict CachedSim { wall_ms: Lenient, fingerprint: Lenient, outcome: Flat });
+
 /// One checkpoint journal line: a result-cache entry under its key,
-/// with the outcome's fields from [`write_outcome_fields`].
+/// its [`CachedSim`] fields inline.
 pub(crate) fn ckpt_line(key: &str, c: &CachedSim) -> String {
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("ckpt_v").u64_val(CKPT_VERSION);
-    w.key("key").str_val(key);
-    w.key("wall_ms").u64_val(c.wall_ms);
-    w.key("fingerprint").str_val(&c.fingerprint);
-    write_outcome_fields(&mut w, &c.outcome);
-    w.obj_end();
-    w.finish()
+    record::object(
+        |w| {
+            w.key("ckpt_v").u64_val(CKPT_VERSION);
+            Lenient::put(&key.to_string(), "key", w);
+        },
+        c,
+    )
 }
 
 /// Loads a checkpoint journal as result-cache entries in file order,
@@ -215,16 +217,11 @@ pub(crate) fn load_checkpoint(path: &Path) -> Result<(Vec<(String, CachedSim)>, 
         let Ok(v) = value::parse(line) else { continue };
         let ctx = format!("{}:{}", path.display(), i + 1);
         value::check_version(&v, "ckpt_v", &[CKPT_VERSION]).map_err(|e| format!("{ctx}: {e}"))?;
-        let key = v.str_field("key").to_string();
+        let key: String = Lenient::get(&v, "key", &ctx)?;
         if key.is_empty() {
             return Err(format!("{ctx}: missing `key`"));
         }
-        let cached = CachedSim {
-            outcome: parse_outcome(&v, &ctx)?,
-            wall_ms: v.u64_field("wall_ms"),
-            fingerprint: v.str_field("fingerprint").to_string(),
-        };
-        out.push((key, cached));
+        out.push((key, CachedSim::get_fields(&v, &ctx)?));
     }
     let torn = !text.is_empty() && !text.ends_with('\n');
     Ok((out, torn))

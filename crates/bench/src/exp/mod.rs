@@ -1275,6 +1275,14 @@ mod tests {
         let path = temp_file("real.jsonl");
         std::fs::write(&path, format!("{store}\n")).unwrap();
         assert_eq!(ccr_analyze::RunStore::load(&path).unwrap().records.len(), 1);
+        // A mistyped store counter reads as 0.
+        let odd = store.replacen("\"scale\":1", "\"scale\":\"1\"", 1);
+        std::fs::write(&path, format!("{odd}\n")).unwrap();
+        let records = ccr_analyze::RunStore::load(&path).unwrap().records;
+        assert_eq!(
+            (records[0].scale, records[0].workload.as_str()),
+            (0, "bitcount")
+        );
         std::fs::write(&path, format!("{ckpt}\n")).unwrap();
         let (entries, torn) = load_checkpoint(&path).unwrap();
         assert_eq!((entries.len(), torn), (1, false));

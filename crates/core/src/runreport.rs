@@ -25,15 +25,16 @@
 //!
 //! All counters are serialized as the exact integers the simulator
 //! reported, so a report agrees byte-for-byte with the plain-text
-//! tables rendered from the same run. The `base` and `ccr` blocks
-//! take their counters from the one [`SimStats`] declaration in
-//! `ccr_sim::snapshot` (the snapshot's and checkpoint's stats object,
-//! through [`ccr_sim::snapshot::write_sim_stats_fields`]) and add only
+//! tables rendered from the same run. The `machine` and `crb` blocks
+//! (which [`config_hash`] also hashes) and the counters of the `base`
+//! and `ccr` blocks come from the one `record!` declaration of each
+//! type in `ccr-sim` (the [`SimStats`] one is the snapshot's and
+//! checkpoint's stats object); the phase blocks add only
 //! `effective_ipc` and `attribution`.
 
 use ccr_regions::RegionInfo;
-use ccr_sim::snapshot::write_sim_stats_fields;
-use ccr_sim::{CrbConfig, MachineConfig, Replacement, SimStats};
+use ccr_sim::{CrbConfig, MachineConfig, SimStats};
+use ccr_telemetry::record::{Codec, Record, Strict};
 use ccr_telemetry::{emit, JsonWriter, TelemetrySink};
 
 use crate::compile::CompileTelemetry;
@@ -106,10 +107,8 @@ impl Provenance {
 pub fn config_hash(machine: &MachineConfig, crb: &CrbConfig) -> String {
     let mut w = JsonWriter::new();
     w.obj_begin();
-    w.key("machine");
-    machine_json(&mut w, machine);
-    w.key("crb");
-    crb_json(&mut w, crb);
+    Strict::put(machine, "machine", &mut w);
+    Strict::put(crb, "crb", &mut w);
     w.obj_end();
     fnv1a_hex(w.finish().as_bytes())
 }
@@ -196,10 +195,8 @@ impl RunReport<'_> {
         w.key("git_commit").str_val(&self.provenance.git_commit);
         w.obj_end();
 
-        w.key("machine");
-        machine_json(&mut w, self.machine);
-        w.key("crb");
-        crb_json(&mut w, self.crb);
+        Strict::put(self.machine, "machine", &mut w);
+        Strict::put(self.crb, "crb", &mut w);
 
         w.key("compile").obj_begin();
         w.key("passes").arr_begin();
@@ -240,66 +237,11 @@ impl RunReport<'_> {
     }
 }
 
-fn machine_json(w: &mut JsonWriter, m: &MachineConfig) {
-    w.obj_begin();
-    w.key("issue_width").u64_val(u64::from(m.issue_width));
-    w.key("int_alus").u64_val(u64::from(m.int_alus));
-    w.key("mem_ports").u64_val(u64::from(m.mem_ports));
-    w.key("fp_alus").u64_val(u64::from(m.fp_alus));
-    w.key("branch_units").u64_val(u64::from(m.branch_units));
-    w.key("int_latency").u64_val(m.int_latency);
-    w.key("mul_latency").u64_val(m.mul_latency);
-    w.key("fp_latency").u64_val(m.fp_latency);
-    w.key("load_latency").u64_val(m.load_latency);
-    for (name, c) in [("icache", &m.icache), ("dcache", &m.dcache)] {
-        w.key(name).obj_begin();
-        w.key("size_bytes").u64_val(c.size_bytes);
-        w.key("line_bytes").u64_val(c.line_bytes);
-        w.key("miss_penalty").u64_val(c.miss_penalty);
-        w.obj_end();
-    }
-    w.key("btb_entries").u64_val(m.btb_entries as u64);
-    w.key("mispredict_penalty").u64_val(m.mispredict_penalty);
-    w.key("reuse_hit_latency").u64_val(m.reuse_hit_latency);
-    w.key("reuse_miss_penalty").u64_val(m.reuse_miss_penalty);
-    w.key("speculative_validation")
-        .bool_val(m.speculative_validation);
-    w.obj_end();
-}
-
-fn crb_json(w: &mut JsonWriter, c: &CrbConfig) {
-    w.obj_begin();
-    w.key("entries").u64_val(c.entries as u64);
-    w.key("instances").u64_val(c.instances as u64);
-    w.key("input_bank").u64_val(c.input_bank as u64);
-    w.key("output_bank").u64_val(c.output_bank as u64);
-    w.key("replacement").str_val(match c.replacement {
-        Replacement::Lru => "lru",
-        Replacement::Fifo => "fifo",
-        Replacement::Random => "random",
-    });
-    match c.nonuniform {
-        None => {
-            w.key("nonuniform").null_val();
-        }
-        Some(nu) => {
-            w.key("nonuniform").obj_begin();
-            w.key("boost_every").u64_val(nu.boost_every as u64);
-            w.key("boosted_instances")
-                .u64_val(nu.boosted_instances as u64);
-            w.key("mem_capable_percent")
-                .u64_val(u64::from(nu.mem_capable_percent));
-            w.obj_end();
-        }
-    }
-    w.obj_end();
-}
-
 /// A phase's statistics: the checkpoint's [`SimStats`] members, plus
 /// the report's own `effective_ipc` and `attribution`.
 fn sim_stats_json(w: &mut JsonWriter, s: &SimStats) {
     w.obj_begin();
-    write_sim_stats_fields(w, s);
+    s.put_fields(w);
     w.key("effective_ipc").f64_val(s.effective_ipc());
     w.key("attribution");
     match &s.attribution {
@@ -311,27 +253,15 @@ fn sim_stats_json(w: &mut JsonWriter, s: &SimStats) {
     w.obj_end();
 }
 
-fn buckets_json(w: &mut JsonWriter, b: &ccr_sim::CycleBuckets) {
-    w.obj_begin();
-    w.key("issue").u64_val(b.issue);
-    w.key("fetch").u64_val(b.fetch);
-    w.key("memory").u64_val(b.memory);
-    w.key("reuse_hit").u64_val(b.reuse_hit);
-    w.key("drain").u64_val(b.drain);
-    w.obj_end();
-}
-
 fn attribution_json(w: &mut JsonWriter, attr: &ccr_sim::Attribution) {
     w.obj_begin();
-    w.key("total");
-    buckets_json(w, &attr.total);
+    Strict::put(&attr.total, "total", w);
     w.key("functions").arr_begin();
     for f in &attr.functions {
         w.obj_begin();
         w.key("name").str_val(&f.name);
         w.key("cycles").u64_val(f.buckets.total());
-        w.key("buckets");
-        buckets_json(w, &f.buckets);
+        Strict::put(&f.buckets, "buckets", w);
         w.obj_end();
     }
     w.arr_end();
@@ -442,6 +372,24 @@ mod tests {
         wide.issue_width += 1;
         let d = config_hash(&wide, &CrbConfig::paper());
         assert_ne!(a, d, "different machine must change the hash");
+
+        // The hashed bytes are pinned: the paper point, a FIFO buffer,
+        // and a nonuniform one.
+        assert_eq!(a, "97e38860bf6aaa62");
+        let fifo = CrbConfig {
+            replacement: ccr_sim::Replacement::Fifo,
+            ..CrbConfig::paper()
+        };
+        assert_eq!(config_hash(&machine, &fifo), "9d5654bf10b5475d");
+        let skewed = CrbConfig {
+            nonuniform: Some(ccr_sim::NonuniformConfig {
+                boost_every: 4,
+                boosted_instances: 20,
+                mem_capable_percent: 50,
+            }),
+            ..CrbConfig::paper()
+        };
+        assert_eq!(config_hash(&machine, &skewed), "590ed45bae2cea3a");
     }
 
     #[test]

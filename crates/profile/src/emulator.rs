@@ -33,6 +33,8 @@ use std::sync::Arc;
 
 use ccr_ir::semantics::{eval_binary, eval_unary};
 use ccr_ir::{BlockId, Decoded, FuncId, Instr, Op, Operand, Program, Reg, RegionId, Value};
+use ccr_telemetry::record::{Codec, Strict, Wire};
+use ccr_telemetry::{record, value, JsonWriter};
 
 use crate::crb::{CrbModel, RecordedInstance};
 use crate::regset::RegSet;
@@ -995,6 +997,76 @@ pub struct EmuMemoSnapshot {
     pub accesses_memory: bool,
     /// Body instructions executed so far.
     pub body_instrs: u64,
+}
+
+// The wire shapes of a finished run's outcome and of an emulator
+// snapshot (the `emu` section of a simulator snapshot).
+record!(Strict RunOutcome {
+    returned: RegValues, dyn_instrs, skipped_instrs, reuse_hits, reuse_misses, memory_digest,
+});
+record!(Strict EmuSnapshot {
+    dyn_instrs, skipped_instrs, reuse_hits, reuse_misses, memory, frames, memo,
+});
+record!(Strict EmuFrameSnapshot { func, block, pos, regs });
+record!(Strict EmuMemoSnapshot {
+    depth, region, inputs: Pairs, outputs, written, accesses_memory, body_instrs,
+});
+
+/// A bank of register values, each as the signed integer it holds.
+struct RegValues(i64);
+
+impl Codec<Vec<Value>> for RegValues {
+    fn put(values: &Vec<Value>, key: &str, w: &mut JsonWriter) {
+        let ints: Vec<RegValues> = values.iter().map(|v| RegValues(v.0)).collect();
+        Strict::put(&ints, key, w);
+    }
+    fn get(v: &value::Value, key: &str, ctx: &str) -> Result<Vec<Value>, String> {
+        let ints: Vec<RegValues> = Strict::get(v, key, ctx)?;
+        Ok(ints.into_iter().map(|RegValues(n)| Value(n)).collect())
+    }
+}
+
+impl Wire for RegValues {
+    fn put(&self, w: &mut JsonWriter) {
+        w.i64_val(self.0);
+    }
+    fn get(v: &value::Value, key: &str, ctx: &str) -> Result<RegValues, String> {
+        match *v {
+            value::Value::U64(n) => i64::try_from(n)
+                .map(RegValues)
+                .map_err(|_| format!("{ctx}: `{key}` value out of i64 range")),
+            value::Value::I64(n) => Ok(RegValues(n)),
+            _ => Err(record::not_a("an integer", key, ctx)),
+        }
+    }
+}
+
+/// A bank of `(register, value bit pattern)` pairs as one flat array
+/// (the memoization's input bank here, and the reuse buffer's banks in
+/// `ccr-sim`).
+pub struct Pairs;
+
+impl Codec<Vec<(u32, u64)>> for Pairs {
+    fn put(pairs: &Vec<(u32, u64)>, key: &str, w: &mut JsonWriter) {
+        w.key(key).arr_begin();
+        for &(r, x) in pairs {
+            w.u64_val(u64::from(r)).u64_val(x);
+        }
+        w.arr_end();
+    }
+    fn get(v: &value::Value, key: &str, ctx: &str) -> Result<Vec<(u32, u64)>, String> {
+        let flat: Vec<u64> = Strict::get(v, key, ctx)?;
+        if !flat.len().is_multiple_of(2) {
+            return Err(format!("{ctx}: `{key}` has odd length {}", flat.len()));
+        }
+        flat.chunks_exact(2)
+            .map(|c| {
+                let r = u32::try_from(c[0])
+                    .map_err(|_| format!("{ctx}: `{key}` register exceeds u32"))?;
+                Ok((r, c[1]))
+            })
+            .collect()
+    }
 }
 
 /// Masks a raw element index into the object's bounds. Negative and

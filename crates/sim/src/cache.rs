@@ -1,5 +1,7 @@
 //! A direct-mapped cache timing model.
 
+use ccr_telemetry::record;
+
 /// Cache geometry and timing.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
@@ -10,6 +12,8 @@ pub struct CacheConfig {
     /// Extra cycles charged on a miss.
     pub miss_penalty: u64,
 }
+
+record!(Strict CacheConfig { size_bytes, line_bytes, miss_penalty });
 
 impl CacheConfig {
     /// The paper's 32 KB direct-mapped cache with 32-byte lines and a

@@ -19,6 +19,8 @@ use std::collections::{HashSet, VecDeque};
 
 use ccr_ir::{Reg, RegionId, Value};
 use ccr_profile::{CrbModel, MissCause, RecordedInstance, ReuseLookup};
+use ccr_telemetry::record::{not_a, Wire};
+use ccr_telemetry::{record, value, JsonWriter};
 
 use crate::snapshot::{
     cause_from_index, cause_index, CrbEntrySnapshot, CrbGhostSnapshot, CrbInstanceSnapshot,
@@ -66,6 +68,30 @@ pub enum Replacement {
     Fifo,
     /// Uniformly random instance (deterministic xorshift stream).
     Random,
+}
+
+impl Replacement {
+    /// The policy's name in configuration records and sweep labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            Replacement::Lru => "lru",
+            Replacement::Fifo => "fifo",
+            Replacement::Random => "random",
+        }
+    }
+}
+
+/// A policy, by [`Replacement::name`].
+impl Wire for Replacement {
+    fn put(&self, w: &mut JsonWriter) {
+        w.str_val(self.name());
+    }
+    fn get(v: &value::Value, key: &str, ctx: &str) -> Result<Replacement, String> {
+        [Replacement::Lru, Replacement::Fifo, Replacement::Random]
+            .into_iter()
+            .find(|r| v.as_str() == Some(r.name()))
+            .ok_or_else(|| not_a("a replacement policy", key, ctx))
+    }
 }
 
 /// Nonuniform entry capacities (the paper's future-work item:
@@ -153,21 +179,17 @@ impl CrbConfig {
             ("instances", self.instances.to_string()),
             ("input_bank", self.input_bank.to_string()),
             ("output_bank", self.output_bank.to_string()),
-            (
-                "replacement",
-                match self.replacement {
-                    Replacement::Lru => "lru",
-                    Replacement::Fifo => "fifo",
-                    Replacement::Random => "random",
-                }
-                .to_string(),
-            ),
+            ("replacement", self.replacement.name().to_string()),
             ("nonuniform.boost_every", boost_every),
             ("nonuniform.boosted_instances", boosted),
             ("nonuniform.mem_capable_percent", mem_pct),
         ]
     }
 }
+
+// The buffer geometry as the run report and the config hash write it.
+record!(Strict CrbConfig { entries, instances, input_bank, output_bank, replacement, nonuniform });
+record!(Strict NonuniformConfig { boost_every, boosted_instances, mem_capable_percent });
 
 /// Kind of a logged buffer event (see [`ReuseBuffer::set_event_logging`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

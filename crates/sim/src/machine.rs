@@ -1,5 +1,7 @@
 //! Machine (processor) configuration.
 
+use ccr_telemetry::record;
+
 use crate::cache::CacheConfig;
 
 /// The modeled processor, defaulting to the paper's evaluation
@@ -47,6 +49,13 @@ pub struct MachineConfig {
     /// the critical path.
     pub speculative_validation: bool,
 }
+
+// The machine as the run report and the config hash write it.
+record!(Strict MachineConfig {
+    issue_width, int_alus, mem_ports, fp_alus, branch_units, int_latency, mul_latency,
+    fp_latency, load_latency, icache, dcache, btb_entries, mispredict_penalty,
+    reuse_hit_latency, reuse_miss_penalty, speculative_validation,
+});
 
 impl Default for MachineConfig {
     fn default() -> Self {

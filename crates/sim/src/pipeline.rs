@@ -102,6 +102,13 @@ impl AttrState {
     }
 }
 
+/// The largest clock [`Pipeline::restore`] accepts (2^62). Every real
+/// run stays far below it: the emulator's instruction limit ends a run
+/// long before. From a crafted clock near `u64::MAX`, a resumed run
+/// would reach the `u64::MAX` cycle `SimSession::run_to_end` runs to
+/// before its program returns, or overflow a clock.
+pub const MAX_RESTORED_CLOCK: u64 = 1 << 62;
+
 /// The timing model. Create one per simulated run, attach it to an
 /// emulation, then call [`Pipeline::into_stats`].
 pub struct Pipeline {
@@ -417,7 +424,9 @@ impl Pipeline {
     /// snapshot does not match `machine`, the frame stack is empty, or
     /// the issue group is one `issue_at` never leaves: its cycle is not
     /// the last issue's (or that is `u64::MAX`), or it uses more slots
-    /// or units than `machine` has.
+    /// or units than `machine` has; or a clock (the last issue, the
+    /// horizon, fetch readiness, a register's ready time, the pending
+    /// call's) is past [`MAX_RESTORED_CLOCK`].
     pub fn restore(
         machine: MachineConfig,
         layout: CodeLayout,
@@ -448,6 +457,22 @@ impl Pipeline {
                 snap.fu_used[unit],
                 ["int", "mem", "fp", "branch"][unit],
                 p.fu_limits[unit]
+            ));
+        }
+        let scalars = [
+            ("last issue", snap.last_issue),
+            ("horizon", snap.horizon),
+            ("fetch", snap.fetch_ready),
+        ];
+        let ready = snap.frames.iter().flat_map(|f| &f.ready);
+        let pending = snap.pending_call.iter().map(|(c, _)| ("pending call", *c));
+        let mut clocks = scalars
+            .into_iter()
+            .chain(ready.map(|&c| ("register ready", c)))
+            .chain(pending);
+        if let Some((what, c)) = clocks.find(|&(_, c)| c > MAX_RESTORED_CLOCK) {
+            return Err(format!(
+                "pipeline {what} clock {c} is past the restorable limit {MAX_RESTORED_CLOCK}"
             ));
         }
         p.icache = Cache::restore(

@@ -198,9 +198,9 @@ impl<'p> SimSession<'p> {
     ///
     /// Returns a one-line description when any component of the
     /// snapshot is inconsistent with `program`, `machine`, or `crb`
-    /// (including a CRB record present/absent mismatch, and a CRB
-    /// instance or ghost naming a register outside its region's
-    /// function).
+    /// (including a CRB record present/absent mismatch, a CRB instance
+    /// or ghost naming a register outside its region's function, and a
+    /// header `cycle` that is not the restored pipeline's cycle).
     pub fn restore(
         program: &'p Program,
         machine: &MachineConfig,
@@ -240,6 +240,13 @@ impl<'p> SimSession<'p> {
                 let homes = reuse_homes(program);
                 check_pipeline_state(program, &homes, &snap.pipeline)?;
                 let pipeline = Pipeline::restore(machines[0], layout, &snap.pipeline)?;
+                if pipeline.cycles_so_far() != snap.cycle {
+                    return Err(format!(
+                        "snapshot cycle {} is not its pipeline's cycle {}",
+                        snap.cycle,
+                        pipeline.cycles_so_far()
+                    ));
+                }
                 let run = emulator.resume(&snap.emu)?;
                 let buffer = match (crb, &snap.crb) {
                     (Some(config), Some(cs)) => {
@@ -745,6 +752,7 @@ fn check_crb_registers(homes: &HashMap<u32, &Function>, snap: &CrbSnapshot) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::MAX_RESTORED_CLOCK;
     use crate::snapshot::{parse_snapshot, write_snapshot, CrbEntrySnapshot, CrbGhostSnapshot};
     use crate::stats::RegionDynStats;
     use ccr_ir::{BinKind, CmpPred, InstrExt, Op, Operand, ProgramBuilder, RegionId};
@@ -1004,6 +1012,28 @@ mod tests {
             err,
             format!(
                 "pipeline issue group at cycle {max} does not follow the last issue at cycle {max}"
+            )
+        );
+
+        // No clock can sit where the rest of the run would reach the
+        // end of time, and the header names the pipeline's own cycle.
+        let near = max - 1;
+        assert_eq!(
+            restore(&|s| (s.pipeline.last_issue, s.pipeline.slot_cycle) = (near, near)),
+            format!("pipeline last issue clock {near} is past the restorable limit {MAX_RESTORED_CLOCK}")
+        );
+        let err = restore(&|s| s.pipeline.frames[0].ready.push(near));
+        assert!(err.starts_with("pipeline register ready clock "), "{err}");
+        let err = restore(&|s| s.pipeline.pending_call = Some((near, Vec::new())));
+        assert!(err.starts_with("pipeline pending call clock "), "{err}");
+        let err = restore(&|s| s.pipeline.fetch_ready = near);
+        assert!(err.starts_with("pipeline fetch clock "), "{err}");
+        let cycle = snap.cycle;
+        assert_eq!(
+            restore(&|s| s.cycle += 1),
+            format!(
+                "snapshot cycle {} is not its pipeline's cycle {cycle}",
+                cycle + 1
             )
         );
         assert_eq!(

@@ -20,15 +20,21 @@
 //!
 //! # One declaration per record
 //!
-//! Each record's fields are listed once, in wire order, by a `record!`
-//! declaration, which derives both its writer and its reader; the
-//! experiment checkpoint line ([`write_outcome_fields`]) and the run
-//! report ([`write_sim_stats_fields`]) reuse the same declarations. A
-//! record is read in one of two modes:
+//! Each record's fields are listed once, in wire order, by a
+//! [`ccr_telemetry::record!`] declaration, which derives both its
+//! writer and its reader. The simulator's records are declared here:
+//! the snapshot header, sections and `end` trailer, the finished
+//! [`SimOutcome`] an experiment checkpoint line carries, and the
+//! [`SimStats`] counters and profiled [`CycleBuckets`] the run report
+//! also writes. The emulator's
+//! records ([`ccr_profile::EmuSnapshot`], [`ccr_profile::RunOutcome`])
+//! are declared beside their types in `ccr-profile`. A record is read
+//! in one of two modes:
 //!
-//! - *strict* (the snapshot records and [`ccr_profile::RunOutcome`]):
-//!   a missing key is a one-line `missing `k`` error, and a missing or
-//!   `null` optional field reads as `None`;
+//! - *strict* (the snapshot records and the outcome): a missing key is
+//!   a one-line ``missing `k` `` error, and a missing or `null`
+//!   optional field reads as `None`; the header's `workload` and
+//!   `config_hash` alone read as `""` when absent;
 //! - *lenient* (the [`SimStats`], [`CrbStats`] and [`RegionDynStats`]
 //!   counters): a missing or mistyped counter reads as 0, while a
 //!   region row without a valid `region` is still an error.
@@ -41,13 +47,15 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use ccr_ir::RegionId;
-use ccr_profile::{EmuFrameSnapshot, EmuMemoSnapshot, EmuSnapshot, MissCause, RunOutcome};
-use ccr_telemetry::value::{self, req_u64, Value};
-use ccr_telemetry::JsonWriter;
+use ccr_profile::emulator::Pairs;
+use ccr_profile::{EmuSnapshot, MissCause};
+use ccr_telemetry::record::{kind_line, Codec, Flat, Lenient, Record, Strict, Wire};
+use ccr_telemetry::value::{self, Value};
+use ccr_telemetry::{record, JsonWriter};
 
 use crate::fingerprint::WindowDigest;
 use crate::session::SimOutcome;
-use crate::stats::{CrbStats, RegionDynStats, SimStats};
+use crate::stats::{CrbStats, CycleBuckets, RegionDynStats, SimStats};
 
 /// Snapshot format version. Bumped only on incompatible changes;
 /// additive fields ride under the same version.
@@ -234,218 +242,33 @@ pub(crate) fn cause_from_index(i: u64) -> Result<MissCause, String> {
         })
 }
 
-/// One JSON value shape, both directions. `get` reads a present value
-/// (`key` names it in errors, `ctx` locates it); `absent` is what a
-/// strict record reads for a missing key, where the type has such a
-/// value.
-trait Wire: Sized {
-    fn put(&self, w: &mut JsonWriter);
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<Self, String>;
-    fn absent() -> Option<Self> {
-        None
-    }
-}
+/// The pending call of a [`PipelineSnapshot`]: `null`, or
+/// `{ready_at, ret_regs}` (a missing key reads as no pending call).
+struct PendingCall;
 
-/// How one field of a record goes on the wire: the record's read mode
-/// ([`Strict`], [`Lenient`]) or a field codec of its own.
-trait Codec<T> {
-    fn put(x: &T, w: &mut JsonWriter);
-    /// Reads field `key` of the record object `v`.
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<T, String>;
-}
-
-/// A JSON object whose fields a `record!` declaration lists.
-trait Record: Sized {
-    fn put_fields(&self, w: &mut JsonWriter);
-    fn get_fields(v: &Value, ctx: &str) -> Result<Self, String>;
-}
-
-impl<R: Record> Wire for R {
-    fn put(&self, w: &mut JsonWriter) {
-        w.obj_begin();
-        self.put_fields(w);
-        w.obj_end();
-    }
-    fn get(v: &Value, _key: &str, ctx: &str) -> Result<Self, String> {
-        R::get_fields(v, ctx)
-    }
-}
-
-fn not_a(what: &str, key: &str, ctx: &str) -> String {
-    format!("{ctx}: `{key}` is not {what}")
-}
-
-impl Wire for u64 {
-    fn put(&self, w: &mut JsonWriter) {
-        w.u64_val(*self);
-    }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-        v.as_u64()
-            .ok_or_else(|| not_a("an unsigned integer", key, ctx))
-    }
-}
-
-/// Narrower unsigned integers: written as `u64`, range-checked on read.
-macro_rules! narrow_wire {
-    ($($t:ty),*) => {$(
-        impl Wire for $t {
-            fn put(&self, w: &mut JsonWriter) {
-                w.u64_val(u64::from(*self));
-            }
-            fn get(v: &Value, key: &str, ctx: &str) -> Result<$t, String> {
-                <$t>::try_from(u64::get(v, key, ctx)?)
-                    .map_err(|_| format!("{ctx}: `{key}` exceeds {}", stringify!($t)))
-            }
-        }
-    )*};
-}
-narrow_wire!(u32, u8);
-
-impl Wire for bool {
-    fn put(&self, w: &mut JsonWriter) {
-        w.bool_val(*self);
-    }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<bool, String> {
-        v.as_bool().ok_or_else(|| not_a("a boolean", key, ctx))
-    }
-}
-
-/// A register value, as the signed integer it holds.
-impl Wire for ccr_ir::Value {
-    fn put(&self, w: &mut JsonWriter) {
-        w.i64_val(self.0);
-    }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<ccr_ir::Value, String> {
-        match *v {
-            Value::U64(n) => i64::try_from(n)
-                .map(ccr_ir::Value)
-                .map_err(|_| format!("{ctx}: `{key}` value out of i64 range")),
-            Value::I64(n) => Ok(ccr_ir::Value(n)),
-            _ => Err(not_a("an integer", key, ctx)),
-        }
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, w: &mut JsonWriter) {
-        match self {
+impl Codec<Option<(u64, Vec<u32>)>> for PendingCall {
+    fn put(call: &Option<(u64, Vec<u32>)>, key: &str, w: &mut JsonWriter) {
+        w.key(key);
+        match call {
             None => {
                 w.null_val();
             }
-            Some(x) => x.put(w),
+            Some((ready_at, ret_regs)) => {
+                w.obj_begin();
+                Strict::put(ready_at, "ready_at", w);
+                Strict::put(ret_regs, "ret_regs", w);
+                w.obj_end();
+            }
         }
     }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<Option<T>, String> {
-        match v {
-            Value::Null => Ok(None),
-            v => T::get(v, key, ctx).map(Some),
-        }
-    }
-    fn absent() -> Option<Option<T>> {
-        Some(None)
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, w: &mut JsonWriter) {
-        w.arr_begin();
-        for x in self {
-            x.put(w);
-        }
-        w.arr_end();
-    }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<Vec<T>, String> {
-        v.as_arr()
-            .ok_or_else(|| not_a("an array", key, ctx))?
-            .iter()
-            .map(|x| T::get(x, key, ctx))
-            .collect()
-    }
-}
-
-impl Wire for [u32; 4] {
-    fn put(&self, w: &mut JsonWriter) {
-        self.to_vec().put(w);
-    }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<[u32; 4], String> {
-        let all = Vec::<u32>::get(v, key, ctx)?;
-        let n = all.len();
-        all.try_into()
-            .map_err(|_| format!("{ctx}: `{key}` has {n} entries, want 4"))
-    }
-}
-
-/// The pending call of a [`PipelineSnapshot`]: `{ready_at, ret_regs}`.
-impl Wire for (u64, Vec<u32>) {
-    fn put(&self, w: &mut JsonWriter) {
-        w.obj_begin();
-        w.key("ready_at").u64_val(self.0);
-        w.key("ret_regs");
-        self.1.put(w);
-        w.obj_end();
-    }
-    fn get(v: &Value, _key: &str, ctx: &str) -> Result<(u64, Vec<u32>), String> {
-        Ok((
-            Strict::get(v, "ready_at", ctx)?,
-            Strict::get(v, "ret_regs", ctx)?,
-        ))
-    }
-}
-
-/// Strict read mode: a missing key is an error, unless the field's
-/// type reads absence (`Option` reads `None`).
-struct Strict;
-
-impl<T: Wire> Codec<T> for Strict {
-    fn put(x: &T, w: &mut JsonWriter) {
-        x.put(w);
-    }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<T, String> {
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<Option<(u64, Vec<u32>)>, String> {
         match v.get(key) {
-            None => T::absent().ok_or_else(|| format!("{ctx}: missing `{key}`")),
-            Some(x) => T::get(x, key, ctx),
+            None | Some(Value::Null) => Ok(None),
+            Some(call) => Ok(Some((
+                Strict::get(call, "ready_at", ctx)?,
+                Strict::get(call, "ret_regs", ctx)?,
+            ))),
         }
-    }
-}
-
-/// Lenient read mode: a missing or mistyped field reads as its
-/// default (0 for a counter).
-struct Lenient;
-
-impl<T: Wire + Default> Codec<T> for Lenient {
-    fn put(x: &T, w: &mut JsonWriter) {
-        x.put(w);
-    }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<T, String> {
-        Ok(v.get(key)
-            .and_then(|x| T::get(x, key, ctx).ok())
-            .unwrap_or_default())
-    }
-}
-
-/// A CRB bank: `(register, value)` pairs as one flat array.
-struct Pairs;
-
-impl Codec<Vec<(u32, u64)>> for Pairs {
-    fn put(pairs: &Vec<(u32, u64)>, w: &mut JsonWriter) {
-        w.arr_begin();
-        for &(r, x) in pairs {
-            w.u64_val(u64::from(r)).u64_val(x);
-        }
-        w.arr_end();
-    }
-    fn get(v: &Value, key: &str, ctx: &str) -> Result<Vec<(u32, u64)>, String> {
-        let flat: Vec<u64> = Strict::get(v, key, ctx)?;
-        if !flat.len().is_multiple_of(2) {
-            return Err(format!("{ctx}: `{key}` has odd length {}", flat.len()));
-        }
-        flat.chunks_exact(2)
-            .map(|c| {
-                let r = u32::try_from(c[0])
-                    .map_err(|_| format!("{ctx}: `{key}` register exceeds u32"))?;
-                Ok((r, c[1]))
-            })
-            .collect()
     }
 }
 
@@ -456,13 +279,13 @@ impl Codec<Vec<(u32, u64)>> for Pairs {
 struct RegionRows;
 
 impl Codec<HashMap<RegionId, RegionDynStats>> for RegionRows {
-    fn put(rows: &HashMap<RegionId, RegionDynStats>, w: &mut JsonWriter) {
+    fn put(rows: &HashMap<RegionId, RegionDynStats>, key: &str, w: &mut JsonWriter) {
         let mut rows: Vec<_> = rows.iter().collect();
         rows.sort_by_key(|(r, _)| r.index());
-        w.arr_begin();
+        w.key(key).arr_begin();
         for (r, rs) in rows {
             w.obj_begin();
-            w.key("region").u64_val(r.index() as u64);
+            Strict::put(&r.0, "region", w);
             rs.put_fields(w);
             w.obj_end();
         }
@@ -479,57 +302,23 @@ impl Codec<HashMap<RegionId, RegionDynStats>> for RegionRows {
     }
 }
 
-/// The codec of one field: its own, or the record's read mode.
-macro_rules! codec {
-    ($mode:ident) => {
-        $mode
-    };
-    ($mode:ident $own:ident) => {
-        $own
-    };
+/// A snapshot's header line, after its `snap_v` tag.
+struct Header {
+    workload: String,
+    config_hash: String,
+    cycle: u64,
 }
 
-/// Declares a record's wire shape once: its fields in wire order, each
-/// read in the record's mode unless it names a codec of its own
-/// (`field: Codec`). A strict record is built field by field; a
-/// lenient one starts from `Default`, so fields kept off the wire
-/// (`SimStats::attribution`) read as their default.
-macro_rules! record {
-    ($mode:ident $ty:ident { $($f:ident $(: $own:ident)?),* $(,)? }) => {
-        impl Record for $ty {
-            fn put_fields(&self, w: &mut JsonWriter) {
-                $(
-                    w.key(stringify!($f));
-                    <codec!($mode $($own)?) as Codec<_>>::put(&self.$f, w);
-                )*
-            }
-            fn get_fields(v: &Value, ctx: &str) -> Result<Self, String> {
-                record!(@get $mode v, ctx, $($f $(: $own)?),*)
-            }
-        }
-    };
-    (@get Strict $v:ident, $ctx:ident, $($f:ident $(: $own:ident)?),*) => {
-        Ok(Self {
-            $($f: <codec!(Strict $($own)?) as Codec<_>>::get($v, stringify!($f), $ctx)?,)*
-        })
-    };
-    (@get Lenient $v:ident, $ctx:ident, $($f:ident $(: $own:ident)?),*) => {{
-        let mut r = Self::default();
-        $(r.$f = <codec!(Lenient $($own)?) as Codec<_>>::get($v, stringify!($f), $ctx)?;)*
-        Ok(r)
-    }};
+/// A snapshot's `end` trailer: the number of lines before it.
+struct End {
+    lines: u64,
 }
 
-record!(Strict EmuSnapshot {
-    dyn_instrs, skipped_instrs, reuse_hits, reuse_misses, memory, frames, memo,
-});
-record!(Strict EmuFrameSnapshot { func, block, pos, regs });
-record!(Strict EmuMemoSnapshot {
-    depth, region, inputs: Pairs, outputs, written, accesses_memory, body_instrs,
-});
+record!(Strict Header { workload: Lenient, config_hash: Lenient, cycle });
+record!(Strict End { lines });
 record!(Strict PipelineSnapshot {
     last_issue, slot_cycle, slots_used, fu_used, fetch_ready, last_fetch_line, horizon,
-    frames, pending_call, icache, dcache, btb, stats,
+    frames, pending_call: PendingCall, icache, dcache, btb, stats,
 });
 record!(Strict PipelineFrameSnapshot { ready, ret_regs });
 record!(Strict CacheSnapshot { tags, hits, misses });
@@ -542,9 +331,7 @@ record!(Strict CrbInstanceSnapshot {
 record!(Strict CrbGhostSnapshot { inputs: Pairs, fp, cause });
 record!(Strict FingerprintSnapshot { window, hash, windows });
 record!(Strict WindowDigest { index, cycle, hash });
-record!(Strict RunOutcome {
-    returned, dyn_instrs, skipped_instrs, reuse_hits, reuse_misses, memory_digest,
-});
+record!(Strict SimOutcome { run: Flat, stats });
 record!(Lenient SimStats {
     cycles, dyn_instrs, skipped_instrs, icache_hits, icache_misses, dcache_hits,
     dcache_misses, branch_correct, branch_mispredicts, reuse_hits, reuse_misses, crb,
@@ -554,6 +341,7 @@ record!(Lenient CrbStats {
     lookups, hits, misses, miss_cold, miss_mismatch, miss_capacity, miss_conflict,
     miss_invalidated, records, invalidations, entry_conflicts,
 });
+record!(Lenient CycleBuckets { issue, fetch, memory, reuse_hit, drain });
 record!(Lenient RegionDynStats {
     hits, misses, miss_cold, miss_mismatch, miss_capacity, miss_conflict, miss_invalidated,
     skipped_instrs,
@@ -561,86 +349,37 @@ record!(Lenient RegionDynStats {
 
 /// Serializes mid-run [`SimStats`] as a JSON object (the per-region
 /// rows sorted by region; `attribution` is excluded per the snapshot
-/// contract). Also reused by experiment checkpoints.
+/// contract).
 pub fn write_sim_stats(w: &mut JsonWriter, s: &SimStats) {
     s.put(w);
-}
-
-/// The members of [`write_sim_stats`]'s object, without its braces, so
-/// a caller can append fields of its own (the run report's
-/// `effective_ipc` and `attribution`).
-pub fn write_sim_stats_fields(w: &mut JsonWriter, s: &SimStats) {
-    s.put_fields(w);
-}
-
-/// Parses a [`SimStats`] object written by [`write_sim_stats`].
-/// Missing counters read as zero (additive tolerance, matching the
-/// run-store conventions); `attribution` is always `None`.
-///
-/// # Errors
-///
-/// Returns a `{ctx}:`-prefixed one-line description on a structurally
-/// invalid region row.
-pub fn parse_sim_stats(v: &Value, ctx: &str) -> Result<SimStats, String> {
-    SimStats::get_fields(v, ctx)
-}
-
-/// Writes a finished run's outcome as object members: the
-/// [`RunOutcome`] fields (returned values, dynamic counts, memory
-/// digest), then its `stats` object (the checkpoint journal's entry).
-pub fn write_outcome_fields(w: &mut JsonWriter, o: &SimOutcome) {
-    o.run.put_fields(w);
-    w.key("stats");
-    o.stats.put(w);
-}
-
-/// Parses the members [`write_outcome_fields`] wrote.
-///
-/// # Errors
-///
-/// Returns a `{ctx}:`-prefixed one-line description of the first
-/// missing or mistyped field.
-pub fn parse_outcome(v: &Value, ctx: &str) -> Result<SimOutcome, String> {
-    Ok(SimOutcome {
-        run: RunOutcome::get_fields(v, ctx)?,
-        stats: Strict::get(v, "stats", ctx)?,
-    })
-}
-
-/// One `{"kind":...}` line of a snapshot.
-fn record_line(kind: &str, fields: impl FnOnce(&mut JsonWriter)) -> String {
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("kind").str_val(kind);
-    fields(&mut w);
-    w.obj_end();
-    w.finish()
 }
 
 /// Serializes a snapshot as versioned JSONL (header, one record per
 /// section, `end` trailer).
 pub fn write_snapshot(snap: &SimSnapshot) -> String {
-    let mut lines: Vec<String> = Vec::new();
-    let mut w = JsonWriter::new();
-    w.obj_begin();
-    w.key("snap_v").u64_val(SNAP_VERSION);
-    w.key("workload").str_val(&snap.workload);
-    w.key("config_hash").str_val(&snap.config_hash);
-    w.key("cycle").u64_val(snap.cycle);
-    w.obj_end();
-    lines.push(w.finish());
-    lines.push(record_line("emu", |w| snap.emu.put_fields(w)));
-    lines.push(record_line("pipeline", |w| snap.pipeline.put_fields(w)));
+    let header = Header {
+        workload: snap.workload.clone(),
+        config_hash: snap.config_hash.clone(),
+        cycle: snap.cycle,
+    };
+    let mut lines = vec![
+        record::object(
+            |w| {
+                w.key("snap_v").u64_val(SNAP_VERSION);
+            },
+            &header,
+        ),
+        kind_line("emu", &snap.emu),
+        kind_line("pipeline", &snap.pipeline),
+    ];
     if let Some(crb) = &snap.crb {
-        lines.push(record_line("crb", |w| crb.put_fields(w)));
+        lines.push(kind_line("crb", crb));
     }
-    lines.push(record_line("fingerprint", |w| {
-        snap.fingerprint.put_fields(w)
-    }));
-    let end = lines.len() as u64;
-    lines.push(record_line("end", |w| {
-        w.key("lines").u64_val(end);
-    }));
+    lines.push(kind_line("fingerprint", &snap.fingerprint));
+    let end = End {
+        lines: lines.len() as u64,
+    };
+    lines.push(kind_line("end", &end));
     let mut out = lines.join("\n");
     out.push('\n');
     out
@@ -655,7 +394,7 @@ pub fn write_snapshot(snap: &SimSnapshot) -> String {
 /// unknown `snap_v`, a malformed line, a missing section, or a
 /// missing/mismatched `end` trailer (truncation).
 pub fn parse_snapshot(path: &str, text: &str) -> Result<SimSnapshot, String> {
-    let mut header: Option<(String, String, u64)> = None;
+    let mut header: Option<Header> = None;
     let mut emu = None;
     let mut pipeline = None;
     let mut crb = None;
@@ -678,11 +417,7 @@ pub fn parse_snapshot(path: &str, text: &str) -> Result<SimSnapshot, String> {
             }
             value::check_version(&v, "snap_v", &[SNAP_VERSION])
                 .map_err(|e| format!("{ctx}: {e}"))?;
-            header = Some((
-                v.str_field("workload").to_string(),
-                v.str_field("config_hash").to_string(),
-                req_u64(&v, "cycle", &ctx)?,
-            ));
+            header = Some(Header::get_fields(&v, &ctx)?);
             seen += 1;
             continue;
         }
@@ -692,7 +427,7 @@ pub fn parse_snapshot(path: &str, text: &str) -> Result<SimSnapshot, String> {
             "crb" => crb = Some(CrbSnapshot::get_fields(&v, &ctx)?),
             "fingerprint" => fingerprint = Some(FingerprintSnapshot::get_fields(&v, &ctx)?),
             "end" => {
-                let lines = req_u64(&v, "lines", &ctx)?;
+                let End { lines } = End::get_fields(&v, &ctx)?;
                 if lines != seen {
                     return Err(format!(
                         "{ctx}: end record says {lines} lines, found {seen}"
@@ -709,7 +444,11 @@ pub fn parse_snapshot(path: &str, text: &str) -> Result<SimSnapshot, String> {
     if !ended {
         return Err(format!("{path}: truncated snapshot (missing end record)"));
     }
-    let (workload, config_hash, cycle) = header.ok_or_else(|| format!("{path}: empty snapshot"))?;
+    let Header {
+        workload,
+        config_hash,
+        cycle,
+    } = header.ok_or_else(|| format!("{path}: empty snapshot"))?;
     Ok(SimSnapshot {
         workload,
         config_hash,
@@ -746,6 +485,7 @@ pub fn load_snapshot(path: &Path) -> Result<SimSnapshot, String> {
 mod tests {
     use super::*;
     use crate::crb::{CrbConfig, ReuseBuffer};
+    use ccr_profile::{EmuFrameSnapshot, EmuMemoSnapshot};
     use proptest::prelude::*;
 
     fn sample() -> SimSnapshot {
@@ -918,6 +658,30 @@ mod tests {
         text = text.replacen("\"kind\":\"pipeline\"", "\"kind\":\"pipeline", 1);
         let err = parse_snapshot("s", &text).unwrap_err();
         assert!(err.starts_with("s:3: "), "{err}");
+    }
+
+    #[test]
+    fn header_and_trailer_fields_keep_their_reading() {
+        let text = write_snapshot(&sample());
+        let edit = |from: &str, to: &str| parse_snapshot("s", &text.replacen(from, to, 1));
+        // The labels are optional; the cycle and the line count are not.
+        let snap = edit(r#""workload":"lex","config_hash":"abc123","#, "").unwrap();
+        assert_eq!(
+            (snap.workload.as_str(), snap.config_hash.as_str()),
+            ("", "")
+        );
+        assert_eq!(
+            edit(r#""cycle":1000}"#, r#""cycle":"1000"}"#).unwrap_err(),
+            "s:1: `cycle` is not an unsigned integer"
+        );
+        assert_eq!(
+            edit(r#""cycle":1000}"#, r#""x":0}"#).unwrap_err(),
+            "s:1: missing `cycle`"
+        );
+        assert_eq!(
+            edit(r#""lines":5"#, r#""lines":-5"#).unwrap_err(),
+            "s:6: `lines` is not an unsigned integer"
+        );
     }
 
     #[test]

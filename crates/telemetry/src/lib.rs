@@ -18,8 +18,12 @@
 //!   streams and the versioned run report in `ccr-core`,
 //! * [`value`] — the matching reader: a minimal JSON value model and
 //!   recursive-descent parser shared by every artifact consumer
-//!   (`ccr-analyze` re-exports it) and by the simulator's snapshot
-//!   decoder.
+//!   (`ccr-analyze` re-exports it),
+//! * [`record`](mod@record) — the one codec of every persisted record:
+//!   a [`record!`] declaration lists a record's fields once and derives
+//!   both its writer and its reader (snapshots, checkpoint lines, the
+//!   run report's configuration and statistics blocks, run-store lines,
+//!   `BENCH_ccr.json`, and fingerprint digest lines).
 //!
 //! The guiding invariant: **observability must not perturb the
 //! experiment**. Sinks observe completed facts (a pass finished, a
@@ -30,6 +34,7 @@
 pub mod event;
 pub mod json;
 pub mod metrics;
+pub mod record;
 pub mod sink;
 pub mod table;
 pub mod value;

@@ -160,21 +160,6 @@ pub fn check_version(v: &Value, key: &str, known: &[u64]) -> Result<u64, String>
     }
 }
 
-// Typed field readers for the strict formats (snapshot headers, digest
-// files): each error names the `ctx` location and the offending field.
-
-/// `v[key]`, which must be present.
-pub fn req<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing `{key}`"))
-}
-
-/// `v[key]` as a required `u64`.
-pub fn req_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    req(v, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| format!("{ctx}: `{key}` is not an unsigned integer"))
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

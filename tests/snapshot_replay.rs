@@ -143,10 +143,14 @@ fn cli_snapshot_save_restore_reproduces_the_cold_fingerprint() {
     // Cold fingerprint of the smoke workload at a window small enough
     // to seal several digests within its ~2.7k cycles.
     let cold = ccr_bin()
-        .args(["fingerprint", "bitcount", "--window", "500"])
+        .args(["fingerprint", "bitcount", "--window", "500", "--out"])
+        .arg(&dir)
         .output()
         .unwrap();
     assert!(cold.status.success());
+    // The digest file's bytes are pinned.
+    let digest = std::fs::read_to_string(dir.join("bitcount.fp.jsonl")).unwrap();
+    assert_eq!(ccr::fnv1a_hex(digest.as_bytes()), "b6f09d32452b6bba");
     let cold_stdout = String::from_utf8(cold.stdout).unwrap();
     let final_hash = cold_stdout
         .split("final ")
@@ -218,15 +222,18 @@ fn cli_snapshot_bytes_are_pinned_and_unreachable_states_are_refused() {
     let text = std::fs::read_to_string(&path).unwrap();
     assert_eq!(ccr::fnv1a_hex(text.as_bytes()), "e19b5fd4e576b67b");
 
-    // Two well-formed copies of states the simulator never reaches: a
-    // recording whose output register lies outside its function, and
-    // an issue group that could never close. Each is refused on
-    // restore with one line, not a panic or a hang mid-run.
+    // Three well-formed copies of states the simulator never reaches:
+    // a recording whose output register lies outside its function, an
+    // issue group that could never close, and pipeline clocks at the
+    // end of time. Each is refused on restore with one line, not a
+    // panic or a hang mid-run.
     let memo = text.find(r#""memo":{"#).expect("a recording is in flight");
     let outputs = memo + text[memo..].find(r#""outputs":["#).unwrap() + r#""outputs":["#.len();
+    let near = u64::MAX - 1;
     let crafted = [
         format!("{}900000,{}", &text[..outputs], &text[outputs..]),
         set_number(&set_number(&text, "slot_cycle", u64::MAX), "slots_used", 6),
+        set_number(&set_number(&text, "last_issue", near), "slot_cycle", near),
     ];
     for (k, bad) in crafted.iter().enumerate() {
         let bad_path = dir.join(format!("crafted{k}.snap.jsonl"));
