@@ -11,9 +11,13 @@
 
 use std::collections::BTreeMap;
 
-use ccr_telemetry::{Histogram, JsonWriter};
+use ccr_telemetry::record::{Codec, Record, Strict};
+use ccr_telemetry::{record, Histogram};
 
-use crate::ingest::{AttrRec, BucketSet, CrbKind, Phase, RunData};
+use crate::bench::BenchWorkload;
+use crate::ingest::{AttrRec, CrbKind, PassRow, Phase, RunData};
+use crate::store::{MissCauses, RunRecord};
+use crate::value;
 use crate::ANALYSIS_SCHEMA_VERSION;
 
 /// The five miss-cause tags, in canonical order.
@@ -50,11 +54,17 @@ pub struct IpcStats {
 }
 
 impl IpcStats {
-    fn from_samples(samples: impl Iterator<Item = f64>) -> IpcStats {
+    /// The statistics of one phase's windows.
+    fn of_phase(data: &RunData, phase: Phase) -> IpcStats {
         let mut h = Histogram::default();
         let (mut n, mut sum) = (0u64, 0.0f64);
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for ipc in samples {
+        for ipc in data
+            .ipc_windows
+            .iter()
+            .filter(|w| w.phase == phase)
+            .map(|w| w.ipc)
+        {
             h.record((ipc * IPC_SCALE).round() as u64);
             n += 1;
             sum += ipc;
@@ -117,7 +127,7 @@ pub struct RegionProfile {
 }
 
 /// One bucket of the CRB occupancy curve.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OccupancyPoint {
     /// Bucket start, in buffer clock units.
     pub clock: u64,
@@ -140,9 +150,34 @@ pub struct EntryPressure {
     pub invalidations: u64,
 }
 
-/// The full analysis of one run.
+/// The full analysis of one run, one member per `analysis.json`
+/// object.
 #[derive(Clone, Debug, Default)]
 pub struct Analysis {
+    /// The analyzed run and its artifacts.
+    pub source: Source,
+    /// Run-wide totals.
+    pub totals: Totals,
+    /// Compile-time records.
+    pub compile: CompileInfo,
+    /// Interval-IPC statistics of the two simulations.
+    pub ipc: PerPhase<IpcStats>,
+    /// Per-region profiles, ascending region id.
+    pub regions: Vec<RegionProfile>,
+    /// CRB occupancy and set pressure.
+    pub crb: CrbCurves,
+    /// Cycle attribution of the two simulations (profiled v3 runs
+    /// only).
+    pub attribution: PerPhase<Option<AttrRec>>,
+    /// Regions ranked by instructions saved, descending, top N.
+    pub hottest_by_skipped: Vec<RegionSkipped>,
+    /// Regions ranked by miss cycles wasted, descending, top N.
+    pub hottest_by_miss_cycles: Vec<RegionMissCycles>,
+}
+
+/// The analyzed run: `analysis.json`'s `source` object.
+#[derive(Clone, Debug, Default)]
+pub struct Source {
     /// Workload name.
     pub workload: String,
     /// Input set.
@@ -159,7 +194,11 @@ pub struct Analysis {
     pub events: u64,
     /// Unparseable event lines skipped.
     pub skipped_lines: u64,
+}
 
+/// Run-wide totals: `analysis.json`'s `totals` object.
+#[derive(Clone, Debug, Default)]
+pub struct Totals {
     /// Baseline cycles.
     pub base_cycles: u64,
     /// CCR cycles.
@@ -191,86 +230,129 @@ pub struct Analysis {
     pub regions_formed: u64,
     /// Regions that saw at least one lookup.
     pub regions_active: u64,
+}
 
+/// Compile-time records: `analysis.json`'s `compile` object.
+#[derive(Clone, Debug, Default)]
+pub struct CompileInfo {
     /// Total optimizer wall time (µs).
-    pub compile_wall_us: u64,
-    /// Optimizer passes (name, wall µs, changes).
-    pub passes: Vec<(String, u64, u64)>,
-    /// Region-formation rejections (reason, count).
-    pub formation_rejects: Vec<(String, u64)>,
+    pub wall_us: u64,
+    /// Optimizer passes, in order.
+    pub passes: Vec<PassRow>,
+    /// Region-formation rejections per reason.
+    pub formation_rejects: BTreeMap<String, u64>,
+}
 
-    /// Interval-IPC statistics of the baseline simulation.
-    pub ipc_base: IpcStats,
-    /// Interval-IPC statistics of the CCR simulation.
-    pub ipc_ccr: IpcStats,
+/// One value for each simulation of a run.
+#[derive(Clone, Debug, Default)]
+pub struct PerPhase<T> {
+    /// The baseline simulation's.
+    pub base: T,
+    /// The CCR simulation's.
+    pub ccr: T,
+}
 
-    /// Per-region profiles, ascending region id.
-    pub regions: Vec<RegionProfile>,
-    /// CRB occupancy curve over buffer clock.
+/// CRB occupancy and set pressure: `analysis.json`'s `crb` object.
+#[derive(Clone, Debug, Default)]
+pub struct CrbCurves {
+    /// Occupancy curve over buffer clock.
     pub occupancy_curve: Vec<OccupancyPoint>,
     /// Per-entry pressure, descending (evictions + conflicts), top 16.
     pub entry_pressure: Vec<EntryPressure>,
-    /// Region ids ranked by instructions saved, descending, top N.
-    pub hottest_by_skipped: Vec<(u64, u64)>,
-    /// Region ids ranked by miss cycles wasted, descending, top N.
-    pub hottest_by_miss_cycles: Vec<(u64, u64)>,
-
-    /// Baseline-phase cycle attribution (profiled v3 runs only).
-    pub attribution_base: Option<AttrRec>,
-    /// CCR-phase cycle attribution (profiled v3 runs only).
-    pub attribution_ccr: Option<AttrRec>,
 }
+
+/// A region and the instructions its hits saved.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RegionSkipped {
+    /// Region id.
+    pub region: u64,
+    /// Instructions saved.
+    pub skipped: u64,
+}
+
+/// A region and the cycles its misses wasted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RegionMissCycles {
+    /// Region id.
+    pub region: u64,
+    /// Miss cycles.
+    pub miss_cycles: u64,
+}
+
+// `analysis.json`, one declaration per object, after the
+// `analysis_schema_version` head. A file without `source` or `totals`
+// is refused; any other missing or mistyped key reads as its default.
+record!(Lenient Analysis {
+    source: Strict, totals: Strict, compile, ipc, regions, crb, attribution,
+    hottest_by_skipped, hottest_by_miss_cycles,
+});
+record!(Lenient Source {
+    workload, input, scale, report_schema, config_hash, argv, events, skipped_lines,
+});
+record!(Lenient Totals {
+    base_cycles, ccr_cycles, speedup, eliminated_fraction, lookups, hits, misses,
+    miss_causes: MissCauses, hit_rate, skipped_instrs, evictions, conflicts, invalidations,
+    regions_formed, regions_active,
+});
+record!(Lenient CompileInfo { wall_us, passes, formation_rejects });
+record!(Lenient PerPhase<IpcStats> { base, ccr });
+record!(Lenient PerPhase<Option<AttrRec>> { base, ccr });
+record!(Lenient IpcStats { windows, mean, min, max, p50, p90, p99 });
+record!(Lenient RegionProfile {
+    region, lookups, hits, misses, hit_rate, skipped, first_cycle, last_cycle,
+    hit_rate_windows, peak_occupancy, evictions, conflicts, invalidations, miss_cycles,
+    miss_causes: MissCauses,
+});
+record!(Lenient CrbCurves { occupancy_curve, entry_pressure });
+record!(Lenient OccupancyPoint { clock, events, mean_occupancy });
+record!(Lenient EntryPressure { entry, evictions, conflicts, invalidations });
+record!(Lenient RegionSkipped { region, skipped });
+record!(Lenient RegionMissCycles { region, miss_cycles });
 
 /// Analyzes one loaded run. `top_n` bounds the hottest-region tables.
 pub fn analyze(data: &RunData, top_n: usize) -> Analysis {
     let report = &data.report;
+    let crb = &report.ccr.crb;
     let mut a = Analysis {
-        workload: report.workload.clone(),
-        input: report.input.clone(),
-        scale: report.scale,
-        report_schema: report.schema_version,
-        config_hash: report.config_hash.clone(),
-        argv: report.argv.clone(),
-        events: data.events,
-        skipped_lines: data.skipped_lines,
-        base_cycles: report.base_cycles,
-        ccr_cycles: report.ccr_cycles,
-        speedup: report.speedup,
-        eliminated_fraction: report.eliminated_fraction,
-        lookups: report.crb_lookups,
-        hits: report.crb_hits,
-        misses: report.crb_misses,
-        miss_causes: [
-            report.crb_miss_cold,
-            report.crb_miss_mismatch,
-            report.crb_miss_capacity,
-            report.crb_miss_conflict,
-            report.crb_miss_invalidated,
-        ],
-        hit_rate: ratio(report.crb_hits, report.crb_lookups),
-        skipped_instrs: data.ccr_summary.skipped,
-        invalidations: report.crb_invalidations,
-        conflicts: report.crb_entry_conflicts,
-        regions_formed: report.regions,
-        compile_wall_us: data.passes.iter().map(|p| p.wall_us).sum(),
-        passes: data
-            .passes
-            .iter()
-            .map(|p| (p.pass.clone(), p.wall_us, p.changes))
-            .collect(),
-        formation_rejects: data.formation_rejects.clone(),
-        ipc_base: IpcStats::from_samples(
-            data.ipc_windows
-                .iter()
-                .filter(|w| w.phase == Phase::Base)
-                .map(|w| w.ipc),
-        ),
-        ipc_ccr: IpcStats::from_samples(
-            data.ipc_windows
-                .iter()
-                .filter(|w| w.phase == Phase::Ccr)
-                .map(|w| w.ipc),
-        ),
+        source: Source {
+            workload: report.workload.clone(),
+            input: report.input.clone(),
+            scale: report.scale,
+            report_schema: report.schema_version,
+            config_hash: report.provenance.config_hash.clone(),
+            argv: report.provenance.argv.clone(),
+            events: data.events,
+            skipped_lines: data.skipped_lines,
+        },
+        totals: Totals {
+            base_cycles: report.base.cycles,
+            ccr_cycles: report.ccr.cycles,
+            speedup: report.speedup,
+            eliminated_fraction: report.eliminated_fraction,
+            lookups: crb.lookups,
+            hits: crb.hits,
+            misses: crb.misses,
+            miss_causes: crb.miss_causes,
+            hit_rate: ratio(crb.hits, crb.lookups),
+            skipped_instrs: data.ccr_summary.skipped,
+            invalidations: crb.invalidations,
+            conflicts: crb.entry_conflicts,
+            regions_formed: report.regions,
+            ..Totals::default()
+        },
+        compile: CompileInfo {
+            wall_us: data.passes.iter().map(|p| p.row.wall_us).sum(),
+            passes: data.passes.iter().map(|p| p.row.clone()).collect(),
+            formation_rejects: data.formation_rejects.clone(),
+        },
+        ipc: PerPhase {
+            base: IpcStats::of_phase(data, Phase::Base),
+            ccr: IpcStats::of_phase(data, Phase::Ccr),
+        },
+        attribution: PerPhase {
+            base: report.base.attribution.clone(),
+            ccr: report.ccr.attribution.clone(),
+        },
         ..Analysis::default()
     };
 
@@ -303,7 +385,7 @@ pub fn analyze(data: &RunData, top_n: usize) -> Analysis {
             skipped: lookups.iter().map(|(_, s, _)| s).sum(),
             first_cycle: lookups.first().map(|(_, _, c)| *c).unwrap_or(0),
             last_cycle: lookups.last().map(|(_, _, c)| *c).unwrap_or(0),
-            miss_cycles: (n - hits) * report.reuse_miss_penalty,
+            miss_cycles: (n - hits) * report.machine.reuse_miss_penalty,
             miss_causes: causes_by_region.get(&region).copied().unwrap_or_default(),
             ..RegionProfile::default()
         };
@@ -345,7 +427,7 @@ pub fn analyze(data: &RunData, top_n: usize) -> Analysis {
             CrbKind::Invalidate => e.invalidations += 1,
         }
     }
-    a.evictions = data
+    a.totals.evictions = data
         .crb_events
         .iter()
         .filter(|e| e.kind == CrbKind::Evict)
@@ -361,7 +443,7 @@ pub fn analyze(data: &RunData, top_n: usize) -> Analysis {
             c.0 += 1;
             c.1 += ev.occupancy;
         }
-        a.occupancy_curve = curve
+        a.crb.occupancy_curve = curve
             .into_iter()
             .map(|(clock, (events, occ))| OccupancyPoint {
                 clock,
@@ -376,35 +458,44 @@ pub fn analyze(data: &RunData, top_n: usize) -> Analysis {
         (y.evictions + y.conflicts, x.entry).cmp(&(x.evictions + x.conflicts, y.entry))
     });
     pressure.truncate(16);
-    a.entry_pressure = pressure;
+    a.crb.entry_pressure = pressure;
 
-    a.regions_active = by_region.len() as u64;
+    a.totals.regions_active = by_region.len() as u64;
     a.regions = profiles.into_values().collect();
 
-    let mut by_skipped: Vec<(u64, u64)> = a
-        .regions
-        .iter()
-        .filter(|p| p.skipped > 0)
-        .map(|p| (p.region, p.skipped))
-        .collect();
-    by_skipped.sort_by(|x, y| (y.1, x.0).cmp(&(x.1, y.0)));
-    by_skipped.truncate(top_n);
-    a.hottest_by_skipped = by_skipped;
-
-    let mut by_miss: Vec<(u64, u64)> = a
-        .regions
-        .iter()
-        .filter(|p| p.miss_cycles > 0)
-        .map(|p| (p.region, p.miss_cycles))
-        .collect();
-    by_miss.sort_by(|x, y| (y.1, x.0).cmp(&(x.1, y.0)));
-    by_miss.truncate(top_n);
-    a.hottest_by_miss_cycles = by_miss;
-
-    a.attribution_base = report.base_attribution.clone();
-    a.attribution_ccr = report.ccr_attribution.clone();
-
+    a.hottest_by_skipped = hottest(
+        &a.regions,
+        top_n,
+        |p| p.skipped,
+        |region, skipped| RegionSkipped { region, skipped },
+    );
+    a.hottest_by_miss_cycles = hottest(
+        &a.regions,
+        top_n,
+        |p| p.miss_cycles,
+        |region, miss_cycles| RegionMissCycles {
+            region,
+            miss_cycles,
+        },
+    );
     a
+}
+
+/// The regions with a nonzero `count`, largest first (ties by
+/// ascending id), top `n`, each as the row `row(region, count)`.
+fn hottest<T>(
+    regions: &[RegionProfile],
+    n: usize,
+    count: impl Fn(&RegionProfile) -> u64,
+    row: impl Fn(u64, u64) -> T,
+) -> Vec<T> {
+    let mut ranked: Vec<(u64, u64)> = regions
+        .iter()
+        .map(|p| (p.region, count(p)))
+        .filter(|&(_, c)| c > 0)
+        .collect();
+    ranked.sort_by(|x, y| (y.1, x.0).cmp(&(x.1, y.0)));
+    ranked.into_iter().take(n).map(|(r, c)| row(r, c)).collect()
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -415,222 +506,74 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-fn miss_causes_json(w: &mut JsonWriter, causes: &[u64; 5]) {
-    for (name, count) in MISS_CAUSES.iter().zip(causes) {
-        w.key(&format!("miss_{name}")).u64_val(*count);
-    }
-}
-
-fn bucket_set_json(w: &mut JsonWriter, b: &BucketSet) {
-    w.obj_begin();
-    w.key("issue").u64_val(b.issue);
-    w.key("fetch").u64_val(b.fetch);
-    w.key("memory").u64_val(b.memory);
-    w.key("reuse_hit").u64_val(b.reuse_hit);
-    w.key("drain").u64_val(b.drain);
-    w.obj_end();
-}
-
-fn attribution_json(w: &mut JsonWriter, attr: Option<&AttrRec>) {
-    let Some(attr) = attr else {
-        w.null_val();
-        return;
-    };
-    w.obj_begin();
-    w.key("total");
-    bucket_set_json(w, &attr.total);
-    w.key("cycles").u64_val(attr.total.total());
-    w.key("functions").arr_begin();
-    for f in &attr.functions {
-        w.obj_begin();
-        w.key("name").str_val(&f.name);
-        w.key("cycles").u64_val(f.cycles);
-        w.key("buckets");
-        bucket_set_json(w, &f.buckets);
-        w.obj_end();
-    }
-    w.arr_end();
-    w.key("regions").arr_begin();
-    for (region, cycles) in &attr.regions {
-        w.obj_begin();
-        w.key("region").u64_val(*region);
-        w.key("cycles").u64_val(*cycles);
-        w.obj_end();
-    }
-    w.arr_end();
-    w.obj_end();
-}
-
-fn ipc_stats_json(w: &mut JsonWriter, s: &IpcStats) {
-    w.obj_begin();
-    w.key("windows").u64_val(s.windows);
-    w.key("mean").f64_val(s.mean);
-    w.key("min").f64_val(s.min);
-    w.key("max").f64_val(s.max);
-    w.key("p50").f64_val(s.p50);
-    w.key("p90").f64_val(s.p90);
-    w.key("p99").f64_val(s.p99);
-    w.obj_end();
-}
-
 impl Analysis {
     /// Serializes the analysis as deterministic JSON (`analysis.json`).
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.obj_begin();
-        w.key("analysis_schema_version")
-            .u64_val(u64::from(ANALYSIS_SCHEMA_VERSION));
-        w.key("source").obj_begin();
-        w.key("workload").str_val(&self.workload);
-        w.key("input").str_val(&self.input);
-        w.key("scale").u64_val(self.scale);
-        w.key("report_schema").u64_val(self.report_schema);
-        match &self.config_hash {
-            Some(h) => w.key("config_hash").str_val(h),
-            None => w.key("config_hash").null_val(),
-        };
-        w.key("argv").arr_begin();
-        for arg in &self.argv {
-            w.str_val(arg);
-        }
-        w.arr_end();
-        w.key("events").u64_val(self.events);
-        w.key("skipped_lines").u64_val(self.skipped_lines);
-        w.obj_end();
-
-        w.key("totals").obj_begin();
-        w.key("base_cycles").u64_val(self.base_cycles);
-        w.key("ccr_cycles").u64_val(self.ccr_cycles);
-        w.key("speedup").f64_val(self.speedup);
-        w.key("eliminated_fraction")
-            .f64_val(self.eliminated_fraction);
-        w.key("lookups").u64_val(self.lookups);
-        w.key("hits").u64_val(self.hits);
-        w.key("misses").u64_val(self.misses);
-        miss_causes_json(&mut w, &self.miss_causes);
-        w.key("hit_rate").f64_val(self.hit_rate);
-        w.key("skipped_instrs").u64_val(self.skipped_instrs);
-        w.key("evictions").u64_val(self.evictions);
-        w.key("conflicts").u64_val(self.conflicts);
-        w.key("invalidations").u64_val(self.invalidations);
-        w.key("regions_formed").u64_val(self.regions_formed);
-        w.key("regions_active").u64_val(self.regions_active);
-        w.obj_end();
-
-        w.key("compile").obj_begin();
-        w.key("wall_us").u64_val(self.compile_wall_us);
-        w.key("passes").arr_begin();
-        for (name, wall_us, changes) in &self.passes {
-            w.obj_begin();
-            w.key("pass").str_val(name);
-            w.key("wall_us").u64_val(*wall_us);
-            w.key("changes").u64_val(*changes);
-            w.obj_end();
-        }
-        w.arr_end();
-        w.key("formation_rejects").obj_begin();
-        for (reason, count) in &self.formation_rejects {
-            w.key(reason).u64_val(*count);
-        }
-        w.obj_end();
-        w.obj_end();
-
-        w.key("ipc").obj_begin();
-        w.key("base");
-        ipc_stats_json(&mut w, &self.ipc_base);
-        w.key("ccr");
-        ipc_stats_json(&mut w, &self.ipc_ccr);
-        w.obj_end();
-
-        w.key("regions").arr_begin();
-        for p in &self.regions {
-            w.obj_begin();
-            w.key("region").u64_val(p.region);
-            w.key("lookups").u64_val(p.lookups);
-            w.key("hits").u64_val(p.hits);
-            w.key("misses").u64_val(p.misses);
-            w.key("hit_rate").f64_val(p.hit_rate);
-            w.key("skipped").u64_val(p.skipped);
-            w.key("first_cycle").u64_val(p.first_cycle);
-            w.key("last_cycle").u64_val(p.last_cycle);
-            w.key("hit_rate_windows").arr_begin();
-            for hr in &p.hit_rate_windows {
-                w.f64_val(*hr);
-            }
-            w.arr_end();
-            w.key("peak_occupancy").u64_val(p.peak_occupancy);
-            w.key("evictions").u64_val(p.evictions);
-            w.key("conflicts").u64_val(p.conflicts);
-            w.key("invalidations").u64_val(p.invalidations);
-            w.key("miss_cycles").u64_val(p.miss_cycles);
-            miss_causes_json(&mut w, &p.miss_causes);
-            w.obj_end();
-        }
-        w.arr_end();
-
-        w.key("crb").obj_begin();
-        w.key("occupancy_curve").arr_begin();
-        for pt in &self.occupancy_curve {
-            w.obj_begin();
-            w.key("clock").u64_val(pt.clock);
-            w.key("events").u64_val(pt.events);
-            w.key("mean_occupancy").f64_val(pt.mean_occupancy);
-            w.obj_end();
-        }
-        w.arr_end();
-        w.key("entry_pressure").arr_begin();
-        for e in &self.entry_pressure {
-            w.obj_begin();
-            w.key("entry").u64_val(e.entry);
-            w.key("evictions").u64_val(e.evictions);
-            w.key("conflicts").u64_val(e.conflicts);
-            w.key("invalidations").u64_val(e.invalidations);
-            w.obj_end();
-        }
-        w.arr_end();
-        w.obj_end();
-
-        w.key("attribution").obj_begin();
-        w.key("base");
-        attribution_json(&mut w, self.attribution_base.as_ref());
-        w.key("ccr");
-        attribution_json(&mut w, self.attribution_ccr.as_ref());
-        w.obj_end();
-
-        w.key("hottest_by_skipped").arr_begin();
-        for (region, skipped) in &self.hottest_by_skipped {
-            w.obj_begin();
-            w.key("region").u64_val(*region);
-            w.key("skipped").u64_val(*skipped);
-            w.obj_end();
-        }
-        w.arr_end();
-        w.key("hottest_by_miss_cycles").arr_begin();
-        for (region, cycles) in &self.hottest_by_miss_cycles {
-            w.obj_begin();
-            w.key("region").u64_val(*region);
-            w.key("miss_cycles").u64_val(*cycles);
-            w.obj_end();
-        }
-        w.arr_end();
-        w.obj_end();
-        let mut out = w.finish();
+        let version = u64::from(ANALYSIS_SCHEMA_VERSION);
+        let mut out = record::object(
+            |w| Strict::put(&version, "analysis_schema_version", w),
+            self,
+        );
         out.push('\n');
         out
+    }
+
+    /// Reads a saved `analysis.json` back: the one reader of the file.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, an unknown `analysis_schema_version`, or a file
+    /// without its `source` or `totals` object.
+    pub fn from_json(text: &str) -> Result<Analysis, String> {
+        let v = value::parse(text.trim()).map_err(|e| e.to_string())?;
+        value::check_version(
+            &v,
+            "analysis_schema_version",
+            &[u64::from(ANALYSIS_SCHEMA_VERSION)],
+        )?;
+        Analysis::get_fields(&v, "analysis.json")
+    }
+
+    /// The run-store record of this run: its identity and outcome,
+    /// with host time `wall_ms` (0 when unmeasured) and the throughput
+    /// derived from it. Callers stamp `timestamp`, `commit` and
+    /// `source`.
+    pub fn record(&self, wall_ms: u64) -> RunRecord {
+        let (s, t) = (&self.source, &self.totals);
+        RunRecord {
+            config_hash: s.config_hash.clone().unwrap_or_default(),
+            workload: s.workload.clone(),
+            input: s.input.clone(),
+            scale: s.scale,
+            base_cycles: t.base_cycles,
+            ccr_cycles: t.ccr_cycles,
+            speedup: t.speedup,
+            hit_rate: t.hit_rate,
+            miss_causes: t.miss_causes,
+            regions: t.regions_formed,
+            wall_ms,
+            sim_cycles_per_host_sec: BenchWorkload::host_throughput(
+                t.base_cycles,
+                t.ccr_cycles,
+                wall_ms,
+            ),
+            ..RunRecord::default()
+        }
     }
 
     /// Renders the human-readable run summary `ccr analyze` prints.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
+        let (s, t) = (&self.source, &self.totals);
         let mut out = String::new();
         let _ = writeln!(
             out,
             "run        : {} ({}, scale {}) — report v{}{}",
-            self.workload,
-            self.input,
-            self.scale,
-            self.report_schema,
-            self.config_hash
+            s.workload,
+            s.input,
+            s.scale,
+            s.report_schema,
+            s.config_hash
                 .as_deref()
                 .map(|h| format!(", config {h}"))
                 .unwrap_or_default(),
@@ -638,36 +581,36 @@ impl Analysis {
         let _ = writeln!(
             out,
             "events     : {} parsed, {} corrupt line(s) skipped",
-            self.events, self.skipped_lines
+            s.events, s.skipped_lines
         );
         let _ = writeln!(
             out,
             "cycles     : base {} → ccr {}  (speedup {:.3}x, eliminated {:.1}%)",
-            self.base_cycles,
-            self.ccr_cycles,
-            self.speedup,
-            self.eliminated_fraction * 100.0
+            t.base_cycles,
+            t.ccr_cycles,
+            t.speedup,
+            t.eliminated_fraction * 100.0
         );
         let _ = writeln!(
             out,
             "crb        : {} lookups, {} hits ({:.1}%), {} evictions, {} conflicts, {} invalidations",
-            self.lookups,
-            self.hits,
-            self.hit_rate * 100.0,
-            self.evictions,
-            self.conflicts,
-            self.invalidations
+            t.lookups,
+            t.hits,
+            t.hit_rate * 100.0,
+            t.evictions,
+            t.conflicts,
+            t.invalidations
         );
-        if self.miss_causes.iter().any(|&c| c > 0) {
-            let [cold, mismatch, capacity, conflict, invalidated] = self.miss_causes;
+        if t.miss_causes.iter().any(|&c| c > 0) {
+            let [cold, mismatch, capacity, conflict, invalidated] = t.miss_causes;
             let _ = writeln!(
                 out,
                 "misses     : {cold} cold, {mismatch} mismatch, {capacity} capacity, {conflict} conflict, {invalidated} invalidated",
             );
         }
         for (name, attr) in [
-            ("attr (base)", &self.attribution_base),
-            ("attr (ccr)", &self.attribution_ccr),
+            ("attr (base)", &self.attribution.base),
+            ("attr (ccr)", &self.attribution.ccr),
         ] {
             if let Some(a) = attr {
                 let b = &a.total;
@@ -683,7 +626,7 @@ impl Analysis {
                 );
             }
         }
-        for (name, s) in [("ipc (base)", &self.ipc_base), ("ipc (ccr)", &self.ipc_ccr)] {
+        for (name, s) in [("ipc (base)", &self.ipc.base), ("ipc (ccr)", &self.ipc.ccr)] {
             if s.windows > 0 {
                 let _ = writeln!(
                     out,
@@ -695,31 +638,35 @@ impl Analysis {
         let _ = writeln!(
             out,
             "compile    : {} passes, {} µs",
-            self.passes.len(),
-            self.compile_wall_us
+            self.compile.passes.len(),
+            self.compile.wall_us
         );
         let _ = writeln!(
             out,
             "regions    : {} formed, {} active",
-            self.regions_formed, self.regions_active
+            t.regions_formed, t.regions_active
         );
         if !self.hottest_by_skipped.is_empty() {
             let _ = writeln!(out, "hottest by instructions saved:");
-            for (region, skipped) in &self.hottest_by_skipped {
-                let p = self.regions.iter().find(|p| p.region == *region);
+            for r in &self.hottest_by_skipped {
+                let p = self.regions.iter().find(|p| p.region == r.region);
                 let _ = writeln!(
                     out,
                     "  region {:>4}: {:>10} skipped, hit rate {:>5.1}%",
-                    region,
-                    skipped,
+                    r.region,
+                    r.skipped,
                     p.map(|p| p.hit_rate * 100.0).unwrap_or(0.0)
                 );
             }
         }
         if !self.hottest_by_miss_cycles.is_empty() {
             let _ = writeln!(out, "hottest by miss cycles wasted:");
-            for (region, cycles) in &self.hottest_by_miss_cycles {
-                let _ = writeln!(out, "  region {region:>4}: {cycles:>10} cycles");
+            for r in &self.hottest_by_miss_cycles {
+                let _ = writeln!(
+                    out,
+                    "  region {:>4}: {:>10} cycles",
+                    r.region, r.miss_cycles
+                );
             }
         }
         out
@@ -729,7 +676,7 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{IpcWindowRec, ReportInfo, ReuseRec};
+    use crate::ingest::{CrbCounters, IpcWindowRec, MachineInfo, PhaseInfo, ReportInfo, ReuseRec};
 
     fn sample_data() -> RunData {
         let mut data = RunData {
@@ -738,17 +685,30 @@ mod tests {
                 workload: "w".into(),
                 input: "train".into(),
                 scale: 1,
-                config_hash: Some("00ff00ff00ff00ff".into()),
-                base_cycles: 1000,
-                ccr_cycles: 800,
+                provenance: crate::ingest::Provenance {
+                    config_hash: Some("00ff00ff00ff00ff".into()),
+                    ..Default::default()
+                },
+                base: PhaseInfo {
+                    cycles: 1000,
+                    ..PhaseInfo::default()
+                },
+                ccr: PhaseInfo {
+                    cycles: 800,
+                    crb: CrbCounters {
+                        lookups: 12,
+                        hits: 8,
+                        misses: 4,
+                        miss_causes: [1, 3, 0, 0, 0],
+                        ..CrbCounters::default()
+                    },
+                    attribution: None,
+                },
                 speedup: 1.25,
                 eliminated_fraction: 0.2,
-                reuse_miss_penalty: 2,
-                crb_lookups: 12,
-                crb_hits: 8,
-                crb_misses: 4,
-                crb_miss_cold: 1,
-                crb_miss_mismatch: 3,
+                machine: MachineInfo {
+                    reuse_miss_penalty: 2,
+                },
                 regions: 3,
                 ..ReportInfo::default()
             },
@@ -819,22 +779,30 @@ mod tests {
         assert_eq!(r1.hit_rate, 1.0);
         assert_eq!(r1.miss_cycles, 0);
         // Rankings: region 0 saved more; only region 0 wasted misses.
-        assert_eq!(a.hottest_by_skipped, vec![(0, 40), (1, 20)]);
-        assert_eq!(a.hottest_by_miss_cycles, vec![(0, 8)]);
-        assert_eq!(a.regions_active, 2);
-        assert_eq!(a.regions_formed, 3);
+        let skipped = |region, skipped| RegionSkipped { region, skipped };
+        assert_eq!(a.hottest_by_skipped, vec![skipped(0, 40), skipped(1, 20)]);
+        assert_eq!(
+            a.hottest_by_miss_cycles,
+            vec![RegionMissCycles {
+                region: 0,
+                miss_cycles: 8
+            }]
+        );
+        assert_eq!(a.totals.regions_active, 2);
+        assert_eq!(a.totals.regions_formed, 3);
     }
 
     #[test]
     fn ipc_stats_use_percentiles() {
         let a = analyze(&sample_data(), 10);
-        assert_eq!(a.ipc_ccr.windows, 4);
-        assert!((a.ipc_ccr.mean - 1.3).abs() < 1e-9);
-        assert_eq!(a.ipc_ccr.min, 1.0);
-        assert_eq!(a.ipc_ccr.max, 1.6);
-        assert!(a.ipc_ccr.p50 >= a.ipc_ccr.min && a.ipc_ccr.p50 <= a.ipc_ccr.max);
-        assert!(a.ipc_ccr.p99 >= a.ipc_ccr.p50);
-        assert_eq!(a.ipc_base, IpcStats::default());
+        let ccr = &a.ipc.ccr;
+        assert_eq!(ccr.windows, 4);
+        assert!((ccr.mean - 1.3).abs() < 1e-9);
+        assert_eq!(ccr.min, 1.0);
+        assert_eq!(ccr.max, 1.6);
+        assert!(ccr.p50 >= ccr.min && ccr.p50 <= ccr.max);
+        assert!(ccr.p99 >= ccr.p50);
+        assert_eq!(a.ipc.base, IpcStats::default());
     }
 
     #[test]
@@ -870,14 +838,14 @@ mod tests {
 
     #[test]
     fn attribution_section_serializes_when_present() {
-        use crate::ingest::{AttrRec, BucketSet, FuncAttrRec};
+        use crate::ingest::{AttrRec, BucketSet, FuncAttrRec, RegionCycles};
         let mut data = sample_data();
         let a = analyze(&data, 10);
         // Unprofiled source: explicit nulls keep the key present.
         assert!(a
             .to_json()
             .contains("\"attribution\":{\"base\":null,\"ccr\":null}"));
-        data.report.ccr_attribution = Some(AttrRec {
+        data.report.ccr.attribution = Some(AttrRec {
             total: BucketSet {
                 issue: 500,
                 fetch: 100,
@@ -896,7 +864,10 @@ mod tests {
                     drain: 20,
                 },
             }],
-            regions: vec![(0, 90)],
+            regions: vec![RegionCycles {
+                region: 0,
+                cycles: 90,
+            }],
         });
         let a = analyze(&data, 10);
         let json = a.to_json();

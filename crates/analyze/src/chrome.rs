@@ -56,20 +56,20 @@ pub fn chrome_trace(data: &RunData) -> String {
     let mut ts = 0u64;
     for pass in &data.passes {
         w.obj_begin();
-        w.key("name").str_val(&pass.pass);
+        w.key("name").str_val(&pass.row.pass);
         w.key("cat").str_val("compile");
         w.key("ph").str_val("X");
         w.key("ts").u64_val(ts);
-        w.key("dur").u64_val(pass.wall_us.max(1));
+        w.key("dur").u64_val(pass.row.wall_us.max(1));
         w.key("pid").u64_val(1);
         w.key("tid").u64_val(1);
         w.key("args").obj_begin();
-        w.key("changes").u64_val(pass.changes);
+        w.key("changes").u64_val(pass.row.changes);
         w.key("instrs_before").u64_val(pass.instrs_before);
         w.key("instrs_after").u64_val(pass.instrs_after);
         w.obj_end();
         w.obj_end();
-        ts += pass.wall_us.max(1);
+        ts += pass.row.wall_us.max(1);
     }
 
     // Reuse timeline per phase, capped deterministically.
@@ -165,23 +165,27 @@ pub fn chrome_trace(data: &RunData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{CrbRec, IpcWindowRec, PassRec, ReuseRec};
+    use crate::ingest::{CrbRec, IpcWindowRec, PassRec, PassRow, ReuseRec};
     use crate::value::{parse, Value};
 
     fn sample() -> RunData {
         let mut data = RunData::default();
         data.report.workload = "w".into();
         data.passes.push(PassRec {
-            pass: "dce".into(),
-            wall_us: 12,
-            changes: 3,
+            row: PassRow {
+                pass: "dce".into(),
+                wall_us: 12,
+                changes: 3,
+            },
             instrs_before: 10,
             instrs_after: 7,
         });
         data.passes.push(PassRec {
-            pass: "cse".into(),
-            wall_us: 0, // zero-length spans still render
-            changes: 0,
+            row: PassRow {
+                pass: "cse".into(),
+                wall_us: 0, // zero-length spans still render
+                changes: 0,
+            },
             instrs_before: 7,
             instrs_after: 7,
         });

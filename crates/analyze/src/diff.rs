@@ -17,9 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::analysis::Analysis;
-use crate::bench::{BenchReport, BenchWorkload};
-use crate::store::RunRecord;
-use crate::value::{self, Value};
+use crate::bench::BenchReport;
 
 /// Regression thresholds. `None` disables a gate.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -75,136 +73,6 @@ impl Thresholds {
             _ => (None, 0.0),
         };
         (format!("{pct:+.2}%"), limit.is_some_and(|max| growth > max))
-    }
-}
-
-/// One run's point-level numbers, read from an in-memory [`Analysis`]
-/// or a saved `analysis.json` (the one reader of that file): what
-/// `ccr diff` compares and what the run store records.
-#[derive(Clone, Debug, Default)]
-pub struct RunSnapshot {
-    /// Workload name.
-    pub workload: String,
-    /// Input set (`train` / `ref`).
-    pub input: String,
-    /// Scale factor.
-    pub scale: u64,
-    /// Machine/CRB configuration hash, when known.
-    pub config_hash: Option<String>,
-    /// Baseline cycles.
-    pub base_cycles: u64,
-    /// CCR cycles.
-    pub ccr_cycles: u64,
-    /// Speedup.
-    pub speedup: f64,
-    /// Aggregate CRB hit rate.
-    pub hit_rate: f64,
-    /// Aggregate CRB lookups.
-    pub lookups: u64,
-    /// Miss-cause mix, indexed like [`crate::MISS_CAUSES`].
-    pub miss_causes: [u64; 5],
-    /// Reuse regions formed.
-    pub regions_formed: u64,
-    /// Per-region `(lookups, hit_rate, skipped)`.
-    pub regions: BTreeMap<u64, (u64, f64, u64)>,
-}
-
-impl From<&Analysis> for RunSnapshot {
-    fn from(a: &Analysis) -> RunSnapshot {
-        RunSnapshot {
-            workload: a.workload.clone(),
-            input: a.input.clone(),
-            scale: a.scale,
-            config_hash: a.config_hash.clone(),
-            base_cycles: a.base_cycles,
-            ccr_cycles: a.ccr_cycles,
-            speedup: a.speedup,
-            hit_rate: a.hit_rate,
-            lookups: a.lookups,
-            miss_causes: a.miss_causes,
-            regions_formed: a.regions_formed,
-            regions: a
-                .regions
-                .iter()
-                .map(|p| (p.region, (p.lookups, p.hit_rate, p.skipped)))
-                .collect(),
-        }
-    }
-}
-
-impl RunSnapshot {
-    /// Reads a snapshot back from a saved `analysis.json`.
-    ///
-    /// # Errors
-    ///
-    /// Malformed JSON or an unknown `analysis_schema_version`.
-    pub fn from_analysis_json(text: &str) -> Result<RunSnapshot, String> {
-        let v = value::parse(text.trim()).map_err(|e| e.to_string())?;
-        value::check_version(
-            &v,
-            "analysis_schema_version",
-            &[u64::from(crate::ANALYSIS_SCHEMA_VERSION)],
-        )?;
-        let source = v.get("source").ok_or("analysis.json missing `source`")?;
-        let totals = v.get("totals").ok_or("analysis.json missing `totals`")?;
-        let mut snap = RunSnapshot {
-            workload: source.str_field("workload").to_string(),
-            input: source.str_field("input").to_string(),
-            scale: source.u64_field("scale"),
-            config_hash: source
-                .get("config_hash")
-                .and_then(Value::as_str)
-                .map(String::from),
-            base_cycles: totals.u64_field("base_cycles"),
-            ccr_cycles: totals.u64_field("ccr_cycles"),
-            speedup: totals.f64_field("speedup"),
-            hit_rate: totals.f64_field("hit_rate"),
-            lookups: totals.u64_field("lookups"),
-            regions_formed: totals.u64_field("regions_formed"),
-            ..RunSnapshot::default()
-        };
-        for (slot, name) in snap.miss_causes.iter_mut().zip(crate::MISS_CAUSES) {
-            *slot = totals.u64_field(&format!("miss_{name}"));
-        }
-        if let Some(regions) = v.get("regions").and_then(Value::as_arr) {
-            for r in regions {
-                snap.regions.insert(
-                    r.u64_field("region"),
-                    (
-                        r.u64_field("lookups"),
-                        r.f64_field("hit_rate"),
-                        r.u64_field("skipped"),
-                    ),
-                );
-            }
-        }
-        Ok(snap)
-    }
-
-    /// The run-store record of this run: its identity and outcome,
-    /// with host time `wall_ms` (0 when unmeasured) and the throughput
-    /// derived from it. Callers stamp `timestamp`, `commit` and
-    /// `source`.
-    pub fn record(&self, wall_ms: u64) -> RunRecord {
-        RunRecord {
-            config_hash: self.config_hash.clone().unwrap_or_default(),
-            workload: self.workload.clone(),
-            input: self.input.clone(),
-            scale: self.scale,
-            base_cycles: self.base_cycles,
-            ccr_cycles: self.ccr_cycles,
-            speedup: self.speedup,
-            hit_rate: self.hit_rate,
-            miss_causes: self.miss_causes,
-            regions: self.regions_formed,
-            wall_ms,
-            sim_cycles_per_host_sec: BenchWorkload::host_throughput(
-                self.base_cycles,
-                self.ccr_cycles,
-                wall_ms,
-            ),
-            ..RunRecord::default()
-        }
     }
 }
 
@@ -363,38 +231,35 @@ fn gate_row(
     });
 }
 
-/// Diffs two run snapshots.
+/// Diffs two analyzed runs.
 ///
 /// # Errors
 ///
 /// Returns an error when the runs are incomparable (different
 /// workload or config hash) and `force` is false.
 pub fn diff_analyses(
-    base: &RunSnapshot,
-    new: &RunSnapshot,
+    base: &Analysis,
+    new: &Analysis,
     thresholds: &Thresholds,
     force: bool,
 ) -> Result<DiffReport, String> {
     let mut report = DiffReport::default();
     comparability(
-        &base.workload,
-        &new.workload,
-        base.config_hash.as_deref(),
-        new.config_hash.as_deref(),
+        &base.source.workload,
+        &new.source.workload,
+        base.source.config_hash.as_deref(),
+        new.source.config_hash.as_deref(),
         force,
         &mut report,
     )?;
 
+    let (b, n) = (&base.totals, &new.totals);
     let totals = [
-        (
-            "base_cycles",
-            base.base_cycles as f64,
-            new.base_cycles as f64,
-        ),
-        ("ccr_cycles", base.ccr_cycles as f64, new.ccr_cycles as f64),
-        ("speedup", base.speedup, new.speedup),
-        ("hit_rate", base.hit_rate, new.hit_rate),
-        ("lookups", base.lookups as f64, new.lookups as f64),
+        ("base_cycles", b.base_cycles as f64, n.base_cycles as f64),
+        ("ccr_cycles", b.ccr_cycles as f64, n.ccr_cycles as f64),
+        ("speedup", b.speedup, n.speedup),
+        ("hit_rate", b.hit_rate, n.hit_rate),
+        ("lookups", b.lookups as f64, n.lookups as f64),
     ];
     for (metric, b, n) in totals {
         gate_row(&mut report, "total", metric, b, n, thresholds);
@@ -403,8 +268,15 @@ pub fn diff_analyses(
     // Per-region deltas, judged against no thresholds: regions gate
     // in aggregate.
     let info = Thresholds::none();
-    for (region, (b_lookups, b_rate, b_skipped)) in &base.regions {
-        match new.regions.get(region) {
+    let by_id = |a: &'_ Analysis| -> BTreeMap<u64, (u64, f64, u64)> {
+        a.regions
+            .iter()
+            .map(|p| (p.region, (p.lookups, p.hit_rate, p.skipped)))
+            .collect()
+    };
+    let (base_regions, new_regions) = (by_id(base), by_id(new));
+    for (region, (b_lookups, b_rate, b_skipped)) in &base_regions {
+        match new_regions.get(region) {
             Some((n_lookups, n_rate, n_skipped)) => {
                 let scope = format!("region {region}");
                 if b_lookups != n_lookups {
@@ -422,8 +294,8 @@ pub fn diff_analyses(
             None => report.notes.push(format!("region {region} disappeared")),
         }
     }
-    for region in new.regions.keys() {
-        if !base.regions.contains_key(region) {
+    for region in new_regions.keys() {
+        if !base_regions.contains_key(region) {
             report.notes.push(format!("region {region} is new"));
         }
     }
@@ -539,19 +411,32 @@ pub fn diff_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{RegionProfile, Totals};
     use crate::bench::BenchWorkload;
 
-    fn snap() -> RunSnapshot {
-        RunSnapshot {
-            workload: "w".into(),
-            config_hash: Some("aa".into()),
+    fn snap() -> Analysis {
+        let mut a = Analysis::default();
+        a.source.workload = "w".into();
+        a.source.config_hash = Some("aa".into());
+        a.totals = Totals {
             base_cycles: 1000,
             ccr_cycles: 800,
             speedup: 1.25,
             hit_rate: 0.7,
             lookups: 10,
-            regions: [(0, (10, 0.7, 130))].into_iter().collect(),
-            ..RunSnapshot::default()
+            ..Totals::default()
+        };
+        a.regions.push(region(0, 10, 0.7, 130));
+        a
+    }
+
+    fn region(region: u64, lookups: u64, hit_rate: f64, skipped: u64) -> RegionProfile {
+        RegionProfile {
+            region,
+            lookups,
+            hit_rate,
+            skipped,
+            ..RegionProfile::default()
         }
     }
 
@@ -568,7 +453,7 @@ mod tests {
     #[test]
     fn cycle_regression_breaches_the_gate() {
         let mut new = snap();
-        new.ccr_cycles = 900; // +12.5%
+        new.totals.ccr_cycles = 900; // +12.5%
         let report = diff_analyses(&snap(), &new, &Thresholds::default_gate(), false).unwrap();
         assert!(report.breached());
         assert!(
@@ -579,8 +464,8 @@ mod tests {
         assert!(report.render().contains("** BREACH"));
         // Improvements never breach.
         let mut better = snap();
-        better.ccr_cycles = 700;
-        better.hit_rate = 0.9;
+        better.totals.ccr_cycles = 700;
+        better.totals.hit_rate = 0.9;
         let report = diff_analyses(&snap(), &better, &Thresholds::default_gate(), false).unwrap();
         assert!(!report.breached());
     }
@@ -588,11 +473,11 @@ mod tests {
     #[test]
     fn hit_rate_and_speedup_gates_fire_on_drops() {
         let mut new = snap();
-        new.hit_rate = 0.6; // −10pp
+        new.totals.hit_rate = 0.6; // −10pp
         let report = diff_analyses(&snap(), &new, &Thresholds::default_gate(), false).unwrap();
         assert!(report.breached());
         let mut new = snap();
-        new.speedup = 1.1; // −12%
+        new.totals.speedup = 1.1; // −12%
         let report = diff_analyses(&snap(), &new, &Thresholds::default_gate(), false).unwrap();
         assert!(report.breached());
         // Thresholds::none never gates.
@@ -603,19 +488,19 @@ mod tests {
     #[test]
     fn incomparable_runs_are_refused_unless_forced() {
         let mut new = snap();
-        new.config_hash = Some("bb".into());
+        new.source.config_hash = Some("bb".into());
         let err = diff_analyses(&snap(), &new, &Thresholds::none(), false).unwrap_err();
         assert!(err.contains("config hash mismatch"), "{err}");
         let report = diff_analyses(&snap(), &new, &Thresholds::none(), true).unwrap();
         assert!(report.notes.iter().any(|n| n.contains("forced")));
 
         let mut new = snap();
-        new.workload = "other".into();
+        new.source.workload = "other".into();
         assert!(diff_analyses(&snap(), &new, &Thresholds::none(), false).is_err());
 
         // v1 artifacts (no hash): allowed, with a note.
         let mut new = snap();
-        new.config_hash = None;
+        new.source.config_hash = None;
         let report = diff_analyses(&snap(), &new, &Thresholds::none(), false).unwrap();
         assert!(report.notes.iter().any(|n| n.contains("not verified")));
     }
@@ -623,8 +508,7 @@ mod tests {
     #[test]
     fn region_changes_are_reported_not_gated() {
         let mut new = snap();
-        new.regions.insert(0, (12, 0.5, 100));
-        new.regions.insert(7, (3, 1.0, 9));
+        new.regions = vec![region(0, 12, 0.5, 100), region(7, 3, 1.0, 9)];
         let report = diff_analyses(&snap(), &new, &Thresholds::default_gate(), false).unwrap();
         let region_rows: Vec<_> = report
             .rows
@@ -638,39 +522,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_analysis_json() {
-        let mut a = Analysis {
-            workload: "w".into(),
-            config_hash: Some("aa".into()),
-            base_cycles: 1000,
-            ccr_cycles: 800,
-            speedup: 1.25,
-            hit_rate: 0.7,
-            lookups: 10,
-            ..Analysis::default()
-        };
-        a.regions.push(crate::analysis::RegionProfile {
-            region: 0,
-            lookups: 10,
-            hits: 7,
-            misses: 3,
-            hit_rate: 0.7,
-            skipped: 130,
-            ..crate::analysis::RegionProfile::default()
-        });
+    fn analysis_round_trips_through_its_json() {
+        let mut a = snap();
+        a.regions[0].hits = 7;
+        a.regions[0].misses = 3;
         let text = a.to_json();
-        let snap = RunSnapshot::from_analysis_json(&text).unwrap();
-        assert_eq!(snap.workload, "w");
-        assert_eq!(snap.ccr_cycles, 800);
-        assert_eq!(snap.regions[&0], (10, 0.7, 130));
+        let back = Analysis::from_json(&text).unwrap();
+        assert_eq!(back.source.workload, "w");
+        assert_eq!(back.totals.ccr_cycles, 800);
+        assert_eq!(back.regions, a.regions);
+        assert_eq!(back.to_json(), text);
         // And diffing the round-trip against the original is clean.
-        let report = diff_analyses(
-            &RunSnapshot::from(&a),
-            &snap,
-            &Thresholds::default_gate(),
-            false,
-        )
-        .unwrap();
+        let report = diff_analyses(&a, &back, &Thresholds::default_gate(), false).unwrap();
         assert!(!report.breached());
         assert!(
             report.rows.iter().all(|r| r.delta.starts_with("+0.00")),

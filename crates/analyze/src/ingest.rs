@@ -9,13 +9,20 @@
 //! are a different matter: a line that parses but carries an unknown
 //! `"v"`, or a report with an unknown `schema_version`, is a hard
 //! error, because silently misreading a future schema is worse than
-//! failing.
+//! failing. Within a known version, every object is read through a
+//! lenient `record!` declaration of the fields the analyzer uses: a
+//! missing or mistyped field reads as its default.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
+use ccr_telemetry::record::{Codec, Flat, Record, Strict};
+use ccr_telemetry::{record, JsonWriter};
+
+use crate::store::MissCauses;
 use crate::value::{self, Value};
 
 /// Event-stream schema versions this reader understands.
@@ -52,9 +59,10 @@ impl std::error::Error for IngestError {}
 /// Which simulation a mid-run event belongs to. `ccr run` simulates
 /// the unannotated baseline first, then the annotated program; the
 /// `sim_begin` markers in the stream separate the two.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Phase {
     /// Before the first `sim_begin` (compile-time events).
+    #[default]
     Compile,
     /// The baseline simulation.
     Base,
@@ -62,23 +70,32 @@ pub enum Phase {
     Ccr,
 }
 
-/// One optimizer-pass record (`pass` event).
-#[derive(Clone, Debug)]
+/// One optimizer-pass record (`pass` event): the row `analysis.json`
+/// keeps, and the instruction counts around the pass.
+#[derive(Clone, Debug, Default)]
 pub struct PassRec {
-    /// Pass name.
-    pub pass: String,
-    /// Wall time in microseconds.
-    pub wall_us: u64,
-    /// Number of IR changes the pass made.
-    pub changes: u64,
+    /// Name, wall time and change count.
+    pub row: PassRow,
     /// Instruction count before the pass.
     pub instrs_before: u64,
     /// Instruction count after the pass.
     pub instrs_after: u64,
 }
 
+/// A pass's name, wall time and change count: one compile `passes`
+/// row of `analysis.json`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PassRow {
+    /// Pass name.
+    pub pass: String,
+    /// Wall time in microseconds.
+    pub wall_us: u64,
+    /// Number of IR changes the pass made.
+    pub changes: u64,
+}
+
 /// One reuse-lookup outcome (`reuse` event).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ReuseRec {
     /// Phase the lookup happened in.
     pub phase: Phase,
@@ -97,7 +114,7 @@ pub struct ReuseRec {
 
 /// One periodic call-stack sample (`cycle_sample` event, profiled
 /// runs only).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CycleSampleRec {
     /// Phase the sample belongs to.
     pub phase: Phase,
@@ -107,52 +124,8 @@ pub struct CycleSampleRec {
     pub cycles: u64,
 }
 
-/// One cycle-attribution bucket set (report v3, profiled runs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BucketSet {
-    /// Cycles issuing, or structurally stalled at issue.
-    pub issue: u64,
-    /// Cycles waiting on fetch (redirects, icache misses).
-    pub fetch: u64,
-    /// Cycles waiting on memory results.
-    pub memory: u64,
-    /// Cycles attributed to reuse-hit handling.
-    pub reuse_hit: u64,
-    /// End-of-run drain cycles.
-    pub drain: u64,
-}
-
-impl BucketSet {
-    /// Sum across the buckets.
-    pub fn total(&self) -> u64 {
-        self.issue + self.fetch + self.memory + self.reuse_hit + self.drain
-    }
-}
-
-/// One function's cycle attribution (report v3).
-#[derive(Clone, Debug)]
-pub struct FuncAttrRec {
-    /// Function name.
-    pub name: String,
-    /// Total cycles charged to the function.
-    pub cycles: u64,
-    /// Breakdown of those cycles.
-    pub buckets: BucketSet,
-}
-
-/// One phase's full cycle attribution (report v3, profiled runs).
-#[derive(Clone, Debug, Default)]
-pub struct AttrRec {
-    /// Run-wide bucket totals (sums to the phase's cycle count).
-    pub total: BucketSet,
-    /// Per-function breakdowns, descending by cycles.
-    pub functions: Vec<FuncAttrRec>,
-    /// Per-region `(region, cycles)` charges, ascending region id.
-    pub regions: Vec<(u64, u64)>,
-}
-
 /// One interval-IPC sample (`ipc_window` event).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IpcWindowRec {
     /// Phase the window belongs to.
     pub phase: Phase,
@@ -171,9 +144,10 @@ pub struct IpcWindowRec {
 }
 
 /// Kind of a CRB structural event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CrbKind {
     /// Capacity replacement inside an entry (`crb_evict`).
+    #[default]
     Evict,
     /// Direct-mapped tag conflict (`crb_conflict`).
     Conflict,
@@ -182,7 +156,7 @@ pub enum CrbKind {
 }
 
 /// One CRB structural event.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CrbRec {
     /// What happened.
     pub kind: CrbKind,
@@ -215,8 +189,108 @@ pub struct SimSummaryRec {
     pub effective_ipc: f64,
 }
 
-/// The report fields the analyzer consumes, extracted from
-/// `report.json` (either schema version).
+/// One `formation_reject` event: a rejection reason and its count.
+#[derive(Default)]
+struct RejectRec {
+    reason: String,
+    count: u64,
+}
+
+// The event lines, past their `v` and `ev` tags. `phase` and the CRB
+// `kind` stay off the wire: `ingest_event` sets them from the stream
+// position and the `ev` tag.
+record!(Lenient PassRec { row: Flat, instrs_before, instrs_after });
+record!(Lenient PassRow { pass, wall_us, changes });
+record!(Lenient ReuseRec { region, hit, skipped, cycle, cause });
+record!(Lenient CycleSampleRec { stack, cycles });
+record!(Lenient IpcWindowRec { index, start_cycle, cycles, instrs, skipped, ipc });
+record!(Lenient CrbRec { clock, region, entry, occupancy, lost });
+record!(Lenient SimSummaryRec {
+    cycles, dyn_instrs, skipped, reuse_hits, reuse_misses, effective_ipc,
+});
+record!(Lenient RejectRec { reason, count });
+
+/// One cycle-attribution bucket set (report v3, profiled runs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BucketSet {
+    /// Cycles issuing, or structurally stalled at issue.
+    pub issue: u64,
+    /// Cycles waiting on fetch (redirects, icache misses).
+    pub fetch: u64,
+    /// Cycles waiting on memory results.
+    pub memory: u64,
+    /// Cycles attributed to reuse-hit handling.
+    pub reuse_hit: u64,
+    /// End-of-run drain cycles.
+    pub drain: u64,
+}
+
+impl BucketSet {
+    /// Sum across the buckets.
+    pub fn total(&self) -> u64 {
+        self.issue + self.fetch + self.memory + self.reuse_hit + self.drain
+    }
+}
+
+/// One function's cycle attribution (report v3).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FuncAttrRec {
+    /// Function name.
+    pub name: String,
+    /// Total cycles charged to the function.
+    pub cycles: u64,
+    /// Breakdown of those cycles.
+    pub buckets: BucketSet,
+}
+
+/// Cycles charged to one region (report v3).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RegionCycles {
+    /// Region id.
+    pub region: u64,
+    /// Cycles charged to the region.
+    pub cycles: u64,
+}
+
+/// One phase's full cycle attribution (report v3, profiled runs).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct AttrRec {
+    /// Run-wide bucket totals (sums to the phase's cycle count).
+    pub total: BucketSet,
+    /// Per-function breakdowns, descending by cycles.
+    pub functions: Vec<FuncAttrRec>,
+    /// Per-region charges, ascending region id.
+    pub regions: Vec<RegionCycles>,
+}
+
+// One declaration reads the attribution from `report.json` and writes
+// it into `analysis.json`.
+record!(Lenient BucketSet { issue, fetch, memory, reuse_hit, drain });
+record!(Lenient FuncAttrRec { name, cycles, buckets });
+record!(Lenient RegionCycles { region, cycles });
+record!(Lenient AttrRec { total: TotalCycles, functions, regions });
+
+/// An attribution's `total` buckets, followed on the wire by the
+/// `cycles` they sum to: `analysis.json` carries that key and
+/// `report.json` does not, so it is written and never read. The
+/// buckets are read strictly: an attribution without them (an
+/// unprofiled phase) reads as none.
+struct TotalCycles;
+
+impl Codec<BucketSet> for TotalCycles {
+    fn put(total: &BucketSet, key: &str, w: &mut JsonWriter) {
+        Strict::put(total, key, w);
+        Strict::put(&total.total(), "cycles", w);
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<BucketSet, String> {
+        Strict::get(v, key, ctx)
+    }
+}
+
+/// The report fields the analyzer consumes, one lenient record per
+/// `report.json` object, so a key an older schema version lacks (the
+/// v1 provenance block, the v3 miss causes and attribution, the v4
+/// `git_commit`) reads as its default.
 #[derive(Clone, Debug, Default)]
 pub struct ReportInfo {
     /// `schema_version` of the report file.
@@ -227,56 +301,94 @@ pub struct ReportInfo {
     pub input: String,
     /// Scale factor.
     pub scale: u64,
-    /// Machine/CRB configuration hash (v2 reports only).
-    pub config_hash: Option<String>,
-    /// CLI argument vector (v2 reports only).
-    pub argv: Vec<String>,
-    /// Producing crate version (v2 reports only).
-    pub crate_version: Option<String>,
-    /// Git commit id of the producing checkout (v4 reports only;
-    /// `"unknown"` when the producer ran outside a checkout).
-    pub git_commit: Option<String>,
-    /// Baseline cycles.
-    pub base_cycles: u64,
-    /// CCR cycles.
-    pub ccr_cycles: u64,
+    /// The producing run (v2 reports on).
+    pub provenance: Provenance,
+    /// The machine fields the analyzer reads.
+    pub machine: MachineInfo,
+    /// The buffer geometry.
+    pub crb: CrbGeometry,
+    /// Number of formed regions.
+    pub regions: u64,
+    /// The baseline simulation.
+    pub base: PhaseInfo,
+    /// The CCR simulation.
+    pub ccr: PhaseInfo,
     /// Reported speedup.
     pub speedup: f64,
     /// Fraction of baseline instructions eliminated.
     pub eliminated_fraction: f64,
+}
+
+/// The report's `provenance` block (v2 reports on).
+#[derive(Clone, Debug, Default)]
+pub struct Provenance {
+    /// CLI argument vector.
+    pub argv: Vec<String>,
+    /// Machine/CRB configuration hash.
+    pub config_hash: Option<String>,
+    /// Producing crate version.
+    pub crate_version: Option<String>,
+    /// Git commit id of the producing checkout (v4 reports only;
+    /// `"unknown"` when the producer ran outside a checkout).
+    pub git_commit: Option<String>,
+}
+
+/// The report's `machine` fields the analyzer reads.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MachineInfo {
     /// Penalty charged per reuse miss (for miss-cost rankings).
     pub reuse_miss_penalty: u64,
-    /// CRB entry count.
-    pub crb_entries: u64,
-    /// CRB instances per entry.
-    pub crb_instances: u64,
-    /// Number of formed regions.
-    pub regions: u64,
-    /// CRB lookup/hit/miss/eviction counters from the CCR phase.
-    pub crb_lookups: u64,
-    /// CRB hits.
-    pub crb_hits: u64,
-    /// CRB misses.
-    pub crb_misses: u64,
-    /// Cold misses — region never recorded (v3 reports only).
-    pub crb_miss_cold: u64,
-    /// Input-vector mismatch misses (v3 reports only).
-    pub crb_miss_mismatch: u64,
-    /// Misses on instances lost to capacity eviction (v3 only).
-    pub crb_miss_capacity: u64,
-    /// Misses on instances lost to entry conflicts (v3 only).
-    pub crb_miss_conflict: u64,
-    /// Misses on instances lost to invalidation (v3 only).
-    pub crb_miss_invalidated: u64,
-    /// CRB invalidations.
-    pub crb_invalidations: u64,
-    /// CRB entry conflicts.
-    pub crb_entry_conflicts: u64,
-    /// Baseline-phase cycle attribution (v3, profiled runs only).
-    pub base_attribution: Option<AttrRec>,
-    /// CCR-phase cycle attribution (v3, profiled runs only).
-    pub ccr_attribution: Option<AttrRec>,
 }
+
+/// The report's `crb` geometry fields the analyzer reads.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CrbGeometry {
+    /// CRB entry count.
+    pub entries: u64,
+    /// CRB instances per entry.
+    pub instances: u64,
+}
+
+/// One simulation phase of the report (`base` or `ccr`).
+#[derive(Clone, Debug, Default)]
+pub struct PhaseInfo {
+    /// Total cycles of the phase.
+    pub cycles: u64,
+    /// CRB counters of the phase.
+    pub crb: CrbCounters,
+    /// Cycle attribution (v3, profiled runs only).
+    pub attribution: Option<AttrRec>,
+}
+
+/// A phase's CRB counters.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CrbCounters {
+    /// Lookups.
+    pub lookups: u64,
+    /// Hits.
+    pub hits: u64,
+    /// Misses.
+    pub misses: u64,
+    /// Miss-cause mix, indexed like [`crate::MISS_CAUSES`] (v3
+    /// reports on; zero on older ones).
+    pub miss_causes: [u64; 5],
+    /// Invalidations.
+    pub invalidations: u64,
+    /// Entry conflicts.
+    pub entry_conflicts: u64,
+}
+
+record!(Lenient ReportInfo {
+    schema_version, workload, input, scale, provenance, machine, crb, regions, base, ccr,
+    speedup, eliminated_fraction,
+});
+record!(Lenient Provenance { argv, config_hash, crate_version, git_commit });
+record!(Lenient MachineInfo { reuse_miss_penalty });
+record!(Lenient CrbGeometry { entries, instances });
+record!(Lenient PhaseInfo { cycles, crb, attribution });
+record!(Lenient CrbCounters {
+    lookups, hits, misses, miss_causes: MissCauses, invalidations, entry_conflicts,
+});
 
 /// Everything `load_run` extracted from one telemetry directory.
 #[derive(Clone, Debug, Default)]
@@ -285,8 +397,8 @@ pub struct RunData {
     pub report: ReportInfo,
     /// Optimizer-pass records, in stream order.
     pub passes: Vec<PassRec>,
-    /// Per-reason formation rejections.
-    pub formation_rejects: Vec<(String, u64)>,
+    /// Formation rejections per reason.
+    pub formation_rejects: BTreeMap<String, u64>,
     /// Reuse lookups, in stream order.
     pub reuse: Vec<ReuseRec>,
     /// Interval-IPC windows, in stream order.
@@ -305,16 +417,6 @@ pub struct RunData {
     pub skipped_lines: u64,
 }
 
-/// A raw parsed event line: its kind tag plus the full record. Used
-/// by tooling that wants the stream without the typed extraction.
-#[derive(Clone, Debug)]
-pub struct EventRecord {
-    /// The `"ev"` kind tag.
-    pub kind: String,
-    /// The whole parsed line.
-    pub value: Value,
-}
-
 /// Loads `DIR/events.jsonl` + `DIR/report.json`.
 ///
 /// # Errors
@@ -328,12 +430,13 @@ pub fn load_run(dir: &Path) -> Result<RunData, IngestError> {
         .map_err(|e| IngestError::Io(report_path.clone(), e))?;
     let report_val =
         value::parse(&report_text).map_err(|e| IngestError::Report(report_path.clone(), e))?;
-    let report = extract_report(&report_val)?;
+    value::check_version(&report_val, "schema_version", KNOWN_REPORT_VERSIONS)
+        .map_err(|e| IngestError::Schema(format!("report.json: {e}")))?;
 
     let events_path = dir.join("events.jsonl");
     let file = File::open(&events_path).map_err(|e| IngestError::Io(events_path.clone(), e))?;
     let mut data = RunData {
-        report,
+        report: read(&report_val),
         ..RunData::default()
     };
     let mut phase = Phase::Compile;
@@ -356,181 +459,59 @@ pub fn load_run(dir: &Path) -> Result<RunData, IngestError> {
     Ok(data)
 }
 
+/// Reads a lenient record, which no value fails: a missing or
+/// mistyped field reads as its default.
+fn read<R: Record + Default>(v: &Value) -> R {
+    R::get_fields(v, "").unwrap_or_default()
+}
+
 fn ingest_event(data: &mut RunData, phase: &mut Phase, ev: &Value) {
-    match ev.str_field("ev") {
+    let tag = |key| ev.get(key).and_then(Value::as_str);
+    match tag("ev").unwrap_or_default() {
         "sim_begin" => {
-            *phase = match ev.str_field("phase") {
-                "base" => Phase::Base,
+            *phase = match tag("phase") {
+                Some("base") => Phase::Base,
                 _ => Phase::Ccr,
             };
         }
-        "pass" => data.passes.push(PassRec {
-            pass: ev.str_field("pass").to_string(),
-            wall_us: ev.u64_field("wall_us"),
-            changes: ev.u64_field("changes"),
-            instrs_before: ev.u64_field("instrs_before"),
-            instrs_after: ev.u64_field("instrs_after"),
-        }),
-        "formation_reject" => data
-            .formation_rejects
-            .push((ev.str_field("reason").to_string(), ev.u64_field("count"))),
+        "pass" => data.passes.push(read(ev)),
+        "formation_reject" => {
+            let r: RejectRec = read(ev);
+            *data.formation_rejects.entry(r.reason).or_default() += r.count;
+        }
         "reuse" => data.reuse.push(ReuseRec {
             phase: *phase,
-            region: ev.u64_field("region"),
-            hit: ev.get("hit").and_then(Value::as_bool).unwrap_or(false),
-            skipped: ev.u64_field("skipped"),
-            cycle: ev.u64_field("cycle"),
-            cause: ev.get("cause").and_then(Value::as_str).map(String::from),
+            ..read(ev)
         }),
         "cycle_sample" => data.cycle_samples.push(CycleSampleRec {
             phase: *phase,
-            stack: ev.str_field("stack").to_string(),
-            cycles: ev.u64_field("cycles"),
+            ..read(ev)
         }),
         "ipc_window" => data.ipc_windows.push(IpcWindowRec {
             phase: *phase,
-            index: ev.u64_field("index"),
-            start_cycle: ev.u64_field("start_cycle"),
-            cycles: ev.u64_field("cycles"),
-            instrs: ev.u64_field("instrs"),
-            skipped: ev.u64_field("skipped"),
-            ipc: ev.f64_field("ipc"),
+            ..read(ev)
         }),
-        kind @ ("crb_evict" | "crb_conflict" | "crb_invalidate") => {
-            data.crb_events.push(CrbRec {
-                kind: match kind {
-                    "crb_evict" => CrbKind::Evict,
-                    "crb_conflict" => CrbKind::Conflict,
-                    _ => CrbKind::Invalidate,
-                },
-                clock: ev.u64_field("clock"),
-                region: ev.u64_field("region"),
-                entry: ev.u64_field("entry"),
-                occupancy: ev.u64_field("occupancy"),
-                lost: ev.u64_field("lost"),
-            });
-        }
-        "sim_summary" => {
-            let rec = SimSummaryRec {
-                cycles: ev.u64_field("cycles"),
-                dyn_instrs: ev.u64_field("dyn_instrs"),
-                skipped: ev.u64_field("skipped"),
-                reuse_hits: ev.u64_field("reuse_hits"),
-                reuse_misses: ev.u64_field("reuse_misses"),
-                effective_ipc: ev.f64_field("effective_ipc"),
-            };
-            match *phase {
-                Phase::Ccr => data.ccr_summary = rec,
-                _ => data.base_summary = rec,
-            }
-        }
+        "crb_evict" => data.crb_events.push(CrbRec {
+            kind: CrbKind::Evict,
+            ..read(ev)
+        }),
+        "crb_conflict" => data.crb_events.push(CrbRec {
+            kind: CrbKind::Conflict,
+            ..read(ev)
+        }),
+        "crb_invalidate" => data.crb_events.push(CrbRec {
+            kind: CrbKind::Invalidate,
+            ..read(ev)
+        }),
+        "sim_summary" => match *phase {
+            Phase::Ccr => data.ccr_summary = read(ev),
+            _ => data.base_summary = read(ev),
+        },
         // run_begin, formation, region_summary (redundant with the
         // report), and any future kinds: ignored, by design — new
         // event kinds must not break old analyzers.
         _ => {}
     }
-}
-
-fn extract_report(v: &Value) -> Result<ReportInfo, IngestError> {
-    let version = value::check_version(v, "schema_version", KNOWN_REPORT_VERSIONS)
-        .map_err(|e| IngestError::Schema(format!("report.json: {e}")))?;
-    let mut info = ReportInfo {
-        schema_version: version,
-        workload: v.str_field("workload").to_string(),
-        input: v.str_field("input").to_string(),
-        scale: v.u64_field("scale"),
-        speedup: v.f64_field("speedup"),
-        eliminated_fraction: v.f64_field("eliminated_fraction"),
-        ..ReportInfo::default()
-    };
-    // v2: the provenance block. v1 read path: absent, fields default.
-    if let Some(p) = v.get("provenance") {
-        info.config_hash = p
-            .get("config_hash")
-            .and_then(Value::as_str)
-            .map(String::from);
-        info.crate_version = p
-            .get("crate_version")
-            .and_then(Value::as_str)
-            .map(String::from);
-        // v4; absent on older reports.
-        info.git_commit = p
-            .get("git_commit")
-            .and_then(Value::as_str)
-            .map(String::from);
-        if let Some(argv) = p.get("argv").and_then(Value::as_arr) {
-            info.argv = argv
-                .iter()
-                .filter_map(|a| a.as_str().map(String::from))
-                .collect();
-        }
-    }
-    if let Some(machine) = v.get("machine") {
-        info.reuse_miss_penalty = machine.u64_field("reuse_miss_penalty");
-    }
-    if let Some(crb) = v.get("crb") {
-        info.crb_entries = crb.u64_field("entries");
-        info.crb_instances = crb.u64_field("instances");
-    }
-    info.regions = v.u64_field("regions");
-    if let Some(base) = v.get("base") {
-        info.base_cycles = base.u64_field("cycles");
-        info.base_attribution = base.get("attribution").and_then(extract_attribution);
-    }
-    if let Some(ccr) = v.get("ccr") {
-        info.ccr_cycles = ccr.u64_field("cycles");
-        info.ccr_attribution = ccr.get("attribution").and_then(extract_attribution);
-        if let Some(crb) = ccr.get("crb") {
-            info.crb_lookups = crb.u64_field("lookups");
-            info.crb_hits = crb.u64_field("hits");
-            info.crb_misses = crb.u64_field("misses");
-            // v3; zero on older reports.
-            info.crb_miss_cold = crb.u64_field("miss_cold");
-            info.crb_miss_mismatch = crb.u64_field("miss_mismatch");
-            info.crb_miss_capacity = crb.u64_field("miss_capacity");
-            info.crb_miss_conflict = crb.u64_field("miss_conflict");
-            info.crb_miss_invalidated = crb.u64_field("miss_invalidated");
-            info.crb_invalidations = crb.u64_field("invalidations");
-            info.crb_entry_conflicts = crb.u64_field("entry_conflicts");
-        }
-    }
-    Ok(info)
-}
-
-fn extract_buckets(v: &Value) -> BucketSet {
-    BucketSet {
-        issue: v.u64_field("issue"),
-        fetch: v.u64_field("fetch"),
-        memory: v.u64_field("memory"),
-        reuse_hit: v.u64_field("reuse_hit"),
-        drain: v.u64_field("drain"),
-    }
-}
-
-fn extract_attribution(v: &Value) -> Option<AttrRec> {
-    // Unprofiled v3 reports carry `"attribution":null`.
-    let total = v.get("total")?;
-    let mut attr = AttrRec {
-        total: extract_buckets(total),
-        ..AttrRec::default()
-    };
-    if let Some(funcs) = v.get("functions").and_then(Value::as_arr) {
-        attr.functions = funcs
-            .iter()
-            .map(|f| FuncAttrRec {
-                name: f.str_field("name").to_string(),
-                cycles: f.u64_field("cycles"),
-                buckets: f.get("buckets").map(extract_buckets).unwrap_or_default(),
-            })
-            .collect();
-    }
-    if let Some(regions) = v.get("regions").and_then(Value::as_arr) {
-        attr.regions = regions
-            .iter()
-            .map(|r| (r.u64_field("region"), r.u64_field("cycles")))
-            .collect();
-    }
-    Some(attr)
 }
 
 #[cfg(test)]
@@ -583,13 +564,16 @@ mod tests {
             "\n",
             r#"{"v":1,"ev":"sim_summary","cycles":800,"dyn_instrs":2000,"skipped":13,"reuse_hits":1,"reuse_misses":0,"effective_ipc":2.5}"#,
             "\n",
+            // A kind this reader does not know: counted, then ignored.
+            r#"{"v":1,"ev":"future_kind","region":5,"hit":true}"#,
+            "\n",
         );
         let dir = write_dir(events, REPORT_V2);
         let data = load_run(&dir).unwrap();
-        assert_eq!(data.events, 11);
+        assert_eq!(data.events, 12);
         assert_eq!(data.skipped_lines, 0);
         assert_eq!(data.passes.len(), 1);
-        assert_eq!(data.formation_rejects, vec![("small".to_string(), 4)]);
+        assert_eq!(data.formation_rejects, [("small".to_string(), 4)].into());
         assert_eq!(data.reuse.len(), 2);
         assert_eq!(data.reuse[0].phase, Phase::Base);
         assert_eq!(data.reuse[1].phase, Phase::Ccr);
@@ -599,10 +583,13 @@ mod tests {
         assert_eq!(data.base_summary.cycles, 1000);
         assert_eq!(data.ccr_summary.cycles, 800);
         assert_eq!(data.report.workload, "w");
-        assert_eq!(data.report.config_hash.as_deref(), Some("00ff00ff00ff00ff"));
-        assert_eq!(data.report.argv, vec!["run", "w"]);
-        assert_eq!(data.report.crb_hits, 7);
-        assert_eq!(data.report.reuse_miss_penalty, 2);
+        assert_eq!(
+            data.report.provenance.config_hash.as_deref(),
+            Some("00ff00ff00ff00ff")
+        );
+        assert_eq!(data.report.provenance.argv, vec!["run", "w"]);
+        assert_eq!(data.report.ccr.crb.hits, 7);
+        assert_eq!(data.report.machine.reuse_miss_penalty, 2);
     }
 
     #[test]
@@ -611,12 +598,21 @@ mod tests {
             r#"{"v":1,"ev":"pass","pass":"dce","wall_us":5,"changes":0,"instrs_before":1,"instrs_after":1}"#,
             "\n",
             "\n",
+            // Mistyped fields read as 0 (or "") and the line counts.
+            r#"{"v":1,"ev":"pass","pass":7,"wall_us":"slow","changes":-1,"instrs_before":2}"#,
+            "\n",
             r#"{"v":1,"ev":"sim_summ"#, // torn mid-write
         );
         let dir = write_dir(events, REPORT_V2);
         let data = load_run(&dir).unwrap();
-        assert_eq!(data.events, 1);
+        assert_eq!(data.events, 2);
         assert_eq!(data.skipped_lines, 1, "torn line counted, blank ignored");
+        let p = &data.passes[1];
+        assert_eq!(
+            (p.row.pass.as_str(), p.row.wall_us, p.row.changes),
+            ("", 0, 0)
+        );
+        assert_eq!(p.instrs_before, 2);
     }
 
     #[test]
@@ -636,9 +632,9 @@ mod tests {
         let dir = write_dir("", report_v1);
         let data = load_run(&dir).unwrap();
         assert_eq!(data.report.schema_version, 1);
-        assert_eq!(data.report.config_hash, None);
-        assert!(data.report.argv.is_empty());
-        assert_eq!(data.report.crb_entries, 64);
+        assert_eq!(data.report.provenance.config_hash, None);
+        assert!(data.report.provenance.argv.is_empty());
+        assert_eq!(data.report.crb.entries, 64);
     }
 
     const REPORT_V3: &str = r#"{"schema_version":3,"workload":"w","input":"train","scale":1,
@@ -667,14 +663,20 @@ mod tests {
         let dir = write_dir(events, REPORT_V3);
         let data = load_run(&dir).unwrap();
         assert_eq!(data.report.schema_version, 3);
-        assert_eq!(data.report.crb_miss_cold, 1);
-        assert_eq!(data.report.crb_miss_conflict, 1);
-        assert!(data.report.base_attribution.is_none());
-        let attr = data.report.ccr_attribution.as_ref().unwrap();
+        assert_eq!(data.report.ccr.crb.miss_causes[0], 1);
+        assert_eq!(data.report.ccr.crb.miss_causes[3], 1);
+        assert!(data.report.base.attribution.is_none());
+        let attr = data.report.ccr.attribution.as_ref().unwrap();
         assert_eq!(attr.total.total(), 800);
         assert_eq!(attr.functions[0].name, "main");
         assert_eq!(attr.functions[0].buckets.memory, 150);
-        assert_eq!(attr.regions, vec![(0, 90)]);
+        assert_eq!(
+            attr.regions,
+            vec![RegionCycles {
+                region: 0,
+                cycles: 90
+            }]
+        );
         assert_eq!(data.reuse[0].cause.as_deref(), Some("cold"));
         assert_eq!(data.reuse[1].cause, None);
         assert_eq!(data.cycle_samples.len(), 1);
@@ -695,17 +697,25 @@ mod tests {
         let data = load_run(&dir).unwrap();
         assert_eq!(data.report.schema_version, 4);
         assert_eq!(
-            data.report.git_commit.as_deref(),
+            data.report.provenance.git_commit.as_deref(),
             Some("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa")
         );
         // v3 and older: the field reads as absent.
         let dir = write_dir("", REPORT_V3);
-        assert_eq!(load_run(&dir).unwrap().report.git_commit, None);
+        assert_eq!(load_run(&dir).unwrap().report.provenance.git_commit, None);
     }
 
     #[test]
     fn rejects_unknown_report_schema_version() {
         let dir = write_dir("", r#"{"schema_version":9,"workload":"w"}"#);
+        let err = load_run(&dir).unwrap_err();
+        assert!(matches!(err, IngestError::Schema(_)), "{err}");
+        assert!(
+            err.to_string().contains("unknown schema_version 9"),
+            "{err}"
+        );
+        // A report without a version reads as version 0, also unknown.
+        let dir = write_dir("", r#"{"workload":"w"}"#);
         let err = load_run(&dir).unwrap_err();
         assert!(matches!(err, IngestError::Schema(_)), "{err}");
     }

@@ -20,7 +20,8 @@
 //!   windows, CRB occupancy/pressure curves, interval-IPC percentile
 //!   statistics (via `ccr-telemetry`'s log₂-bucket histograms), and
 //!   hottest-region rankings, serialized as a deterministic
-//!   `analysis.json`,
+//!   `analysis.json` and read back by [`Analysis::from_json`], the one
+//!   reader of that file,
 //! * [`chrome`] — Chrome Trace Event Format (`chrome://tracing` /
 //!   Perfetto) export of the compile passes and the reuse timeline,
 //! * [`folded`] — collapsed-stack folding of a profiled run's
@@ -30,8 +31,7 @@
 //! * [`diff`] — run-to-run comparison with configurable regression
 //!   thresholds and a provenance-based comparability gate; its
 //!   [`Thresholds::judge`] is the one regression verdict `ccr diff`
-//!   and `ccr report` share, and its [`diff::RunSnapshot`] the one
-//!   reader of `analysis.json`,
+//!   and `ccr report` share,
 //! * [`bench`](mod@bench) — the `BENCH_ccr.json` schema: a versioned,
 //!   per-workload performance snapshot forming the repo's committed
 //!   perf trajectory,
@@ -46,8 +46,10 @@
 //! The crate has no dependencies beyond `ccr-telemetry`: the shared
 //! `JsonWriter` and `Histogram`, the `value` reader, and the `record`
 //! codec whose one declaration per record derives both the writer and
-//! the reader of the run-store line, `BENCH_ccr.json` and the digest
-//! lines. In particular it does not depend on the simulator or
+//! the reader of every file the crate touches: `analysis.json`, the
+//! run-store line, `BENCH_ccr.json` and the digest lines, plus the
+//! parts of `report.json` and of the event lines it reads. In
+//! particular it does not depend on the simulator or
 //! compiler crates, so analysis can never perturb — or be perturbed
 //! by — the run that produced its input.
 //!
@@ -79,7 +81,7 @@ pub use fingerprint::{
 };
 pub use flamegraph::flamegraph_svg;
 pub use folded::fold_samples;
-pub use ingest::{load_run, EventRecord, RunData};
+pub use ingest::{load_run, RunData};
 pub use report::{report_over, ReportOutput};
 pub use store::{RunRecord, RunStore, STORE_SCHEMA_VERSION};
 pub use value::Value;

@@ -108,8 +108,9 @@ record!(Lenient RunRecord {
 });
 
 /// The miss-cause mix, flattened into one `miss_<cause>` counter per
-/// [`crate::MISS_CAUSES`] entry.
-struct MissCauses;
+/// [`crate::MISS_CAUSES`] entry: the run-store line's, the report's
+/// CRB counters' and `analysis.json`'s totals and regions.
+pub(crate) struct MissCauses;
 
 impl Codec<[u64; 5]> for MissCauses {
     fn put(causes: &[u64; 5], _key: &str, w: &mut JsonWriter) {
@@ -350,18 +351,17 @@ pub fn records_from_bench(
 ///
 /// # Errors
 ///
-/// Malformed JSON or an unknown `analysis_schema_version`.
+/// What [`crate::Analysis::from_json`] refuses.
 pub fn record_from_analysis_json(
     text: &str,
     timestamp: u64,
     commit_override: Option<&str>,
 ) -> Result<RunRecord, String> {
-    let snap = crate::diff::RunSnapshot::from_analysis_json(text)?;
     Ok(RunRecord {
         timestamp,
         commit: commit_override.unwrap_or("unknown").to_string(),
         source: "import".to_string(),
-        ..snap.record(0)
+        ..crate::Analysis::from_json(text)?.record(0)
     })
 }
 
@@ -632,19 +632,20 @@ mod tests {
 
     #[test]
     fn analysis_import_carries_the_miss_mix() {
-        let mut a = crate::Analysis {
-            workload: "w".into(),
-            input: "train".into(),
-            scale: 1,
-            config_hash: Some("00ff00ff00ff00ff".into()),
+        let mut a = crate::Analysis::default();
+        a.source.workload = "w".into();
+        a.source.input = "train".into();
+        a.source.scale = 1;
+        a.source.config_hash = Some("00ff00ff00ff00ff".into());
+        a.totals = crate::analysis::Totals {
             base_cycles: 1000,
             ccr_cycles: 800,
             speedup: 1.25,
             hit_rate: 0.7,
             regions_formed: 3,
-            ..crate::Analysis::default()
+            ..Default::default()
         };
-        a.miss_causes = [5, 4, 3, 2, 1];
+        a.totals.miss_causes = [5, 4, 3, 2, 1];
         let rec = record_from_analysis_json(&a.to_json(), 777, Some("deadbeef")).unwrap();
         assert_eq!(rec.workload, "w");
         assert_eq!(rec.miss_causes, [5, 4, 3, 2, 1]);
@@ -654,6 +655,20 @@ mod tests {
         assert!(record_from_analysis_json("{}", 0, None)
             .unwrap_err()
             .contains("analysis_schema_version"));
+        let err = record_from_analysis_json(r#"{"analysis_schema_version":3}"#, 0, None);
+        assert!(err
+            .unwrap_err()
+            .contains("unknown analysis_schema_version 3"));
+        // Without its `source` or `totals` object the file is refused,
+        // in one line.
+        for (text, key) in [
+            (r#"{"analysis_schema_version":2,"totals":{}}"#, "source"),
+            (r#"{"analysis_schema_version":2,"source":{}}"#, "totals"),
+        ] {
+            let err = record_from_analysis_json(text, 0, None).unwrap_err();
+            assert!(err.contains(&format!("missing `{key}`")), "{err}");
+            assert!(!err.contains('\n'), "{err}");
+        }
     }
 
     #[test]

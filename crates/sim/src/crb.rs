@@ -1000,6 +1000,27 @@ mod tests {
     }
 
     #[test]
+    fn fields_list_every_declared_leaf_in_wire_order() {
+        // A field added to the struct and its declaration but not to
+        // `fields` would alias two buffers under one unit key.
+        let crb = CrbConfig {
+            replacement: Replacement::Fifo,
+            nonuniform: Some(NonuniformConfig {
+                boost_every: 4,
+                boosted_instances: 20,
+                mem_capable_percent: 50,
+            }),
+            ..CrbConfig::paper()
+        };
+        let fields: Vec<(String, String)> = crb
+            .fields()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(crate::machine::record_leaves(&crb), fields);
+    }
+
+    #[test]
     fn fifo_evicts_oldest() {
         let mut buf = ReuseBuffer::new(CrbConfig {
             entries: 4,

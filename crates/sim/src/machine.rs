@@ -170,9 +170,74 @@ impl MachineConfig {
     }
 }
 
+/// A record's JSON leaves as `(dotted.key, value)` pairs in wire
+/// order, string values unquoted: the shape the `fields` lists of the
+/// configuration records enumerate.
+#[cfg(test)]
+pub(crate) fn record_leaves(r: &impl record::Record) -> Vec<(String, String)> {
+    let json = record::object(|_| {}, r);
+    let (mut out, mut path, mut key) = (Vec::new(), Vec::new(), None);
+    let mut rest = json.as_str();
+    // The configuration records hold objects and scalars only: no
+    // array, and no quote or comma inside a value.
+    while let Some(c) = rest.chars().next() {
+        match c {
+            '{' => {
+                path.extend(key.take());
+                rest = &rest[1..];
+            }
+            '}' => {
+                path.pop();
+                rest = &rest[1..];
+            }
+            ',' => rest = &rest[1..],
+            '"' if key.is_none() => {
+                let end = 1 + rest[1..].find('"').expect("closed key");
+                key = Some(rest[1..end].to_string());
+                rest = &rest[end + 2..];
+            }
+            _ => {
+                let end = rest.find([',', '}']).expect("closed value");
+                let mut name = path.join(".");
+                if !name.is_empty() {
+                    name.push('.');
+                }
+                name.push_str(&key.take().expect("a keyed value"));
+                out.push((name, rest[..end].trim_matches('"').to_string()));
+                rest = &rest[end..];
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fields_list_every_declared_leaf_in_wire_order() {
+        // A field added to the struct and its declaration but not to
+        // `fields` would alias two machines under one unit key.
+        let machine = MachineConfig::paper();
+        let owned = |fields: Vec<(&str, String)>| -> Vec<(String, String)> {
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect()
+        };
+        let fields = owned(machine.fields());
+        assert_eq!(record_leaves(&machine), fields);
+        let reuse_only = [
+            "reuse_hit_latency",
+            "reuse_miss_penalty",
+            "speculative_validation",
+        ];
+        let mut baseline = fields.clone();
+        baseline.retain(|(k, _)| !reuse_only.contains(&k.as_str()));
+        assert_eq!(baseline.len(), fields.len() - 3);
+        assert_eq!(owned(machine.baseline_fields()), baseline);
+    }
 
     #[test]
     fn paper_machine_matches_section_5_1() {

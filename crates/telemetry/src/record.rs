@@ -5,8 +5,10 @@
 //! the two can never disagree on a key. Every record the workspace
 //! keeps on disk is declared this way: the simulator snapshot and its
 //! sections, the checkpoint journal line, the run-report statistics
-//! and configuration blocks, run-store lines, `BENCH_ccr.json`, and
-//! fingerprint digest lines.
+//! and configuration blocks, run-store lines, `BENCH_ccr.json`,
+//! fingerprint digest lines, and the analyzer's files (`analysis.json`
+//! both ways; the parts of `report.json` and of the `events.jsonl`
+//! lines it reads).
 //!
 //! A record is read in one of two modes:
 //!
@@ -41,6 +43,8 @@
 //! let err = Point::get_fields(&value::parse("{}").unwrap(), "p:1").unwrap_err();
 //! assert_eq!(err, "p:1: missing `ts`");
 //! ```
+
+use std::collections::BTreeMap;
 
 use crate::json::JsonWriter;
 use crate::value::Value;
@@ -237,6 +241,25 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
     }
 }
 
+/// A string-keyed map as one JSON object, in key order.
+impl<T: Wire> Wire for BTreeMap<String, T> {
+    fn put(&self, w: &mut JsonWriter) {
+        w.obj_begin();
+        for (k, x) in self {
+            w.key(k);
+            x.put(w);
+        }
+        w.obj_end();
+    }
+    fn get(v: &Value, key: &str, ctx: &str) -> Result<BTreeMap<String, T>, String> {
+        v.as_obj()
+            .ok_or_else(|| not_a("an object", key, ctx))?
+            .iter()
+            .map(|(k, x)| Ok((k.clone(), T::get(x, k, ctx)?)))
+            .collect()
+    }
+}
+
 /// Strict read mode: a missing key is an error, unless the field's
 /// type reads absence (`Option` reads `None`).
 pub struct Strict;
@@ -376,6 +399,12 @@ mod tests {
             kind_line("k", &Inner { a: 1, b: Some(2) }),
             r#"{"kind":"k","a":1,"b":2}"#
         );
+        let map: BTreeMap<String, u64> = [("b".into(), 2), ("a".into(), 1)].into();
+        let mut w = JsonWriter::new();
+        map.put(&mut w);
+        let text = w.finish();
+        assert_eq!(text, r#"{"a":1,"b":2}"#);
+        assert_eq!(Wire::get(&parse(&text), "m", "f"), Ok(map));
     }
 
     #[test]
@@ -398,5 +427,9 @@ mod tests {
         assert_eq!(err, "f: missing `a`");
         let err = <[u8; 2]>::get(&parse("[1,2,3]"), "arr", "f").unwrap_err();
         assert_eq!(err, "f: `arr` has 3 entries, want 2");
+        let map =
+            |text: &str| <BTreeMap<String, u64> as Wire>::get(&parse(text), "m", "f").unwrap_err();
+        assert_eq!(map("[1]"), "f: `m` is not an object");
+        assert_eq!(map(r#"{"a":"x"}"#), "f: `a` is not an unsigned integer");
     }
 }

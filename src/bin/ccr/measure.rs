@@ -283,7 +283,7 @@ pub(crate) fn cmd_profile(flags: &Flags) -> Result<(), CliError> {
         timestamp: record_timestamp(flags),
         commit: ccr::git_commit_id().to_string(),
         source: "profile".to_string(),
-        ..ccr_analyze::diff::RunSnapshot::from(&analysis).record(cap.sim_wall_ms)
+        ..analysis.record(cap.sim_wall_ms)
     };
     append_to_store(flags, &[rec])
 }

@@ -94,7 +94,7 @@ pub(crate) fn cmd_analyze(flags: &Flags) -> Result<(), CliError> {
 /// One side of a `ccr diff`: a run (telemetry dir or saved
 /// `analysis.json`) or a bench suite snapshot.
 enum DiffSide {
-    Run(ccr_analyze::diff::RunSnapshot),
+    Run(Box<ccr_analyze::Analysis>),
     Bench(ccr_analyze::BenchReport),
 }
 
@@ -103,8 +103,7 @@ fn load_diff_side(spec: &str, top: usize) -> Result<DiffSide, String> {
     if path.is_dir() {
         require_run_artifacts(path)?;
         let data = ccr_analyze::load_run(path).map_err(|e| e.to_string())?;
-        let analysis = ccr_analyze::analyze(&data, top);
-        return Ok(DiffSide::Run((&analysis).into()));
+        return Ok(DiffSide::Run(Box::new(ccr_analyze::analyze(&data, top))));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{spec}: {e}"))?;
     let v = ccr_analyze::value::parse(text.trim()).map_err(|e| format!("{spec}: {e}"))?;
@@ -114,8 +113,8 @@ fn load_diff_side(spec: &str, top: usize) -> Result<DiffSide, String> {
             .map_err(|e| format!("{spec}: {e}"));
     }
     if v.get("analysis_schema_version").is_some() {
-        return ccr_analyze::diff::RunSnapshot::from_analysis_json(&text)
-            .map(DiffSide::Run)
+        return ccr_analyze::Analysis::from_json(&text)
+            .map(|a| DiffSide::Run(Box::new(a)))
             .map_err(|e| format!("{spec}: {e}"));
     }
     Err(format!(

@@ -69,6 +69,15 @@ fn analyzer_output_is_byte_stable_on_the_frozen_fixture() {
     assert_eq!(ccr_analyze::flamegraph_svg(&folded), svg);
 
     check_golden(&fixture.join("golden/analysis.json"), &analysis.to_json());
+
+    // The one reader of `analysis.json` reads the committed golden back
+    // to a value that writes the same bytes.
+    let golden = std::fs::read_to_string(fixture.join("golden/analysis.json")).unwrap();
+    let back = ccr_analyze::Analysis::from_json(&golden).expect("the golden reads back");
+    assert!(
+        back.to_json() == golden,
+        "analysis.json does not round-trip through Analysis::from_json"
+    );
     check_golden(&fixture.join("golden/trace.json"), &trace);
     check_golden(&fixture.join("golden/profile.folded"), &folded);
     check_golden(&fixture.join("golden/flamegraph.svg"), &svg);
@@ -84,12 +93,13 @@ fn fixture_is_a_profiled_v3_capture() {
     );
     let attr = data
         .report
-        .ccr_attribution
+        .ccr
+        .attribution
         .as_ref()
         .expect("profiled capture carries attribution");
     assert_eq!(
         attr.total.total(),
-        data.report.ccr_cycles,
+        data.report.ccr.cycles,
         "every cycle is attributed to exactly one bucket"
     );
     // Per-region miss causes sum to the region's misses.
@@ -111,16 +121,17 @@ fn fixture_report_is_v3_with_provenance() {
     assert_eq!(data.report.schema_version, 3);
     let hash = data
         .report
+        .provenance
         .config_hash
         .as_deref()
         .expect("v2 carries a config hash");
     assert_eq!(hash.len(), 16);
     assert!(hash.bytes().all(|b| b.is_ascii_hexdigit()));
     // Self-diff of the fixture is clean and within every threshold.
-    let snap: ccr_analyze::diff::RunSnapshot = (&ccr_analyze::analyze(&data, TOP_N)).into();
+    let analysis = ccr_analyze::analyze(&data, TOP_N);
     let report = ccr_analyze::diff_analyses(
-        &snap,
-        &snap,
+        &analysis,
+        &analysis,
         &ccr_analyze::Thresholds::default_gate(),
         false,
     )
